@@ -8,8 +8,10 @@ and seeds.  ``prepare`` turns a scenario into the derived objects
 kernel) and ``run_closed_loop`` drives the measure-learn-apply cycle:
 
   1. quantise the virtual input into a binary mirror pattern,
-  2. propagate the pattern through the optics with the active
-     transmission disturbances into the optical potential,
+  2. sum each column of the pattern transversally on the optical axis,
+     map the column sums to the on-axis field through the column
+     response built once in ``prepare``, and apply the active
+     transmission disturbances to get the optical potential,
   3. relax the condensate in the total potential and measure its density,
   4. form the amplitude error against the desired density,
   5. update the virtual input through the learning kernel and hold it
@@ -41,7 +43,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, Spectrum1D, integrate
+from .core import ComplexField1D, RealField1D, SpatialGrid1D, Spectrum1D, integrate
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -71,10 +73,11 @@ from .optics import (
     TransmissionDisturbance,
     calibrate_beam,
     column_grid,
+    column_response,
     e_perp_max,
     magnetic_potential,
     potential_from_field,
-    propagate_full,
+    transversal_weights,
 )
 
 __all__ = [
@@ -396,13 +399,19 @@ def desired_potential(spec: DesiredPotentialSpec, grid: SpatialGrid1D) -> RealFi
 
 @dataclass(frozen=True)
 class Prepared:
-    """Everything derived from a scenario that the loop consumes."""
+    """Everything derived from a scenario that the loop consumes.
+
+    ``column_response`` is the longitudinal response of every mirror
+    column on the condensate grid (:func:`optics.column_response`), so
+    the loop's field is one matrix-vector product per iteration.
+    """
 
     config: ScenarioConfig
     grid: SpatialGrid1D
     col_grid: SpatialGrid1D
     beam: BeamProfile
     e_perp_max: float
+    column_response: np.ndarray
     v_magnetic: RealField1D
     v_desired: RealField1D
     ground_desired: GroundState
@@ -426,6 +435,8 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         headroom=cfg.control.headroom,
     )
     e_max = e_perp_max(cfg.psf, beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
+    resp = column_response(grid, col_grid, cfg.psf, beam)
+    resp.flags.writeable = False
     v_mag = magnetic_potential(cfg.magnetic, cfg.condensate.mass, grid)
     v_des = desired_potential(cfg.desired, grid)
     gs_d = ground_state(v_des, cfg.condensate, cfg.solver)
@@ -462,6 +473,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         col_grid=col_grid,
         beam=beam,
         e_perp_max=e_max,
+        column_response=resp,
         v_magnetic=v_mag,
         v_desired=v_des,
         ground_desired=gs_d,
@@ -665,10 +677,15 @@ def level_update(
 
 def _physics_measurement(cfg: ScenarioConfig, prepared: Prepared, lut: Lut):
     state = {"phi": None}
+    # on-axis transversal weights of the table's mirror rows; a column's
+    # field amplitude is the signed sum w0 @ bits (negative sinc lobes
+    # included), so the plant sees the pattern itself
+    w0 = transversal_weights(cfg.psf, prepared.beam, lut.n_t, lut.pitch, [0.0])[0]
 
     def measure(n: int, nu: VirtualInput):
         pattern = map_virtual_input(nu.field, lut)
-        e_out = propagate_full(pattern, prepared.beam, cfg.psf, prepared.grid)
+        cols = prepared.beam.amplitude * (w0 @ pattern.bits)
+        e_out = ComplexField1D(grid=prepared.grid, values=prepared.column_response @ cols)
         dist = inject_disturbances(cfg.disturbances, n)
         v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
         v = RealField1D(

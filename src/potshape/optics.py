@@ -10,12 +10,18 @@ transversal average coherent).  The illuminating beam is Gaussian in both
 directions.  The optical dipole potential is proportional to the squared
 field magnitude in the atom plane, evaluated on the y = 0 axis.
 
-Two propagation routes exist.  ``propagate_full`` performs the direct
-pixel sum with per-pixel Gauss-Legendre quadrature.  For control design,
-``propagate_separable`` collapses the transversal physics into one
-achieved amplitude per column and evaluates the longitudinal blur with
-closed-form Gaussian integrals (erf).  With a uniform transmission both
-routes agree to near machine precision, which the tests exploit.
+The field is linear in the per-column transversal sums, and the
+longitudinal blur of each column has a closed form (an erf difference).
+``column_response`` tabulates that blur for every column once; one field
+evaluation is then a single matrix-vector product.  Two routes use it:
+the closed loop (``harness``) feeds it the signed on-axis sums of the
+actual mirror pattern, and ``propagate_separable``, the control model,
+feeds it one achieved amplitude per column.  ``propagate_full`` performs
+the direct pixel sum with per-pixel Gauss-Legendre quadrature, never the
+closed form; it is the independent oracle that the tests and the
+acceptance criteria check both routes against, and the loop does not call
+it.  With a uniform transmission the routes agree to near machine
+precision.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
     "column_grid",
     "transversal_weights",
     "e_perp_max",
+    "column_response",
     "calibrate_beam",
     "propagate_full",
     "propagate_separable",
@@ -333,15 +340,24 @@ def propagate_full(
     return ComplexField1D(grid=grid, values=out.astype(complex))
 
 
-def _column_response(
-    z: np.ndarray, centers: np.ndarray, half: float, sigma: float, sigma_in: float
+def column_response(
+    grid: SpatialGrid1D, col_grid: SpatialGrid1D, psf: PsfModel, beam: BeamProfile
 ) -> np.ndarray:
-    """Closed-form int over column j of g_z(z - eta) p_z(eta) d eta.
+    """Longitudinal response Z[:, j] = int over column j of g_z(z - eta) p_z(eta) d eta.
 
-    The Gaussian product g_z(z - eta) p_z(eta) is completed to a single
-    Gaussian in eta, whose integral over the finite column is an erf
-    difference.  Returns shape (len(z), len(centers)).
+    Column j is centred on the j-th sample of ``col_grid`` and is one
+    spacing wide; z runs over ``grid``.  The Gaussian product
+    g_z(z - eta) p_z(eta) is completed to a single Gaussian in eta, whose
+    integral over the finite column is an erf difference.  The on-axis
+    field is linear in the per-column transversal sums c_j, E(0, z) =
+    sum_j Z[:, j] c_j, and Z does not depend on the pattern.  Returns
+    shape (grid.n_points, col_grid.n_points).
     """
+    z = grid.samples
+    centers = col_grid.samples
+    half = 0.5 * col_grid.dz
+    sigma = psf.sigma_z
+    sigma_in = beam.sigma_z
     a = 0.5 / sigma**2 + 1.0 / sigma_in**2
     sq = np.sqrt(a)
     eta_bar = z / (2.0 * sigma**2 * a)
@@ -368,15 +384,12 @@ def propagate_separable(
 
     ``nu`` holds the normalised transversal field value of each column on
     the column-centre grid; the field is E(z) = e_max * sum_j nu_j Z_j(z)
-    with Z_j the closed-form Gaussian column response, and the potential
-    is alpha_v E^2.
+    with Z = :func:`column_response`, and the potential is alpha_v E^2.
     """
     v = nu.values
     if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
         raise ValueError("achieved column values must lie in [0, 1]")
-    pitch = nu.grid.dz
-    zcol = nu.grid.samples
-    resp = _column_response(grid.samples, zcol, 0.5 * pitch, psf.sigma_z, beam.sigma_z)
+    resp = column_response(grid, nu.grid, psf, beam)
     field = e_max * (resp @ np.clip(v, 0.0, 1.0))
     return RealField1D(grid=grid, values=alpha_v * field**2)
 

@@ -28,6 +28,7 @@ from potshape.condensate import (
     total_energy,
 )
 from potshape.core import ComplexField1D, RealField1D, SpatialGrid1D
+from potshape.harness import desired_potential
 
 OMEGA = 2.0 * np.pi * 0.007
 MASS = 1.368
@@ -192,6 +193,18 @@ def test_non_convergence_is_flagged(caplog):
     assert not gs.converged
     assert gs.n_steps == 3
     assert any("not converged" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("n_points, warns", [(2700, False), (200, True)])
+def test_resolution_warning_follows_the_spectral_tail(scenario, n_points, warns, caplog):
+    # the desired state over the reference 250 um: converged at the
+    # reference 2700 points, visibly under-resolved at 200
+    grid = SpatialGrid1D(scenario.grid.length, n_points)
+    v = desired_potential(scenario.desired, grid)
+    with caplog.at_level(logging.WARNING, logger="potshape.condensate"):
+        gs = ground_state(v, scenario.condensate, scenario.solver)
+    assert gs.converged
+    assert any("healing-scale resolution" in r.message for r in caplog.records) == warns
 
 
 def test_crossover_parameter_is_logged(caplog):

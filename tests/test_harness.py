@@ -1,6 +1,7 @@
 """Scenario plumbing: desired potential, config files, loop wiring,
 exports and the command line."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,8 +29,15 @@ from potshape.harness import (
     scenario_to_dict,
 )
 from potshape.ilc import VirtualInput, plant_response, scaled_error, update
-from potshape.inputmap import map_virtual_input
-from potshape.optics import DarkSpot, column_grid
+from potshape.inputmap import TransversalPattern, map_virtual_input
+from potshape.optics import (
+    DarkSpot,
+    column_grid,
+    potential_from_field,
+    propagate_full,
+    row_centers,
+    transversal_weights,
+)
 from potshape import cli
 
 
@@ -286,6 +294,40 @@ def test_export_and_report_round_trip(tmp_path, scenario, reference_run):
     assert np.array_equal(data["norms"]["n"], np.arange(80.0))
 
 
+def test_exported_potential_matches_the_pixel_sum(
+    tmp_path, small_scenario, small_prepared, small_lut
+):
+    # the loop's cached column response against the direct pixel sum of
+    # every exported pattern.  The starting level is swapped for mirrors
+    # only in the first negative sinc lobe, so iteration 1 mixes columns
+    # of both signs; a dark spot is active from iteration 1.
+    pre = small_prepared
+    y = row_centers(small_lut.n_t, small_lut.pitch)
+    lobe = (np.abs(y) > small_scenario.psf.w_y) & (np.abs(y) < 2.0 * small_scenario.psf.w_y)
+    entries = list(small_lut.entries)
+    k = int(small_lut.nearest_index(small_scenario.loop.nu_initial))
+    entries[k] = dataclasses.replace(entries[k], pattern=TransversalPattern(bits=lobe))
+    lut = dataclasses.replace(small_lut, entries=tuple(entries))
+    spot = DarkSpot(center=5.0, width=3.0, depth=0.3)
+    cfg = dataclasses.replace(
+        small_scenario, disturbances=(DisturbanceEvent(iteration=1, spots=(spot,)),)
+    )
+    result = run_closed_loop(cfg, lut=lut, prepared=pre)
+    export_records(result, tmp_path / "run")
+    fields = load_run(tmp_path / "run")["fields"]
+    assert sorted(fields) == list(range(cfg.loop.iterations))
+    w0 = transversal_weights(cfg.psf, pre.beam, lut.n_t, lut.pitch, [0.0])[0]
+    signs = np.sign(w0 @ result.records[1].extras["pattern"].bits)
+    assert -1.0 in signs and 1.0 in signs
+    for r in result.records:
+        e = propagate_full(r.extras["pattern"], pre.beam, cfg.psf, pre.grid)
+        tau = inject_disturbances(cfg.disturbances, r.n).tau(pre.grid.samples)
+        want = potential_from_field(e, cfg.control.alpha_v).values * tau**2
+        got = fields[r.n]["v_opt"]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    assert np.min(tau) < 0.75
+
+
 def test_export_pbm_layout(tmp_path, reference_run):
     out = tmp_path / "run"
     export_records(reference_run, out)
@@ -298,8 +340,6 @@ def test_export_pbm_layout(tmp_path, reference_run):
 
 
 def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepared):
-    import dataclasses
-
     cfg = dataclasses.replace(
         small_scenario,
         loop=dataclasses.replace(small_scenario.loop, export_iterations=None),
@@ -314,8 +354,6 @@ def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepare
 
 
 def test_export_rejects_out_of_range_iteration(tmp_path, small_scenario, small_prepared):
-    import dataclasses
-
     result = run_closed_loop(
         small_scenario,
         prepared=small_prepared,

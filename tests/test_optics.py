@@ -21,6 +21,7 @@ from potshape.optics import (
     calibrate_beam,
     column_centers,
     column_grid,
+    column_response,
     e_perp_max,
     magnetic_potential,
     potential_from_field,
@@ -247,6 +248,31 @@ def test_separable_route_matches_full_route():
     v_sep = propagate_separable(nu, beam, psf, grid, scale_e).values
     scale = np.max(v_full)
     assert np.max(np.abs(v_full - v_sep)) < 1e-8 * scale
+
+
+def test_column_response_matches_the_pixel_sum_with_signed_columns():
+    # E(0, z) = amplitude * Z @ (w0 @ bits) against the direct pixel sum.
+    # One column has mirrors only in the first negative sinc lobe
+    # (w_y < |y| < 2 w_y), so its on-axis sum is negative and its field
+    # cancels part of its neighbours'; the magnitude of that sum would add.
+    psf = PsfModel()
+    beam = calibrate_beam(psf, BeamProfile(), 40, 1.0, v_max=V_MAX)
+    grid = SpatialGrid1D(60.0, 601)
+    n_l = 21
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2, (40, n_l))
+    y = row_centers(40, 1.0)
+    bits[:, 10] = (np.abs(y) > psf.w_y) & (np.abs(y) < 2.0 * psf.w_y)
+    w0 = transversal_weights(psf, beam, 40, 1.0, [0.0])[0]
+    cols = beam.amplitude * (w0 @ bits)
+    assert cols[10] < 0.0
+
+    resp = column_response(grid, column_grid(n_l, 1.0), psf, beam)
+    assert resp.shape == (grid.n_points, n_l)
+    e_full = propagate_full(DmdPattern(bits=bits), beam, psf, grid).values.real
+    scale = np.max(np.abs(e_full))
+    assert np.max(np.abs(resp @ cols - e_full)) < 1e-12 * scale
+    assert np.max(np.abs(resp @ np.abs(cols) - e_full)) > 1e-3 * scale
 
 
 def test_separable_plateau_with_flat_envelope():
