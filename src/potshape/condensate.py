@@ -6,9 +6,10 @@ The effective 1d interaction is non-polynomial in the line density,
 
 which reduces to 2 omega_perp b rho for b rho << 1 and grows like
 sqrt(rho) once the transversal cloud swells.  The ground state of the
-corresponding nonlinear eigenvalue problem is found by imaginary-time
-split-step propagation with per-step renormalisation; the Thomas-Fermi
-routine drops the kinetic term and inverts h pointwise by bisection.
+corresponding nonlinear eigenvalue problem is found by real-valued
+imaginary-time split-step propagation with per-step renormalisation; the
+Thomas-Fermi routine drops the kinetic term, inverts h pointwise in closed
+form and finds mu by bisection on the norm.
 
 Units: lengths in um, times in ms, energies in rad/ms (hbar = 1), and
 the wave function is normalised to int |phi|^2 dz = 1 so rho is a
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import ComplexField1D, RealField1D, integrate, require_same_grid
+from .core import ComplexField1D, RealField1D, real_part, require_same_grid
 
 __all__ = [
     "CondensateParams",
@@ -32,6 +33,7 @@ __all__ = [
     "GroundState",
     "ConvergenceError",
     "nonlinearity",
+    "inverse_nonlinearity",
     "interaction_energy_density",
     "interaction_parameter",
     "chemical_potential",
@@ -86,7 +88,8 @@ class SolverConfig:
 
     ``tol`` is on the relative chemical-potential change per step.
     ``record_history`` additionally stores per-step mu, energy and norm
-    (used by the invariant checks; costs one extra transform per step).
+    (used by the invariant checks; the energy reuses the step's spectrum,
+    so it costs one interaction-energy evaluation per step, no transform).
     """
 
     dtau: float = 1e-3
@@ -114,7 +117,7 @@ class MeasurementConfig:
 
 @dataclass(frozen=True)
 class GroundState:
-    phi: ComplexField1D
+    phi: RealField1D
     mu: float
     n_steps: int
     converged: bool
@@ -124,7 +127,7 @@ class GroundState:
 
     @property
     def density(self) -> RealField1D:
-        return RealField1D(grid=self.phi.grid, values=np.abs(self.phi.values) ** 2)
+        return RealField1D(grid=self.phi.grid, values=self.phi.values**2)
 
 
 def nonlinearity(rho, params: CondensateParams):
@@ -134,6 +137,25 @@ def nonlinearity(rho, params: CondensateParams):
         raise ValueError("density must be non-negative")
     x = params.coupling * rho
     return params.omega_perp * ((1.0 + 3.0 * x) / np.sqrt(1.0 + 2.0 * x) - 1.0)
+
+
+def inverse_nonlinearity(t, params: CondensateParams):
+    """Density rho >= 0 with h(rho) = t, for t >= 0 (needs b = a_s N > 0).
+
+    With x = b rho and u = sqrt(1 + 2x), h(rho) = t is a quadratic in u
+    with root u = (c + sqrt(c^2 + 3)) / 3, c = 1 + t / omega_perp, and
+    rho = (u^2 - 1) / (2b).  It is evaluated as u - 1 = s (1 + (2 + s) /
+    (sqrt(c^2 + 3) + 2)) / 3 with s = t / omega_perp, which keeps full
+    relative precision for small t (where rho -> t / (2 omega_perp b))
+    and gives rho = 0 exactly at t = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("interaction energy must be non-negative")
+    s = t / params.omega_perp
+    c = 1.0 + s
+    d = s * (1.0 + (2.0 + s) / (np.sqrt(c * c + 3.0) + 2.0)) / 3.0
+    return d * (d + 2.0) / (2.0 * params.coupling)
 
 
 def interaction_energy_density(rho, params: CondensateParams):
@@ -162,7 +184,7 @@ def _spectral_second_derivative(values: np.ndarray, grid) -> np.ndarray:
     return scipy.fft.ifft(-k2 * scipy.fft.fft(values))
 
 
-def chemical_potential(phi: ComplexField1D, potential: RealField1D, params) -> float:
+def chemical_potential(phi: RealField1D | ComplexField1D, potential: RealField1D, params) -> float:
     """mu = <phi| T + V + h(|phi|^2) |phi> for a normalised phi."""
     require_same_grid(phi, potential)
     v = phi.values
@@ -174,7 +196,7 @@ def chemical_potential(phi: ComplexField1D, potential: RealField1D, params) -> f
     return float(np.real(np.trapezoid(integrand, dx=phi.grid.dz)))
 
 
-def total_energy(phi: ComplexField1D, potential: RealField1D, params) -> float:
+def total_energy(phi: RealField1D | ComplexField1D, potential: RealField1D, params) -> float:
     """Energy functional whose stationary point is the ground state."""
     require_same_grid(phi, potential)
     grid = phi.grid
@@ -221,16 +243,21 @@ def ground_state(
     potential: RealField1D,
     params: CondensateParams,
     cfg: SolverConfig,
-    initial: ComplexField1D | None = None,
+    initial: RealField1D | ComplexField1D | None = None,
 ) -> GroundState:
     """Imaginary-time Strang split-step relaxation to the ground state.
 
-    Each step applies half a kinetic step in wavenumber space, a full
+    The normalised gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 2004):
+    each step applies half a kinetic step in wavenumber space, a full
     potential-plus-interaction step in position space, the second kinetic
-    half step, and renormalises.  Convergence is declared when the
-    relative change of mu over one step drops below cfg.tol.  ``initial``
-    warm-starts the relaxation (any normalisation); otherwise the
-    Thomas-Fermi profile is used where available, falling back to a
+    half step, and renormalises.  Imaginary time keeps a real state real,
+    so phi is a real array and the kinetic steps act on its rfft spectrum.
+    The kinetic part of mu is read from the spectrum after the second half
+    step (Parseval), so mu costs no transform of its own.  Convergence is
+    declared when the relative change of mu over one step drops below
+    cfg.tol.  ``initial`` warm-starts the relaxation (any normalisation; an
+    imaginary part beyond rounding is refused by core.real_part); otherwise
+    the Thomas-Fermi profile is used where available, falling back to a
     10 um Gaussian.
     """
     grid = potential.grid
@@ -238,38 +265,49 @@ def ground_state(
         raise ValueError("potential must be finite")
     if initial is not None:
         require_same_grid(initial, potential)
-        phi = initial.values.astype(complex)
+        phi = real_part(initial).values
     else:
-        phi = _initial_guess(potential, params).astype(complex)
-    nrm = np.trapezoid(np.abs(phi) ** 2, dx=grid.dz)
+        phi = _initial_guess(potential, params)
+    dz = grid.dz
+    nrm = np.trapezoid(phi**2, dx=dz)
     if not nrm > 0:
         raise ValueError("initial state has zero norm")
     phi = phi / np.sqrt(nrm)
 
-    half_kin = np.exp(-grid.wavenumbers**2 * cfg.dtau / (4.0 * params.mass))
+    n = grid.n_points
+    k = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dz)
+    half_kin = np.exp(-(k**2) * cfg.dtau / (4.0 * params.mass))
+    # <phi|T|phi> = dz / n * sum of k^2/2m |phi_k|^2 over the full spectrum;
+    # the rfft half holds each k other than 0 and Nyquist for +k and -k
+    kin_weights = k**2 / (2.0 * params.mass) * (dz / n)
+    kin_weights[1 : (n + 1) // 2] *= 2.0
     vvals = potential.values
-    mu = chemical_potential(ComplexField1D(grid=grid, values=phi), potential, params)
+    mu = chemical_potential(RealField1D(grid=grid, values=phi), potential, params)
     mus, energies, norms = [], [], []
     converged = False
     steps = 0
     last_change = np.nan
     for steps in range(1, cfg.max_steps + 1):
-        phi = scipy.fft.ifft(half_kin * scipy.fft.fft(phi))
-        rho = np.abs(phi) ** 2
-        phi = phi * np.exp(-cfg.dtau * (vvals + nonlinearity(rho, params)))
-        phi = scipy.fft.ifft(half_kin * scipy.fft.fft(phi))
-        nrm = np.trapezoid(np.abs(phi) ** 2, dx=grid.dz)
+        phi = scipy.fft.irfft(half_kin * scipy.fft.rfft(phi), n)
+        phi = phi * np.exp(-cfg.dtau * (vvals + nonlinearity(phi * phi, params)))
+        spec = half_kin * scipy.fft.rfft(phi)
+        phi = scipy.fft.irfft(spec, n)
+        nrm = np.trapezoid(phi * phi, dx=dz)
         if not np.isfinite(nrm) or nrm <= 0:
             raise ConvergenceError(
                 f"wave function became non-finite after {steps} imaginary-time steps"
             )
         phi = phi / np.sqrt(nrm)
-        field = ComplexField1D(grid=grid, values=phi)
-        mu_new = chemical_potential(field, potential, params)
+        rho = phi * phi
+        kinetic = float(np.dot(kin_weights, spec.real**2 + spec.imag**2)) / nrm
+        mu_new = kinetic + float(np.trapezoid((vvals + nonlinearity(rho, params)) * rho, dx=dz))
         if cfg.record_history:
             mus.append(mu_new)
-            energies.append(total_energy(field, potential, params))
-            norms.append(float(np.trapezoid(np.abs(phi) ** 2, dx=grid.dz)))
+            energies.append(
+                kinetic
+                + np.trapezoid(vvals * rho + interaction_energy_density(rho, params), dx=dz)
+            )
+            norms.append(float(np.trapezoid(rho, dx=dz)))
         if not np.isfinite(mu_new):
             raise ConvergenceError("chemical potential became non-finite")
         last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
@@ -277,12 +315,11 @@ def ground_state(
         if last_change < cfg.tol:
             converged = True
             break
-    # gauge the global phase away; the ground state is real up to rounding
-    peak = np.argmax(np.abs(phi))
-    phase = phi[peak] / np.abs(phi[peak])
-    phi = phi / phase
+    # fix the global sign; the ground state is nodeless and positive
+    if phi[np.argmax(np.abs(phi))] < 0:
+        phi = -phi
     gs = GroundState(
-        phi=ComplexField1D(grid=grid, values=phi),
+        phi=RealField1D(grid=grid, values=phi),
         mu=mu,
         n_steps=steps,
         converged=converged,
@@ -305,37 +342,15 @@ def ground_state(
     return gs
 
 
-def _invert_nonlinearity(target: np.ndarray, params: CondensateParams, tol: float) -> np.ndarray:
-    """Solve h(rho) = target elementwise for rho >= 0 (target >= 0)."""
-    hi = np.ones_like(target)
-    for _ in range(200):
-        short = nonlinearity(hi, params) < target
-        if not np.any(short):
-            break
-        hi[short] *= 2.0
-    else:
-        raise ConvergenceError("upper bound search for the density inversion failed")
-    lo = np.zeros_like(target)
-    # bisection halves the bracket each pass; run until below tol everywhere
-    n_iter = int(np.ceil(np.log2(max(float(np.max(hi)), 1.0) / tol))) + 2
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        too_low = nonlinearity(mid, params) < target
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def thomas_fermi_density(
     potential: RealField1D,
     params: CondensateParams,
     norm_tol: float = 1e-10,
-    rho_tol: float = 1e-12,
 ):
     """Density with the kinetic term dropped: h(rho) = mu - V where positive.
 
-    Returns (rho, mu) with mu adjusted by bisection until the density
-    integrates to 1 within norm_tol.
+    Returns (rho, mu) with rho from :func:`inverse_nonlinearity` and mu
+    adjusted by bisection until the density integrates to 1 within norm_tol.
     """
     if params.coupling <= 0:
         raise ConvergenceError(
@@ -347,12 +362,7 @@ def thomas_fermi_density(
     grid = potential.grid
 
     def density_for(mu):
-        target = np.clip(mu - v, 0.0, None)
-        rho = np.zeros_like(v)
-        occ = target > 0
-        if np.any(occ):
-            rho[occ] = _invert_nonlinearity(target[occ], params, rho_tol)
-        return rho
+        return inverse_nonlinearity(np.clip(mu - v, 0.0, None), params)
 
     def norm_for(mu):
         return np.trapezoid(density_for(mu), dx=grid.dz)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from .condensate import inverse_nonlinearity
 from .core import (
     RealField1D,
     SpatialGrid1D,
@@ -108,9 +109,9 @@ def gain_profile(
         alpha = E_max p_z sqrt(alpha_v (V_d - V_mag)) / (sqrt(rho_d) h'(rho_d)).
 
     ``e_perp_max`` is that field per unit input: a scalar, or its samples
-    E_max p_z(z) on the grid.  With x = b rho and u = sqrt(1 + 2x) the
-    balance inverts in closed form, u = (c + sqrt(c^2 + 3)) / 3 with
-    c = 1 + (mu_d - V_d) / omega_perp, and h'(rho) = b omega_perp (2 + 3x) / u^3;
+    E_max p_z(z) on the grid.  The balance inverts in closed form
+    (condensate.inverse_nonlinearity), and with x = b rho,
+    h'(rho) = b omega_perp (2 + 3x) / (1 + 2x)^(3/2);
     for b rho << 1 the gain tends to E_max p_z sqrt(alpha_v (V_d - V_mag) /
     (mu_d - V_d)) / sqrt(2 omega_perp b).  alpha_bar is the rho_d-weighted
     mean of alpha over the support.
@@ -139,11 +140,9 @@ def gain_profile(
             "optically dominated and occupied"
         )
     b, w = params.coupling, params.omega_perp
-    c = 1.0 + s_mu[mask] / w
-    u = (c + np.sqrt(c * c + 3.0)) / 3.0
-    x = 0.5 * (u * u - 1.0)
-    rho = x / b
-    slope = b * w * (2.0 + 3.0 * x) / u**3
+    rho = inverse_nonlinearity(s_mu[mask], params)
+    x = b * rho
+    slope = b * w * (2.0 + 3.0 * x) / (1.0 + 2.0 * x) ** 1.5
     alpha = np.zeros_like(s_opt)
     alpha[mask] = e_field[mask] * np.sqrt(alpha_v * s_opt[mask]) / (np.sqrt(rho) * slope)
     alpha_bar = float(np.sum(rho * alpha[mask]) / np.sum(rho))

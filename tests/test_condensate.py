@@ -2,9 +2,11 @@
 
 The linear (non-interacting) harmonic trap has an exact ground state;
 the Thomas-Fermi inversion has a closed-form solution obtained by
-solving h(rho) = mu - V as a quadratic in sqrt(1 + 2 b rho); and an
+solving h(rho) = mu - V as a quadratic in sqrt(1 + 2 b rho); an
 unnormalised imaginary-time step decays the norm at a rate set by mu,
-giving a solver-independent estimate of the chemical potential.
+giving a solver-independent estimate of the chemical potential; and the
+real-valued solver is pinned to a complex split step that evaluates mu
+with its own transform every step.
 """
 
 import logging
@@ -12,6 +14,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 from potshape.condensate import (
     CondensateParams,
@@ -22,6 +25,7 @@ from potshape.condensate import (
     ground_state,
     interaction_energy_density,
     interaction_parameter,
+    inverse_nonlinearity,
     measure_density,
     nonlinearity,
     thomas_fermi_density,
@@ -69,6 +73,39 @@ def test_nonlinearity_limits_and_reference():
     )
     with pytest.raises(ValueError):
         nonlinearity(-1e-6, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e3), st.floats(1e-2, 1e3))
+def test_inverse_nonlinearity_round_trip(s, coupling):
+    p = CondensateParams(scattering_length=coupling / 5000.0)
+    t = s * p.omega_perp
+    rho = inverse_nonlinearity(t, p)
+    assert rho >= 0.0
+    # h itself cancels to an absolute rounding of a few ulp of omega_perp
+    # as t -> 0, hence the absolute floor
+    assert nonlinearity(rho, p) == pytest.approx(t, rel=1e-12, abs=1e-15 * p.omega_perp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-12.0, -4.0))
+def test_inverse_nonlinearity_weak_interaction_limit(log_s):
+    # rho = t / (2 omega_perp b) (1 + 3 s / 8 + O(s^2)), s = t / omega_perp;
+    # a form that cancels in u - 1 would miss this by about 1e-16 / s
+    s = 10.0**log_s
+    p = CondensateParams()
+    t = s * p.omega_perp
+    assert inverse_nonlinearity(t, p) == pytest.approx(
+        t / (2.0 * p.omega_perp * p.coupling), rel=s, abs=0.0
+    )
+
+
+def test_inverse_nonlinearity_vacuum_and_sign():
+    p = CondensateParams()
+    assert inverse_nonlinearity(0.0, p) == 0.0
+    assert np.array_equal(inverse_nonlinearity(np.zeros(3), p), np.zeros(3))
+    with pytest.raises(ValueError):
+        inverse_nonlinearity(-1e-9, p)
 
 
 def test_interaction_energy_is_antiderivative_of_h():
@@ -143,12 +180,14 @@ def test_harmonic_ground_state_matches_exact(harmonic_ground):
 
 
 def test_relaxation_histories(harmonic_ground):
-    _, _, gs = harmonic_ground
+    _, v, gs = harmonic_ground
     # per-step renormalisation: unit norm to rounding
     assert np.max(np.abs(gs.norm_history - 1.0)) < 1e-12
     # the energy functional never increases along imaginary time
     de = np.diff(gs.energy_history)
     assert np.max(de) <= 1e-10 * abs(gs.energy_history[0])
+    # the step's spectral energy is the functional evaluated on the state
+    assert gs.energy_history[-1] == pytest.approx(total_energy(gs.phi, v, LINEAR), rel=1e-12)
     # mu settles onto its final value
     assert abs(gs.mu_history[-1] - gs.mu) == 0.0
 
@@ -182,6 +221,62 @@ def test_ground_state_input_validation():
     zero = ComplexField1D(grid=grid, values=np.zeros(64, dtype=complex))
     with pytest.raises(ValueError):
         ground_state(v, LINEAR, cfg, initial=zero)
+
+
+def _complex_split_step(v, p, cfg, phi):
+    """The complex solver the real one replaced: full FFTs every step and
+    mu from its own transform of the renormalised state."""
+    grid = v.grid
+    phi = phi.astype(complex) / np.sqrt(np.trapezoid(np.abs(phi) ** 2, dx=grid.dz))
+    half_kin = np.exp(-grid.wavenumbers**2 * cfg.dtau / (4.0 * p.mass))
+    mu = chemical_potential(ComplexField1D(grid=grid, values=phi), v, p)
+    for steps in range(1, cfg.max_steps + 1):
+        phi = scipy.fft.ifft(half_kin * scipy.fft.fft(phi))
+        phi = phi * np.exp(-cfg.dtau * (v.values + nonlinearity(np.abs(phi) ** 2, p)))
+        phi = scipy.fft.ifft(half_kin * scipy.fft.fft(phi))
+        phi = phi / np.sqrt(np.trapezoid(np.abs(phi) ** 2, dx=grid.dz))
+        mu_new = chemical_potential(ComplexField1D(grid=grid, values=phi), v, p)
+        change, mu = abs(mu_new - mu) / abs(mu_new), mu_new
+        if change < cfg.tol:
+            break
+    peak = np.argmax(np.abs(phi))
+    return phi / (phi[peak] / np.abs(phi[peak])), mu, steps
+
+
+@pytest.fixture(scope="module")
+def tilted_well():
+    grid = SpatialGrid1D(120.0, 512)
+    v = RealField1D(grid=grid, values=0.02 * grid.samples**2 + 2.0 * np.sin(0.2 * grid.samples))
+    return v, CondensateParams(), SolverConfig(dtau=0.05, max_steps=20_000, tol=1e-10)
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_real_solver_matches_complex_split_step(tilted_well, start):
+    v, p, cfg = tilted_well
+    if start == "cold":
+        gs = ground_state(v, p, cfg)
+        rho_tf, _ = thomas_fermi_density(v, p)
+        phi0 = np.sqrt(rho_tf.values) + 1e-6
+    else:
+        # the state of a shifted well with the opposite global sign,
+        # handed over as a complex field
+        z = v.grid.samples
+        phi0 = -np.exp(-((z - 8.0) ** 2) / 200.0) * (1.0 + 0.0j)
+        gs = ground_state(v, p, cfg, initial=ComplexField1D(grid=v.grid, values=phi0))
+    phi, mu, steps = _complex_split_step(v, p, cfg, phi0)
+    assert gs.converged and steps < cfg.max_steps
+    assert gs.n_steps == steps
+    assert gs.mu == pytest.approx(mu, rel=1e-12)
+    assert np.max(np.abs(gs.phi.values - phi)) < 1e-10 * np.max(np.abs(phi))
+
+
+def test_warm_start_with_imaginary_part_is_refused():
+    grid = SpatialGrid1D(40.0, 128)
+    v = _harmonic_potential(grid)
+    cfg = SolverConfig(dtau=0.05, max_steps=100, tol=1e-8)
+    phi0 = np.exp(-grid.samples**2 / 20.0) * (1.0 + 1e-3j)
+    with pytest.raises(ValueError, match="imaginary part"):
+        ground_state(v, LINEAR, cfg, initial=ComplexField1D(grid=grid, values=phi0))
 
 
 def test_non_convergence_is_flagged(caplog):
