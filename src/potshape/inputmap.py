@@ -14,6 +14,12 @@ value is robust against small alignment errors.  J is minimised per nu by
 a seeded genetic algorithm followed by greedy single-bit-flip descent,
 and the results are cached in a monotone look-up table (LUT) that the
 closed loop queries by nearest-neighbour quantisation.
+
+A table build runs the genetic searches of all its inner levels in
+lockstep, one array operation per generation step across every level,
+and then refines each level on its own.  Each level keeps its own random
+stream and its own cost evaluations, so an entry is bit-identical to a
+:func:`solve_pattern` call for that level with the entry's child seed.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +96,12 @@ class OptimizerConfig:
             raise ValueError("algorithm must be 'genetic' or 'bitflip'")
         if self.n_t < 1 or self.population < 2 or self.generations < 1:
             raise ValueError("optimizer sizes out of range")
+        if self.tournament < 1:
+            raise ValueError("tournament must hold at least one entrant")
+        if not 0 <= self.elite <= self.population:
+            raise ValueError("elite must lie in [0, population]")
+        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError("mutation_rate must lie in [0, 1]")
 
     @property
     def effective_mutation_rate(self) -> float:
@@ -152,51 +165,85 @@ class PatternObjective:
         return (e0_f - nu) ** 2 + pen
 
 
-def _ga_minimise(obj: PatternObjective, nu: float, cfg: OptimizerConfig, rng) -> np.ndarray:
-    n = cfg.n_t
-    pop = rng.integers(0, 2, size=(cfg.population, n), dtype=np.uint8)
+def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.ndarray:
+    """Genetic search for every level in ``nus`` at once; returns (m, n_t) bits.
+
+    The levels run in lockstep: each level draws from its own generator,
+    in the same order as a search run alone (tournament indices,
+    crossover mask, mutation uniforms), and its costs come from its own
+    ``obj.value`` call, so every level's result equals its solo search.
+    Selection, crossover, mutation, elitism and the best-so-far update
+    are single array operations across all levels.
+    """
+    m, P, n = len(nus), cfg.population, cfg.n_t
+    n_pairs = P // 2
+    level = np.arange(m)
+    rows = level[:, None]
+    pop = np.empty((m, P, n), dtype=np.uint8)
+    for k, rng in enumerate(rngs):
+        pop[k] = rng.integers(0, 2, size=(P, n), dtype=np.uint8)
     # seed with the extremes and a couple of centre-out fills; these are
     # good starting points across the whole nu range
-    pop[0] = 0
-    pop[1] = 1
+    pop[:, 0] = 0
+    pop[:, 1] = 1
     order = np.argsort(np.abs(np.arange(n) - 0.5 * (n - 1)))
     for s, frac in enumerate((0.25, 0.5, 0.75)):
-        if 2 + s < cfg.population:
-            row = np.zeros(n, dtype=np.uint8)
-            row[order[: int(frac * n)]] = 1
-            pop[2 + s] = row
-    cost = obj.value(pop, nu)
-    best = pop[np.argmin(cost)].copy()
-    best_cost = float(cost.min())
+        if 2 + s < P:
+            pop[:, 2 + s] = 0
+            pop[:, 2 + s, order[: int(frac * n)]] = 1
+    cost = np.empty((m, P))
+    for k, nu in enumerate(nus):
+        cost[k] = obj.value(pop[k], nu)
+    gen_best = np.argmin(cost, axis=1)
+    best = pop[level, gen_best]
+    best_cost = cost[level, gen_best]
     rate = cfg.effective_mutation_rate
+    idx = np.empty((m, P, cfg.tournament), dtype=np.int64)
+    mask = np.empty((m, n_pairs, n), dtype=np.uint8)
+    flips = np.empty((m, P, n), dtype=bool)
+    uniform = np.empty((P, n))
+    ccost = np.empty_like(cost)
+    offsets = (np.arange(m) * P)[:, None, None]
     for _ in range(cfg.generations):
-        # tournament selection
-        idx = rng.integers(0, cfg.population, size=(cfg.population, cfg.tournament))
-        winners = idx[np.arange(cfg.population), np.argmin(cost[idx], axis=1)]
-        parents = pop[winners]
+        for k, rng in enumerate(rngs):
+            idx[k] = rng.integers(0, P, size=(P, cfg.tournament))
+            mask[k] = rng.integers(0, 2, size=(n_pairs, n), dtype=np.uint8)
+            np.less(rng.random(out=uniform), rate, out=flips[k])
+        # tournament selection, gathered through flat indices
+        flat = (idx + offsets).reshape(m * P, cfg.tournament)
+        picks = np.argmin(cost.ravel()[flat], axis=1)
+        parents = pop.reshape(m * P, n)[flat[np.arange(m * P), picks]].reshape(m, P, n)
         # uniform crossover of consecutive parent pairs
-        n_pairs = cfg.population // 2
-        mask = rng.integers(0, 2, size=(n_pairs, n), dtype=np.uint8)
-        a = parents[0 : 2 * n_pairs : 2]
-        b = parents[1 : 2 * n_pairs : 2]
-        children = np.concatenate([np.where(mask, a, b), np.where(mask, b, a)])
-        if cfg.population % 2:
-            children = np.concatenate([children, parents[-1:]])
+        a = parents[:, 0 : 2 * n_pairs : 2]
+        b = parents[:, 1 : 2 * n_pairs : 2]
+        swap = mask & (a ^ b)
+        children = np.concatenate([b ^ swap, a ^ swap, parents[:, 2 * n_pairs :]], axis=1)
         # bit-flip mutation
-        flips = rng.random(children.shape) < rate
-        children = np.where(flips, 1 - children, children).astype(np.uint8)
-        ccost = obj.value(children, nu)
+        children ^= flips.view(np.uint8)
+        for k, nu in enumerate(nus):
+            ccost[k] = obj.value(children[k], nu)
         # elitism: keep the best of the previous generation
-        keep = np.argsort(cost)[: cfg.elite]
-        worst = np.argsort(ccost)[::-1][: cfg.elite]
-        children[worst] = pop[keep]
-        ccost[worst] = cost[keep]
-        pop, cost = children, ccost
-        gen_best = int(np.argmin(cost))
-        if cost[gen_best] < best_cost:
-            best_cost = float(cost[gen_best])
-            best = pop[gen_best].copy()
+        keep = np.argsort(cost, axis=1)[:, : cfg.elite]
+        worst = np.argsort(ccost, axis=1)[:, ::-1][:, : cfg.elite]
+        children[rows, worst] = pop[rows, keep]
+        ccost[rows, worst] = cost[rows, keep]
+        # the spent cost buffer takes the next generation's child costs
+        pop, cost, ccost = children, ccost, cost
+        gen_best = np.argmin(cost, axis=1)
+        gen_cost = cost[level, gen_best]
+        better = gen_cost < best_cost
+        best_cost = np.where(better, gen_cost, best_cost)
+        best[better] = pop[better, gen_best[better]]
     return best
+
+
+def _search(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.ndarray:
+    """Start patterns, one row per level: the genetic search's best, or
+    with ``algorithm="bitflip"`` a random pattern for the descent to start
+    from."""
+    if cfg.algorithm == "genetic":
+        return _ga_minimise(obj, nus, cfg, rngs)
+    return np.array([rng.integers(0, 2, size=cfg.n_t, dtype=np.uint8) for rng in rngs])
 
 
 def _polish(obj: PatternObjective, nu: float, bits: np.ndarray, max_flips: int) -> np.ndarray:
@@ -258,6 +305,38 @@ def _polish_constrained(
     return b
 
 
+def _refine(obj: PatternObjective, nu: float, cfg: OptimizerConfig, candidates, target_cap):
+    """Polish each candidate and return the best as (pattern, achieved, residual).
+
+    With ``target_cap`` set the all-off and all-on patterns join the
+    candidates, a candidate outside the cap is walked onto the target and
+    re-polished among cap-respecting flips, and candidates inside the cap
+    win by objective value.
+    """
+    candidates = [np.asarray(c, dtype=np.uint8) for c in candidates]
+    if target_cap is not None:
+        candidates.append(np.zeros(cfg.n_t, dtype=np.uint8))
+        candidates.append(np.ones(cfg.n_t, dtype=np.uint8))
+    best = best_capped = None
+    best_cost = capped_cost = np.inf
+    for c in candidates:
+        if cfg.polish:
+            c = _polish(obj, nu, c, cfg.max_polish_flips)
+        if target_cap is not None and abs(float(obj.on_axis(c)[0]) - nu) > target_cap:
+            c = _tune_to_target(obj, nu, c, 0.25 * target_cap, cfg.max_polish_flips)
+            c = _polish_constrained(obj, nu, c, target_cap, cfg.max_polish_flips)
+        cost = float(obj.value(c, nu)[0])
+        if cost < best_cost:
+            best, best_cost = c, cost
+        if target_cap is not None and abs(float(obj.on_axis(c)[0]) - nu) <= target_cap:
+            if cost < capped_cost:
+                best_capped, capped_cost = c, cost
+    if best_capped is not None:
+        best, best_cost = best_capped, capped_cost
+    achieved = float(obj.on_axis(best)[0])
+    return TransversalPattern(bits=best), achieved, best_cost
+
+
 def solve_pattern(
     nu_target: float,
     cfg: OptimizerConfig,
@@ -288,33 +367,8 @@ def solve_pattern(
     obj = objective if objective is not None else PatternObjective(cfg, psf, beam)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    candidates = []
-    if cfg.algorithm == "genetic":
-        candidates.append(_ga_minimise(obj, nu_target, cfg, rng))
-    else:
-        candidates.append(rng.integers(0, 2, size=cfg.n_t, dtype=np.uint8))
-    candidates.extend(np.asarray(s, dtype=np.uint8) for s in seed_patterns)
-    if target_cap is not None:
-        candidates.append(np.zeros(cfg.n_t, dtype=np.uint8))
-        candidates.append(np.ones(cfg.n_t, dtype=np.uint8))
-    best = best_capped = None
-    best_cost = capped_cost = np.inf
-    for c in candidates:
-        if cfg.polish:
-            c = _polish(obj, nu_target, c, cfg.max_polish_flips)
-        if target_cap is not None and abs(float(obj.on_axis(c)[0]) - nu_target) > target_cap:
-            c = _tune_to_target(obj, nu_target, c, 0.25 * target_cap, cfg.max_polish_flips)
-            c = _polish_constrained(obj, nu_target, c, target_cap, cfg.max_polish_flips)
-        cost = float(obj.value(c, nu_target)[0])
-        if cost < best_cost:
-            best, best_cost = c, cost
-        if target_cap is not None and abs(float(obj.on_axis(c)[0]) - nu_target) <= target_cap:
-            if cost < capped_cost:
-                best_capped, capped_cost = c, cost
-    if best_capped is not None:
-        best, best_cost = best_capped, capped_cost
-    achieved = float(obj.on_axis(best)[0])
-    return TransversalPattern(bits=best), achieved, best_cost
+    start = _search(obj, [nu_target], cfg, [rng])[0]
+    return _refine(obj, nu_target, cfg, (start, *seed_patterns), target_cap)
 
 
 @dataclass(frozen=True)
@@ -356,6 +410,11 @@ class Lut:
 
     def achieved_values(self) -> np.ndarray:
         return np.array([e.achieved for e in self.entries])
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """(n_nu, n_t) uint8 matrix of the entry patterns, row k for level k."""
+        return np.array([e.pattern.bits for e in self.entries], dtype=np.uint8)
 
 
 def psf_beam_hash(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> str:
@@ -428,8 +487,11 @@ def build_lut(
     Entry k targets nu_k = k / (n_nu - 1).  The extreme entries are pinned
     to the all-off and all-on patterns: all-off is the exact optimum and
     all-on anchors the normalisation at achieved = 1.  Every other entry
-    gets its own deterministic child seed so the build is reproducible
-    and could be parallelised per entry.
+    gets its own deterministic child seed ``[cfg.seed, k]``.  Their
+    genetic searches run together in lockstep and each result is then
+    refined as in :func:`solve_pattern`, so an entry the monotone repair
+    leaves alone equals ``solve_pattern(nu_k, rng=default_rng([seed, k]),
+    target_cap=accuracy)`` bit for bit, whatever the number of levels.
 
     ``accuracy`` is the per-entry target for |achieved - nu_k|, by default
     0.05 / (n_nu - 1), i.e. a twentieth of the table step.  Entries worse
@@ -444,21 +506,15 @@ def build_lut(
     patterns: list = [None] * n_nu
     achieved = np.zeros(n_nu)
     residual = np.zeros(n_nu)
-    for k, nu in enumerate(nus):
-        if k == 0:
-            bits = np.zeros(cfg.n_t, dtype=np.uint8)
-        elif k == n_nu - 1:
-            bits = np.ones(cfg.n_t, dtype=np.uint8)
-        else:
-            rng = np.random.default_rng([cfg.seed, k])
-            pat, ach, res = solve_pattern(
-                nu, cfg, psf, beam, objective=obj, rng=rng, target_cap=acc
-            )
-            patterns[k], achieved[k], residual[k] = pat, ach, res
-            continue
-        patterns[k] = TransversalPattern(bits=bits)
-        achieved[k] = float(obj.on_axis(bits)[0])
-        residual[k] = float(obj.value(bits, nus[k])[0])
+    patterns[0] = TransversalPattern(bits=np.zeros(cfg.n_t, dtype=np.uint8))
+    patterns[-1] = TransversalPattern(bits=np.ones(cfg.n_t, dtype=np.uint8))
+    for k in (0, n_nu - 1):
+        achieved[k] = float(obj.on_axis(patterns[k].bits)[0])
+        residual[k] = float(obj.value(patterns[k].bits, nus[k])[0])
+    inner = range(1, n_nu - 1)
+    starts = _search(obj, nus[1:-1], cfg, [np.random.default_rng([cfg.seed, k]) for k in inner])
+    for k, start in zip(inner, starts):
+        patterns[k], achieved[k], residual[k] = _refine(obj, nus[k], cfg, (start,), acc)
     _monotone_repair(obj, cfg, psf, beam, nus, patterns, achieved, residual, acc)
     bad = [k for k in range(n_nu) if abs(achieved[k] - nus[k]) > 4.0 * acc]
     if bad:
@@ -487,8 +543,7 @@ def build_lut(
 def map_virtual_input(nu: RealField1D, lut: Lut) -> DmdPattern:
     """Quantise per-column virtual inputs to table entries, assemble bits."""
     idx = lut.nearest_index(nu.values)
-    bits = np.stack([lut.entries[i].pattern.bits for i in idx], axis=1)
-    return DmdPattern(bits=bits, pixel_pitch=lut.pitch)
+    return DmdPattern(bits=lut.levels[idx].T, pixel_pitch=lut.pitch)
 
 
 def invert_pattern(pattern: DmdPattern, lut: Lut) -> RealField1D:
@@ -536,6 +591,13 @@ def save_lut(lut: Lut, path) -> None:
 
 
 def load_lut(path) -> Lut:
+    """Read a table written by :func:`save_lut`.
+
+    Refuses a file whose entries do not form a table the closed loop can
+    address: a bit string of the wrong length, a ``nu`` off the grid
+    k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, or decreasing
+    achieved values.
+    """
     with open(path) as fh:
         data = json.load(fh)
     if data.get("format") != "potshape-lut-v1":
@@ -551,11 +613,21 @@ def load_lut(path) -> Lut:
         )
         for e in data["entries"]
     )
-    if len(entries) != data["n_nu"]:
+    n_nu, n_t = int(data["n_nu"]), int(data["n_t"])
+    if len(entries) != n_nu:
         raise ValueError("entry count does not match header")
+    if n_nu < 2:
+        raise ValueError("table needs at least the two extreme entries")
+    for k, e in enumerate(entries):
+        if len(e.pattern) != n_t:
+            raise ValueError(f"entry {k} has {len(e.pattern)} bits, header says n_t = {n_t}")
+        if abs(e.nu - k / (n_nu - 1)) > 1e-12:
+            raise ValueError(f"entry {k} has nu = {e.nu!r}, not {k}/{n_nu - 1}")
+        if k > 0 and e.achieved < entries[k - 1].achieved:
+            raise ValueError(f"achieved value decreases at entry {k}")
     return Lut(
         entries=entries,
-        n_t=int(data["n_t"]),
+        n_t=n_t,
         pitch=float(data["pitch"]),
         gamma_perp=float(data["gamma_perp"]),
         dy=float(data["dy"]),

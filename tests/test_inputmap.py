@@ -18,6 +18,7 @@ from potshape.inputmap import (
     OptimizerConfig,
     PatternObjective,
     TransversalPattern,
+    _ga_minimise,
     build_lut,
     invert_pattern,
     load_lut,
@@ -71,6 +72,18 @@ def test_optimizer_config_validation():
         OptimizerConfig(generations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(n_t=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(tournament=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(elite=-1)
+    with pytest.raises(ValueError):
+        OptimizerConfig(population=10, elite=200)
+    with pytest.raises(ValueError):
+        OptimizerConfig(mutation_rate=-0.01)
+    with pytest.raises(ValueError):
+        OptimizerConfig(mutation_rate=1.5)
+    OptimizerConfig(population=10, elite=10, tournament=1, mutation_rate=1.0)
+    OptimizerConfig(elite=0, mutation_rate=0.0)
     assert OptimizerConfig(n_t=50).effective_mutation_rate == pytest.approx(0.04)
     assert OptimizerConfig(mutation_rate=0.1).effective_mutation_rate == 0.1
 
@@ -103,6 +116,55 @@ def test_flip_values_match_explicit_flips(fast_cfg, psf, beam):
 
 
 # -------------------------------------------------------- pattern search
+
+
+def _solo_ga(obj, nu, cfg, rng):
+    """One level's genetic search on its own: the reference the lockstep
+    search over many levels must reproduce bit for bit."""
+    n, P = cfg.n_t, cfg.population
+    pop = rng.integers(0, 2, size=(P, n), dtype=np.uint8)
+    pop[0] = 0
+    pop[1] = 1
+    order = np.argsort(np.abs(np.arange(n) - 0.5 * (n - 1)))
+    for s, frac in enumerate((0.25, 0.5, 0.75)):
+        if 2 + s < P:
+            pop[2 + s] = 0
+            pop[2 + s, order[: int(frac * n)]] = 1
+    cost = obj.value(pop, nu)
+    best, best_cost = pop[np.argmin(cost)].copy(), float(cost.min())
+    for _ in range(cfg.generations):
+        idx = rng.integers(0, P, size=(P, cfg.tournament))
+        parents = pop[idx[np.arange(P), np.argmin(cost[idx], axis=1)]]
+        n_pairs = P // 2
+        mask = rng.integers(0, 2, size=(n_pairs, n), dtype=np.uint8)
+        a, b = parents[0 : 2 * n_pairs : 2], parents[1 : 2 * n_pairs : 2]
+        children = np.concatenate([np.where(mask, a, b), np.where(mask, b, a)])
+        if P % 2:
+            children = np.concatenate([children, parents[-1:]])
+        flips = rng.random(children.shape) < cfg.effective_mutation_rate
+        children = np.where(flips, 1 - children, children).astype(np.uint8)
+        ccost = obj.value(children, nu)
+        keep = np.argsort(cost)[: cfg.elite]
+        worst = np.argsort(ccost)[::-1][: cfg.elite]
+        children[worst] = pop[keep]
+        ccost[worst] = cost[keep]
+        pop, cost = children, ccost
+        if cost.min() < best_cost:
+            best, best_cost = pop[np.argmin(cost)].copy(), float(cost.min())
+    return best
+
+
+def test_lockstep_search_matches_solo_searches(psf, beam):
+    # odd population exercises the unpaired parent, elite > 1 the elitism
+    cfg = OptimizerConfig(n_t=40, population=41, generations=30, tournament=4, elite=3, seed=5)
+    obj = PatternObjective(cfg, psf, beam)
+    nus = np.array([0.05, 0.3, 0.5, 0.5, 0.77, 0.95])
+    got = _ga_minimise(obj, nus, cfg, [np.random.default_rng([5, k]) for k in range(len(nus))])
+    assert got.shape == (len(nus), cfg.n_t) and got.dtype == np.uint8
+    for k, nu in enumerate(nus):
+        expect = _solo_ga(obj, nu, cfg, np.random.default_rng([5, k]))
+        assert np.array_equal(got[k], expect), f"level {k}"
+    assert _ga_minimise(obj, nus[:0], cfg, []).shape == (0, cfg.n_t)
 
 
 def test_solve_pattern_extremes(fast_cfg, psf, beam):
@@ -175,6 +237,25 @@ def test_build_is_deterministic(fast_cfg, psf, beam, fast_lut):
     assert np.array_equal(again.achieved_values(), fast_lut.achieved_values())
     for a, b in zip(again.entries, fast_lut.entries):
         assert np.array_equal(a.pattern.bits, b.pattern.bits)
+
+
+def test_table_entries_equal_their_solo_solves(fast_cfg, psf, beam, fast_lut):
+    # an entry the monotone repair left alone is exactly what solve_pattern
+    # returns for its level with the entry's own child seed
+    acc = 0.05 / (fast_lut.n_nu - 1)
+    untouched = 0
+    for k in range(1, fast_lut.n_nu - 1):
+        e = fast_lut.entries[k]
+        pat, ach, res = solve_pattern(
+            e.nu, fast_cfg, psf, beam,
+            rng=np.random.default_rng([fast_cfg.seed, k]), target_cap=acc,
+        )
+        if ach < fast_lut.entries[k - 1].achieved:
+            continue  # repaired
+        untouched += 1
+        assert np.array_equal(pat.bits, e.pattern.bits)
+        assert ach == e.achieved and res == e.residual
+    assert untouched >= 3
 
 
 def test_unreachable_accuracy_is_a_hard_error(fast_cfg, psf, beam):
@@ -302,6 +383,18 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
     mismatched.write_text(json.dumps(d))
     with pytest.raises(ValueError):
         load_lut(mismatched)
+
+    for edit, match in (
+        (lambda es: es[3].update(bits=es[3]["bits"][:-1]), "entry 3 has 39 bits"),
+        (lambda es: es[2].update(nu=es[2]["nu"] + 1e-9), "entry 2 has nu"),
+        (lambda es: es[4].update(achieved=es[3]["achieved"] - 1e-6), "decreases at entry 4"),
+    ):
+        d = _lut_to_dict(fast_lut)
+        edit(d["entries"])
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=match):
+            load_lut(edited)
 
 
 def test_psf_beam_hash_tracks_parameters():
