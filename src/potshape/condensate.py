@@ -7,9 +7,9 @@ The effective 1d interaction is non-polynomial in the line density,
 which reduces to 2 omega_perp b rho for b rho << 1 and grows like
 sqrt(rho) once the transversal cloud swells.  The ground state of the
 corresponding nonlinear eigenvalue problem is found by real-valued
-imaginary-time split-step propagation with per-step renormalisation; the
-Thomas-Fermi routine drops the kinetic term, inverts h pointwise in closed
-form and finds mu by bisection on the norm.
+imaginary-time split-step propagation with per-step renormalisation, three
+real FFTs per step; the Thomas-Fermi routine drops the kinetic term,
+inverts h pointwise in closed form and finds mu by bisection on the norm.
 
 Units: lengths in um, times in ms, energies in rad/ms (hbar = 1), and
 the wave function is normalised to int |phi|^2 dz = 1 so rho is a
@@ -86,10 +86,12 @@ class CondensateParams:
 class SolverConfig:
     """Imaginary-time solver settings.
 
-    ``tol`` is on the relative chemical-potential change per step.
-    ``record_history`` additionally stores per-step mu, energy and norm
-    (used by the invariant checks; the energy reuses the step's spectrum,
-    so it costs one interaction-energy evaluation per step, no transform).
+    ``tol`` is on the relative chemical-potential change per step; mu is
+    evaluated every step from the step's own spectrum and state, without a
+    transform.  ``record_history`` additionally stores per-step mu, energy
+    and norm (used by the invariant checks; the energy reuses the step's
+    spectrum, so it costs one interaction-energy evaluation per step, no
+    transform).
     """
 
     dtau: float = 1e-3
@@ -223,11 +225,33 @@ def _initial_guess(potential: RealField1D, params: CondensateParams) -> np.ndarr
     return np.exp(-(z**2) / (2.0 * 10.0**2))
 
 
+def _trapezoid(y: np.ndarray, dz: float) -> float:
+    """Trapezoid rule on the uniform grid, without np.trapezoid's slices."""
+    return float(dz * (y.sum() - 0.5 * (y[0] + y[-1])))
+
+
+def _rfft_weights(n: int) -> np.ndarray:
+    """Multiplicity of each rfft bin in the full spectrum: every bin other
+    than 0 and Nyquist stands for +k and -k."""
+    w = np.ones(n // 2 + 1)
+    w[1 : (n + 1) // 2] = 2.0
+    return w
+
+
+def _effective_potential(rho: np.ndarray, vvals: np.ndarray, params) -> np.ndarray:
+    """V + h(rho) with the arithmetic of :func:`nonlinearity`, minus its
+    checks: the solver's rho = phi^2 is non-negative by construction."""
+    x = params.coupling * rho
+    return vvals + params.omega_perp * ((1.0 + 3.0 * x) / np.sqrt(1.0 + 2.0 * x) - 1.0)
+
+
 def _spectral_resolution_check(phi: np.ndarray, grid):
     """Warn when phi puts more than SPECTRAL_TAIL_TOL of its spectral
     weight above half the Nyquist wavenumber pi / (2 dz)."""
-    power = np.abs(scipy.fft.fft(phi)) ** 2
-    tail = float(power[np.abs(grid.wavenumbers) > 0.5 * np.pi / grid.dz].sum() / power.sum())
+    spec = scipy.fft.rfft(phi)
+    power = _rfft_weights(grid.n_points) * (spec.real**2 + spec.imag**2)
+    k = 2.0 * np.pi * scipy.fft.rfftfreq(grid.n_points, d=grid.dz)
+    tail = float(power[k > 0.5 * np.pi / grid.dz].sum() / power.sum())
     if tail > SPECTRAL_TAIL_TOL:
         log.warning(
             "grid spacing %.4g um exceeds the healing-scale resolution of the "
@@ -252,8 +276,14 @@ def ground_state(
     potential-plus-interaction step in position space, the second kinetic
     half step, and renormalises.  Imaginary time keeps a real state real,
     so phi is a real array and the kinetic steps act on its rfft spectrum.
-    The kinetic part of mu is read from the spectrum after the second half
-    step (Parseval), so mu costs no transform of its own.  Convergence is
+    A step costs three real transforms: the renormalisation is a scalar and
+    commutes with the linear kinetic step, so the spectrum after the second
+    half step, times another half step and over the norm's square root, is
+    the next step's first half step without a forward transform of its
+    own.  The kinetic part of mu is read from that spectrum (Parseval) and
+    the rest from the renormalised state, so mu costs no transform either;
+    the initial mu comes from the rfft the first step starts from, and the
+    resolution check after the solve takes one more rfft.  Convergence is
     declared when the relative change of mu over one step drops below
     cfg.tol.  ``initial`` warm-starts the relaxation (any normalisation; an
     imaginary part beyond rounding is refused by core.real_part); otherwise
@@ -269,7 +299,7 @@ def ground_state(
     else:
         phi = _initial_guess(potential, params)
     dz = grid.dz
-    nrm = np.trapezoid(phi**2, dx=dz)
+    nrm = _trapezoid(phi * phi, dz)
     if not nrm > 0:
         raise ValueError("initial state has zero norm")
     phi = phi / np.sqrt(nrm)
@@ -277,37 +307,48 @@ def ground_state(
     n = grid.n_points
     k = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dz)
     half_kin = np.exp(-(k**2) * cfg.dtau / (4.0 * params.mass))
-    # <phi|T|phi> = dz / n * sum of k^2/2m |phi_k|^2 over the full spectrum;
-    # the rfft half holds each k other than 0 and Nyquist for +k and -k
-    kin_weights = k**2 / (2.0 * params.mass) * (dz / n)
-    kin_weights[1 : (n + 1) // 2] *= 2.0
+    # <phi|T|phi> = dz / n * sum of k^2/2m |phi_k|^2 over the full spectrum
+    kin_weights = k**2 / (2.0 * params.mass) * (dz / n) * _rfft_weights(n)
     vvals = potential.values
-    mu = chemical_potential(RealField1D(grid=grid, values=phi), potential, params)
+    spec = scipy.fft.rfft(phi)
+    rho = phi * phi
+    mu = float(np.dot(kin_weights, spec.real**2 + spec.imag**2)) + _trapezoid(
+        _effective_potential(rho, vvals, params) * rho, dz
+    )
+    # each step starts from the normalised state's spectrum after half a
+    # kinetic step
+    spec *= half_kin
     mus, energies, norms = [], [], []
     converged = False
     steps = 0
     last_change = np.nan
     for steps in range(1, cfg.max_steps + 1):
-        phi = scipy.fft.irfft(half_kin * scipy.fft.rfft(phi), n)
-        phi = phi * np.exp(-cfg.dtau * (vvals + nonlinearity(phi * phi, params)))
-        spec = half_kin * scipy.fft.rfft(phi)
         phi = scipy.fft.irfft(spec, n)
-        nrm = np.trapezoid(phi * phi, dx=dz)
+        w = _effective_potential(phi * phi, vvals, params)
+        w *= -cfg.dtau
+        phi *= np.exp(w, out=w)
+        spec = scipy.fft.rfft(phi)
+        spec *= half_kin
+        phi = scipy.fft.irfft(spec, n)
+        np.multiply(phi, phi, out=rho)
+        nrm = _trapezoid(rho, dz)
         if not np.isfinite(nrm) or nrm <= 0:
             raise ConvergenceError(
                 f"wave function became non-finite after {steps} imaginary-time steps"
             )
-        phi = phi / np.sqrt(nrm)
-        rho = phi * phi
+        scale = np.sqrt(nrm)
+        phi /= scale
+        np.multiply(phi, phi, out=rho)
         kinetic = float(np.dot(kin_weights, spec.real**2 + spec.imag**2)) / nrm
-        mu_new = kinetic + float(np.trapezoid((vvals + nonlinearity(rho, params)) * rho, dx=dz))
+        w = _effective_potential(rho, vvals, params)
+        w *= rho
+        mu_new = kinetic + _trapezoid(w, dz)
         if cfg.record_history:
             mus.append(mu_new)
             energies.append(
-                kinetic
-                + np.trapezoid(vvals * rho + interaction_energy_density(rho, params), dx=dz)
+                kinetic + _trapezoid(vvals * rho + interaction_energy_density(rho, params), dz)
             )
-            norms.append(float(np.trapezoid(rho, dx=dz)))
+            norms.append(_trapezoid(rho, dz))
         if not np.isfinite(mu_new):
             raise ConvergenceError("chemical potential became non-finite")
         last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
@@ -315,6 +356,9 @@ def ground_state(
         if last_change < cfg.tol:
             converged = True
             break
+        # a scalar commutes with the linear kinetic step, so this is the
+        # next step's first half step applied to rfft(phi) up to rounding
+        spec *= half_kin / scale
     # fix the global sign; the ground state is nodeless and positive
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi

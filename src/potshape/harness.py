@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib.metadata
+import itertools
 import json
 import logging
 import os
@@ -771,28 +772,39 @@ def _default_export_iterations(n_total: int) -> tuple:
     return tuple(sorted(p for p in picks if 0 <= p < n_total))
 
 
+def _column(values):
+    """Format and cells of one CSV column.  Integers print as str, other
+    numbers as %.17g; a numeric array converts to Python numbers in one
+    call, any other sequence is formatted cell by cell."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return ("%d" if values.dtype.kind in "iu" else _FLOAT_FMT), values.tolist()
+    return "%s", [str(c) if isinstance(c, (int, np.integer)) else _FLOAT_FMT % c for c in values]
+
+
 def _write_rows(path, header, columns):
+    cols = [_column(c) for c in columns]
+    row_fmt = ",".join(f for f, _ in cols) + "\n"
+    rows = list(zip(*(cells for _, cells in cols)))
+    text = (row_fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     try:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in zip(*columns):
-                fh.write(
-                    ",".join(
-                        str(c) if isinstance(c, (int, np.integer)) else _FLOAT_FMT % c
-                        for c in row
-                    )
-                    + "\n"
-                )
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_pbm(path, pattern: DmdPattern):
+    """Plain (P1) bitmap: one text row per mirror row, bits separated by
+    spaces, built as one ASCII buffer."""
+    n_t, n_l = pattern.bits.shape
+    text = np.full((n_t, max(2 * n_l, 1)), ord(" "), dtype=np.uint8)
+    text[:, 0 : 2 * n_l : 2] = pattern.bits + ord("0")
+    text[:, -1] = ord("\n")
     try:
         with open(path, "w") as fh:
-            fh.write(f"P1\n{pattern.n_l} {pattern.n_t}\n")
-            for row in pattern.bits:
-                fh.write(" ".join(str(int(b)) for b in row) + "\n")
+            fh.write(f"P1\n{n_l} {n_t}\n")
+            fh.write(text.tobytes().decode("ascii"))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -590,18 +590,38 @@ def save_lut(lut: Lut, path) -> None:
         fh.write("\n")
 
 
+_LUT_HEADER_KEYS = (
+    "n_t", "n_nu", "pitch", "gamma_perp", "dy", "psf_beam_sha256", "seed", "entries"
+)
+_LUT_ENTRY_KEYS = ("nu", "bits", "achieved", "residual")
+
+
+def _require_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
 def load_lut(path) -> Lut:
     """Read a table written by :func:`save_lut`.
 
-    Refuses a file whose entries do not form a table the closed loop can
-    address: a bit string of the wrong length, a ``nu`` off the grid
-    k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, or decreasing
-    achieved values.
+    Refuses with a ValueError naming the fault a file that is not a JSON
+    object, lacks a header key or an entry field, or whose entries do not
+    form a table the closed loop can address: a bit string of the wrong
+    length, a ``nu`` off the grid k / (n_nu - 1) that
+    :meth:`Lut.nearest_index` assumes, or decreasing achieved values.
     """
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("format") != "potshape-lut-v1":
+    if not isinstance(data, dict) or data.get("format") != "potshape-lut-v1":
         raise ValueError("not a recognised look-up table file")
+    _require_keys(data, _LUT_HEADER_KEYS, "table header")
+    if not isinstance(data["entries"], list):
+        raise ValueError("table entries are not a JSON list")
+    for k, e in enumerate(data["entries"]):
+        _require_keys(e, _LUT_ENTRY_KEYS, f"entry {k}")
     entries = tuple(
         LutEntry(
             nu=float(e["nu"]),

@@ -9,6 +9,7 @@ real-valued solver is pinned to a complex split step that evaluates mu
 with its own transform every step.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -21,6 +22,8 @@ from potshape.condensate import (
     ConvergenceError,
     MeasurementConfig,
     SolverConfig,
+    _rfft_weights,
+    _trapezoid,
     chemical_potential,
     ground_state,
     interaction_energy_density,
@@ -253,8 +256,9 @@ def tilted_well():
 @pytest.mark.parametrize("start", ["cold", "warm"])
 def test_real_solver_matches_complex_split_step(tilted_well, start):
     v, p, cfg = tilted_well
+    recording = dataclasses.replace(cfg, record_history=True)
     if start == "cold":
-        gs = ground_state(v, p, cfg)
+        gs = ground_state(v, p, recording)
         rho_tf, _ = thomas_fermi_density(v, p)
         phi0 = np.sqrt(rho_tf.values) + 1e-6
     else:
@@ -262,12 +266,26 @@ def test_real_solver_matches_complex_split_step(tilted_well, start):
         # handed over as a complex field
         z = v.grid.samples
         phi0 = -np.exp(-((z - 8.0) ** 2) / 200.0) * (1.0 + 0.0j)
-        gs = ground_state(v, p, cfg, initial=ComplexField1D(grid=v.grid, values=phi0))
+        gs = ground_state(v, p, recording, initial=ComplexField1D(grid=v.grid, values=phi0))
     phi, mu, steps = _complex_split_step(v, p, cfg, phi0)
     assert gs.converged and steps < cfg.max_steps
-    assert gs.n_steps == steps
+    assert gs.n_steps == steps == len(gs.mu_history)
     assert gs.mu == pytest.approx(mu, rel=1e-12)
     assert np.max(np.abs(gs.phi.values - phi)) < 1e-10 * np.max(np.abs(phi))
+    assert gs.mu_history[-1] == gs.mu
+    # the energy does not increase beyond rounding
+    assert np.max(np.diff(gs.energy_history)) <= 1e-13 * abs(gs.energy_history[-1])
+    assert np.allclose(gs.norm_history, 1.0, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [511, 512])
+def test_solver_quadratures_match_numpy(n):
+    y = np.random.default_rng(n).standard_normal(n)
+    assert _trapezoid(y, 0.3) == pytest.approx(np.trapezoid(y, dx=0.3), rel=1e-13)
+    # Parseval on the rfft half with each bin counted as often as in the full spectrum
+    spec = scipy.fft.rfft(y)
+    power = np.dot(_rfft_weights(n), spec.real**2 + spec.imag**2)
+    assert power == pytest.approx(n * np.dot(y, y), rel=1e-13)
 
 
 def test_warm_start_with_imaginary_part_is_refused():

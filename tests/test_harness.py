@@ -15,6 +15,8 @@ from potshape.harness import (
     IterationRecord,
     RunResult,
     ScenarioConfig,
+    _write_pbm,
+    _write_rows,
     desired_potential,
     error_norm,
     export_records,
@@ -29,9 +31,10 @@ from potshape.harness import (
     scenario_to_dict,
 )
 from potshape.ilc import VirtualInput, plant_response, scaled_error, update
-from potshape.inputmap import TransversalPattern, map_virtual_input
+from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input
 from potshape.optics import (
     DarkSpot,
+    DmdPattern,
     column_grid,
     potential_from_field,
     propagate_full,
@@ -339,6 +342,60 @@ def test_export_pbm_layout(tmp_path, reference_run):
     assert np.array_equal(bits, reference_run.records[0].extras["pattern"].bits)
 
 
+def _cellwise_write_rows(path, header, columns):
+    """The per-cell CSV writer the vectorised one replaced."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(
+                ",".join(
+                    str(c) if isinstance(c, (int, np.integer)) else "%.17g" % c for c in row
+                )
+                + "\n"
+            )
+
+
+def _cellwise_write_pbm(path, pattern):
+    """The per-bit bitmap writer the vectorised one replaced."""
+    with open(path, "w") as fh:
+        fh.write(f"P1\n{pattern.n_l} {pattern.n_t}\n")
+        for row in pattern.bits:
+            fh.write(" ".join(str(int(b)) for b in row) + "\n")
+
+
+def test_export_writers_match_the_cellwise_writers(tmp_path):
+    floats = np.array(
+        [0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-310, 1e300, -1.0 / 3.0, 2.0**60]
+    )
+    n = len(floats)
+    columns = (
+        list(range(-3, n - 3)),  # Python ints
+        np.arange(n, dtype=np.int64) * 10**17,  # numpy ints, wider than %.17g
+        [np.int32(k) for k in range(n)],  # numpy int scalars in a list
+        floats,
+        list(floats),  # Python floats in a list
+        [1, 2.5, np.int64(-7), 10**18, -0.0, np.uint8(200), 1e-300, 3, 4.0, True],
+        np.arange(n) % 3 == 0,  # booleans print through %.17g
+    )
+    header = tuple(f"c{k}" for k in range(len(columns)))
+    _write_rows(tmp_path / "new.csv", header, columns)
+    _cellwise_write_rows(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # ragged columns stop at the shortest, as zip does
+    _write_rows(tmp_path / "new.csv", ("a", "b"), (floats, [1, 2, 3]))
+    _cellwise_write_rows(tmp_path / "old.csv", ("a", "b"), (floats, [1, 2, 3]))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    bits = np.random.default_rng(3).integers(0, 2, size=(6, 9))
+    bits[1] = 0
+    bits[4] = 1
+    for b in (bits, bits[:, :1], np.zeros((3, 0), dtype=np.uint8)):
+        pattern = DmdPattern(bits=b)
+        _write_pbm(tmp_path / "new.pbm", pattern)
+        _cellwise_write_pbm(tmp_path / "old.pbm", pattern)
+        assert (tmp_path / "new.pbm").read_bytes() == (tmp_path / "old.pbm").read_bytes()
+
+
 def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepared):
     cfg = dataclasses.replace(
         small_scenario,
@@ -439,3 +496,13 @@ def test_cli_error_codes(tmp_path):
         cli.main(["run", "--lut", str(missing_lut), "--out", str(tmp_path / "y")]) == 3
     )
     assert cli.main(["report", "--in", str(tmp_path / "nothing")]) == 3
+
+
+def test_cli_reports_a_malformed_table(tmp_path, small_lut, capsys):
+    d = _lut_to_dict(small_lut)
+    del d["n_t"]
+    bad_lut = tmp_path / "table.json"
+    bad_lut.write_text(json.dumps(d))
+    assert cli.main(["run", "--lut", str(bad_lut), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid input: table header lacks 'n_t'\n"

@@ -384,7 +384,24 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
     with pytest.raises(ValueError):
         load_lut(mismatched)
 
+    for blob in ("[1, 2]", '"potshape-lut-v1"'):
+        bad.write_text(blob)
+        with pytest.raises(ValueError, match="not a recognised"):
+            load_lut(bad)
+    d = _lut_to_dict(fast_lut)
+    del d["n_t"]
+    bad.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="table header lacks 'n_t'"):
+        load_lut(bad)
+    d = _lut_to_dict(fast_lut)
+    d["entries"] = {"0": d["entries"][0]}
+    bad.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="entries are not a JSON list"):
+        load_lut(bad)
+
     for edit, match in (
+        (lambda es: es[3].pop("bits"), "entry 3 lacks 'bits'"),
+        (lambda es: es.__setitem__(1, [0.1, "01"]), "entry 1 is not a JSON object"),
         (lambda es: es[3].update(bits=es[3]["bits"][:-1]), "entry 3 has 39 bits"),
         (lambda es: es[2].update(nu=es[2]["nu"] + 1e-9), "entry 2 has nu"),
         (lambda es: es[4].update(achieved=es[3]["achieved"] - 1e-6), "decreases at entry 4"),
