@@ -24,7 +24,6 @@ CSV/PBM/JSON and byte-identical across reruns.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import importlib.metadata
 import itertools
 import json
@@ -44,7 +43,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import ComplexField1D, RealField1D, SpatialGrid1D, Spectrum1D, integrate
+from .core import RealField1D, SpatialGrid1D, Spectrum1D, integrate
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -62,6 +61,7 @@ from .inputmap import (
     Lut,
     OptimizerConfig,
     build_lut,
+    lut_sha256,
     map_virtual_input,
     psf_beam_hash,
 )
@@ -169,7 +169,6 @@ class LutSpec:
     population: int = 100
     generations: int = 200
     mutation_rate: float | None = None
-    polish: bool = True
 
     def __post_init__(self):
         if self.n_nu < 2:
@@ -180,14 +179,11 @@ class LutSpec:
 class ControlSpec:
     """Kernel and gain settings; None picks the documented defaults
     (gamma_nu = 1e-2 max|G|^2, eps_opt = 5% of v_max, eps_mu = 5% of
-    omega_perp).  gauge_offset shifts the desired potential and chemical
-    potential by a constant inside the gain model only; the density is
-    blind to such shifts but the gain formula is not."""
+    omega_perp)."""
 
     gamma_nu: float | None = None
     eps_opt: float | None = None
     eps_mu: float | None = None
-    gauge_offset: float = 0.0
     alpha_v: float = 1.0
     headroom: float = 1.3
 
@@ -279,7 +275,6 @@ class ScenarioConfig:
             population=self.lut.population,
             generations=self.lut.generations,
             mutation_rate=self.lut.mutation_rate,
-            polish=self.lut.polish,
             seed=self.loop.seed,
         )
 
@@ -288,28 +283,28 @@ def _section_to_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
 
 
+_SECTIONS = {
+    "grid": GridSpec,
+    "condensate": CondensateParams,
+    "psf": PsfModel,
+    "beam": BeamProfile,
+    "magnetic": MagneticPotentialSpec,
+    "desired": DesiredPotentialSpec,
+    "dmd": DmdSpec,
+    "lut": LutSpec,
+    "control": ControlSpec,
+    "loop": LoopSpec,
+    "solver": SolverConfig,
+    "measurement": MeasurementConfig,
+}
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    d = {
-        "grid": _section_to_dict(cfg.grid),
-        "condensate": _section_to_dict(cfg.condensate),
-        "psf": _section_to_dict(cfg.psf),
-        "beam": _section_to_dict(cfg.beam),
-        "magnetic": _section_to_dict(cfg.magnetic),
-        "desired": _section_to_dict(cfg.desired),
-        "dmd": _section_to_dict(cfg.dmd),
-        "lut": _section_to_dict(cfg.lut),
-        "control": _section_to_dict(cfg.control),
-        "loop": _section_to_dict(cfg.loop),
-        "solver": _section_to_dict(cfg.solver),
-        "measurement": _section_to_dict(cfg.measurement),
-        "disturbances": [
-            {
-                "iteration": ev.iteration,
-                "spots": [_section_to_dict(s) for s in ev.spots],
-            }
-            for ev in cfg.disturbances
-        ],
-    }
+    d = {name: _section_to_dict(getattr(cfg, name)) for name in _SECTIONS}
+    d["disturbances"] = [
+        {"iteration": ev.iteration, "spots": [_section_to_dict(s) for s in ev.spots]}
+        for ev in cfg.disturbances
+    ]
     exp = d["loop"]["export_iterations"]
     if exp is not None:
         d["loop"]["export_iterations"] = list(exp)
@@ -327,22 +322,6 @@ def _build_section(cls, data, name):
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad section '{name}': {exc}") from exc
-
-
-_SECTIONS = {
-    "grid": GridSpec,
-    "condensate": CondensateParams,
-    "psf": PsfModel,
-    "beam": BeamProfile,
-    "magnetic": MagneticPotentialSpec,
-    "desired": DesiredPotentialSpec,
-    "dmd": DmdSpec,
-    "lut": LutSpec,
-    "control": ControlSpec,
-    "loop": LoopSpec,
-    "solver": SolverConfig,
-    "measurement": MeasurementConfig,
-}
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -423,10 +402,8 @@ class Prepared:
     kernel: LearningKernel
 
 
-def prepare(cfg: ScenarioConfig) -> Prepared:
-    grid = cfg.grid.build()
-    col_grid = column_grid(cfg.dmd.n_columns, cfg.dmd.pixel_pitch)
-    beam = calibrate_beam(
+def _calibrated_beam(cfg: ScenarioConfig) -> BeamProfile:
+    return calibrate_beam(
         cfg.psf,
         cfg.beam,
         cfg.dmd.n_rows,
@@ -435,6 +412,12 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         alpha_v=cfg.control.alpha_v,
         headroom=cfg.control.headroom,
     )
+
+
+def prepare(cfg: ScenarioConfig) -> Prepared:
+    grid = cfg.grid.build()
+    col_grid = column_grid(cfg.dmd.n_columns, cfg.dmd.pixel_pitch)
+    beam = _calibrated_beam(cfg)
     e_max = e_perp_max(cfg.psf, beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
     resp = column_response(grid, col_grid, cfg.psf, beam)
     resp.flags.writeable = False
@@ -444,11 +427,10 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
     if not gs_d.converged:
         raise ConvergenceError("desired ground state did not converge")
     rho_d = gs_d.density
-    c = cfg.control.gauge_offset
     gain = gain_profile(
-        RealField1D(grid=grid, values=v_des.values + c),
+        v_des,
         v_mag,
-        gs_d.mu + c,
+        gs_d.mu,
         cfg.condensate,
         e_max * beam.pz(grid.samples),
         alpha_v=cfg.control.alpha_v,
@@ -487,18 +469,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
 
 
 def build_scenario_lut(cfg: ScenarioConfig, prepared: Prepared | None = None) -> Lut:
-    if prepared is None:
-        beam = calibrate_beam(
-            cfg.psf,
-            cfg.beam,
-            cfg.dmd.n_rows,
-            cfg.dmd.pixel_pitch,
-            v_max=cfg.desired.v_max,
-            alpha_v=cfg.control.alpha_v,
-            headroom=cfg.control.headroom,
-        )
-    else:
-        beam = prepared.beam
+    beam = _calibrated_beam(cfg) if prepared is None else prepared.beam
     return build_lut(cfg.lut.n_nu, cfg.optimizer_config(), cfg.psf, beam)
 
 
@@ -686,7 +657,7 @@ def _physics_measurement(cfg: ScenarioConfig, prepared: Prepared, lut: Lut):
     def measure(n: int, nu: VirtualInput):
         pattern = map_virtual_input(nu.field, lut)
         cols = prepared.beam.amplitude * (w0 @ pattern.bits)
-        e_out = ComplexField1D(grid=prepared.grid, values=prepared.column_response @ cols)
+        e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
         dist = inject_disturbances(cfg.disturbances, n)
         v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
         v = RealField1D(
@@ -807,13 +778,6 @@ def _write_pbm(path, pattern: DmdPattern):
             fh.write(text.tobytes().decode("ascii"))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def lut_sha256(lut: Lut) -> str:
-    from .inputmap import _lut_to_dict
-
-    blob = json.dumps(_lut_to_dict(lut), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def export_records(result: RunResult, out_dir) -> list:

@@ -20,6 +20,10 @@ lockstep, one array operation per generation step across every level,
 and then refines each level on its own.  Each level keeps its own random
 stream and its own cost evaluations, so an entry is bit-identical to a
 :func:`solve_pattern` call for that level with the entry's child seed.
+
+Refinement is one single-bit-flip descent; the polish, the walk onto the
+target, the capped polish and the monotone repair's lift differ only in
+the per-flip cost they hand it (inf for a flip they do not allow).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "build_lut",
     "map_virtual_input",
     "invert_pattern",
+    "lut_sha256",
     "save_lut",
     "load_lut",
 ]
@@ -81,19 +86,14 @@ class OptimizerConfig:
     pitch: float = 1.0
     gamma_perp: float = 0.3
     dy: float = 4.0
-    algorithm: str = "genetic"
     population: int = 100
     generations: int = 200
     mutation_rate: float | None = None
     tournament: int = 3
     elite: int = 2
-    polish: bool = True
-    max_polish_flips: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ("genetic", "bitflip"):
-            raise ValueError("algorithm must be 'genetic' or 'bitflip'")
         if self.n_t < 1 or self.population < 2 or self.generations < 1:
             raise ValueError("optimizer sizes out of range")
         if self.tournament < 1:
@@ -153,16 +153,19 @@ class PatternObjective:
         pen = ((ep - nu) ** 2) @ self.pen_weights
         return (e0 - nu) ** 2 + pen
 
-    def flip_values(self, bits: np.ndarray, nu: float) -> np.ndarray:
-        """Objective of every single-bit flip of one bit vector, vectorised."""
+    def flips(self, bits: np.ndarray, nu: float) -> tuple:
+        """|E(0)| and objective after each single-bit flip of one bit vector.
+
+        Returns two length-n_t arrays; entry i belongs to the vector with
+        bit i flipped.
+        """
         b = bits.astype(float)
         sign = 1.0 - 2.0 * b  # +1 where a bit turns on, -1 where it turns off
-        e0 = float(b @ self.w0)
         ep = b @ self.w_pen.T
-        e0_f = np.abs(e0 + sign * self.w0)
+        e0_f = np.abs(float(b @ self.w0) + sign * self.w0)
         ep_f = np.abs(ep[None, :] + sign[:, None] * self.w_pen.T)
         pen = ((ep_f - nu) ** 2) @ self.pen_weights
-        return (e0_f - nu) ** 2 + pen
+        return e0_f, (e0_f - nu) ** 2 + pen
 
 
 def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.ndarray:
@@ -237,66 +240,23 @@ def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.n
     return best
 
 
-def _search(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.ndarray:
-    """Start patterns, one row per level: the genetic search's best, or
-    with ``algorithm="bitflip"`` a random pattern for the descent to start
-    from."""
-    if cfg.algorithm == "genetic":
-        return _ga_minimise(obj, nus, cfg, rngs)
-    return np.array([rng.integers(0, 2, size=cfg.n_t, dtype=np.uint8) for rng in rngs])
+_MAX_FLIPS = 2000
 
 
-def _polish(obj: PatternObjective, nu: float, bits: np.ndarray, max_flips: int) -> np.ndarray:
-    """Greedy steepest-descent single-bit flips until no flip improves."""
+def _descend(flip_cost, bits: np.ndarray, cost: float, max_flips: int = _MAX_FLIPS, stop=None):
+    """Steepest descent by single-bit flips; returns the final bit vector.
+
+    ``flip_cost(b)`` gives the cost after each single flip of ``b`` (inf
+    for a flip the caller does not allow) and ``cost`` is the cost of
+    ``bits``.  The best flip is taken while it lowers the cost by more
+    than 1e-18, for at most ``max_flips`` flips, and the descent ends
+    early once the cost is at or below ``stop``.
+    """
     b = bits.copy()
-    cost = float(obj.value(b, nu)[0])
     for _ in range(max_flips):
-        fc = obj.flip_values(b, nu)
-        i = int(np.argmin(fc))
-        if fc[i] >= cost - 1e-18:
+        if stop is not None and cost <= stop:
             break
-        b[i] ^= 1
-        cost = float(fc[i])
-    return b
-
-
-def _flip_on_axis(obj: PatternObjective, bits: np.ndarray) -> np.ndarray:
-    """|E(0)| after each single-bit flip of one bit vector."""
-    b = bits.astype(float)
-    sign = 1.0 - 2.0 * b
-    return np.abs(float(b @ obj.w0) + sign * obj.w0)
-
-
-def _tune_to_target(
-    obj: PatternObjective, nu: float, bits: np.ndarray, tol: float, max_flips: int
-) -> np.ndarray:
-    """Walk |E(0)| onto nu by single flips, using the fine-grained wing
-    weights; stops once within tol or when no flip moves closer."""
-    b = bits.copy()
-    err = abs(float(obj.on_axis(b)[0]) - nu)
-    for _ in range(max_flips):
-        if err <= tol:
-            break
-        e0f = _flip_on_axis(obj, b)
-        errs = np.abs(e0f - nu)
-        i = int(np.argmin(errs))
-        if errs[i] >= err - 1e-18:
-            break
-        b[i] ^= 1
-        err = float(errs[i])
-    return b
-
-
-def _polish_constrained(
-    obj: PatternObjective, nu: float, bits: np.ndarray, cap: float, max_flips: int
-) -> np.ndarray:
-    """Greedy objective descent restricted to flips keeping |E(0) - nu| <= cap."""
-    b = bits.copy()
-    cost = float(obj.value(b, nu)[0])
-    for _ in range(max_flips):
-        fc = obj.flip_values(b, nu)
-        e0f = _flip_on_axis(obj, b)
-        fc = np.where(np.abs(e0f - nu) <= cap, fc, np.inf)
+        fc = flip_cost(b)
         i = int(np.argmin(fc))
         if fc[i] >= cost - 1e-18:
             break
@@ -317,14 +277,24 @@ def _refine(obj: PatternObjective, nu: float, cfg: OptimizerConfig, candidates, 
     if target_cap is not None:
         candidates.append(np.zeros(cfg.n_t, dtype=np.uint8))
         candidates.append(np.ones(cfg.n_t, dtype=np.uint8))
+
+    def objective(b):
+        return obj.flips(b, nu)[1]
+
+    def distance(b):
+        return np.abs(obj.flips(b, nu)[0] - nu)
+
+    def within_cap(b):
+        e0, fc = obj.flips(b, nu)
+        return np.where(np.abs(e0 - nu) <= target_cap, fc, np.inf)
+
     best = best_capped = None
     best_cost = capped_cost = np.inf
     for c in candidates:
-        if cfg.polish:
-            c = _polish(obj, nu, c, cfg.max_polish_flips)
+        c = _descend(objective, c, float(obj.value(c, nu)[0]))
         if target_cap is not None and abs(float(obj.on_axis(c)[0]) - nu) > target_cap:
-            c = _tune_to_target(obj, nu, c, 0.25 * target_cap, cfg.max_polish_flips)
-            c = _polish_constrained(obj, nu, c, target_cap, cfg.max_polish_flips)
+            c = _descend(distance, c, abs(float(obj.on_axis(c)[0]) - nu), stop=0.25 * target_cap)
+            c = _descend(within_cap, c, float(obj.value(c, nu)[0]))
         cost = float(obj.value(c, nu)[0])
         if cost < best_cost:
             best, best_cost = c, cost
@@ -367,7 +337,7 @@ def solve_pattern(
     obj = objective if objective is not None else PatternObjective(cfg, psf, beam)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    start = _search(obj, [nu_target], cfg, [rng])[0]
+    start = _ga_minimise(obj, [nu_target], cfg, [rng])[0]
     return _refine(obj, nu_target, cfg, (start, *seed_patterns), target_cap)
 
 
@@ -448,22 +418,14 @@ def _monotone_repair(obj, cfg, psf, beam, nus, patterns, achieved, residual, tar
             target_cap=target_cap,
         )
         if ach < achieved[k - 1]:
-            bits = patterns[k - 1].bits.copy()
-            for _ in range(cfg.n_t):
-                fc = obj.flip_values(bits, nus[k])
-                e0 = np.abs(
-                    bits.astype(float) @ obj.w0
-                    + (1.0 - 2.0 * bits.astype(float)) * obj.w0
-                )
-                ok = e0 >= achieved[k - 1] - 1e-15
-                if not np.any(ok):
-                    break
-                fc = np.where(ok, fc, np.inf)
-                i = int(np.argmin(fc))
-                cur = float(obj.value(bits, nus[k])[0])
-                if fc[i] >= cur:
-                    break
-                bits[i] ^= 1
+            floor = achieved[k - 1] - 1e-15
+
+            def lift(b):
+                e0, fc = obj.flips(b, nus[k])
+                return np.where(e0 >= floor, fc, np.inf)
+
+            start = patterns[k - 1].bits
+            bits = _descend(lift, start, float(obj.value(start, nus[k])[0]), cfg.n_t)
             pat = TransversalPattern(bits=bits)
             ach = float(obj.on_axis(bits)[0])
             res = float(obj.value(bits, nus[k])[0])
@@ -512,7 +474,8 @@ def build_lut(
         achieved[k] = float(obj.on_axis(patterns[k].bits)[0])
         residual[k] = float(obj.value(patterns[k].bits, nus[k])[0])
     inner = range(1, n_nu - 1)
-    starts = _search(obj, nus[1:-1], cfg, [np.random.default_rng([cfg.seed, k]) for k in inner])
+    rngs = [np.random.default_rng([cfg.seed, k]) for k in inner]
+    starts = _ga_minimise(obj, nus[1:-1], cfg, rngs)
     for k, start in zip(inner, starts):
         patterns[k], achieved[k], residual[k] = _refine(obj, nus[k], cfg, (start,), acc)
     _monotone_repair(obj, cfg, psf, beam, nus, patterns, achieved, residual, acc)
@@ -584,6 +547,12 @@ def _lut_to_dict(lut: Lut) -> dict:
     }
 
 
+def lut_sha256(lut: Lut) -> str:
+    """SHA-256 of the table's file content, independent of key order."""
+    blob = json.dumps(_lut_to_dict(lut), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def save_lut(lut: Lut, path) -> None:
     with open(path, "w") as fh:
         json.dump(_lut_to_dict(lut), fh, indent=1)
@@ -604,14 +573,28 @@ def _require_keys(obj, keys, what: str) -> None:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
+def _pattern(text) -> TransversalPattern:
+    return TransversalPattern(bits=[int(c) for c in text])
+
+
+def _field(obj: dict, key: str, convert, what: str):
+    """``convert(obj[key])``; a value that does not convert is a ValueError
+    naming ``what`` and the key."""
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} has an invalid {key!r}: {obj[key]!r}") from exc
+
+
 def load_lut(path) -> Lut:
     """Read a table written by :func:`save_lut`.
 
     Refuses with a ValueError naming the fault a file that is not a JSON
-    object, lacks a header key or an entry field, or whose entries do not
-    form a table the closed loop can address: a bit string of the wrong
-    length, a ``nu`` off the grid k / (n_nu - 1) that
-    :meth:`Lut.nearest_index` assumes, or decreasing achieved values.
+    object, lacks a header key or an entry field, holds a field of the
+    wrong type, or whose entries do not form a table the closed loop can
+    address: a bit string of the wrong length, a ``nu`` off the grid
+    k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, or decreasing
+    achieved values.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -624,16 +607,15 @@ def load_lut(path) -> Lut:
         _require_keys(e, _LUT_ENTRY_KEYS, f"entry {k}")
     entries = tuple(
         LutEntry(
-            nu=float(e["nu"]),
-            pattern=TransversalPattern(
-                bits=np.array([int(c) for c in e["bits"]], dtype=np.uint8)
-            ),
-            achieved=float(e["achieved"]),
-            residual=float(e["residual"]),
+            nu=_field(e, "nu", float, f"entry {k}"),
+            pattern=_field(e, "bits", _pattern, f"entry {k}"),
+            achieved=_field(e, "achieved", float, f"entry {k}"),
+            residual=_field(e, "residual", float, f"entry {k}"),
         )
-        for e in data["entries"]
+        for k, e in enumerate(data["entries"])
     )
-    n_nu, n_t = int(data["n_nu"]), int(data["n_t"])
+    n_nu = _field(data, "n_nu", int, "table header")
+    n_t = _field(data, "n_t", int, "table header")
     if len(entries) != n_nu:
         raise ValueError("entry count does not match header")
     if n_nu < 2:
@@ -648,9 +630,9 @@ def load_lut(path) -> Lut:
     return Lut(
         entries=entries,
         n_t=n_t,
-        pitch=float(data["pitch"]),
-        gamma_perp=float(data["gamma_perp"]),
-        dy=float(data["dy"]),
+        pitch=_field(data, "pitch", float, "table header"),
+        gamma_perp=_field(data, "gamma_perp", float, "table header"),
+        dy=_field(data, "dy", float, "table header"),
         psf_beam_sha256=str(data["psf_beam_sha256"]),
-        seed=int(data["seed"]),
+        seed=_field(data, "seed", int, "table header"),
     )

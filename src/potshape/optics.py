@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf, sici
 
-from .core import ComplexField1D, RealField1D, SpatialGrid1D
+from .core import RealField1D, SpatialGrid1D
 
 __all__ = [
     "PsfModel",
@@ -248,12 +248,6 @@ def magnetic_potential(spec: MagneticPotentialSpec, mass: float, grid: SpatialGr
     return RealField1D(grid=grid, values=v)
 
 
-def _pixel_integrals(fn, centers: np.ndarray, half: float) -> np.ndarray:
-    """Gauss-Legendre integral of fn over [c - half, c + half] per centre."""
-    x = centers[:, None] + half * _GL_NODES[None, :]
-    return half * (fn(x) * _GL_WEIGHTS[None, :]).sum(axis=1)
-
-
 def transversal_weights(
     psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float, y_values
 ) -> np.ndarray:
@@ -319,7 +313,7 @@ def _column_sums(pattern: DmdPattern, psf: PsfModel, beam: BeamProfile) -> np.nd
 
 def propagate_full(
     pattern: DmdPattern, beam: BeamProfile, psf: PsfModel, grid: SpatialGrid1D
-) -> ComplexField1D:
+) -> RealField1D:
     """On-axis image-plane field E(0, z) by direct pixel summation.
 
     Every mirror contributes the product of a transversal pixel integral
@@ -337,7 +331,7 @@ def propagate_full(
     coef = (cols[:, None] * (half * _GL_WEIGHTS)[None, :]).ravel() * beam.pz(eta)
     z = grid.samples
     out = psf.gz(z[:, None] - eta[None, :]) @ coef
-    return ComplexField1D(grid=grid, values=out.astype(complex))
+    return RealField1D(grid=grid, values=out)
 
 
 def column_response(
@@ -395,7 +389,7 @@ def propagate_separable(
 
 
 def potential_from_field(
-    e_out: ComplexField1D,
+    e_out: RealField1D,
     alpha_v: float = 1.0,
     disturbance: TransmissionDisturbance | None = None,
 ) -> RealField1D:

@@ -103,6 +103,10 @@ def test_scenario_rejects_unknown_sections_and_keys():
         scenario_from_dict({"gravity": {}})
     with pytest.raises(ConfigError, match="unknown keys in 'grid'"):
         scenario_from_dict({"grid": {"len": 5}})
+    with pytest.raises(ConfigError, match="unknown keys in 'control': gauge_offset"):
+        scenario_from_dict({"control": {"gauge_offset": 0.0}})
+    with pytest.raises(ConfigError, match="unknown keys in 'lut': polish"):
+        scenario_from_dict({"lut": {"polish": True}})
     with pytest.raises(ConfigError, match="bad section 'dmd'"):
         scenario_from_dict({"dmd": {"n_rows": 0}})
     with pytest.raises(ConfigError):
@@ -506,3 +510,9 @@ def test_cli_reports_a_malformed_table(tmp_path, small_lut, capsys):
     assert cli.main(["run", "--lut", str(bad_lut), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err == "invalid input: table header lacks 'n_t'\n"
+    d = _lut_to_dict(small_lut)
+    d["entries"][1]["nu"] = None
+    bad_lut.write_text(json.dumps(d))
+    assert cli.main(["run", "--lut", str(bad_lut), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid input: entry 1 has an invalid 'nu': None\n"

@@ -19,6 +19,7 @@ from potshape.inputmap import (
     PatternObjective,
     TransversalPattern,
     _ga_minimise,
+    _monotone_repair,
     build_lut,
     invert_pattern,
     load_lut,
@@ -65,8 +66,6 @@ def test_transversal_pattern_validation():
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(algorithm="annealing")
-    with pytest.raises(ValueError):
         OptimizerConfig(population=1)
     with pytest.raises(ValueError):
         OptimizerConfig(generations=0)
@@ -108,10 +107,11 @@ def test_flip_values_match_explicit_flips(fast_cfg, psf, beam):
     obj = PatternObjective(fast_cfg, psf, beam)
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, fast_cfg.n_t).astype(np.uint8)
-    fv = obj.flip_values(bits, 0.4)
+    e0, fv = obj.flips(bits, 0.4)
     for i in range(fast_cfg.n_t):
         b = bits.copy()
         b[i] ^= 1
+        assert e0[i] == pytest.approx(float(obj.on_axis(b)[0]), rel=1e-12, abs=1e-15)
         assert fv[i] == pytest.approx(float(obj.value(b, 0.4)[0]), rel=1e-12, abs=1e-15)
 
 
@@ -184,12 +184,6 @@ def test_solve_pattern_half_level(psf, beam):
     assert residual < 1e-4
 
 
-def test_bitflip_algorithm_also_converges(psf, beam):
-    cfg = OptimizerConfig(n_t=40, population=40, generations=40, algorithm="bitflip", seed=8)
-    pat, achieved, _ = solve_pattern(0.3, cfg, psf, beam)
-    assert abs(achieved - 0.3) < 0.05
-
-
 def test_target_cap_keeps_achieved_close(fast_cfg, psf, beam):
     _, achieved, _ = solve_pattern(0.9, fast_cfg, psf, beam, target_cap=5e-3)
     assert abs(achieved - 0.9) <= 5e-3
@@ -256,6 +250,58 @@ def test_table_entries_equal_their_solo_solves(fast_cfg, psf, beam, fast_lut):
         assert np.array_equal(pat.bits, e.pattern.bits)
         assert ach == e.achieved and res == e.residual
     assert untouched >= 3
+
+
+def test_monotone_repair_resolves_then_lifts(fast_cfg, psf, beam):
+    # centre-out blocks of mirrors; two entries sit below their lower
+    # neighbour: entry 2 is re-solved from its own level, while entry 4's
+    # re-solve (about 0.8) cannot reach entry 3 (0.85), so it is lifted
+    obj = PatternObjective(fast_cfg, psf, beam)
+    n = fast_cfg.n_t
+    order = np.argsort(np.abs(np.arange(n) - 0.5 * (n - 1)))
+
+    def block(m):
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[order[:m]] = 1
+        return TransversalPattern(bits=bits)
+
+    nus = np.linspace(0.0, 1.0, 6)
+    acc = 0.05 / (len(nus) - 1)
+    before = [block(m) for m in (0, 2, 1, 8, 7, n)]
+    patterns = list(before)
+    achieved = np.array([float(obj.on_axis(p.bits)[0]) for p in patterns])
+    residual = np.array([float(obj.value(p.bits, nu)[0]) for p, nu in zip(patterns, nus)])
+    ach0, res0 = achieved.copy(), residual.copy()
+    assert ach0[2] < ach0[1] and ach0[4] < ach0[3]
+
+    def resolve(k):
+        return solve_pattern(
+            nus[k], fast_cfg, psf, beam, objective=obj,
+            rng=np.random.default_rng([fast_cfg.seed, k, 7919]),
+            seed_patterns=(before[k - 1].bits, before[k].bits), target_cap=acc,
+        )
+
+    _monotone_repair(obj, fast_cfg, psf, beam, nus, patterns, achieved, residual, acc)
+    assert np.all(np.diff(achieved) >= 0.0)
+    for k in (0, 1, 3, 5):
+        assert patterns[k] is before[k]
+        assert achieved[k] == ach0[k] and residual[k] == res0[k]
+    pat, ach, res = resolve(2)
+    assert ach >= ach0[1]
+    assert np.array_equal(patterns[2].bits, pat.bits)
+    assert achieved[2] == ach and residual[2] == res
+    # the lift starts from entry 3's bits and keeps at or above its value
+    assert resolve(4)[1] < ach0[3]
+    lifted = patterns[4].bits
+    assert not np.array_equal(lifted, before[3].bits)
+    assert achieved[4] == float(obj.on_axis(lifted)[0]) >= ach0[3]
+    assert residual[4] == float(obj.value(lifted, nus[4])[0])
+    assert residual[4] < float(obj.value(before[3].bits, nus[4])[0])
+    for i in range(n):
+        b = lifted.copy()
+        b[i] ^= 1
+        if float(obj.on_axis(b)[0]) >= ach0[3]:
+            assert float(obj.value(b, nus[4])[0]) >= residual[4] * (1.0 - 1e-12)
 
 
 def test_unreachable_accuracy_is_a_hard_error(fast_cfg, psf, beam):
@@ -393,6 +439,12 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
     bad.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="table header lacks 'n_t'"):
         load_lut(bad)
+    for key in ("n_t", "seed", "pitch"):
+        d = _lut_to_dict(fast_lut)
+        d[key] = None
+        bad.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"table header has an invalid '{key}': None"):
+            load_lut(bad)
     d = _lut_to_dict(fast_lut)
     d["entries"] = {"0": d["entries"][0]}
     bad.write_text(json.dumps(d))
@@ -405,6 +457,10 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         (lambda es: es[3].update(bits=es[3]["bits"][:-1]), "entry 3 has 39 bits"),
         (lambda es: es[2].update(nu=es[2]["nu"] + 1e-9), "entry 2 has nu"),
         (lambda es: es[4].update(achieved=es[3]["achieved"] - 1e-6), "decreases at entry 4"),
+        (lambda es: es[2].update(nu=None), "entry 2 has an invalid 'nu': None"),
+        (lambda es: es[3].update(bits=101), "entry 3 has an invalid 'bits': 101"),
+        (lambda es: es[3].update(bits="01x"), "entry 3 has an invalid 'bits'"),
+        (lambda es: es[5].update(residual="small"), "entry 5 has an invalid 'residual'"),
     ):
         d = _lut_to_dict(fast_lut)
         edit(d["entries"])

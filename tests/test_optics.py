@@ -305,10 +305,9 @@ def test_potential_from_field_basics():
     zero = propagate_full(
         DmdPattern(bits=np.zeros((4, 4), dtype=int)), BeamProfile(), PsfModel(), grid
     )
+    assert zero.values.dtype == np.float64
     assert np.max(potential_from_field(zero).values) == 0.0
-    from potshape.core import ComplexField1D
-
-    const = ComplexField1D(grid=grid, values=np.full(101, 3.0 + 0.0j))
+    const = RealField1D(grid=grid, values=np.full(101, -3.0))
     v = potential_from_field(const, alpha_v=2.0)
     assert np.max(np.abs(v.values - 18.0)) == 0.0
     with pytest.raises(ValueError):
@@ -336,9 +335,7 @@ def test_dark_spot_transmission():
 
 def test_disturbance_scales_the_potential():
     grid = SpatialGrid1D(20.0, 201)
-    from potshape.core import ComplexField1D
-
-    e = ComplexField1D(grid=grid, values=np.full(201, 2.0 + 0.0j))
+    e = RealField1D(grid=grid, values=np.full(201, 2.0))
     dist = TransmissionDisturbance(spots=(DarkSpot(0.0, 2.0, 0.25),))
     v = potential_from_field(e, disturbance=dist).values
     tau = dist.tau(grid.samples)
