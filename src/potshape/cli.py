@@ -57,10 +57,7 @@ def _cmd_design_kernel(args) -> int:
     cfg = _load_config(args)
     prepared = harness.prepare(cfg)
     k = prepared.kernel
-    with open(args.out, "w") as fh:
-        fh.write("z,kernel\n")
-        for z, v in zip(k.kernel.grid.samples, k.kernel.values):
-            fh.write("%.17g,%.17g\n" % (z, v))
+    harness._write_rows(args.out, ("z", "kernel"), (k.kernel.grid.samples, k.kernel.values))
     print(f"wrote {args.out}: {k.kernel.grid.n_points} taps over {k.kernel.grid.length:g} um")
     print(
         f"alpha_bar = {prepared.gain.alpha_bar:.6g}, gamma_nu = {k.gamma:.6g}, "
@@ -83,11 +80,7 @@ def _cmd_groundstate(args) -> int:
     gs = ground_state(v, cfg.condensate, cfg.solver)
     if not gs.converged:
         raise ConvergenceError("ground state did not converge; lower dtau or raise max_steps")
-    rho = gs.density
-    with open(args.out, "w") as fh:
-        fh.write("z,v,rho\n")
-        for z, vv, rr in zip(grid.samples, v.values, rho.values):
-            fh.write("%.17g,%.17g,%.17g\n" % (z, vv, rr))
+    harness._write_rows(args.out, ("z", "v", "rho"), (grid.samples, v.values, gs.density.values))
     print(f"wrote {args.out}: {grid.n_points} points")
     print(f"mu = {gs.mu:.9g} rad/ms after {gs.n_steps} steps")
     return 0

@@ -5,17 +5,20 @@ run: grid, condensate, optics, magnetic trap, desired potential, mirror
 geometry, table and kernel settings, loop length, disturbance schedule
 and seeds.  ``prepare`` turns a scenario into the derived objects
 (calibrated beam, desired ground state, linearised gain, learning
-kernel) and ``run_closed_loop`` drives the measure-learn-apply cycle:
+kernel).  ``run_closed_loop`` drives the measure-learn-apply cycle,
+one iteration per pass of its loop:
 
   1. quantise the virtual input into a binary mirror pattern,
   2. sum each column of the pattern transversally on the optical axis,
      map the column sums to the on-axis field through the column
      response built once in ``prepare``, and apply the active
      transmission disturbances to get the optical potential,
-  3. relax the condensate in the total potential and measure its density,
+  3. relax the condensate in the total potential, warm started from the
+     previous iteration's state and cold if that stalls, and measure
+     its density,
   4. form the amplitude error against the desired density,
   5. update the virtual input through the learning kernel and hold it
-     on the table's levels.
+     on the table's levels (``level_update``).
 
 Everything is deterministic for a fixed master seed; exports are plain
 CSV/PBM/JSON and byte-identical across reruns.
@@ -98,7 +101,6 @@ __all__ = [
     "prepare",
     "build_scenario_lut",
     "inject_disturbances",
-    "iterate_learning",
     "level_update",
     "run_closed_loop",
     "input_activity",
@@ -489,7 +491,10 @@ def inject_disturbances(schedule, n: int) -> TransmissionDisturbance:
 @dataclass(frozen=True)
 class IterationRecord:
     """State of iteration n: the input applied, the error observed, and
-    the saturation count of the update that produced the next input."""
+    the saturation count of the update that produced the next input.
+    ``extras`` holds the solver steps, the pattern and its hash, the
+    total and optical potentials ``v`` and ``v_opt`` and the measured
+    density ``rho``."""
 
     n: int
     nu: np.ndarray
@@ -510,7 +515,7 @@ class IterationRecord:
 class RunResult:
     config: ScenarioConfig
     prepared: Prepared
-    lut: Lut | None
+    lut: Lut
     records: tuple
 
 
@@ -518,33 +523,67 @@ def error_norm(e: RealField1D) -> float:
     return float(np.sqrt(integrate(RealField1D(grid=e.grid, values=e.values**2))))
 
 
-def iterate_learning(
-    nu0: VirtualInput,
-    rho_desired: RealField1D,
-    kernel: LearningKernel,
-    measure,
-    iterations: int,
+def run_closed_loop(
+    cfg: ScenarioConfig,
+    lut: Lut | None = None,
+    prepared: Prepared | None = None,
     progress=None,
-    step=None,
-) -> tuple:
-    """Generic learning iteration, independent of what produces the
-    measurement.  ``measure(n, nu)`` returns (rho_meas, extras dict);
-    extras land verbatim in the record.  ``step(nu, e)`` returns the
-    :class:`UpdateResult` that gives the next input; by default it is the
-    plain law ``update(nu, e, kernel)``.  On solver failure the records
-    collected so far are attached to the raised error."""
-    if step is None:
-        step = lambda nu, e: update(nu, e, kernel)
+) -> RunResult:
+    """Run the full shaping experiment for a scenario.
+
+    The table is built on the fly if not supplied.  ``progress(record)``,
+    when given, is called once per iteration, after the update.  On
+    solver failure the records collected so far are attached to the
+    raised error as ``records``.
+    """
+    if prepared is None:
+        prepared = prepare(cfg)
+    if lut is None:
+        log.info("no look-up table supplied; building one now")
+        lut = build_scenario_lut(cfg, prepared)
+    expected = psf_beam_hash(cfg.psf, prepared.beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
+    if lut.psf_beam_sha256 != expected:
+        log.warning(
+            "look-up table was built for different optics (hash %.12s != %.12s)",
+            lut.psf_beam_sha256,
+            expected,
+        )
+    # on-axis transversal weights of the table's mirror rows; a column's
+    # field amplitude is the signed sum w0 @ bits (negative sinc lobes
+    # included), so the plant sees the pattern itself
+    w0 = transversal_weights(cfg.psf, prepared.beam, lut.n_t, lut.pitch, [0.0])[0]
+    nu = VirtualInput(
+        field=RealField1D(
+            grid=prepared.col_grid,
+            values=np.full(cfg.dmd.n_columns, cfg.loop.nu_initial),
+        )
+    )
+    phi = None
     records = []
-    nu = nu0
-    for n in range(iterations):
+    for n in range(cfg.loop.iterations):
+        pattern = map_virtual_input(nu.field, lut)
+        cols = prepared.beam.amplitude * (w0 @ pattern.bits)
+        e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
+        dist = inject_disturbances(cfg.disturbances, n)
+        v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
+        v = RealField1D(
+            grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values
+        )
         try:
-            rho_meas, extras = measure(n, nu)
+            gs = ground_state(v, cfg.condensate, cfg.solver, initial=phi)
+            if not gs.converged:
+                log.warning("iteration %d: warm start stalled, retrying cold", n)
+                gs = ground_state(v, cfg.condensate, cfg.solver)
+            if not gs.converged:
+                raise ConvergenceError(f"ground state did not converge at iteration {n}")
         except ConvergenceError as exc:
             exc.records = tuple(records)
             raise
-        e = density_error(rho_meas, rho_desired)
-        res = step(nu, e)
+        phi = gs.phi
+        rng = np.random.default_rng([cfg.loop.seed, 7, n])
+        rho_m = measure_density(gs.density, cfg.measurement, rng)
+        e = density_error(rho_m, prepared.rho_desired)
+        res = level_update(nu, e, prepared, lut)
         records.append(
             IterationRecord(
                 n=n,
@@ -552,60 +591,21 @@ def iterate_learning(
                 e_rho=e.values,
                 error_norm=error_norm(e),
                 clamp_count=res.clamp_count,
-                mu=float(extras.get("mu", np.nan)),
-                extras=extras,
+                mu=float(gs.mu),
+                extras={
+                    "solver_steps": gs.n_steps,
+                    "pattern": pattern,
+                    "pattern_sha256": pattern.sha256(),
+                    "v": v.values,
+                    "v_opt": v_opt.values,
+                    "rho": rho_m.values,
+                },
             )
         )
         if progress is not None:
             progress(records[-1])
         nu = res.nu
-    return tuple(records)
-
-
-def run_closed_loop(
-    cfg: ScenarioConfig,
-    lut: Lut | None = None,
-    prepared: Prepared | None = None,
-    measurement_override=None,
-    progress=None,
-) -> RunResult:
-    """Run the full shaping experiment for a scenario.
-
-    ``measurement_override(n, nu, prepared)``, when given, replaces the
-    entire physics chain with a synthetic measured density (test hook);
-    no table is needed then.  Otherwise the table is built on the fly if
-    not supplied.
-    """
-    if prepared is None:
-        prepared = prepare(cfg)
-    if measurement_override is None:
-        if lut is None:
-            log.info("no look-up table supplied; building one now")
-            lut = build_scenario_lut(cfg, prepared)
-        expected = psf_beam_hash(
-            cfg.psf, prepared.beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch
-        )
-        if lut.psf_beam_sha256 != expected:
-            log.warning(
-                "look-up table was built for different optics (hash %.12s != %.12s)",
-                lut.psf_beam_sha256,
-                expected,
-            )
-        measure = _physics_measurement(cfg, prepared, lut)
-        step = lambda nu, e: level_update(nu, e, prepared, lut)
-    else:
-        measure = lambda n, nu: (measurement_override(n, nu, prepared), {})
-        step = None
-    nu0 = VirtualInput(
-        field=RealField1D(
-            grid=prepared.col_grid,
-            values=np.full(cfg.dmd.n_columns, cfg.loop.nu_initial),
-        )
-    )
-    records = iterate_learning(
-        nu0, prepared.rho_desired, prepared.kernel, measure, cfg.loop.iterations, progress, step
-    )
-    return RunResult(config=cfg, prepared=prepared, lut=lut, records=records)
+    return RunResult(config=cfg, prepared=prepared, lut=lut, records=tuple(records))
 
 
 def level_update(
@@ -623,7 +623,7 @@ def level_update(
     on its levels once no column would move.  ``clamp_count`` and
     ``correction`` are those of the unquantised law.
     """
-    levels = np.array([entry.nu for entry in lut.entries])
+    levels = lut.nu_levels
     half_step = 0.5 * (levels[1] - levels[0])
     res = update(nu, scaled_error(e, prepared.gain), prepared.kernel)
     held = levels[lut.nearest_index(nu.values)]
@@ -645,46 +645,6 @@ def level_update(
         clamp_count=res.clamp_count,
         correction=res.correction,
     )
-
-
-def _physics_measurement(cfg: ScenarioConfig, prepared: Prepared, lut: Lut):
-    state = {"phi": None}
-    # on-axis transversal weights of the table's mirror rows; a column's
-    # field amplitude is the signed sum w0 @ bits (negative sinc lobes
-    # included), so the plant sees the pattern itself
-    w0 = transversal_weights(cfg.psf, prepared.beam, lut.n_t, lut.pitch, [0.0])[0]
-
-    def measure(n: int, nu: VirtualInput):
-        pattern = map_virtual_input(nu.field, lut)
-        cols = prepared.beam.amplitude * (w0 @ pattern.bits)
-        e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
-        dist = inject_disturbances(cfg.disturbances, n)
-        v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
-        v = RealField1D(
-            grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values
-        )
-        gs = ground_state(v, cfg.condensate, cfg.solver, initial=state["phi"])
-        if not gs.converged:
-            log.warning("iteration %d: warm start stalled, retrying cold", n)
-            gs = ground_state(v, cfg.condensate, cfg.solver)
-        if not gs.converged:
-            raise ConvergenceError(f"ground state did not converge at iteration {n}")
-        state["phi"] = gs.phi
-        rng = np.random.default_rng([cfg.loop.seed, 7, n])
-        rho_m = measure_density(gs.density, cfg.measurement, rng)
-        extras = {
-            "mu": gs.mu,
-            "solver_steps": gs.n_steps,
-            "pattern": pattern,
-            "pattern_sha256": pattern.sha256(),
-            "tau": dist.tau(prepared.grid.samples),
-            "v": v.values.copy(),
-            "v_opt": v_opt.values.copy(),
-            "rho": rho_m.values.copy(),
-        }
-        return rho_m, extras
-
-    return measure
 
 
 # ---------------------------------------------------------------------------
@@ -810,29 +770,24 @@ def export_records(result: RunResult, out_dir) -> list:
         exp = _default_export_iterations(len(records))
     z = result.prepared.grid.samples
     col_z = result.prepared.col_grid.samples
-    rho_d = result.prepared.rho_desired.values
     for n in exp:
         if not (0 <= n < len(records)):
             raise ConfigError(f"export iteration {n} outside the run")
         r = records[n]
         nu_on_z = np.interp(z, col_z, r.nu)
-        v = r.extras.get("v", np.full_like(z, np.nan))
-        v_opt = r.extras.get("v_opt", np.full_like(z, np.nan))
-        rho = r.extras.get("rho", (r.e_rho + np.sqrt(rho_d)) ** 2)
         path = os.path.join(out_dir, f"fields_{n:04d}.csv")
         _write_rows(
             path,
             ("z", "nu", "v", "v_opt", "rho", "e_rho"),
-            (z, nu_on_z, v, v_opt, rho, r.e_rho),
+            (z, nu_on_z, r.extras["v"], r.extras["v_opt"], r.extras["rho"], r.e_rho),
         )
         written.append(path)
         path = os.path.join(out_dir, f"columns_{n:04d}.csv")
         _write_rows(path, ("z", "nu"), (col_z, r.nu))
         written.append(path)
-        if "pattern" in r.extras:
-            path = os.path.join(out_dir, f"pattern_{n:04d}.pbm")
-            _write_pbm(path, r.extras["pattern"])
-            written.append(path)
+        path = os.path.join(out_dir, f"pattern_{n:04d}.pbm")
+        _write_pbm(path, r.extras["pattern"])
+        written.append(path)
 
     meta = {
         "format": "potshape-run-v1",
@@ -853,7 +808,7 @@ def export_records(result: RunResult, out_dir) -> list:
             "crossover_parameter_desired": interaction_parameter(
                 result.prepared.rho_desired, cfg.condensate
             ),
-            "lut_sha256": lut_sha256(result.lut) if result.lut is not None else None,
+            "lut_sha256": lut_sha256(result.lut),
         },
         "iterations": len(records),
         "export_iterations": list(exp),

@@ -44,7 +44,6 @@ from .optics import PsfModel
 
 __all__ = [
     "GainProfile",
-    "LinearizedModel",
     "LearningKernel",
     "VirtualInput",
     "UpdateResult",
@@ -53,7 +52,6 @@ __all__ = [
     "scaled_error",
     "transfer_function",
     "plant_response",
-    "linearized_model",
     "default_regularization",
     "design_kernel",
     "update",
@@ -180,22 +178,6 @@ def transfer_function(alpha_bar: float, psf: PsfModel, grid: SpatialGrid1D) -> S
     gz = gz / (gz.sum() * grid.dz)
     g = spectrum(RealField1D(grid=grid, values=gz))
     return Spectrum1D(grid=grid, wavenumbers=g.wavenumbers, values=-alpha_bar * g.values)
-
-
-@dataclass(frozen=True)
-class LinearizedModel:
-    """Bundle of the scalar gain and the tabulated plant spectrum."""
-
-    gain: GainProfile
-    transfer: Spectrum1D
-
-    @property
-    def alpha_bar(self) -> float:
-        return self.gain.alpha_bar
-
-
-def linearized_model(gain: GainProfile, psf: PsfModel, grid: SpatialGrid1D) -> LinearizedModel:
-    return LinearizedModel(gain=gain, transfer=transfer_function(gain.alpha_bar, psf, grid))
 
 
 def plant_response(dnu: RealField1D, gain: GainProfile, g: Spectrum1D) -> RealField1D:

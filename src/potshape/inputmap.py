@@ -386,6 +386,13 @@ class Lut:
         """(n_nu, n_t) uint8 matrix of the entry patterns, row k for level k."""
         return np.array([e.pattern.bits for e in self.entries], dtype=np.uint8)
 
+    @cached_property
+    def nu_levels(self) -> np.ndarray:
+        """Read-only array of the entries' nu, element k for level k."""
+        nu = np.array([e.nu for e in self.entries])
+        nu.flags.writeable = False
+        return nu
+
 
 def psf_beam_hash(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> str:
     payload = json.dumps(
@@ -574,6 +581,8 @@ def _require_keys(obj, keys, what: str) -> None:
 
 
 def _pattern(text) -> TransversalPattern:
+    if not isinstance(text, str) or not set(text) <= {"0", "1"}:
+        raise ValueError("bits must be a string of 0 and 1 characters")
     return TransversalPattern(bits=[int(c) for c in text])
 
 

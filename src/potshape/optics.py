@@ -288,7 +288,9 @@ def calibrate_beam(
     """Set the beam amplitude so the flat-beam, all-ones optical potential
     peaks at ``headroom * v_max`` (evaluated with p_z = 1)."""
     target = np.sqrt(headroom * v_max / alpha_v)
-    unit = e_perp_max(psf, beam, n_t, pitch) / beam.amplitude
+    # on-axis all-ones field per unit amplitude, independent of the
+    # amplitude being replaced (which may be zero)
+    unit = float(transversal_weights(psf, beam, n_t, pitch, [0.0])[0].sum())
     if unit <= 0:
         raise ValueError("transversal weights sum to a non-positive field")
     return BeamProfile(

@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from potshape import harness
+from potshape.condensate import ConvergenceError
 from potshape.core import RealField1D, SpatialGrid1D
 from potshape.harness import (
     ConfigError,
@@ -25,12 +27,13 @@ from potshape.harness import (
     level_update,
     load_run,
     load_scenario,
+    lut_sha256,
     report,
     run_closed_loop,
     scenario_from_dict,
     scenario_to_dict,
 )
-from potshape.ilc import VirtualInput, plant_response, scaled_error, update
+from potshape.ilc import VirtualInput, density_error, plant_response, scaled_error, update
 from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input
 from potshape.optics import (
     DarkSpot,
@@ -167,18 +170,46 @@ def test_error_norm_matches_direct_quadrature():
     assert error_norm(e) == expect
 
 
-def test_perfect_measurement_freezes_the_loop(small_scenario, small_prepared):
-    # feeding back exactly the desired density: zero error, no input motion
-    result = run_closed_loop(
-        small_scenario,
-        prepared=small_prepared,
-        measurement_override=lambda n, nu, prepared: prepared.rho_desired,
+def test_perfect_measurement_freezes_the_loop(small_prepared, small_lut):
+    # measuring exactly the desired density: zero error, no input motion
+    pre = small_prepared
+    e = density_error(pre.rho_desired, pre.rho_desired)
+    assert error_norm(e) == 0.0
+    rng = np.random.default_rng(5)
+    nu = VirtualInput(
+        field=RealField1D(
+            grid=pre.col_grid, values=rng.choice(small_lut.nu_levels, pre.col_grid.n_points)
+        )
     )
-    assert len(result.records) == small_scenario.loop.iterations
-    for r in result.records:
-        assert r.error_norm == 0.0
-        assert r.clamp_count == 0
-        assert np.all(r.nu == small_scenario.loop.nu_initial)
+    res = level_update(nu, e, pre, small_lut)
+    assert res.clamp_count == 0
+    assert np.array_equal(res.nu.values, nu.values)
+    before = map_virtual_input(nu.field, small_lut)
+    assert np.array_equal(map_virtual_input(res.nu.field, small_lut).bits, before.bits)
+
+
+def test_loop_failure_carries_the_records_so_far(
+    monkeypatch, small_scenario, small_prepared, small_lut
+):
+    # every solve from the loop's second call on stalls: iteration 0 is
+    # recorded, iteration 1 fails after its warm and its cold attempt
+    calls = []
+    solve = harness.ground_state
+
+    def stalling(*args, **kwargs):
+        calls.append(kwargs.get("initial"))
+        gs = solve(*args, **kwargs)
+        return gs if len(calls) == 1 else dataclasses.replace(gs, converged=False)
+
+    monkeypatch.setattr(harness, "ground_state", stalling)
+    with pytest.raises(ConvergenceError, match="at iteration 1") as info:
+        run_closed_loop(small_scenario, lut=small_lut, prepared=small_prepared)
+    assert len(calls) == 3
+    assert calls[1] is not None and calls[2] is None  # warm, then cold
+    records = info.value.records
+    assert [r.n for r in records] == [0]
+    assert {"v", "rho"} <= set(records[0].extras)
+    assert np.isfinite(records[0].mu) and records[0].error_norm > 0.0
 
 
 def _support_bump(prepared, peak_correction, lut):
@@ -400,33 +431,29 @@ def test_export_writers_match_the_cellwise_writers(tmp_path):
         assert (tmp_path / "new.pbm").read_bytes() == (tmp_path / "old.pbm").read_bytes()
 
 
-def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepared):
+def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepared, small_lut):
     cfg = dataclasses.replace(
         small_scenario,
         loop=dataclasses.replace(small_scenario.loop, export_iterations=None),
     )
-    empty = RunResult(config=cfg, prepared=small_prepared, lut=None, records=())
+    empty = RunResult(config=cfg, prepared=small_prepared, lut=small_lut, records=())
     out = tmp_path / "empty"
     export_records(empty, out)
     assert (out / "error_norms.csv").read_text() == "n,error_norm,mu,clamp_count\n"
     data = load_run(out)
     assert data["fields"] == {}
-    assert data["meta"]["derived"]["lut_sha256"] is None
+    assert data["meta"]["derived"]["lut_sha256"] == lut_sha256(small_lut)
 
 
-def test_export_rejects_out_of_range_iteration(tmp_path, small_scenario, small_prepared):
-    result = run_closed_loop(
-        small_scenario,
-        prepared=small_prepared,
-        measurement_override=lambda n, nu, prepared: prepared.rho_desired,
-    )
+def test_export_rejects_out_of_range_iteration(
+    tmp_path, small_scenario, small_prepared, small_lut
+):
+    result = run_closed_loop(small_scenario, lut=small_lut, prepared=small_prepared)
     bad_cfg = dataclasses.replace(
         small_scenario,
         loop=dataclasses.replace(small_scenario.loop, export_iterations=(5,)),
     )
-    bad = RunResult(
-        config=bad_cfg, prepared=small_prepared, lut=None, records=result.records
-    )
+    bad = dataclasses.replace(result, config=bad_cfg)
     with pytest.raises(ConfigError, match="outside the run"):
         export_records(bad, tmp_path / "bad")
 
@@ -464,13 +491,19 @@ def test_cli_run_and_report_chain(tmp_path, small_scenario):
     assert cli.main(["report", "--in", str(out)]) == 0
 
 
-def test_cli_design_kernel(tmp_path, small_scenario, capsys):
+def _per_row_csv(header, columns):
+    """The per-row %.17g writer the CLI used before it shared the export's."""
+    rows = (",".join("%.17g" % c for c in row) + "\n" for row in zip(*columns))
+    return (header + "\n" + "".join(rows)).encode()
+
+
+def test_cli_design_kernel(tmp_path, small_scenario, small_prepared, capsys):
     cfg_path = tmp_path / "scenario.json"
     _write_small_config(cfg_path, small_scenario)
     out = tmp_path / "kernel.csv"
     assert cli.main(["design-kernel", "--config", str(cfg_path), "--out", str(out)]) == 0
-    header = out.read_text().splitlines()[0]
-    assert header == "z,kernel"
+    k = small_prepared.kernel.kernel
+    assert out.read_bytes() == _per_row_csv("z,kernel", (k.grid.samples, k.values))
     assert "alpha_bar" in capsys.readouterr().out
 
 
@@ -484,6 +517,9 @@ def test_cli_groundstate_from_csv(tmp_path):
     out = tmp_path / "state.csv"
     assert cli.main(["groundstate", "--potential", str(pot_path), "--out", str(out)]) == 0
     data = np.loadtxt(out, delimiter=",", skiprows=1)
+    # %.17g round-trips a double, so reformatting the parsed rows must
+    # reproduce the file byte for byte
+    assert out.read_bytes() == _per_row_csv("z,v,rho", data.T)
     rho = data[:, 2]
     assert abs(np.trapezoid(rho, data[:, 0]) - 1.0) < 1e-8
     bad = tmp_path / "bad.csv"

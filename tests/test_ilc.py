@@ -23,7 +23,6 @@ from potshape.ilc import (
     density_error,
     design_kernel,
     gain_profile,
-    linearized_model,
     plant_response,
     scaled_error,
     transfer_function,
@@ -182,17 +181,6 @@ def test_transfer_is_hermitian(transfer):
 def test_default_regularization_is_percent_of_peak(transfer):
     gamma = default_regularization(transfer)
     assert gamma == pytest.approx(1e-2 * ALPHA_BAR**2, rel=1e-12)
-
-
-def test_linearized_model_bundles_gain(fine_grid):
-    g = SpatialGrid1D(20.0, 11)
-    p = CondensateParams()
-    v_d = RealField1D(grid=g, values=np.linspace(0.0, 10.0, 11))
-    v_m = RealField1D(grid=g, values=np.zeros(11))
-    gain = gain_profile(v_d, v_m, 8.0, p, 8.0)
-    model = linearized_model(gain, PsfModel(), fine_grid)
-    assert model.alpha_bar == gain.alpha_bar
-    assert model.transfer.values[0] == pytest.approx(-gain.alpha_bar, rel=1e-12)
 
 
 # --------------------------------------------------------------- kernel

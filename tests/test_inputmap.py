@@ -460,6 +460,11 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         (lambda es: es[2].update(nu=None), "entry 2 has an invalid 'nu': None"),
         (lambda es: es[3].update(bits=101), "entry 3 has an invalid 'bits': 101"),
         (lambda es: es[3].update(bits="01x"), "entry 3 has an invalid 'bits'"),
+        (lambda es: es[3].update(bits="0120" + es[3]["bits"][4:]), "entry 3 has an invalid 'bits'"),
+        (
+            lambda es: es[3].update(bits=[1.9, 0.2] + [0] * (len(es[3]["bits"]) - 2)),
+            r"entry 3 has an invalid 'bits': \[1.9, 0.2, 0",
+        ),
         (lambda es: es[5].update(residual="small"), "entry 5 has an invalid 'residual'"),
     ):
         d = _lut_to_dict(fast_lut)
