@@ -7,9 +7,10 @@ The effective 1d interaction is non-polynomial in the line density,
 which reduces to 2 omega_perp b rho for b rho << 1 and grows like
 sqrt(rho) once the transversal cloud swells.  The ground state of the
 corresponding nonlinear eigenvalue problem is found by real-valued
-imaginary-time split-step propagation with per-step renormalisation, three
-real FFTs per step; the Thomas-Fermi routine drops the kinetic term,
-inverts h pointwise in closed form and finds mu by bisection on the norm.
+imaginary-time split-step propagation with per-step renormalisation, two
+real FFTs and one evaluation of V + h(rho) per step; the Thomas-Fermi
+routine drops the kinetic term, inverts h pointwise in closed form and
+finds mu by bisection on the norm.
 
 Units: lengths in um, times in ms, energies in rad/ms (hbar = 1), and
 the wave function is normalised to int |phi|^2 dz = 1 so rho is a
@@ -86,12 +87,12 @@ class CondensateParams:
 class SolverConfig:
     """Imaginary-time solver settings.
 
-    ``tol`` is on the relative chemical-potential change per step; mu is
-    evaluated every step from the step's own spectrum and state, without a
-    transform.  ``record_history`` additionally stores per-step mu, energy
-    and norm (used by the invariant checks; the energy reuses the step's
-    spectrum, so it costs one interaction-energy evaluation per step, no
-    transform).
+    ``tol`` is on the relative change of mu between consecutive steps; mu
+    is read every step from the state before its potential step, with the
+    V + h(rho) that step applies and no transform of its own.
+    ``record_history`` additionally stores mu, energy and norm of each
+    step's renormalised post-step state (used by the invariant checks; it
+    costs one more irfft and two interaction evaluations per step).
     """
 
     dtau: float = 1e-3
@@ -238,19 +239,29 @@ def _rfft_weights(n: int) -> np.ndarray:
     return w
 
 
-def _effective_potential(rho: np.ndarray, vvals: np.ndarray, params) -> np.ndarray:
-    """V + h(rho) with the arithmetic of :func:`nonlinearity`, minus its
-    checks: the solver's rho = phi^2 is non-negative by construction."""
-    x = params.coupling * rho
-    return vvals + params.omega_perp * ((1.0 + 3.0 * x) / np.sqrt(1.0 + 2.0 * x) - 1.0)
+def _effective_potential(rho: np.ndarray, v_offset: np.ndarray, params) -> np.ndarray:
+    """V + h(rho) for v_offset = V - omega_perp, in seven array operations.
+
+    With q = sqrt(1 + 2 b rho), 1 + 3 b rho = (3 q^2 - 1) / 2, so
+    h = omega_perp (1.5 q - 0.5 / q - 1); equal to :func:`nonlinearity`
+    to rounding.  No checks: the solver's rho = phi^2 is non-negative by
+    construction.
+    """
+    q = rho * (2.0 * params.coupling)
+    q += 1.0
+    np.sqrt(q, out=q)
+    w = np.divide(-0.5 * params.omega_perp, q)
+    q *= 1.5 * params.omega_perp
+    w += q
+    w += v_offset
+    return w
 
 
-def _spectral_resolution_check(phi: np.ndarray, grid):
-    """Warn when phi puts more than SPECTRAL_TAIL_TOL of its spectral
-    weight above half the Nyquist wavenumber pi / (2 dz)."""
-    spec = scipy.fft.rfft(phi)
-    power = _rfft_weights(grid.n_points) * (spec.real**2 + spec.imag**2)
-    k = 2.0 * np.pi * scipy.fft.rfftfreq(grid.n_points, d=grid.dz)
+def _spectral_resolution_check(power: np.ndarray, k: np.ndarray, grid):
+    """Warn when a state puts more than SPECTRAL_TAIL_TOL of its spectral
+    weight above half the Nyquist wavenumber pi / (2 dz).  ``power`` is
+    |phi_k|^2 on the rfft wavenumbers ``k``, each bin weighted by its
+    multiplicity; the share does not depend on the state's scale."""
     tail = float(power[k > 0.5 * np.pi / grid.dz].sum() / power.sum())
     if tail > SPECTRAL_TAIL_TOL:
         log.warning(
@@ -276,19 +287,23 @@ def ground_state(
     potential-plus-interaction step in position space, the second kinetic
     half step, and renormalises.  Imaginary time keeps a real state real,
     so phi is a real array and the kinetic steps act on its rfft spectrum.
-    A step costs three real transforms: the renormalisation is a scalar and
-    commutes with the linear kinetic step, so the spectrum after the second
-    half step, times another half step and over the norm's square root, is
-    the next step's first half step without a forward transform of its
-    own.  The kinetic part of mu is read from that spectrum (Parseval) and
-    the rest from the renormalised state, so mu costs no transform either;
-    the initial mu comes from the rfft the first step starts from, and the
-    resolution check after the solve takes one more rfft.  Convergence is
-    declared when the relative change of mu over one step drops below
-    cfg.tol.  ``initial`` warm-starts the relaxation (any normalisation; an
-    imaginary part beyond rounding is refused by core.real_part); otherwise
-    the Thomas-Fermi profile is used where available, falling back to a
-    10 um Gaussian.
+    A step costs two real transforms and one evaluation of V + h(rho):
+    the renormalisation is a scalar and commutes with the linear kinetic
+    step, so the spectrum after the second half step, times another half
+    step and over the square root of its Parseval norm, is the next step's
+    first half step.  Its irfft is the pre-potential state phi_a, and mu is
+    read from phi_a before the potential step: the kinetic part by
+    Parseval from the carried spectrum, the rest from the same V + h(rho)
+    the potential step applies, both over the norm of phi_a.  Convergence
+    is declared when the relative change of that mu between consecutive
+    steps drops below cfg.tol; ``n_steps`` counts the potential steps
+    applied.  After the stop one irfft of the last post-step spectrum
+    gives the returned state, renormalised, and the returned mu is that
+    state's own, so a solve of k steps makes 2k + 3 transforms.  The
+    resolution check reads the same spectrum.  ``initial`` warm-starts the
+    relaxation (any normalisation; an imaginary part beyond rounding is
+    refused by core.real_part); otherwise the Thomas-Fermi profile is used
+    where available, falling back to a 10 um Gaussian.
     """
     grid = potential.grid
     if not np.all(np.isfinite(potential.values)):
@@ -299,66 +314,81 @@ def ground_state(
     else:
         phi = _initial_guess(potential, params)
     dz = grid.dz
-    nrm = _trapezoid(phi * phi, dz)
-    if not nrm > 0:
-        raise ValueError("initial state has zero norm")
-    phi = phi / np.sqrt(nrm)
-
     n = grid.n_points
     k = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dz)
     half_kin = np.exp(-(k**2) * cfg.dtau / (4.0 * params.mass))
-    # <phi|T|phi> = dz / n * sum of k^2/2m |phi_k|^2 over the full spectrum
-    kin_weights = k**2 / (2.0 * params.mass) * (dz / n) * _rfft_weights(n)
+    # |phi|^2 and <phi|T|phi> = dz / n * sums of 1 and k^2/2m times
+    # |phi_k|^2 over the full spectrum
+    norm_weights = (dz / n) * _rfft_weights(n)
+    kin_weights = k**2 / (2.0 * params.mass) * norm_weights
+    # the kinetic energy of the carried spectrum, read off the post-step one
+    carried_kin_weights = kin_weights * half_kin**2
     vvals = potential.values
-    spec = scipy.fft.rfft(phi)
-    rho = phi * phi
-    mu = float(np.dot(kin_weights, spec.real**2 + spec.imag**2)) + _trapezoid(
-        _effective_potential(rho, vvals, params) * rho, dz
-    )
-    # each step starts from the normalised state's spectrum after half a
-    # kinetic step
-    spec *= half_kin
+    v_offset = vvals - params.omega_perp
+
+    def post_step_state(post, power):
+        """The renormalised state of a post-step spectrum with power
+        |post|^2, with its kinetic energy and mu."""
+        phi = scipy.fft.irfft(post, n)
+        rho = phi * phi
+        nrm = _trapezoid(rho, dz)
+        phi /= np.sqrt(nrm)
+        np.multiply(phi, phi, out=rho)
+        kinetic = float(np.dot(kin_weights, power)) / nrm
+        mu = kinetic + _trapezoid(_effective_potential(rho, v_offset, params) * rho, dz)
+        return phi, rho, kinetic, mu
+
+    # the start counts as the post-step state of step 0
+    post = scipy.fft.rfft(phi)
+    power = post.real**2 + post.imag**2
+    nrm = float(np.dot(norm_weights, power))
+    if not nrm > 0:
+        raise ValueError("initial state has zero norm")
+    carried = np.empty_like(post)
+    rho = np.empty(n)
     mus, energies, norms = [], [], []
     converged = False
     steps = 0
-    last_change = np.nan
-    for steps in range(1, cfg.max_steps + 1):
-        phi = scipy.fft.irfft(spec, n)
-        w = _effective_potential(phi * phi, vvals, params)
+    mu = last_change = np.nan
+    while True:
+        # the pre-potential state phi_a and its mu, from the V + h(rho)
+        # that the potential step applies
+        np.multiply(post, half_kin / np.sqrt(nrm), out=carried)
+        phi = scipy.fft.irfft(carried, n)
+        np.multiply(phi, phi, out=rho)
+        w = _effective_potential(rho, v_offset, params)
+        kinetic = float(np.dot(carried_kin_weights, power)) / nrm
+        mu_new = (kinetic + _trapezoid(w * rho, dz)) / _trapezoid(rho, dz)
+        if not np.isfinite(mu_new):
+            raise ConvergenceError("chemical potential became non-finite")
+        if steps > 0:
+            last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
+            if last_change < cfg.tol:
+                converged = True
+                break
+        mu = mu_new
+        if steps == cfg.max_steps:
+            break
         w *= -cfg.dtau
         phi *= np.exp(w, out=w)
-        spec = scipy.fft.rfft(phi)
-        spec *= half_kin
-        phi = scipy.fft.irfft(spec, n)
-        np.multiply(phi, phi, out=rho)
-        nrm = _trapezoid(rho, dz)
+        post = scipy.fft.rfft(phi)
+        post *= half_kin
+        steps += 1
+        power = post.real**2 + post.imag**2
+        nrm = float(np.dot(norm_weights, power))
         if not np.isfinite(nrm) or nrm <= 0:
             raise ConvergenceError(
                 f"wave function became non-finite after {steps} imaginary-time steps"
             )
-        scale = np.sqrt(nrm)
-        phi /= scale
-        np.multiply(phi, phi, out=rho)
-        kinetic = float(np.dot(kin_weights, spec.real**2 + spec.imag**2)) / nrm
-        w = _effective_potential(rho, vvals, params)
-        w *= rho
-        mu_new = kinetic + _trapezoid(w, dz)
         if cfg.record_history:
-            mus.append(mu_new)
+            _, rho_b, kinetic, mu_b = post_step_state(post, power)
+            mus.append(mu_b)
             energies.append(
-                kinetic + _trapezoid(vvals * rho + interaction_energy_density(rho, params), dz)
+                kinetic
+                + _trapezoid(vvals * rho_b + interaction_energy_density(rho_b, params), dz)
             )
-            norms.append(_trapezoid(rho, dz))
-        if not np.isfinite(mu_new):
-            raise ConvergenceError("chemical potential became non-finite")
-        last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
-        mu = mu_new
-        if last_change < cfg.tol:
-            converged = True
-            break
-        # a scalar commutes with the linear kinetic step, so this is the
-        # next step's first half step applied to rfft(phi) up to rounding
-        spec *= half_kin / scale
+            norms.append(_trapezoid(rho_b, dz))
+    phi, _, _, mu = post_step_state(post, power)
     # fix the global sign; the ground state is nodeless and positive
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
@@ -371,7 +401,7 @@ def ground_state(
         energy_history=np.array(energies) if cfg.record_history else None,
         norm_history=np.array(norms) if cfg.record_history else None,
     )
-    _spectral_resolution_check(phi, grid)
+    _spectral_resolution_check(norm_weights * power, k, grid)
     if params.coupling > 0:
         log.info(
             "crossover parameter max 2 b rho = %.3f", interaction_parameter(gs.density, params)

@@ -206,6 +206,10 @@ class LoopSpec:
             raise ValueError("iterations must be >= 1")
         if not (0.0 <= self.nu_initial <= 1.0):
             raise ValueError("nu_initial must lie in [0, 1]")
+        if self.export_iterations is not None:
+            object.__setattr__(
+                self, "export_iterations", tuple(int(i) for i in self.export_iterations)
+            )
 
 
 @dataclass(frozen=True)
@@ -335,21 +339,22 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     kwargs = {}
     for name, cls in _SECTIONS.items():
         if name in data:
-            section = dict(data[name])
-            if name == "loop" and section.get("export_iterations") is not None:
-                section["export_iterations"] = tuple(
-                    int(i) for i in section["export_iterations"]
-                )
-            kwargs[name] = _build_section(cls, section, name)
+            kwargs[name] = _build_section(cls, data[name], name)
     if "disturbances" in data:
+        if not isinstance(data["disturbances"], (list, tuple)):
+            raise ConfigError("'disturbances' must be a list")
         events = []
         for i, ev in enumerate(data["disturbances"]):
-            if not isinstance(ev, dict) or set(ev) - {"iteration", "spots"}:
-                raise ConfigError(f"bad disturbance entry {i}")
-            spots = tuple(
-                _build_section(DarkSpot, s, f"disturbances[{i}].spots") for s in ev["spots"]
-            )
-            events.append(DisturbanceEvent(iteration=int(ev["iteration"]), spots=spots))
+            where = f"disturbances[{i}]"
+            if not isinstance(ev, dict) or set(ev) != {"iteration", "spots"}:
+                raise ConfigError(f"bad disturbance entry {i}: needs exactly iteration and spots")
+            if not isinstance(ev["spots"], (list, tuple)):
+                raise ConfigError(f"'{where}.spots' must be a list")
+            spots = tuple(_build_section(DarkSpot, s, f"{where}.spots") for s in ev["spots"])
+            try:
+                events.append(DisturbanceEvent(iteration=int(ev["iteration"]), spots=spots))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad disturbance entry {i}: {exc}") from exc
         kwargs["disturbances"] = tuple(events)
     try:
         return ScenarioConfig(**kwargs)

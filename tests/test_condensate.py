@@ -17,6 +17,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from potshape import condensate
 from potshape.condensate import (
     CondensateParams,
     ConvergenceError,
@@ -76,6 +77,12 @@ def test_nonlinearity_limits_and_reference():
     )
     with pytest.raises(ValueError):
         nonlinearity(-1e-6, p)
+    # the solver's rearranged V + h(rho), from the vacuum to the swollen limit
+    rho = np.concatenate([[0.0], np.geomspace(1e-9, 1e4, 200)]) / p.coupling
+    v = np.linspace(0.0, 30.0, rho.size)
+    want = v + nonlinearity(rho, p)
+    got = condensate._effective_potential(rho, v - p.omega_perp, p)
+    assert np.max(np.abs(got - want) / np.maximum(want, p.omega_perp)) < 1e-14
 
 
 @settings(max_examples=200, deadline=None)
@@ -276,6 +283,32 @@ def test_real_solver_matches_complex_split_step(tilted_well, start):
     # the energy does not increase beyond rounding
     assert np.max(np.diff(gs.energy_history)) <= 1e-13 * abs(gs.energy_history[-1])
     assert np.allclose(gs.norm_history, 1.0, rtol=0.0, atol=1e-14)
+
+
+def test_a_step_costs_two_transforms_and_one_interaction_evaluation(tilted_well, monkeypatch):
+    # k applied steps: an rfft of the start, an irfft and an rfft per step,
+    # the irfft of the stop test's pre-potential state and one of the result
+    v, p, cfg = tilted_well
+    counts = {"rfft": 0, "irfft": 0, "_effective_potential": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scipy.fft, "rfft")
+    counted(scipy.fft, "irfft")
+    counted(condensate, "_effective_potential")
+    gs = ground_state(v, p, cfg)
+    assert gs.converged and gs.n_steps > 1
+    k = gs.n_steps
+    assert counts["rfft"] + counts["irfft"] <= 2 * k + 3
+    assert counts["rfft"] <= k + 1
+    assert counts["_effective_potential"] <= k + 2
 
 
 @pytest.mark.parametrize("n", [511, 512])

@@ -116,6 +116,20 @@ def test_scenario_rejects_unknown_sections_and_keys():
         scenario_from_dict("not a dict")
     with pytest.raises(ConfigError, match="bad disturbance entry"):
         scenario_from_dict({"disturbances": [{"iteration": 1, "spots": [], "extra": 2}]})
+    # malformed values end in a ConfigError naming the section or entry,
+    # not a TypeError or KeyError from the parsing
+    with pytest.raises(ConfigError, match="section 'grid' must be an object"):
+        scenario_from_dict({"grid": 5})
+    with pytest.raises(ConfigError, match="'disturbances' must be a list"):
+        scenario_from_dict({"disturbances": 5})
+    with pytest.raises(ConfigError, match="bad disturbance entry 0"):
+        scenario_from_dict({"disturbances": [{"iteration": 1}]})
+    with pytest.raises(ConfigError, match="bad disturbance entry 0"):
+        scenario_from_dict({"disturbances": [{"spots": []}]})
+    with pytest.raises(ConfigError, match=r"'disturbances\[0\]\.spots' must be a list"):
+        scenario_from_dict({"disturbances": [{"iteration": 1, "spots": 3}]})
+    with pytest.raises(ConfigError, match="bad section 'loop'"):
+        scenario_from_dict({"loop": {"export_iterations": 5}})
 
 
 def test_disturbance_schedule_must_be_sorted():
