@@ -371,9 +371,11 @@ class Lut:
         return len(self.entries)
 
     def nearest_index(self, nu) -> np.ndarray:
-        """Nearest table index for values in [0, 1]; exact ties round down."""
+        """Nearest table index for values in [0, 1]; exact ties round down.
+
+        A value outside [0, 1], NaN included, is a ValueError."""
         nu = np.asarray(nu, dtype=float)
-        if np.any(nu < -1e-12) or np.any(nu > 1.0 + 1e-12):
+        if not np.all((nu >= -1e-12) & (nu <= 1.0 + 1e-12)):
             raise ValueError("virtual input out of [0, 1]")
         x = np.clip(nu, 0.0, 1.0) * (self.n_nu - 1)
         return np.clip(np.ceil(x - 0.5), 0, self.n_nu - 1).astype(int)
@@ -465,7 +467,9 @@ def build_lut(
     ``accuracy`` is the per-entry target for |achieved - nu_k|, by default
     0.05 / (n_nu - 1), i.e. a twentieth of the table step.  Entries worse
     than four times that are a hard error: a table that cannot realise its
-    own addressing levels would silently bias the closed loop.
+    own addressing levels would silently bias the closed loop.  Two entries
+    with one bit pattern, which :func:`invert_pattern` could not tell
+    apart, raise a ValueError.
     """
     if n_nu < 2:
         raise ValueError("table needs at least the two extreme entries")
@@ -494,6 +498,7 @@ def build_lut(
                 f"k={k} nu={nus[k]:.3f} achieved={achieved[k]:.6f}" for k in bad
             )
         )
+    _require_distinct_patterns(patterns)
     entries = tuple(
         LutEntry(nu=float(nus[k]), pattern=patterns[k],
                  achieved=float(achieved[k]), residual=float(residual[k]))
@@ -508,6 +513,16 @@ def build_lut(
         psf_beam_sha256=psf_beam_hash(psf, beam, cfg.n_t, cfg.pitch),
         seed=cfg.seed,
     )
+
+
+def _require_distinct_patterns(patterns) -> None:
+    """Refuse two entries with one bit pattern: :func:`invert_pattern` could
+    not tell their levels apart."""
+    first = {}
+    for k, p in enumerate(patterns):
+        j = first.setdefault(p.bits.tobytes(), k)
+        if j != k:
+            raise ValueError(f"entries {j} and {k} share one bit pattern")
 
 
 def map_virtual_input(nu: RealField1D, lut: Lut) -> DmdPattern:
@@ -602,8 +617,8 @@ def load_lut(path) -> Lut:
     object, lacks a header key or an entry field, holds a field of the
     wrong type, or whose entries do not form a table the closed loop can
     address: a bit string of the wrong length, a ``nu`` off the grid
-    k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, or decreasing
-    achieved values.
+    k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, decreasing
+    achieved values, or two entries with one bit pattern.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -636,6 +651,7 @@ def load_lut(path) -> Lut:
             raise ValueError(f"entry {k} has nu = {e.nu!r}, not {k}/{n_nu - 1}")
         if k > 0 and e.achieved < entries[k - 1].achieved:
             raise ValueError(f"achieved value decreases at entry {k}")
+    _require_distinct_patterns(e.pattern for e in entries)
     return Lut(
         entries=entries,
         n_t=n_t,

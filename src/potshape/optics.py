@@ -12,10 +12,12 @@ field magnitude in the atom plane, evaluated on the y = 0 axis.
 
 The field is linear in the per-column transversal sums, and the
 longitudinal blur of each column has a closed form (an erf difference).
-``column_response`` tabulates that blur for every column once; one field
-evaluation is then a single matrix-vector product.  Two routes use it:
-the closed loop (``harness``) feeds it the signed on-axis sums of the
-actual mirror pattern, and ``propagate_separable``, the control model,
+``column_response`` tabulates that blur once, evaluating each row only on
+the band of columns near it: farther out both erfs of a column's edges
+round to the same exact +1 or -1, so the rest of the row is exactly zero.
+One field evaluation is then a single matrix-vector product.  Two routes
+use it: the closed loop (``harness``) feeds it the signed on-axis sums of
+the actual mirror pattern, and ``propagate_separable``, the control model,
 feeds it one achieved amplitude per column.  ``propagate_full`` performs
 the direct pixel sum with per-pixel Gauss-Legendre quadrature, never the
 closed form; it is the independent oracle that the tests and the
@@ -57,6 +59,11 @@ __all__ = [
 # 8-point Gauss-Legendre rule, exact to machine precision for the smooth
 # (Gaussian / low-order sinc) integrands over a single 1 um pixel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+# erf(x) rounds to exactly 1.0 in double precision once erfc(x) falls
+# below half an ulp of 1 (1.1e-16), from x = 5.9 on; erfc(6.5) = 3.8e-20
+# leaves a margin far above the rounding error of the argument.
+_ERF_SATURATION = 6.5
 
 
 @dataclass(frozen=True)
@@ -348,6 +355,14 @@ def column_response(
     field is linear in the per-column transversal sums c_j, E(0, z) =
     sum_j Z[:, j] c_j, and Z does not depend on the pattern.  Returns
     shape (grid.n_points, col_grid.n_points).
+
+    Only each row's band is evaluated: the columns with an edge within
+    6.5 / sqrt(a) of the row's Gaussian centre, where a is the Gaussian's
+    precision.  Beyond that margin erf rounds to exactly +1 or -1 at both
+    edges of a column, so the erf difference, and the entry, is exactly
+    zero; on the reference scenario 89 % of the entries are.  The band's
+    entries use the same arithmetic as a full evaluation, so the matrix is
+    bit for bit the one the erf difference gives everywhere.
     """
     z = grid.samples
     centers = col_grid.samples
@@ -363,9 +378,20 @@ def column_response(
         * 0.5
         * np.sqrt(np.pi / a)
     )
-    lo = erf(sq * (centers[None, :] - half - eta_bar[:, None]))
-    hi = erf(sq * (centers[None, :] + half - eta_bar[:, None]))
-    return env[:, None] * (hi - lo)
+    lo_edge = centers - half
+    hi_edge = centers + half
+    # row i's band is columns first[i] to stop[i] - 1; one window of the
+    # widest band's width, kept inside the column grid, holds every band
+    reach = _ERF_SATURATION / sq
+    first = np.searchsorted(hi_edge, eta_bar - reach)
+    stop = np.searchsorted(lo_edge, eta_bar + reach)
+    width = int((stop - first).max())
+    idx = np.minimum(first, len(centers) - width)[:, None] + np.arange(width)
+    lo = erf(sq * (lo_edge[idx] - eta_bar[:, None]))
+    hi = erf(sq * (hi_edge[idx] - eta_bar[:, None]))
+    out = np.zeros((len(z), len(centers)))
+    np.put_along_axis(out, idx, env[:, None] * (hi - lo), axis=1)
+    return out
 
 
 def propagate_separable(
@@ -383,7 +409,7 @@ def propagate_separable(
     with Z = :func:`column_response`, and the potential is alpha_v E^2.
     """
     v = nu.values
-    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+    if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):
         raise ValueError("achieved column values must lie in [0, 1]")
     resp = column_response(grid, nu.grid, psf, beam)
     field = e_max * (resp @ np.clip(v, 0.0, 1.0))

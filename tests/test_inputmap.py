@@ -309,6 +309,13 @@ def test_unreachable_accuracy_is_a_hard_error(fast_cfg, psf, beam):
         build_lut(5, fast_cfg, psf, beam, accuracy=1e-9)
 
 
+def test_levels_sharing_a_pattern_are_a_hard_error(psf, beam):
+    # two mirrors make four patterns, too few for seven distinct levels
+    cfg = OptimizerConfig(n_t=2, population=8, generations=5, seed=3)
+    with pytest.raises(ValueError, match="share one bit pattern"):
+        build_lut(7, cfg, psf, beam, accuracy=1.0)
+
+
 def test_quantisation_error_is_bounded(fast_lut):
     ach = fast_lut.achieved_values()
     worst_entry = np.max(np.abs(ach - np.linspace(0.0, 1.0, fast_lut.n_nu)))
@@ -364,6 +371,8 @@ def test_nearest_index_rounds_ties_down():
         lut.nearest_index(1.2)
     with pytest.raises(ValueError):
         lut.nearest_index(-0.2)
+    with pytest.raises(ValueError, match="out of"):
+        lut.nearest_index([0.5, np.nan])
 
 
 def test_map_and_invert_round_trip():
@@ -473,6 +482,14 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         edited.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=match):
             load_lut(edited)
+
+    # a three-level table whose top two levels share one pattern: the
+    # inversion would read the upper level's nu for the lower level
+    d = _lut_to_dict(_toy_lut(n_nu=3))
+    d["entries"][2]["bits"] = d["entries"][1]["bits"]
+    bad.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="entries 1 and 2 share one bit pattern"):
+        load_lut(bad)
 
 
 def test_psf_beam_hash_tracks_parameters():

@@ -6,9 +6,12 @@ oracle here.  Scalar references were computed with scipy.integrate.quad
 and closed-form Gaussian integrals.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from potshape.core import RealField1D, SpatialGrid1D
 from potshape.optics import (
@@ -281,6 +284,50 @@ def test_column_response_matches_the_pixel_sum_with_signed_columns():
     assert np.max(np.abs(resp @ np.abs(cols) - e_full)) > 1e-3 * scale
 
 
+def _dense_column_response(grid, col_grid, psf, beam):
+    # the erf difference at every (row, column), the reference that the
+    # banded evaluation must reproduce bit for bit
+    z = grid.samples
+    centers = col_grid.samples
+    half = 0.5 * col_grid.dz
+    sigma, sigma_in = psf.sigma_z, beam.sigma_z
+    a = 0.5 / sigma**2 + 1.0 / sigma_in**2
+    sq = np.sqrt(a)
+    eta_bar = z / (2.0 * sigma**2 * a)
+    env = (
+        np.exp(-(z**2) / (sigma_in**2 + 2.0 * sigma**2))
+        / (sigma * np.sqrt(2.0 * np.pi))
+        * 0.5
+        * np.sqrt(np.pi / a)
+    )
+    lo = erf(sq * (centers[None, :] - half - eta_bar[:, None]))
+    hi = erf(sq * (centers[None, :] + half - eta_bar[:, None]))
+    return env[:, None] * (hi - lo)
+
+
+@pytest.mark.parametrize(
+    "grid, col_grid",
+    [
+        (SpatialGrid1D(120.0, 1201), column_grid(100, 1.0)),
+        # every row's band covers all five columns
+        (SpatialGrid1D(20.0, 201), column_grid(5, 1.0)),
+        # the columns reach far beyond the condensate grid on both sides
+        (SpatialGrid1D(40.0, 401), column_grid(240, 1.0)),
+    ],
+    ids=["wide", "tiny-columns", "columns-beyond-grid"],
+)
+def test_column_response_equals_the_dense_erf_difference(grid, col_grid):
+    for sigma_z in (0.5, 2.5, 8.0):
+        for beam_sigma_z in (125.0, 30.0):
+            psf = PsfModel(sigma_z=sigma_z)
+            beam = BeamProfile(sigma_z=beam_sigma_z)
+            resp = column_response(grid, col_grid, psf, beam)
+            dense = _dense_column_response(grid, col_grid, psf, beam)
+            assert np.array_equal(resp, dense)
+            # array_equal takes -0.0 for +0.0; the zeros' signs must match too
+            assert np.array_equal(np.signbit(resp), np.signbit(dense))
+
+
 def test_separable_plateau_with_flat_envelope():
     # all columns fully on and a flat beam: away from the ends the column
     # responses tile the axis, so V -> e_max^2 (unit-mass g_z)
@@ -301,6 +348,11 @@ def test_separable_rejects_out_of_range_values():
     nu = RealField1D(grid=column_grid(11, 1.0), values=np.full(11, 1.5))
     with pytest.raises(ValueError):
         propagate_separable(nu, beam, psf, grid, 1.0)
+    # RealField1D refuses NaN itself; values that reach the function
+    # another way meet its own range check
+    nan = SimpleNamespace(grid=nu.grid, values=np.full(11, np.nan))
+    with pytest.raises(ValueError, match="must lie in"):
+        propagate_separable(nan, beam, psf, grid, 1.0)
 
 
 # ------------------------------------------------- potential and spots
