@@ -832,7 +832,11 @@ def export_records(result: RunResult, out_dir) -> list:
 
 
 def load_run(out_dir) -> dict:
-    """Read an exported run back: run.json, norms and field tables."""
+    """Read an exported run back: run.json, norms and field tables.
+
+    A damaged export raises :class:`ConfigError` naming the file and the
+    key, column or line at fault.
+    """
     meta_path = os.path.join(out_dir, "run.json")
     try:
         with open(meta_path) as fh:
@@ -841,25 +845,41 @@ def load_run(out_dir) -> dict:
         raise OSError(f"cannot read {meta_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{meta_path}: {exc}") from exc
-    if meta.get("format") != "potshape-run-v1":
+    if not isinstance(meta, dict) or meta.get("format") != "potshape-run-v1":
         raise ConfigError(f"{meta_path}: not a recognised run export")
 
-    def read_table(path):
+    def read_table(path, needed):
         try:
             with open(path) as fh:
                 header = fh.readline().strip().split(",")
-                rows = [line.strip().split(",") for line in fh if line.strip()]
+                lines = [(k, line.strip()) for k, line in enumerate(fh, start=2)]
         except OSError as exc:
             raise OSError(f"cannot read {path}: {exc}") from exc
-        cols = {
-            h: np.array([float(r[i]) for r in rows]) for i, h in enumerate(header)
-        }
-        return cols
+        for h in needed:
+            if h not in header:
+                raise ConfigError(f"{path}: header lacks column '{h}'")
+        rows = []
+        for k, line in lines:
+            if not line:
+                continue
+            cells = line.split(",")
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} cells for {len(header)} columns")
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {k}: {exc}") from exc
+        return {h: np.array([r[i] for r in rows]) for i, h in enumerate(header)}
 
-    norms = read_table(os.path.join(out_dir, "error_norms.csv"))
+    exp = meta.get("export_iterations")
+    if not isinstance(exp, list) or not all(type(n) is int and n >= 0 for n in exp):
+        raise ConfigError(
+            f"{meta_path}: 'export_iterations' is missing or not a list of iterations"
+        )
+    norms = read_table(os.path.join(out_dir, "error_norms.csv"), ("n", "error_norm"))
     fields = {}
-    for n in meta["export_iterations"]:
-        fields[n] = read_table(os.path.join(out_dir, f"fields_{n:04d}.csv"))
+    for n in exp:
+        fields[n] = read_table(os.path.join(out_dir, f"fields_{n:04d}.csv"), ("z", "e_rho"))
     return {"meta": meta, "norms": norms, "fields": fields}
 
 
@@ -867,17 +887,24 @@ def report(out_dir, tol: float = 1e-12) -> dict:
     """Recompute error norms from exported fields and verify the CSV.
 
     Returns a summary dict with ok flag, per-iteration norms, and the
-    worst recomputation mismatch.
+    worst recomputation mismatch.  An export without iterations, or
+    without the norm of an exported iteration, raises :class:`ConfigError`.
     """
     data = load_run(out_dir)
     norms = data["norms"]
+    norms_path = os.path.join(out_dir, "error_norms.csv")
+    if len(norms["n"]) == 0:
+        raise ConfigError(f"{norms_path}: holds no iterations")
     worst = 0.0
     checked = []
     for n, cols in data["fields"].items():
         z = cols["z"]
         e = cols["e_rho"]
         recomputed = float(np.sqrt(np.trapezoid(e**2, z)))
-        stored = float(norms["error_norm"][int(np.flatnonzero(norms["n"] == n)[0])])
+        row = np.flatnonzero(norms["n"] == n)
+        if len(row) == 0:
+            raise ConfigError(f"{norms_path}: no row for exported iteration {n}")
+        stored = float(norms["error_norm"][row[0]])
         mismatch = abs(recomputed - stored)
         worst = max(worst, mismatch)
         checked.append((int(n), stored, recomputed, mismatch))

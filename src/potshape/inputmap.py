@@ -44,7 +44,6 @@ __all__ = [
     "PatternObjective",
     "LutEntry",
     "Lut",
-    "transversal_field",
     "solve_pattern",
     "build_lut",
     "map_virtual_input",
@@ -106,20 +105,6 @@ class OptimizerConfig:
     @property
     def effective_mutation_rate(self) -> float:
         return 2.0 / self.n_t if self.mutation_rate is None else self.mutation_rate
-
-
-def transversal_field(
-    pattern: TransversalPattern, psf: PsfModel, beam: BeamProfile, y, pitch: float = 1.0
-) -> np.ndarray:
-    """Normalised transversal field of a column pattern at positions y.
-
-    Normalisation is the on-axis value of the all-ones pattern, so the
-    all-ones column evaluates to exactly 1 at y = 0.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    w = transversal_weights(psf, beam, len(pattern), pitch, y)
-    w0 = transversal_weights(psf, beam, len(pattern), pitch, [0.0])[0]
-    return (w @ pattern.bits.astype(float)) / w0.sum()
 
 
 class PatternObjective:

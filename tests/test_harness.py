@@ -3,6 +3,7 @@ exports and the command line."""
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -457,6 +458,8 @@ def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepare
     data = load_run(out)
     assert data["fields"] == {}
     assert data["meta"]["derived"]["lut_sha256"] == lut_sha256(small_lut)
+    with pytest.raises(ConfigError, match="error_norms.csv: holds no iterations"):
+        report(out)
 
 
 def test_export_rejects_out_of_range_iteration(
@@ -503,6 +506,49 @@ def test_cli_run_and_report_chain(tmp_path, small_scenario):
         == 0
     )
     assert cli.main(["report", "--in", str(out)]) == 0
+
+
+def _cut_row(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = ",".join(lines[2].split(",")[:3]) + "\n"
+    path.write_text("".join(lines))
+
+
+def _drop_export_iterations(path):
+    meta = json.loads(path.read_text())
+    del meta["export_iterations"]
+    path.write_text(json.dumps(meta))
+
+
+def _drop_norm_row(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]))  # the row of n = 1
+
+
+@pytest.mark.parametrize(
+    "name, damage, message",
+    [
+        ("fields_0001.csv", _cut_row, "fields_0001.csv: line 3: 3 cells for 6 columns"),
+        ("run.json", _drop_export_iterations, "run.json: 'export_iterations' is missing"),
+        ("error_norms.csv", _drop_norm_row, "error_norms.csv: no row for exported iteration 1"),
+    ],
+    ids=["short-row", "no-export-list", "missing-norm"],
+)
+def test_cli_report_names_the_damaged_file(
+    tmp_path, small_scenario, small_prepared, small_lut, capsys, name, damage, message
+):
+    result = run_closed_loop(small_scenario, lut=small_lut, prepared=small_prepared)
+    good = tmp_path / "good"
+    export_records(result, good)
+    assert cli.main(["report", "--in", str(good)]) == 0
+    bad = tmp_path / "bad"
+    shutil.copytree(good, bad)
+    damage(bad / name)
+    capsys.readouterr()
+    assert cli.main(["report", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {bad / name}")
+    assert message in err
 
 
 def _per_row_csv(header, columns):

@@ -27,7 +27,6 @@ from potshape.inputmap import (
     psf_beam_hash,
     save_lut,
     solve_pattern,
-    transversal_field,
 )
 from potshape.optics import BeamProfile, PsfModel, column_grid
 
@@ -87,12 +86,14 @@ def test_optimizer_config_validation():
     assert OptimizerConfig(mutation_rate=0.1).effective_mutation_rate == 0.1
 
 
-def test_all_ones_column_is_normalised(psf, beam):
-    ones = TransversalPattern(bits=np.ones(40, dtype=int))
-    assert transversal_field(ones, psf, beam, 0.0)[0] == pytest.approx(1.0, rel=1e-14)
-    # even pattern on a symmetric lattice gives an even field
-    y = np.linspace(-10.0, 10.0, 41)
-    e = transversal_field(ones, psf, beam, y)
+def test_all_ones_column_is_normalised(fast_cfg, psf, beam):
+    obj = PatternObjective(fast_cfg, psf, beam)
+    ones = np.ones(fast_cfg.n_t, dtype=np.uint8)
+    assert float(obj.on_axis(ones)[0]) == pytest.approx(1.0, rel=1e-14)
+    # even pattern on a symmetric lattice gives an even field over the
+    # symmetric penalty band
+    assert np.array_equal(obj.y_pen, -obj.y_pen[::-1])
+    e = ones @ obj.w_pen.T
     assert np.max(np.abs(e - e[::-1])) < 1e-14
 
 

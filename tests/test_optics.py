@@ -6,6 +6,7 @@ oracle here.  Scalar references were computed with scipy.integrate.quad
 and closed-form Gaussian integrals.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +52,21 @@ def test_gz_is_unit_mass_gaussian():
     # variance equals sigma_z^2
     var = np.trapezoid(z * z * gz, z)
     assert var == pytest.approx(psf.sigma_z**2, rel=1e-8)
+
+
+def test_gz_equals_the_plain_gaussian_expression():
+    psf = PsfModel()
+    s = psf.sigma_z
+    z = np.linspace(-300.0, 300.0, 60001)
+    kept = z.copy()
+    want = np.exp(-0.5 * (z / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+    assert np.array_equal(psf.gz(z), want)
+    assert np.array_equal(z, kept)  # the in-place steps work on a copy
+    assert np.array_equal(psf.gz(z[1:].reshape(100, -1)), want[1:].reshape(100, -1))
+    g = psf.gz(-0.7)
+    assert np.ndim(g) == 0
+    assert float(g) == np.exp(-0.5 * (-0.7 / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+    assert float(psf.gz(3)) == float(psf.gz(3.0))
 
 
 def test_gy_truncation_and_normalisation():
@@ -282,6 +298,61 @@ def test_column_response_matches_the_pixel_sum_with_signed_columns():
     scale = np.max(np.abs(e_full))
     assert np.max(np.abs(resp @ cols - e_full)) < 1e-12 * scale
     assert np.max(np.abs(resp @ np.abs(cols) - e_full)) > 1e-3 * scale
+
+
+def _lobe_pattern(n_t, n_l, psf, seed):
+    # random columns, every fifth with mirrors only in the first negative
+    # sinc lobe, whose on-axis sum is negative
+    bits = np.random.default_rng(seed).integers(0, 2, (n_t, n_l))
+    y = row_centers(n_t, 1.0)
+    bits[:, ::5] = ((np.abs(y) > psf.w_y) & (np.abs(y) < 2.0 * psf.w_y))[:, None]
+    return DmdPattern(bits=bits)
+
+
+def _dense_pixel_sum(pattern, beam, psf, grid):
+    # the pixel sum over the whole (grid row, column node) matrix at once,
+    # the reference that the row-blocked evaluation must reproduce
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * pattern.pixel_pitch
+    w0 = transversal_weights(psf, beam, pattern.n_t, pattern.pixel_pitch, [0.0])[0]
+    cols = beam.amplitude * (w0 @ pattern.bits)
+    eta = (pattern.column_centers()[:, None] + half * nodes[None, :]).ravel()
+    coef = (cols[:, None] * (half * weights)[None, :]).ravel() * beam.pz(eta)
+    d = grid.samples[:, None] - eta[None, :]
+    s = psf.sigma_z
+    return (np.exp(-0.5 * (d / s) ** 2) / (s * np.sqrt(2.0 * np.pi))) @ coef, cols
+
+
+@pytest.mark.parametrize("n_points", [2700, 2701, 63])
+def test_full_route_equals_the_dense_pixel_sum(n_points):
+    # 2700 is the reference grid; 2701 ends in a one-row block, and 63
+    # points fit in less than one block
+    psf = PsfModel()
+    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX)
+    grid = SpatialGrid1D(250.0 * (n_points - 1) / 2699, n_points)
+    pattern = _lobe_pattern(100, 400, psf, seed=n_points)
+    dense, cols = _dense_pixel_sum(pattern, beam, psf, grid)
+    assert np.sum(cols < 0.0) >= 80
+    got = propagate_full(pattern, beam, psf, grid).values
+    assert got.shape == (n_points,)
+    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_full_route_memory_is_bounded_by_one_row_block():
+    # the whole node matrix of the reference grid is 2700 x 3200 doubles
+    # (69 MB) and each temporary of its evaluation as large; one block of
+    # rows needs a tenth of that
+    psf = PsfModel()
+    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX)
+    grid = SpatialGrid1D(250.0, 2700)
+    pattern = _lobe_pattern(100, 400, psf, seed=4)
+    tracemalloc.start()
+    try:
+        propagate_full(pattern, beam, psf, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def _dense_column_response(grid, col_grid, psf, beam):
