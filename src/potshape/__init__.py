@@ -30,7 +30,6 @@ from .core import (
     Spectrum1D,
     convolve,
     integrate,
-    inverse_spectrum,
     spectrum,
 )
 from .harness import (

@@ -33,7 +33,6 @@ __all__ = [
     "same_grid",
     "integrate",
     "spectrum",
-    "inverse_spectrum",
     "real_part",
     "convolve",
 ]
@@ -195,13 +194,6 @@ def spectrum(f: RealField1D | ComplexField1D) -> Spectrum1D:
     k = g.wavenumbers
     vals = g.dz * np.exp(-1j * k * g.samples[0]) * scipy.fft.fft(f.values)
     return Spectrum1D(grid=g, wavenumbers=k, values=vals)
-
-
-def inverse_spectrum(s: Spectrum1D) -> ComplexField1D:
-    """Inverse of :func:`spectrum`; exact round trip on the same grid."""
-    g = s.grid
-    vals = scipy.fft.ifft(s.values * np.exp(1j * s.wavenumbers * g.samples[0]))
-    return ComplexField1D(grid=g, values=vals / g.dz)
 
 
 def real_part(f: ComplexField1D, tol: float = 1e-9) -> RealField1D:

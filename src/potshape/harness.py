@@ -46,7 +46,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, Spectrum1D, integrate
+from .core import RealField1D, SpatialGrid1D, integrate
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -55,7 +55,6 @@ from .ilc import (
     density_error,
     design_kernel,
     gain_profile,
-    plant_response,
     scaled_error,
     transfer_function,
     update,
@@ -207,9 +206,13 @@ class LoopSpec:
         if not (0.0 <= self.nu_initial <= 1.0):
             raise ValueError("nu_initial must lie in [0, 1]")
         if self.export_iterations is not None:
-            object.__setattr__(
-                self, "export_iterations", tuple(int(i) for i in self.export_iterations)
-            )
+            exp = tuple(int(i) for i in self.export_iterations)
+            for n in exp:
+                if not (0 <= n < self.iterations):
+                    raise ValueError(
+                        f"export iteration {n} outside the {self.iterations} iterations"
+                    )
+            object.__setattr__(self, "export_iterations", exp)
 
 
 @dataclass(frozen=True)
@@ -389,8 +392,11 @@ class Prepared:
     """Everything derived from a scenario that the loop consumes.
 
     ``column_response`` is the longitudinal response of every mirror
-    column on the condensate grid (:func:`optics.column_response`), so
-    the loop's field is one matrix-vector product per iteration.
+    column on the condensate grid (:func:`optics.column_response`).  It
+    is the one optics operator of the loop: the plant's field is one
+    matrix-vector product per iteration, and ``level_update`` predicts
+    its trial moves with the same matrix.  The plant spectrum G(k) is
+    needed only to design ``kernel`` and is not kept.
     """
 
     config: ScenarioConfig
@@ -405,7 +411,6 @@ class Prepared:
     rho_desired: RealField1D
     mu_desired: float
     gain: GainProfile
-    transfer: Spectrum1D
     kernel: LearningKernel
 
 
@@ -470,7 +475,6 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         rho_desired=rho_d,
         mu_desired=gs_d.mu,
         gain=gain,
-        transfer=transfer,
         kernel=kernel,
     )
 
@@ -622,27 +626,31 @@ def level_update(
     and passed through the law.  The law's target nu - L * e then goes to
     the nearest table level, so a column moves only once its correction
     exceeds half a table step; a continuous input would keep integrating
-    a residual the table cannot represent.  A quantised move that the
-    linearised plant predicts to raise the error is not applied: the
-    correction is halved until the prediction falls, and the input stays
-    on its levels once no column would move.  ``clamp_count`` and
-    ``correction`` are those of the unquantised law.
+    a residual the table cannot represent.
+
+    A quantised move is judged with the plant's own optics.  It changes
+    the table's achieved column values by d, so the on-axis field by
+    e_max A d, with A the column response, and the amplitude error by
+    -(alpha / p_z) A d in the linearised local balance (alpha carries
+    the field per unit input, e_max p_z).  A move predicted to raise the
+    error is not applied: the correction is halved until the prediction
+    falls, and the input stays on its levels once no column would move.
+    ``clamp_count`` and ``correction`` are those of the unquantised law.
     """
     levels = lut.nu_levels
+    achieved = lut.achieved_values()
     half_step = 0.5 * (levels[1] - levels[0])
     res = update(nu, scaled_error(e, prepared.gain), prepared.kernel)
-    held = levels[lut.nearest_index(nu.values)]
+    current = lut.nearest_index(nu.values)
+    held = levels[current]
+    slope = -prepared.gain.alpha.values / prepared.beam.pz(prepared.grid.samples)
     err = error_norm(e)
     corr = res.correction
     while np.max(np.abs(corr)) > half_step:
-        trial = levels[lut.nearest_index(np.clip(nu.values - corr, 0.0, 1.0))]
-        de = plant_response(
-            RealField1D(grid=nu.grid, values=trial - nu.values),
-            prepared.gain,
-            prepared.transfer,
-        )
-        if error_norm(RealField1D(grid=e.grid, values=e.values + de.values)) < err:
-            held = trial
+        trial = lut.nearest_index(np.clip(nu.values - corr, 0.0, 1.0))
+        de = slope * (prepared.column_response @ (achieved[trial] - achieved[current]))
+        if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < err:
+            held = levels[trial]
             break
         corr = 0.5 * corr
     return UpdateResult(
@@ -751,12 +759,20 @@ def export_records(result: RunResult, out_dir) -> list:
     error_norms.csv always; per selected iteration a fields CSV on the
     measurement grid, the virtual input at its own column positions, and
     the mirror pattern as a portable bitmap; run.json echoes the full
-    configuration plus derived constants.
+    configuration plus derived constants.  A selected iteration the run
+    does not hold is a :class:`ConfigError`, raised before any file or
+    directory is written.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     records = result.records
     cfg = result.config
+    exp = cfg.loop.export_iterations
+    if exp is None:
+        exp = _default_export_iterations(len(records))
+    for n in exp:
+        if not (0 <= n < len(records)):
+            raise ConfigError(f"export iteration {n} outside the run")
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
     path = os.path.join(out_dir, "error_norms.csv")
     _write_rows(
         path,
@@ -770,14 +786,9 @@ def export_records(result: RunResult, out_dir) -> list:
     )
     written.append(path)
 
-    exp = cfg.loop.export_iterations
-    if exp is None:
-        exp = _default_export_iterations(len(records))
     z = result.prepared.grid.samples
     col_z = result.prepared.col_grid.samples
     for n in exp:
-        if not (0 <= n < len(records)):
-            raise ConfigError(f"export iteration {n} outside the run")
         r = records[n]
         nu_on_z = np.interp(z, col_z, r.nu)
         path = os.path.join(out_dir, f"fields_{n:04d}.csv")

@@ -18,8 +18,8 @@ contracts every spatial mode by 1 - |G|^2/(gamma + |G|^2) in the
 linearised model; the regularisation keeps the filter bounded where the
 optical response has no authority.  Pre-scaling the error by
 alpha_bar / alpha(z) on the support hands the kernel the spatial gain
-it was designed for, and :func:`plant_response` is the same model run
-forwards.
+it was designed for.  G(k) serves only this design; the loop judges
+its moves with the plant's own column response (harness.level_update).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import (
     SpatialGrid1D,
     Spectrum1D,
     convolve,
-    inverse_spectrum,
     require_same_grid,
     spectrum,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "gain_profile",
     "scaled_error",
     "transfer_function",
-    "plant_response",
     "default_regularization",
     "design_kernel",
     "update",
@@ -178,23 +176,6 @@ def transfer_function(alpha_bar: float, psf: PsfModel, grid: SpatialGrid1D) -> S
     gz = gz / (gz.sum() * grid.dz)
     g = spectrum(RealField1D(grid=grid, values=gz))
     return Spectrum1D(grid=grid, wavenumbers=g.wavenumbers, values=-alpha_bar * g.values)
-
-
-def plant_response(dnu: RealField1D, gain: GainProfile, g: Spectrum1D) -> RealField1D:
-    """Amplitude change the linearised plant predicts for an input change.
-
-    ``dnu`` (any grid, typically the mirror columns) is interpolated onto
-    the plant grid, filtered by G(k) and weighted by alpha(z) / alpha_bar,
-    so the change is -alpha(z) (g_z * dnu)(z) and vanishes off the support.
-    """
-    grid = g.grid
-    d = np.interp(grid.samples, dnu.grid.samples, dnu.values, left=0.0, right=0.0)
-    s = spectrum(RealField1D(grid=grid, values=d))
-    out = inverse_spectrum(
-        Spectrum1D(grid=grid, wavenumbers=g.wavenumbers, values=g.values * s.values)
-    )
-    require_same_grid(out, gain.alpha)
-    return RealField1D(grid=grid, values=out.values.real * gain.alpha.values / gain.alpha_bar)
 
 
 def default_regularization(g: Spectrum1D) -> float:

@@ -15,16 +15,20 @@ longitudinal blur of each column has a closed form (an erf difference).
 ``column_response`` tabulates that blur once, evaluating each row only on
 the band of columns near it: farther out both erfs of a column's edges
 round to the same exact +1 or -1, so the rest of the row is exactly zero.
-One field evaluation is then a single matrix-vector product.  Two routes
-use it: the closed loop (``harness``) feeds it the signed on-axis sums of
-the actual mirror pattern, and ``propagate_separable``, the control model,
-feeds it one achieved amplitude per column.  ``propagate_full`` performs
-the direct pixel sum with per-pixel Gauss-Legendre quadrature, never the
-closed form; it is the independent oracle that the tests and the
-acceptance criteria check both routes against, and the loop does not call
-it.  It sums over fixed blocks of grid rows, so its memory is bounded by
-one block's node matrix and does not grow with the grid.  With a uniform
-transmission the routes agree to near machine precision.
+One field evaluation is then a single matrix-vector product.  The closed
+loop (``harness``) builds the matrix once and uses it twice: the plant
+feeds it the signed on-axis sums of the actual mirror pattern, and the
+control model in ``harness.level_update`` feeds it the change in the
+table's achieved values that a trial move would make.
+``propagate_separable`` is the potential of one achieved amplitude per
+column through a column response of its own, for the acceptance
+criteria and the benchmark.  ``propagate_full`` performs the direct pixel sum with
+per-pixel Gauss-Legendre quadrature, never the closed form; it is the
+independent oracle that the tests and the acceptance criteria check the
+matrix routes against, and the loop does not call it.  It sums over
+fixed blocks of grid rows, so its memory is bounded by one block's node
+matrix and does not grow with the grid.  With a uniform transmission the
+routes agree to near machine precision.
 """
 
 from __future__ import annotations
@@ -434,6 +438,10 @@ def propagate_separable(
     ``nu`` holds the normalised transversal field value of each column on
     the column-centre grid; the field is E(z) = e_max * sum_j nu_j Z_j(z)
     with Z = :func:`column_response`, and the potential is alpha_v E^2.
+    The loop does not call it (its control model is Z itself, in
+    ``harness.level_update``); it is the potential form that acceptance
+    criterion 7 checks against :func:`propagate_full` and that the
+    benchmark's ground-state workload draws its potentials from.
     """
     v = nu.values
     if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):

@@ -17,7 +17,6 @@ from potshape.core import (
     Spectrum1D,
     convolve,
     integrate,
-    inverse_spectrum,
     real_part,
     require_same_grid,
     same_grid,
@@ -132,14 +131,6 @@ def test_spectrum_of_grid_delta_is_flat():
     assert g.samples[64] == 0.0
     s = spectrum(RealField1D(grid=g, values=v))
     assert np.max(np.abs(s.values - 1.0)) < 1e-12
-
-
-def test_spectrum_round_trip():
-    g = SpatialGrid1D(length=40.0, n_points=256)
-    rng = np.random.default_rng(7)
-    f = ComplexField1D(grid=g, values=rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    back = inverse_spectrum(spectrum(f))
-    assert np.max(np.abs(back.values - f.values)) < 1e-10
 
 
 def test_spectrum_gaussian_matches_closed_form():

@@ -34,7 +34,7 @@ from potshape.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from potshape.ilc import VirtualInput, density_error, plant_response, scaled_error, update
+from potshape.ilc import VirtualInput, density_error, scaled_error, update
 from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input
 from potshape.optics import (
     DarkSpot,
@@ -131,6 +131,10 @@ def test_scenario_rejects_unknown_sections_and_keys():
         scenario_from_dict({"disturbances": [{"iteration": 1, "spots": 3}]})
     with pytest.raises(ConfigError, match="bad section 'loop'"):
         scenario_from_dict({"loop": {"export_iterations": 5}})
+    with pytest.raises(ConfigError, match="bad section 'loop': export iteration 7 outside"):
+        scenario_from_dict({"loop": {"iterations": 3, "export_iterations": [1, 7]}})
+    with pytest.raises(ConfigError, match="bad section 'loop': export iteration -1 outside"):
+        scenario_from_dict({"loop": {"export_iterations": [-1]}})
 
 
 def test_disturbance_schedule_must_be_sorted():
@@ -262,12 +266,28 @@ def test_level_update_moves_onto_levels_and_lowers_the_predicted_error(
     levels = [entry.nu for entry in small_lut.entries]
     assert np.all(np.isin(res.nu.values, levels))
     assert not np.array_equal(res.nu.values, nu.values)
-    de = plant_response(
-        RealField1D(grid=pre.col_grid, values=res.nu.values - nu.values),
-        pre.gain,
-        pre.transfer,
+    # the field change by the pixel sum of the applied and the held
+    # pattern, through the linearised balance -alpha / (e_max p_z)
+    fields = [
+        propagate_full(map_virtual_input(v.field, small_lut), pre.beam, pre.config.psf, pre.grid)
+        for v in (res.nu, nu)
+    ]
+    slope = -pre.gain.alpha.values / (pre.e_perp_max * pre.beam.pz(pre.grid.samples))
+    de = slope * (fields[0].values - fields[1].values)
+    assert error_norm(RealField1D(grid=pre.grid, values=e.values + de)) < error_norm(e)
+
+
+def test_level_update_holds_a_move_the_table_cannot_deliver(small_prepared, small_lut):
+    # every level achieves the same field, so no move changes the plant
+    # and none can lower the predicted error, however far the law asks
+    flat = dataclasses.replace(
+        small_lut,
+        entries=tuple(dataclasses.replace(entry, achieved=0.5) for entry in small_lut.entries),
     )
-    assert error_norm(RealField1D(grid=pre.grid, values=e.values + de.values)) < error_norm(e)
+    nu, e = _support_bump(small_prepared, 3.0, flat)
+    res = level_update(nu, e, small_prepared, flat)
+    assert np.max(np.abs(res.correction)) > 2.0 / (flat.n_nu - 1)
+    assert np.array_equal(res.nu.values, nu.values)
 
 
 def test_activity_ratio_arithmetic():
@@ -465,14 +485,12 @@ def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepare
 def test_export_rejects_out_of_range_iteration(
     tmp_path, small_scenario, small_prepared, small_lut
 ):
+    # a run that ended early holds fewer records than its export list names
     result = run_closed_loop(small_scenario, lut=small_lut, prepared=small_prepared)
-    bad_cfg = dataclasses.replace(
-        small_scenario,
-        loop=dataclasses.replace(small_scenario.loop, export_iterations=(5,)),
-    )
-    bad = dataclasses.replace(result, config=bad_cfg)
-    with pytest.raises(ConfigError, match="outside the run"):
+    bad = dataclasses.replace(result, records=result.records[:1])
+    with pytest.raises(ConfigError, match="export iteration 1 outside the run"):
         export_records(bad, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_load_run_rejects_foreign_directories(tmp_path):
@@ -596,6 +614,21 @@ def test_cli_error_codes(tmp_path):
         cli.main(["run", "--lut", str(missing_lut), "--out", str(tmp_path / "y")]) == 3
     )
     assert cli.main(["report", "--in", str(tmp_path / "nothing")]) == 3
+
+
+def test_cli_refuses_export_iterations_outside_the_run(tmp_path, small_scenario, capsys):
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps({"loop": {"iterations": 3, "export_iterations": [1, 7]}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(bad_cfg), "--out", str(out)]) == 1
+    assert "bad section 'loop': export iteration 7 outside" in capsys.readouterr().err
+    # the small scenario exports iterations 0 and 1, so one iteration is too few
+    cfg_path = tmp_path / "scenario.json"
+    _write_small_config(cfg_path, small_scenario)
+    argv = ["run", "--config", str(cfg_path), "--iterations", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("invalid input: export iteration 1 outside")
+    assert not out.exists()
 
 
 def test_cli_reports_a_malformed_table(tmp_path, small_lut, capsys):

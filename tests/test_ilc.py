@@ -23,7 +23,6 @@ from potshape.ilc import (
     density_error,
     design_kernel,
     gain_profile,
-    plant_response,
     scaled_error,
     transfer_function,
     update,
@@ -124,24 +123,6 @@ def test_scaled_error_divides_out_the_spatial_gain():
     s = gain.support
     assert np.allclose(out[s] * gain.alpha.values[s], e.values[s] * gain.alpha_bar, rtol=1e-14)
     assert np.array_equal(out[~s], e.values[~s])
-
-
-def test_plant_response_is_the_spatial_gain_times_the_blur(fine_grid):
-    # -alpha(z) (g_z * dnu)(z) by direct quadrature, dnu given on a coarser grid
-    z = fine_grid.samples
-    psf = PsfModel()
-    v_d = RealField1D(grid=fine_grid, values=20.0 - 10.0 * np.cos(z / 40.0))
-    v_m = RealField1D(grid=fine_grid, values=np.zeros(fine_grid.n_points))
-    gain = gain_profile(v_d, v_m, 25.0, CondensateParams(), 8.0)
-    g = transfer_function(gain.alpha_bar, psf, fine_grid)
-    cols = SpatialGrid1D(400.0, 401)
-    dnu = RealField1D(grid=cols, values=0.1 * np.exp(-((cols.samples - 30.0) ** 2) / 50.0))
-    out = plant_response(dnu, gain, g).values
-    d = np.interp(z, cols.samples, dnu.values)
-    gz = psf.gz(z[:, None] - z[None, :])
-    direct = -gain.alpha.values * (gz @ d) * fine_grid.dz
-    assert np.max(np.abs(out - direct)) < 1e-6 * np.max(np.abs(direct))
-    assert np.all(out[~gain.support] == 0.0)
 
 
 def test_gain_profile_validation():
