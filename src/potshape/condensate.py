@@ -402,7 +402,7 @@ def ground_state(
         norm_history=np.array(norms) if cfg.record_history else None,
     )
     _spectral_resolution_check(norm_weights * power, k, grid)
-    if params.coupling > 0:
+    if params.coupling > 0 and log.isEnabledFor(logging.INFO):
         log.info(
             "crossover parameter max 2 b rho = %.3f", interaction_parameter(gs.density, params)
         )

@@ -394,9 +394,10 @@ class Prepared:
     ``column_response`` is the longitudinal response of every mirror
     column on the condensate grid (:func:`optics.column_response`).  It
     is the one optics operator of the loop: the plant's field is one
-    matrix-vector product per iteration, and ``level_update`` predicts
-    its trial moves with the same matrix.  The plant spectrum G(k) is
-    needed only to design ``kernel`` and is not kept.
+    matrix-vector product per new pattern, and ``level_update`` predicts
+    its trial moves with the span of the same matrix's columns they
+    move.  The plant spectrum G(k) is needed only to design ``kernel``
+    and is not kept.
     """
 
     config: ScenarioConfig
@@ -544,6 +545,12 @@ def run_closed_loop(
     when given, is called once per iteration, after the update.  On
     solver failure the records collected so far are attached to the
     raised error as ``records``.
+
+    The plant's field before disturbances, ``column_response`` times the
+    pattern's on-axis column sums, is computed only when the pattern's
+    bits differ from the previous iteration's; while the learning law
+    holds its input, the pattern repeats and the field is reused.  Each
+    iteration's disturbances are still applied to it.
     """
     if prepared is None:
         prepared = prepare(cfg)
@@ -571,8 +578,9 @@ def run_closed_loop(
     records = []
     for n in range(cfg.loop.iterations):
         pattern = map_virtual_input(nu.field, lut)
-        cols = prepared.beam.amplitude * (w0 @ pattern.bits)
-        e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
+        if not records or not np.array_equal(pattern.bits, records[-1].extras["pattern"].bits):
+            cols = prepared.beam.amplitude * (w0 @ pattern.bits)
+            e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
         dist = inject_disturbances(cfg.disturbances, n)
         v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
         v = RealField1D(
@@ -632,10 +640,15 @@ def level_update(
     the table's achieved column values by d, so the on-axis field by
     e_max A d, with A the column response, and the amplitude error by
     -(alpha / p_z) A d in the linearised local balance (alpha carries
-    the field per unit input, e_max p_z).  A move predicted to raise the
-    error is not applied: the correction is halved until the prediction
-    falls, and the input stays on its levels once no column would move.
-    ``clamp_count`` and ``correction`` are those of the unquantised law.
+    the field per unit input, e_max p_z).  d is zero outside the span
+    from the first to the last column the move changes level, so only
+    that span of A's columns (a view, not a copy) is multiplied.  A move
+    predicted to raise the error is not applied: the correction is
+    halved until the prediction falls, and the input stays on its levels
+    once no column would move.  A trial that moves no column (every
+    large correction pushes a column at level 0 or 1 outward) changes
+    nothing and is halved at once.  ``clamp_count`` and ``correction``
+    are those of the unquantised law.
     """
     levels = lut.nu_levels
     achieved = lut.achieved_values()
@@ -648,10 +661,14 @@ def level_update(
     corr = res.correction
     while np.max(np.abs(corr)) > half_step:
         trial = lut.nearest_index(np.clip(nu.values - corr, 0.0, 1.0))
-        de = slope * (prepared.column_response @ (achieved[trial] - achieved[current]))
-        if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < err:
-            held = levels[trial]
-            break
+        moved = np.flatnonzero(trial != current)
+        if moved.size:
+            span = slice(moved[0], moved[-1] + 1)
+            d = achieved[trial[span]] - achieved[current[span]]
+            de = slope * (prepared.column_response[:, span] @ d)
+            if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < err:
+                held = levels[trial]
+                break
         corr = 0.5 * corr
     return UpdateResult(
         nu=VirtualInput(field=RealField1D(grid=nu.grid, values=held)),

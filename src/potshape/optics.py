@@ -66,11 +66,13 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 # propagate_full sums the pixels over blocks of this many grid rows, so
-# its node matrix holds 256 x (8 n_l) doubles whatever the grid.  A
-# multiple of 8 keeps OpenBLAS's grouping of rows in its matrix-vector
-# product, so each entry is bit for bit the whole matrix's product (a
-# 37-row block moves entries by up to 4e-16 of the peak).
-_ROW_BLOCK = 256
+# its node matrix holds 128 x (8 n_l) doubles whatever the grid (the
+# block's differences and PsfModel.gz's copy of them, 3.3 MB each on the
+# reference scenario).  A multiple of 8 keeps OpenBLAS's grouping of rows
+# in its matrix-vector product, so each entry is bit for bit the whole
+# matrix's product (a 37-row block moves entries by up to 4e-16 of the
+# peak).
+_ROW_BLOCK = 128
 
 # erf(x) rounds to exactly 1.0 in double precision once erfc(x) falls
 # below half an ulp of 1 (1.1e-16), from x = 5.9 on; erfc(6.5) = 3.8e-20
@@ -357,8 +359,9 @@ def propagate_full(
 
     The sum runs over blocks of ``_ROW_BLOCK`` grid rows, each one g_z
     evaluation on its (rows, column nodes) matrix times the node
-    coefficients, so memory is bounded by one block (6.6 MB on the
-    reference scenario's 3200 nodes) however fine the grid.
+    coefficients, so memory is bounded by one block (3.3 MB on the
+    reference scenario's 3200 nodes, twice that while g_z runs) however
+    fine the grid.
     """
     _check_pattern_support(pattern, psf)
     cols = beam.amplitude * _column_sums(pattern, psf, beam)
@@ -369,8 +372,12 @@ def propagate_full(
     coef = (cols[:, None] * (half * _GL_WEIGHTS)[None, :]).ravel() * beam.pz(eta)
     z = grid.samples
     out = np.empty(len(z))
-    for s in range(0, len(z), _ROW_BLOCK):
-        out[s : s + _ROW_BLOCK] = psf.gz(z[s : s + _ROW_BLOCK, None] - eta[None, :]) @ coef
+    # numpy multiplies a one-row block as a dot product, which sums in
+    # another order than a row of the matrix product, so a single last
+    # row joins the block before it
+    starts = list(range(0, len(z) - 1, _ROW_BLOCK))
+    for s, t in zip(starts, starts[1:] + [len(z)]):
+        out[s:t] = psf.gz(z[s:t, None] - eta[None, :]) @ coef
     return RealField1D(grid=grid, values=out)
 
 

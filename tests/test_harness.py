@@ -290,6 +290,83 @@ def test_level_update_holds_a_move_the_table_cannot_deliver(small_prepared, smal
     assert np.array_equal(res.nu.values, nu.values)
 
 
+def _dense_level_update(nu, e, pre, lut):
+    # the trial prediction as one product of the whole column response
+    # with the achieved-value change of all columns, moved or not
+    levels = lut.nu_levels
+    achieved = lut.achieved_values()
+    res = update(nu, scaled_error(e, pre.gain), pre.kernel)
+    current = lut.nearest_index(nu.values)
+    held = levels[current]
+    slope = -pre.gain.alpha.values / pre.beam.pz(pre.grid.samples)
+    corr = res.correction
+    while np.max(np.abs(corr)) > 0.5 * (levels[1] - levels[0]):
+        trial = lut.nearest_index(np.clip(nu.values - corr, 0.0, 1.0))
+        de = slope * (pre.column_response @ (achieved[trial] - achieved[current]))
+        if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < error_norm(e):
+            held = levels[trial]
+            break
+        corr = 0.5 * corr
+    return held, res
+
+
+def test_level_update_equals_the_dense_trial_prediction(small_prepared, small_lut):
+    # random states on the table and on a copy whose achieved values run
+    # backwards, so that its moves raise the predicted error and are
+    # halved; a third of the columns sit at level 0 or 1 and are pushed
+    # outward by the law, so trials mix moved and unmoved columns
+    pre = small_prepared
+    backwards = dataclasses.replace(
+        small_lut,
+        entries=tuple(
+            dataclasses.replace(entry, achieved=other.achieved)
+            for entry, other in zip(small_lut.entries, small_lut.entries[::-1])
+        ),
+    )
+    rng = np.random.default_rng(13)
+    z = pre.grid.samples
+    support = z[pre.gain.support]
+    n_cols = pre.col_grid.n_points
+    outcomes = []
+    for lut in (small_lut, backwards) * 6:
+        centres = rng.uniform(support[0], support[-1], 3)
+        bumps = np.exp(-((z[:, None] - centres[None, :]) ** 2) / rng.uniform(10.0, 200.0, 3))
+        e = RealField1D(grid=pre.grid, values=bumps @ rng.normal(0.0, 0.05, 3))
+        values = lut.nu_levels[rng.integers(0, lut.n_nu, n_cols)]
+        nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=values))
+        corr = update(nu, scaled_error(e, pre.gain), pre.kernel).correction
+        edge = rng.random(n_cols) < 1 / 3
+        values[edge] = np.where(corr[edge] > 0.0, 0.0, 1.0)
+        nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=values))
+        res = level_update(nu, e, pre, lut)
+        want, law = _dense_level_update(nu, e, pre, lut)
+        assert np.array_equal(res.nu.values, want)
+        assert res.clamp_count == law.clamp_count
+        assert np.array_equal(res.correction, law.correction)
+        outcomes.append((lut is backwards, np.array_equal(want, nu.values)))
+    # moves applied on the table, every move refused on the backwards copy
+    assert outcomes.count((False, False)) >= 5 and outcomes.count((True, True)) >= 5
+
+
+def test_level_update_halves_a_trial_that_moves_no_column_at_once(small_prepared, small_lut):
+    # every column sits at level 0 or 1 and is pushed outward, so no trial
+    # moves a column; any product with the NaN column response would fail
+    # the finiteness check of RealField1D
+    nu, e = _support_bump(small_prepared, 3.0, small_lut)
+    corr = update(nu, scaled_error(e, small_prepared.gain), small_prepared.kernel).correction
+    edge = VirtualInput(
+        field=RealField1D(grid=nu.grid, values=np.where(corr > 0.0, 0.0, 1.0))
+    )
+    blind = dataclasses.replace(
+        small_prepared, column_response=np.full_like(small_prepared.column_response, np.nan)
+    )
+    res = level_update(edge, e, blind, small_lut)
+    assert np.max(np.abs(res.correction)) > 2.0 / (small_lut.n_nu - 1)
+    assert np.array_equal(res.nu.values, edge.values)
+    with pytest.raises(ValueError):
+        level_update(nu, e, blind, small_lut)
+
+
 def test_activity_ratio_arithmetic():
     col_z = column_grid(10, 1.0)
     g = SpatialGrid1D(20.0, 41)
@@ -399,6 +476,27 @@ def test_exported_potential_matches_the_pixel_sum(
         got = fields[r.n]["v_opt"]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
     assert np.min(tau) < 0.75
+
+
+def test_loop_potential_is_the_plant_field_of_its_pattern(
+    scenario, reference_lut, reference_prepared, reference_run
+):
+    # every record's optical potential equals the column response times its
+    # own pattern under its own disturbances, also at n = 40, where the
+    # pattern repeats and the dark spots switch on
+    pre, lut = reference_prepared, reference_lut
+    w0 = transversal_weights(scenario.psf, pre.beam, lut.n_t, lut.pitch, [0.0])[0]
+    records = reference_run.records
+    assert records[40].extras["pattern_sha256"] == records[39].extras["pattern_sha256"]
+    assert inject_disturbances(scenario.disturbances, 40) != inject_disturbances(
+        scenario.disturbances, 39
+    )
+    for r in records:
+        cols = pre.beam.amplitude * (w0 @ r.extras["pattern"].bits)
+        e_out = RealField1D(grid=pre.grid, values=pre.column_response @ cols)
+        dist = inject_disturbances(scenario.disturbances, r.n)
+        v_opt = potential_from_field(e_out, scenario.control.alpha_v, disturbance=dist)
+        assert np.array_equal(r.extras["v_opt"], v_opt.values), r.n
 
 
 def test_export_pbm_layout(tmp_path, reference_run):

@@ -323,10 +323,11 @@ def _dense_pixel_sum(pattern, beam, psf, grid):
     return (np.exp(-0.5 * (d / s) ** 2) / (s * np.sqrt(2.0 * np.pi))) @ coef, cols
 
 
-@pytest.mark.parametrize("n_points", [2700, 2701, 63])
+@pytest.mark.parametrize("n_points", [2700, 2701, 2689, 63])
 def test_full_route_equals_the_dense_pixel_sum(n_points):
-    # 2700 is the reference grid; 2701 ends in a one-row block, and 63
-    # points fit in less than one block
+    # 2700 is the reference grid; 2701 ends in a short block, 2689 in a
+    # single row that joins the block before it, and 63 points fit in
+    # less than one block
     psf = PsfModel()
     beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX)
     grid = SpatialGrid1D(250.0 * (n_points - 1) / 2699, n_points)
@@ -341,7 +342,7 @@ def test_full_route_equals_the_dense_pixel_sum(n_points):
 def test_full_route_memory_is_bounded_by_one_row_block():
     # the whole node matrix of the reference grid is 2700 x 3200 doubles
     # (69 MB) and each temporary of its evaluation as large; one block of
-    # rows needs a tenth of that
+    # rows needs a twentieth of that
     psf = PsfModel()
     beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX)
     grid = SpatialGrid1D(250.0, 2700)
