@@ -4,7 +4,7 @@ The package models a quasi-1d condensate in a magnetic trap whose
 longitudinal potential is corrected by a repulsive dipole potential
 drawn with a binary micromirror array.  Modules:
 
-  core       grids, fields, spectra, convolution
+  core       grids, real fields, spectra, convolution
   optics     point-spread function, beam, mirror patterns, propagation
   inputmap   per-column pattern optimisation and the input table
   condensate ground states, Thomas-Fermi profiles, measurement
@@ -24,7 +24,6 @@ from .condensate import (
     thomas_fermi_density,
 )
 from .core import (
-    ComplexField1D,
     RealField1D,
     SpatialGrid1D,
     Spectrum1D,

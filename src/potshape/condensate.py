@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import ComplexField1D, RealField1D, real_part, require_same_grid
+from .core import RealField1D, require_same_grid
 
 __all__ = [
     "CondensateParams",
@@ -52,6 +52,9 @@ log = logging.getLogger(__name__)
 # 3e-7 at 500, with mu converged to 1e-11; at 400 points it is 2e-6 and
 # mu is off by 4e-8 relative, at 200 points 2e-4 and 2e-5.
 SPECTRAL_TAIL_TOL = 1e-6
+
+# Tolerance on int rho dz - 1 at which the Thomas-Fermi bisection on mu stops.
+TF_NORM_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -187,24 +190,24 @@ def _spectral_second_derivative(values: np.ndarray, grid) -> np.ndarray:
     return scipy.fft.ifft(-k2 * scipy.fft.fft(values))
 
 
-def chemical_potential(phi: RealField1D | ComplexField1D, potential: RealField1D, params) -> float:
-    """mu = <phi| T + V + h(|phi|^2) |phi> for a normalised phi."""
+def chemical_potential(phi: RealField1D, potential: RealField1D, params) -> float:
+    """mu = <phi| T + V + h(phi^2) |phi> for a normalised phi."""
     require_same_grid(phi, potential)
     v = phi.values
-    rho = np.abs(v) ** 2
+    rho = v * v
     d2 = _spectral_second_derivative(v, phi.grid)
-    integrand = np.conj(v) * (
+    integrand = v * (
         -d2 / (2.0 * params.mass) + (potential.values + nonlinearity(rho, params)) * v
     )
     return float(np.real(np.trapezoid(integrand, dx=phi.grid.dz)))
 
 
-def total_energy(phi: RealField1D | ComplexField1D, potential: RealField1D, params) -> float:
+def total_energy(phi: RealField1D, potential: RealField1D, params) -> float:
     """Energy functional whose stationary point is the ground state."""
     require_same_grid(phi, potential)
     grid = phi.grid
     v = phi.values
-    rho = np.abs(v) ** 2
+    rho = v * v
     dphi = scipy.fft.ifft(1j * grid.wavenumbers * scipy.fft.fft(v))
     dens = (
         np.abs(dphi) ** 2 / (2.0 * params.mass)
@@ -278,7 +281,7 @@ def ground_state(
     potential: RealField1D,
     params: CondensateParams,
     cfg: SolverConfig,
-    initial: RealField1D | ComplexField1D | None = None,
+    initial: RealField1D | None = None,
 ) -> GroundState:
     """Imaginary-time Strang split-step relaxation to the ground state.
 
@@ -301,16 +304,16 @@ def ground_state(
     gives the returned state, renormalised, and the returned mu is that
     state's own, so a solve of k steps makes 2k + 3 transforms.  The
     resolution check reads the same spectrum.  ``initial`` warm-starts the
-    relaxation (any normalisation; an imaginary part beyond rounding is
-    refused by core.real_part); otherwise the Thomas-Fermi profile is used
-    where available, falling back to a 10 um Gaussian.
+    relaxation (any normalisation; its read-only values are only read by
+    the first rfft); otherwise the Thomas-Fermi profile is used where
+    available, falling back to a 10 um Gaussian.
     """
     grid = potential.grid
     if not np.all(np.isfinite(potential.values)):
         raise ValueError("potential must be finite")
     if initial is not None:
         require_same_grid(initial, potential)
-        phi = real_part(initial).values
+        phi = initial.values
     else:
         phi = _initial_guess(potential, params)
     dz = grid.dz
@@ -416,15 +419,12 @@ def ground_state(
     return gs
 
 
-def thomas_fermi_density(
-    potential: RealField1D,
-    params: CondensateParams,
-    norm_tol: float = 1e-10,
-):
+def thomas_fermi_density(potential: RealField1D, params: CondensateParams):
     """Density with the kinetic term dropped: h(rho) = mu - V where positive.
 
     Returns (rho, mu) with rho from :func:`inverse_nonlinearity` and mu
-    adjusted by bisection until the density integrates to 1 within norm_tol.
+    adjusted by bisection until the density integrates to 1 within
+    TF_NORM_TOL.
     """
     if params.coupling <= 0:
         raise ConvergenceError(
@@ -453,7 +453,7 @@ def thomas_fermi_density(
     for _ in range(200):
         mu_mid = 0.5 * (mu_lo + mu_hi)
         n_mid = norm_for(mu_mid)
-        if abs(n_mid - 1.0) <= norm_tol:
+        if abs(n_mid - 1.0) <= TF_NORM_TOL:
             mu_lo = mu_hi = mu_mid
             break
         if n_mid < 1.0:
@@ -463,7 +463,7 @@ def thomas_fermi_density(
     mu = 0.5 * (mu_lo + mu_hi)
     rho = density_for(mu)
     n = np.trapezoid(rho, dx=grid.dz)
-    if abs(n - 1.0) > 1e3 * norm_tol:
+    if abs(n - 1.0) > 1e3 * TF_NORM_TOL:
         raise ConvergenceError(
             f"chemical-potential bisection stalled at int rho dz = {n!r}"
         )

@@ -1,4 +1,7 @@
-"""Grids, field containers, quadrature and spectral transforms.
+"""Grids, real field containers, quadrature and spectral transforms.
+
+Fields are real, wave functions too (imaginary time keeps a real ground
+state real); only spectra are complex.
 
 Every module in the package shares one unit system: lengths in
 micrometres (um), times in milliseconds (ms), and energies expressed as
@@ -25,29 +28,14 @@ import numpy as np
 import scipy.fft
 
 __all__ = [
-    "UNIT_SYSTEM",
     "SpatialGrid1D",
     "RealField1D",
-    "ComplexField1D",
     "Spectrum1D",
     "same_grid",
     "integrate",
     "spectrum",
-    "real_part",
     "convolve",
 ]
-
-#: Unit conventions shared by all modules.
-UNIT_SYSTEM = {
-    "length": "um",
-    "time": "ms",
-    "energy": "rad/ms (angular frequency, hbar = 1)",
-    "density": "1/um (integrates to 1)",
-}
-
-# Edge magnitude (relative to peak) above which a convolution kernel is
-# considered insufficiently decayed for zero-padded convolution.
-KERNEL_EDGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -128,33 +116,16 @@ def _validated(values, n, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealField1D:
-    """Real-valued samples on a SpatialGrid1D.
-
-    ``flags`` carries warning markers attached by operations (for example
-    a convolution whose kernel has not decayed at the domain edges).
-    """
+    """Real-valued samples on a SpatialGrid1D, copied and read-only."""
 
     grid: SpatialGrid1D
     values: np.ndarray
-    flags: frozenset = frozenset()
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("a real field takes real values")
         object.__setattr__(
             self, "values", _validated(self.values, self.grid.n_points, float)
-        )
-
-
-@dataclass(frozen=True)
-class ComplexField1D:
-    """Complex-valued samples on a SpatialGrid1D (fields, wavefunctions)."""
-
-    grid: SpatialGrid1D
-    values: np.ndarray
-    flags: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _validated(self.values, self.grid.n_points, complex)
         )
 
 
@@ -180,33 +151,19 @@ class Spectrum1D:
         object.__setattr__(self, "values", v)
 
 
-def integrate(f: RealField1D | ComplexField1D) -> float | complex:
+def integrate(f: RealField1D) -> float:
     """Trapezoidal integral of a sampled field over its domain."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("cannot integrate non-finite values")
-    out = np.trapezoid(f.values, dx=f.grid.dz)
-    return complex(out) if np.iscomplexobj(f.values) else float(out)
+    return float(np.trapezoid(f.values, dx=f.grid.dz))
 
 
-def spectrum(f: RealField1D | ComplexField1D) -> Spectrum1D:
+def spectrum(f: RealField1D) -> Spectrum1D:
     """Forward transform F(k) = int f(z) exp(-i k z) dz on the FFT k grid."""
     g = f.grid
     k = g.wavenumbers
     vals = g.dz * np.exp(-1j * k * g.samples[0]) * scipy.fft.fft(f.values)
     return Spectrum1D(grid=g, wavenumbers=k, values=vals)
-
-
-def real_part(f: ComplexField1D, tol: float = 1e-9) -> RealField1D:
-    """Drop an imaginary part that is negligible relative to the peak.
-
-    Raises if the imaginary part exceeds ``tol`` times the peak magnitude,
-    which would indicate a phase or symmetry error upstream.
-    """
-    scale = np.max(np.abs(f.values))
-    imag = np.max(np.abs(f.values.imag))
-    if scale > 0 and imag > tol * scale:
-        raise ValueError(f"imaginary part {imag:.3e} exceeds {tol:.1e} of peak")
-    return RealField1D(grid=f.grid, values=f.values.real, flags=f.flags)
 
 
 def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
@@ -221,28 +178,22 @@ def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
 
     with the field zero outside its grid.  The same-grid case runs zero
     padded in the spectral domain with the phase bookkeeping of
-    :func:`spectrum`; the compact case is a direct sliding sum.  A kernel
-    that has not decayed below ``KERNEL_EDGE_TOL`` of its peak at its
-    outermost samples taints the result with a ``"kernel_edge"`` flag.
+    :func:`spectrum`; the compact case is a direct sliding sum.
     """
     g = f.grid
     kg = kernel.grid
     kv = kernel.values
-    peak = np.max(np.abs(kv))
-    flags = set()
-    if peak > 0 and max(abs(kv[0]), abs(kv[-1])) > KERNEL_EDGE_TOL * peak:
-        flags.add("kernel_edge")
     if same_grid(g, kg):
         n = g.n_points
         n_pad = scipy.fft.next_fast_len(2 * n)
         k_pad = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=g.dz)
         prod = scipy.fft.fft(f.values, n=n_pad) * scipy.fft.fft(kv, n=n_pad)
         out = scipy.fft.ifft(prod * np.exp(-1j * k_pad * g.samples[0]))[:n]
-        return RealField1D(grid=g, values=out.real * g.dz, flags=frozenset(flags))
+        return RealField1D(grid=g, values=out.real * g.dz)
     if abs(kg.dz - g.dz) > 1e-12 * g.dz:
         raise ValueError("kernel grid spacing differs from field spacing")
     mid = kg.n_points // 2
     if kg.n_points % 2 == 0 or abs(kg.samples[mid]) > 1e-9 * g.dz:
         raise ValueError("compact kernel must have odd length and a sample at z = 0")
     out = g.dz * np.convolve(f.values, kv, mode="same")
-    return RealField1D(grid=g, values=out, flags=frozenset(flags))
+    return RealField1D(grid=g, values=out)

@@ -31,6 +31,7 @@ import importlib.metadata
 import itertools
 import json
 import logging
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -39,7 +40,6 @@ import numpy as np
 from .condensate import (
     CondensateParams,
     ConvergenceError,
-    GroundState,
     MeasurementConfig,
     SolverConfig,
     ground_state,
@@ -198,7 +198,7 @@ class LoopSpec:
     iterations: int = 80
     nu_initial: float = 0.5
     seed: int = 12345
-    export_iterations: tuple | None = None
+    export_iterations: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -320,15 +320,52 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return d
 
 
+_KINDS = {
+    "int": "an integer",
+    "float": "a number",
+    "bool": "true or false",
+    "tuple[int, ...]": "a list of integers",
+}
+
+
+def _typed(kind: str, value, where: str):
+    """``value`` checked against the field annotation ``kind``.
+
+    An int field takes an integer, and an integral float such as 6e4 is
+    stored as that integer; a float field takes any number that is not a
+    boolean; a bool field a boolean; ``X | None`` also takes None.
+    Anything else is a ConfigError naming ``where``.
+    """
+    if kind.endswith(" | None"):
+        if value is None:
+            return None
+        kind = kind.removesuffix(" | None")
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind == "int" and number:
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    elif kind == "float" and number:
+        return value
+    elif kind == "bool" and isinstance(value, bool):
+        return value
+    elif kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
+        return tuple(_typed("int", v, f"{where} entry") for v in value)
+    raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+
+
 def _build_section(cls, data, name):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls) if f.init}
-    unknown = sorted(set(data) - allowed)
+    kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown keys in '{name}': {', '.join(unknown)}")
+    typed = {
+        key: _typed(kinds[key], value, f"bad section '{name}': '{key}'")
+        for key, value in data.items()
+    }
     try:
-        return cls(**data)
+        return cls(**typed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad section '{name}': {exc}") from exc
 
@@ -354,8 +391,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             if not isinstance(ev["spots"], (list, tuple)):
                 raise ConfigError(f"'{where}.spots' must be a list")
             spots = tuple(_build_section(DarkSpot, s, f"{where}.spots") for s in ev["spots"])
+            iteration = _typed("int", ev["iteration"], f"bad disturbance entry {i}: 'iteration'")
             try:
-                events.append(DisturbanceEvent(iteration=int(ev["iteration"]), spots=spots))
+                events.append(DisturbanceEvent(iteration=iteration, spots=spots))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad disturbance entry {i}: {exc}") from exc
         kwargs["disturbances"] = tuple(events)
@@ -408,7 +446,6 @@ class Prepared:
     column_response: np.ndarray
     v_magnetic: RealField1D
     v_desired: RealField1D
-    ground_desired: GroundState
     rho_desired: RealField1D
     mu_desired: float
     gain: GainProfile
@@ -472,7 +509,6 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         column_response=resp,
         v_magnetic=v_mag,
         v_desired=v_des,
-        ground_desired=gs_d,
         rho_desired=rho_d,
         mu_desired=gs_d.mu,
         gain=gain,

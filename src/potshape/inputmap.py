@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -623,8 +624,8 @@ def load_lut(path) -> Lut:
         )
         for k, e in enumerate(data["entries"])
     )
-    n_nu = _field(data, "n_nu", int, "table header")
-    n_t = _field(data, "n_t", int, "table header")
+    n_nu = _field(data, "n_nu", operator.index, "table header")
+    n_t = _field(data, "n_t", operator.index, "table header")
     if len(entries) != n_nu:
         raise ValueError("entry count does not match header")
     if n_nu < 2:
@@ -644,5 +645,5 @@ def load_lut(path) -> Lut:
         gamma_perp=_field(data, "gamma_perp", float, "table header"),
         dy=_field(data, "dy", float, "table header"),
         psf_beam_sha256=str(data["psf_beam_sha256"]),
-        seed=_field(data, "seed", int, "table header"),
+        seed=_field(data, "seed", operator.index, "table header"),
     )

@@ -5,19 +5,18 @@ DFT / sliding-sum reimplementations, and the discrete Parseval identity
 (exact for fields that vanish at the domain edges).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from potshape.core import (
-    KERNEL_EDGE_TOL,
-    ComplexField1D,
     RealField1D,
     SpatialGrid1D,
     Spectrum1D,
     convolve,
     integrate,
-    real_part,
     require_same_grid,
     same_grid,
     spectrum,
@@ -76,7 +75,10 @@ def test_fields_validate_and_freeze():
         RealField1D(grid=g, values=np.ones(4))
     with pytest.raises(ValueError):
         RealField1D(grid=g, values=[0.0, 1.0, np.nan, 3.0, 4.0])
-    assert isinstance(f.flags, frozenset) and not f.flags
+    # a field is its grid and its real samples, nothing more
+    assert [fd.name for fd in dataclasses.fields(RealField1D)] == ["grid", "values"]
+    with pytest.raises(ValueError, match="a real field takes real values"):
+        RealField1D(grid=g, values=np.ones(5) + 1e-12j)
 
 
 def test_require_same_grid():
@@ -171,15 +173,6 @@ def test_parseval_for_edge_vanishing_fields(seed):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-def test_real_part_tolerance():
-    g = SpatialGrid1D(length=4.0, n_points=9)
-    clean = ComplexField1D(grid=g, values=np.ones(9) + 1e-12j)
-    assert np.array_equal(real_part(clean).values, np.ones(9))
-    dirty = ComplexField1D(grid=g, values=np.ones(9) + 1e-6j)
-    with pytest.raises(ValueError):
-        real_part(dirty)
-
-
 def test_spectrum_container_validates_shapes():
     g = SpatialGrid1D(length=4.0, n_points=8)
     with pytest.raises(ValueError):
@@ -262,13 +255,3 @@ def test_compact_kernel_validation():
     even = SpatialGrid1D(length=2.5, n_points=6)  # matching dz but no z = 0 sample
     with pytest.raises(ValueError):
         convolve(f, RealField1D(grid=even, values=np.zeros(6)))
-
-
-def test_undecayed_kernel_sets_edge_flag():
-    g = SpatialGrid1D(length=20.0, n_points=81)
-    f = RealField1D(grid=g, values=_gaussian(g, 2.0))
-    flat = RealField1D(grid=g, values=np.ones(81))
-    assert "kernel_edge" in convolve(f, flat).flags
-    decayed = RealField1D(grid=g, values=_gaussian(g, 1.0))
-    assert np.exp(-100.0 / 2.0) < KERNEL_EDGE_TOL  # edge value really is tiny
-    assert "kernel_edge" not in convolve(f, decayed).flags

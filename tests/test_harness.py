@@ -137,6 +137,90 @@ def test_scenario_rejects_unknown_sections_and_keys():
         scenario_from_dict({"loop": {"export_iterations": [-1]}})
 
 
+_WRONG_TYPES = {
+    "loop.iterations": (
+        {"loop": {"iterations": 2.5}},
+        r"bad section 'loop': 'iterations' must be an integer, got 2\.5",
+    ),
+    "lut.n_nu": ({"lut": {"n_nu": 3.5}}, r"bad section 'lut': 'n_nu' must be an integer, got 3\.5"),
+    "grid.n_points": (
+        {"grid": {"n_points": float("inf")}},
+        "bad section 'grid': 'n_points' must be an integer",
+    ),
+    "grid.length-string": (
+        {"grid": {"length": "250"}},
+        "bad section 'grid': 'length' must be a number, got '250'",
+    ),
+    "grid.length-bool": (
+        {"grid": {"length": True}},
+        "bad section 'grid': 'length' must be a number, got True",
+    ),
+    "solver.max_steps": (
+        {"solver": {"max_steps": 50.5}},
+        "bad section 'solver': 'max_steps' must be an integer",
+    ),
+    "solver.record_history": (
+        {"solver": {"record_history": 1}},
+        "bad section 'solver': 'record_history' must be true or false",
+    ),
+    "measurement.seed": (
+        {"measurement": {"seed": 1.5}},
+        "bad section 'measurement': 'seed' must be an integer",
+    ),
+    "loop.export_iterations": (
+        {"loop": {"export_iterations": [1, 2.5]}},
+        "bad section 'loop': 'export_iterations' entry must be an integer, got 2.5",
+    ),
+    "disturbance.iteration": (
+        {"disturbances": [{"iteration": 40.5, "spots": []}]},
+        "bad disturbance entry 0: 'iteration' must be an integer, got 40.5",
+    ),
+    "spot.center": (
+        {"disturbances": [{"iteration": 1, "spots": [{"center": "0", "width": 1, "depth": 0.1}]}]},
+        r"bad section 'disturbances\[0\]\.spots': 'center' must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("data, match", _WRONG_TYPES.values(), ids=_WRONG_TYPES)
+def test_scenario_refuses_values_of_the_wrong_type(tmp_path, capsys, data, match):
+    with pytest.raises(ConfigError, match=match):
+        scenario_from_dict(data)
+    # the command line refuses the file before it solves anything
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "state.csv"
+    assert cli.main(["groundstate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+def test_scenario_stores_integral_floats_as_integers():
+    cfg = scenario_from_dict(
+        {
+            "grid": {"n_points": 300.0},
+            "dmd": {"n_columns": 400.0},
+            "solver": {"max_steps": 6e4},
+            "measurement": {"seed": 7.0},
+            "loop": {"export_iterations": [0.0, 2]},
+            "disturbances": [{"iteration": 4.0, "spots": []}],
+        }
+    )
+    counts = (
+        cfg.grid.n_points,
+        cfg.dmd.n_columns,
+        cfg.solver.max_steps,
+        cfg.measurement.seed,
+        *cfg.loop.export_iterations,
+        cfg.disturbances[0].iteration,
+    )
+    assert counts == (300, 400, 60_000, 7, 0, 2, 4)
+    assert all(type(c) is int for c in counts)
+    assert cfg.grid.build().n_points == 300
+    # float fields keep the number they are given
+    assert scenario_from_dict({"grid": {"length": 250}}).grid.length == 250
+
+
 def test_disturbance_schedule_must_be_sorted():
     a = DisturbanceEvent(iteration=5, spots=(DarkSpot(0.0, 1.0, 0.1),))
     b = DisturbanceEvent(iteration=2, spots=(DarkSpot(1.0, 1.0, 0.1),))
@@ -743,3 +827,9 @@ def test_cli_reports_a_malformed_table(tmp_path, small_lut, capsys):
     assert cli.main(["run", "--lut", str(bad_lut), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err == "invalid input: entry 1 has an invalid 'nu': None\n"
+    d = _lut_to_dict(small_lut)
+    d["seed"] = d["seed"] + 0.5
+    bad_lut.write_text(json.dumps(d))
+    assert cli.main(["run", "--lut", str(bad_lut), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"invalid input: table header has an invalid 'seed': {d['seed']!r}\n"

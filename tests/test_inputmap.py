@@ -449,11 +449,21 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
     bad.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="table header lacks 'n_t'"):
         load_lut(bad)
-    for key in ("n_t", "seed", "pitch"):
+    # a count or seed that is not an integer is refused, not truncated: a
+    # truncated seed would break the record of how the table was built
+    for key, value in (
+        ("n_t", None),
+        ("seed", None),
+        ("pitch", None),
+        ("n_nu", fast_lut.n_nu + 0.9),
+        ("n_t", 3.2),
+        ("seed", 7.5),
+        ("n_t", "40"),
+    ):
         d = _lut_to_dict(fast_lut)
-        d[key] = None
+        d[key] = value
         bad.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match=f"table header has an invalid '{key}': None"):
+        with pytest.raises(ValueError, match=f"table header has an invalid '{key}': {value!r}"):
             load_lut(bad)
     d = _lut_to_dict(fast_lut)
     d["entries"] = {"0": d["entries"][0]}
