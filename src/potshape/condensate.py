@@ -93,15 +93,11 @@ class SolverConfig:
     ``tol`` is on the relative change of mu between consecutive steps; mu
     is read every step from the state before its potential step, with the
     V + h(rho) that step applies and no transform of its own.
-    ``record_history`` additionally stores mu, energy and norm of each
-    step's renormalised post-step state (used by the invariant checks; it
-    costs one more irfft and two interaction evaluations per step).
     """
 
     dtau: float = 1e-3
     max_steps: int = 200_000
     tol: float = 1e-10
-    record_history: bool = False
 
     def __post_init__(self):
         if self.dtau <= 0 or self.tol <= 0 or self.max_steps < 1:
@@ -113,8 +109,6 @@ class MeasurementConfig:
     """Additive Gaussian density noise; std in 1/um, 0 means ideal."""
 
     noise_std: float = 0.0
-    seed: int | None = None
-    clamp_negative: bool = True
 
     def __post_init__(self):
         if self.noise_std < 0:
@@ -282,6 +276,7 @@ def ground_state(
     params: CondensateParams,
     cfg: SolverConfig,
     initial: RealField1D | None = None,
+    record_history: bool = False,
 ) -> GroundState:
     """Imaginary-time Strang split-step relaxation to the ground state.
 
@@ -306,7 +301,9 @@ def ground_state(
     resolution check reads the same spectrum.  ``initial`` warm-starts the
     relaxation (any normalisation; its read-only values are only read by
     the first rfft); otherwise the Thomas-Fermi profile is used where
-    available, falling back to a 10 um Gaussian.
+    available, falling back to a 10 um Gaussian.  ``record_history`` also
+    stores mu, energy and norm of each post-step state, renormalised, for
+    the invariant checks (one more irfft and two h evaluations per step).
     """
     grid = potential.grid
     if not np.all(np.isfinite(potential.values)):
@@ -383,7 +380,7 @@ def ground_state(
             raise ConvergenceError(
                 f"wave function became non-finite after {steps} imaginary-time steps"
             )
-        if cfg.record_history:
+        if record_history:
             _, rho_b, kinetic, mu_b = post_step_state(post, power)
             mus.append(mu_b)
             energies.append(
@@ -400,9 +397,9 @@ def ground_state(
         mu=mu,
         n_steps=steps,
         converged=converged,
-        mu_history=np.array(mus) if cfg.record_history else None,
-        energy_history=np.array(energies) if cfg.record_history else None,
-        norm_history=np.array(norms) if cfg.record_history else None,
+        mu_history=np.array(mus) if record_history else None,
+        energy_history=np.array(energies) if record_history else None,
+        norm_history=np.array(norms) if record_history else None,
     )
     _spectral_resolution_check(norm_weights * power, k, grid)
     if params.coupling > 0 and log.isEnabledFor(logging.INFO):
@@ -471,21 +468,17 @@ def thomas_fermi_density(potential: RealField1D, params: CondensateParams):
 
 
 def measure_density(
-    rho: RealField1D, cfg: MeasurementConfig, rng: np.random.Generator | None = None
+    rho: RealField1D, cfg: MeasurementConfig, rng: np.random.Generator
 ) -> RealField1D:
     """Simulated destructive density measurement.
 
     With noise_std = 0 the input is returned unchanged.  Otherwise
-    additive Gaussian noise is drawn from ``rng`` (or a generator seeded
-    from cfg.seed) and negative values are clamped if configured.
+    additive Gaussian noise is drawn from ``rng`` and negative samples are
+    clamped to 0, so the measurement stays a density.
     """
     if np.any(rho.values < 0):
         raise ValueError("density must be non-negative")
     if cfg.noise_std == 0.0:
         return rho
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     noisy = rho.values + rng.normal(0.0, cfg.noise_std, size=rho.values.shape)
-    if cfg.clamp_negative:
-        noisy = np.clip(noisy, 0.0, None)
-    return RealField1D(grid=rho.grid, values=noisy)
+    return RealField1D(grid=rho.grid, values=np.clip(noisy, 0.0, None))

@@ -22,6 +22,7 @@ integral (f * g)(z) = int f(xi) g(z - xi) dxi.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,8 @@ class SpatialGrid1D:
 
     Both endpoints are included, so the spacing is length/(n_points - 1)
     and the samples are symmetric about z = 0 (for even n_points the
-    origin itself falls between two samples).
+    origin itself falls between two samples).  ``n_points`` must be an
+    integer (numpy integers included); 30.0 is a ValueError.
     """
 
     length: float
@@ -54,6 +56,10 @@ class SpatialGrid1D:
     def __post_init__(self):
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError("grid length must be positive and finite")
+        try:
+            object.__setattr__(self, "n_points", operator.index(self.n_points))
+        except TypeError:
+            raise ValueError(f"grid n_points must be an integer, got {self.n_points!r}") from None
         if self.n_points < 2:
             raise ValueError("grid needs at least two samples")
         z = np.linspace(-0.5 * self.length, 0.5 * self.length, self.n_points)

@@ -32,6 +32,7 @@ import itertools
 import json
 import logging
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -169,7 +170,6 @@ class LutSpec:
     dy: float = 4.0
     population: int = 100
     generations: int = 200
-    mutation_rate: float | None = None
 
     def __post_init__(self):
         if self.n_nu < 2:
@@ -179,7 +179,7 @@ class LutSpec:
 @dataclass(frozen=True)
 class ControlSpec:
     """Kernel and gain settings; None picks the documented defaults
-    (gamma_nu = 1e-2 max|G|^2, eps_opt = 5% of v_max, eps_mu = 5% of
+    (gamma_nu = 1e-2 max|G|^2, eps_opt = 5% of max V_d, eps_mu = 5% of
     omega_perp)."""
 
     gamma_nu: float | None = None
@@ -195,6 +195,8 @@ class ControlSpec:
 
 @dataclass(frozen=True)
 class LoopSpec:
+    """``seed`` seeds the table build and each iteration's measurement noise."""
+
     iterations: int = 80
     nu_initial: float = 0.5
     seed: int = 12345
@@ -205,8 +207,10 @@ class LoopSpec:
             raise ValueError("iterations must be >= 1")
         if not (0.0 <= self.nu_initial <= 1.0):
             raise ValueError("nu_initial must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.export_iterations is not None:
-            exp = tuple(int(i) for i in self.export_iterations)
+            exp = tuple(operator.index(i) for i in self.export_iterations)
             for n in exp:
                 if not (0 <= n < self.iterations):
                     raise ValueError(
@@ -221,6 +225,7 @@ class DisturbanceEvent:
     spots: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "iteration", operator.index(self.iteration))
         if self.iteration < 0:
             raise ValueError("disturbance iteration must be >= 0")
         object.__setattr__(self, "spots", tuple(self.spots))
@@ -283,7 +288,6 @@ class ScenarioConfig:
             dy=self.lut.dy,
             population=self.lut.population,
             generations=self.lut.generations,
-            mutation_rate=self.lut.mutation_rate,
             seed=self.loop.seed,
         )
 
@@ -323,7 +327,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 _KINDS = {
     "int": "an integer",
     "float": "a number",
-    "bool": "true or false",
     "tuple[int, ...]": "a list of integers",
 }
 
@@ -333,7 +336,7 @@ def _typed(kind: str, value, where: str):
 
     An int field takes an integer, and an integral float such as 6e4 is
     stored as that integer; a float field takes any number that is not a
-    boolean; a bool field a boolean; ``X | None`` also takes None.
+    boolean; ``X | None`` also takes None.
     Anything else is a ConfigError naming ``where``.
     """
     if kind.endswith(" | None"):
@@ -345,8 +348,6 @@ def _typed(kind: str, value, where: str):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     elif kind == "float" and number:
-        return value
-    elif kind == "bool" and isinstance(value, bool):
         return value
     elif kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
         return tuple(_typed("int", v, f"{where} entry") for v in value)
@@ -484,11 +485,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         cfg.condensate,
         e_max * beam.pz(grid.samples),
         alpha_v=cfg.control.alpha_v,
-        eps_opt=(
-            cfg.control.eps_opt
-            if cfg.control.eps_opt is not None
-            else 0.05 * cfg.desired.v_max
-        ),
+        eps_opt=cfg.control.eps_opt,
         eps_mu=cfg.control.eps_mu,
     )
     transfer = transfer_function(gain.alpha_bar, cfg.psf, grid)
@@ -516,9 +513,8 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
     )
 
 
-def build_scenario_lut(cfg: ScenarioConfig, prepared: Prepared | None = None) -> Lut:
-    beam = _calibrated_beam(cfg) if prepared is None else prepared.beam
-    return build_lut(cfg.lut.n_nu, cfg.optimizer_config(), cfg.psf, beam)
+def build_scenario_lut(cfg: ScenarioConfig) -> Lut:
+    return build_lut(cfg.lut.n_nu, cfg.optimizer_config(), cfg.psf, _calibrated_beam(cfg))
 
 
 def inject_disturbances(schedule, n: int) -> TransmissionDisturbance:
@@ -592,7 +588,7 @@ def run_closed_loop(
         prepared = prepare(cfg)
     if lut is None:
         log.info("no look-up table supplied; building one now")
-        lut = build_scenario_lut(cfg, prepared)
+        lut = build_scenario_lut(cfg)
     expected = psf_beam_hash(cfg.psf, prepared.beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
     if lut.psf_beam_sha256 != expected:
         log.warning(
@@ -762,6 +758,7 @@ def input_activity(
 
 
 _FLOAT_FMT = "%.17g"
+_REPORT_TOL = 1e-12  # largest |recomputed - stored| error norm report accepts
 
 
 def _default_export_iterations(n_total: int) -> tuple:
@@ -947,12 +944,13 @@ def load_run(out_dir) -> dict:
     return {"meta": meta, "norms": norms, "fields": fields}
 
 
-def report(out_dir, tol: float = 1e-12) -> dict:
+def report(out_dir) -> dict:
     """Recompute error norms from exported fields and verify the CSV.
 
-    Returns a summary dict with ok flag, per-iteration norms, and the
-    worst recomputation mismatch.  An export without iterations, or
-    without the norm of an exported iteration, raises :class:`ConfigError`.
+    Returns a summary dict with ok flag (worst mismatch at most
+    _REPORT_TOL), per-iteration norms, and the worst recomputation
+    mismatch.  An export without iterations, or without the norm of an
+    exported iteration, raises :class:`ConfigError`.
     """
     data = load_run(out_dir)
     norms = data["norms"]
@@ -974,7 +972,7 @@ def report(out_dir, tol: float = 1e-12) -> dict:
         checked.append((int(n), stored, recomputed, mismatch))
     e0 = float(norms["error_norm"][0])
     summary = {
-        "ok": worst <= tol,
+        "ok": worst <= _REPORT_TOL,
         "worst_mismatch": worst,
         "checked": checked,
         "iterations": len(norms["n"]),

@@ -55,6 +55,13 @@ __all__ = [
 ]
 
 
+# Genetic search: entrants per tournament, parents kept per generation, and
+# bits a mutation flips per child on average (flip rate MUTATIONS / n_t).
+TOURNAMENT = 3
+ELITE = 2
+MUTATIONS = 2.0
+
+
 @dataclass(frozen=True)
 class TransversalPattern:
     """Bit vector for one column, index 0 at the most negative y."""
@@ -77,9 +84,9 @@ class TransversalPattern:
 class OptimizerConfig:
     """Search settings for the per-column pattern optimisation.
 
-    ``mutation_rate`` of None means the customary 2 / n_t.  The penalty
-    integral is sampled every ``pitch`` across [-dy, +dy] and evaluated
-    with trapezoid weights.
+    The penalty integral is sampled every ``pitch`` across [-dy, +dy] and
+    evaluated with trapezoid weights.  The genetic search's other settings
+    are the module constants TOURNAMENT, ELITE and MUTATIONS.
     """
 
     n_t: int = 100
@@ -88,24 +95,11 @@ class OptimizerConfig:
     dy: float = 4.0
     population: int = 100
     generations: int = 200
-    mutation_rate: float | None = None
-    tournament: int = 3
-    elite: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if self.n_t < 1 or self.population < 2 or self.generations < 1:
             raise ValueError("optimizer sizes out of range")
-        if self.tournament < 1:
-            raise ValueError("tournament must hold at least one entrant")
-        if not 0 <= self.elite <= self.population:
-            raise ValueError("elite must lie in [0, population]")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must lie in [0, 1]")
-
-    @property
-    def effective_mutation_rate(self) -> float:
-        return 2.0 / self.n_t if self.mutation_rate is None else self.mutation_rate
 
 
 class PatternObjective:
@@ -186,8 +180,8 @@ def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.n
     gen_best = np.argmin(cost, axis=1)
     best = pop[level, gen_best]
     best_cost = cost[level, gen_best]
-    rate = cfg.effective_mutation_rate
-    idx = np.empty((m, P, cfg.tournament), dtype=np.int64)
+    rate = MUTATIONS / n
+    idx = np.empty((m, P, TOURNAMENT), dtype=np.int64)
     mask = np.empty((m, n_pairs, n), dtype=np.uint8)
     flips = np.empty((m, P, n), dtype=bool)
     uniform = np.empty((P, n))
@@ -195,11 +189,11 @@ def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.n
     offsets = (np.arange(m) * P)[:, None, None]
     for _ in range(cfg.generations):
         for k, rng in enumerate(rngs):
-            idx[k] = rng.integers(0, P, size=(P, cfg.tournament))
+            idx[k] = rng.integers(0, P, size=(P, TOURNAMENT))
             mask[k] = rng.integers(0, 2, size=(n_pairs, n), dtype=np.uint8)
             np.less(rng.random(out=uniform), rate, out=flips[k])
         # tournament selection, gathered through flat indices
-        flat = (idx + offsets).reshape(m * P, cfg.tournament)
+        flat = (idx + offsets).reshape(m * P, TOURNAMENT)
         picks = np.argmin(cost.ravel()[flat], axis=1)
         parents = pop.reshape(m * P, n)[flat[np.arange(m * P), picks]].reshape(m, P, n)
         # uniform crossover of consecutive parent pairs
@@ -212,8 +206,8 @@ def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.n
         for k, nu in enumerate(nus):
             ccost[k] = obj.value(children[k], nu)
         # elitism: keep the best of the previous generation
-        keep = np.argsort(cost, axis=1)[:, : cfg.elite]
-        worst = np.argsort(ccost, axis=1)[:, ::-1][:, : cfg.elite]
+        keep = np.argsort(cost, axis=1)[:, :ELITE]
+        worst = np.argsort(ccost, axis=1)[:, ::-1][:, :ELITE]
         children[rows, worst] = pop[rows, keep]
         ccost[rows, worst] = cost[rows, keep]
         # the spent cost buffer takes the next generation's child costs
@@ -254,15 +248,14 @@ def _descend(flip_cost, bits: np.ndarray, cost: float, max_flips: int = _MAX_FLI
 def _refine(obj: PatternObjective, nu: float, cfg: OptimizerConfig, candidates, target_cap):
     """Polish each candidate and return the best as (pattern, achieved, residual).
 
-    With ``target_cap`` set the all-off and all-on patterns join the
-    candidates, a candidate outside the cap is walked onto the target and
-    re-polished among cap-respecting flips, and candidates inside the cap
-    win by objective value.
+    The all-off and all-on patterns join the candidates, a candidate
+    outside ``target_cap`` is walked onto the target and re-polished among
+    cap-respecting flips, and candidates inside the cap win by objective
+    value.
     """
     candidates = [np.asarray(c, dtype=np.uint8) for c in candidates]
-    if target_cap is not None:
-        candidates.append(np.zeros(cfg.n_t, dtype=np.uint8))
-        candidates.append(np.ones(cfg.n_t, dtype=np.uint8))
+    candidates.append(np.zeros(cfg.n_t, dtype=np.uint8))
+    candidates.append(np.ones(cfg.n_t, dtype=np.uint8))
 
     def objective(b):
         return obj.flips(b, nu)[1]
@@ -274,23 +267,18 @@ def _refine(obj: PatternObjective, nu: float, cfg: OptimizerConfig, candidates, 
         e0, fc = obj.flips(b, nu)
         return np.where(np.abs(e0 - nu) <= target_cap, fc, np.inf)
 
-    best = best_capped = None
-    best_cost = capped_cost = np.inf
+    best = None
     for c in candidates:
         c = _descend(objective, c, float(obj.value(c, nu)[0]))
-        if target_cap is not None and abs(float(obj.on_axis(c)[0]) - nu) > target_cap:
+        if abs(float(obj.on_axis(c)[0]) - nu) > target_cap:
             c = _descend(distance, c, abs(float(obj.on_axis(c)[0]) - nu), stop=0.25 * target_cap)
             c = _descend(within_cap, c, float(obj.value(c, nu)[0]))
-        cost = float(obj.value(c, nu)[0])
-        if cost < best_cost:
-            best, best_cost = c, cost
-        if target_cap is not None and abs(float(obj.on_axis(c)[0]) - nu) <= target_cap:
-            if cost < capped_cost:
-                best_capped, capped_cost = c, cost
-    if best_capped is not None:
-        best, best_cost = best_capped, capped_cost
+        # inside the cap before outside it, then the lower cost; ties keep the first
+        key = (abs(float(obj.on_axis(c)[0]) - nu) > target_cap, float(obj.value(c, nu)[0]))
+        if best is None or key < best_key:
+            best, best_key = c, key
     achieved = float(obj.on_axis(best)[0])
-    return TransversalPattern(bits=best), achieved, best_cost
+    return TransversalPattern(bits=best), achieved, best_key[1]
 
 
 def solve_pattern(
@@ -298,10 +286,10 @@ def solve_pattern(
     cfg: OptimizerConfig,
     psf: PsfModel,
     beam: BeamProfile,
+    target_cap: float,
     objective: PatternObjective | None = None,
     rng=None,
     seed_patterns=(),
-    target_cap: float | None = None,
 ):
     """Minimise the column objective for one target value.
 
@@ -309,14 +297,15 @@ def solve_pattern(
     returned bits and residual the full objective value.  ``seed_patterns``
     are injected as polish candidates (used by the LUT monotone repair).
 
-    With ``target_cap`` set the search additionally keeps |achieved - nu|
-    within the cap: near the extremes the unconstrained optimum trades a
-    few 1e-3 of on-axis accuracy against the beam-envelope droop across
-    the penalty band, which is the better objective value but useless for
-    a table that is addressed by the achieved level.  Candidates outside
+    The search keeps |achieved - nu| within ``target_cap``, the table's
+    accuracy: near the extremes the unconstrained optimum trades a few
+    1e-3 of on-axis accuracy against the beam-envelope droop across the
+    penalty band, which is the better objective value but useless for a
+    table that is addressed by the achieved level.  Candidates outside
     the cap are walked onto the target with the fine-grained wing weights
     and then re-polished among cap-respecting flips; candidates inside
-    the cap win by objective value.
+    the cap win by objective value.  A cap no candidate meets leaves the
+    best objective value.
     """
     if not (0.0 <= nu_target <= 1.0):
         raise ValueError("target value must lie in [0, 1]")
@@ -408,9 +397,8 @@ def _monotone_repair(obj, cfg, psf, beam, nus, patterns, achieved, residual, tar
             continue
         rng = np.random.default_rng([cfg.seed, k, 7919])
         pat, ach, res = solve_pattern(
-            nus[k], cfg, psf, beam, objective=obj, rng=rng,
+            nus[k], cfg, psf, beam, target_cap, objective=obj, rng=rng,
             seed_patterns=(patterns[k - 1].bits, patterns[k].bits),
-            target_cap=target_cap,
         )
         if ach < achieved[k - 1]:
             floor = achieved[k - 1] - 1e-15

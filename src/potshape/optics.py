@@ -79,6 +79,8 @@ _ROW_BLOCK = 128
 # leaves a margin far above the rounding error of the argument.
 _ERF_SATURATION = 6.5
 
+_TAU_FLOOR = 1e-3  # lowest transmission overlapping dark spots leave, so tau > 0
+
 
 @dataclass(frozen=True)
 class PsfModel:
@@ -87,14 +89,14 @@ class PsfModel:
     g_z is a unit-mass Gaussian of standard deviation ``sigma_z``.  g_y is
     sin(pi y / w_y) / (pi y / w_y), truncated at the ``gy_zero_cut``-th
     zero (|y| > gy_zero_cut * w_y evaluates to 0) and normalised to unit
-    mass over the truncation window.  ``gy_support`` is the half-width of
-    the tabulated range; patterns must fit inside it.
+    mass over the truncation window.  ``gy_support``, two lobes past the
+    truncation, is the largest pattern half-width :func:`propagate_full`
+    takes.
     """
 
     sigma_z: float = 2.5
     w_y: float = 8.0
     gy_zero_cut: int = 6
-    gy_tab_range: float | None = None
     _gy_norm: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
@@ -107,8 +109,6 @@ class PsfModel:
 
     @property
     def gy_support(self) -> float:
-        if self.gy_tab_range is not None:
-            return self.gy_tab_range
         return (self.gy_zero_cut + 2) * self.w_y
 
     def gz(self, z):
@@ -132,11 +132,6 @@ class PsfModel:
         y = np.asarray(y, dtype=float)
         out = np.sinc(y / self.w_y) / self._gy_norm
         return np.where(np.abs(y) <= self.gy_zero_cut * self.w_y, out, 0.0)
-
-    def gy_table(self, n: int = 4096):
-        """Tabulated (y, g_y) pair over the support, for export or plotting."""
-        y = np.linspace(-self.gy_support, self.gy_support, n)
-        return y, self.gy(y)
 
 
 @dataclass(frozen=True)
@@ -239,19 +234,18 @@ class DarkSpot:
 class TransmissionDisturbance:
     """Multiplicative field transmission tau(z) built from dark spots.
 
-    tau = 1 - sum of Gaussian dips, floored at ``floor`` so that the
+    tau = 1 - sum of Gaussian dips, floored at 1e-3 so that the
     transmission stays strictly positive.
     """
 
     spots: tuple = ()
-    floor: float = 1e-3
 
     def tau(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         t = np.ones_like(z)
         for s in self.spots:
             t = t - s.depth * np.exp(-(((z - s.center) / s.width) ** 2))
-        return np.maximum(t, self.floor)
+        return np.maximum(t, _TAU_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ def _check_pattern_support(pattern: DmdPattern, psf: PsfModel):
     extent = 0.5 * pattern.n_t * pattern.pixel_pitch
     if extent > psf.gy_support:
         raise ValueError(
-            f"pattern half-width {extent:g} um exceeds tabulated transversal "
+            f"pattern half-width {extent:g} um exceeds the transversal "
             f"psf support {psf.gy_support:g} um"
         )
 

@@ -1,6 +1,7 @@
-"""Shared fixtures: the reference scenario artifacts are expensive (table
-build ~1 s, desired ground state ~4 s, 80-iteration closed loop ~12 s), so
-they are computed once per session and shared."""
+"""Shared fixtures: the reference scenario artifacts are computed once
+per session and shared.  On a 2-core host with one BLAS thread the table
+build takes about 1.5 s, prepare (with the desired ground state) about
+0.04 s and the 80-iteration closed loop about 0.6 s."""
 
 import logging
 

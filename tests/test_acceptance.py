@@ -241,7 +241,8 @@ def test_criterion_8_numerical_invariants(
     gs = ground_state(
         v,
         scenario.condensate,
-        SolverConfig(dtau=0.02, max_steps=40_000, tol=1e-10, record_history=True),
+        SolverConfig(dtau=0.02, max_steps=40_000, tol=1e-10),
+        record_history=True,
     )
     checks["norm"] = bool(np.max(np.abs(gs.norm_history - 1.0)) < 1e-12)
     checks["energy"] = bool(

@@ -11,11 +11,14 @@ import pytest
 from potshape import harness
 from potshape.condensate import ConvergenceError
 from potshape.core import RealField1D, SpatialGrid1D
+from potshape.condensate import MeasurementConfig
 from potshape.harness import (
     ConfigError,
     DesiredPotentialSpec,
     DisturbanceEvent,
+    GridSpec,
     IterationRecord,
+    LoopSpec,
     RunResult,
     ScenarioConfig,
     _write_pbm,
@@ -159,14 +162,6 @@ _WRONG_TYPES = {
         {"solver": {"max_steps": 50.5}},
         "bad section 'solver': 'max_steps' must be an integer",
     ),
-    "solver.record_history": (
-        {"solver": {"record_history": 1}},
-        "bad section 'solver': 'record_history' must be true or false",
-    ),
-    "measurement.seed": (
-        {"measurement": {"seed": 1.5}},
-        "bad section 'measurement': 'seed' must be an integer",
-    ),
     "loop.export_iterations": (
         {"loop": {"export_iterations": [1, 2.5]}},
         "bad section 'loop': 'export_iterations' entry must be an integer, got 2.5",
@@ -201,8 +196,7 @@ def test_scenario_stores_integral_floats_as_integers():
             "grid": {"n_points": 300.0},
             "dmd": {"n_columns": 400.0},
             "solver": {"max_steps": 6e4},
-            "measurement": {"seed": 7.0},
-            "loop": {"export_iterations": [0.0, 2]},
+            "loop": {"seed": 7.0, "export_iterations": [0.0, 2]},
             "disturbances": [{"iteration": 4.0, "spots": []}],
         }
     )
@@ -210,7 +204,7 @@ def test_scenario_stores_integral_floats_as_integers():
         cfg.grid.n_points,
         cfg.dmd.n_columns,
         cfg.solver.max_steps,
-        cfg.measurement.seed,
+        cfg.loop.seed,
         *cfg.loop.export_iterations,
         cfg.disturbances[0].iteration,
     )
@@ -219,6 +213,58 @@ def test_scenario_stores_integral_floats_as_integers():
     assert cfg.grid.build().n_points == 300
     # float fields keep the number they are given
     assert scenario_from_dict({"grid": {"length": 250}}).grid.length == 250
+
+
+# settings with a single value in every run, now constants or gone
+_DELETED_KEYS = [
+    ("measurement", "seed", 5),
+    ("measurement", "clamp_negative", False),
+    ("psf", "gy_tab_range", 60.0),
+    ("lut", "mutation_rate", 0.02),
+    ("solver", "record_history", True),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value", _DELETED_KEYS, ids=[f"{s}.{k}" for s, k, _ in _DELETED_KEYS]
+)
+def test_deleted_keys_are_refused(tmp_path, capsys, section, key, value):
+    data = {section: {key: value}}
+    with pytest.raises(ConfigError, match=f"unknown keys in '{section}': {key}$"):
+        scenario_from_dict(data)
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: unknown keys")
+    assert not out.exists()
+
+
+def test_sections_built_in_python_refuse_fractional_counts():
+    with pytest.raises(TypeError):
+        LoopSpec(export_iterations=(2.7,))
+    with pytest.raises(TypeError):
+        DisturbanceEvent(iteration=2.5, spots=())
+    with pytest.raises(ValueError, match="n_points must be an integer, got 30.0"):
+        GridSpec(n_points=30.0).build()
+    # numpy integers are integers, and are stored as int
+    assert LoopSpec(iterations=3, export_iterations=(np.int64(2),)).export_iterations == (2,)
+    assert type(DisturbanceEvent(iteration=np.int32(4), spots=()).iteration) is int
+    assert type(SpatialGrid1D(10.0, np.int64(30)).n_points) is int
+
+
+def test_negative_seed_is_refused(tmp_path, capsys, monkeypatch):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        LoopSpec(seed=-1)
+    with pytest.raises(ConfigError, match="bad section 'loop': seed must be >= 0, got -1"):
+        scenario_from_dict({"loop": {"seed": -1}})
+    # the command line names the seed before it builds anything
+    monkeypatch.setattr(harness, "build_scenario_lut", lambda cfg: pytest.fail("built a table"))
+    monkeypatch.setattr(harness, "prepare", lambda cfg: pytest.fail("prepared"))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--seed", "-1", "--out", str(out)]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_disturbance_schedule_must_be_sorted():
@@ -289,6 +335,32 @@ def test_perfect_measurement_freezes_the_loop(small_prepared, small_lut):
     assert np.array_equal(res.nu.values, nu.values)
     before = map_virtual_input(nu.field, small_lut)
     assert np.array_equal(map_virtual_input(res.nu.field, small_lut).bits, before.bits)
+
+
+def test_loop_under_measurement_noise(small_scenario, small_prepared, small_lut):
+    cfg = dataclasses.replace(
+        small_scenario,
+        measurement=MeasurementConfig(noise_std=1e-4),
+        loop=dataclasses.replace(small_scenario.loop, iterations=3),
+    )
+
+    def run(c):
+        return run_closed_loop(c, lut=small_lut, prepared=small_prepared).records
+
+    def trace(records):
+        return [
+            (r.n, r.error_norm.hex(), r.mu.hex(), r.e_rho.tobytes(), r.extras["pattern_sha256"])
+            for r in records
+        ]
+
+    first = run(cfg)
+    assert len(first) == 3
+    # the noise is seeded by loop.seed and the iteration: a rerun repeats it
+    assert trace(run(cfg)) == trace(first)
+    other = run(dataclasses.replace(cfg, loop=dataclasses.replace(cfg.loop, seed=100)))
+    assert not np.array_equal(other[0].e_rho, first[0].e_rho)
+    # noisy densities are clamped at 0, so every measurement is a density
+    assert all(np.min(r.extras["rho"]) >= 0.0 for r in first + other)
 
 
 def test_loop_failure_carries_the_records_so_far(
