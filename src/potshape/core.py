@@ -177,14 +177,17 @@ def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
 
     The kernel may live on the same grid as f, or on a compact grid with
     the same spacing, odd length and centre sample at z = 0 (the shape
-    produced by tail truncation).  Either way the result equals the
-    direct quadrature
+    produced by tail truncation), longer than f's grid or not.  Either
+    way the result equals the direct quadrature
 
         out_i = dz * sum_j kernel(z_i - z_j) f_j
 
-    with the field zero outside its grid.  The same-grid case runs zero
-    padded in the spectral domain with the phase bookkeeping of
-    :func:`spectrum`; the compact case is a direct sliding sum.
+    with the field zero outside its grid, up to rounding.  The same-grid
+    case runs zero padded in the spectral domain with the phase
+    bookkeeping of :func:`spectrum`.  The compact case is one real FFT
+    product padded to at least n + m // 2 samples, so the circular wrap
+    falls only on discarded samples; a sample whose kernel window holds
+    no non-zero field value is exactly 0, as in the direct sum.
     """
     g = f.grid
     kg = kernel.grid
@@ -198,8 +201,17 @@ def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
         return RealField1D(grid=g, values=out.real * g.dz)
     if abs(kg.dz - g.dz) > 1e-12 * g.dz:
         raise ValueError("kernel grid spacing differs from field spacing")
-    mid = kg.n_points // 2
-    if kg.n_points % 2 == 0 or abs(kg.samples[mid]) > 1e-9 * g.dz:
+    m = kg.n_points
+    mid = m // 2
+    if m % 2 == 0 or abs(kg.samples[mid]) > 1e-9 * g.dz:
         raise ValueError("compact kernel must have odd length and a sample at z = 0")
-    out = g.dz * np.convolve(f.values, kv, mode="same")
+    n = g.n_points
+    n_pad = scipy.fft.next_fast_len(max(n + mid, m), real=True)
+    prod = scipy.fft.rfft(f.values, n_pad) * scipy.fft.rfft(kv, n_pad)
+    out = g.dz * scipy.fft.irfft(prod, n_pad)[mid : mid + n]
+    # non-zero field samples within +-mid of each output sample
+    count = np.concatenate(([0], np.cumsum(f.values != 0)))
+    i = np.arange(n)
+    reach = count[np.minimum(i + mid + 1, n)] - count[np.maximum(i - mid, 0)]
+    out[reach == 0] = 0.0
     return RealField1D(grid=g, values=out)

@@ -31,6 +31,7 @@ import importlib.metadata
 import itertools
 import json
 import logging
+import math
 import numbers
 import operator
 import os
@@ -195,7 +196,8 @@ class ControlSpec:
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """``seed`` seeds the table build and each iteration's measurement noise."""
+    """``seed`` seeds the table build and each iteration's measurement
+    noise; it is a non-negative integer (numpy integers included)."""
 
     iterations: int = 80
     nu_initial: float = 0.5
@@ -207,6 +209,7 @@ class LoopSpec:
             raise ValueError("iterations must be >= 1")
         if not (0.0 <= self.nu_initial <= 1.0):
             raise ValueError("nu_initial must lie in [0, 1]")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.export_iterations is not None:
@@ -335,8 +338,8 @@ def _typed(kind: str, value, where: str):
     """``value`` checked against the field annotation ``kind``.
 
     An int field takes an integer, and an integral float such as 6e4 is
-    stored as that integer; a float field takes any number that is not a
-    boolean; ``X | None`` also takes None.
+    stored as that integer; a float field takes any finite number that
+    is not a boolean; ``X | None`` also takes None.
     Anything else is a ConfigError naming ``where``.
     """
     if kind.endswith(" | None"):
@@ -348,7 +351,9 @@ def _typed(kind: str, value, where: str):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
     elif kind == "float" and number:
-        return value
+        if math.isfinite(value):
+            return value
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     elif kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
         return tuple(_typed("int", v, f"{where} entry") for v in value)
     raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
@@ -580,9 +585,10 @@ def run_closed_loop(
 
     The plant's field before disturbances, ``column_response`` times the
     pattern's on-axis column sums, is computed only when the pattern's
-    bits differ from the previous iteration's; while the learning law
-    holds its input, the pattern repeats and the field is reused.  Each
-    iteration's disturbances are still applied to it.
+    bits differ from the previous iteration's, and the potential only
+    when the bits or the active dark spots differ; while the learning
+    law holds its input and no spot switches on, the pattern repeats and
+    the previous potential is reused.
     """
     if prepared is None:
         prepared = prepare(cfg)
@@ -607,17 +613,23 @@ def run_closed_loop(
         )
     )
     phi = None
+    last_dist = None
     records = []
     for n in range(cfg.loop.iterations):
         pattern = map_virtual_input(nu.field, lut)
-        if not records or not np.array_equal(pattern.bits, records[-1].extras["pattern"].bits):
+        dist = inject_disturbances(cfg.disturbances, n)
+        new_bits = not records or not np.array_equal(
+            pattern.bits, records[-1].extras["pattern"].bits
+        )
+        if new_bits:
             cols = prepared.beam.amplitude * (w0 @ pattern.bits)
             e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
-        dist = inject_disturbances(cfg.disturbances, n)
-        v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
-        v = RealField1D(
-            grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values
-        )
+        if new_bits or dist != last_dist:
+            v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
+            v = RealField1D(
+                grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values
+            )
+        last_dist = dist
         try:
             gs = ground_state(v, cfg.condensate, cfg.solver, initial=phi)
             if not gs.converged:

@@ -206,7 +206,7 @@ def design_kernel(
 
     gamma of None selects the default of 1e-2 max|G|^2.  The kernel is
     sampled on integer lags q * dz with a literal z = 0 sample, so that
-    convolving it with a field on the design grid reduces to an exact
+    convolving it with a field on the design grid reduces to a
     sliding sum whether or not that grid itself contains z = 0.  It is
     then truncated to the symmetric window outside which it falls below
     tail_cut of its peak, so convolutions pay only for the effective
@@ -276,11 +276,14 @@ class UpdateResult:
 def update(nu: VirtualInput, e_rho: RealField1D, kernel: LearningKernel) -> UpdateResult:
     """One learning step: nu <- clamp(nu - L * e, 0, 1).
 
-    The kernel is convolved with the error on the error's (fine) grid,
+    The kernel is convolved with the error on the error's (fine) grid
+    (:func:`core.convolve`, a padded real FFT for the compact kernel),
     then sampled at the input's column positions; positions outside the
-    error grid take the nearest edge value.  ``correction`` holds the
-    signed values subtracted at the columns before clamping, and
-    ``clamp_count`` how many columns saturated.
+    error grid take the nearest edge value.  Where no non-zero error
+    lies within the kernel's reach the correction is exactly 0, so those
+    columns keep their input.  ``correction`` holds the signed values
+    subtracted at the columns before clamping, and ``clamp_count`` how
+    many columns saturated.
     """
     conv = convolve(e_rho, kernel.kernel)
     corr_cols = np.interp(nu.grid.samples, e_rho.grid.samples, conv.values)

@@ -233,6 +233,35 @@ def test_compact_kernel_matches_direct_sliding_sum():
     assert np.max(np.abs(out.values - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
+def test_compact_kernel_longer_than_its_field_matches_direct_quadrature():
+    # 41 taps over a 21-point field: every output sums the whole field
+    g = SpatialGrid1D(length=10.0, n_points=21)
+    kg = SpatialGrid1D(length=20.0, n_points=41)  # same dz = 0.5
+
+    def k(z):
+        return np.exp(-z / 3.0) * np.cos(z)
+
+    fv = np.random.default_rng(8).standard_normal(21)
+    out = convolve(RealField1D(grid=g, values=fv), RealField1D(grid=kg, values=k(kg.samples)))
+    z = g.samples
+    direct = g.dz * (k(z[:, None] - z[None, :]) @ fv)
+    assert np.max(np.abs(out.values - direct)) < 1e-13 * np.max(np.abs(direct))
+
+
+def test_compact_kernel_is_exactly_zero_beyond_the_field_reach():
+    g = SpatialGrid1D(length=100.0, n_points=201)
+    kg = SpatialGrid1D(length=10.0, n_points=21)  # reach of 10 samples
+    fv = np.zeros(201)
+    fv[100:120] = np.random.default_rng(9).standard_normal(20)
+    fv[150] = 1.0
+    out = convolve(RealField1D(grid=g, values=fv), RealField1D(grid=kg, values=_gaussian(kg, 4.0)))
+    reached = np.zeros(201, dtype=bool)
+    for j in np.flatnonzero(fv):
+        reached[max(j - 10, 0) : j + 11] = True
+    assert np.all(out.values[~reached] == 0.0)
+    assert np.all(out.values[reached] != 0.0)
+
+
 def test_compact_kernel_agrees_with_spectral_path():
     g = SpatialGrid1D(length=80.0, n_points=401)
     f = RealField1D(grid=g, values=_gaussian(g, 6.0))

@@ -267,6 +267,65 @@ def test_negative_seed_is_refused(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_seed_built_in_python_must_be_an_integer():
+    with pytest.raises(TypeError):
+        LoopSpec(seed=2.5)
+    seed = LoopSpec(seed=np.int64(7)).seed
+    assert seed == 7 and type(seed) is int
+
+
+_SPOT = {"center": 0.0, "width": 1.0, "depth": 0.1}
+# the 25 keys that hold a float in the reference scenario, the three
+# control settings that default to None, and the dark-spot keys
+_FLOAT_KEYS = (
+    [
+        (name, key)
+        for name, section in scenario_to_dict(ScenarioConfig()).items()
+        if isinstance(section, dict)
+        for key, value in section.items()
+        if type(value) is float
+    ]
+    + [("control", "gamma_nu"), ("control", "eps_opt"), ("control", "eps_mu")]
+    + [("spot", key) for key in _SPOT]
+)
+
+
+def test_float_keys_are_every_float_field_of_the_scenario():
+    assert len(_FLOAT_KEYS) == 25 + 3 + 3
+    annotated = {
+        (name, f.name)
+        for name, cls in harness._SECTIONS.items()
+        for f in dataclasses.fields(cls)
+        if f.init and f.type.startswith("float")
+    }
+    assert annotated == {k for k in _FLOAT_KEYS if k[0] != "spot"}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS, ids=[".".join(k) for k in _FLOAT_KEYS])
+def test_scenario_refuses_non_finite_floats(section, key, bad):
+    if section == "spot":
+        data = {"disturbances": [{"iteration": 1, "spots": [{**_SPOT, key: bad}]}]}
+        where = rf"'disturbances\[0\]\.spots': '{key}'"
+    else:
+        data = {section: {key: bad}}
+        where = f"'{section}': '{key}'"
+    with pytest.raises(ConfigError, match=rf"{where} must be finite, got {bad!r}$"):
+        scenario_from_dict(data)
+
+
+def test_cli_refuses_a_nan_scenario(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "build_scenario_lut", lambda cfg: pytest.fail("built a table"))
+    monkeypatch.setattr(harness, "prepare", lambda cfg: pytest.fail("prepared"))
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text('{"desired": {"k_v": NaN}}')
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'desired': 'k_v' must be finite, got nan" in err
+    assert not out.exists()
+
+
 def test_disturbance_schedule_must_be_sorted():
     a = DisturbanceEvent(iteration=5, spots=(DarkSpot(0.0, 1.0, 0.1),))
     b = DisturbanceEvent(iteration=2, spots=(DarkSpot(1.0, 1.0, 0.1),))
@@ -653,6 +712,29 @@ def test_loop_potential_is_the_plant_field_of_its_pattern(
         dist = inject_disturbances(scenario.disturbances, r.n)
         v_opt = potential_from_field(e_out, scenario.control.alpha_v, disturbance=dist)
         assert np.array_equal(r.extras["v_opt"], v_opt.values), r.n
+
+
+def test_loop_computes_the_potential_only_when_pattern_or_spots_change(
+    scenario, reference_lut, reference_prepared, reference_run, monkeypatch
+):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return potential_from_field(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "potential_from_field", counted)
+    run = run_closed_loop(scenario, lut=reference_lut, prepared=reference_prepared)
+    records = run.records
+    changed = [
+        n == 0
+        or records[n].extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
+        or inject_disturbances(scenario.disturbances, n)
+        != inject_disturbances(scenario.disturbances, n - 1)
+        for n in range(len(records))
+    ]
+    assert len(calls) == sum(changed) < len(records) // 2
+    assert [r.error_norm for r in records] == [r.error_norm for r in reference_run.records]
 
 
 def test_export_pbm_layout(tmp_path, reference_run):

@@ -288,6 +288,33 @@ def test_update_clamps_and_counts():
     assert np.all(res.nu.values[50:] == 0.5)
 
 
+def test_update_on_the_reference_kernel_matches_the_direct_sum(reference_prepared):
+    pre = reference_prepared
+    kernel = pre.kernel.kernel
+    g = pre.grid
+    rng = np.random.default_rng(21)
+    e = 0.3 * rng.standard_normal(g.n_points)
+    e[: g.n_points // 3] = 0.0
+    nu = VirtualInput(
+        field=RealField1D(grid=pre.col_grid, values=rng.uniform(0.0, 1.0, pre.col_grid.n_points))
+    )
+    res = update(nu, RealField1D(grid=g, values=e), pre.kernel)
+    # oracle: the direct sliding sum, sampled at the columns
+    direct = g.dz * np.convolve(e, kernel.values, mode="same")
+    corr = np.interp(pre.col_grid.samples, g.samples, direct)
+    raw = nu.values - corr
+    peak = np.max(np.abs(corr))
+    assert peak > 0.5
+    assert np.max(np.abs(res.correction - corr)) <= 1e-13 * peak
+    assert res.clamp_count == np.count_nonzero((raw < 0.0) | (raw > 1.0)) > 0
+    # columns between fine samples the error cannot reach keep their input
+    unreached = g.n_points // 3 - kernel.grid.n_points // 2 - 1
+    beyond = pre.col_grid.samples <= g.samples[unreached]
+    assert np.count_nonzero(beyond) > 50
+    assert np.all(res.correction[beyond] == 0.0)
+    assert np.array_equal(res.nu.values[beyond], nu.values[beyond])
+
+
 # ---------------------------------------------------- mode contraction
 
 
