@@ -8,8 +8,8 @@ Subcommands:
   run            run the closed loop and export all records
   report         verify an exported run and print a summary
 
-Exit codes: 0 success, 1 bad configuration or input, 2 solver failure,
-3 file system trouble.
+Exit codes: 0 success, 1 bad configuration or input (too large to
+allocate included), 2 solver failure, 3 file system trouble.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
 

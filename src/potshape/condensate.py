@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import RealField1D, require_same_grid
+from .core import RealField1D, check_positive, require_same_grid
 
 __all__ = [
     "CondensateParams",
@@ -75,10 +75,10 @@ class CondensateParams:
     omega_perp: float = 2.0 * np.pi * 1.4
 
     def __post_init__(self):
-        if self.mass <= 0 or self.omega_perp <= 0:
-            raise ValueError("mass and omega_perp must be positive")
-        if self.scattering_length < 0 or self.atom_number < 0:
-            raise ValueError("scattering_length and atom_number must be >= 0")
+        check_positive(self, "mass", "omega_perp")
+        for name in ("scattering_length", "atom_number"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @property
     def coupling(self) -> float:
@@ -100,8 +100,7 @@ class SolverConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.dtau <= 0 or self.tol <= 0 or self.max_steps < 1:
-            raise ValueError("dtau, tol and max_steps must be positive")
+        check_positive(self, "dtau", "max_steps", "tol")
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,8 @@ class MeasurementConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std!r}")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class SpatialGrid1D:
 
     def __post_init__(self):
         if not np.isfinite(self.length) or self.length <= 0:
-            raise ValueError("grid length must be positive and finite")
+            raise ValueError(f"grid length must be positive and finite, got {self.length!r}")
         try:
             object.__setattr__(self, "n_points", operator.index(self.n_points))
         except TypeError:
@@ -155,6 +155,14 @@ class Spectrum1D:
         k.flags.writeable = False
         object.__setattr__(self, "wavenumbers", k)
         object.__setattr__(self, "values", v)
+
+
+def check_positive(obj, *names):
+    """ValueError naming the first of the attributes ``names`` not > 0 (NaN is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 def integrate(f: RealField1D) -> float:

@@ -1,12 +1,12 @@
 """Scenario configuration and the closed-loop shaping experiment.
 
-A scenario bundles every physical and numerical constant of one desk
-run: grid, condensate, optics, magnetic trap, desired potential, mirror
-geometry, table and kernel settings, loop length, disturbance schedule
-and seeds.  ``prepare`` turns a scenario into the derived objects
-(calibrated beam, desired ground state, linearised gain, learning
-kernel).  ``run_closed_loop`` drives the measure-learn-apply cycle,
-one iteration per pass of its loop:
+A scenario bundles every constant one desk run chooses: grid,
+condensate, optics, magnetic trap, desired potential, mirror geometry,
+table, potential scale and headroom, loop, disturbances and seed.
+``prepare`` works out the derived objects (calibrated beam, desired
+ground state, gain, learning kernel), which are not scenario keys.
+``run_closed_loop`` drives the measure-learn-apply cycle, one iteration
+per pass of its loop:
 
   1. quantise the virtual input into a binary mirror pattern,
   2. sum each column of the pattern transversally on the optical axis,
@@ -48,7 +48,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, integrate
+from .core import RealField1D, SpatialGrid1D, check_positive, integrate
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -79,10 +79,10 @@ from .optics import (
     calibrate_beam,
     column_grid,
     column_response,
+    column_sums,
     e_perp_max,
     magnetic_potential,
     potential_from_field,
-    transversal_weights,
 )
 
 __all__ = [
@@ -147,8 +147,9 @@ class DmdSpec:
     pixel_pitch: float = 1.0
 
     def __post_init__(self):
-        if self.n_rows < 1 or self.n_columns < 2 or self.pixel_pitch <= 0:
-            raise ValueError("mirror array sizes out of range")
+        check_positive(self, "n_rows", "pixel_pitch")
+        if not self.n_columns >= 2:
+            raise ValueError(f"n_columns must be >= 2, got {self.n_columns!r}")
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,7 @@ class DesiredPotentialSpec:
     k_v: float = 7.53e-2
 
     def __post_init__(self):
-        if self.v_max <= 0 or self.k_v <= 0:
-            raise ValueError("v_max and k_v must be positive")
+        check_positive(self, "v_max", "k_v")
 
 
 @dataclass(frozen=True)
@@ -173,25 +173,21 @@ class LutSpec:
     generations: int = 200
 
     def __post_init__(self):
-        if self.n_nu < 2:
-            raise ValueError("n_nu must be at least 2")
+        if not self.n_nu >= 2:
+            raise ValueError(f"n_nu must be >= 2, got {self.n_nu!r}")
 
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """Kernel and gain settings; None picks the documented defaults
-    (gamma_nu = 1e-2 max|G|^2, eps_opt = 5% of max V_d, eps_mu = 5% of
-    omega_perp)."""
+    """V = alpha_v |E|^2; the beam is calibrated so the all-on potential
+    peaks at headroom * desired.v_max.  The kernel's regulariser and the
+    gain's thresholds are derived by ``prepare``, not set."""
 
-    gamma_nu: float | None = None
-    eps_opt: float | None = None
-    eps_mu: float | None = None
     alpha_v: float = 1.0
     headroom: float = 1.3
 
     def __post_init__(self):
-        if self.alpha_v <= 0 or self.headroom <= 0:
-            raise ValueError("alpha_v and headroom must be positive")
+        check_positive(self, "alpha_v", "headroom")
 
 
 @dataclass(frozen=True)
@@ -205,10 +201,9 @@ class LoopSpec:
     export_iterations: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0.0 <= self.nu_initial <= 1.0):
-            raise ValueError("nu_initial must lie in [0, 1]")
+        check_positive(self, "iterations")
+        if not 0.0 <= self.nu_initial <= 1.0:
+            raise ValueError(f"nu_initial must lie in [0, 1], got {self.nu_initial!r}")
         object.__setattr__(self, "seed", operator.index(self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -435,6 +430,8 @@ def desired_potential(spec: DesiredPotentialSpec, grid: SpatialGrid1D) -> RealFi
 class Prepared:
     """Everything derived from a scenario that the loop consumes.
 
+    ``beam`` carries the calibrated amplitude, ``gain`` and ``kernel`` the
+    derived thresholds and regulariser (all in ``run.json``'s ``derived``).
     ``column_response`` is the longitudinal response of every mirror
     column on the condensate grid (:func:`optics.column_response`).  It
     is the one optics operator of the loop: the plant's field is one
@@ -444,7 +441,6 @@ class Prepared:
     and is not kept.
     """
 
-    config: ScenarioConfig
     grid: SpatialGrid1D
     col_grid: SpatialGrid1D
     beam: BeamProfile
@@ -490,11 +486,9 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         cfg.condensate,
         e_max * beam.pz(grid.samples),
         alpha_v=cfg.control.alpha_v,
-        eps_opt=cfg.control.eps_opt,
-        eps_mu=cfg.control.eps_mu,
     )
     transfer = transfer_function(gain.alpha_bar, cfg.psf, grid)
-    kernel = design_kernel(transfer, cfg.control.gamma_nu)
+    kernel = design_kernel(transfer)
     log.info(
         "prepared scenario: mu_d=%.6g alpha_bar=%.6g gamma=%.6g kernel support %.4g um",
         gs_d.mu,
@@ -503,7 +497,6 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         kernel.kernel.grid.length,
     )
     return Prepared(
-        config=cfg,
         grid=grid,
         col_grid=col_grid,
         beam=beam,
@@ -584,11 +577,11 @@ def run_closed_loop(
     raised error as ``records``.
 
     The plant's field before disturbances, ``column_response`` times the
-    pattern's on-axis column sums, is computed only when the pattern's
-    bits differ from the previous iteration's, and the potential only
-    when the bits or the active dark spots differ; while the learning
-    law holds its input and no spot switches on, the pattern repeats and
-    the previous potential is reused.
+    pattern's :func:`optics.column_sums`, is computed only when the
+    pattern's bits differ from the previous iteration's, and the
+    potential only when the bits or the active dark spots differ; while
+    the law holds its input and no spot switches on, the pattern repeats
+    and the previous potential is reused.
     """
     if prepared is None:
         prepared = prepare(cfg)
@@ -602,10 +595,6 @@ def run_closed_loop(
             lut.psf_beam_sha256,
             expected,
         )
-    # on-axis transversal weights of the table's mirror rows; a column's
-    # field amplitude is the signed sum w0 @ bits (negative sinc lobes
-    # included), so the plant sees the pattern itself
-    w0 = transversal_weights(cfg.psf, prepared.beam, lut.n_t, lut.pitch, [0.0])[0]
     nu = VirtualInput(
         field=RealField1D(
             grid=prepared.col_grid,
@@ -622,7 +611,7 @@ def run_closed_loop(
             pattern.bits, records[-1].extras["pattern"].bits
         )
         if new_bits:
-            cols = prepared.beam.amplitude * (w0 @ pattern.bits)
+            cols = column_sums(pattern, cfg.psf, prepared.beam)
             e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
         if new_bits or dist != last_dist:
             v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)

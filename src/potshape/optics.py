@@ -10,14 +10,16 @@ transversal average coherent).  The illuminating beam is Gaussian in both
 directions.  The optical dipole potential is proportional to the squared
 field magnitude in the atom plane, evaluated on the y = 0 axis.
 
-The field is linear in the per-column transversal sums, and the
-longitudinal blur of each column has a closed form (an erf difference).
-``column_response`` tabulates that blur once, evaluating each row only on
-the band of columns near it: farther out both erfs of a column's edges
-round to the same exact +1 or -1, so the rest of the row is exactly zero.
+Only ``calibrate_beam`` sets the beam's amplitude.  The field is linear
+in the per-column on-axis sums (``column_sums``, shared by the loop's
+plant and ``propagate_full``), and the longitudinal blur of each column
+has a closed form (an erf difference).  ``column_response`` tabulates
+that blur once, evaluating each row only on the band of columns near
+it: farther out both erfs of a column's edges round to the same exact
++1 or -1, so the rest of the row is exactly zero.
 One field evaluation is then a single matrix-vector product.  The closed
 loop (``harness``) builds the matrix once and uses it twice: the plant
-feeds it the signed on-axis sums of the actual mirror pattern, and the
+feeds it the ``column_sums`` of the actual mirror pattern, and the
 control model in ``harness.level_update`` feeds it the change in the
 table's achieved values that a trial move would make.
 ``propagate_separable`` is the potential of one achieved amplitude per
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf, sici
 
-from .core import RealField1D, SpatialGrid1D
+from .core import RealField1D, SpatialGrid1D, check_positive
 
 __all__ = [
     "PsfModel",
@@ -54,6 +56,7 @@ __all__ = [
     "transversal_weights",
     "e_perp_max",
     "column_response",
+    "column_sums",
     "calibrate_beam",
     "propagate_full",
     "propagate_separable",
@@ -100,8 +103,7 @@ class PsfModel:
     _gy_norm: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
-        if self.sigma_z <= 0 or self.w_y <= 0 or self.gy_zero_cut < 1:
-            raise ValueError("psf widths must be positive")
+        check_positive(self, "sigma_z", "w_y", "gy_zero_cut")
         # integral of sinc(y/w) over the truncation window, via the sine
         # integral Si: int_{-a}^{a} sinc(t) dt = 2 Si(pi a) / pi.
         si, _ = sici(np.pi * self.gy_zero_cut)
@@ -139,16 +141,16 @@ class BeamProfile:
     """Gaussian illumination E_in(y, z) = amplitude * p_y(y) * p_z(z).
 
     The profiles follow p(u) = exp(-u^2 / sigma^2), i.e. sigma is the 1/e
-    half-width of the field amplitude.
+    half-width of the field amplitude.  The amplitude is 1 unless the beam
+    comes from :func:`calibrate_beam`, the only place that sets it.
     """
 
-    amplitude: float = 1.0
     sigma_y: float = 13.0
     sigma_z: float = 125.0
+    amplitude: float = field(default=1.0, init=False)
 
     def __post_init__(self):
-        if self.amplitude < 0 or self.sigma_y <= 0 or self.sigma_z <= 0:
-            raise ValueError("beam parameters out of range")
+        check_positive(self, "sigma_y", "sigma_z")
 
     def py(self, y):
         return np.exp(-((np.asarray(y, dtype=float) / self.sigma_y) ** 2))
@@ -188,9 +190,6 @@ class DmdPattern:
     def n_l(self) -> int:
         return self.bits.shape[1]
 
-    def row_centers(self) -> np.ndarray:
-        return row_centers(self.n_t, self.pixel_pitch)
-
     def column_centers(self) -> np.ndarray:
         return column_centers(self.n_l, self.pixel_pitch)
 
@@ -226,8 +225,9 @@ class DarkSpot:
     depth: float
 
     def __post_init__(self):
-        if not (0.0 < self.depth <= 1.0) or self.width <= 0:
-            raise ValueError("dark spot needs 0 < depth <= 1 and width > 0")
+        check_positive(self, "width")
+        if not 0.0 < self.depth <= 1.0:
+            raise ValueError(f"depth must lie in (0, 1], got {self.depth!r}")
 
 
 @dataclass(frozen=True)
@@ -258,10 +258,9 @@ class MagneticPotentialSpec:
     ripple_phase: float = 0.0
 
     def __post_init__(self):
-        if self.omega_par <= 0:
-            raise ValueError("trap frequency must be positive")
-        if self.ripple_amplitude < 0 or self.ripple_wavelength <= 0:
-            raise ValueError("ripple parameters out of range")
+        check_positive(self, "omega_par", "ripple_wavelength")
+        if not self.ripple_amplitude >= 0:
+            raise ValueError(f"ripple_amplitude must be >= 0, got {self.ripple_amplitude!r}")
 
 
 def magnetic_potential(spec: MagneticPotentialSpec, mass: float, grid: SpatialGrid1D) -> RealField1D:
@@ -312,17 +311,17 @@ def calibrate_beam(
     alpha_v: float = 1.0,
     headroom: float = 1.3,
 ) -> BeamProfile:
-    """Set the beam amplitude so the flat-beam, all-ones optical potential
-    peaks at ``headroom * v_max`` (evaluated with p_z = 1)."""
+    """The beam of ``beam``'s widths (its amplitude is not read) whose
+    flat-beam, all-ones optical potential peaks at ``headroom * v_max``
+    (evaluated with p_z = 1)."""
     target = np.sqrt(headroom * v_max / alpha_v)
-    # on-axis all-ones field per unit amplitude, independent of the
-    # amplitude being replaced (which may be zero)
+    # on-axis all-ones field per unit amplitude
     unit = float(transversal_weights(psf, beam, n_t, pitch, [0.0])[0].sum())
     if unit <= 0:
         raise ValueError("transversal weights sum to a non-positive field")
-    return BeamProfile(
-        amplitude=target / unit, sigma_y=beam.sigma_y, sigma_z=beam.sigma_z
-    )
+    out = BeamProfile(sigma_y=beam.sigma_y, sigma_z=beam.sigma_z)
+    object.__setattr__(out, "amplitude", target / unit)
+    return out
 
 
 def _check_pattern_support(pattern: DmdPattern, psf: PsfModel):
@@ -334,10 +333,12 @@ def _check_pattern_support(pattern: DmdPattern, psf: PsfModel):
         )
 
 
-def _column_sums(pattern: DmdPattern, psf: PsfModel, beam: BeamProfile) -> np.ndarray:
-    """Transversal pixel sum per column: sum_i bits[i, j] W0[i]."""
+def column_sums(pattern: DmdPattern, psf: PsfModel, beam: BeamProfile) -> np.ndarray:
+    """Signed on-axis field of each column, amplitude * sum_i bits[i, j] W0[i]
+    with W0 the on-axis :func:`transversal_weights` (negative sinc lobes
+    subtract); the loop's plant and :func:`propagate_full` blur these."""
     w0 = transversal_weights(psf, beam, pattern.n_t, pattern.pixel_pitch, [0.0])[0]
-    return w0 @ pattern.bits
+    return beam.amplitude * (w0 @ pattern.bits)
 
 
 def propagate_full(
@@ -346,10 +347,11 @@ def propagate_full(
     """On-axis image-plane field E(0, z) by direct pixel summation.
 
     Every mirror contributes the product of a transversal pixel integral
-    (g_y weighted by the beam, Gauss-Legendre) and a longitudinal one
-    (g_z weighted by the beam, Gauss-Legendre as well); the routine never
-    uses the closed-form Gaussian column response, so it serves as an
-    independent cross-check of :func:`propagate_separable`.
+    (g_y weighted by the beam, Gauss-Legendre, per column in
+    :func:`column_sums`) and a longitudinal one (g_z weighted by the beam,
+    Gauss-Legendre as well); the routine never uses the closed-form
+    column response, so it independently checks :func:`propagate_separable`
+    and the loop's ``column_response @ column_sums``.
 
     The sum runs over blocks of ``_ROW_BLOCK`` grid rows, each one g_z
     evaluation on its (rows, column nodes) matrix times the node
@@ -358,7 +360,7 @@ def propagate_full(
     fine the grid.
     """
     _check_pattern_support(pattern, psf)
-    cols = beam.amplitude * _column_sums(pattern, psf, beam)
+    cols = column_sums(pattern, psf, beam)
     centers = pattern.column_centers()
     half = 0.5 * pattern.pixel_pitch
     # longitudinal quadrature nodes, flattened over (column, node)

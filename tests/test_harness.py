@@ -7,15 +7,22 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potshape import harness
-from potshape.condensate import ConvergenceError
+from potshape.condensate import (
+    CondensateParams,
+    ConvergenceError,
+    MeasurementConfig,
+    SolverConfig,
+)
 from potshape.core import RealField1D, SpatialGrid1D
-from potshape.condensate import MeasurementConfig
 from potshape.harness import (
     ConfigError,
+    ControlSpec,
     DesiredPotentialSpec,
     DisturbanceEvent,
+    DmdSpec,
     GridSpec,
     IterationRecord,
     LoopSpec,
@@ -40,8 +47,11 @@ from potshape.harness import (
 from potshape.ilc import VirtualInput, density_error, scaled_error, update
 from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input
 from potshape.optics import (
+    BeamProfile,
     DarkSpot,
     DmdPattern,
+    MagneticPotentialSpec,
+    PsfModel,
     column_grid,
     potential_from_field,
     propagate_full,
@@ -215,13 +225,18 @@ def test_scenario_stores_integral_floats_as_integers():
     assert scenario_from_dict({"grid": {"length": 250}}).grid.length == 250
 
 
-# settings with a single value in every run, now constants or gone
+# settings with a single value in every run, now constants or gone, and
+# values that prepare works out (recorded in run.json's derived section)
 _DELETED_KEYS = [
     ("measurement", "seed", 5),
     ("measurement", "clamp_negative", False),
     ("psf", "gy_tab_range", 60.0),
     ("lut", "mutation_rate", 0.02),
     ("solver", "record_history", True),
+    ("beam", "amplitude", 7.0),
+    ("control", "gamma_nu", 1e-3),
+    ("control", "eps_opt", 2.0),
+    ("control", "eps_mu", 0.5),
 ]
 
 
@@ -229,6 +244,7 @@ _DELETED_KEYS = [
     "section, key, value", _DELETED_KEYS, ids=[f"{s}.{k}" for s, k, _ in _DELETED_KEYS]
 )
 def test_deleted_keys_are_refused(tmp_path, capsys, section, key, value):
+    assert key not in scenario_to_dict(ScenarioConfig())[section]
     data = {section: {key: value}}
     with pytest.raises(ConfigError, match=f"unknown keys in '{section}': {key}$"):
         scenario_from_dict(data)
@@ -253,6 +269,84 @@ def test_sections_built_in_python_refuse_fractional_counts():
     assert type(SpatialGrid1D(10.0, np.int64(30)).n_points) is int
 
 
+# every float field with a range check, and the other arguments its class needs
+_CHECKED_FLOATS = [
+    (SpatialGrid1D, {"n_points": 10}, "length"),
+    (CondensateParams, {}, "mass"),
+    (CondensateParams, {}, "scattering_length"),
+    (CondensateParams, {}, "atom_number"),
+    (CondensateParams, {}, "omega_perp"),
+    (PsfModel, {}, "sigma_z"),
+    (PsfModel, {}, "w_y"),
+    (BeamProfile, {}, "sigma_y"),
+    (BeamProfile, {}, "sigma_z"),
+    (MagneticPotentialSpec, {"omega_par": 1.0}, "omega_par"),
+    (MagneticPotentialSpec, {"omega_par": 1.0}, "ripple_amplitude"),
+    (MagneticPotentialSpec, {"omega_par": 1.0}, "ripple_wavelength"),
+    (DesiredPotentialSpec, {}, "v_max"),
+    (DesiredPotentialSpec, {}, "k_v"),
+    (DmdSpec, {}, "pixel_pitch"),
+    (ControlSpec, {}, "alpha_v"),
+    (ControlSpec, {}, "headroom"),
+    (LoopSpec, {}, "nu_initial"),
+    (SolverConfig, {}, "dtau"),
+    (SolverConfig, {}, "tol"),
+    (MeasurementConfig, {}, "noise_std"),
+    (DarkSpot, {"center": 0.0, "width": 1.0, "depth": 0.1}, "width"),
+    (DarkSpot, {"center": 0.0, "width": 1.0, "depth": 0.1}, "depth"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, key", _CHECKED_FLOATS, ids=[f"{c.__name__}.{k}" for c, _, k in _CHECKED_FLOATS]
+)
+def test_sections_built_in_python_refuse_nan(cls, args, key):
+    with pytest.raises(ValueError, match=rf"\b{key} must .*, got nan$"):
+        cls(**{**args, key: float("nan")})
+
+
+_BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 1e300, True, "x", None, [1]]
+# the 35 scenario keys and the four keys of a disturbance entry
+_SCENARIO_KEYS = [
+    (name, key)
+    for name, section in scenario_to_dict(ScenarioConfig()).items()
+    if isinstance(section, dict)
+    for key in section
+] + [("disturbances", key) for key in ("iteration", "center", "width", "depth")]
+
+
+@pytest.mark.parametrize(
+    "section, key", _SCENARIO_KEYS, ids=[".".join(k) for k in _SCENARIO_KEYS]
+)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(value=st.sampled_from(_BAD_VALUES))
+def test_a_bad_value_is_taken_or_refused_by_its_key(section, key, value):
+    # one value of the full reference scenario replaced
+    data = scenario_to_dict(ScenarioConfig())
+    if section == "disturbances":
+        event = data["disturbances"][0]
+        (event if key == "iteration" else event["spots"][0])[key] = value
+    else:
+        data[section][key] = value
+    try:
+        scenario_from_dict(data)
+    except ConfigError as exc:
+        assert key in str(exc)
+
+
+def test_cli_refuses_a_grid_too_large_to_allocate(tmp_path, capsys, monkeypatch):
+    def build(spec):
+        raise MemoryError(f"cannot allocate {spec.n_points} points")
+
+    monkeypatch.setattr(GridSpec, "build", build)
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text('{"grid": {"n_points": 1e12}}')
+    out = tmp_path / "state.csv"
+    assert cli.main(["groundstate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "invalid input: cannot allocate 1000000000000 points\n"
+    assert not out.exists()
+
+
 def test_negative_seed_is_refused(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="seed must be >= 0"):
         LoopSpec(seed=-1)
@@ -275,23 +369,20 @@ def test_seed_built_in_python_must_be_an_integer():
 
 
 _SPOT = {"center": 0.0, "width": 1.0, "depth": 0.1}
-# the 25 keys that hold a float in the reference scenario, the three
-# control settings that default to None, and the dark-spot keys
-_FLOAT_KEYS = (
-    [
-        (name, key)
-        for name, section in scenario_to_dict(ScenarioConfig()).items()
-        if isinstance(section, dict)
-        for key, value in section.items()
-        if type(value) is float
-    ]
-    + [("control", "gamma_nu"), ("control", "eps_opt"), ("control", "eps_mu")]
-    + [("spot", key) for key in _SPOT]
-)
+# the 24 keys that hold a float in the reference scenario and the
+# dark-spot keys
+_FLOAT_KEYS = [
+    (name, key)
+    for name, section in scenario_to_dict(ScenarioConfig()).items()
+    if isinstance(section, dict)
+    for key, value in section.items()
+    if type(value) is float
+] + [("spot", key) for key in _SPOT]
 
 
 def test_float_keys_are_every_float_field_of_the_scenario():
-    assert len(_FLOAT_KEYS) == 25 + 3 + 3
+    assert len(_FLOAT_KEYS) == 24 + 3
+    assert len(_SCENARIO_KEYS) == 35 + 4
     annotated = {
         (name, f.name)
         for name, cls in harness._SECTIONS.items()
@@ -473,7 +564,7 @@ def test_level_update_holds_corrections_below_half_a_step(small_prepared, small_
 
 
 def test_level_update_moves_onto_levels_and_lowers_the_predicted_error(
-    small_prepared, small_lut
+    small_scenario, small_prepared, small_lut
 ):
     pre = small_prepared
     nu, e = _support_bump(pre, 3.0, small_lut)
@@ -483,8 +574,9 @@ def test_level_update_moves_onto_levels_and_lowers_the_predicted_error(
     assert not np.array_equal(res.nu.values, nu.values)
     # the field change by the pixel sum of the applied and the held
     # pattern, through the linearised balance -alpha / (e_max p_z)
+    psf = small_scenario.psf
     fields = [
-        propagate_full(map_virtual_input(v.field, small_lut), pre.beam, pre.config.psf, pre.grid)
+        propagate_full(map_virtual_input(v.field, small_lut), pre.beam, psf, pre.grid)
         for v in (res.nu, nu)
     ]
     slope = -pre.gain.alpha.values / (pre.e_perp_max * pre.beam.pz(pre.grid.samples))

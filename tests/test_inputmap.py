@@ -31,7 +31,7 @@ from potshape.inputmap import (
     save_lut,
     solve_pattern,
 )
-from potshape.optics import BeamProfile, PsfModel, column_grid
+from potshape.optics import BeamProfile, PsfModel, calibrate_beam, column_grid
 
 
 @pytest.fixture(scope="module")
@@ -497,6 +497,8 @@ def test_psf_beam_hash_tracks_parameters():
     psf = PsfModel()
     h0 = psf_beam_hash(psf, BeamProfile(), 100, 1.0)
     assert h0 == psf_beam_hash(psf, BeamProfile(), 100, 1.0)
-    assert h0 != psf_beam_hash(psf, BeamProfile(amplitude=2.0), 100, 1.0)
+    # two beams of one width, calibrated to different headrooms
+    low, high = (calibrate_beam(psf, BeamProfile(), 100, 1.0, 50.0, headroom=h) for h in (1, 2))
+    assert psf_beam_hash(psf, low, 100, 1.0) != psf_beam_hash(psf, high, 100, 1.0)
     assert h0 != psf_beam_hash(psf, BeamProfile(), 99, 1.0)
     assert h0 != psf_beam_hash(PsfModel(sigma_z=3.0), BeamProfile(), 100, 1.0)

@@ -153,12 +153,10 @@ def test_calibration_hits_headroom_target():
     beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, headroom=1.3)
     target = np.sqrt(1.3 * V_MAX)
     assert e_perp_max(psf, beam, 100, 1.0) == pytest.approx(target, rel=1e-14)
-    # the incoming amplitude is replaced, a zero one included
-    for amplitude in (0.0, 3.0):
-        again = calibrate_beam(
-            psf, BeamProfile(amplitude=amplitude), 100, 1.0, v_max=V_MAX, headroom=1.3
-        )
-        assert again == beam
+    assert (beam.sigma_y, beam.sigma_z) == (BeamProfile().sigma_y, BeamProfile().sigma_z)
+    # the amplitude is set by the calibration only, not by the caller
+    with pytest.raises(TypeError):
+        BeamProfile(amplitude=3.0)
 
 
 # ----------------------------------------------------- magnetic potential
