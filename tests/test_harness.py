@@ -392,16 +392,32 @@ def test_float_keys_are_every_float_field_of_the_scenario():
     assert annotated == {k for k in _FLOAT_KEYS if k[0] != "spot"}
 
 
+# float keys that prepare now works out; a value given for one is refused
+# as an unknown key
+_DERIVED_FLOAT_KEYS = [
+    ("beam", "amplitude"),
+    ("control", "gamma_nu"),
+    ("control", "eps_opt"),
+    ("control", "eps_mu"),
+]
+_NON_FINITE_CASES = _FLOAT_KEYS + _DERIVED_FLOAT_KEYS
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
-@pytest.mark.parametrize("section, key", _FLOAT_KEYS, ids=[".".join(k) for k in _FLOAT_KEYS])
+@pytest.mark.parametrize(
+    "section, key", _NON_FINITE_CASES, ids=[".".join(k) for k in _NON_FINITE_CASES]
+)
 def test_scenario_refuses_non_finite_floats(section, key, bad):
     if section == "spot":
         data = {"disturbances": [{"iteration": 1, "spots": [{**_SPOT, key: bad}]}]}
-        where = rf"'disturbances\[0\]\.spots': '{key}'"
+        match = rf"'disturbances\[0\]\.spots': '{key}' must be finite, got {bad!r}$"
+    elif (section, key) in _DERIVED_FLOAT_KEYS:
+        data = {section: {key: bad}}
+        match = f"unknown keys in '{section}': {key}$"
     else:
         data = {section: {key: bad}}
-        where = f"'{section}': '{key}'"
-    with pytest.raises(ConfigError, match=rf"{where} must be finite, got {bad!r}$"):
+        match = rf"'{section}': '{key}' must be finite, got {bad!r}$"
+    with pytest.raises(ConfigError, match=match):
         scenario_from_dict(data)
 
 
