@@ -19,6 +19,7 @@ probability density in 1/um (atom number enters only through b).
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -235,6 +236,26 @@ def _rfft_weights(n: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def _split_step_constants(n: int, dz: float, dtau: float, mass: float) -> tuple:
+    """Read-only arrays of one (grid, step, mass): the rfft wavenumbers k,
+    the half kinetic step exp(-k^2 dtau / 4m), and the Parseval weights of
+    the norm, of the kinetic energy and of the carried spectrum's kinetic
+    energy read off the post-step one.  Kept per set of values, so the
+    warm solves of a loop build them once."""
+    k = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dz)
+    half_kin = np.exp(-(k**2) * dtau / (4.0 * mass))
+    # |phi|^2 and <phi|T|phi> = dz / n * sums of 1 and k^2/2m times
+    # |phi_k|^2 over the full spectrum
+    norm_weights = (dz / n) * _rfft_weights(n)
+    kin_weights = k**2 / (2.0 * mass) * norm_weights
+    carried_kin_weights = kin_weights * half_kin**2
+    out = (k, half_kin, norm_weights, kin_weights, carried_kin_weights)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _effective_potential(rho: np.ndarray, v_offset: np.ndarray, params) -> np.ndarray:
     """V + h(rho) for v_offset = V - omega_perp, in seven array operations.
 
@@ -314,14 +335,9 @@ def ground_state(
         phi = _initial_guess(potential, params)
     dz = grid.dz
     n = grid.n_points
-    k = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dz)
-    half_kin = np.exp(-(k**2) * cfg.dtau / (4.0 * params.mass))
-    # |phi|^2 and <phi|T|phi> = dz / n * sums of 1 and k^2/2m times
-    # |phi_k|^2 over the full spectrum
-    norm_weights = (dz / n) * _rfft_weights(n)
-    kin_weights = k**2 / (2.0 * params.mass) * norm_weights
-    # the kinetic energy of the carried spectrum, read off the post-step one
-    carried_kin_weights = kin_weights * half_kin**2
+    k, half_kin, norm_weights, kin_weights, carried_kin_weights = _split_step_constants(
+        n, dz, cfg.dtau, params.mass
+    )
     vvals = potential.values
     v_offset = vvals - params.omega_perp
 
@@ -467,13 +483,14 @@ def thomas_fermi_density(potential: RealField1D, params: CondensateParams):
 
 
 def measure_density(
-    rho: RealField1D, cfg: MeasurementConfig, rng: np.random.Generator
+    rho: RealField1D, cfg: MeasurementConfig, rng: np.random.Generator | None
 ) -> RealField1D:
     """Simulated destructive density measurement.
 
-    With noise_std = 0 the input is returned unchanged.  Otherwise
-    additive Gaussian noise is drawn from ``rng`` and negative samples are
-    clamped to 0, so the measurement stays a density.
+    With noise_std = 0 the input is returned unchanged and ``rng`` is not
+    read (None will do).  Otherwise additive Gaussian noise is drawn from
+    ``rng`` and negative samples are clamped to 0, so the measurement
+    stays a density.
     """
     if np.any(rho.values < 0):
         raise ValueError("density must be non-negative")

@@ -215,11 +215,30 @@ def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
         raise ValueError("compact kernel must have odd length and a sample at z = 0")
     n = g.n_points
     n_pad = scipy.fft.next_fast_len(max(n + mid, m), real=True)
-    prod = scipy.fft.rfft(f.values, n_pad) * scipy.fft.rfft(kv, n_pad)
+    prod = scipy.fft.rfft(f.values, n_pad) * _padded_rfft(kernel, n_pad)
     out = g.dz * scipy.fft.irfft(prod, n_pad)[mid : mid + n]
-    # non-zero field samples within +-mid of each output sample
-    count = np.concatenate(([0], np.cumsum(f.values != 0)))
-    i = np.arange(n)
-    reach = count[np.minimum(i + mid + 1, n)] - count[np.maximum(i - mid, 0)]
-    out[reach == 0] = 0.0
+    nonzero = f.values != 0
+    if not nonzero.all():
+        # running count of non-zero field samples, led by mid + 1 zeros and
+        # trailed by mid copies of the total: the two ends of sample i's
+        # window +-mid are elements i + 2 mid + 1 and i
+        count = np.cumsum(nonzero)
+        count = np.concatenate((np.zeros(mid + 1, int), count, np.full(mid, count[-1])))
+        out[count[2 * mid + 1 :] == count[:n]] = 0.0
     return RealField1D(grid=g, values=out)
+
+
+def _padded_rfft(kernel: RealField1D, n_pad: int) -> np.ndarray:
+    """Read-only rfft of a kernel's values zero padded to ``n_pad``.
+
+    A field's values never change, so the spectrum is kept on the kernel
+    itself, one per padded length: a loop that convolves with one kernel
+    transforms it once.
+    """
+    spectra = kernel.__dict__.setdefault("_padded_rfft", {})
+    spec = spectra.get(n_pad)
+    if spec is None:
+        spec = scipy.fft.rfft(kernel.values, n_pad)
+        spec.flags.writeable = False
+        spectra[n_pad] = spec
+    return spec

@@ -48,7 +48,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, check_positive, integrate
+from .core import RealField1D, SpatialGrid1D, check_positive
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -136,6 +136,11 @@ class GridSpec:
     length: float = 250.0
     n_points: int = 2700
 
+    def __post_init__(self):
+        check_positive(self, "length")
+        if not self.n_points >= 2:
+            raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
+
     def build(self) -> SpatialGrid1D:
         return SpatialGrid1D(length=self.length, n_points=self.n_points)
 
@@ -173,8 +178,10 @@ class LutSpec:
     generations: int = 200
 
     def __post_init__(self):
-        if not self.n_nu >= 2:
-            raise ValueError(f"n_nu must be >= 2, got {self.n_nu!r}")
+        lows = {"n_nu": 2, "gamma_perp": 0, "dy": 0, "population": 2, "generations": 1}
+        for name, low in lows.items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -354,7 +361,10 @@ def _typed(kind: str, value, where: str):
     raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _build_section(cls, data, name):
+def _build_section(cls, data, name, base=None):
+    """The section ``data`` as a ``cls``: the keys it gives replace those
+    of ``base`` (the reference scenario's section), or fill the class
+    defaults when there is no base."""
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be an object")
     kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
@@ -366,7 +376,7 @@ def _build_section(cls, data, name):
         for key, value in data.items()
     }
     try:
-        return cls(**typed)
+        return cls(**typed) if base is None else dataclasses.replace(base, **typed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad section '{name}': {exc}") from exc
 
@@ -377,10 +387,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     unknown = sorted(set(data) - set(_SECTIONS) - {"disturbances"})
     if unknown:
         raise ConfigError(f"unknown scenario sections: {', '.join(unknown)}")
+    reference = ScenarioConfig()
     kwargs = {}
     for name, cls in _SECTIONS.items():
         if name in data:
-            kwargs[name] = _build_section(cls, data[name], name)
+            kwargs[name] = _build_section(cls, data[name], name, getattr(reference, name))
     if "disturbances" in data:
         if not isinstance(data["disturbances"], (list, tuple)):
             raise ConfigError("'disturbances' must be a list")
@@ -437,8 +448,10 @@ class Prepared:
     is the one optics operator of the loop: the plant's field is one
     matrix-vector product per new pattern, and ``level_update`` predicts
     its trial moves with the span of the same matrix's columns they
-    move.  The plant spectrum G(k) is needed only to design ``kernel``
-    and is not kept.
+    move.  ``error_slope`` is that prediction's -alpha / p_z on the
+    grid: the linearised amplitude error per unit change of the on-axis
+    field over e_max.  The plant spectrum G(k) is needed only to design
+    ``kernel`` and is not kept.
     """
 
     grid: SpatialGrid1D
@@ -452,6 +465,7 @@ class Prepared:
     mu_desired: float
     gain: GainProfile
     kernel: LearningKernel
+    error_slope: np.ndarray
 
 
 def _calibrated_beam(cfg: ScenarioConfig) -> BeamProfile:
@@ -489,6 +503,8 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
     )
     transfer = transfer_function(gain.alpha_bar, cfg.psf, grid)
     kernel = design_kernel(transfer)
+    slope = -gain.alpha.values / beam.pz(grid.samples)
+    slope.flags.writeable = False
     log.info(
         "prepared scenario: mu_d=%.6g alpha_bar=%.6g gamma=%.6g kernel support %.4g um",
         gs_d.mu,
@@ -508,6 +524,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         mu_desired=gs_d.mu,
         gain=gain,
         kernel=kernel,
+        error_slope=slope,
     )
 
 
@@ -560,7 +577,16 @@ class RunResult:
 
 
 def error_norm(e: RealField1D) -> float:
-    return float(np.sqrt(integrate(RealField1D(grid=e.grid, values=e.values**2))))
+    return _error_norm(e.values, e.grid.dz)
+
+
+def _error_norm(values: np.ndarray, dz: float) -> float:
+    """L2 norm of error samples on a grid of spacing dz, trapezoid rule;
+    a ValueError if a squared sample is not finite."""
+    squared = values**2
+    if not np.all(np.isfinite(squared)):
+        raise ValueError("error values must be finite")
+    return float(np.sqrt(np.trapezoid(squared, dx=dz)))
 
 
 def run_closed_loop(
@@ -576,12 +602,14 @@ def run_closed_loop(
     solver failure the records collected so far are attached to the
     raised error as ``records``.
 
-    The plant's field before disturbances, ``column_response`` times the
-    pattern's :func:`optics.column_sums`, is computed only when the
-    pattern's bits differ from the previous iteration's, and the
-    potential only when the bits or the active dark spots differ; while
-    the law holds its input and no spot switches on, the pattern repeats
-    and the previous potential is reused.
+    The pattern, its hash and the plant's field before disturbances
+    (``column_response`` times the pattern's :func:`optics.column_sums`)
+    are computed only when the input's table indices differ from the
+    previous iteration's, and the potential only when the indices or the
+    active dark spots differ; while the law holds its input and no spot
+    switches on, the pattern repeats and the previous potential is
+    reused.  A noise generator is seeded only when the measurement is
+    noisy.
     """
     if prepared is None:
         prepared = prepare(cfg)
@@ -603,17 +631,19 @@ def run_closed_loop(
     )
     phi = None
     last_dist = None
+    last_index = None
     records = []
     for n in range(cfg.loop.iterations):
-        pattern = map_virtual_input(nu.field, lut)
+        index = lut.nearest_index(nu.values)
         dist = inject_disturbances(cfg.disturbances, n)
-        new_bits = not records or not np.array_equal(
-            pattern.bits, records[-1].extras["pattern"].bits
-        )
-        if new_bits:
+        new_pattern = last_index is None or not np.array_equal(index, last_index)
+        if new_pattern:
+            last_index = index
+            pattern = map_virtual_input(nu.field, lut)
+            pattern_sha256 = pattern.sha256()
             cols = column_sums(pattern, cfg.psf, prepared.beam)
             e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
-        if new_bits or dist != last_dist:
+        if new_pattern or dist != last_dist:
             v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
             v = RealField1D(
                 grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values
@@ -630,7 +660,9 @@ def run_closed_loop(
             exc.records = tuple(records)
             raise
         phi = gs.phi
-        rng = np.random.default_rng([cfg.loop.seed, 7, n])
+        rng = None
+        if cfg.measurement.noise_std > 0:
+            rng = np.random.default_rng([cfg.loop.seed, 7, n])
         rho_m = measure_density(gs.density, cfg.measurement, rng)
         e = density_error(rho_m, prepared.rho_desired)
         res = level_update(nu, e, prepared, lut)
@@ -645,7 +677,7 @@ def run_closed_loop(
                 extras={
                     "solver_steps": gs.n_steps,
                     "pattern": pattern,
-                    "pattern_sha256": pattern.sha256(),
+                    "pattern_sha256": pattern_sha256,
                     "v": v.values,
                     "v_opt": v_opt.values,
                     "rho": rho_m.values,
@@ -675,7 +707,8 @@ def level_update(
     -(alpha / p_z) A d in the linearised local balance (alpha carries
     the field per unit input, e_max p_z).  d is zero outside the span
     from the first to the last column the move changes level, so only
-    that span of A's columns (a view, not a copy) is multiplied.  A move
+    that span of A's columns (a view, not a copy) is multiplied; -alpha
+    / p_z is built once, by ``prepare``, as ``error_slope``.  A move
     predicted to raise the error is not applied: the correction is
     halved until the prediction falls, and the input stays on its levels
     once no column would move.  A trial that moves no column (every
@@ -689,7 +722,6 @@ def level_update(
     res = update(nu, scaled_error(e, prepared.gain), prepared.kernel)
     current = lut.nearest_index(nu.values)
     held = levels[current]
-    slope = -prepared.gain.alpha.values / prepared.beam.pz(prepared.grid.samples)
     err = error_norm(e)
     corr = res.correction
     while np.max(np.abs(corr)) > half_step:
@@ -698,8 +730,8 @@ def level_update(
         if moved.size:
             span = slice(moved[0], moved[-1] + 1)
             d = achieved[trial[span]] - achieved[current[span]]
-            de = slope * (prepared.column_response[:, span] @ d)
-            if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < err:
+            de = prepared.error_slope * (prepared.column_response[:, span] @ d)
+            if _error_norm(e.values + de, e.grid.dz) < err:
                 held = levels[trial]
                 break
         corr = 0.5 * corr
@@ -897,7 +929,8 @@ def load_run(out_dir) -> dict:
     """Read an exported run back: run.json, norms and field tables.
 
     A damaged export raises :class:`ConfigError` naming the file and the
-    key, column or line at fault.
+    key, column or line at fault; the export writes finite numbers only,
+    so a NaN or infinite cell is damage too.
     """
     meta_path = os.path.join(out_dir, "run.json")
     try:
@@ -928,7 +961,11 @@ def load_run(out_dir) -> dict:
             try:
                 if len(cells) != len(header):
                     raise ValueError(f"{len(cells)} cells for {len(header)} columns")
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
+                for c, value in zip(cells, row):
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite value {c!r}")
+                rows.append(row)
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {k}: {exc}") from exc
         return {h: np.array([r[i] for r in rows]) for i, h in enumerate(header)}
@@ -948,17 +985,18 @@ def load_run(out_dir) -> dict:
 def report(out_dir) -> dict:
     """Recompute error norms from exported fields and verify the CSV.
 
-    Returns a summary dict with ok flag (worst mismatch at most
-    _REPORT_TOL), per-iteration norms, and the worst recomputation
-    mismatch.  An export without iterations, or without the norm of an
-    exported iteration, raises :class:`ConfigError`.
+    Returns a summary dict with ok flag (every mismatch at most
+    _REPORT_TOL, so a NaN mismatch fails), per-iteration norms, and the
+    worst recomputation mismatch.  An export without iterations, or
+    without the norm of an exported iteration, raises
+    :class:`ConfigError`.
     """
     data = load_run(out_dir)
     norms = data["norms"]
     norms_path = os.path.join(out_dir, "error_norms.csv")
     if len(norms["n"]) == 0:
         raise ConfigError(f"{norms_path}: holds no iterations")
-    worst = 0.0
+    ok = True
     checked = []
     for n, cols in data["fields"].items():
         z = cols["z"]
@@ -969,12 +1007,12 @@ def report(out_dir) -> dict:
             raise ConfigError(f"{norms_path}: no row for exported iteration {n}")
         stored = float(norms["error_norm"][row[0]])
         mismatch = abs(recomputed - stored)
-        worst = max(worst, mismatch)
+        ok = ok and mismatch <= _REPORT_TOL
         checked.append((int(n), stored, recomputed, mismatch))
     e0 = float(norms["error_norm"][0])
     summary = {
-        "ok": worst <= _REPORT_TOL,
-        "worst_mismatch": worst,
+        "ok": ok,
+        "worst_mismatch": float(np.max([c[3] for c in checked], initial=0.0)),
         "checked": checked,
         "iterations": len(norms["n"]),
         "initial_norm": e0,

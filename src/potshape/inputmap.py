@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -575,6 +576,27 @@ def _pattern(text) -> TransversalPattern:
     return TransversalPattern(bits=[int(c) for c in text])
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _positive(value) -> float:
+    x = _finite(value)
+    if not x > 0:
+        raise ValueError("not > 0")
+    return x
+
+
+def _non_negative(value) -> float:
+    x = _finite(value)
+    if not x >= 0:
+        raise ValueError("not >= 0")
+    return x
+
+
 def _field(obj: dict, key: str, convert, what: str):
     """``convert(obj[key])``; a value that does not convert is a ValueError
     naming ``what`` and the key."""
@@ -589,10 +611,12 @@ def load_lut(path) -> Lut:
 
     Refuses with a ValueError naming the fault a file that is not a JSON
     object, lacks a header key or an entry field, holds a field of the
-    wrong type, or whose entries do not form a table the closed loop can
-    address: a bit string of the wrong length, a ``nu`` off the grid
-    k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, decreasing
-    achieved values, or two entries with one bit pattern.
+    wrong type or out of its range (entry numbers must be finite, the
+    pitch > 0, ``dy`` and ``gamma_perp`` >= 0), or whose entries do not
+    form a table the closed loop can address: a bit string of the wrong
+    length, a ``nu`` off the grid k / (n_nu - 1) that
+    :meth:`Lut.nearest_index` assumes, decreasing achieved values, or two
+    entries with one bit pattern.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -605,10 +629,10 @@ def load_lut(path) -> Lut:
         _require_keys(e, _LUT_ENTRY_KEYS, f"entry {k}")
     entries = tuple(
         LutEntry(
-            nu=_field(e, "nu", float, f"entry {k}"),
+            nu=_field(e, "nu", _finite, f"entry {k}"),
             pattern=_field(e, "bits", _pattern, f"entry {k}"),
-            achieved=_field(e, "achieved", float, f"entry {k}"),
-            residual=_field(e, "residual", float, f"entry {k}"),
+            achieved=_field(e, "achieved", _finite, f"entry {k}"),
+            residual=_field(e, "residual", _finite, f"entry {k}"),
         )
         for k, e in enumerate(data["entries"])
     )
@@ -629,9 +653,9 @@ def load_lut(path) -> Lut:
     return Lut(
         entries=entries,
         n_t=n_t,
-        pitch=_field(data, "pitch", float, "table header"),
-        gamma_perp=_field(data, "gamma_perp", float, "table header"),
-        dy=_field(data, "dy", float, "table header"),
+        pitch=_field(data, "pitch", _positive, "table header"),
+        gamma_perp=_field(data, "gamma_perp", _non_negative, "table header"),
+        dy=_field(data, "dy", _non_negative, "table header"),
         psf_beam_sha256=str(data["psf_beam_sha256"]),
         seed=_field(data, "seed", operator.index, "table header"),
     )

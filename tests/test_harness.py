@@ -7,6 +7,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from potshape import harness
@@ -26,6 +27,7 @@ from potshape.harness import (
     GridSpec,
     IterationRecord,
     LoopSpec,
+    LutSpec,
     RunResult,
     ScenarioConfig,
     _write_pbm,
@@ -225,6 +227,46 @@ def test_scenario_stores_integral_floats_as_integers():
     assert scenario_from_dict({"grid": {"length": 250}}).grid.length == 250
 
 
+def test_a_partial_section_keeps_the_reference_values_it_omits():
+    reference = ScenarioConfig()
+    solver = scenario_from_dict({"solver": {"tol": 1e-9}}).solver
+    assert solver == dataclasses.replace(reference.solver, tol=1e-9)
+    assert (solver.dtau, solver.max_steps) == (0.05, 60_000)
+    magnetic = scenario_from_dict({"magnetic": {"ripple_phase": 0.3}}).magnetic
+    assert magnetic == dataclasses.replace(reference.magnetic, ripple_phase=0.3)
+    magnetic = scenario_from_dict({"magnetic": {"omega_par": 0.044}}).magnetic
+    assert magnetic.omega_par == 0.044
+    assert magnetic.ripple_amplitude == reference.magnetic.ripple_amplitude > 0
+    # every section given in part equals the reference section with that key replaced
+    for name, section in scenario_to_dict(reference).items():
+        if not isinstance(section, dict):
+            continue
+        key, value = next(iter(section.items()))
+        built = getattr(scenario_from_dict({name: {key: value}}), name)
+        assert built == getattr(reference, name), name
+
+
+_OUT_OF_RANGE = [
+    ("lut", "dy", -1.0, "dy must be >= 0, got -1.0"),
+    ("lut", "gamma_perp", -0.5, "gamma_perp must be >= 0, got -0.5"),
+    ("lut", "population", 1, "population must be >= 2, got 1"),
+    ("lut", "generations", 0, "generations must be >= 1, got 0"),
+    ("grid", "length", 0.0, "length must be > 0, got 0.0"),
+    ("grid", "length", -250.0, "length must be > 0, got -250.0"),
+    ("grid", "n_points", 1, "n_points must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    _OUT_OF_RANGE,
+    ids=[f"{s}.{k}={v}" for s, k, v, _ in _OUT_OF_RANGE],
+)
+def test_out_of_range_table_and_grid_keys_are_refused(section, key, value, message):
+    with pytest.raises(ConfigError, match=f"^bad section '{section}': {message}$"):
+        scenario_from_dict({section: {key: value}})
+
+
 # settings with a single value in every run, now constants or gone, and
 # values that prepare works out (recorded in run.json's derived section)
 _DELETED_KEYS = [
@@ -272,6 +314,9 @@ def test_sections_built_in_python_refuse_fractional_counts():
 # every float field with a range check, and the other arguments its class needs
 _CHECKED_FLOATS = [
     (SpatialGrid1D, {"n_points": 10}, "length"),
+    (GridSpec, {}, "length"),
+    (LutSpec, {}, "gamma_perp"),
+    (LutSpec, {}, "dy"),
     (CondensateParams, {}, "mass"),
     (CondensateParams, {}, "scattering_length"),
     (CondensateParams, {}, "atom_number"),
@@ -527,6 +572,44 @@ def test_loop_under_measurement_noise(small_scenario, small_prepared, small_lut)
     assert not np.array_equal(other[0].e_rho, first[0].e_rho)
     # noisy densities are clamped at 0, so every measurement is a density
     assert all(np.min(r.extras["rho"]) >= 0.0 for r in first + other)
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 1e-4])
+def test_noise_is_drawn_from_one_stream_per_iteration(
+    monkeypatch, small_scenario, small_prepared, small_lut, noise_std
+):
+    # a noisy measurement is the solved density plus the draws of the
+    # stream seeded by (loop.seed, 7, n), clamped at 0, and its record
+    # holds it; a noise-free run seeds no stream at all
+    cfg = dataclasses.replace(
+        small_scenario,
+        measurement=MeasurementConfig(noise_std=noise_std),
+        loop=dataclasses.replace(small_scenario.loop, iterations=3),
+    )
+    solved, seeded = [], []
+    measure = harness.measure_density
+    default_rng = np.random.default_rng
+
+    def measured(rho, mcfg, rng):
+        solved.append(rho.values)
+        return measure(rho, mcfg, rng)
+
+    def counted_rng(seed):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(harness, "measure_density", measured)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    records = run_closed_loop(cfg, lut=small_lut, prepared=small_prepared).records
+    monkeypatch.undo()
+    if noise_std == 0.0:
+        assert seeded == []
+    else:
+        assert seeded == [[cfg.loop.seed, 7, n] for n in range(3)]
+    for n, (r, rho) in enumerate(zip(records, solved)):
+        noise = default_rng([cfg.loop.seed, 7, n]).normal(0.0, noise_std, size=rho.shape)
+        want = np.clip(rho + noise, 0.0, None) if noise_std else rho
+        assert np.array_equal(r.extras["rho"], want)
 
 
 def test_loop_failure_carries_the_records_so_far(
@@ -845,6 +928,44 @@ def test_loop_computes_the_potential_only_when_pattern_or_spots_change(
     assert [r.error_norm for r in records] == [r.error_norm for r in reference_run.records]
 
 
+def test_loop_maps_and_transforms_only_what_changed(
+    scenario, reference_lut, reference_prepared, reference_run, monkeypatch
+):
+    # the pattern is built once per iteration whose table indices differ
+    # from the previous iteration's, and the learning kernel is transformed
+    # once per run; the records are those of the reference run
+    lut = reference_lut
+    k = reference_prepared.kernel.kernel
+    fresh = RealField1D(grid=k.grid, values=k.values)
+    prepared = dataclasses.replace(
+        reference_prepared, kernel=dataclasses.replace(reference_prepared.kernel, kernel=fresh)
+    )
+    mapped, kernel_transforms = [], []
+    map_input = harness.map_virtual_input
+    rfft = scipy.fft.rfft
+
+    def counted_map(nu, table):
+        mapped.append(1)
+        return map_input(nu, table)
+
+    def counted_rfft(x, *args, **kwargs):
+        kernel_transforms.append(x is fresh.values)
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "map_virtual_input", counted_map)
+    monkeypatch.setattr(scipy.fft, "rfft", counted_rfft)
+    records = run_closed_loop(scenario, lut=lut, prepared=prepared).records
+    monkeypatch.undo()
+    index = [lut.nearest_index(r.nu) for r in records]
+    changed = [n == 0 or not np.array_equal(index[n], index[n - 1]) for n in range(len(records))]
+    assert len(mapped) == sum(changed) == 19
+    assert sum(kernel_transforms) == 1
+    for r, want in zip(records, reference_run.records):
+        assert r.error_norm == want.error_norm and r.mu == want.mu
+        assert r.extras["pattern_sha256"] == want.extras["pattern_sha256"]
+        assert r.extras["pattern_sha256"] == r.extras["pattern"].sha256()
+
+
 def test_export_pbm_layout(tmp_path, reference_run):
     out = tmp_path / "run"
     export_records(reference_run, out)
@@ -987,14 +1108,39 @@ def _drop_norm_row(path):
     path.write_text("".join(lines[:2] + lines[3:]))  # the row of n = 1
 
 
+def _set_cell(column, value):
+    """Damage that writes ``value`` into ``column`` of the second data row."""
+
+    def damage(path):
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[2].rstrip("\n").split(",")
+        cells[lines[0].rstrip("\n").split(",").index(column)] = value
+        lines[2] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "name, damage, message",
     [
         ("fields_0001.csv", _cut_row, "fields_0001.csv: line 3: 3 cells for 6 columns"),
         ("run.json", _drop_export_iterations, "run.json: 'export_iterations' is missing"),
         ("error_norms.csv", _drop_norm_row, "error_norms.csv: no row for exported iteration 1"),
+        ("fields_0001.csv", _set_cell("e_rho", "nan"), "line 3: non-finite value 'nan'"),
+        ("fields_0001.csv", _set_cell("e_rho", "inf"), "line 3: non-finite value 'inf'"),
+        ("error_norms.csv", _set_cell("error_norm", "nan"), "line 3: non-finite value 'nan'"),
+        ("error_norms.csv", _set_cell("error_norm", "-inf"), "line 3: non-finite value '-inf'"),
     ],
-    ids=["short-row", "no-export-list", "missing-norm"],
+    ids=[
+        "short-row",
+        "no-export-list",
+        "missing-norm",
+        "nan-field",
+        "inf-field",
+        "nan-norm",
+        "inf-norm",
+    ],
 )
 def test_cli_report_names_the_damaged_file(
     tmp_path, small_scenario, small_prepared, small_lut, capsys, name, damage, message

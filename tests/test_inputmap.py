@@ -455,6 +455,21 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         bad.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=f"table header has an invalid '{key}': {value!r}"):
             load_lut(bad)
+    # the pitch must be > 0, the penalty's reach and weight >= 0
+    for key, value in (
+        ("pitch", float("nan")),
+        ("pitch", -1.0),
+        ("pitch", 0.0),
+        ("dy", -1.0),
+        ("dy", float("inf")),
+        ("gamma_perp", -0.3),
+        ("gamma_perp", float("nan")),
+    ):
+        d = _lut_to_dict(fast_lut)
+        d[key] = value
+        bad.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"table header has an invalid '{key}': {value!r}$"):
+            load_lut(bad)
     d = _lut_to_dict(fast_lut)
     d["entries"] = {"0": d["entries"][0]}
     bad.write_text(json.dumps(d))
@@ -476,6 +491,11 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
             r"entry 3 has an invalid 'bits': \[1.9, 0.2, 0",
         ),
         (lambda es: es[5].update(residual="small"), "entry 5 has an invalid 'residual'"),
+        # numbers the loop would carry into its fields, or silently keep
+        (lambda es: es[5].update(nu=float("nan")), "entry 5 has an invalid 'nu': nan"),
+        (lambda es: es[4].update(achieved=float("inf")), "entry 4 has an invalid 'achieved': inf"),
+        (lambda es: es[5].update(residual=float("nan")), "entry 5 has an invalid 'residual': nan"),
+        (lambda es: es[0].update(residual=float("-inf")), "entry 0 has an invalid 'residual': -inf"),
     ):
         d = _lut_to_dict(fast_lut)
         edit(d["entries"])
