@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,7 +73,10 @@ def _cmd_groundstate(args) -> int:
         grid = cfg.grid.build()
         v = harness.desired_potential(cfg.desired, grid)
     else:
-        data = np.loadtxt(args.potential, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            # a header without rows is refused below, by its shape
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(args.potential, delimiter=",", skiprows=1)
         if data.ndim != 2 or data.shape[1] < 2:
             raise ConfigError(f"{args.potential}: expected CSV columns z,v")
         grid = SpatialGrid1D.from_samples(data[:, 0])

@@ -365,44 +365,52 @@ def ground_state(
     converged = False
     steps = 0
     mu = last_change = np.nan
-    while True:
-        # the pre-potential state phi_a and its mu, from the V + h(rho)
-        # that the potential step applies
-        np.multiply(post, half_kin / np.sqrt(nrm), out=carried)
-        phi = scipy.fft.irfft(carried, n)
-        np.multiply(phi, phi, out=rho)
-        w = _effective_potential(rho, v_offset, params)
-        kinetic = float(np.dot(carried_kin_weights, power)) / nrm
-        mu_new = (kinetic + _trapezoid(w * rho, dz)) / _trapezoid(rho, dz)
-        if not np.isfinite(mu_new):
-            raise ConvergenceError("chemical potential became non-finite")
-        if steps > 0:
-            last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
-            if last_change < cfg.tol:
-                converged = True
+    def failure(what):
+        return ConvergenceError(
+            f"{what} after {steps} imaginary-time steps of dtau = {cfg.dtau:g}"
+        )
+
+    # a potential too high or too low for dtau underflows or overflows the
+    # state; numpy stays quiet and the finiteness checks name the cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            # the pre-potential state phi_a and its mu, from the V + h(rho)
+            # that the potential step applies
+            np.multiply(post, half_kin / np.sqrt(nrm), out=carried)
+            phi = scipy.fft.irfft(carried, n)
+            np.multiply(phi, phi, out=rho)
+            w = _effective_potential(rho, v_offset, params)
+            kinetic = float(np.dot(carried_kin_weights, power)) / nrm
+            mu_new = (kinetic + _trapezoid(w * rho, dz)) / _trapezoid(rho, dz)
+            if not np.isfinite(mu_new):
+                raise failure("chemical potential became non-finite")
+            if steps > 0:
+                last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
+                if last_change < cfg.tol:
+                    converged = True
+                    break
+            mu = mu_new
+            if steps == cfg.max_steps:
                 break
-        mu = mu_new
-        if steps == cfg.max_steps:
-            break
-        w *= -cfg.dtau
-        phi *= np.exp(w, out=w)
-        post = scipy.fft.rfft(phi)
-        post *= half_kin
-        steps += 1
-        power = post.real**2 + post.imag**2
-        nrm = float(np.dot(norm_weights, power))
-        if not np.isfinite(nrm) or nrm <= 0:
-            raise ConvergenceError(
-                f"wave function became non-finite after {steps} imaginary-time steps"
-            )
-        if record_history:
-            _, rho_b, kinetic, mu_b = post_step_state(post, power)
-            mus.append(mu_b)
-            energies.append(
-                kinetic
-                + _trapezoid(vvals * rho_b + interaction_energy_density(rho_b, params), dz)
-            )
-            norms.append(_trapezoid(rho_b, dz))
+            w *= -cfg.dtau
+            phi *= np.exp(w, out=w)
+            post = scipy.fft.rfft(phi)
+            post *= half_kin
+            steps += 1
+            power = post.real**2 + post.imag**2
+            nrm = float(np.dot(norm_weights, power))
+            if not np.isfinite(nrm):
+                raise failure("wave function overflowed")
+            if nrm <= 0:
+                raise failure("wave function vanished (its norm underflowed to 0)")
+            if record_history:
+                _, rho_b, kinetic, mu_b = post_step_state(post, power)
+                mus.append(mu_b)
+                energies.append(
+                    kinetic
+                    + _trapezoid(vvals * rho_b + interaction_energy_density(rho_b, params), dz)
+                )
+                norms.append(_trapezoid(rho_b, dz))
     phi, _, _, mu = post_step_state(post, power)
     # fix the global sign; the ground state is nodeless and positive
     if phi[np.argmax(np.abs(phi))] < 0:

@@ -166,7 +166,11 @@ def check_positive(obj, *names):
 
 
 def integrate(f: RealField1D) -> float:
-    """Trapezoidal integral of a sampled field over its domain."""
+    """Trapezoidal integral of a sampled field over its domain.
+
+    Nothing in ``src/`` calls it: the solver and the loop sum on arrays.
+    It is the tests' independent trapezoid oracle, kept for them.
+    """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("cannot integrate non-finite values")
     return float(np.trapezoid(f.values, dx=f.grid.dz))

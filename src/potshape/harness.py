@@ -52,14 +52,12 @@ from .core import RealField1D, SpatialGrid1D, check_positive
 from .ilc import (
     GainProfile,
     LearningKernel,
-    UpdateResult,
-    VirtualInput,
+    correction,
     density_error,
     design_kernel,
     gain_profile,
     scaled_error,
     transfer_function,
-    update,
 )
 from .inputmap import (
     Lut,
@@ -448,10 +446,15 @@ class Prepared:
     is the one optics operator of the loop: the plant's field is one
     matrix-vector product per new pattern, and ``level_update`` predicts
     its trial moves with the span of the same matrix's columns they
-    move.  ``error_slope`` is that prediction's -alpha / p_z on the
-    grid: the linearised amplitude error per unit change of the on-axis
-    field over e_max.  The plant spectrum G(k) is needed only to design
-    ``kernel`` and is not kept.
+    move.  ``column_rows`` holds, for every column j, the first row
+    ``column_rows[0, j]`` and one past the last row ``column_rows[1, j]``
+    where that column is non-zero, read off the matrix itself; a column
+    no grid row reaches has the empty range (n_points, 0).  Outside its
+    rows a column is exactly 0, so a span's product is exactly 0 outside
+    the rows its columns reach.  ``error_slope`` is the prediction's
+    -alpha / p_z on the grid: the linearised amplitude error per unit
+    change of the on-axis field over e_max.  The plant spectrum G(k) is
+    needed only to design ``kernel`` and is not kept.
     """
 
     grid: SpatialGrid1D
@@ -459,6 +462,7 @@ class Prepared:
     beam: BeamProfile
     e_perp_max: float
     column_response: np.ndarray
+    column_rows: np.ndarray
     v_magnetic: RealField1D
     v_desired: RealField1D
     rho_desired: RealField1D
@@ -478,6 +482,22 @@ def _calibrated_beam(cfg: ScenarioConfig) -> BeamProfile:
         alpha_v=cfg.control.alpha_v,
         headroom=cfg.control.headroom,
     )
+
+
+def _column_rows(resp: np.ndarray) -> np.ndarray:
+    """Read-only (2, n_columns) first and one-past-last non-zero row of
+    every column of ``resp``; (n_rows, 0) for a column of zeros."""
+    nonzero = resp != 0.0
+    n_rows = resp.shape[0]
+    reached = nonzero.any(axis=0)
+    rows = np.array(
+        [
+            np.where(reached, nonzero.argmax(axis=0), n_rows),
+            np.where(reached, n_rows - nonzero[::-1].argmax(axis=0), 0),
+        ]
+    )
+    rows.flags.writeable = False
+    return rows
 
 
 def prepare(cfg: ScenarioConfig) -> Prepared:
@@ -518,6 +538,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         beam=beam,
         e_perp_max=e_max,
         column_response=resp,
+        column_rows=_column_rows(resp),
         v_magnetic=v_mag,
         v_desired=v_des,
         rho_desired=rho_d,
@@ -602,14 +623,17 @@ def run_closed_loop(
     solver failure the records collected so far are attached to the
     raised error as ``records``.
 
-    The pattern, its hash and the plant's field before disturbances
-    (``column_response`` times the pattern's :func:`optics.column_sums`)
-    are computed only when the input's table indices differ from the
-    previous iteration's, and the potential only when the indices or the
-    active dark spots differ; while the law holds its input and no spot
-    switches on, the pattern repeats and the previous potential is
-    reused.  A noise generator is seeded only when the measurement is
-    noisy.
+    The loop carries the input and its table indices: the initial input's
+    are looked up once, and every later input is the table's levels at
+    the indices ``level_update`` returns.  The pattern, its hash and the
+    plant's field before disturbances (``column_response`` times the
+    pattern's :func:`optics.column_sums`) are computed only when the
+    indices differ from the previous iteration's, and the potential only
+    when the indices or the active dark spots differ; while the law holds
+    its input and no spot switches on, the pattern repeats and the
+    previous potential is reused.  Each iteration's error norm is
+    computed once, for its record and for ``level_update``.  A noise
+    generator is seeded only when the measurement is noisy.
     """
     if prepared is None:
         prepared = prepare(cfg)
@@ -623,23 +647,18 @@ def run_closed_loop(
             lut.psf_beam_sha256,
             expected,
         )
-    nu = VirtualInput(
-        field=RealField1D(
-            grid=prepared.col_grid,
-            values=np.full(cfg.dmd.n_columns, cfg.loop.nu_initial),
-        )
-    )
+    nu = np.full(cfg.dmd.n_columns, cfg.loop.nu_initial)
+    index = lut.nearest_index(nu)
     phi = None
     last_dist = None
     last_index = None
     records = []
     for n in range(cfg.loop.iterations):
-        index = lut.nearest_index(nu.values)
         dist = inject_disturbances(cfg.disturbances, n)
         new_pattern = last_index is None or not np.array_equal(index, last_index)
         if new_pattern:
             last_index = index
-            pattern = map_virtual_input(nu.field, lut)
+            pattern = map_virtual_input(RealField1D(grid=prepared.col_grid, values=nu), lut)
             pattern_sha256 = pattern.sha256()
             cols = column_sums(pattern, cfg.psf, prepared.beam)
             e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
@@ -665,14 +684,15 @@ def run_closed_loop(
             rng = np.random.default_rng([cfg.loop.seed, 7, n])
         rho_m = measure_density(gs.density, cfg.measurement, rng)
         e = density_error(rho_m, prepared.rho_desired)
-        res = level_update(nu, e, prepared, lut)
+        err = error_norm(e)
+        next_index, clamp_count = level_update(nu, index, e, err, prepared, lut)
         records.append(
             IterationRecord(
                 n=n,
-                nu=nu.values,
+                nu=nu,
                 e_rho=e.values,
-                error_norm=error_norm(e),
-                clamp_count=res.clamp_count,
+                error_norm=err,
+                clamp_count=clamp_count,
                 mu=float(gs.mu),
                 extras={
                     "solver_steps": gs.n_steps,
@@ -686,60 +706,74 @@ def run_closed_loop(
         )
         if progress is not None:
             progress(records[-1])
-        nu = res.nu
+        index = next_index
+        nu = lut.nu_levels[index]
     return RunResult(config=cfg, prepared=prepared, lut=lut, records=tuple(records))
 
 
+def _predicted_error(e: np.ndarray, prepared: Prepared, span: slice, d: np.ndarray) -> np.ndarray:
+    """e plus the linearised error change -(alpha / p_z) A d of changing
+    the achieved values of columns ``span`` by d.
+
+    Only the rows from the span's lowest first row to its highest last
+    row (``prepared.column_rows``) are multiplied and added into a copy
+    of e; outside them A[:, span] d is exactly 0, so the result equals
+    the full product's bit for bit.
+    """
+    rows = prepared.column_rows[:, span]
+    lo, hi = rows[0].min(), rows[1].max()
+    out = e.copy()
+    out[lo:hi] += prepared.error_slope[lo:hi] * (prepared.column_response[lo:hi, span] @ d)
+    return out
+
+
 def level_update(
-    nu: VirtualInput, e: RealField1D, prepared: Prepared, lut: Lut
-) -> UpdateResult:
+    nu: np.ndarray, index: np.ndarray, e: RealField1D, err: float, prepared: Prepared, lut: Lut
+) -> tuple[np.ndarray, int]:
     """The learning law of the physics path, held on the table's levels.
 
+    ``nu`` is the input on the columns of ``prepared.col_grid``,
+    ``index`` its table indices, and ``err`` the error norm of ``e``.
+    Returns the table indices of the next input and the number of
+    columns the unquantised law would clamp.
+
     The error is pre-scaled by alpha_bar / alpha(z) on the gain's support
-    and passed through the law.  The law's target nu - L * e then goes to
-    the nearest table level, so a column moves only once its correction
-    exceeds half a table step; a continuous input would keep integrating
-    a residual the table cannot represent.
+    and passed through the law (:func:`ilc.correction`).  The law's
+    target nu - L * e then goes to the nearest table level, so a column
+    moves only once its correction exceeds half a table step; a
+    continuous input would keep integrating a residual the table cannot
+    represent.
 
     A quantised move is judged with the plant's own optics.  It changes
     the table's achieved column values by d, so the on-axis field by
     e_max A d, with A the column response, and the amplitude error by
     -(alpha / p_z) A d in the linearised local balance (alpha carries
     the field per unit input, e_max p_z).  d is zero outside the span
-    from the first to the last column the move changes level, so only
-    that span of A's columns (a view, not a copy) is multiplied; -alpha
-    / p_z is built once, by ``prepare``, as ``error_slope``.  A move
+    from the first to the last column the move changes level, and that
+    span of A's columns is zero outside the rows they reach, so only
+    that block of A is multiplied (:func:`_predicted_error`); -alpha /
+    p_z is built once, by ``prepare``, as ``error_slope``.  A move
     predicted to raise the error is not applied: the correction is
     halved until the prediction falls, and the input stays on its levels
     once no column would move.  A trial that moves no column (every
     large correction pushes a column at level 0 or 1 outward) changes
-    nothing and is halved at once.  ``clamp_count`` and ``correction``
-    are those of the unquantised law.
+    nothing and is halved at once.
     """
-    levels = lut.nu_levels
     achieved = lut.achieved_values()
-    half_step = 0.5 * (levels[1] - levels[0])
-    res = update(nu, scaled_error(e, prepared.gain), prepared.kernel)
-    current = lut.nearest_index(nu.values)
-    held = levels[current]
-    err = error_norm(e)
-    corr = res.correction
+    half_step = 0.5 * (lut.nu_levels[1] - lut.nu_levels[0])
+    corr = correction(scaled_error(e, prepared.gain), prepared.kernel, prepared.col_grid)
+    raw = nu - corr
+    clamp_count = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
     while np.max(np.abs(corr)) > half_step:
-        trial = lut.nearest_index(np.clip(nu.values - corr, 0.0, 1.0))
-        moved = np.flatnonzero(trial != current)
+        trial = lut.nearest_index(np.clip(nu - corr, 0.0, 1.0))
+        moved = np.flatnonzero(trial != index)
         if moved.size:
             span = slice(moved[0], moved[-1] + 1)
-            d = achieved[trial[span]] - achieved[current[span]]
-            de = prepared.error_slope * (prepared.column_response[:, span] @ d)
-            if _error_norm(e.values + de, e.grid.dz) < err:
-                held = levels[trial]
-                break
+            d = achieved[trial[span]] - achieved[index[span]]
+            if _error_norm(_predicted_error(e.values, prepared, span, d), e.grid.dz) < err:
+                return trial, clamp_count
         corr = 0.5 * corr
-    return UpdateResult(
-        nu=VirtualInput(field=RealField1D(grid=nu.grid, values=held)),
-        clamp_count=res.clamp_count,
-        correction=res.correction,
-    )
+    return index, clamp_count
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ __all__ = [
     "transfer_function",
     "default_regularization",
     "design_kernel",
+    "correction",
     "update",
 ]
 
@@ -273,20 +274,33 @@ class UpdateResult:
         object.__setattr__(self, "correction", c)
 
 
-def update(nu: VirtualInput, e_rho: RealField1D, kernel: LearningKernel) -> UpdateResult:
-    """One learning step: nu <- clamp(nu - L * e, 0, 1).
+def correction(e_rho: RealField1D, kernel: LearningKernel, grid: SpatialGrid1D) -> np.ndarray:
+    """The law's correction L * e at the positions of ``grid``.
 
     The kernel is convolved with the error on the error's (fine) grid
     (:func:`core.convolve`, a padded real FFT for the compact kernel),
-    then sampled at the input's column positions; positions outside the
-    error grid take the nearest edge value.  Where no non-zero error
-    lies within the kernel's reach the correction is exactly 0, so those
-    columns keep their input.  ``correction`` holds the signed values
-    subtracted at the columns before clamping, and ``clamp_count`` how
-    many columns saturated.
+    then sampled at the positions of ``grid`` (the input's columns);
+    positions outside the error grid take the nearest edge value.  Where
+    no non-zero error lies within the kernel's reach the correction is
+    exactly 0.
     """
     conv = convolve(e_rho, kernel.kernel)
-    corr_cols = np.interp(nu.grid.samples, e_rho.grid.samples, conv.values)
+    return np.interp(grid.samples, e_rho.grid.samples, conv.values)
+
+
+def update(nu: VirtualInput, e_rho: RealField1D, kernel: LearningKernel) -> UpdateResult:
+    """One learning step: nu <- clamp(nu - L * e, 0, 1).
+
+    L * e is :func:`correction` at the input's columns, so columns out
+    of the kernel's reach of any non-zero error keep their input.
+    ``correction`` holds the signed values subtracted at the columns
+    before clamping, and ``clamp_count`` how many columns saturated.
+    Nothing in ``src/`` calls it: the loop's ``harness.level_update``
+    takes :func:`correction` and holds the input on the table's levels.
+    It is the continuous law that criteria 6 and 8 and the update tests
+    check.
+    """
+    corr_cols = correction(e_rho, kernel, nu.grid)
     raw = nu.values - corr_cols
     clipped = np.clip(raw, 0.0, 1.0)
     clamp_count = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))

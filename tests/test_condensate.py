@@ -363,6 +363,19 @@ def test_non_convergence_is_flagged(caplog):
     assert any("not converged" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("offset, cause", [(1e9, "vanished"), (-1e6, "overflowed")])
+def test_a_solver_failure_names_its_cause(offset, cause):
+    # a uniform potential far above the state's energy underflows it to 0
+    # in one step, one far below overflows exp: either is a ConvergenceError
+    # that names the cause and dtau, and numpy warns of neither
+    grid = SpatialGrid1D(40.0, 128)
+    v = RealField1D(grid=grid, values=np.full(128, offset))
+    cfg = SolverConfig(dtau=0.05, max_steps=100, tol=1e-10)
+    after = "after 1 imaginary-time steps of dtau = 0.05"
+    with pytest.raises(ConvergenceError, match=rf"^wave function {cause}.* {after}$"):
+        ground_state(v, CondensateParams(), cfg)
+
+
 @pytest.mark.parametrize("n_points, warns", [(2700, False), (200, True)])
 def test_resolution_warning_follows_the_spectral_tail(scenario, n_points, warns, caplog):
     # the desired state over the reference 250 um: converged at the

@@ -46,7 +46,7 @@ from potshape.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from potshape.ilc import VirtualInput, density_error, scaled_error, update
+from potshape.ilc import VirtualInput, correction, density_error, scaled_error, update
 from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input
 from potshape.optics import (
     BeamProfile,
@@ -541,11 +541,11 @@ def test_perfect_measurement_freezes_the_loop(small_prepared, small_lut):
             grid=pre.col_grid, values=rng.choice(small_lut.nu_levels, pre.col_grid.n_points)
         )
     )
-    res = level_update(nu, e, pre, small_lut)
-    assert res.clamp_count == 0
-    assert np.array_equal(res.nu.values, nu.values)
+    held, clamp_count = _held_update(nu, e, pre, small_lut)
+    assert clamp_count == 0
+    assert np.array_equal(held.values, nu.values)
     before = map_virtual_input(nu.field, small_lut)
-    assert np.array_equal(map_virtual_input(res.nu.field, small_lut).bits, before.bits)
+    assert np.array_equal(map_virtual_input(held.field, small_lut).bits, before.bits)
 
 
 def test_loop_under_measurement_noise(small_scenario, small_prepared, small_lut):
@@ -636,6 +636,19 @@ def test_loop_failure_carries_the_records_so_far(
     assert np.isfinite(records[0].mu) and records[0].error_norm > 0.0
 
 
+def _held_update(nu, e, pre, lut):
+    """``level_update`` on ``nu`` as the loop calls it: the next input and
+    the law's clamp count."""
+    index, clamp_count = level_update(
+        nu.values, lut.nearest_index(nu.values), e, error_norm(e), pre, lut
+    )
+    return VirtualInput(field=RealField1D(grid=nu.grid, values=lut.nu_levels[index])), clamp_count
+
+
+def _law_correction(e, prepared):
+    return correction(scaled_error(e, prepared.gain), prepared.kernel, prepared.col_grid)
+
+
 def _support_bump(prepared, peak_correction, lut):
     """Error bump on the gain's support whose law correction peaks at
     ``peak_correction`` table steps, and the input it acts on."""
@@ -645,20 +658,20 @@ def _support_bump(prepared, peak_correction, lut):
     nu = VirtualInput(
         field=RealField1D(grid=prepared.col_grid, values=np.full(prepared.col_grid.n_points, 0.5))
     )
-    unit = update(nu, scaled_error(shape, prepared.gain), prepared.kernel).correction
+    unit = _law_correction(shape, prepared)
     scale = peak_correction / (lut.n_nu - 1) / np.max(np.abs(unit))
     return nu, RealField1D(grid=prepared.grid, values=scale * shape.values)
 
 
 def test_level_update_holds_corrections_below_half_a_step(small_prepared, small_lut):
     nu, e = _support_bump(small_prepared, 0.4, small_lut)
-    res = level_update(nu, e, small_prepared, small_lut)
+    held, _ = _held_update(nu, e, small_prepared, small_lut)
     half = 0.5 / (small_lut.n_nu - 1)
     # the unquantised law would move the input, the held one does not
-    assert 0.7 * half < np.max(np.abs(res.correction)) < half
-    assert np.array_equal(res.nu.values, nu.values)
+    assert 0.7 * half < np.max(np.abs(_law_correction(e, small_prepared))) < half
+    assert np.array_equal(held.values, nu.values)
     before = map_virtual_input(nu.field, small_lut)
-    after = map_virtual_input(res.nu.field, small_lut)
+    after = map_virtual_input(held.field, small_lut)
     assert np.array_equal(after.bits, before.bits)
 
 
@@ -667,16 +680,16 @@ def test_level_update_moves_onto_levels_and_lowers_the_predicted_error(
 ):
     pre = small_prepared
     nu, e = _support_bump(pre, 3.0, small_lut)
-    res = level_update(nu, e, pre, small_lut)
+    held, _ = _held_update(nu, e, pre, small_lut)
     levels = [entry.nu for entry in small_lut.entries]
-    assert np.all(np.isin(res.nu.values, levels))
-    assert not np.array_equal(res.nu.values, nu.values)
+    assert np.all(np.isin(held.values, levels))
+    assert not np.array_equal(held.values, nu.values)
     # the field change by the pixel sum of the applied and the held
     # pattern, through the linearised balance -alpha / (e_max p_z)
     psf = small_scenario.psf
     fields = [
         propagate_full(map_virtual_input(v.field, small_lut), pre.beam, psf, pre.grid)
-        for v in (res.nu, nu)
+        for v in (held, nu)
     ]
     slope = -pre.gain.alpha.values / (pre.e_perp_max * pre.beam.pz(pre.grid.samples))
     de = slope * (fields[0].values - fields[1].values)
@@ -691,14 +704,15 @@ def test_level_update_holds_a_move_the_table_cannot_deliver(small_prepared, smal
         entries=tuple(dataclasses.replace(entry, achieved=0.5) for entry in small_lut.entries),
     )
     nu, e = _support_bump(small_prepared, 3.0, flat)
-    res = level_update(nu, e, small_prepared, flat)
-    assert np.max(np.abs(res.correction)) > 2.0 / (flat.n_nu - 1)
-    assert np.array_equal(res.nu.values, nu.values)
+    held, _ = _held_update(nu, e, small_prepared, flat)
+    assert np.max(np.abs(_law_correction(e, small_prepared))) > 2.0 / (flat.n_nu - 1)
+    assert np.array_equal(held.values, nu.values)
 
 
 def _dense_level_update(nu, e, pre, lut):
     # the trial prediction as one product of the whole column response
-    # with the achieved-value change of all columns, moved or not
+    # with the achieved-value change of all columns, moved or not; also
+    # counts the trials and those that move a column
     levels = lut.nu_levels
     achieved = lut.achieved_values()
     res = update(nu, scaled_error(e, pre.gain), pre.kernel)
@@ -706,14 +720,17 @@ def _dense_level_update(nu, e, pre, lut):
     held = levels[current]
     slope = -pre.gain.alpha.values / pre.beam.pz(pre.grid.samples)
     corr = res.correction
+    trials = moved = 0
     while np.max(np.abs(corr)) > 0.5 * (levels[1] - levels[0]):
+        trials += 1
         trial = lut.nearest_index(np.clip(nu.values - corr, 0.0, 1.0))
+        moved += bool(np.any(trial != current))
         de = slope * (pre.column_response @ (achieved[trial] - achieved[current]))
         if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < error_norm(e):
             held = levels[trial]
             break
         corr = 0.5 * corr
-    return held, res
+    return held, res, trials, moved
 
 
 def test_level_update_equals_the_dense_trial_prediction(small_prepared, small_lut):
@@ -744,11 +761,10 @@ def test_level_update_equals_the_dense_trial_prediction(small_prepared, small_lu
         edge = rng.random(n_cols) < 1 / 3
         values[edge] = np.where(corr[edge] > 0.0, 0.0, 1.0)
         nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=values))
-        res = level_update(nu, e, pre, lut)
-        want, law = _dense_level_update(nu, e, pre, lut)
-        assert np.array_equal(res.nu.values, want)
-        assert res.clamp_count == law.clamp_count
-        assert np.array_equal(res.correction, law.correction)
+        held, clamp_count = _held_update(nu, e, pre, lut)
+        want, law, _, _ = _dense_level_update(nu, e, pre, lut)
+        assert np.array_equal(held.values, want)
+        assert clamp_count == law.clamp_count
         outcomes.append((lut is backwards, np.array_equal(want, nu.values)))
     # moves applied on the table, every move refused on the backwards copy
     assert outcomes.count((False, False)) >= 5 and outcomes.count((True, True)) >= 5
@@ -757,20 +773,133 @@ def test_level_update_equals_the_dense_trial_prediction(small_prepared, small_lu
 def test_level_update_halves_a_trial_that_moves_no_column_at_once(small_prepared, small_lut):
     # every column sits at level 0 or 1 and is pushed outward, so no trial
     # moves a column; any product with the NaN column response would fail
-    # the finiteness check of RealField1D
+    # the error norm's finiteness check
     nu, e = _support_bump(small_prepared, 3.0, small_lut)
-    corr = update(nu, scaled_error(e, small_prepared.gain), small_prepared.kernel).correction
+    corr = _law_correction(e, small_prepared)
     edge = VirtualInput(
         field=RealField1D(grid=nu.grid, values=np.where(corr > 0.0, 0.0, 1.0))
     )
     blind = dataclasses.replace(
         small_prepared, column_response=np.full_like(small_prepared.column_response, np.nan)
     )
-    res = level_update(edge, e, blind, small_lut)
-    assert np.max(np.abs(res.correction)) > 2.0 / (small_lut.n_nu - 1)
-    assert np.array_equal(res.nu.values, edge.values)
+    held, _ = _held_update(edge, e, blind, small_lut)
+    assert np.max(np.abs(corr)) > 2.0 / (small_lut.n_nu - 1)
+    assert np.array_equal(held.values, edge.values)
     with pytest.raises(ValueError):
-        level_update(nu, e, blind, small_lut)
+        _held_update(nu, e, blind, small_lut)
+
+
+@pytest.mark.parametrize("which", ["small", "reference"])
+def test_column_rows_bound_each_columns_non_zero_rows(which, request):
+    pre = request.getfixturevalue(f"{which}_prepared")
+    a, rows = pre.column_response, pre.column_rows
+    n_rows, n_cols = a.shape
+    assert rows.shape == (2, n_cols) and not rows.flags.writeable
+    inside = (np.arange(n_rows)[:, None] >= rows[0]) & (np.arange(n_rows)[:, None] < rows[1])
+    assert np.all(a[~inside] == 0.0)
+    reached = rows[1] > rows[0]
+    cols = np.flatnonzero(reached)
+    assert np.all(a[rows[0, cols], cols] != 0.0) and np.all(a[rows[1, cols] - 1, cols] != 0.0)
+    assert np.all(rows[:, ~reached] == np.array([[n_rows], [0]]))
+    # the reference grid is shorter than the mirror: its outer columns reach no row
+    if which == "reference":
+        assert 0 < np.count_nonzero(~reached) < n_cols
+
+
+@pytest.mark.parametrize("which", ["small", "reference"])
+def test_trial_prediction_on_the_reached_rows_equals_the_full_product(which, request):
+    # random spans and achieved-value changes, some spans wholly in
+    # columns no grid row reaches: the prediction from the rows the span
+    # reaches is the full product's, by bytes and by its norm
+    pre = request.getfixturevalue(f"{which}_prepared")
+    rng = np.random.default_rng(41)
+    n_cols = pre.col_grid.n_points
+    e = rng.normal(0.0, 0.05, pre.grid.n_points)
+    unreached = np.flatnonzero(pre.column_rows[1] <= pre.column_rows[0])
+    spans = []
+    for _ in range(60):
+        lo = int(rng.integers(0, n_cols))
+        spans.append(slice(lo, int(rng.integers(lo + 1, min(lo + 200, n_cols) + 1))))
+    # spans inside each run of unreached columns (the reference grid's two ends)
+    runs = np.split(unreached, np.flatnonzero(np.diff(unreached) > 1) + 1)
+    for run in runs if unreached.size else ():
+        for _ in range(5):
+            lo = int(rng.integers(run[0], run[-1] + 1))
+            spans.append(slice(lo, int(rng.integers(lo + 1, run[-1] + 2))))
+    if which == "reference":
+        assert len(runs) == 2 and len(spans) == 70
+    for span in spans:
+        d = rng.normal(0.0, 0.02, span.stop - span.start)
+        got = harness._predicted_error(e, pre, span, d)
+        want = e + pre.error_slope * (pre.column_response[:, span] @ d)
+        assert got.tobytes() == want.tobytes(), span
+        assert (
+            harness._error_norm(got, pre.grid.dz).hex()
+            == harness._error_norm(want, pre.grid.dz).hex()
+        )
+
+
+def test_loop_takes_one_index_and_one_error_norm_per_iteration(
+    scenario, reference_lut, reference_prepared, reference_run, monkeypatch
+):
+    # the loop looks up its initial input's table indices once and then
+    # carries the indices level_update returns; each iteration takes one
+    # error norm, and each trial one index lookup and, if it moves a
+    # column, one predicted norm.  map_virtual_input's own lookup, once per
+    # new pattern, is counted apart.  The records are the reference run's.
+    pre, lut = reference_prepared, reference_lut
+    events = []
+    nearest = type(lut).nearest_index
+    map_input = harness.map_virtual_input
+    norm = harness._error_norm
+    mapping = []
+
+    def counted_nearest(self, nu):
+        events.append("map" if mapping else "index")
+        return nearest(self, nu)
+
+    def counted_map(nu, table):
+        mapping.append(1)
+        try:
+            return map_input(nu, table)
+        finally:
+            mapping.pop()
+
+    def counted_norm(values, dz):
+        events.append("norm")
+        return norm(values, dz)
+
+    monkeypatch.setattr(type(lut), "nearest_index", counted_nearest)
+    monkeypatch.setattr(harness, "map_virtual_input", counted_map)
+    monkeypatch.setattr(harness, "_error_norm", counted_norm)
+    per_iteration = []
+
+    def progress(record):
+        per_iteration.append([events.count(k) for k in ("index", "norm", "map")])
+        events.clear()
+
+    records = run_closed_loop(scenario, lut=lut, prepared=pre, progress=progress).records
+    monkeypatch.undo()
+    assert len(per_iteration) == len(records) == 80
+    new_pattern = [
+        n == 0 or r.extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
+        for n, r in enumerate(records)
+    ]
+    for r, (index, norms, mapped) in zip(records, per_iteration):
+        nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=r.nu))
+        e = RealField1D(grid=pre.grid, values=r.e_rho)
+        _, _, trials, moved = _dense_level_update(nu, e, pre, lut)
+        assert (index, norms, mapped) == (
+            trials + (r.n == 0),
+            1 + moved,
+            int(new_pattern[r.n]),
+        ), r.n
+    assert sum(new_pattern) == 19
+    for r, want in zip(records, reference_run.records):
+        assert r.error_norm.hex() == want.error_norm.hex() and r.mu.hex() == want.mu.hex()
+        assert r.nu.tobytes() == want.nu.tobytes() and r.e_rho.tobytes() == want.e_rho.tobytes()
+        assert r.clamp_count == want.clamp_count
+        assert r.extras["pattern_sha256"] == want.extras["pattern_sha256"]
 
 
 def test_activity_ratio_arithmetic():
@@ -1193,6 +1322,24 @@ def test_cli_groundstate_from_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("z\n1.0\n2.0\n")
     assert cli.main(["groundstate", "--potential", str(bad), "--out", str(out)]) == 1
+
+
+def test_cli_groundstate_refuses_without_numpy_warnings(tmp_path, capsys, recwarn):
+    # a potential file with a header and no rows is a configuration error,
+    # and a uniform 1e9 rad/ms potential a solver failure that names the
+    # vanished state; numpy's own warnings do not reach the user
+    out = str(tmp_path / "state.csv")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("z,v\n")
+    assert cli.main(["groundstate", "--potential", str(empty), "--out", out]) == 1
+    assert capsys.readouterr().err == f"configuration error: {empty}: expected CSV columns z,v\n"
+    high = tmp_path / "high.csv"
+    rows = "".join(f"{float(z)!r},1e9\n" for z in np.linspace(-20.0, 20.0, 129))
+    high.write_text("z,v\n" + rows)
+    assert cli.main(["groundstate", "--potential", str(high), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: wave function vanished") and "dtau = 0.05" in err
+    assert len(recwarn) == 0
 
 
 def test_cli_error_codes(tmp_path):
