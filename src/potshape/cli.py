@@ -76,9 +76,11 @@ def _cmd_groundstate(args) -> int:
         with warnings.catch_warnings():
             # a header without rows is refused below, by its shape
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(args.potential, delimiter=",", skiprows=1)
-        if data.ndim != 2 or data.shape[1] < 2:
+            data = np.loadtxt(args.potential, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] < 2:
             raise ConfigError(f"{args.potential}: expected CSV columns z,v")
+        if data.shape[0] < 2:
+            raise ConfigError(f"{args.potential}: one sample makes no grid; need two rows or more")
         grid = SpatialGrid1D.from_samples(data[:, 0])
         v = RealField1D(grid=grid, values=data[:, 1])
     gs = ground_state(v, cfg.condensate, cfg.solver)

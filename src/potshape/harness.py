@@ -572,7 +572,9 @@ class IterationRecord:
     the saturation count of the update that produced the next input.
     ``extras`` holds the solver steps, the pattern and its hash, the
     total and optical potentials ``v`` and ``v_opt`` and the measured
-    density ``rho``."""
+    density ``rho``.  A held shot (same input and dark spots as the
+    previous one) reuses the previous ground state, so its solver steps
+    are 0; without noise its other fields repeat the previous record's."""
 
     n: int
     nu: np.ndarray
@@ -628,11 +630,15 @@ def run_closed_loop(
     the indices ``level_update`` returns.  The pattern, its hash and the
     plant's field before disturbances (``column_response`` times the
     pattern's :func:`optics.column_sums`) are computed only when the
-    indices differ from the previous iteration's, and the potential only
-    when the indices or the active dark spots differ; while the law holds
-    its input and no spot switches on, the pattern repeats and the
-    previous potential is reused.  Each iteration's error norm is
-    computed once, for its record and for ``level_update``.  A noise
+    indices differ from the previous iteration's, and the potential and
+    its ground state only when the indices or the active dark spots
+    differ.  While the law holds its input and no spot switches on, the
+    shot is held: it reuses the previous potential and ground state, and
+    its record's ``solver_steps`` is 0.  A noise-free held shot also
+    reuses the previous measurement, error, error norm, clamp count and
+    next indices, since ``level_update`` is deterministic in them; a
+    noisy one draws its own noise and measures and updates anew.  Each
+    computed error norm serves the record and ``level_update``.  A noise
     generator is seeded only when the measurement is noisy.
     """
     if prepared is None:
@@ -649,6 +655,7 @@ def run_closed_loop(
         )
     nu = np.full(cfg.dmd.n_columns, cfg.loop.nu_initial)
     index = lut.nearest_index(nu)
+    noisy = cfg.measurement.noise_std > 0
     phi = None
     last_dist = None
     last_index = None
@@ -662,30 +669,36 @@ def run_closed_loop(
             pattern_sha256 = pattern.sha256()
             cols = column_sums(pattern, cfg.psf, prepared.beam)
             e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
-        if new_pattern or dist != last_dist:
+        # A held shot repeats the previous potential on the same plant, so
+        # its ground state is the previous one.  A per-shot plant draw
+        # (atom-number jitter, ROADMAP item 9) must end this reuse.
+        held = not new_pattern and dist == last_dist
+        last_dist = dist
+        if not held:
             v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
             v = RealField1D(
                 grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values
             )
-        last_dist = dist
-        try:
-            gs = ground_state(v, cfg.condensate, cfg.solver, initial=phi)
-            if not gs.converged:
-                log.warning("iteration %d: warm start stalled, retrying cold", n)
-                gs = ground_state(v, cfg.condensate, cfg.solver)
-            if not gs.converged:
-                raise ConvergenceError(f"ground state did not converge at iteration {n}")
-        except ConvergenceError as exc:
-            exc.records = tuple(records)
-            raise
-        phi = gs.phi
-        rng = None
-        if cfg.measurement.noise_std > 0:
-            rng = np.random.default_rng([cfg.loop.seed, 7, n])
-        rho_m = measure_density(gs.density, cfg.measurement, rng)
-        e = density_error(rho_m, prepared.rho_desired)
-        err = error_norm(e)
-        next_index, clamp_count = level_update(nu, index, e, err, prepared, lut)
+            try:
+                gs = ground_state(v, cfg.condensate, cfg.solver, initial=phi)
+                if not gs.converged:
+                    log.warning("iteration %d: warm start stalled, retrying cold", n)
+                    gs = ground_state(v, cfg.condensate, cfg.solver)
+                if not gs.converged:
+                    raise ConvergenceError(f"ground state did not converge at iteration {n}")
+            except ConvergenceError as exc:
+                exc.records = tuple(records)
+                raise
+            phi = gs.phi
+        # without noise a held shot measures what its predecessor measured,
+        # and level_update, deterministic in what repeats, returns the
+        # indices it returned then: the input it holds
+        if not held or noisy:
+            rng = np.random.default_rng([cfg.loop.seed, 7, n]) if noisy else None
+            rho_m = measure_density(gs.density, cfg.measurement, rng)
+            e = density_error(rho_m, prepared.rho_desired)
+            err = error_norm(e)
+            next_index, clamp_count = level_update(nu, index, e, err, prepared, lut)
         records.append(
             IterationRecord(
                 n=n,
@@ -695,7 +708,7 @@ def run_closed_loop(
                 clamp_count=clamp_count,
                 mu=float(gs.mu),
                 extras={
-                    "solver_steps": gs.n_steps,
+                    "solver_steps": 0 if held else gs.n_steps,
                     "pattern": pattern,
                     "pattern_sha256": pattern_sha256,
                     "v": v.values,

@@ -357,7 +357,14 @@ class Lut:
         return np.clip(np.ceil(x - 0.5), 0, self.n_nu - 1).astype(int)
 
     def achieved_values(self) -> np.ndarray:
-        return np.array([e.achieved for e in self.entries])
+        """Read-only array of the entries' achieved values, element k for level k."""
+        return self._achieved
+
+    @cached_property
+    def _achieved(self) -> np.ndarray:
+        achieved = np.array([e.achieved for e in self.entries])
+        achieved.flags.writeable = False
+        return achieved
 
     @cached_property
     def levels(self) -> np.ndarray:

@@ -839,19 +839,26 @@ def test_trial_prediction_on_the_reached_rows_equals_the_full_product(which, req
         )
 
 
-def test_loop_takes_one_index_and_one_error_norm_per_iteration(
-    scenario, reference_lut, reference_prepared, reference_run, monkeypatch
-):
-    # the loop looks up its initial input's table indices once and then
-    # carries the indices level_update returns; each iteration takes one
-    # error norm, and each trial one index lookup and, if it moves a
-    # column, one predicted norm.  map_virtual_input's own lookup, once per
-    # new pattern, is counted apart.  The records are the reference run's.
-    pre, lut = reference_prepared, reference_lut
-    events = []
+def _held_shots(records, cfg):
+    # a shot is held when its input (so its table indices) and its active
+    # dark spots equal its predecessor's: the potential repeats
+    return [
+        n > 0
+        and r.nu.tobytes() == records[n - 1].nu.tobytes()
+        and inject_disturbances(cfg.disturbances, n)
+        == inject_disturbances(cfg.disturbances, n - 1)
+        for n, r in enumerate(records)
+    ]
+
+
+def _count_loop_calls(monkeypatch, lut, events):
+    # record each table lookup (map_virtual_input's own apart), error
+    # norm, ground-state solve and level_update call in ``events``
     nearest = type(lut).nearest_index
     map_input = harness.map_virtual_input
     norm = harness._error_norm
+    solve = harness.ground_state
+    law = harness.level_update
     mapping = []
 
     def counted_nearest(self, nu):
@@ -869,13 +876,40 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
         events.append("norm")
         return norm(values, dz)
 
+    def counted_solve(*args, **kwargs):
+        events.append("solve")
+        return solve(*args, **kwargs)
+
+    def counted_law(*args):
+        events.append("update")
+        return law(*args)
+
     monkeypatch.setattr(type(lut), "nearest_index", counted_nearest)
     monkeypatch.setattr(harness, "map_virtual_input", counted_map)
     monkeypatch.setattr(harness, "_error_norm", counted_norm)
+    monkeypatch.setattr(harness, "ground_state", counted_solve)
+    monkeypatch.setattr(harness, "level_update", counted_law)
+
+
+def test_loop_takes_one_index_and_one_error_norm_per_iteration(
+    scenario, reference_lut, reference_prepared, reference_run, monkeypatch
+):
+    # the loop looks up its initial input's table indices once and then
+    # carries the indices level_update returns.  An iteration that is not
+    # a held shot takes one solve, one error norm and one level_update,
+    # and each trial one index lookup and, if it moves a column, one
+    # predicted norm; map_virtual_input's own lookup, once per new
+    # pattern, is counted apart.  A held noise-free shot does none of
+    # this.  The records are the reference run's.
+    pre, lut = reference_prepared, reference_lut
+    events = []
+    _count_loop_calls(monkeypatch, lut, events)
     per_iteration = []
 
     def progress(record):
-        per_iteration.append([events.count(k) for k in ("index", "norm", "map")])
+        per_iteration.append(
+            [events.count(k) for k in ("index", "norm", "map", "solve", "update")]
+        )
         events.clear()
 
     records = run_closed_loop(scenario, lut=lut, prepared=pre, progress=progress).records
@@ -885,21 +919,74 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
         n == 0 or r.extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
         for n, r in enumerate(records)
     ]
-    for r, (index, norms, mapped) in zip(records, per_iteration):
+    held = _held_shots(records, scenario)
+    for r, counts in zip(records, per_iteration):
+        if held[r.n]:
+            assert counts == [0, 0, 0, 0, 0], r.n
+            continue
         nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=r.nu))
         e = RealField1D(grid=pre.grid, values=r.e_rho)
         _, _, trials, moved = _dense_level_update(nu, e, pre, lut)
-        assert (index, norms, mapped) == (
-            trials + (r.n == 0),
-            1 + moved,
-            int(new_pattern[r.n]),
-        ), r.n
+        assert counts == [trials + (r.n == 0), 1 + moved, int(new_pattern[r.n]), 1, 1], r.n
     assert sum(new_pattern) == 19
+    assert [n for n in range(80) if held[n]] == [*range(8, 40), *range(52, 80)]
     for r, want in zip(records, reference_run.records):
         assert r.error_norm.hex() == want.error_norm.hex() and r.mu.hex() == want.mu.hex()
         assert r.nu.tobytes() == want.nu.tobytes() and r.e_rho.tobytes() == want.e_rho.tobytes()
         assert r.clamp_count == want.clamp_count
         assert r.extras["pattern_sha256"] == want.extras["pattern_sha256"]
+
+
+def test_noisy_held_shot_reuses_the_ground_state_and_draws_new_noise(
+    small_scenario, small_lut, small_prepared, monkeypatch
+):
+    # with noise a held shot skips only the solve: ground_state runs once
+    # per distinct potential, while each held shot draws its own noise,
+    # so it measures, forms the error and updates anew
+    cfg = dataclasses.replace(
+        small_scenario,
+        loop=dataclasses.replace(small_scenario.loop, iterations=8),
+        measurement=MeasurementConfig(noise_std=1e-4),
+    )
+    events = []
+    _count_loop_calls(monkeypatch, small_lut, events)
+    records = run_closed_loop(cfg, lut=small_lut, prepared=small_prepared).records
+    monkeypatch.undo()
+    held = _held_shots(records, cfg)
+    assert sum(held) >= 2
+    assert events.count("solve") == len(records) - sum(held)
+    assert events.count("update") == len(records)
+    for n in np.flatnonzero(held):
+        r, prev = records[n], records[n - 1]
+        assert r.extras["solver_steps"] == 0 and r.mu.hex() == prev.mu.hex()
+        assert r.extras["v"].tobytes() == prev.extras["v"].tobytes()
+        assert r.extras["rho"].tobytes() != prev.extras["rho"].tobytes()
+        assert r.e_rho.tobytes() != prev.e_rho.tobytes()
+    assert all(r.extras["solver_steps"] > 0 for r, h in zip(records, held) if not h)
+
+
+def test_held_noise_free_shot_repeats_its_predecessor(scenario, reference_run):
+    # a held shot of the noise-free reference run is a fixed point: same
+    # potential, state, measurement and error, no solver step, and the
+    # held input again; the pattern changes only where a shot is not held
+    records = reference_run.records
+    held = _held_shots(records, scenario)
+    assert sum(held) == 60
+    for n in np.flatnonzero(held):
+        r, prev = records[n], records[n - 1]
+        for key in ("rho", "v", "v_opt"):
+            assert r.extras[key].tobytes() == prev.extras[key].tobytes(), (n, key)
+        assert r.e_rho.tobytes() == prev.e_rho.tobytes()
+        assert r.mu.hex() == prev.mu.hex() and r.error_norm.hex() == prev.error_norm.hex()
+        assert r.clamp_count == prev.clamp_count
+        assert r.extras["pattern_sha256"] == prev.extras["pattern_sha256"]
+        assert r.extras["solver_steps"] == 0
+    assert all(r.extras["solver_steps"] > 0 for r, h in zip(records, held) if not h)
+    changes = [
+        n for n in range(1, len(records))
+        if records[n].extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
+    ]
+    assert len(changes) + 1 == 19 and not any(held[n] for n in changes)
 
 
 def test_activity_ratio_arithmetic():
@@ -1340,6 +1427,17 @@ def test_cli_groundstate_refuses_without_numpy_warnings(tmp_path, capsys, recwar
     err = capsys.readouterr().err
     assert err.startswith("solver failure: wave function vanished") and "dtau = 0.05" in err
     assert len(recwarn) == 0
+
+
+def test_cli_groundstate_refuses_a_potential_of_one_sample(tmp_path, capsys, recwarn):
+    # both columns are there, but one sample makes no grid
+    one = tmp_path / "one.csv"
+    one.write_text("z,v\n1.0,2.0\n")
+    out = tmp_path / "state.csv"
+    assert cli.main(["groundstate", "--potential", str(one), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {one}: one sample makes no grid; need two rows or more\n"
+    assert not out.exists() and len(recwarn) == 0
 
 
 def test_cli_error_codes(tmp_path):

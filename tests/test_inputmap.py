@@ -207,6 +207,14 @@ def test_reference_table_is_monotone(reference_lut):
     assert ach[0] == 0.0 and abs(ach[-1] - 1.0) < 1e-12
 
 
+def test_achieved_values_are_one_read_only_array_of_the_entries(reference_lut):
+    ach = reference_lut.achieved_values()
+    assert ach is reference_lut.achieved_values() and not ach.flags.writeable
+    assert ach.tobytes() == np.array([e.achieved for e in reference_lut.entries]).tobytes()
+    with pytest.raises(ValueError):
+        ach[0] = 1.0
+
+
 def test_reference_table_stored_values_are_consistent(
     scenario, reference_lut, reference_prepared
 ):
