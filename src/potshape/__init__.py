@@ -8,7 +8,7 @@ drawn with a binary micromirror array.  Modules:
   optics     point-spread function, beam, mirror patterns, propagation
   inputmap   per-column pattern optimisation and the input table
   condensate ground states, Thomas-Fermi profiles, measurement
-  ilc        learning kernel design and the input update law
+  ilc        learning kernel design and the law's correction
   harness    scenarios, the closed loop, exports
   cli        command line front end
 """
@@ -41,12 +41,10 @@ from .harness import (
 )
 from .ilc import (
     LearningKernel,
-    VirtualInput,
     density_error,
     design_kernel,
     gain_profile,
     transfer_function,
-    update,
 )
 from .inputmap import Lut, OptimizerConfig, build_lut, load_lut, map_virtual_input, save_lut
 from .optics import (

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import RealField1D, check_positive, require_same_grid
+from .core import RealField1D, check_index, check_positive, require_same_grid
 
 __all__ = [
     "CondensateParams",
@@ -101,6 +101,7 @@ class SolverConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        check_index(self, "max_steps")
         check_positive(self, "dtau", "max_steps", "tol")
 
 

@@ -157,6 +157,17 @@ class Spectrum1D:
         object.__setattr__(self, "values", v)
 
 
+def check_index(obj, *names):
+    """Store the attributes ``names`` of a frozen dataclass as Python ints;
+    TypeError naming the first that is not an integer (numpy integers are)."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_positive(obj, *names):
     """ValueError naming the first of the attributes ``names`` not > 0 (NaN is not)."""
     for name in names:

@@ -48,7 +48,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, check_positive
+from .core import RealField1D, SpatialGrid1D, check_index, check_positive
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -150,6 +150,7 @@ class DmdSpec:
     pixel_pitch: float = 1.0
 
     def __post_init__(self):
+        check_index(self, "n_rows", "n_columns")
         check_positive(self, "n_rows", "pixel_pitch")
         if not self.n_columns >= 2:
             raise ValueError(f"n_columns must be >= 2, got {self.n_columns!r}")
@@ -176,6 +177,7 @@ class LutSpec:
     generations: int = 200
 
     def __post_init__(self):
+        check_index(self, "n_nu", "population", "generations")
         lows = {"n_nu": 2, "gamma_perp": 0, "dy": 0, "population": 2, "generations": 1}
         for name, low in lows.items():
             if not getattr(self, name) >= low:
@@ -206,10 +208,10 @@ class LoopSpec:
     export_iterations: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        check_index(self, "iterations", "seed")
         check_positive(self, "iterations")
         if not 0.0 <= self.nu_initial <= 1.0:
             raise ValueError(f"nu_initial must lie in [0, 1], got {self.nu_initial!r}")
-        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.export_iterations is not None:
@@ -228,7 +230,7 @@ class DisturbanceEvent:
     spots: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "iteration", operator.index(self.iteration))
+        check_index(self, "iteration")
         if self.iteration < 0:
             raise ValueError("disturbance iteration must be >= 0")
         object.__setattr__(self, "spots", tuple(self.spots))
@@ -620,7 +622,10 @@ def run_closed_loop(
 ) -> RunResult:
     """Run the full shaping experiment for a scenario.
 
-    The table is built on the fly if not supplied.  ``progress(record)``,
+    The table is built on the fly if not supplied.  A supplied table
+    must have the scenario's mirror rows and pixel pitch, or a
+    ConfigError is raised before anything is prepared or run; one built
+    for another PSF or beam only logs a warning.  ``progress(record)``,
     when given, is called once per iteration, after the update.  On
     solver failure the records collected so far are attached to the
     raised error as ``records``.
@@ -641,11 +646,17 @@ def run_closed_loop(
     computed error norm serves the record and ``level_update``.  A noise
     generator is seeded only when the measurement is noisy.
     """
-    if prepared is None:
-        prepared = prepare(cfg)
     if lut is None:
         log.info("no look-up table supplied; building one now")
         lut = build_scenario_lut(cfg)
+    if lut.n_t != cfg.dmd.n_rows or lut.pitch != cfg.dmd.pixel_pitch:
+        raise ConfigError(
+            f"look-up table was built for {lut.n_t} rows at pitch {lut.pitch!r}, "
+            f"the scenario's mirror array has {cfg.dmd.n_rows} rows at pitch "
+            f"{cfg.dmd.pixel_pitch!r}"
+        )
+    if prepared is None:
+        prepared = prepare(cfg)
     expected = psf_beam_hash(cfg.psf, prepared.beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
     if lut.psf_beam_sha256 != expected:
         log.warning(
@@ -793,25 +804,29 @@ def level_update(
 # metrics
 
 
+# columns where the desired density reaches this fraction of its peak
+# count as occupied (input_activity)
+OCCUPIED_FRACTION = 1e-4
+
+
 def input_activity(
     records,
     rho_desired: RealField1D,
     col_grid: SpatialGrid1D,
-    threshold: float = 1e-4,
     start: int = 0,
     stop: int | None = None,
 ) -> dict:
     """Input motion per unit length in the empty vs. occupied region.
 
-    The occupied region is where the desired density exceeds
-    ``threshold`` of its peak, sampled at the column positions; motion
-    is the summed |delta nu| between consecutive recorded iterations in
-    [start, stop).  Returns rates per column and their ratio.
+    The occupied region is where the desired density reaches
+    ``OCCUPIED_FRACTION`` of its peak, sampled at the column positions;
+    motion is the summed |delta nu| between consecutive recorded
+    iterations in [start, stop).  Returns rates per column and their ratio.
     """
     rho_cols = np.interp(
         col_grid.samples, rho_desired.grid.samples, rho_desired.values, left=0.0, right=0.0
     )
-    occupied = rho_cols >= threshold * np.max(rho_desired.values)
+    occupied = rho_cols >= OCCUPIED_FRACTION * np.max(rho_desired.values)
     hidden = ~occupied
     if not np.any(occupied) or not np.any(hidden):
         raise ValueError("activity ratio needs both occupied and empty columns")

@@ -18,8 +18,13 @@ contracts every spatial mode by 1 - |G|^2/(gamma + |G|^2) in the
 linearised model; the regularisation keeps the filter bounded where the
 optical response has no authority.  Pre-scaling the error by
 alpha_bar / alpha(z) on the support hands the kernel the spatial gain
-it was designed for.  G(k) serves only this design; the loop judges
-its moves with the plant's own column response (harness.level_update).
+it was designed for.  G(k) serves only this design.
+
+The loop applies the law in one place, harness.level_update, which
+holds the input on the table's levels, counts the columns the law
+would clamp and judges its moves with the plant's own column response.
+This module supplies only the law's correction L * e (:func:`correction`)
+and the error, gain and kernel it is built from.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ from .optics import PsfModel
 __all__ = [
     "GainProfile",
     "LearningKernel",
-    "VirtualInput",
-    "UpdateResult",
     "density_error",
     "gain_profile",
     "scaled_error",
@@ -53,7 +56,6 @@ __all__ = [
     "default_regularization",
     "design_kernel",
     "correction",
-    "update",
 ]
 
 KERNEL_TAIL_CUT = 1e-8
@@ -242,38 +244,6 @@ def design_kernel(
     return LearningKernel(kernel=kernel, gamma=float(gamma), transfer_sha256=_spectrum_sha256(g))
 
 
-@dataclass(frozen=True)
-class VirtualInput:
-    """Per-column drive level, bounded to [0, 1] at all times."""
-
-    field: RealField1D
-
-    def __post_init__(self):
-        v = self.field.values
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("virtual input must stay within [0, 1]")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-    @property
-    def grid(self) -> SpatialGrid1D:
-        return self.field.grid
-
-
-@dataclass(frozen=True)
-class UpdateResult:
-    nu: VirtualInput
-    clamp_count: int
-    correction: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.correction, dtype=float).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "correction", c)
-
-
 def correction(e_rho: RealField1D, kernel: LearningKernel, grid: SpatialGrid1D) -> np.ndarray:
     """The law's correction L * e at the positions of ``grid``.
 
@@ -287,25 +257,3 @@ def correction(e_rho: RealField1D, kernel: LearningKernel, grid: SpatialGrid1D) 
     conv = convolve(e_rho, kernel.kernel)
     return np.interp(grid.samples, e_rho.grid.samples, conv.values)
 
-
-def update(nu: VirtualInput, e_rho: RealField1D, kernel: LearningKernel) -> UpdateResult:
-    """One learning step: nu <- clamp(nu - L * e, 0, 1).
-
-    L * e is :func:`correction` at the input's columns, so columns out
-    of the kernel's reach of any non-zero error keep their input.
-    ``correction`` holds the signed values subtracted at the columns
-    before clamping, and ``clamp_count`` how many columns saturated.
-    Nothing in ``src/`` calls it: the loop's ``harness.level_update``
-    takes :func:`correction` and holds the input on the table's levels.
-    It is the continuous law that criteria 6 and 8 and the update tests
-    check.
-    """
-    corr_cols = correction(e_rho, kernel, nu.grid)
-    raw = nu.values - corr_cols
-    clipped = np.clip(raw, 0.0, 1.0)
-    clamp_count = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
-    return UpdateResult(
-        nu=VirtualInput(field=RealField1D(grid=nu.grid, values=clipped)),
-        clamp_count=clamp_count,
-        correction=corr_cols,
-    )

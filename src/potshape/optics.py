@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf, sici
 
-from .core import RealField1D, SpatialGrid1D, check_positive
+from .core import RealField1D, SpatialGrid1D, check_index, check_positive
 
 __all__ = [
     "PsfModel",
@@ -103,6 +103,7 @@ class PsfModel:
     _gy_norm: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
+        check_index(self, "gy_zero_cut")
         check_positive(self, "sigma_z", "w_y", "gy_zero_cut")
         # integral of sinc(y/w) over the truncation window, via the sine
         # integral Si: int_{-a}^{a} sinc(t) dt = 2 Si(pi a) / pi.

@@ -3,6 +3,7 @@ exports and the command line."""
 
 import dataclasses
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -46,8 +47,8 @@ from potshape.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from potshape.ilc import VirtualInput, correction, density_error, scaled_error, update
-from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input
+from potshape.ilc import correction, density_error, scaled_error
+from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input, save_lut
 from potshape.optics import (
     BeamProfile,
     DarkSpot,
@@ -298,16 +299,33 @@ def test_deleted_keys_are_refused(tmp_path, capsys, section, key, value):
     assert not out.exists()
 
 
+# every count of a section, and the other arguments its class needs
+_COUNTS = [
+    (SolverConfig, {}, "max_steps"),
+    (LoopSpec, {}, "iterations"),
+    (LoopSpec, {}, "seed"),
+    (DmdSpec, {}, "n_rows"),
+    (DmdSpec, {}, "n_columns"),
+    (LutSpec, {}, "n_nu"),
+    (LutSpec, {}, "population"),
+    (LutSpec, {}, "generations"),
+    (PsfModel, {}, "gy_zero_cut"),
+    (DisturbanceEvent, {"spots": ()}, "iteration"),
+]
+
+
 def test_sections_built_in_python_refuse_fractional_counts():
     with pytest.raises(TypeError):
         LoopSpec(export_iterations=(2.7,))
-    with pytest.raises(TypeError):
-        DisturbanceEvent(iteration=2.5, spots=())
     with pytest.raises(ValueError, match="n_points must be an integer, got 30.0"):
         GridSpec(n_points=30.0).build()
-    # numpy integers are integers, and are stored as int
+    for cls, others, name in _COUNTS:
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got 3.5"):
+            cls(**others, **{name: 3.5})
+        # numpy integers are integers, and are stored as int
+        value = getattr(cls(**others, **{name: np.int64(3)}), name)
+        assert value == 3 and type(value) is int, (cls, name)
     assert LoopSpec(iterations=3, export_iterations=(np.int64(2),)).export_iterations == (2,)
-    assert type(DisturbanceEvent(iteration=np.int32(4), spots=()).iteration) is int
     assert type(SpatialGrid1D(10.0, np.int64(30)).n_points) is int
 
 
@@ -536,16 +554,12 @@ def test_perfect_measurement_freezes_the_loop(small_prepared, small_lut):
     e = density_error(pre.rho_desired, pre.rho_desired)
     assert error_norm(e) == 0.0
     rng = np.random.default_rng(5)
-    nu = VirtualInput(
-        field=RealField1D(
-            grid=pre.col_grid, values=rng.choice(small_lut.nu_levels, pre.col_grid.n_points)
-        )
-    )
+    nu = rng.choice(small_lut.nu_levels, pre.col_grid.n_points)
     held, clamp_count = _held_update(nu, e, pre, small_lut)
     assert clamp_count == 0
-    assert np.array_equal(held.values, nu.values)
-    before = map_virtual_input(nu.field, small_lut)
-    assert np.array_equal(map_virtual_input(held.field, small_lut).bits, before.bits)
+    assert np.array_equal(held, nu)
+    before = _pattern(nu, pre, small_lut)
+    assert np.array_equal(_pattern(held, pre, small_lut).bits, before.bits)
 
 
 def test_loop_under_measurement_noise(small_scenario, small_prepared, small_lut):
@@ -637,12 +651,14 @@ def test_loop_failure_carries_the_records_so_far(
 
 
 def _held_update(nu, e, pre, lut):
-    """``level_update`` on ``nu`` as the loop calls it: the next input and
-    the law's clamp count."""
-    index, clamp_count = level_update(
-        nu.values, lut.nearest_index(nu.values), e, error_norm(e), pre, lut
-    )
-    return VirtualInput(field=RealField1D(grid=nu.grid, values=lut.nu_levels[index])), clamp_count
+    """``level_update`` on the input ``nu`` as the loop calls it: the next
+    input and the law's clamp count."""
+    index, clamp_count = level_update(nu, lut.nearest_index(nu), e, error_norm(e), pre, lut)
+    return lut.nu_levels[index], clamp_count
+
+
+def _pattern(nu, prepared, lut):
+    return map_virtual_input(RealField1D(grid=prepared.col_grid, values=nu), lut)
 
 
 def _law_correction(e, prepared):
@@ -655,9 +671,7 @@ def _support_bump(prepared, peak_correction, lut):
     z = prepared.grid.samples
     z0 = z[prepared.gain.support][0]
     shape = RealField1D(grid=prepared.grid, values=np.exp(-((z - z0) ** 2) / 20.0))
-    nu = VirtualInput(
-        field=RealField1D(grid=prepared.col_grid, values=np.full(prepared.col_grid.n_points, 0.5))
-    )
+    nu = np.full(prepared.col_grid.n_points, 0.5)
     unit = _law_correction(shape, prepared)
     scale = peak_correction / (lut.n_nu - 1) / np.max(np.abs(unit))
     return nu, RealField1D(grid=prepared.grid, values=scale * shape.values)
@@ -669,9 +683,9 @@ def test_level_update_holds_corrections_below_half_a_step(small_prepared, small_
     half = 0.5 / (small_lut.n_nu - 1)
     # the unquantised law would move the input, the held one does not
     assert 0.7 * half < np.max(np.abs(_law_correction(e, small_prepared))) < half
-    assert np.array_equal(held.values, nu.values)
-    before = map_virtual_input(nu.field, small_lut)
-    after = map_virtual_input(held.field, small_lut)
+    assert np.array_equal(held, nu)
+    before = _pattern(nu, small_prepared, small_lut)
+    after = _pattern(held, small_prepared, small_lut)
     assert np.array_equal(after.bits, before.bits)
 
 
@@ -682,13 +696,13 @@ def test_level_update_moves_onto_levels_and_lowers_the_predicted_error(
     nu, e = _support_bump(pre, 3.0, small_lut)
     held, _ = _held_update(nu, e, pre, small_lut)
     levels = [entry.nu for entry in small_lut.entries]
-    assert np.all(np.isin(held.values, levels))
-    assert not np.array_equal(held.values, nu.values)
+    assert np.all(np.isin(held, levels))
+    assert not np.array_equal(held, nu)
     # the field change by the pixel sum of the applied and the held
     # pattern, through the linearised balance -alpha / (e_max p_z)
     psf = small_scenario.psf
     fields = [
-        propagate_full(map_virtual_input(v.field, small_lut), pre.beam, psf, pre.grid)
+        propagate_full(_pattern(v, pre, small_lut), pre.beam, psf, pre.grid)
         for v in (held, nu)
     ]
     slope = -pre.gain.alpha.values / (pre.e_perp_max * pre.beam.pz(pre.grid.samples))
@@ -706,31 +720,33 @@ def test_level_update_holds_a_move_the_table_cannot_deliver(small_prepared, smal
     nu, e = _support_bump(small_prepared, 3.0, flat)
     held, _ = _held_update(nu, e, small_prepared, flat)
     assert np.max(np.abs(_law_correction(e, small_prepared))) > 2.0 / (flat.n_nu - 1)
-    assert np.array_equal(held.values, nu.values)
+    assert np.array_equal(held, nu)
 
 
 def _dense_level_update(nu, e, pre, lut):
     # the trial prediction as one product of the whole column response
-    # with the achieved-value change of all columns, moved or not; also
-    # counts the trials and those that move a column
+    # with the achieved-value change of all columns, moved or not, and the
+    # columns where the law's target nu - L * e leaves [0, 1]; also counts
+    # the trials and those that move a column
     levels = lut.nu_levels
     achieved = lut.achieved_values()
-    res = update(nu, scaled_error(e, pre.gain), pre.kernel)
-    current = lut.nearest_index(nu.values)
+    corr = correction(scaled_error(e, pre.gain), pre.kernel, pre.col_grid)
+    raw = nu - corr
+    clamp_count = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
+    current = lut.nearest_index(nu)
     held = levels[current]
     slope = -pre.gain.alpha.values / pre.beam.pz(pre.grid.samples)
-    corr = res.correction
     trials = moved = 0
     while np.max(np.abs(corr)) > 0.5 * (levels[1] - levels[0]):
         trials += 1
-        trial = lut.nearest_index(np.clip(nu.values - corr, 0.0, 1.0))
+        trial = lut.nearest_index(np.clip(nu - corr, 0.0, 1.0))
         moved += bool(np.any(trial != current))
         de = slope * (pre.column_response @ (achieved[trial] - achieved[current]))
         if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < error_norm(e):
             held = levels[trial]
             break
         corr = 0.5 * corr
-    return held, res, trials, moved
+    return held, clamp_count, trials, moved
 
 
 def test_level_update_equals_the_dense_trial_prediction(small_prepared, small_lut):
@@ -755,17 +771,15 @@ def test_level_update_equals_the_dense_trial_prediction(small_prepared, small_lu
         centres = rng.uniform(support[0], support[-1], 3)
         bumps = np.exp(-((z[:, None] - centres[None, :]) ** 2) / rng.uniform(10.0, 200.0, 3))
         e = RealField1D(grid=pre.grid, values=bumps @ rng.normal(0.0, 0.05, 3))
-        values = lut.nu_levels[rng.integers(0, lut.n_nu, n_cols)]
-        nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=values))
-        corr = update(nu, scaled_error(e, pre.gain), pre.kernel).correction
+        nu = lut.nu_levels[rng.integers(0, lut.n_nu, n_cols)]
+        corr = _law_correction(e, pre)
         edge = rng.random(n_cols) < 1 / 3
-        values[edge] = np.where(corr[edge] > 0.0, 0.0, 1.0)
-        nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=values))
+        nu[edge] = np.where(corr[edge] > 0.0, 0.0, 1.0)
         held, clamp_count = _held_update(nu, e, pre, lut)
-        want, law, _, _ = _dense_level_update(nu, e, pre, lut)
-        assert np.array_equal(held.values, want)
-        assert clamp_count == law.clamp_count
-        outcomes.append((lut is backwards, np.array_equal(want, nu.values)))
+        want, want_clamps, _, _ = _dense_level_update(nu, e, pre, lut)
+        assert np.array_equal(held, want)
+        assert clamp_count == want_clamps
+        outcomes.append((lut is backwards, np.array_equal(want, nu)))
     # moves applied on the table, every move refused on the backwards copy
     assert outcomes.count((False, False)) >= 5 and outcomes.count((True, True)) >= 5
 
@@ -776,15 +790,13 @@ def test_level_update_halves_a_trial_that_moves_no_column_at_once(small_prepared
     # the error norm's finiteness check
     nu, e = _support_bump(small_prepared, 3.0, small_lut)
     corr = _law_correction(e, small_prepared)
-    edge = VirtualInput(
-        field=RealField1D(grid=nu.grid, values=np.where(corr > 0.0, 0.0, 1.0))
-    )
+    edge = np.where(corr > 0.0, 0.0, 1.0)
     blind = dataclasses.replace(
         small_prepared, column_response=np.full_like(small_prepared.column_response, np.nan)
     )
     held, _ = _held_update(edge, e, blind, small_lut)
     assert np.max(np.abs(corr)) > 2.0 / (small_lut.n_nu - 1)
-    assert np.array_equal(held.values, edge.values)
+    assert np.array_equal(held, edge)
     with pytest.raises(ValueError):
         _held_update(nu, e, blind, small_lut)
 
@@ -924,9 +936,8 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
         if held[r.n]:
             assert counts == [0, 0, 0, 0, 0], r.n
             continue
-        nu = VirtualInput(field=RealField1D(grid=pre.col_grid, values=r.nu))
         e = RealField1D(grid=pre.grid, values=r.e_rho)
-        _, _, trials, moved = _dense_level_update(nu, e, pre, lut)
+        _, _, trials, moved = _dense_level_update(r.nu, e, pre, lut)
         assert counts == [trials + (r.n == 0), 1 + moved, int(new_pattern[r.n]), 1, 1], r.n
     assert sum(new_pattern) == 19
     assert [n for n in range(80) if held[n]] == [*range(8, 40), *range(52, 80)]
@@ -1305,6 +1316,47 @@ def test_cli_run_and_report_chain(tmp_path, small_scenario):
         == 0
     )
     assert cli.main(["report", "--in", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "dmd, built",
+    [
+        (DmdSpec(n_rows=40, n_columns=240), "40 rows at pitch 1.0"),
+        (DmdSpec(n_rows=50, n_columns=240, pixel_pitch=1.25), "50 rows at pitch 1.25"),
+    ],
+    ids=["rows", "pitch"],
+)
+def test_table_of_another_mirror_geometry_is_refused(
+    monkeypatch, capsys, tmp_path, small_scenario, small_lut, dmd, built
+):
+    # small_lut was built for 50 rows at pitch 1.0; a scenario with
+    # another mirror array is refused before it is prepared
+    cfg = dataclasses.replace(small_scenario, dmd=dmd)
+    prepared = []
+    monkeypatch.setattr(harness, "prepare", prepared.append)
+    message = f"built for 50 rows at pitch 1.0, the scenario's mirror array has {built}"
+    with pytest.raises(ConfigError, match=message):
+        run_closed_loop(cfg, lut=small_lut)
+    assert prepared == []
+    cfg_path, lut_path, out = tmp_path / "scenario.json", tmp_path / "table.json", tmp_path / "run"
+    _write_small_config(cfg_path, cfg)
+    save_lut(small_lut, lut_path)
+    argv = ["run", "--config", str(cfg_path), "--lut", str(lut_path), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"configuration error: look-up table was {message}\n"
+    assert not out.exists()
+
+
+def test_table_for_other_optics_warns_and_runs(caplog, small_scenario, small_lut):
+    # the mirror geometry matches, so a table built for another PSF only warns
+    loop = dataclasses.replace(small_scenario.loop, iterations=1, export_iterations=None)
+    one = dataclasses.replace(small_scenario, loop=loop)
+    caplog.set_level(logging.WARNING, logger="potshape.harness")
+    assert len(run_closed_loop(one, lut=small_lut).records) == 1
+    assert "different optics" not in caplog.text
+    other = dataclasses.replace(one, psf=PsfModel(sigma_z=3.0))
+    assert len(run_closed_loop(other, lut=small_lut).records) == 1
+    assert "look-up table was built for different optics" in caplog.text
 
 
 def _cut_row(path):

@@ -16,16 +16,15 @@ from potshape.core import (
     convolve,
     spectrum,
 )
+from potshape.harness import error_norm, level_update
 from potshape.ilc import (
-    LearningKernel,
-    VirtualInput,
+    correction,
     default_regularization,
     density_error,
     design_kernel,
     gain_profile,
     scaled_error,
     transfer_function,
-    update,
 )
 from potshape.condensate import CondensateParams, nonlinearity
 from potshape.optics import PsfModel
@@ -226,93 +225,94 @@ def test_non_hermitian_spectrum_is_rejected(fine_grid):
         design_kernel(bad)
 
 
-# --------------------------------------------------------------- update
+# ------------------------------------------------- correction and update
 
 
-def test_virtual_input_bounds():
-    g = SpatialGrid1D(10.0, 11)
-    VirtualInput(field=RealField1D(grid=g, values=np.linspace(0.0, 1.0, 11)))
-    with pytest.raises(ValueError):
-        VirtualInput(field=RealField1D(grid=g, values=np.full(11, 1.2)))
-    with pytest.raises(ValueError):
-        VirtualInput(field=RealField1D(grid=g, values=np.full(11, -0.2)))
-
-
-def _delta_kernel(dz):
-    kg = SpatialGrid1D(2.0 * dz, 3)
-    vals = np.array([0.0, 1.0 / dz, 0.0])
-    return LearningKernel(
-        kernel=RealField1D(grid=kg, values=vals), gamma=1.0, transfer_sha256=""
-    )
-
-
-def test_update_zero_error_is_a_fixed_point(transfer):
+def test_update_zero_error_is_a_fixed_point(transfer, small_prepared, small_lut):
+    # a zero error has a zero correction, so the loop's update keeps the
+    # input's table indices and counts no clamp
     lk = design_kernel(transfer)
     g = transfer.grid
-    rng = np.random.default_rng(12)
-    nu = VirtualInput(field=RealField1D(grid=g, values=rng.uniform(0.1, 0.9, g.n_points)))
     zero = RealField1D(grid=g, values=np.zeros(g.n_points))
-    res = update(nu, zero, lk)
-    assert np.array_equal(res.nu.values, nu.values)
-    assert res.clamp_count == 0
-    assert np.max(np.abs(res.correction)) == 0.0
+    assert np.max(np.abs(correction(zero, lk, g))) == 0.0
+    pre = small_prepared
+    rng = np.random.default_rng(12)
+    index = rng.integers(0, small_lut.n_nu, pre.col_grid.n_points)
+    e = RealField1D(grid=pre.grid, values=np.zeros(pre.grid.n_points))
+    held, clamp_count = level_update(
+        small_lut.nu_levels[index], index, e, error_norm(e), pre, small_lut
+    )
+    assert np.array_equal(held, index)
+    assert clamp_count == 0
 
 
 def test_update_correction_is_linear_in_the_error(transfer):
     lk = design_kernel(transfer)
     g = transfer.grid
-    nu = VirtualInput(field=RealField1D(grid=g, values=np.full(g.n_points, 0.5)))
     rng = np.random.default_rng(13)
     env = np.exp(-g.samples**2 / 2000.0)
     e1 = RealField1D(grid=g, values=rng.standard_normal(g.n_points) * env * 0.01)
     e2 = RealField1D(grid=g, values=rng.standard_normal(g.n_points) * env * 0.01)
     mix = RealField1D(grid=g, values=2.0 * e1.values - 3.0 * e2.values)
-    c1 = update(nu, e1, lk).correction
-    c2 = update(nu, e2, lk).correction
-    cm = update(nu, mix, lk).correction
+    c1 = correction(e1, lk, g)
+    c2 = correction(e2, lk, g)
+    cm = correction(mix, lk, g)
     scale = np.max(np.abs(cm)) + 1e-30
     assert np.max(np.abs(cm - (2.0 * c1 - 3.0 * c2))) < 1e-10 * scale
 
 
-def test_update_clamps_and_counts():
-    g = SpatialGrid1D(40.0, 81)
-    lk = _delta_kernel(g.dz)
-    nu = VirtualInput(field=RealField1D(grid=g, values=np.full(81, 0.5)))
-    e = np.zeros(81)
-    e[10:20] = 2.0  # pushes nu below 0 there
-    e[30:40] = -2.0  # pushes nu above 1 there
-    res = update(nu, RealField1D(grid=g, values=e), lk)
-    assert res.clamp_count == 20
-    assert np.all(res.nu.values[10:20] == 0.0)
-    assert np.all(res.nu.values[30:40] == 1.0)
-    assert np.all(res.nu.values[50:] == 0.5)
+def test_update_clamps_and_counts(small_prepared, small_lut):
+    # a raised and a lowered bump on the gain's support push the law's
+    # target nu - L * e below 0 and above 1; the update counts both
+    pre = small_prepared
+    z = pre.grid.samples
+    support = z[pre.gain.support]
+    z1, z2 = support[len(support) // 4], support[3 * len(support) // 4]
+    values = np.zeros(pre.grid.n_points)
+    for zc, sign in ((z1, 1.0), (z2, -1.0)):
+        bump = RealField1D(grid=pre.grid, values=np.exp(-((z - zc) ** 2) / 20.0))
+        peak = np.max(np.abs(correction(scaled_error(bump, pre.gain), pre.kernel, pre.col_grid)))
+        values += sign * 0.8 / peak * bump.values
+    e = RealField1D(grid=pre.grid, values=values)
+    index = small_lut.nearest_index(np.full(pre.col_grid.n_points, 0.5))
+    nu = small_lut.nu_levels[index]
+    raw = nu - correction(scaled_error(e, pre.gain), pre.kernel, pre.col_grid)
+    below, above = np.count_nonzero(raw < 0.0), np.count_nonzero(raw > 1.0)
+    assert below > 0 and above > 0
+    _, clamp_count = level_update(nu, index, e, error_norm(e), pre, small_lut)
+    assert clamp_count == below + above
 
 
-def test_update_on_the_reference_kernel_matches_the_direct_sum(reference_prepared):
+def test_update_on_the_reference_kernel_matches_the_direct_sum(
+    reference_prepared, reference_lut
+):
     pre = reference_prepared
     kernel = pre.kernel.kernel
     g = pre.grid
     rng = np.random.default_rng(21)
     e = 0.3 * rng.standard_normal(g.n_points)
     e[: g.n_points // 3] = 0.0
-    nu = VirtualInput(
-        field=RealField1D(grid=pre.col_grid, values=rng.uniform(0.0, 1.0, pre.col_grid.n_points))
-    )
-    res = update(nu, RealField1D(grid=g, values=e), pre.kernel)
+    e = RealField1D(grid=g, values=e)
+    nu = rng.uniform(0.0, 1.0, pre.col_grid.n_points)
     # oracle: the direct sliding sum, sampled at the columns
-    direct = g.dz * np.convolve(e, kernel.values, mode="same")
+    direct = g.dz * np.convolve(e.values, kernel.values, mode="same")
     corr = np.interp(pre.col_grid.samples, g.samples, direct)
-    raw = nu.values - corr
+    got = correction(e, pre.kernel, pre.col_grid)
     peak = np.max(np.abs(corr))
     assert peak > 0.5
-    assert np.max(np.abs(res.correction - corr)) <= 1e-13 * peak
-    assert res.clamp_count == np.count_nonzero((raw < 0.0) | (raw > 1.0)) > 0
-    # columns between fine samples the error cannot reach keep their input
+    assert np.max(np.abs(got - corr)) <= 1e-13 * peak
+    # columns between fine samples the error cannot reach get no correction
     unreached = g.n_points // 3 - kernel.grid.n_points // 2 - 1
     beyond = pre.col_grid.samples <= g.samples[unreached]
     assert np.count_nonzero(beyond) > 50
-    assert np.all(res.correction[beyond] == 0.0)
-    assert np.array_equal(res.nu.values[beyond], nu.values[beyond])
+    assert np.all(got[beyond] == 0.0)
+    # the loop's update counts the columns whose target nu - L * e, with
+    # the error pre-scaled on the gain's support, leaves [0, 1]
+    scaled = g.dz * np.convolve(scaled_error(e, pre.gain).values, kernel.values, mode="same")
+    raw = nu - np.interp(pre.col_grid.samples, g.samples, scaled)
+    index = reference_lut.nearest_index(nu)
+    _, clamp_count = level_update(nu, index, e, error_norm(e), pre, reference_lut)
+    assert clamp_count == np.count_nonzero((raw < 0.0) | (raw > 1.0)) > 0
 
 
 # ---------------------------------------------------- mode contraction
@@ -328,22 +328,20 @@ def test_learning_loop_contracts_every_mode(fine_grid):
     gz_field = RealField1D(grid=fine_grid, values=gz / (gz.sum() * fine_grid.dz))
     z = fine_grid.samples
     dnu = 0.2 * np.exp(-(z**2) / (2.0 * 6.0**2)) * np.cos(1.1 * z)
-    nu = VirtualInput(field=RealField1D(grid=fine_grid, values=0.5 + dnu))
+    nu = 0.5 + dnu
 
     worst = 0.0
     for _ in range(5):
-        dnu_field = RealField1D(grid=fine_grid, values=nu.values - 0.5)
+        dnu_field = RealField1D(grid=fine_grid, values=nu - 0.5)
         e = RealField1D(
             grid=fine_grid, values=-ALPHA_BAR * convolve(dnu_field, gz_field).values
         )
-        res = update(nu, e, lk)
-        assert res.clamp_count == 0
+        raw = nu - correction(e, lk, fine_grid)
+        assert np.all((raw >= 0.0) & (raw <= 1.0))
         s_old = spectrum(dnu_field).values
-        s_new = spectrum(
-            RealField1D(grid=fine_grid, values=res.nu.values - 0.5)
-        ).values
+        s_new = spectrum(RealField1D(grid=fine_grid, values=raw - 0.5)).values
         excited = np.abs(s_old) > 1e-6 * np.max(np.abs(s_old))
         ratio = s_new[excited] / s_old[excited]
         worst = max(worst, float(np.max(np.abs(ratio - pred[excited]))))
-        nu = res.nu
+        nu = raw
     assert worst < 1e-6
