@@ -19,7 +19,6 @@ probability density in 1/um (atom number enters only through b).
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -237,13 +236,11 @@ def _rfft_weights(n: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=8)
 def _split_step_constants(n: int, dz: float, dtau: float, mass: float) -> tuple:
-    """Read-only arrays of one (grid, step, mass): the rfft wavenumbers k,
-    the half kinetic step exp(-k^2 dtau / 4m), and the Parseval weights of
-    the norm, of the kinetic energy and of the carried spectrum's kinetic
-    energy read off the post-step one.  Kept per set of values, so the
-    warm solves of a loop build them once."""
+    """Arrays of one (grid, step, mass): the rfft wavenumbers k, the half
+    kinetic step exp(-k^2 dtau / 4m), and the Parseval weights of the
+    norm, of the kinetic energy and of the carried spectrum's kinetic
+    energy read off the post-step one."""
     k = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dz)
     half_kin = np.exp(-(k**2) * dtau / (4.0 * mass))
     # |phi|^2 and <phi|T|phi> = dz / n * sums of 1 and k^2/2m times
@@ -251,10 +248,7 @@ def _split_step_constants(n: int, dz: float, dtau: float, mass: float) -> tuple:
     norm_weights = (dz / n) * _rfft_weights(n)
     kin_weights = k**2 / (2.0 * mass) * norm_weights
     carried_kin_weights = kin_weights * half_kin**2
-    out = (k, half_kin, norm_weights, kin_weights, carried_kin_weights)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return k, half_kin, norm_weights, kin_weights, carried_kin_weights
 
 
 def _effective_potential(rho: np.ndarray, v_offset: np.ndarray, params) -> np.ndarray:

@@ -157,15 +157,22 @@ class Spectrum1D:
         object.__setattr__(self, "values", v)
 
 
+def as_index(value, name: str) -> int:
+    """``value`` as a Python int; TypeError naming ``name`` if it is not an
+    integer (numpy integers are, booleans are not)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_index(obj, *names):
-    """Store the attributes ``names`` of a frozen dataclass as Python ints;
-    TypeError naming the first that is not an integer (numpy integers are)."""
+    """Store the attributes ``names`` of a frozen dataclass as Python ints
+    (:func:`as_index`)."""
     for name in names:
-        value = getattr(obj, name)
-        try:
-            object.__setattr__(obj, name, operator.index(value))
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(obj, name, as_index(getattr(obj, name), name))
 
 
 def check_positive(obj, *names):
@@ -230,7 +237,7 @@ def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
         raise ValueError("compact kernel must have odd length and a sample at z = 0")
     n = g.n_points
     n_pad = scipy.fft.next_fast_len(max(n + mid, m), real=True)
-    prod = scipy.fft.rfft(f.values, n_pad) * _padded_rfft(kernel, n_pad)
+    prod = scipy.fft.rfft(f.values, n_pad) * scipy.fft.rfft(kv, n_pad)
     out = g.dz * scipy.fft.irfft(prod, n_pad)[mid : mid + n]
     nonzero = f.values != 0
     if not nonzero.all():
@@ -241,19 +248,3 @@ def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
         count = np.concatenate((np.zeros(mid + 1, int), count, np.full(mid, count[-1])))
         out[count[2 * mid + 1 :] == count[:n]] = 0.0
     return RealField1D(grid=g, values=out)
-
-
-def _padded_rfft(kernel: RealField1D, n_pad: int) -> np.ndarray:
-    """Read-only rfft of a kernel's values zero padded to ``n_pad``.
-
-    A field's values never change, so the spectrum is kept on the kernel
-    itself, one per padded length: a loop that convolves with one kernel
-    transforms it once.
-    """
-    spectra = kernel.__dict__.setdefault("_padded_rfft", {})
-    spec = spectra.get(n_pad)
-    if spec is None:
-        spec = scipy.fft.rfft(kernel.values, n_pad)
-        spec.flags.writeable = False
-        spectra[n_pad] = spec
-    return spec

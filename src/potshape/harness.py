@@ -33,7 +33,6 @@ import json
 import logging
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -48,7 +47,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, check_index, check_positive
+from .core import RealField1D, SpatialGrid1D, as_index, check_index, check_positive
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -135,6 +134,7 @@ class GridSpec:
     n_points: int = 2700
 
     def __post_init__(self):
+        check_index(self, "n_points")
         check_positive(self, "length")
         if not self.n_points >= 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
@@ -215,7 +215,7 @@ class LoopSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.export_iterations is not None:
-            exp = tuple(operator.index(i) for i in self.export_iterations)
+            exp = tuple(as_index(i, "export iteration") for i in self.export_iterations)
             for n in exp:
                 if not (0 <= n < self.iterations):
                     raise ValueError(
@@ -448,15 +448,10 @@ class Prepared:
     is the one optics operator of the loop: the plant's field is one
     matrix-vector product per new pattern, and ``level_update`` predicts
     its trial moves with the span of the same matrix's columns they
-    move.  ``column_rows`` holds, for every column j, the first row
-    ``column_rows[0, j]`` and one past the last row ``column_rows[1, j]``
-    where that column is non-zero, read off the matrix itself; a column
-    no grid row reaches has the empty range (n_points, 0).  Outside its
-    rows a column is exactly 0, so a span's product is exactly 0 outside
-    the rows its columns reach.  ``error_slope`` is the prediction's
-    -alpha / p_z on the grid: the linearised amplitude error per unit
-    change of the on-axis field over e_max.  The plant spectrum G(k) is
-    needed only to design ``kernel`` and is not kept.
+    move.  ``error_slope`` is the prediction's -alpha / p_z on the grid:
+    the linearised amplitude error per unit change of the on-axis field
+    over e_max.  The plant spectrum G(k) is needed only to design
+    ``kernel`` and is not kept.
     """
 
     grid: SpatialGrid1D
@@ -464,7 +459,6 @@ class Prepared:
     beam: BeamProfile
     e_perp_max: float
     column_response: np.ndarray
-    column_rows: np.ndarray
     v_magnetic: RealField1D
     v_desired: RealField1D
     rho_desired: RealField1D
@@ -484,22 +478,6 @@ def _calibrated_beam(cfg: ScenarioConfig) -> BeamProfile:
         alpha_v=cfg.control.alpha_v,
         headroom=cfg.control.headroom,
     )
-
-
-def _column_rows(resp: np.ndarray) -> np.ndarray:
-    """Read-only (2, n_columns) first and one-past-last non-zero row of
-    every column of ``resp``; (n_rows, 0) for a column of zeros."""
-    nonzero = resp != 0.0
-    n_rows = resp.shape[0]
-    reached = nonzero.any(axis=0)
-    rows = np.array(
-        [
-            np.where(reached, nonzero.argmax(axis=0), n_rows),
-            np.where(reached, n_rows - nonzero[::-1].argmax(axis=0), 0),
-        ]
-    )
-    rows.flags.writeable = False
-    return rows
 
 
 def prepare(cfg: ScenarioConfig) -> Prepared:
@@ -540,7 +518,6 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
         beam=beam,
         e_perp_max=e_max,
         column_response=resp,
-        column_rows=_column_rows(resp),
         v_magnetic=v_mag,
         v_desired=v_des,
         rho_desired=rho_d,
@@ -735,22 +712,6 @@ def run_closed_loop(
     return RunResult(config=cfg, prepared=prepared, lut=lut, records=tuple(records))
 
 
-def _predicted_error(e: np.ndarray, prepared: Prepared, span: slice, d: np.ndarray) -> np.ndarray:
-    """e plus the linearised error change -(alpha / p_z) A d of changing
-    the achieved values of columns ``span`` by d.
-
-    Only the rows from the span's lowest first row to its highest last
-    row (``prepared.column_rows``) are multiplied and added into a copy
-    of e; outside them A[:, span] d is exactly 0, so the result equals
-    the full product's bit for bit.
-    """
-    rows = prepared.column_rows[:, span]
-    lo, hi = rows[0].min(), rows[1].max()
-    out = e.copy()
-    out[lo:hi] += prepared.error_slope[lo:hi] * (prepared.column_response[lo:hi, span] @ d)
-    return out
-
-
 def level_update(
     nu: np.ndarray, index: np.ndarray, e: RealField1D, err: float, prepared: Prepared, lut: Lut
 ) -> tuple[np.ndarray, int]:
@@ -773,15 +734,13 @@ def level_update(
     e_max A d, with A the column response, and the amplitude error by
     -(alpha / p_z) A d in the linearised local balance (alpha carries
     the field per unit input, e_max p_z).  d is zero outside the span
-    from the first to the last column the move changes level, and that
-    span of A's columns is zero outside the rows they reach, so only
-    that block of A is multiplied (:func:`_predicted_error`); -alpha /
-    p_z is built once, by ``prepare``, as ``error_slope``.  A move
-    predicted to raise the error is not applied: the correction is
-    halved until the prediction falls, and the input stays on its levels
-    once no column would move.  A trial that moves no column (every
-    large correction pushes a column at level 0 or 1 outward) changes
-    nothing and is halved at once.
+    from the first to the last column the move changes level, so only
+    that span of A's columns is multiplied; -alpha / p_z is built once,
+    by ``prepare``, as ``error_slope``.  A move predicted to raise the
+    error is not applied: the correction is halved until the prediction
+    falls, and the input stays on its levels once no column would move.
+    A trial that moves no column (every large correction pushes a column
+    at level 0 or 1 outward) changes nothing and is halved at once.
     """
     achieved = lut.achieved_values()
     half_step = 0.5 * (lut.nu_levels[1] - lut.nu_levels[0])
@@ -794,7 +753,8 @@ def level_update(
         if moved.size:
             span = slice(moved[0], moved[-1] + 1)
             d = achieved[trial[span]] - achieved[index[span]]
-            if _error_norm(_predicted_error(e.values, prepared, span, d), e.grid.dz) < err:
+            de = prepared.error_slope * (prepared.column_response[:, span] @ d)
+            if _error_norm(e.values + de, e.grid.dz) < err:
                 return trial, clamp_count
         corr = 0.5 * corr
     return index, clamp_count
@@ -861,13 +821,10 @@ def _default_export_iterations(n_total: int) -> tuple:
     return tuple(sorted(p for p in picks if 0 <= p < n_total))
 
 
-def _column(values):
-    """Format and cells of one CSV column.  Integers print as str, other
-    numbers as %.17g; a numeric array converts to Python numbers in one
-    call, any other sequence is formatted cell by cell."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        return ("%d" if values.dtype.kind in "iu" else _FLOAT_FMT), values.tolist()
-    return "%s", [str(c) if isinstance(c, (int, np.integer)) else _FLOAT_FMT % c for c in values]
+def _column(values: np.ndarray):
+    """Format and cells of one numeric CSV column: integers print as %d,
+    other numbers as %.17g, converted to Python numbers in one call."""
+    return ("%d" if values.dtype.kind in "iu" else _FLOAT_FMT), values.tolist()
 
 
 def _write_rows(path, header, columns):
@@ -923,10 +880,10 @@ def export_records(result: RunResult, out_dir) -> list:
         path,
         ("n", "error_norm", "mu", "clamp_count"),
         (
-            [r.n for r in records],
-            [r.error_norm for r in records],
-            [r.mu for r in records],
-            [r.clamp_count for r in records],
+            np.array([r.n for r in records]),
+            np.array([r.error_norm for r in records]),
+            np.array([r.mu for r in records]),
+            np.array([r.clamp_count for r in records]),
         ),
     )
     written.append(path)

@@ -9,7 +9,6 @@ real-valued solver is pinned to a complex split step that evaluates mu
 with its own transform every step.
 """
 
-import dataclasses
 import logging
 
 import numpy as np
@@ -316,30 +315,6 @@ def test_a_step_costs_two_transforms_and_one_interaction_evaluation(tilted_well,
     assert counts["rfft"] + counts["irfft"] <= 2 * k + 3
     assert counts["rfft"] <= k + 1
     assert counts["_effective_potential"] <= k + 2
-
-
-def test_solver_constants_are_kept_per_grid_step_and_mass(tilted_well):
-    # solves on grid A, on grid B (another spacing), with another step and
-    # another mass, then on A again: each reads its own constants, so the
-    # repeat returns the first result bit for bit
-    v, p, cfg = tilted_well
-    other = SpatialGrid1D(100.0, 400)
-    v_other = RealField1D(grid=other, values=0.02 * other.samples**2)
-
-    def key(gs):
-        return gs.mu.hex(), gs.n_steps, gs.phi.values.tobytes()
-
-    condensate._split_step_constants.cache_clear()
-    first = key(ground_state(v, p, cfg))
-    on_b = key(ground_state(v_other, p, cfg))
-    half_step = key(ground_state(v, p, dataclasses.replace(cfg, dtau=0.5 * cfg.dtau)))
-    heavier = key(ground_state(v, dataclasses.replace(p, mass=1.1 * p.mass), cfg))
-    assert key(ground_state(v, p, cfg)) == first
-    assert len({first, on_b, half_step, heavier}) == 4
-    assert condensate._split_step_constants.cache_info().misses == 4
-    # each of the others equals its own solve from an empty store
-    condensate._split_step_constants.cache_clear()
-    assert key(ground_state(v_other, p, cfg)) == on_b
 
 
 @pytest.mark.parametrize("n", [511, 512])

@@ -9,7 +9,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from potshape.core import (
@@ -261,35 +260,6 @@ def test_compact_kernel_is_exactly_zero_beyond_the_field_reach():
         reached[max(j - 10, 0) : j + 11] = True
     assert np.all(out.values[~reached] == 0.0)
     assert np.all(out.values[reached] != 0.0)
-
-
-def test_compact_kernel_spectrum_is_kept_per_padded_length(monkeypatch):
-    # one kernel against fields of two lengths, alternately: each length's
-    # padded spectrum is computed once, and every result equals the one a
-    # fresh copy of the kernel gives, zeroed samples beyond reach included
-    kg = SpatialGrid1D(length=10.0, n_points=21)
-    kernel = RealField1D(grid=kg, values=_gaussian(kg, 4.0))
-    rng = np.random.default_rng(12)
-    fields = []
-    for n in (201, 31):
-        g = SpatialGrid1D(length=0.5 * (n - 1), n_points=n)
-        fv = rng.standard_normal(n)
-        fv[n // 3 : n // 3 + 12] = 0.0
-        fv[-12:] = 0.0
-        fields.append(RealField1D(grid=g, values=fv))
-    fresh = [convolve(f, RealField1D(grid=kg, values=kernel.values)).values for f in fields]
-    transforms = []
-    rfft = scipy.fft.rfft
-
-    def counted(x, *args, **kwargs):
-        transforms.append(x is kernel.values)
-        return rfft(x, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.fft, "rfft", counted)
-    for _ in range(3):
-        for f, want in zip(fields, fresh):
-            assert np.array_equal(convolve(f, kernel).values, want)
-    assert sum(transforms) == 2 and len(transforms) == 2 + 6
 
 
 def test_compact_kernel_agrees_with_spectral_path():
