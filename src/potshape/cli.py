@@ -9,7 +9,8 @@ Subcommands:
   report         verify an exported run and print a summary
 
 Exit codes: 0 success, 1 bad configuration or input (too large to
-allocate included), 2 solver failure, 3 file system trouble.
+allocate or to convert to a float included), 2 solver failure, 3 file
+system trouble.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import dataclasses
 import logging
 import sys
-import warnings
 
 import numpy as np
 
@@ -73,16 +73,13 @@ def _cmd_groundstate(args) -> int:
         grid = cfg.grid.build()
         v = harness.desired_potential(cfg.desired, grid)
     else:
-        with warnings.catch_warnings():
-            # a header without rows is refused below, by its shape
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(args.potential, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] < 2:
+        cols = harness._read_rows(args.potential, ("z", "v"))
+        if len(cols["z"]) == 0:
             raise ConfigError(f"{args.potential}: expected CSV columns z,v")
-        if data.shape[0] < 2:
+        if len(cols["z"]) == 1:
             raise ConfigError(f"{args.potential}: one sample makes no grid; need two rows or more")
-        grid = SpatialGrid1D.from_samples(data[:, 0])
-        v = RealField1D(grid=grid, values=data[:, 1])
+        grid = SpatialGrid1D.from_samples(cols["z"])
+        v = RealField1D(grid=grid, values=cols["v"])
     gs = ground_state(v, cfg.condensate, cfg.solver)
     if not gs.converged:
         raise ConvergenceError("ground state did not converge; lower dtau or raise max_steps")
@@ -191,7 +188,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import RealField1D, check_index, check_positive, require_same_grid
+from .core import RealField1D, check_index, check_real, require_same_grid
 
 __all__ = [
     "CondensateParams",
@@ -75,10 +75,8 @@ class CondensateParams:
     omega_perp: float = 2.0 * np.pi * 1.4
 
     def __post_init__(self):
-        check_positive(self, "mass", "omega_perp")
-        for name in ("scattering_length", "atom_number"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        check_real(self, "mass", "omega_perp", above=0)
+        check_real(self, "scattering_length", "atom_number", low=0)
 
     @property
     def coupling(self) -> float:
@@ -88,20 +86,21 @@ class CondensateParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Imaginary-time solver settings.
+    """Imaginary-time solver settings; the defaults are the reference
+    scenario's.
 
     ``tol`` is on the relative change of mu between consecutive steps; mu
     is read every step from the state before its potential step, with the
     V + h(rho) that step applies and no transform of its own.
     """
 
-    dtau: float = 1e-3
-    max_steps: int = 200_000
+    dtau: float = 0.05
+    max_steps: int = 60_000
     tol: float = 1e-10
 
     def __post_init__(self):
-        check_index(self, "max_steps")
-        check_positive(self, "dtau", "max_steps", "tol")
+        check_index(self, "max_steps", low=1)
+        check_real(self, "dtau", "tol", above=0)
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,7 @@ class MeasurementConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if not self.noise_std >= 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std!r}")
+        check_real(self, "noise_std", low=0)
 
 
 @dataclass(frozen=True)

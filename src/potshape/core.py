@@ -22,7 +22,9 @@ integral (f * g)(z) = int f(xi) g(z - xi) dxi.
 
 from __future__ import annotations
 
+import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +47,9 @@ class SpatialGrid1D:
 
     Both endpoints are included, so the spacing is length/(n_points - 1)
     and the samples are symmetric about z = 0 (for even n_points the
-    origin itself falls between two samples).  ``n_points`` must be an
-    integer (numpy integers included); 30.0 is a ValueError.
+    origin itself falls between two samples).  ``n_points`` is a count
+    (:func:`as_index`, so 30.0 and True are a TypeError) of at least 2,
+    and ``length`` a finite number > 0.
     """
 
     length: float
@@ -54,14 +57,8 @@ class SpatialGrid1D:
     samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.length) or self.length <= 0:
-            raise ValueError(f"grid length must be positive and finite, got {self.length!r}")
-        try:
-            object.__setattr__(self, "n_points", operator.index(self.n_points))
-        except TypeError:
-            raise ValueError(f"grid n_points must be an integer, got {self.n_points!r}") from None
-        if self.n_points < 2:
-            raise ValueError("grid needs at least two samples")
+        as_real(self.length, "grid length", above=0)
+        object.__setattr__(self, "n_points", as_index(self.n_points, "grid n_points", low=2))
         z = np.linspace(-0.5 * self.length, 0.5 * self.length, self.n_points)
         z.flags.writeable = False
         object.__setattr__(self, "samples", z)
@@ -157,30 +154,54 @@ class Spectrum1D:
         object.__setattr__(self, "values", v)
 
 
-def as_index(value, name: str) -> int:
-    """``value`` as a Python int; TypeError naming ``name`` if it is not an
-    integer (numpy integers are, booleans are not)."""
+def as_index(value, name: str, low=None) -> int:
+    """``value`` as a Python int, at least ``low`` if that is given: a
+    TypeError naming ``name`` if it is not an integer (numpy integers are,
+    booleans are not), a ValueError if it is below ``low``."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and index < low:
+        raise ValueError(f"{name} must be >= {low}, got {index}")
+    return index
 
 
-def check_index(obj, *names):
+_FLOAT_MAX = sys.float_info.max
+
+
+def as_real(value, name: str, low=None, above=None):
+    """``value`` if it is a finite real number, at least ``low`` and above
+    ``above`` where those are given: a TypeError naming ``name`` if it is
+    no number (a boolean is none), else a ValueError.  An integer beyond
+    the float range is not finite."""
+    # an exact float or int skips the ABC check, which costs ten times more
+    if type(value) not in (float, int) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    if above is not None and value <= above:
+        raise ValueError(f"{name} must be > {above}, got {value!r}")
+    return value
+
+
+def check_index(obj, *names, low=None):
     """Store the attributes ``names`` of a frozen dataclass as Python ints
     (:func:`as_index`)."""
     for name in names:
-        object.__setattr__(obj, name, as_index(getattr(obj, name), name))
+        object.__setattr__(obj, name, as_index(getattr(obj, name), name, low))
 
 
-def check_positive(obj, *names):
-    """ValueError naming the first of the attributes ``names`` not > 0 (NaN is not)."""
+def check_real(obj, *names, low=None, above=None):
+    """Check the attributes ``names`` of a dataclass with :func:`as_real`."""
     for name in names:
-        value = getattr(obj, name)
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")
+        as_real(getattr(obj, name), name, low, above)
 
 
 def integrate(f: RealField1D) -> float:

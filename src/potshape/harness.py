@@ -47,7 +47,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, as_index, check_index, check_positive
+from .core import RealField1D, SpatialGrid1D, as_index, as_real, check_index, check_real
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -134,10 +134,8 @@ class GridSpec:
     n_points: int = 2700
 
     def __post_init__(self):
-        check_index(self, "n_points")
-        check_positive(self, "length")
-        if not self.n_points >= 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
+        check_index(self, "n_points", low=2)
+        check_real(self, "length", above=0)
 
     def build(self) -> SpatialGrid1D:
         return SpatialGrid1D(length=self.length, n_points=self.n_points)
@@ -150,10 +148,9 @@ class DmdSpec:
     pixel_pitch: float = 1.0
 
     def __post_init__(self):
-        check_index(self, "n_rows", "n_columns")
-        check_positive(self, "n_rows", "pixel_pitch")
-        if not self.n_columns >= 2:
-            raise ValueError(f"n_columns must be >= 2, got {self.n_columns!r}")
+        check_index(self, "n_rows", low=1)
+        check_index(self, "n_columns", low=2)
+        check_real(self, "pixel_pitch", above=0)
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,7 @@ class DesiredPotentialSpec:
     k_v: float = 7.53e-2
 
     def __post_init__(self):
-        check_positive(self, "v_max", "k_v")
+        check_real(self, "v_max", "k_v", above=0)
 
 
 @dataclass(frozen=True)
@@ -177,11 +174,9 @@ class LutSpec:
     generations: int = 200
 
     def __post_init__(self):
-        check_index(self, "n_nu", "population", "generations")
-        lows = {"n_nu": 2, "gamma_perp": 0, "dy": 0, "population": 2, "generations": 1}
-        for name, low in lows.items():
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        check_index(self, "n_nu", "population", low=2)
+        check_index(self, "generations", low=1)
+        check_real(self, "gamma_perp", "dy", low=0)
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,7 @@ class ControlSpec:
     headroom: float = 1.3
 
     def __post_init__(self):
-        check_positive(self, "alpha_v", "headroom")
+        check_real(self, "alpha_v", "headroom", above=0)
 
 
 @dataclass(frozen=True)
@@ -208,12 +203,10 @@ class LoopSpec:
     export_iterations: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        check_index(self, "iterations", "seed")
-        check_positive(self, "iterations")
+        check_index(self, "iterations", low=1)
+        check_index(self, "seed", low=0)
         if not 0.0 <= self.nu_initial <= 1.0:
             raise ValueError(f"nu_initial must lie in [0, 1], got {self.nu_initial!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.export_iterations is not None:
             exp = tuple(as_index(i, "export iteration") for i in self.export_iterations)
             for n in exp:
@@ -230,50 +223,32 @@ class DisturbanceEvent:
     spots: tuple
 
     def __post_init__(self):
-        check_index(self, "iteration")
-        if self.iteration < 0:
-            raise ValueError("disturbance iteration must be >= 0")
+        check_index(self, "iteration", low=0)
         object.__setattr__(self, "spots", tuple(self.spots))
-
-
-def _default_magnetic() -> MagneticPotentialSpec:
-    v_max = DesiredPotentialSpec().v_max
-    return MagneticPotentialSpec(
-        omega_par=2.0 * np.pi * 0.007,
-        ripple_amplitude=0.05 * v_max,
-        ripple_wavelength=10.0,
-        ripple_phase=0.0,
-    )
-
-
-def _default_disturbances() -> tuple:
-    spots = (
-        DarkSpot(center=-41.0, width=2.0, depth=0.15),
-        DarkSpot(center=34.0, width=2.0, depth=0.15),
-        DarkSpot(center=46.0, width=2.0, depth=0.15),
-    )
-    return (DisturbanceEvent(iteration=40, spots=spots),)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Defaults reproduce the reference double-well shaping run."""
+    """Defaults reproduce the reference double-well shaping run: each
+    section is its class's default."""
 
     grid: GridSpec = field(default_factory=GridSpec)
     condensate: CondensateParams = field(default_factory=CondensateParams)
     psf: PsfModel = field(default_factory=PsfModel)
     beam: BeamProfile = field(default_factory=BeamProfile)
-    magnetic: MagneticPotentialSpec = field(default_factory=_default_magnetic)
+    magnetic: MagneticPotentialSpec = field(default_factory=MagneticPotentialSpec)
     desired: DesiredPotentialSpec = field(default_factory=DesiredPotentialSpec)
     dmd: DmdSpec = field(default_factory=DmdSpec)
     lut: LutSpec = field(default_factory=LutSpec)
     control: ControlSpec = field(default_factory=ControlSpec)
     loop: LoopSpec = field(default_factory=LoopSpec)
-    solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(dtau=0.05, max_steps=60_000, tol=1e-10)
-    )
+    solver: SolverConfig = field(default_factory=SolverConfig)
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
-    disturbances: tuple = field(default_factory=_default_disturbances)
+    # dark spots 2 um wide and 0.15 deep switch on at iteration 40; the
+    # events are frozen, so every scenario shares this one schedule
+    disturbances: tuple = (
+        DisturbanceEvent(40, tuple(DarkSpot(z, 2.0, 0.15) for z in (-41.0, 34.0, 46.0))),
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
@@ -340,31 +315,31 @@ def _typed(kind: str, value, where: str):
     """``value`` checked against the field annotation ``kind``.
 
     An int field takes an integer, and an integral float such as 6e4 is
-    stored as that integer; a float field takes any finite number that
-    is not a boolean; ``X | None`` also takes None.
-    Anything else is a ConfigError naming ``where``.
+    stored as that integer; a float field takes what :func:`core.as_real`
+    takes, a finite number that is not a boolean; ``X | None`` also
+    takes None.  Anything else is a ConfigError naming ``where``.
     """
     if kind.endswith(" | None"):
         if value is None:
             return None
         kind = kind.removesuffix(" | None")
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if kind == "int" and number:
+    if kind == "float":
+        try:
+            return as_real(value, where)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    if kind == "int" and isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             return int(value)
-    elif kind == "float" and number:
-        if math.isfinite(value):
-            return value
-        raise ConfigError(f"{where} must be finite, got {value!r}")
     elif kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
         return tuple(_typed("int", v, f"{where} entry") for v in value)
     raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _build_section(cls, data, name, base=None):
-    """The section ``data`` as a ``cls``: the keys it gives replace those
-    of ``base`` (the reference scenario's section), or fill the class
-    defaults when there is no base."""
+def _build_section(cls, data, name):
+    """The section ``data`` as a ``cls``.  A key it omits takes the class
+    default, which is the reference scenario's value: the defaults live
+    on the section classes and nowhere else."""
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be an object")
     kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
@@ -376,7 +351,7 @@ def _build_section(cls, data, name, base=None):
         for key, value in data.items()
     }
     try:
-        return cls(**typed) if base is None else dataclasses.replace(base, **typed)
+        return cls(**typed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad section '{name}': {exc}") from exc
 
@@ -387,11 +362,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     unknown = sorted(set(data) - set(_SECTIONS) - {"disturbances"})
     if unknown:
         raise ConfigError(f"unknown scenario sections: {', '.join(unknown)}")
-    reference = ScenarioConfig()
     kwargs = {}
     for name, cls in _SECTIONS.items():
         if name in data:
-            kwargs[name] = _build_section(cls, data[name], name, getattr(reference, name))
+            kwargs[name] = _build_section(cls, data[name], name)
     if "disturbances" in data:
         if not isinstance(data["disturbances"], (list, tuple)):
             raise ConfigError("'disturbances' must be a list")
@@ -944,6 +918,37 @@ def export_records(result: RunResult, out_dir) -> list:
     return written
 
 
+def _read_rows(path, needed) -> dict:
+    """One array per header column of the numeric CSV at ``path``; a
+    ConfigError names the file and the column ``needed`` that the header
+    lacks, or the line that is not one finite number per column."""
+    try:
+        with open(path) as fh:
+            header = [h.strip() for h in fh.readline().split(",")]
+            lines = [(k, line.strip()) for k, line in enumerate(fh, start=2)]
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    for h in needed:
+        if h not in header:
+            raise ConfigError(f"{path}: header lacks column '{h}'")
+    rows = []
+    for k, line in lines:
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells for {len(header)} columns")
+            row = [float(c) for c in cells]
+            for c, value in zip(cells, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite value {c!r}")
+            rows.append(row)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {k}: {exc}") from exc
+    return {h: np.array([r[i] for r in rows]) for i, h in enumerate(header)}
+
+
 def load_run(out_dir) -> dict:
     """Read an exported run back: run.json, norms and field tables.
 
@@ -962,42 +967,15 @@ def load_run(out_dir) -> dict:
     if not isinstance(meta, dict) or meta.get("format") != "potshape-run-v1":
         raise ConfigError(f"{meta_path}: not a recognised run export")
 
-    def read_table(path, needed):
-        try:
-            with open(path) as fh:
-                header = fh.readline().strip().split(",")
-                lines = [(k, line.strip()) for k, line in enumerate(fh, start=2)]
-        except OSError as exc:
-            raise OSError(f"cannot read {path}: {exc}") from exc
-        for h in needed:
-            if h not in header:
-                raise ConfigError(f"{path}: header lacks column '{h}'")
-        rows = []
-        for k, line in lines:
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                if len(cells) != len(header):
-                    raise ValueError(f"{len(cells)} cells for {len(header)} columns")
-                row = [float(c) for c in cells]
-                for c, value in zip(cells, row):
-                    if not math.isfinite(value):
-                        raise ValueError(f"non-finite value {c!r}")
-                rows.append(row)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {k}: {exc}") from exc
-        return {h: np.array([r[i] for r in rows]) for i, h in enumerate(header)}
-
     exp = meta.get("export_iterations")
     if not isinstance(exp, list) or not all(type(n) is int and n >= 0 for n in exp):
         raise ConfigError(
             f"{meta_path}: 'export_iterations' is missing or not a list of iterations"
         )
-    norms = read_table(os.path.join(out_dir, "error_norms.csv"), ("n", "error_norm"))
+    norms = _read_rows(os.path.join(out_dir, "error_norms.csv"), ("n", "error_norm"))
     fields = {}
     for n in exp:
-        fields[n] = read_table(os.path.join(out_dir, f"fields_{n:04d}.csv"), ("z", "e_rho"))
+        fields[n] = _read_rows(os.path.join(out_dir, f"fields_{n:04d}.csv"), ("z", "e_rho"))
     return {"meta": meta, "norms": norms, "fields": fields}
 
 

@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import RealField1D
+from .core import RealField1D, as_index, as_real, check_index, check_real
 from .optics import BeamProfile, DmdPattern, PsfModel, column_grid, transversal_weights
 
 __all__ = [
@@ -99,8 +97,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_t < 1 or self.population < 2 or self.generations < 1:
-            raise ValueError("optimizer sizes out of range")
+        check_index(self, "n_t", "generations", low=1)
+        check_index(self, "population", low=2)
+        check_index(self, "seed", low=0)
+        check_real(self, "pitch", above=0)
+        check_real(self, "gamma_perp", "dy", low=0)
 
 
 class PatternObjective:
@@ -577,38 +578,18 @@ def _require_keys(obj, keys, what: str) -> None:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
-def _pattern(text) -> TransversalPattern:
+def _pattern(text, key: str) -> TransversalPattern:
     if not isinstance(text, str) or not set(text) <= {"0", "1"}:
-        raise ValueError("bits must be a string of 0 and 1 characters")
+        raise ValueError(f"{key} must be a string of 0 and 1 characters")
     return TransversalPattern(bits=[int(c) for c in text])
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError("not a finite number")
-    return x
-
-
-def _positive(value) -> float:
-    x = _finite(value)
-    if not x > 0:
-        raise ValueError("not > 0")
-    return x
-
-
-def _non_negative(value) -> float:
-    x = _finite(value)
-    if not x >= 0:
-        raise ValueError("not >= 0")
-    return x
-
-
-def _field(obj: dict, key: str, convert, what: str):
-    """``convert(obj[key])``; a value that does not convert is a ValueError
+def _field(obj: dict, key: str, what: str, convert=as_real, **bounds):
+    """``convert(obj[key], key, **bounds)``, a finite number by default
+    (:func:`core.as_real`); a value that does not convert is a ValueError
     naming ``what`` and the key."""
     try:
-        return convert(obj[key])
+        return convert(obj[key], key, **bounds)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} has an invalid {key!r}: {obj[key]!r}") from exc
 
@@ -618,8 +599,9 @@ def load_lut(path) -> Lut:
 
     Refuses with a ValueError naming the fault a file that is not a JSON
     object, lacks a header key or an entry field, holds a field of the
-    wrong type or out of its range (entry numbers must be finite, the
-    pitch > 0, ``dy`` and ``gamma_perp`` >= 0), or whose entries do not
+    wrong type or out of its range (numbers finite and not booleans,
+    stored as floats; counts integers; the pitch > 0; ``dy``,
+    ``gamma_perp`` and the seed >= 0), or whose entries do not
     form a table the closed loop can address: a bit string of the wrong
     length, a ``nu`` off the grid k / (n_nu - 1) that
     :meth:`Lut.nearest_index` assumes, decreasing achieved values, or two
@@ -636,19 +618,17 @@ def load_lut(path) -> Lut:
         _require_keys(e, _LUT_ENTRY_KEYS, f"entry {k}")
     entries = tuple(
         LutEntry(
-            nu=_field(e, "nu", _finite, f"entry {k}"),
-            pattern=_field(e, "bits", _pattern, f"entry {k}"),
-            achieved=_field(e, "achieved", _finite, f"entry {k}"),
-            residual=_field(e, "residual", _finite, f"entry {k}"),
+            nu=float(_field(e, "nu", f"entry {k}")),
+            pattern=_field(e, "bits", f"entry {k}", _pattern),
+            achieved=float(_field(e, "achieved", f"entry {k}")),
+            residual=float(_field(e, "residual", f"entry {k}")),
         )
         for k, e in enumerate(data["entries"])
     )
-    n_nu = _field(data, "n_nu", operator.index, "table header")
-    n_t = _field(data, "n_t", operator.index, "table header")
+    n_nu = _field(data, "n_nu", "table header", as_index, low=2)
+    n_t = _field(data, "n_t", "table header", as_index, low=1)
     if len(entries) != n_nu:
         raise ValueError("entry count does not match header")
-    if n_nu < 2:
-        raise ValueError("table needs at least the two extreme entries")
     for k, e in enumerate(entries):
         if len(e.pattern) != n_t:
             raise ValueError(f"entry {k} has {len(e.pattern)} bits, header says n_t = {n_t}")
@@ -660,9 +640,9 @@ def load_lut(path) -> Lut:
     return Lut(
         entries=entries,
         n_t=n_t,
-        pitch=_field(data, "pitch", _positive, "table header"),
-        gamma_perp=_field(data, "gamma_perp", _non_negative, "table header"),
-        dy=_field(data, "dy", _non_negative, "table header"),
+        pitch=float(_field(data, "pitch", "table header", above=0)),
+        gamma_perp=float(_field(data, "gamma_perp", "table header", low=0)),
+        dy=float(_field(data, "dy", "table header", low=0)),
         psf_beam_sha256=str(data["psf_beam_sha256"]),
-        seed=_field(data, "seed", operator.index, "table header"),
+        seed=_field(data, "seed", "table header", as_index, low=0),
     )

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf, sici
 
-from .core import RealField1D, SpatialGrid1D, check_index, check_positive
+from .core import RealField1D, SpatialGrid1D, check_index, check_real
 
 __all__ = [
     "PsfModel",
@@ -103,8 +103,8 @@ class PsfModel:
     _gy_norm: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
-        check_index(self, "gy_zero_cut")
-        check_positive(self, "sigma_z", "w_y", "gy_zero_cut")
+        check_index(self, "gy_zero_cut", low=1)
+        check_real(self, "sigma_z", "w_y", above=0)
         # integral of sinc(y/w) over the truncation window, via the sine
         # integral Si: int_{-a}^{a} sinc(t) dt = 2 Si(pi a) / pi.
         si, _ = sici(np.pi * self.gy_zero_cut)
@@ -151,7 +151,7 @@ class BeamProfile:
     amplitude: float = field(default=1.0, init=False)
 
     def __post_init__(self):
-        check_positive(self, "sigma_y", "sigma_z")
+        check_real(self, "sigma_y", "sigma_z", above=0)
 
     def py(self, y):
         return np.exp(-((np.asarray(y, dtype=float) / self.sigma_y) ** 2))
@@ -177,8 +177,7 @@ class DmdPattern:
             raise ValueError("pattern must be a 2d bit array")
         if not np.all((b == 0) | (b == 1)):
             raise ValueError("pattern entries must be 0 or 1")
-        if self.pixel_pitch <= 0:
-            raise ValueError("pixel pitch must be positive")
+        check_real(self, "pixel_pitch", above=0)
         b = b.astype(np.uint8).copy()
         b.flags.writeable = False
         object.__setattr__(self, "bits", b)
@@ -226,7 +225,8 @@ class DarkSpot:
     depth: float
 
     def __post_init__(self):
-        check_positive(self, "width")
+        check_real(self, "center")
+        check_real(self, "width", above=0)
         if not 0.0 < self.depth <= 1.0:
             raise ValueError(f"depth must lie in (0, 1], got {self.depth!r}")
 
@@ -251,17 +251,19 @@ class TransmissionDisturbance:
 
 @dataclass(frozen=True)
 class MagneticPotentialSpec:
-    """Harmonic longitudinal confinement plus an optional corrugation ripple."""
+    """Harmonic longitudinal confinement plus a corrugation ripple.  The
+    defaults are the reference trap: 7 Hz, with a ripple of 5 % of the
+    reference double well's depth 2 pi 8 rad/ms."""
 
-    omega_par: float
-    ripple_amplitude: float = 0.0
+    omega_par: float = 2.0 * np.pi * 0.007
+    ripple_amplitude: float = 0.05 * (2.0 * np.pi * 8.0)
     ripple_wavelength: float = 10.0
     ripple_phase: float = 0.0
 
     def __post_init__(self):
-        check_positive(self, "omega_par", "ripple_wavelength")
-        if not self.ripple_amplitude >= 0:
-            raise ValueError(f"ripple_amplitude must be >= 0, got {self.ripple_amplitude!r}")
+        check_real(self, "omega_par", "ripple_wavelength", above=0)
+        check_real(self, "ripple_amplitude", low=0)
+        check_real(self, "ripple_phase")
 
 
 def magnetic_potential(spec: MagneticPotentialSpec, mass: float, grid: SpatialGrid1D) -> RealField1D:

@@ -48,7 +48,13 @@ from potshape.harness import (
     scenario_to_dict,
 )
 from potshape.ilc import correction, density_error, scaled_error
-from potshape.inputmap import TransversalPattern, _lut_to_dict, map_virtual_input, save_lut
+from potshape.inputmap import (
+    OptimizerConfig,
+    TransversalPattern,
+    _lut_to_dict,
+    map_virtual_input,
+    save_lut,
+)
 from potshape.optics import (
     BeamProfile,
     DarkSpot,
@@ -247,6 +253,14 @@ def test_a_partial_section_keeps_the_reference_values_it_omits():
         assert built == getattr(reference, name), name
 
 
+def test_section_classes_hold_the_reference_defaults():
+    reference = ScenarioConfig()
+    assert MagneticPotentialSpec() == reference.magnetic
+    assert SolverConfig() == reference.solver
+    for name, cls in harness._SECTIONS.items():
+        assert cls() == getattr(reference, name), name
+
+
 _OUT_OF_RANGE = [
     ("lut", "dy", -1.0, "dy must be >= 0, got -1.0"),
     ("lut", "gamma_perp", -0.5, "gamma_perp must be >= 0, got -0.5"),
@@ -312,6 +326,10 @@ _COUNTS = [
     (LutSpec, {}, "generations"),
     (PsfModel, {}, "gy_zero_cut"),
     (DisturbanceEvent, {"spots": ()}, "iteration"),
+    (OptimizerConfig, {}, "n_t"),
+    (OptimizerConfig, {}, "population"),
+    (OptimizerConfig, {}, "generations"),
+    (OptimizerConfig, {}, "seed"),
 ]
 
 
@@ -319,8 +337,9 @@ def test_sections_built_in_python_refuse_fractional_counts():
     for entry in (2.7, True):
         with pytest.raises(TypeError, match=f"export iteration must be an integer, got {entry}"):
             LoopSpec(export_iterations=(entry,))
-    with pytest.raises(ValueError, match="n_points must be an integer, got 30.0"):
-        SpatialGrid1D(10.0, 30.0)
+    for value in (30.0, True):
+        with pytest.raises(TypeError, match=f"^grid n_points must be an integer, got {value}$"):
+            SpatialGrid1D(10.0, value)
     for cls, others, name in _COUNTS:
         # a boolean is not a count, although operator.index takes it as 0 or 1
         for value in (3.5, True):
@@ -361,6 +380,12 @@ _CHECKED_FLOATS = [
     (MeasurementConfig, {}, "noise_std"),
     (DarkSpot, {"center": 0.0, "width": 1.0, "depth": 0.1}, "width"),
     (DarkSpot, {"center": 0.0, "width": 1.0, "depth": 0.1}, "depth"),
+    (DarkSpot, {"center": 0.0, "width": 1.0, "depth": 0.1}, "center"),
+    (MagneticPotentialSpec, {}, "ripple_phase"),
+    (DmdPattern, {"bits": np.zeros((1, 1))}, "pixel_pitch"),
+    (OptimizerConfig, {}, "pitch"),
+    (OptimizerConfig, {}, "gamma_perp"),
+    (OptimizerConfig, {}, "dy"),
 ]
 
 
@@ -368,8 +393,10 @@ _CHECKED_FLOATS = [
     "cls, args, key", _CHECKED_FLOATS, ids=[f"{c.__name__}.{k}" for c, _, k in _CHECKED_FLOATS]
 )
 def test_sections_built_in_python_refuse_nan(cls, args, key):
-    with pytest.raises(ValueError, match=rf"\b{key} must .*, got nan$"):
-        cls(**{**args, key: float("nan")})
+    # infinities too: a range check alone would pass +inf as > 0
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=rf"\b{key} must .*, got {bad!r}$"):
+            cls(**{**args, key: bad})
 
 
 _BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 1e300, True, "x", None, [1]]
@@ -414,6 +441,23 @@ def test_cli_refuses_a_grid_too_large_to_allocate(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_cli_refuses_integers_beyond_the_float_range(tmp_path, capsys):
+    # a float key refuses such an integer as not finite; a count takes it,
+    # and the first float conversion of it is refused as invalid input
+    huge = 10**400
+    out = tmp_path / "state.csv"
+    refusals = {
+        "configuration error: bad section 'grid': 'length' must be finite": ("grid", "length"),
+        "invalid input: int too large to convert to float": ("psf", "gy_zero_cut"),
+    }
+    for err, (section, key) in refusals.items():
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps({section: {key: huge}}))
+        assert cli.main(["groundstate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(err)
+        assert not out.exists()
+
+
 def test_negative_seed_is_refused(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="seed must be >= 0"):
         LoopSpec(seed=-1)
@@ -445,6 +489,12 @@ _FLOAT_KEYS = [
     for key, value in section.items()
     if type(value) is float
 ] + [("spot", key) for key in _SPOT]
+
+
+def test_every_float_key_is_checked_when_built_in_python():
+    sections = {**harness._SECTIONS, "spot": DarkSpot}
+    checked = {(cls, key) for cls, _, key in _CHECKED_FLOATS}
+    assert {(sections[name], key) for name, key in _FLOAT_KEYS} <= checked
 
 
 def test_float_keys_are_every_float_field_of_the_scenario():
@@ -1440,6 +1490,31 @@ def test_cli_groundstate_refuses_without_numpy_warnings(tmp_path, capsys, recwar
     err = capsys.readouterr().err
     assert err.startswith("solver failure: wave function vanished") and "dtau = 0.05" in err
     assert len(recwarn) == 0
+
+
+def test_cli_groundstate_reads_its_potential_by_column_name(tmp_path, capsys):
+    # without a header the first row is not taken for one, and a header
+    # naming other columns is not read by position
+    out = tmp_path / "state.csv"
+    rows = "".join(f"{z!r},0.0\n" for z in np.linspace(-5.0, 5.0, 11))
+    for name, head, missing in (("bare", "", "z"), ("other", "x,y\n", "z"), ("no-v", "z,w\n", "v")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(head + rows)
+        assert cli.main(["groundstate", "--potential", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {path}: header lacks column '{missing}'\n"
+        assert not out.exists()
+    # a header that names both columns in another order, spaces included,
+    # gives the state of the plain file
+    z = [float(x) for x in np.linspace(-20.0, 20.0, 257)]
+    plain, swapped = tmp_path / "plain.csv", tmp_path / "swapped.csv"
+    plain.write_text("z,v\n" + "".join(f"{x!r},{0.05 * x * x!r}\n" for x in z))
+    swapped.write_text("v , z\n" + "".join(f"{0.05 * x * x!r},{x!r}\n" for x in z))
+    states = []
+    for path in (plain, swapped):
+        assert cli.main(["groundstate", "--potential", str(path), "--out", str(out)]) == 0
+        states.append(out.read_bytes())
+    assert states[0] == states[1]
 
 
 def test_cli_groundstate_refuses_a_potential_of_one_sample(tmp_path, capsys, recwarn):

@@ -448,7 +448,8 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
     with pytest.raises(ValueError, match="table header lacks 'n_t'"):
         load_lut(bad)
     # a count or seed that is not an integer is refused, not truncated: a
-    # truncated seed would break the record of how the table was built
+    # truncated seed would break the record of how the table was built;
+    # a boolean is neither a count nor a number, and a string is no number
     for key, value in (
         ("n_t", None),
         ("seed", None),
@@ -457,13 +458,16 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         ("n_t", 3.2),
         ("seed", 7.5),
         ("n_t", "40"),
+        ("seed", True),
+        ("pitch", True),
+        ("pitch", "1.0"),
     ):
         d = _lut_to_dict(fast_lut)
         d[key] = value
         bad.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=f"table header has an invalid '{key}': {value!r}"):
             load_lut(bad)
-    # the pitch must be > 0, the penalty's reach and weight >= 0
+    # the pitch must be > 0, the penalty's reach and weight and the seed >= 0
     for key, value in (
         ("pitch", float("nan")),
         ("pitch", -1.0),
@@ -472,6 +476,7 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         ("dy", float("inf")),
         ("gamma_perp", -0.3),
         ("gamma_perp", float("nan")),
+        ("seed", -1),
     ):
         d = _lut_to_dict(fast_lut)
         d[key] = value
@@ -504,6 +509,9 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         (lambda es: es[4].update(achieved=float("inf")), "entry 4 has an invalid 'achieved': inf"),
         (lambda es: es[5].update(residual=float("nan")), "entry 5 has an invalid 'residual': nan"),
         (lambda es: es[0].update(residual=float("-inf")), "entry 0 has an invalid 'residual': -inf"),
+        # a boolean or a string is not a number, although float() takes both
+        (lambda es: es[2].update(nu=True), "entry 2 has an invalid 'nu': True"),
+        (lambda es: es[4].update(achieved="0.5"), "entry 4 has an invalid 'achieved': '0.5'"),
     ):
         d = _lut_to_dict(fast_lut)
         edit(d["entries"])
