@@ -74,10 +74,9 @@ def _cmd_groundstate(args) -> int:
         v = harness.desired_potential(cfg.desired, grid)
     else:
         cols = harness._read_rows(args.potential, ("z", "v"))
-        if len(cols["z"]) == 0:
-            raise ConfigError(f"{args.potential}: expected CSV columns z,v")
-        if len(cols["z"]) == 1:
-            raise ConfigError(f"{args.potential}: one sample makes no grid; need two rows or more")
+        n_rows = len(cols["z"])
+        if n_rows < 2:
+            raise ConfigError(f"{args.potential}: a grid needs two data rows or more, got {n_rows}")
         grid = SpatialGrid1D.from_samples(cols["z"])
         v = RealField1D(grid=grid, values=cols["v"])
     gs = ground_state(v, cfg.condensate, cfg.solver)

@@ -85,15 +85,17 @@ class OptimizerConfig:
 
     The penalty integral is sampled every ``pitch`` across [-dy, +dy] and
     evaluated with trapezoid weights.  The genetic search's other settings
-    are the module constants TOURNAMENT, ELITE and MUTATIONS.
+    are the module constants TOURNAMENT, ELITE and MUTATIONS.  Every
+    setting but ``seed`` is required; ``ScenarioConfig.optimizer_config``
+    passes them from the scenario's mirror array, table and loop sections.
     """
 
-    n_t: int = 100
-    pitch: float = 1.0
-    gamma_perp: float = 0.3
-    dy: float = 4.0
-    population: int = 100
-    generations: int = 200
+    n_t: int
+    pitch: float
+    gamma_perp: float
+    dy: float
+    population: int
+    generations: int
     seed: int = 0
 
     def __post_init__(self):

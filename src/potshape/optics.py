@@ -16,7 +16,8 @@ plant and ``propagate_full``), and the longitudinal blur of each column
 has a closed form (an erf difference).  ``column_response`` tabulates
 that blur once, evaluating each row only on the band of columns near
 it: farther out both erfs of a column's edges round to the same exact
-+1 or -1, so the rest of the row is exactly zero.
++1 or -1, so the rest of the row is exactly zero.  Neighbouring columns
+share an edge, so each row evaluates erf once per edge of its band.
 One field evaluation is then a single matrix-vector product.  The closed
 loop (``harness``) builds the matrix once and uses it twice: the plant
 feeds it the ``column_sums`` of the actual mirror pattern, and the
@@ -393,13 +394,21 @@ def column_response(
     sum_j Z[:, j] c_j, and Z does not depend on the pattern.  Returns
     shape (grid.n_points, col_grid.n_points).
 
-    Only each row's band is evaluated: the columns with an edge within
+    Column j spans edges[j] to edges[j + 1], the lower edges
+    ``centers - half`` followed by the last upper edge, so two neighbouring
+    columns share one edge and each row evaluates erf once per edge.  Only
+    each row's band is evaluated: the columns with an edge within
     6.5 / sqrt(a) of the row's Gaussian centre, where a is the Gaussian's
     precision.  Beyond that margin erf rounds to exactly +1 or -1 at both
     edges of a column, so the erf difference, and the entry, is exactly
     zero; on the reference scenario 89 % of the entries are.  The band's
     entries use the same arithmetic as a full evaluation, so the matrix is
-    bit for bit the one the erf difference gives everywhere.
+    bit for bit the erf difference over the shared edges everywhere.  Where
+    one column's centre + half equals the next one's centre - half, as at
+    a pitch of 1.0 or 1.25 um (checked up to 1199 columns), that is the
+    difference at centre +- half of each column.  At a pitch like 0.7 um
+    the two round apart; the shared edges still tile the axis exactly,
+    and the entries move by a few 1e-14 of the largest one.
     """
     z = grid.samples
     centers = col_grid.samples
@@ -415,19 +424,18 @@ def column_response(
         * 0.5
         * np.sqrt(np.pi / a)
     )
-    lo_edge = centers - half
-    hi_edge = centers + half
+    # column j spans edges[j] to edges[j + 1]
+    edges = np.append(centers - half, centers[-1] + half)
     # row i's band is columns first[i] to stop[i] - 1; one window of the
     # widest band's width, kept inside the column grid, holds every band
     reach = _ERF_SATURATION / sq
-    first = np.searchsorted(hi_edge, eta_bar - reach)
-    stop = np.searchsorted(lo_edge, eta_bar + reach)
+    first = np.searchsorted(edges[1:], eta_bar - reach)
+    stop = np.searchsorted(edges[:-1], eta_bar + reach)
     width = int((stop - first).max())
-    idx = np.minimum(first, len(centers) - width)[:, None] + np.arange(width)
-    lo = erf(sq * (lo_edge[idx] - eta_bar[:, None]))
-    hi = erf(sq * (hi_edge[idx] - eta_bar[:, None]))
+    idx = np.minimum(first, len(centers) - width)[:, None] + np.arange(width + 1)
+    e = erf(sq * (edges[idx] - eta_bar[:, None]))
     out = np.zeros((len(z), len(centers)))
-    np.put_along_axis(out, idx, env[:, None] * (hi - lo), axis=1)
+    np.put_along_axis(out, idx[:, :-1], env[:, None] * (e[:, 1:] - e[:, :-1]), axis=1)
     return out
 
 

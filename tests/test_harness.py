@@ -313,6 +313,13 @@ def test_deleted_keys_are_refused(tmp_path, capsys, section, key, value):
     assert not out.exists()
 
 
+def _search_args(name):
+    # the reference table settings OptimizerConfig requires, but the named one
+    args = dataclasses.asdict(ScenarioConfig().optimizer_config())
+    del args[name]
+    return args
+
+
 # every count of a section, and the other arguments its class needs
 _COUNTS = [
     (GridSpec, {}, "n_points"),
@@ -326,10 +333,10 @@ _COUNTS = [
     (LutSpec, {}, "generations"),
     (PsfModel, {}, "gy_zero_cut"),
     (DisturbanceEvent, {"spots": ()}, "iteration"),
-    (OptimizerConfig, {}, "n_t"),
-    (OptimizerConfig, {}, "population"),
-    (OptimizerConfig, {}, "generations"),
-    (OptimizerConfig, {}, "seed"),
+    (OptimizerConfig, _search_args("n_t"), "n_t"),
+    (OptimizerConfig, _search_args("population"), "population"),
+    (OptimizerConfig, _search_args("generations"), "generations"),
+    (OptimizerConfig, _search_args("seed"), "seed"),
 ]
 
 
@@ -383,9 +390,9 @@ _CHECKED_FLOATS = [
     (DarkSpot, {"center": 0.0, "width": 1.0, "depth": 0.1}, "center"),
     (MagneticPotentialSpec, {}, "ripple_phase"),
     (DmdPattern, {"bits": np.zeros((1, 1))}, "pixel_pitch"),
-    (OptimizerConfig, {}, "pitch"),
-    (OptimizerConfig, {}, "gamma_perp"),
-    (OptimizerConfig, {}, "dy"),
+    (OptimizerConfig, _search_args("pitch"), "pitch"),
+    (OptimizerConfig, _search_args("gamma_perp"), "gamma_perp"),
+    (OptimizerConfig, _search_args("dy"), "dy"),
 ]
 
 
@@ -1482,7 +1489,8 @@ def test_cli_groundstate_refuses_without_numpy_warnings(tmp_path, capsys, recwar
     empty = tmp_path / "empty.csv"
     empty.write_text("z,v\n")
     assert cli.main(["groundstate", "--potential", str(empty), "--out", out]) == 1
-    assert capsys.readouterr().err == f"configuration error: {empty}: expected CSV columns z,v\n"
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {empty}: a grid needs two data rows or more, got 0\n"
     high = tmp_path / "high.csv"
     rows = "".join(f"{float(z)!r},1e9\n" for z in np.linspace(-20.0, 20.0, 129))
     high.write_text("z,v\n" + rows)
@@ -1524,7 +1532,7 @@ def test_cli_groundstate_refuses_a_potential_of_one_sample(tmp_path, capsys, rec
     out = tmp_path / "state.csv"
     assert cli.main(["groundstate", "--potential", str(one), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"configuration error: {one}: one sample makes no grid; need two rows or more\n"
+    assert err == f"configuration error: {one}: a grid needs two data rows or more, got 1\n"
     assert not out.exists() and len(recwarn) == 0
 
 

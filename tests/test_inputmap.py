@@ -5,6 +5,7 @@ speed; the session-scoped reference table carries the full-size checks
 (monotonicity, stored-value consistency).
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potshape.core import RealField1D
+from potshape.harness import ScenarioConfig
 from potshape.inputmap import (
     ELITE,
     MUTATIONS,
@@ -34,9 +36,14 @@ from potshape.inputmap import (
 from potshape.optics import BeamProfile, PsfModel, calibrate_beam, column_grid
 
 
+def _search(**settings):
+    # the reference scenario's table settings with the given ones changed
+    return dataclasses.replace(ScenarioConfig().optimizer_config(), **settings)
+
+
 @pytest.fixture(scope="module")
 def fast_cfg():
-    return OptimizerConfig(n_t=40, population=40, generations=40, seed=3)
+    return _search(n_t=40, population=40, generations=40, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +74,15 @@ def test_transversal_pattern_validation():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(population=1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(generations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(n_t=0)
-    OptimizerConfig(population=2, generations=1, n_t=1)
+    least = dict(n_t=1, pitch=1.0, gamma_perp=0.3, dy=4.0, population=2, generations=1)
+    OptimizerConfig(**least)
+    for name, bad in (("population", 1), ("generations", 0), ("n_t", 0)):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{**least, name: bad})
+    # the table settings have no defaults; only the seed does
+    with pytest.raises(TypeError, match="pitch"):
+        OptimizerConfig(n_t=1, gamma_perp=0.3, dy=4.0, population=2, generations=1)
+    assert OptimizerConfig(**least).seed == 0
 
 
 def test_all_ones_column_is_normalised(fast_cfg, psf, beam):
@@ -147,7 +156,7 @@ def _solo_ga(obj, nu, cfg, rng):
 
 def test_lockstep_search_matches_solo_searches(psf, beam):
     # odd population exercises the unpaired parent, ELITE > 1 the elitism
-    cfg = OptimizerConfig(n_t=40, population=41, generations=30, seed=5)
+    cfg = _search(n_t=40, population=41, generations=30, seed=5)
     obj = PatternObjective(cfg, psf, beam)
     nus = np.array([0.05, 0.3, 0.5, 0.5, 0.77, 0.95])
     got = _ga_minimise(obj, nus, cfg, [np.random.default_rng([5, k]) for k in range(len(nus))])
@@ -168,8 +177,8 @@ def test_solve_pattern_extremes(fast_cfg, psf, beam):
         solve_pattern(-0.1, fast_cfg, psf, beam, target_cap=1e-3)
 
 
-def test_solve_pattern_half_level(psf, beam):
-    cfg = OptimizerConfig()  # full-size search
+def test_solve_pattern_half_level(scenario, psf, beam):
+    cfg = scenario.optimizer_config()  # full-size search
     pat, achieved, residual = solve_pattern(0.5, cfg, psf, beam, target_cap=1e-3)
     assert abs(achieved - 0.5) < 1e-3
     assert residual < 1e-4
@@ -310,7 +319,7 @@ def test_unreachable_accuracy_is_a_hard_error(fast_cfg, psf, beam):
 
 def test_levels_sharing_a_pattern_are_a_hard_error(psf, beam):
     # two mirrors make four patterns, too few for seven distinct levels
-    cfg = OptimizerConfig(n_t=2, population=8, generations=5, seed=3)
+    cfg = _search(n_t=2, population=8, generations=5, seed=3)
     with pytest.raises(ValueError, match="share one bit pattern"):
         build_lut(7, cfg, psf, beam, accuracy=1.0)
 

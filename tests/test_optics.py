@@ -352,9 +352,13 @@ def test_full_route_memory_is_bounded_by_one_row_block():
 def _dense_column_response(grid, col_grid, psf, beam):
     # the erf difference at every (row, column), the reference that the
     # banded evaluation must reproduce bit for bit
-    z = grid.samples
     centers = col_grid.samples
     half = 0.5 * col_grid.dz
+    return _dense_erf_difference(grid, centers - half, centers + half, psf, beam)
+
+
+def _dense_erf_difference(grid, lo_edge, hi_edge, psf, beam):
+    z = grid.samples
     sigma, sigma_in = psf.sigma_z, beam.sigma_z
     a = 0.5 / sigma**2 + 1.0 / sigma_in**2
     sq = np.sqrt(a)
@@ -365,8 +369,8 @@ def _dense_column_response(grid, col_grid, psf, beam):
         * 0.5
         * np.sqrt(np.pi / a)
     )
-    lo = erf(sq * (centers[None, :] - half - eta_bar[:, None]))
-    hi = erf(sq * (centers[None, :] + half - eta_bar[:, None]))
+    lo = erf(sq * (lo_edge[None, :] - eta_bar[:, None]))
+    hi = erf(sq * (hi_edge[None, :] - eta_bar[:, None]))
     return env[:, None] * (hi - lo)
 
 
@@ -378,8 +382,10 @@ def _dense_column_response(grid, col_grid, psf, beam):
         (SpatialGrid1D(20.0, 201), column_grid(5, 1.0)),
         # the columns reach far beyond the condensate grid on both sides
         (SpatialGrid1D(40.0, 401), column_grid(240, 1.0)),
+        # the reference scenario's condensate grid and mirror columns
+        (SpatialGrid1D(250.0, 2700), column_grid(400, 1.0)),
     ],
-    ids=["wide", "tiny-columns", "columns-beyond-grid"],
+    ids=["wide", "tiny-columns", "columns-beyond-grid", "reference"],
 )
 def test_column_response_equals_the_dense_erf_difference(grid, col_grid):
     for sigma_z in (0.5, 2.5, 8.0):
@@ -391,6 +397,31 @@ def test_column_response_equals_the_dense_erf_difference(grid, col_grid):
             assert np.array_equal(resp, dense)
             # array_equal takes -0.0 for +0.0; the zeros' signs must match too
             assert np.array_equal(np.signbit(resp), np.signbit(dense))
+
+
+def test_column_response_shares_each_edge_between_its_two_columns():
+    # at pitch 0.7 the centre + half of one column and the centre - half
+    # of the next round apart, so the matrix is the erf difference over
+    # the lower edges and the last upper edge; it moves from the centre
+    # +- half difference by the rounding of the edges only (2.1e-14 of the
+    # largest entry at most here)
+    grid = SpatialGrid1D(120.0, 1201)
+    col_grid = column_grid(100, 0.7)
+    centers = col_grid.samples
+    half = 0.5 * col_grid.dz
+    assert np.count_nonzero(centers[1:] - half != centers[:-1] + half) > 0
+    edges = np.append(centers - half, centers[-1] + half)
+    for sigma_z in (0.5, 2.5, 8.0):
+        for beam_sigma_z in (125.0, 30.0):
+            psf = PsfModel(sigma_z=sigma_z)
+            beam = BeamProfile(sigma_z=beam_sigma_z)
+            resp = column_response(grid, col_grid, psf, beam)
+            shared = _dense_erf_difference(grid, edges[:-1], edges[1:], psf, beam)
+            assert np.array_equal(resp, shared)
+            assert np.array_equal(np.signbit(resp), np.signbit(shared))
+            dense = _dense_column_response(grid, col_grid, psf, beam)
+            assert not np.array_equal(resp, dense)
+            assert np.max(np.abs(resp - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_separable_plateau_with_flat_envelope():
