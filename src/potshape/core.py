@@ -134,24 +134,21 @@ class RealField1D:
 
 @dataclass(frozen=True)
 class Spectrum1D:
-    """Samples of a spatial spectrum F(k) on the wavenumber grid of ``grid``.
-
-    Wavenumbers are stored in FFT ordering (0, positive, negative).
-    """
+    """Samples of a spatial spectrum F(k) on the wavenumber grid of ``grid``,
+    in FFT ordering (0, positive, negative)."""
 
     grid: SpatialGrid1D
-    wavenumbers: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.wavenumbers, dtype=float)
-        v = _validated(self.values, self.grid.n_points, complex)
-        if k.shape != v.shape:
-            raise ValueError("wavenumber and value arrays must match")
-        k = k.copy()
-        k.flags.writeable = False
-        object.__setattr__(self, "wavenumbers", k)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(
+            self, "values", _validated(self.values, self.grid.n_points, complex)
+        )
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        """The grid's wavenumbers (:attr:`SpatialGrid1D.wavenumbers`)."""
+        return self.grid.wavenumbers
 
 
 def as_index(value, name: str, low=None) -> int:
@@ -220,7 +217,7 @@ def spectrum(f: RealField1D) -> Spectrum1D:
     g = f.grid
     k = g.wavenumbers
     vals = g.dz * np.exp(-1j * k * g.samples[0]) * scipy.fft.fft(f.values)
-    return Spectrum1D(grid=g, wavenumbers=k, values=vals)
+    return Spectrum1D(grid=g, values=vals)
 
 
 def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:

@@ -205,6 +205,7 @@ class LoopSpec:
     def __post_init__(self):
         check_index(self, "iterations", low=1)
         check_index(self, "seed", low=0)
+        check_real(self, "nu_initial")
         if not 0.0 <= self.nu_initial <= 1.0:
             raise ValueError(f"nu_initial must lie in [0, 1], got {self.nu_initial!r}")
         if self.export_iterations is not None:
@@ -225,6 +226,9 @@ class DisturbanceEvent:
     def __post_init__(self):
         check_index(self, "iteration", low=0)
         object.__setattr__(self, "spots", tuple(self.spots))
+        for spot in self.spots:
+            if not isinstance(spot, DarkSpot):
+                raise TypeError(f"disturbance spots must be DarkSpot entries, got {spot!r}")
 
 
 @dataclass(frozen=True)
@@ -276,19 +280,12 @@ def _section_to_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
 
 
+# every ScenarioConfig field but the disturbance schedule is a section,
+# built by its default factory's class
 _SECTIONS = {
-    "grid": GridSpec,
-    "condensate": CondensateParams,
-    "psf": PsfModel,
-    "beam": BeamProfile,
-    "magnetic": MagneticPotentialSpec,
-    "desired": DesiredPotentialSpec,
-    "dmd": DmdSpec,
-    "lut": LutSpec,
-    "control": ControlSpec,
-    "loop": LoopSpec,
-    "solver": SolverConfig,
-    "measurement": MeasurementConfig,
+    f.name: f.default_factory
+    for f in dataclasses.fields(ScenarioConfig)
+    if f.name != "disturbances"
 }
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "gain_profile",
     "scaled_error",
     "transfer_function",
-    "default_regularization",
     "design_kernel",
     "correction",
 ]
@@ -94,9 +93,7 @@ def gain_profile(
     mu_desired: float,
     params,
     e_perp_max,
-    alpha_v: float = 1.0,
-    eps_opt: float | None = None,
-    eps_mu: float | None = None,
+    alpha_v: float,
 ) -> GainProfile:
     """Gain alpha(z) = -d sqrt(rho) / d nu of the local balance mu_d = V + h(rho).
 
@@ -116,9 +113,10 @@ def gain_profile(
     mean of alpha over the support.
 
     Evaluated only on the support S where the optical part of the desired
-    potential exceeds eps_opt and the desired state is occupied by at
-    least eps_mu; both square roots are singular at the respective edges.
-    Defaults: eps_opt = 5% of max V_d, eps_mu = 5% of omega_perp.
+    potential exceeds eps_opt = 5% of max V_d and the desired state is
+    occupied by at least eps_mu = 5% of omega_perp; both square roots are
+    singular at the respective edges.  The thresholds are fixed here, not
+    set by a caller; the profile records them.
     """
     require_same_grid(v_desired, v_magnetic)
     e_field = np.broadcast_to(np.asarray(e_perp_max, dtype=float), v_desired.values.shape)
@@ -126,10 +124,8 @@ def gain_profile(
         raise ValueError("e_perp_max and alpha_v must be positive")
     if params.coupling <= 0:
         raise ValueError("linearisation gain needs interactions (a_s N > 0)")
-    if eps_opt is None:
-        eps_opt = 0.05 * float(np.max(v_desired.values))
-    if eps_mu is None:
-        eps_mu = 0.05 * params.omega_perp
+    eps_opt = 0.05 * float(np.max(v_desired.values))
+    eps_mu = 0.05 * params.omega_perp
     s_opt = v_desired.values - v_magnetic.values
     s_mu = mu_desired - v_desired.values
     mask = (s_opt > eps_opt) & (s_mu > eps_mu)
@@ -178,12 +174,7 @@ def transfer_function(alpha_bar: float, psf: PsfModel, grid: SpatialGrid1D) -> S
     gz = psf.gz(grid.samples)
     gz = gz / (gz.sum() * grid.dz)
     g = spectrum(RealField1D(grid=grid, values=gz))
-    return Spectrum1D(grid=grid, wavenumbers=g.wavenumbers, values=-alpha_bar * g.values)
-
-
-def default_regularization(g: Spectrum1D) -> float:
-    """Customary regularisation: one percent of the peak plant power."""
-    return 1e-2 * float(np.max(np.abs(g.values) ** 2))
+    return Spectrum1D(grid=grid, values=-alpha_bar * g.values)
 
 
 @dataclass(frozen=True)
@@ -202,23 +193,21 @@ def _spectrum_sha256(g: Spectrum1D) -> str:
     return h.hexdigest()
 
 
-def design_kernel(
-    g: Spectrum1D, gamma: float | None = None, tail_cut: float = KERNEL_TAIL_CUT
-) -> LearningKernel:
+def design_kernel(g: Spectrum1D) -> LearningKernel:
     """Regularised pseudo-inverse filter L = F^-1{G*/(gamma + |G|^2)}.
 
-    gamma of None selects the default of 1e-2 max|G|^2.  The kernel is
-    sampled on integer lags q * dz with a literal z = 0 sample, so that
-    convolving it with a field on the design grid reduces to a
-    sliding sum whether or not that grid itself contains z = 0.  It is
-    then truncated to the symmetric window outside which it falls below
-    tail_cut of its peak, so convolutions pay only for the effective
-    support.
+    gamma is one percent of the peak plant power, 1e-2 max|G|^2; a
+    spectrum with no power is a ValueError.  The kernel is sampled on
+    integer lags q * dz with a literal z = 0 sample, so that convolving
+    it with a field on the design grid reduces to a sliding sum whether
+    or not that grid itself contains z = 0.  It is then truncated to the
+    symmetric window outside which it falls below KERNEL_TAIL_CUT of its
+    peak, so convolutions pay only for the effective support.  gamma and
+    the cut are fixed here, not set by a caller.
     """
-    if gamma is None:
-        gamma = default_regularization(g)
+    gamma = 1e-2 * float(np.max(np.abs(g.values) ** 2))
     if gamma <= 0:
-        raise ValueError("regularisation gamma must be positive")
+        raise ValueError("plant spectrum has no power: the regularisation gamma is 0")
     lhat = np.conj(g.values) / (gamma + np.abs(g.values) ** 2)
     gr = g.grid
     n, dz = gr.n_points, gr.dz
@@ -233,7 +222,7 @@ def design_kernel(
         raise ValueError("learning kernel has a non-negligible imaginary part")
     vals = vals.real
     mag = np.abs(vals)
-    keep = mag >= tail_cut * mag.max()
+    keep = mag >= KERNEL_TAIL_CUT * mag.max()
     z_t = float(np.max(np.abs(lags[keep])))
     z_t = min(z_t, -float(lags[0]), float(lags[-1]))
     # a perfectly concentrated kernel (constant spectrum) would truncate to a

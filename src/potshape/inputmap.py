@@ -152,7 +152,7 @@ class PatternObjective:
         return e0_f, (e0_f - nu) ** 2 + pen
 
 
-def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.ndarray:
+def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     """Genetic search for every level in ``nus`` at once; returns (m, n_t) bits.
 
     The levels run in lockstep: each level draws from its own generator,
@@ -162,6 +162,7 @@ def _ga_minimise(obj: PatternObjective, nus, cfg: OptimizerConfig, rngs) -> np.n
     Selection, crossover, mutation, elitism and the best-so-far update
     are single array operations across all levels.
     """
+    cfg = obj.cfg
     m, P, n = len(nus), cfg.population, cfg.n_t
     n_pairs = P // 2
     level = np.arange(m)
@@ -249,7 +250,7 @@ def _descend(flip_cost, bits: np.ndarray, cost: float, max_flips: int = _MAX_FLI
     return b
 
 
-def _refine(obj: PatternObjective, nu: float, cfg: OptimizerConfig, candidates, target_cap):
+def _refine(obj: PatternObjective, nu: float, candidates, target_cap):
     """Polish each candidate and return the best as (pattern, achieved, residual).
 
     The all-off and all-on patterns join the candidates, a candidate
@@ -258,8 +259,8 @@ def _refine(obj: PatternObjective, nu: float, cfg: OptimizerConfig, candidates, 
     value.
     """
     candidates = [np.asarray(c, dtype=np.uint8) for c in candidates]
-    candidates.append(np.zeros(cfg.n_t, dtype=np.uint8))
-    candidates.append(np.ones(cfg.n_t, dtype=np.uint8))
+    candidates.append(np.zeros(obj.cfg.n_t, dtype=np.uint8))
+    candidates.append(np.ones(obj.cfg.n_t, dtype=np.uint8))
 
     def objective(b):
         return obj.flips(b, nu)[1]
@@ -285,21 +286,15 @@ def _refine(obj: PatternObjective, nu: float, cfg: OptimizerConfig, candidates, 
     return TransversalPattern(bits=best), achieved, best_key[1]
 
 
-def solve_pattern(
-    nu_target: float,
-    cfg: OptimizerConfig,
-    psf: PsfModel,
-    beam: BeamProfile,
-    target_cap: float,
-    objective: PatternObjective | None = None,
-    rng=None,
-    seed_patterns=(),
-):
-    """Minimise the column objective for one target value.
+def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rng, seed_patterns):
+    """Minimise the column objective ``obj`` for one target value.
 
-    Returns (pattern, achieved, residual) where achieved is |E(0)| of the
-    returned bits and residual the full objective value.  ``seed_patterns``
-    are injected as polish candidates (used by the LUT monotone repair).
+    ``obj`` carries the search settings (``obj.cfg``) and the psf and beam
+    in its weights; ``rng`` drives the genetic search.  Returns (pattern,
+    achieved, residual) where achieved is |E(0)| of the returned bits and
+    residual the full objective value.  ``seed_patterns`` are injected as
+    polish candidates (the LUT monotone repair passes the neighbouring
+    entries).
 
     The search keeps |achieved - nu| within ``target_cap``, the table's
     accuracy: near the extremes the unconstrained optimum trades a few
@@ -313,11 +308,8 @@ def solve_pattern(
     """
     if not (0.0 <= nu_target <= 1.0):
         raise ValueError("target value must lie in [0, 1]")
-    obj = objective if objective is not None else PatternObjective(cfg, psf, beam)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    start = _ga_minimise(obj, [nu_target], cfg, [rng])[0]
-    return _refine(obj, nu_target, cfg, (start, *seed_patterns), target_cap)
+    start = _ga_minimise(obj, [nu_target], [rng])[0]
+    return _refine(obj, nu_target, (start, *seed_patterns), target_cap)
 
 
 @dataclass(frozen=True)
@@ -399,17 +391,16 @@ def psf_beam_hash(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> s
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _monotone_repair(obj, cfg, psf, beam, nus, patterns, achieved, residual, target_cap):
+def _monotone_repair(obj, nus, patterns, achieved, residual, target_cap):
     """Re-solve entries that break monotonicity, warm started from their
     lower neighbour; as a last resort lift the achieved value by greedy
     flips constrained to stay at or above the neighbour."""
     for k in range(1, len(nus)):
         if achieved[k] >= achieved[k - 1]:
             continue
-        rng = np.random.default_rng([cfg.seed, k, 7919])
+        rng = np.random.default_rng([obj.cfg.seed, k, 7919])
         pat, ach, res = solve_pattern(
-            nus[k], cfg, psf, beam, target_cap, objective=obj, rng=rng,
-            seed_patterns=(patterns[k - 1].bits, patterns[k].bits),
+            obj, nus[k], target_cap, rng, (patterns[k - 1].bits, patterns[k].bits)
         )
         if ach < achieved[k - 1]:
             floor = achieved[k - 1] - 1e-15
@@ -419,7 +410,7 @@ def _monotone_repair(obj, cfg, psf, beam, nus, patterns, achieved, residual, tar
                 return np.where(e0 >= floor, fc, np.inf)
 
             start = patterns[k - 1].bits
-            bits = _descend(lift, start, float(obj.value(start, nus[k])[0]), cfg.n_t)
+            bits = _descend(lift, start, float(obj.value(start, nus[k])[0]), obj.cfg.n_t)
             pat = TransversalPattern(bits=bits)
             ach = float(obj.on_axis(bits)[0])
             res = float(obj.value(bits, nus[k])[0])
@@ -446,8 +437,9 @@ def build_lut(
     gets its own deterministic child seed ``[cfg.seed, k]``.  Their
     genetic searches run together in lockstep and each result is then
     refined as in :func:`solve_pattern`, so an entry the monotone repair
-    leaves alone equals ``solve_pattern(nu_k, rng=default_rng([seed, k]),
-    target_cap=accuracy)`` bit for bit, whatever the number of levels.
+    leaves alone equals ``solve_pattern(PatternObjective(cfg, psf, beam),
+    nu_k, accuracy, default_rng([cfg.seed, k]), ())`` bit for bit,
+    whatever the number of levels.
 
     ``accuracy`` is the per-entry target for |achieved - nu_k|, by default
     0.05 / (n_nu - 1), i.e. a twentieth of the table step.  Entries worse
@@ -471,10 +463,10 @@ def build_lut(
         residual[k] = float(obj.value(patterns[k].bits, nus[k])[0])
     inner = range(1, n_nu - 1)
     rngs = [np.random.default_rng([cfg.seed, k]) for k in inner]
-    starts = _ga_minimise(obj, nus[1:-1], cfg, rngs)
+    starts = _ga_minimise(obj, nus[1:-1], rngs)
     for k, start in zip(inner, starts):
-        patterns[k], achieved[k], residual[k] = _refine(obj, nus[k], cfg, (start,), acc)
-    _monotone_repair(obj, cfg, psf, beam, nus, patterns, achieved, residual, acc)
+        patterns[k], achieved[k], residual[k] = _refine(obj, nus[k], (start,), acc)
+    _monotone_repair(obj, nus, patterns, achieved, residual, acc)
     bad = [k for k in range(n_nu) if abs(achieved[k] - nus[k]) > 4.0 * acc]
     if bad:
         raise RuntimeError(

@@ -226,7 +226,7 @@ class DarkSpot:
     depth: float
 
     def __post_init__(self):
-        check_real(self, "center")
+        check_real(self, "center", "depth")
         check_real(self, "width", above=0)
         if not 0.0 < self.depth <= 1.0:
             raise ValueError(f"depth must lie in (0, 1], got {self.depth!r}")
@@ -312,12 +312,14 @@ def calibrate_beam(
     n_t: int,
     pitch: float,
     v_max: float,
-    alpha_v: float = 1.0,
-    headroom: float = 1.3,
+    alpha_v: float,
+    headroom: float,
 ) -> BeamProfile:
     """The beam of ``beam``'s widths (its amplitude is not read) whose
-    flat-beam, all-ones optical potential peaks at ``headroom * v_max``
-    (evaluated with p_z = 1)."""
+    flat-beam, all-ones optical potential alpha_v E^2 peaks at
+    ``headroom * v_max`` (evaluated with p_z = 1).  ``alpha_v`` and
+    ``headroom`` are the scenario's ``ControlSpec`` values; they have no
+    defaults here."""
     target = np.sqrt(headroom * v_max / alpha_v)
     # on-axis all-ones field per unit amplitude
     unit = float(transversal_weights(psf, beam, n_t, pitch, [0.0])[0].sum())
@@ -445,7 +447,7 @@ def propagate_separable(
     psf: PsfModel,
     grid: SpatialGrid1D,
     e_max: float,
-    alpha_v: float = 1.0,
+    alpha_v: float,
 ) -> RealField1D:
     """Optical potential from per-column achieved amplitudes.
 
@@ -467,7 +469,7 @@ def propagate_separable(
 
 def potential_from_field(
     e_out: RealField1D,
-    alpha_v: float = 1.0,
+    alpha_v: float,
     disturbance: TransmissionDisturbance | None = None,
 ) -> RealField1D:
     """V_opt(z) = alpha_v |tau(z) E(0, z)|^2, non-negative by construction."""

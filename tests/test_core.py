@@ -175,8 +175,10 @@ def test_parseval_for_edge_vanishing_fields(seed):
 
 def test_spectrum_container_validates_shapes():
     g = SpatialGrid1D(length=4.0, n_points=8)
-    with pytest.raises(ValueError):
-        Spectrum1D(grid=g, wavenumbers=np.zeros(7), values=np.zeros(8))
+    with pytest.raises(ValueError, match=r"expected shape \(8,\), got \(7,\)"):
+        Spectrum1D(grid=g, values=np.zeros(7))
+    # the wavenumbers are the grid's
+    assert np.array_equal(Spectrum1D(grid=g, values=np.zeros(8)).wavenumbers, g.wavenumbers)
 
 
 # --------------------------------------------------------- convolution

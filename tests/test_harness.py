@@ -404,6 +404,10 @@ def test_sections_built_in_python_refuse_nan(cls, args, key):
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=rf"\b{key} must .*, got {bad!r}$"):
             cls(**{**args, key: bad})
+    # no number at all, though True would pass a range check as 1
+    for bad in (True, "0.5"):
+        with pytest.raises(TypeError, match=rf"\b{key} must be a number, got {bad!r}$"):
+            cls(**{**args, key: bad})
 
 
 _BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 1e300, True, "x", None, [1]]
@@ -566,6 +570,9 @@ def test_disturbance_schedule_must_be_sorted():
         ScenarioConfig(disturbances=("not an event",))
     with pytest.raises(ValueError):
         DisturbanceEvent(iteration=-1, spots=())
+    # a spot is a DarkSpot, not its three numbers
+    with pytest.raises(TypeError, match=r"spots must be DarkSpot entries, got \(0\.0, 2\.0, 0\.1\)"):
+        DisturbanceEvent(1, ((0.0, 2.0, 0.1),))
 
 
 def test_load_scenario_rejects_bad_json(tmp_path):

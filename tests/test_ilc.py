@@ -19,7 +19,6 @@ from potshape.core import (
 from potshape.harness import error_norm, level_update
 from potshape.ilc import (
     correction,
-    default_regularization,
     density_error,
     design_kernel,
     gain_profile,
@@ -78,7 +77,7 @@ def test_gain_profile_formula():
     v_m = RealField1D(grid=g, values=np.zeros(11))
     mu_d = 8.0
     e_max = 8.0
-    gain = gain_profile(v_d, v_m, mu_d, p, e_max)
+    gain = gain_profile(v_d, v_m, mu_d, p, e_max, 1.0)
     assert gain.eps_opt == pytest.approx(0.5)  # 5% of max V_d
     assert gain.eps_mu == pytest.approx(0.05 * p.omega_perp)
     expect_mask = (v_d.values > gain.eps_opt) & (mu_d - v_d.values > gain.eps_mu)
@@ -99,24 +98,15 @@ def test_gain_profile_formula():
 
     # a field profile e_max p_z(z) scales the gain pointwise
     pz = np.exp(-((g.samples / 30.0) ** 2))
-    shaped = gain_profile(v_d, v_m, mu_d, p, e_max * pz)
+    shaped = gain_profile(v_d, v_m, mu_d, p, e_max * pz, 1.0)
     assert np.max(np.abs(shaped.alpha.values - gain.alpha.values * pz)) < 1e-13
-
-    # weak interaction, b rho << 1: alpha -> e_max sqrt(s_opt / s_mu) / sqrt(2 omega_perp b)
-    weak = CondensateParams(omega_perp=1e6)
-    w_gain = gain_profile(v_d, v_m, mu_d, weak, e_max, eps_mu=0.5)
-    m = w_gain.support
-    limit = e_max * np.sqrt(v_d.values[m] / (mu_d - v_d.values[m])) / np.sqrt(
-        2.0 * weak.omega_perp * weak.coupling
-    )
-    assert np.max(np.abs(w_gain.alpha.values[m] / limit - 1.0)) < 1e-5
 
 
 def test_scaled_error_divides_out_the_spatial_gain():
     g = SpatialGrid1D(20.0, 11)
     v_d = RealField1D(grid=g, values=np.linspace(0.0, 10.0, 11))
     v_m = RealField1D(grid=g, values=np.zeros(11))
-    gain = gain_profile(v_d, v_m, 8.0, CondensateParams(), 8.0)
+    gain = gain_profile(v_d, v_m, 8.0, CondensateParams(), 8.0, 1.0)
     e = RealField1D(grid=g, values=np.linspace(-1.0, 1.0, 11))
     out = scaled_error(e, gain).values
     s = gain.support
@@ -130,13 +120,13 @@ def test_gain_profile_validation():
     v_d = RealField1D(grid=g, values=np.linspace(0.0, 10.0, 11))
     v_m = RealField1D(grid=g, values=np.zeros(11))
     with pytest.raises(ValueError, match="support is empty"):
-        gain_profile(v_d, v_m, -5.0, p, 8.0)  # nothing occupied
+        gain_profile(v_d, v_m, -5.0, p, 8.0, 1.0)  # nothing occupied
     with pytest.raises(ValueError):
-        gain_profile(v_d, v_m, 8.0, p, 0.0)
+        gain_profile(v_d, v_m, 8.0, p, 0.0, 1.0)
     with pytest.raises(ValueError):
-        gain_profile(v_d, v_m, 8.0, CondensateParams(scattering_length=0.0), 8.0)
-    custom = gain_profile(v_d, v_m, 8.0, p, 8.0, eps_opt=2.0, eps_mu=1.0)
-    assert custom.eps_opt == 2.0 and custom.eps_mu == 1.0
+        gain_profile(v_d, v_m, 8.0, p, 8.0, 0.0)
+    with pytest.raises(ValueError):
+        gain_profile(v_d, v_m, 8.0, CondensateParams(scattering_length=0.0), 8.0, 1.0)
 
 
 # ----------------------------------------------------------- the plant
@@ -158,17 +148,13 @@ def test_transfer_is_hermitian(transfer):
     assert np.max(np.abs(v[1:] - np.conj(v[1:][::-1]))) < 1e-12 * ALPHA_BAR
 
 
-def test_default_regularization_is_percent_of_peak(transfer):
-    gamma = default_regularization(transfer)
-    assert gamma == pytest.approx(1e-2 * ALPHA_BAR**2, rel=1e-12)
-
-
 # --------------------------------------------------------------- kernel
 
 
 def test_kernel_defaults_and_geometry(transfer):
     lk = design_kernel(transfer)
-    assert lk.gamma == default_regularization(transfer)
+    # gamma is one percent of the peak plant power |G(0)|^2 = alpha_bar^2
+    assert lk.gamma == 1e-2 * ALPHA_BAR**2
     kg = lk.kernel.grid
     mid = kg.n_points // 2
     # sampled on integer lags with a literal z = 0 tap, symmetric window
@@ -179,31 +165,26 @@ def test_kernel_defaults_and_geometry(transfer):
     )
     # truncation really shrinks the support
     assert kg.n_points < transfer.grid.n_points
-    wider = design_kernel(transfer, tail_cut=1e-12)
-    assert wider.kernel.grid.n_points > kg.n_points
-    with pytest.raises(ValueError):
-        design_kernel(transfer, gamma=0.0)
+    silent = Spectrum1D(grid=transfer.grid, values=np.zeros(transfer.grid.n_points))
+    with pytest.raises(ValueError, match="no power"):
+        design_kernel(silent)
 
 
 def test_kernel_hash_tracks_the_transfer(fine_grid, transfer):
     a = design_kernel(transfer)
-    b = design_kernel(transfer, gamma=1e-3)
-    assert a.transfer_sha256 == b.transfer_sha256
+    assert design_kernel(transfer).transfer_sha256 == a.transfer_sha256
     other = transfer_function(2.0 * ALPHA_BAR, PsfModel(), fine_grid)
     assert design_kernel(other).transfer_sha256 != a.transfer_sha256
 
 
 def test_flat_spectrum_gives_delta_kernel(fine_grid):
     # constant G: the inverse filter is a pure gain, i.e. a delta kernel;
-    # applying it must scale any field by G/(gamma + G^2)
+    # applying it must scale any field by G/(gamma + G^2), gamma = 1e-2 G^2
     c = 0.5
-    gamma = 1e-10
-    g = Spectrum1D(
-        grid=fine_grid,
-        wavenumbers=fine_grid.wavenumbers,
-        values=np.full(fine_grid.n_points, -c, dtype=complex),
-    )
-    lk = design_kernel(g, gamma=gamma)
+    g = Spectrum1D(grid=fine_grid, values=np.full(fine_grid.n_points, -c, dtype=complex))
+    lk = design_kernel(g)
+    gamma = 1e-2 * c**2
+    assert lk.gamma == gamma
     assert lk.kernel.grid.n_points == 3  # delta plus one guard tap each side
     f = RealField1D(
         grid=fine_grid, values=np.exp(-fine_grid.samples**2 / 800.0)
@@ -217,7 +198,6 @@ def test_non_hermitian_spectrum_is_rejected(fine_grid):
     rng = np.random.default_rng(6)
     bad = Spectrum1D(
         grid=fine_grid,
-        wavenumbers=fine_grid.wavenumbers,
         values=rng.standard_normal(fine_grid.n_points)
         + 1j * rng.standard_normal(fine_grid.n_points),
     )

@@ -41,6 +41,12 @@ def _search(**settings):
     return dataclasses.replace(ScenarioConfig().optimizer_config(), **settings)
 
 
+def _solve(nu, cfg, psf, beam, target_cap):
+    # one search with a fresh objective, seeded from the config
+    obj = PatternObjective(cfg, psf, beam)
+    return solve_pattern(obj, nu, target_cap, np.random.default_rng(cfg.seed), ())
+
+
 @pytest.fixture(scope="module")
 def fast_cfg():
     return _search(n_t=40, population=40, generations=40, seed=3)
@@ -159,33 +165,33 @@ def test_lockstep_search_matches_solo_searches(psf, beam):
     cfg = _search(n_t=40, population=41, generations=30, seed=5)
     obj = PatternObjective(cfg, psf, beam)
     nus = np.array([0.05, 0.3, 0.5, 0.5, 0.77, 0.95])
-    got = _ga_minimise(obj, nus, cfg, [np.random.default_rng([5, k]) for k in range(len(nus))])
+    got = _ga_minimise(obj, nus, [np.random.default_rng([5, k]) for k in range(len(nus))])
     assert got.shape == (len(nus), cfg.n_t) and got.dtype == np.uint8
     for k, nu in enumerate(nus):
         expect = _solo_ga(obj, nu, cfg, np.random.default_rng([5, k]))
         assert np.array_equal(got[k], expect), f"level {k}"
-    assert _ga_minimise(obj, nus[:0], cfg, []).shape == (0, cfg.n_t)
+    assert _ga_minimise(obj, nus[:0], []).shape == (0, cfg.n_t)
 
 
 def test_solve_pattern_extremes(fast_cfg, psf, beam):
-    pat, achieved, residual = solve_pattern(0.0, fast_cfg, psf, beam, target_cap=1e-3)
+    pat, achieved, residual = _solve(0.0, fast_cfg, psf, beam, 1e-3)
     assert not np.any(pat.bits)
     assert achieved == 0.0 and residual == 0.0
     with pytest.raises(ValueError):
-        solve_pattern(1.5, fast_cfg, psf, beam, target_cap=1e-3)
+        _solve(1.5, fast_cfg, psf, beam, 1e-3)
     with pytest.raises(ValueError):
-        solve_pattern(-0.1, fast_cfg, psf, beam, target_cap=1e-3)
+        _solve(-0.1, fast_cfg, psf, beam, 1e-3)
 
 
 def test_solve_pattern_half_level(scenario, psf, beam):
     cfg = scenario.optimizer_config()  # full-size search
-    pat, achieved, residual = solve_pattern(0.5, cfg, psf, beam, target_cap=1e-3)
+    pat, achieved, residual = _solve(0.5, cfg, psf, beam, 1e-3)
     assert abs(achieved - 0.5) < 1e-3
     assert residual < 1e-4
 
 
 def test_target_cap_keeps_achieved_close(fast_cfg, psf, beam):
-    _, achieved, _ = solve_pattern(0.9, fast_cfg, psf, beam, target_cap=5e-3)
+    _, achieved, _ = _solve(0.9, fast_cfg, psf, beam, 5e-3)
     assert abs(achieved - 0.9) <= 5e-3
 
 
@@ -245,13 +251,12 @@ def test_table_entries_equal_their_solo_solves(fast_cfg, psf, beam, fast_lut):
     # an entry the monotone repair left alone is exactly what solve_pattern
     # returns for its level with the entry's own child seed
     acc = 0.05 / (fast_lut.n_nu - 1)
+    obj = PatternObjective(fast_cfg, psf, beam)
     untouched = 0
     for k in range(1, fast_lut.n_nu - 1):
         e = fast_lut.entries[k]
-        pat, ach, res = solve_pattern(
-            e.nu, fast_cfg, psf, beam,
-            rng=np.random.default_rng([fast_cfg.seed, k]), target_cap=acc,
-        )
+        rng = np.random.default_rng([fast_cfg.seed, k])
+        pat, ach, res = solve_pattern(obj, e.nu, acc, rng, ())
         if ach < fast_lut.entries[k - 1].achieved:
             continue  # repaired
         untouched += 1
@@ -283,13 +288,10 @@ def test_monotone_repair_resolves_then_lifts(fast_cfg, psf, beam):
     assert ach0[2] < ach0[1] and ach0[4] < ach0[3]
 
     def resolve(k):
-        return solve_pattern(
-            nus[k], fast_cfg, psf, beam, objective=obj,
-            rng=np.random.default_rng([fast_cfg.seed, k, 7919]),
-            seed_patterns=(before[k - 1].bits, before[k].bits), target_cap=acc,
-        )
+        rng = np.random.default_rng([fast_cfg.seed, k, 7919])
+        return solve_pattern(obj, nus[k], acc, rng, (before[k - 1].bits, before[k].bits))
 
-    _monotone_repair(obj, fast_cfg, psf, beam, nus, patterns, achieved, residual, acc)
+    _monotone_repair(obj, nus, patterns, achieved, residual, acc)
     assert np.all(np.diff(achieved) >= 0.0)
     for k in (0, 1, 3, 5):
         assert patterns[k] is before[k]
@@ -543,7 +545,7 @@ def test_psf_beam_hash_tracks_parameters():
     h0 = psf_beam_hash(psf, BeamProfile(), 100, 1.0)
     assert h0 == psf_beam_hash(psf, BeamProfile(), 100, 1.0)
     # two beams of one width, calibrated to different headrooms
-    low, high = (calibrate_beam(psf, BeamProfile(), 100, 1.0, 50.0, headroom=h) for h in (1, 2))
+    low, high = (calibrate_beam(psf, BeamProfile(), 100, 1.0, 50.0, 1.0, h) for h in (1, 2))
     assert psf_beam_hash(psf, low, 100, 1.0) != psf_beam_hash(psf, high, 100, 1.0)
     assert h0 != psf_beam_hash(psf, BeamProfile(), 99, 1.0)
     assert h0 != psf_beam_hash(PsfModel(sigma_z=3.0), BeamProfile(), 100, 1.0)

@@ -150,7 +150,7 @@ def test_transversal_weights_symmetry_and_sign():
 
 def test_calibration_hits_headroom_target():
     psf = PsfModel()
-    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, headroom=1.3)
+    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     target = np.sqrt(1.3 * V_MAX)
     assert e_perp_max(psf, beam, 100, 1.0) == pytest.approx(target, rel=1e-14)
     assert (beam.sigma_y, beam.sigma_z) == (BeamProfile().sigma_y, BeamProfile().sigma_z)
@@ -248,13 +248,13 @@ def test_separable_route_matches_full_route():
     # mixed pattern: every column has a different transversal filling, so
     # this exercises the full per-column amplitude bookkeeping
     psf = PsfModel()
-    beam = calibrate_beam(psf, BeamProfile(), 40, 1.0, v_max=V_MAX)
+    beam = calibrate_beam(psf, BeamProfile(), 40, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     grid = SpatialGrid1D(60.0, 601)
     n_l = 41
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, (40, n_l))
     pat = DmdPattern(bits=bits)
-    v_full = potential_from_field(propagate_full(pat, beam, psf, grid)).values
+    v_full = potential_from_field(propagate_full(pat, beam, psf, grid), 1.0).values
 
     # per-column amplitudes; normalise by a scale above the largest one so
     # the sinc side lobes cannot push any value outside [0, 1]
@@ -263,7 +263,7 @@ def test_separable_route_matches_full_route():
     assert cols.min() > 0.0
     scale_e = 1.1 * cols.max()
     nu = RealField1D(grid=column_grid(n_l, 1.0), values=cols / scale_e)
-    v_sep = propagate_separable(nu, beam, psf, grid, scale_e).values
+    v_sep = propagate_separable(nu, beam, psf, grid, scale_e, 1.0).values
     scale = np.max(v_full)
     assert np.max(np.abs(v_full - v_sep)) < 1e-8 * scale
 
@@ -274,7 +274,7 @@ def test_column_response_matches_the_pixel_sum_with_signed_columns():
     # (w_y < |y| < 2 w_y), so its on-axis sum is negative and its field
     # cancels part of its neighbours'; the magnitude of that sum would add.
     psf = PsfModel()
-    beam = calibrate_beam(psf, BeamProfile(), 40, 1.0, v_max=V_MAX)
+    beam = calibrate_beam(psf, BeamProfile(), 40, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     grid = SpatialGrid1D(60.0, 601)
     n_l = 21
     rng = np.random.default_rng(23)
@@ -322,7 +322,7 @@ def test_full_route_equals_the_dense_pixel_sum(n_points):
     # single row that joins the block before it, and 63 points fit in
     # less than one block
     psf = PsfModel()
-    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX)
+    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     grid = SpatialGrid1D(250.0 * (n_points - 1) / 2699, n_points)
     pattern = _lobe_pattern(100, 400, psf, seed=n_points)
     dense, cols = _dense_pixel_sum(pattern, beam, psf, grid)
@@ -337,7 +337,7 @@ def test_full_route_memory_is_bounded_by_one_row_block():
     # (69 MB) and each temporary of its evaluation as large; one block of
     # rows needs a twentieth of that
     psf = PsfModel()
-    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX)
+    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     grid = SpatialGrid1D(250.0, 2700)
     pattern = _lobe_pattern(100, 400, psf, seed=4)
     tracemalloc.start()
@@ -433,7 +433,7 @@ def test_separable_plateau_with_flat_envelope():
     grid = SpatialGrid1D(40.0, 201)
     nu = RealField1D(grid=column_grid(n_l, 1.0), values=np.ones(n_l))
     e_max = 2.0
-    v = propagate_separable(nu, beam, psf, grid, e_max).values
+    v = propagate_separable(nu, beam, psf, grid, e_max, 1.0).values
     assert np.max(np.abs(v - e_max**2)) < 1e-6 * e_max**2
 
 
@@ -443,12 +443,12 @@ def test_separable_rejects_out_of_range_values():
     grid = SpatialGrid1D(10.0, 51)
     nu = RealField1D(grid=column_grid(11, 1.0), values=np.full(11, 1.5))
     with pytest.raises(ValueError):
-        propagate_separable(nu, beam, psf, grid, 1.0)
+        propagate_separable(nu, beam, psf, grid, 1.0, 1.0)
     # RealField1D refuses NaN itself; values that reach the function
     # another way meet its own range check
     nan = SimpleNamespace(grid=nu.grid, values=np.full(11, np.nan))
     with pytest.raises(ValueError, match="must lie in"):
-        propagate_separable(nan, beam, psf, grid, 1.0)
+        propagate_separable(nan, beam, psf, grid, 1.0, 1.0)
 
 
 # ------------------------------------------------- potential and spots
@@ -460,7 +460,7 @@ def test_potential_from_field_basics():
         DmdPattern(bits=np.zeros((4, 4), dtype=int)), BeamProfile(), PsfModel(), grid
     )
     assert zero.values.dtype == np.float64
-    assert np.max(potential_from_field(zero).values) == 0.0
+    assert np.max(potential_from_field(zero, 1.0).values) == 0.0
     const = RealField1D(grid=grid, values=np.full(101, -3.0))
     v = potential_from_field(const, alpha_v=2.0)
     assert np.max(np.abs(v.values - 18.0)) == 0.0
@@ -490,6 +490,6 @@ def test_disturbance_scales_the_potential():
     grid = SpatialGrid1D(20.0, 201)
     e = RealField1D(grid=grid, values=np.full(201, 2.0))
     dist = TransmissionDisturbance(spots=(DarkSpot(0.0, 2.0, 0.25),))
-    v = potential_from_field(e, disturbance=dist).values
+    v = potential_from_field(e, 1.0, disturbance=dist).values
     tau = dist.tau(grid.samples)
     assert np.max(np.abs(v - 4.0 * tau**2)) < 1e-14
