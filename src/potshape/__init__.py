@@ -28,7 +28,6 @@ from .core import (
     SpatialGrid1D,
     Spectrum1D,
     convolve,
-    integrate,
     spectrum,
 )
 from .harness import (

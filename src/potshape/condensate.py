@@ -8,9 +8,12 @@ which reduces to 2 omega_perp b rho for b rho << 1 and grows like
 sqrt(rho) once the transversal cloud swells.  The ground state of the
 corresponding nonlinear eigenvalue problem is found by real-valued
 imaginary-time split-step propagation with per-step renormalisation, two
-real FFTs and one evaluation of V + h(rho) per step; the Thomas-Fermi
-routine drops the kinetic term, inverts h pointwise in closed form and
-finds mu by bisection on the norm.
+real FFTs and one evaluation of V + h(rho) per step.  On a grid of n
+points with n a multiple of COARSE_FACTOR (4) and n / 4 at least
+COARSE_MIN_POINTS (512), it relaxes first on every fourth sample, then
+finishes on the full grid from the interpolated coarse state.
+The Thomas-Fermi routine drops the kinetic term, inverts h pointwise in
+closed form and finds mu by bisection on the norm.
 
 Units: lengths in um, times in ms, energies in rad/ms (hbar = 1), and
 the wave function is normalised to int |phi|^2 dz = 1 so rho is a
@@ -56,6 +59,19 @@ SPECTRAL_TAIL_TOL = 1e-6
 # Tolerance on int rho dz - 1 at which the Thomas-Fermi bisection on mu stops.
 TF_NORM_TOL = 1e-10
 
+# The ground state first relaxes on every COARSE_FACTOR-th sample when the
+# grid divides by it and keeps at least COARSE_MIN_POINTS there; the floor
+# sits above the 500 points at which the reference desired state is
+# resolved (SPECTRAL_TAIL_TOL).  Measured on the reference 2700-point grid
+# (2-core Xeon, one BLAS thread), over perfbench's 100 groundstate-cold
+# potentials at seed 7 and the desired one: a step costs 115 us there and
+# 68 us at 675 points.  After a coarse stage at 4x the full-grid stage
+# needs a median of 1 step (max 9); at 5x 10 (max 403), at 6x 37, at 9x
+# 87.  The median solve takes 14.8 ms at 4x, 15.6 ms at 5x, 15.7 ms at 3x,
+# 18.5 ms at 2x and 22.4 ms on the full grid alone.
+COARSE_FACTOR = 4
+COARSE_MIN_POINTS = 512
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to produce a usable result."""
@@ -89,9 +105,11 @@ class SolverConfig:
     """Imaginary-time solver settings; the defaults are the reference
     scenario's.
 
-    ``tol`` is on the relative change of mu between consecutive steps; mu
-    is read every step from the state before its potential step, with the
-    V + h(rho) that step applies and no transform of its own.
+    ``tol`` is on the relative change of mu between consecutive steps of
+    one stage of :func:`ground_state`; mu is read every step from the
+    state before its potential step, with the V + h(rho) that step applies
+    and no transform of its own.  ``max_steps`` bounds the potential steps
+    of the coarse and the full-grid stage together.
     """
 
     dtau: float = 0.05
@@ -284,6 +302,70 @@ def _spectral_resolution_check(power: np.ndarray, k: np.ndarray, grid):
         )
 
 
+def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=None):
+    """The split-step relaxation on one grid, from the post-step spectrum
+    ``post`` of a state sampled like ``v_offset`` (V - omega_perp) at
+    spacing ``dz``, with that grid's :func:`_split_step_constants`.
+
+    It runs until the relative change of mu between two consecutive steps
+    of this call drops below cfg.tol, or until the step count, which
+    starts at ``steps``, reaches ``max_steps``.  ``on_step(post, power)``
+    sees every post-step spectrum.  Returns the last post-step spectrum,
+    its power |post|^2, the step count, whether mu converged and its last
+    relative change.  It logs nothing; failures raise.
+    """
+    n = v_offset.size
+    _, half_kin, norm_weights, _, carried_kin_weights = consts
+    power = post.real**2 + post.imag**2
+    nrm = float(np.dot(norm_weights, power))
+    if not nrm > 0:
+        raise ValueError("initial state has zero norm")
+    carried = np.empty_like(post)
+    rho = np.empty(n)
+    first = steps
+    mu = last_change = np.nan
+
+    def failure(what):
+        return ConvergenceError(
+            f"{what} after {steps} imaginary-time steps of dtau = {cfg.dtau:g}"
+        )
+
+    # a potential too high or too low for dtau underflows or overflows the
+    # state; numpy stays quiet and the finiteness checks name the cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            # the pre-potential state phi_a and its mu, from the V + h(rho)
+            # that the potential step applies
+            np.multiply(post, half_kin / np.sqrt(nrm), out=carried)
+            phi = scipy.fft.irfft(carried, n)
+            np.multiply(phi, phi, out=rho)
+            w = _effective_potential(rho, v_offset, params)
+            kinetic = float(np.dot(carried_kin_weights, power)) / nrm
+            mu_new = (kinetic + _trapezoid(w * rho, dz)) / _trapezoid(rho, dz)
+            if not np.isfinite(mu_new):
+                raise failure("chemical potential became non-finite")
+            if steps > first:
+                last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
+                if last_change < cfg.tol:
+                    return post, power, steps, True, last_change
+            mu = mu_new
+            if steps == max_steps:
+                return post, power, steps, False, last_change
+            w *= -cfg.dtau
+            phi *= np.exp(w, out=w)
+            post = scipy.fft.rfft(phi)
+            post *= half_kin
+            steps += 1
+            power = post.real**2 + post.imag**2
+            nrm = float(np.dot(norm_weights, power))
+            if not np.isfinite(nrm):
+                raise failure("wave function overflowed")
+            if nrm <= 0:
+                raise failure("wave function vanished (its norm underflowed to 0)")
+            if on_step is not None:
+                on_step(post, power)
+
+
 def ground_state(
     potential: RealField1D,
     params: CondensateParams,
@@ -305,18 +387,34 @@ def ground_state(
     first half step.  Its irfft is the pre-potential state phi_a, and mu is
     read from phi_a before the potential step: the kinetic part by
     Parseval from the carried spectrum, the rest from the same V + h(rho)
-    the potential step applies, both over the norm of phi_a.  Convergence
-    is declared when the relative change of that mu between consecutive
-    steps drops below cfg.tol; ``n_steps`` counts the potential steps
-    applied.  After the stop one irfft of the last post-step spectrum
-    gives the returned state, renormalised, and the returned mu is that
-    state's own, so a solve of k steps makes 2k + 3 transforms.  The
-    resolution check reads the same spectrum.  ``initial`` warm-starts the
-    relaxation (any normalisation; its read-only values are only read by
-    the first rfft); otherwise the Thomas-Fermi profile is used where
-    available, falling back to a 10 um Gaussian.  ``record_history`` also
-    stores mu, energy and norm of each post-step state, renormalised, for
-    the invariant checks (one more irfft and two h evaluations per step).
+    the potential step applies, both over the norm of phi_a.  A stage
+    stops when the relative change of that mu between two of its
+    consecutive steps drops below cfg.tol.
+
+    The relaxation runs in two stages when the grid's n_points is a
+    multiple of COARSE_FACTOR and n_points / COARSE_FACTOR is at least
+    COARSE_MIN_POINTS, and ``record_history`` is off.  The coarse stage
+    relaxes the start sampled at every COARSE_FACTOR-th point (spacing
+    COARSE_FACTOR dz, the same periodic box n_points dz), with at most
+    cfg.max_steps - 1 steps, so the full grid takes at least one; its
+    last spectrum, zero-padded to the full grid (the coarse Nyquist bin
+    split between +k and -k), is the start of the full-grid stage.
+    Otherwise the full-grid stage starts from the rfft of the start.
+    ``n_steps`` counts the potential steps of both stages, and
+    cfg.max_steps bounds that total; only the full-grid stage decides
+    ``converged``.  After the stop one irfft of the last post-step
+    spectrum gives the returned state, renormalised, and the returned mu
+    is that state's own, so a one-stage solve of k steps makes 2k + 3
+    transforms, a two-stage one 2k + 4, of which 2k_c + 2 on the coarse
+    grid for its k_c steps.  The resolution check reads the same spectrum.
+
+    ``initial`` warm-starts the relaxation (any normalisation; its
+    read-only values are only read by the first rfft); otherwise the
+    Thomas-Fermi profile is used where available, falling back to a 10 um
+    Gaussian, both built on the full grid.  ``record_history`` solves on
+    the full grid alone and also stores mu, energy and norm of each
+    post-step state, renormalised, for the invariant checks (one more
+    irfft and two h evaluations per step), so len(mu_history) == n_steps.
     """
     grid = potential.grid
     if not np.all(np.isfinite(potential.values)):
@@ -328,9 +426,8 @@ def ground_state(
         phi = _initial_guess(potential, params)
     dz = grid.dz
     n = grid.n_points
-    k, half_kin, norm_weights, kin_weights, carried_kin_weights = _split_step_constants(
-        n, dz, cfg.dtau, params.mass
-    )
+    consts = _split_step_constants(n, dz, cfg.dtau, params.mass)
+    k, _, norm_weights, kin_weights, _ = consts
     vvals = potential.values
     v_offset = vvals - params.omega_perp
 
@@ -346,64 +443,41 @@ def ground_state(
         mu = kinetic + _trapezoid(_effective_potential(rho, v_offset, params) * rho, dz)
         return phi, rho, kinetic, mu
 
-    # the start counts as the post-step state of step 0
-    post = scipy.fft.rfft(phi)
-    power = post.real**2 + post.imag**2
-    nrm = float(np.dot(norm_weights, power))
-    if not nrm > 0:
-        raise ValueError("initial state has zero norm")
-    carried = np.empty_like(post)
-    rho = np.empty(n)
     mus, energies, norms = [], [], []
-    converged = False
-    steps = 0
-    mu = last_change = np.nan
-    def failure(what):
-        return ConvergenceError(
-            f"{what} after {steps} imaginary-time steps of dtau = {cfg.dtau:g}"
-        )
 
-    # a potential too high or too low for dtau underflows or overflows the
-    # state; numpy stays quiet and the finiteness checks name the cause
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            # the pre-potential state phi_a and its mu, from the V + h(rho)
-            # that the potential step applies
-            np.multiply(post, half_kin / np.sqrt(nrm), out=carried)
-            phi = scipy.fft.irfft(carried, n)
-            np.multiply(phi, phi, out=rho)
-            w = _effective_potential(rho, v_offset, params)
-            kinetic = float(np.dot(carried_kin_weights, power)) / nrm
-            mu_new = (kinetic + _trapezoid(w * rho, dz)) / _trapezoid(rho, dz)
-            if not np.isfinite(mu_new):
-                raise failure("chemical potential became non-finite")
-            if steps > 0:
-                last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
-                if last_change < cfg.tol:
-                    converged = True
-                    break
-            mu = mu_new
-            if steps == cfg.max_steps:
-                break
-            w *= -cfg.dtau
-            phi *= np.exp(w, out=w)
-            post = scipy.fft.rfft(phi)
-            post *= half_kin
-            steps += 1
-            power = post.real**2 + post.imag**2
-            nrm = float(np.dot(norm_weights, power))
-            if not np.isfinite(nrm):
-                raise failure("wave function overflowed")
-            if nrm <= 0:
-                raise failure("wave function vanished (its norm underflowed to 0)")
-            if record_history:
-                _, rho_b, kinetic, mu_b = post_step_state(post, power)
-                mus.append(mu_b)
-                energies.append(
-                    kinetic
-                    + _trapezoid(vvals * rho_b + interaction_energy_density(rho_b, params), dz)
-                )
-                norms.append(_trapezoid(rho_b, dz))
+    def record(post, power):
+        _, rho_b, kinetic, mu_b = post_step_state(post, power)
+        mus.append(mu_b)
+        energies.append(
+            kinetic + _trapezoid(vvals * rho_b + interaction_energy_density(rho_b, params), dz)
+        )
+        norms.append(_trapezoid(rho_b, dz))
+
+    c = COARSE_FACTOR
+    if n % c == 0 and n // c >= COARSE_MIN_POINTS and not record_history:
+        coarse, _, steps, _, _ = _relax(
+            scipy.fft.rfft(phi[::c]),
+            np.ascontiguousarray(v_offset[::c]),
+            c * dz,
+            _split_step_constants(n // c, c * dz, cfg.dtau, params.mass),
+            params,
+            cfg,
+            0,
+            cfg.max_steps - 1,
+        )
+        # the band-limited interpolant of the coarse state: its spectrum,
+        # scaled by the ratio of the sample counts, below the coarse
+        # Nyquist wavenumber and zero above
+        post = np.zeros(n // 2 + 1, dtype=complex)
+        post[: coarse.size] = c * coarse
+        if (n // c) % 2 == 0:
+            post[coarse.size - 1] *= 0.5
+    else:
+        post, steps = scipy.fft.rfft(phi), 0
+    post, power, steps, converged, last_change = _relax(
+        post, v_offset, dz, consts, params, cfg, steps, cfg.max_steps,
+        record if record_history else None,
+    )
     phi, _, _, mu = post_step_state(post, power)
     # fix the global sign; the ground state is nodeless and positive
     if phi[np.argmax(np.abs(phi))] < 0:

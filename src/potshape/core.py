@@ -1,4 +1,4 @@
-"""Grids, real field containers, quadrature and spectral transforms.
+"""Grids, real field containers, spectral transforms and convolution.
 
 Fields are real, wave functions too (imaginary time keeps a real ground
 state real); only spectra are complex.
@@ -35,7 +35,6 @@ __all__ = [
     "RealField1D",
     "Spectrum1D",
     "same_grid",
-    "integrate",
     "spectrum",
     "convolve",
 ]
@@ -199,17 +198,6 @@ def check_real(obj, *names, low=None, above=None):
     """Check the attributes ``names`` of a dataclass with :func:`as_real`."""
     for name in names:
         as_real(getattr(obj, name), name, low, above)
-
-
-def integrate(f: RealField1D) -> float:
-    """Trapezoidal integral of a sampled field over its domain.
-
-    Nothing in ``src/`` calls it: the solver and the loop sum on arrays.
-    It is the tests' independent trapezoid oracle, kept for them.
-    """
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("cannot integrate non-finite values")
-    return float(np.trapezoid(f.values, dx=f.grid.dz))
 
 
 def spectrum(f: RealField1D) -> Spectrum1D:

@@ -24,6 +24,14 @@ from potshape.condensate import SolverConfig
 ACCEPTANCE_LINES = []
 
 
+def integrate(f) -> float:
+    """Trapezoidal integral of a sampled field over its domain: the tests'
+    quadrature oracle, independent of the solver's own sums."""
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("cannot integrate non-finite values")
+    return float(np.trapezoid(f.values, dx=f.grid.dz))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

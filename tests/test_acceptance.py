@@ -16,7 +16,7 @@ from potshape.condensate import (
     ground_state,
     thomas_fermi_density,
 )
-from potshape.core import RealField1D, SpatialGrid1D, convolve, integrate, spectrum
+from potshape.core import RealField1D, SpatialGrid1D, convolve, spectrum
 from potshape.harness import (
     build_scenario_lut,
     error_norm,
@@ -38,6 +38,8 @@ from potshape.optics import (
     propagate_full,
     propagate_separable,
 )
+
+from conftest import integrate
 
 
 def test_criterion_1_harmonic_linear_limit(criterion):

@@ -9,6 +9,7 @@ real-valued solver is pinned to a complex split step that evaluates mu
 with its own transform every step.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -36,6 +37,7 @@ from potshape.condensate import (
 )
 from potshape.core import RealField1D, SpatialGrid1D
 from potshape.harness import desired_potential
+from potshape.optics import magnetic_potential
 
 OMEGA = 2.0 * np.pi * 0.007
 MASS = 1.368
@@ -259,11 +261,15 @@ def _complex_split_step(v, p, cfg, phi):
     return phi / (phi[peak] / np.abs(phi[peak])), mu, steps
 
 
+def _tilted(n_points):
+    """A tilted harmonic well on n_points over 120 um."""
+    grid = SpatialGrid1D(120.0, n_points)
+    return RealField1D(grid=grid, values=0.02 * grid.samples**2 + 2.0 * np.sin(0.2 * grid.samples))
+
+
 @pytest.fixture(scope="module")
 def tilted_well():
-    grid = SpatialGrid1D(120.0, 512)
-    v = RealField1D(grid=grid, values=0.02 * grid.samples**2 + 2.0 * np.sin(0.2 * grid.samples))
-    return v, CondensateParams(), SolverConfig(dtau=0.05, max_steps=20_000, tol=1e-10)
+    return _tilted(512), CondensateParams(), SolverConfig(dtau=0.05, max_steps=20_000, tol=1e-10)
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])
@@ -291,30 +297,147 @@ def test_real_solver_matches_complex_split_step(tilted_well, start):
     assert np.allclose(gs.norm_history, 1.0, rtol=0.0, atol=1e-14)
 
 
-def test_a_step_costs_two_transforms_and_one_interaction_evaluation(tilted_well, monkeypatch):
-    # k applied steps: an rfft of the start, an irfft and an rfft per step,
-    # the irfft of the stop test's pre-potential state and one of the result
-    v, p, cfg = tilted_well
-    counts = {"rfft": 0, "irfft": 0, "_effective_potential": 0}
+def _stages(monkeypatch):
+    """(points, steps) of each relaxation stage the solver runs from now on."""
+    stages = []
+    relax = condensate._relax
 
-    def counted(module, name):
+    def spy(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=None):
+        out = relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step)
+        stages.append((v_offset.size, out[2] - steps))
+        return out
+
+    monkeypatch.setattr(condensate, "_relax", spy)
+    return stages
+
+
+def _counted_calls(monkeypatch):
+    """Count the solver's real transforms, with the length of each, and
+    its evaluations of V + h(rho)."""
+    counts = {"rfft": 0, "irfft": 0, "_effective_potential": 0, "sizes": []}
+
+    def counted(module, name, size):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if size is not None:
+                counts["sizes"].append(size(*args))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(scipy.fft, "rfft")
-    counted(scipy.fft, "irfft")
-    counted(condensate, "_effective_potential")
+    counted(scipy.fft, "rfft", lambda x: len(x))
+    counted(scipy.fft, "irfft", lambda x, n: n)
+    counted(condensate, "_effective_potential", None)
+    return counts
+
+
+def test_a_step_costs_two_transforms_and_one_interaction_evaluation(tilted_well, monkeypatch):
+    # k applied steps: an rfft of the start, an irfft and an rfft per step,
+    # the irfft of the stop test's pre-potential state and one of the result
+    v, p, cfg = tilted_well
+    counts = _counted_calls(monkeypatch)
     gs = ground_state(v, p, cfg)
     assert gs.converged and gs.n_steps > 1
     k = gs.n_steps
     assert counts["rfft"] + counts["irfft"] <= 2 * k + 3
     assert counts["rfft"] <= k + 1
     assert counts["_effective_potential"] <= k + 2
+
+
+def test_a_two_stage_solve_transforms_mostly_coarse_states(tilted_well, monkeypatch):
+    # at 2048 points k_c of the k steps run on the 512-point coarse grid:
+    # the start's rfft, 2 k_c and the stop test's irfft there.  The full
+    # grid starts from the padded coarse spectrum with no transform, so
+    # its k_f = k - k_c steps make 2 k_f + 2.  That is 2k + 4 transforms
+    # and k + 3 evaluations of V + h(rho); while k_f < k / 5 they cover
+    # under half the points of a one-stage solve's 2k + 3.
+    _, p, cfg = tilted_well
+    counts = _counted_calls(monkeypatch)
+    stages = _stages(monkeypatch)
+    gs = ground_state(_tilted(2048), p, cfg)
+    assert gs.converged
+    k = gs.n_steps
+    (_, k_c), (_, k_f) = stages
+    sizes = counts["sizes"]
+    assert sizes.count(512) <= 2 * k_c + 2
+    assert sizes.count(2048) <= 2 * k_f + 2
+    assert len(sizes) == counts["rfft"] + counts["irfft"] <= 2 * k + 4
+    assert counts["rfft"] <= k + 1
+    assert counts["_effective_potential"] <= k + 3
+    assert 5 * k_f < k
+    assert sum(sizes) < (2 * k + 3) * 2048 / 2
+
+
+@pytest.mark.parametrize("max_steps", [60_000, 40, 1])
+def test_n_steps_counts_both_stages(tilted_well, max_steps, monkeypatch):
+    # the coarse stage stops one step short of max_steps, so the full grid
+    # always takes a step and max_steps bounds the total
+    _, p, cfg = tilted_well
+    stages = _stages(monkeypatch)
+    gs = ground_state(_tilted(2048), p, dataclasses.replace(cfg, max_steps=max_steps))
+    assert [n for n, _ in stages] == [512, 2048]
+    assert gs.n_steps == sum(k for _, k in stages) <= max_steps
+    assert stages[1][1] >= 1
+    assert gs.converged == (max_steps == 60_000)
+
+
+def test_a_history_is_recorded_on_the_full_grid_alone(tilted_well, monkeypatch):
+    _, p, cfg = tilted_well
+    stages = _stages(monkeypatch)
+    gs = ground_state(_tilted(2048), p, cfg, record_history=True)
+    assert gs.converged and stages == [(2048, gs.n_steps)]
+    assert gs.n_steps == len(gs.mu_history) == len(gs.energy_history) == len(gs.norm_history)
+
+
+@pytest.mark.parametrize("max_steps", [60_000, 40])
+def test_the_coarse_stage_logs_nothing(scenario, max_steps, caplog):
+    # the desired state over 400 um: 2048 points resolve it, but the
+    # 512-point coarse grid would fail the resolution check (tail share
+    # 1.2e-5).  A two-stage solve logs what a full-grid one does: the
+    # crossover parameter and, when max_steps cuts it, one warning that
+    # counts the steps of both stages.
+    v = desired_potential(scenario.desired, SpatialGrid1D(400.0, 2048))
+    cfg = dataclasses.replace(scenario.solver, max_steps=max_steps)
+    logs = []
+    for history in (False, True):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="potshape.condensate"):
+            gs = ground_state(v, scenario.condensate, cfg, record_history=history)
+        logs.append([(r.levelno, r.getMessage().split(" (")[0]) for r in caplog.records])
+    assert logs[0] == logs[1]
+    assert [level for level, _ in logs[0]] == [logging.INFO] + [logging.WARNING] * (not gs.converged)
+    if not gs.converged:
+        assert logs[0][1][1] == f"imaginary-time relaxation not converged after {max_steps} steps"
+
+
+@pytest.mark.parametrize("well", ["desired", "near-degenerate"])
+def test_the_coarse_stage_keeps_the_solve_accurate(scenario, well):
+    # the desired potential, and a near-degenerate double well like those
+    # of perfbench's groundstate-cold set (v_max x 0.7 and k_v x 1.05 on
+    # the magnetic trap, 1,047 steps): against a full-grid solve at tol
+    # 1e-15, the two-stage solve at the scenario's tol is within 1e-6, or
+    # as close as a full-grid solve at that tol
+    grid = scenario.grid.build()
+    v = desired_potential(scenario.desired, grid)
+    if well == "near-degenerate":
+        spec = dataclasses.replace(
+            scenario.desired, v_max=0.7 * scenario.desired.v_max, k_v=1.05 * scenario.desired.k_v
+        )
+        v_mag = magnetic_potential(scenario.magnetic, scenario.condensate.mass, grid)
+        v = RealField1D(grid=grid, values=desired_potential(spec, grid).values + v_mag.values)
+    p, cfg = scenario.condensate, scenario.solver
+    # record_history keeps a solve on the full grid
+    tight = ground_state(v, p, dataclasses.replace(cfg, tol=1e-15), record_history=True)
+    full = ground_state(v, p, cfg, record_history=True)
+    two = ground_state(v, p, cfg)
+    assert tight.converged and full.converged and two.converged
+
+    def distance(gs):
+        return np.sqrt(np.trapezoid((gs.phi.values - tight.phi.values) ** 2, dx=grid.dz))
+
+    assert distance(two) <= max(1e-6, distance(full))
 
 
 @pytest.mark.parametrize("n", [511, 512])

@@ -1,4 +1,4 @@
-"""Grid, quadrature and spectral-transform checks.
+"""Grid, spectral-transform and quadrature-oracle checks.
 
 Analytic oracles: closed-form Gaussian integrals and transforms, direct
 DFT / sliding-sum reimplementations, and the discrete Parseval identity
@@ -16,11 +16,12 @@ from potshape.core import (
     SpatialGrid1D,
     Spectrum1D,
     convolve,
-    integrate,
     require_same_grid,
     same_grid,
     spectrum,
 )
+
+from conftest import integrate
 
 
 # ---------------------------------------------------------------- grids
