@@ -9,9 +9,10 @@ sqrt(rho) once the transversal cloud swells.  The ground state of the
 corresponding nonlinear eigenvalue problem is found by real-valued
 imaginary-time split-step propagation with per-step renormalisation, two
 real FFTs and one evaluation of V + h(rho) per step.  On a grid of n
-points with n a multiple of COARSE_FACTOR (4) and n / 4 at least
-COARSE_MIN_POINTS (512), it relaxes first on every fourth sample, then
-finishes on the full grid from the interpolated coarse state.
+points with n a multiple of COARSE_FACTOR (4), it relaxes first on every
+fourth sample, then finishes on the full grid from the interpolated
+coarse state; the coarse stage hands over early when its state proves
+under-resolved there.
 The Thomas-Fermi routine drops the kinetic term, inverts h pointwise in
 closed form and finds mu by bisection on the norm.
 
@@ -23,6 +24,7 @@ probability density in 1/um (atom number enters only through b).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +62,29 @@ SPECTRAL_TAIL_TOL = 1e-6
 TF_NORM_TOL = 1e-10
 
 # The ground state first relaxes on every COARSE_FACTOR-th sample when the
-# grid divides by it and keeps at least COARSE_MIN_POINTS there; the floor
-# sits above the 500 points at which the reference desired state is
-# resolved (SPECTRAL_TAIL_TOL).  Measured on the reference 2700-point grid
-# (2-core Xeon, one BLAS thread), over perfbench's 100 groundstate-cold
+# grid's point count divides by it.  Measured on the reference 2700-point
+# grid (2-core Xeon, one BLAS thread), over perfbench's 100 groundstate-cold
 # potentials at seed 7 and the desired one: a step costs 115 us there and
 # 68 us at 675 points.  After a coarse stage at 4x the full-grid stage
 # needs a median of 1 step (max 9); at 5x 10 (max 403), at 6x 37, at 9x
 # 87.  The median solve takes 14.8 ms at 4x, 15.6 ms at 5x, 15.7 ms at 3x,
 # 18.5 ms at 2x and 22.4 ms on the full grid alone.
 COARSE_FACTOR = 4
-COARSE_MIN_POINTS = 512
+
+# Imaginary time in ms after which the coarse stage reads its state's
+# spectral tail (the resolution check's share, on the coarse grid) and
+# hands over to the full grid at once when it exceeds SPECTRAL_TAIL_TOL.
+# A coarse grid that cannot resolve the state relaxes it to a wrong one,
+# which the full grid then corrects over nearly as many steps as a full
+# solve: relaxed to the end, the desired state over 800 um on 2048 points
+# took 206 coarse and 138 full-grid steps against 188 on the full grid
+# alone; handed over at the probe, 20 and 162.  The Thomas-Fermi start's
+# edges put 1e-5 to 1e-3 of its weight in the tail, which the kinetic
+# steps damp in the first ms: at dtau = 0.05 the share after 20 steps is
+# at most 2.2e-7 over the groundstate-cold set and 5.4e-7 for the desired
+# state over 250 um on 2048 points, but 1.9e-5 over 400 um and 5.1e-4
+# over 800 um.
+COARSE_PROBE_TAU = 1.0
 
 
 class ConvergenceError(RuntimeError):
@@ -285,12 +299,17 @@ def _effective_potential(rho: np.ndarray, v_offset: np.ndarray, params) -> np.nd
     return w
 
 
+def _tail_share(power: np.ndarray, k: np.ndarray, dz: float) -> float:
+    """Share of a state's spectral weight above half the Nyquist wavenumber
+    pi / (2 dz) of its grid.  ``power`` is |phi_k|^2 on the rfft
+    wavenumbers ``k``, each bin weighted by its multiplicity; the share
+    does not depend on the state's scale."""
+    return float(power[k > 0.5 * np.pi / dz].sum() / power.sum())
+
+
 def _spectral_resolution_check(power: np.ndarray, k: np.ndarray, grid):
-    """Warn when a state puts more than SPECTRAL_TAIL_TOL of its spectral
-    weight above half the Nyquist wavenumber pi / (2 dz).  ``power`` is
-    |phi_k|^2 on the rfft wavenumbers ``k``, each bin weighted by its
-    multiplicity; the share does not depend on the state's scale."""
-    tail = float(power[k > 0.5 * np.pi / grid.dz].sum() / power.sum())
+    """Warn when a state's :func:`_tail_share` exceeds SPECTRAL_TAIL_TOL."""
+    tail = _tail_share(power, k, grid.dz)
     if tail > SPECTRAL_TAIL_TOL:
         log.warning(
             "grid spacing %.4g um exceeds the healing-scale resolution of the "
@@ -392,11 +411,14 @@ def ground_state(
     consecutive steps drops below cfg.tol.
 
     The relaxation runs in two stages when the grid's n_points is a
-    multiple of COARSE_FACTOR and n_points / COARSE_FACTOR is at least
-    COARSE_MIN_POINTS, and ``record_history`` is off.  The coarse stage
-    relaxes the start sampled at every COARSE_FACTOR-th point (spacing
-    COARSE_FACTOR dz, the same periodic box n_points dz), with at most
-    cfg.max_steps - 1 steps, so the full grid takes at least one; its
+    multiple of COARSE_FACTOR and ``record_history`` is off.  The coarse
+    stage relaxes the start sampled at every COARSE_FACTOR-th point
+    (spacing COARSE_FACTOR dz, the same periodic box n_points dz).  After
+    COARSE_PROBE_TAU of imaginary time it reads its state's share of
+    spectral weight above half the coarse Nyquist wavenumber, and goes on
+    only while that share is within SPECTRAL_TAIL_TOL, the full grid's own
+    resolution test; otherwise it hands over at once.  It takes at most
+    cfg.max_steps - 1 steps, so the full grid takes at least one.  Its
     last spectrum, zero-padded to the full grid (the coarse Nyquist bin
     split between +k and -k), is the start of the full-grid stage.
     Otherwise the full-grid stage starts from the rfft of the start.
@@ -405,8 +427,10 @@ def ground_state(
     ``converged``.  After the stop one irfft of the last post-step
     spectrum gives the returned state, renormalised, and the returned mu
     is that state's own, so a one-stage solve of k steps makes 2k + 3
-    transforms, a two-stage one 2k + 4, of which 2k_c + 2 on the coarse
-    grid for its k_c steps.  The resolution check reads the same spectrum.
+    transforms.  A two-stage one makes 2k + 5 (2k + 4 when the coarse
+    stage hands over at the probe), of which 2k_c + 3 (2k_c + 2) on the
+    coarse grid for its k_c steps.  The resolution check reads the same
+    spectrum.
 
     ``initial`` warm-starts the relaxation (any normalisation; its
     read-only values are only read by the first rfft); otherwise the
@@ -454,17 +478,22 @@ def ground_state(
         norms.append(_trapezoid(rho_b, dz))
 
     c = COARSE_FACTOR
-    if n % c == 0 and n // c >= COARSE_MIN_POINTS and not record_history:
-        coarse, _, steps, _, _ = _relax(
-            scipy.fft.rfft(phi[::c]),
-            np.ascontiguousarray(v_offset[::c]),
-            c * dz,
-            _split_step_constants(n // c, c * dz, cfg.dtau, params.mass),
-            params,
-            cfg,
-            0,
-            cfg.max_steps - 1,
+    if n % c == 0 and not record_history:
+        coarse_consts = _split_step_constants(n // c, c * dz, cfg.dtau, params.mass)
+        coarse_args = (np.ascontiguousarray(v_offset[::c]), c * dz, coarse_consts, params, cfg)
+        budget = cfg.max_steps - 1
+        probe = min(budget, math.ceil(COARSE_PROBE_TAU / cfg.dtau))
+        coarse, power, steps, converged, _ = _relax(
+            scipy.fft.rfft(phi[::c]), *coarse_args, 0, probe
         )
+        coarse_k, _, coarse_weights, _, _ = coarse_consts
+        # go on only while the coarse grid resolves the state
+        if (
+            not converged
+            and steps < budget
+            and _tail_share(coarse_weights * power, coarse_k, c * dz) <= SPECTRAL_TAIL_TOL
+        ):
+            coarse, _, steps, _, _ = _relax(coarse, *coarse_args, steps, budget)
         # the band-limited interpolant of the coarse state: its spectrum,
         # scaled by the ratio of the sample counts, below the coarse
         # Nyquist wavenumber and zero above

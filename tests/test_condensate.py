@@ -298,7 +298,7 @@ def test_real_solver_matches_complex_split_step(tilted_well, start):
 
 
 def _stages(monkeypatch):
-    """(points, steps) of each relaxation stage the solver runs from now on."""
+    """(points, steps) of each relaxation call the solver makes from now on."""
     stages = []
     relax = condensate._relax
 
@@ -309,6 +309,12 @@ def _stages(monkeypatch):
 
     monkeypatch.setattr(condensate, "_relax", spy)
     return stages
+
+
+def _one_stage(monkeypatch, v):
+    """Keep the solves on v's grid to the full grid: no coarse grid takes
+    every (n_points + 1)-th sample of n_points."""
+    monkeypatch.setattr(condensate, "COARSE_FACTOR", v.grid.n_points + 1)
 
 
 def _counted_calls(monkeypatch):
@@ -337,6 +343,7 @@ def test_a_step_costs_two_transforms_and_one_interaction_evaluation(tilted_well,
     # k applied steps: an rfft of the start, an irfft and an rfft per step,
     # the irfft of the stop test's pre-potential state and one of the result
     v, p, cfg = tilted_well
+    _one_stage(monkeypatch, v)
     counts = _counted_calls(monkeypatch)
     gs = ground_state(v, p, cfg)
     assert gs.converged and gs.n_steps > 1
@@ -347,25 +354,27 @@ def test_a_step_costs_two_transforms_and_one_interaction_evaluation(tilted_well,
 
 
 def test_a_two_stage_solve_transforms_mostly_coarse_states(tilted_well, monkeypatch):
-    # at 2048 points k_c of the k steps run on the 512-point coarse grid:
-    # the start's rfft, 2 k_c and the stop test's irfft there.  The full
-    # grid starts from the padded coarse spectrum with no transform, so
-    # its k_f = k - k_c steps make 2 k_f + 2.  That is 2k + 4 transforms
-    # and k + 3 evaluations of V + h(rho); while k_f < k / 5 they cover
-    # under half the points of a one-stage solve's 2k + 3.
+    # at 2048 points k_c of the k steps run on the 512-point coarse grid,
+    # in two relaxation calls split at the resolution probe: the start's
+    # rfft, 2 k_c, and the stop test's irfft of each call.  The full grid
+    # starts from the padded coarse spectrum with no transform, so its
+    # k_f = k - k_c steps make 2 k_f + 2.  That is 2k + 5 transforms and
+    # k + 4 evaluations of V + h(rho); while k_f < k / 5 they cover under
+    # half the points of a one-stage solve's 2k + 3.
     _, p, cfg = tilted_well
     counts = _counted_calls(monkeypatch)
     stages = _stages(monkeypatch)
     gs = ground_state(_tilted(2048), p, cfg)
     assert gs.converged
     k = gs.n_steps
-    (_, k_c), (_, k_f) = stages
+    assert [n for n, _ in stages] == [512, 512, 2048]
+    k_c, k_f = stages[0][1] + stages[1][1], stages[2][1]
     sizes = counts["sizes"]
-    assert sizes.count(512) <= 2 * k_c + 2
+    assert sizes.count(512) <= 2 * k_c + 3
     assert sizes.count(2048) <= 2 * k_f + 2
-    assert len(sizes) == counts["rfft"] + counts["irfft"] <= 2 * k + 4
+    assert len(sizes) == counts["rfft"] + counts["irfft"] <= 2 * k + 5
     assert counts["rfft"] <= k + 1
-    assert counts["_effective_potential"] <= k + 3
+    assert counts["_effective_potential"] <= k + 4
     assert 5 * k_f < k
     assert sum(sizes) < (2 * k + 3) * 2048 / 2
 
@@ -377,9 +386,9 @@ def test_n_steps_counts_both_stages(tilted_well, max_steps, monkeypatch):
     _, p, cfg = tilted_well
     stages = _stages(monkeypatch)
     gs = ground_state(_tilted(2048), p, dataclasses.replace(cfg, max_steps=max_steps))
-    assert [n for n, _ in stages] == [512, 2048]
+    assert [n for n, _ in stages] == [512] * (len(stages) - 1) + [2048]
     assert gs.n_steps == sum(k for _, k in stages) <= max_steps
-    assert stages[1][1] >= 1
+    assert stages[-1][1] >= 1
     assert gs.converged == (max_steps == 60_000)
 
 
@@ -391,20 +400,50 @@ def test_a_history_is_recorded_on_the_full_grid_alone(tilted_well, monkeypatch):
     assert gs.n_steps == len(gs.mu_history) == len(gs.energy_history) == len(gs.norm_history)
 
 
+@pytest.mark.parametrize(
+    "length, n_points, hands_over",
+    [(250.0, 2700, False), (250.0, 2048, False), (400.0, 2048, True), (800.0, 2048, True)],
+)
+def test_an_under_resolved_coarse_stage_hands_over_at_the_probe(
+    scenario, length, n_points, hands_over, monkeypatch
+):
+    # the desired state: the coarse grid resolves it over 250 um, with a
+    # tail share of 4e-9 at 675 and 2e-7 at 512 points, but not over 400
+    # or 800 um (1e-5 and 4e-4).  The coarse stage reads the share after
+    # COARSE_PROBE_TAU, 20 steps of dtau = 0.05, and then either relaxes
+    # to the end, leaving the full grid a step or two, or hands over at
+    # once, leaving it fewer steps than a one-stage solve takes
+    v = desired_potential(scenario.desired, SpatialGrid1D(length, n_points))
+    p, cfg = scenario.condensate, scenario.solver
+    with monkeypatch.context() as m:
+        _one_stage(m, v)
+        full = ground_state(v, p, cfg)
+    stages = _stages(monkeypatch)
+    gs = ground_state(v, p, cfg)
+    assert gs.converged and full.converged
+    assert stages[0] == (n_points // 4, 20)
+    assert len(stages) == (2 if hands_over else 3)
+    k_f = stages[-1][1]
+    assert k_f < full.n_steps if hands_over else k_f <= 2
+
+
 @pytest.mark.parametrize("max_steps", [60_000, 40])
-def test_the_coarse_stage_logs_nothing(scenario, max_steps, caplog):
-    # the desired state over 400 um: 2048 points resolve it, but the
-    # 512-point coarse grid would fail the resolution check (tail share
-    # 1.2e-5).  A two-stage solve logs what a full-grid one does: the
-    # crossover parameter and, when max_steps cuts it, one warning that
-    # counts the steps of both stages.
+def test_the_coarse_stage_logs_nothing(scenario, max_steps, caplog, monkeypatch):
+    # the desired state over 400 um: 2048 points resolve it, but 512 do
+    # not (tail share 1.2e-5), so the coarse stage runs to its probe.  A
+    # two-stage solve logs what a full-grid one does: the crossover
+    # parameter and, when max_steps cuts it, one warning that counts the
+    # steps of both stages.
     v = desired_potential(scenario.desired, SpatialGrid1D(400.0, 2048))
     cfg = dataclasses.replace(scenario.solver, max_steps=max_steps)
     logs = []
-    for history in (False, True):
+    for one_stage in (False, True):
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="potshape.condensate"):
-            gs = ground_state(v, scenario.condensate, cfg, record_history=history)
+        with monkeypatch.context() as m:
+            if one_stage:
+                _one_stage(m, v)
+            with caplog.at_level(logging.DEBUG, logger="potshape.condensate"):
+                gs = ground_state(v, scenario.condensate, cfg)
         logs.append([(r.levelno, r.getMessage().split(" (")[0]) for r in caplog.records])
     assert logs[0] == logs[1]
     assert [level for level, _ in logs[0]] == [logging.INFO] + [logging.WARNING] * (not gs.converged)
@@ -412,14 +451,23 @@ def test_the_coarse_stage_logs_nothing(scenario, max_steps, caplog):
         assert logs[0][1][1] == f"imaginary-time relaxation not converged after {max_steps} steps"
 
 
-@pytest.mark.parametrize("well", ["desired", "near-degenerate"])
-def test_the_coarse_stage_keeps_the_solve_accurate(scenario, well):
-    # the desired potential, and a near-degenerate double well like those
-    # of perfbench's groundstate-cold set (v_max x 0.7 and k_v x 1.05 on
-    # the magnetic trap, 1,047 steps): against a full-grid solve at tol
-    # 1e-15, the two-stage solve at the scenario's tol is within 1e-6, or
-    # as close as a full-grid solve at that tol
-    grid = scenario.grid.build()
+@pytest.mark.parametrize(
+    "well, length, n_points",
+    [
+        ("desired", 250.0, 2700),
+        ("near-degenerate", 250.0, 2700),
+        ("desired", 400.0, 2048),
+        ("desired", 800.0, 2048),
+    ],
+)
+def test_the_coarse_stage_keeps_the_solve_accurate(scenario, well, length, n_points, monkeypatch):
+    # the desired potential on the reference grid and on two that the
+    # coarse grid under-resolves, and a near-degenerate double well like
+    # those of perfbench's groundstate-cold set (v_max x 0.7 and k_v x
+    # 1.05 on the magnetic trap, 1,047 steps): against a full-grid solve
+    # at tol 1e-15, the two-stage solve at the scenario's tol is within
+    # 1e-6, or as close as a full-grid solve at that tol
+    grid = SpatialGrid1D(length, n_points)
     v = desired_potential(scenario.desired, grid)
     if well == "near-degenerate":
         spec = dataclasses.replace(
@@ -428,16 +476,45 @@ def test_the_coarse_stage_keeps_the_solve_accurate(scenario, well):
         v_mag = magnetic_potential(scenario.magnetic, scenario.condensate.mass, grid)
         v = RealField1D(grid=grid, values=desired_potential(spec, grid).values + v_mag.values)
     p, cfg = scenario.condensate, scenario.solver
-    # record_history keeps a solve on the full grid
-    tight = ground_state(v, p, dataclasses.replace(cfg, tol=1e-15), record_history=True)
-    full = ground_state(v, p, cfg, record_history=True)
     two = ground_state(v, p, cfg)
+    _one_stage(monkeypatch, v)
+    tight = ground_state(v, p, dataclasses.replace(cfg, tol=1e-15))
+    full = ground_state(v, p, cfg)
     assert tight.converged and full.converged and two.converged
 
     def distance(gs):
         return np.sqrt(np.trapezoid((gs.phi.values - tight.phi.values) ** 2, dx=grid.dz))
 
     assert distance(two) <= max(1e-6, distance(full))
+
+
+@pytest.mark.parametrize("length", [250.0, 800.0])
+def test_the_energy_does_not_rise_at_the_stage_switch(scenario, length, monkeypatch):
+    # on the full grid: the start, the padded coarse state that the full
+    # grid starts from (after the whole coarse stage over 250 um, after the
+    # probe over 800 um) and the result, each normalised
+    v = desired_potential(scenario.desired, SpatialGrid1D(length, 2048))
+    p, cfg = scenario.condensate, scenario.solver
+    starts = []
+    relax = condensate._relax
+
+    def spy(post, v_offset, *args):
+        if v_offset.size == 2048:
+            starts.append(scipy.fft.irfft(post, 2048))
+        return relax(post, v_offset, *args)
+
+    monkeypatch.setattr(condensate, "_relax", spy)
+    gs = ground_state(v, p, cfg)
+
+    def energy(phi):
+        phi = phi / np.sqrt(np.trapezoid(phi * phi, dx=v.grid.dz))
+        return total_energy(RealField1D(grid=v.grid, values=phi), v, p)
+
+    start = condensate._initial_guess(v, p)
+    e_start, e_switch, e_end = energy(start), energy(starts[0]), total_energy(gs.phi, v, p)
+    assert gs.converged and len(starts) == 1
+    assert e_end <= e_switch + 1e-13 * abs(e_end)
+    assert e_switch < e_start
 
 
 @pytest.mark.parametrize("n", [511, 512])
