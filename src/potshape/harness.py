@@ -32,7 +32,6 @@ import itertools
 import json
 import logging
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -47,7 +46,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, as_index, as_real, check_index, check_real
+from .core import RealField1D, SpatialGrid1D, as_index, check_index, check_real
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -101,14 +100,12 @@ __all__ = [
     "inject_disturbances",
     "level_update",
     "run_closed_loop",
-    "input_activity",
     "export_records",
     "load_run",
     "load_scenario",
     "report",
     "scenario_to_dict",
     "scenario_from_dict",
-    "lut_sha256",
     "error_norm",
 ]
 
@@ -209,7 +206,11 @@ class LoopSpec:
         if not 0.0 <= self.nu_initial <= 1.0:
             raise ValueError(f"nu_initial must lie in [0, 1], got {self.nu_initial!r}")
         if self.export_iterations is not None:
-            exp = tuple(as_index(i, "export iteration") for i in self.export_iterations)
+            if not isinstance(self.export_iterations, (list, tuple)):
+                raise TypeError(
+                    f"export_iterations must be a list of integers, got {self.export_iterations!r}"
+                )
+            exp = tuple(as_index(i, "export_iterations entry") for i in self.export_iterations)
             for n in exp:
                 if not (0 <= n < self.iterations):
                     raise ValueError(
@@ -301,36 +302,17 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return d
 
 
-_KINDS = {
-    "int": "an integer",
-    "float": "a number",
-    "tuple[int, ...]": "a list of integers",
-}
-
-
-def _typed(kind: str, value, where: str):
-    """``value`` checked against the field annotation ``kind``.
-
-    An int field takes an integer, and an integral float such as 6e4 is
-    stored as that integer; a float field takes what :func:`core.as_real`
-    takes, a finite number that is not a boolean; ``X | None`` also
-    takes None.  Anything else is a ConfigError naming ``where``.
-    """
-    if kind.endswith(" | None"):
-        if value is None:
-            return None
-        kind = kind.removesuffix(" | None")
-    if kind == "float":
-        try:
-            return as_real(value, where)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "int" and isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    elif kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
-        return tuple(_typed("int", v, f"{where} entry") for v in value)
-    raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+def _typed(kind: str, value):
+    """``value`` as a field annotated ``kind`` takes it from JSON: an
+    integral float such as 6e4 for an int becomes that integer, and a
+    list for a tuple of ints a tuple, its integral floats integers too.
+    Anything else passes as it is; the section's own checks are the one
+    rule that accepts or refuses it."""
+    if kind == "int" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind.startswith("tuple[int") and isinstance(value, (list, tuple)):
+        return tuple(_typed("int", v) for v in value)
+    return value
 
 
 def _build_section(cls, data, name):
@@ -343,12 +325,8 @@ def _build_section(cls, data, name):
     unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown keys in '{name}': {', '.join(unknown)}")
-    typed = {
-        key: _typed(kinds[key], value, f"bad section '{name}': '{key}'")
-        for key, value in data.items()
-    }
     try:
-        return cls(**typed)
+        return cls(**{key: _typed(kinds[key], value) for key, value in data.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad section '{name}': {exc}") from exc
 
@@ -374,9 +352,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             if not isinstance(ev["spots"], (list, tuple)):
                 raise ConfigError(f"'{where}.spots' must be a list")
             spots = tuple(_build_section(DarkSpot, s, f"{where}.spots") for s in ev["spots"])
-            iteration = _typed("int", ev["iteration"], f"bad disturbance entry {i}: 'iteration'")
             try:
-                events.append(DisturbanceEvent(iteration=iteration, spots=spots))
+                events.append(DisturbanceEvent(_typed("int", ev["iteration"]), spots))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad disturbance entry {i}: {exc}") from exc
         kwargs["disturbances"] = tuple(events)
@@ -732,54 +709,6 @@ def level_update(
 
 
 # ---------------------------------------------------------------------------
-# metrics
-
-
-# columns where the desired density reaches this fraction of its peak
-# count as occupied (input_activity)
-OCCUPIED_FRACTION = 1e-4
-
-
-def input_activity(
-    records,
-    rho_desired: RealField1D,
-    col_grid: SpatialGrid1D,
-    start: int = 0,
-    stop: int | None = None,
-) -> dict:
-    """Input motion per unit length in the empty vs. occupied region.
-
-    The occupied region is where the desired density reaches
-    ``OCCUPIED_FRACTION`` of its peak, sampled at the column positions;
-    motion is the summed |delta nu| between consecutive recorded
-    iterations in [start, stop).  Returns rates per column and their ratio.
-    """
-    rho_cols = np.interp(
-        col_grid.samples, rho_desired.grid.samples, rho_desired.values, left=0.0, right=0.0
-    )
-    occupied = rho_cols >= OCCUPIED_FRACTION * np.max(rho_desired.values)
-    hidden = ~occupied
-    if not np.any(occupied) or not np.any(hidden):
-        raise ValueError("activity ratio needs both occupied and empty columns")
-    sel = [r for r in records if r.n >= start and (stop is None or r.n < stop)]
-    if len(sel) < 2:
-        raise ValueError("need at least two recorded iterations in the window")
-    total = np.zeros(len(rho_cols))
-    for a, b in zip(sel[:-1], sel[1:]):
-        total += np.abs(b.nu - a.nu)
-    hidden_rate = float(total[hidden].sum() / hidden.sum())
-    occupied_rate = float(total[occupied].sum() / occupied.sum())
-    return {
-        "hidden_rate": hidden_rate,
-        "occupied_rate": occupied_rate,
-        "ratio": hidden_rate / occupied_rate if occupied_rate > 0 else np.inf,
-        "n_hidden": int(hidden.sum()),
-        "n_occupied": int(occupied.sum()),
-        "iterations": (sel[0].n, sel[-1].n),
-    }
-
-
-# ---------------------------------------------------------------------------
 # persistence
 
 
@@ -917,14 +846,18 @@ def export_records(result: RunResult, out_dir) -> list:
 
 def _read_rows(path, needed) -> dict:
     """One array per header column of the numeric CSV at ``path``; a
-    ConfigError names the file and the column ``needed`` that the header
-    lacks, or the line that is not one finite number per column."""
+    ConfigError names the file and the column that the header repeats or
+    the column ``needed`` that it lacks, or the line that is not one
+    finite number per column."""
     try:
         with open(path) as fh:
             header = [h.strip() for h in fh.readline().split(",")]
             lines = [(k, line.strip()) for k, line in enumerate(fh, start=2)]
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
+    for k, h in enumerate(header):
+        if h in header[:k]:
+            raise ConfigError(f"{path}: header names column '{h}' twice")
     for h in needed:
         if h not in header:
             raise ConfigError(f"{path}: header lacks column '{h}'")

@@ -39,7 +39,6 @@ from .core import RealField1D, as_index, as_real, check_index, check_real
 from .optics import BeamProfile, DmdPattern, PsfModel, column_grid, transversal_weights
 
 __all__ = [
-    "TransversalPattern",
     "OptimizerConfig",
     "PatternObjective",
     "LutEntry",
@@ -59,24 +58,6 @@ __all__ = [
 TOURNAMENT = 3
 ELITE = 2
 MUTATIONS = 2.0
-
-
-@dataclass(frozen=True)
-class TransversalPattern:
-    """Bit vector for one column, index 0 at the most negative y."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bits)
-        if b.ndim != 1 or not np.all((b == 0) | (b == 1)):
-            raise ValueError("pattern must be a 1d array of 0/1")
-        b = b.astype(np.uint8).copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "bits", b)
-
-    def __len__(self):
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -251,7 +232,7 @@ def _descend(flip_cost, bits: np.ndarray, cost: float, max_flips: int = _MAX_FLI
 
 
 def _refine(obj: PatternObjective, nu: float, candidates, target_cap):
-    """Polish each candidate and return the best as (pattern, achieved, residual).
+    """Polish each candidate and return the best as (bits, achieved, residual).
 
     The all-off and all-on patterns join the candidates, a candidate
     outside ``target_cap`` is walked onto the target and re-polished among
@@ -283,16 +264,16 @@ def _refine(obj: PatternObjective, nu: float, candidates, target_cap):
         if best is None or key < best_key:
             best, best_key = c, key
     achieved = float(obj.on_axis(best)[0])
-    return TransversalPattern(bits=best), achieved, best_key[1]
+    return best, achieved, best_key[1]
 
 
 def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rng, seed_patterns):
     """Minimise the column objective ``obj`` for one target value.
 
     ``obj`` carries the search settings (``obj.cfg``) and the psf and beam
-    in its weights; ``rng`` drives the genetic search.  Returns (pattern,
-    achieved, residual) where achieved is |E(0)| of the returned bits and
-    residual the full objective value.  ``seed_patterns`` are injected as
+    in its weights; ``rng`` drives the genetic search.  Returns (bits,
+    achieved, residual): the uint8 bit vector, |E(0)| of those bits and
+    the full objective value.  ``seed_patterns`` are injected as
     polish candidates (the LUT monotone repair passes the neighbouring
     entries).
 
@@ -314,8 +295,10 @@ def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rn
 
 @dataclass(frozen=True)
 class LutEntry:
+    """Level k's target nu, the |E(0)| its bits achieve and their
+    objective value; the bits themselves are row k of :attr:`Lut.levels`."""
+
     nu: float
-    pattern: TransversalPattern
     achieved: float
     residual: float
 
@@ -324,18 +307,36 @@ class LutEntry:
 class Lut:
     """Monotone table nu_k = k / (n_nu - 1) -> column pattern.
 
-    The header records everything needed to recompute the table: problem
-    size, penalty settings, a hash of the psf/beam parameters and the
-    master seed.
+    ``levels`` is the one store of the patterns: a read-only (n_nu, n_t)
+    uint8 array of 0/1 bits, row k for level k, index 0 at the most
+    negative y.  A ValueError refuses levels of another shape, a bit
+    other than 0 or 1, or two rows with one pattern, which
+    :func:`invert_pattern` could not tell apart.  The header records
+    everything needed to recompute the table: problem size, penalty
+    settings, a hash of the psf/beam parameters and the master seed.
     """
 
     entries: tuple
+    levels: np.ndarray
     n_t: int
     pitch: float
     gamma_perp: float
     dy: float
     psf_beam_sha256: str
     seed: int
+
+    def __post_init__(self):
+        bits = np.asarray(self.levels)
+        if bits.shape != (self.n_nu, self.n_t) or not np.all((bits == 0) | (bits == 1)):
+            raise ValueError(f"levels must be a ({self.n_nu}, {self.n_t}) array of 0/1 bits")
+        bits = bits.astype(np.uint8)
+        bits.flags.writeable = False
+        object.__setattr__(self, "levels", bits)
+        first = {}
+        for k, row in enumerate(bits):
+            j = first.setdefault(row.tobytes(), k)
+            if j != k:
+                raise ValueError(f"entries {j} and {k} share one bit pattern")
 
     @property
     def n_nu(self) -> int:
@@ -362,11 +363,6 @@ class Lut:
         return achieved
 
     @cached_property
-    def levels(self) -> np.ndarray:
-        """(n_nu, n_t) uint8 matrix of the entry patterns, row k for level k."""
-        return np.array([e.pattern.bits for e in self.entries], dtype=np.uint8)
-
-    @cached_property
     def nu_levels(self) -> np.ndarray:
         """Read-only array of the entries' nu, element k for level k."""
         nu = np.array([e.nu for e in self.entries])
@@ -391,17 +387,15 @@ def psf_beam_hash(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> s
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _monotone_repair(obj, nus, patterns, achieved, residual, target_cap):
-    """Re-solve entries that break monotonicity, warm started from their
-    lower neighbour; as a last resort lift the achieved value by greedy
-    flips constrained to stay at or above the neighbour."""
+def _monotone_repair(obj, nus, levels, achieved, residual, target_cap):
+    """Re-solve the rows of ``levels`` that break monotonicity, warm
+    started from their lower neighbour; as a last resort lift the achieved
+    value by greedy flips constrained to stay at or above the neighbour."""
     for k in range(1, len(nus)):
         if achieved[k] >= achieved[k - 1]:
             continue
         rng = np.random.default_rng([obj.cfg.seed, k, 7919])
-        pat, ach, res = solve_pattern(
-            obj, nus[k], target_cap, rng, (patterns[k - 1].bits, patterns[k].bits)
-        )
+        bits, ach, res = solve_pattern(obj, nus[k], target_cap, rng, (levels[k - 1], levels[k]))
         if ach < achieved[k - 1]:
             floor = achieved[k - 1] - 1e-15
 
@@ -409,9 +403,8 @@ def _monotone_repair(obj, nus, patterns, achieved, residual, target_cap):
                 e0, fc = obj.flips(b, nus[k])
                 return np.where(e0 >= floor, fc, np.inf)
 
-            start = patterns[k - 1].bits
+            start = levels[k - 1]
             bits = _descend(lift, start, float(obj.value(start, nus[k])[0]), obj.cfg.n_t)
-            pat = TransversalPattern(bits=bits)
             ach = float(obj.on_axis(bits)[0])
             res = float(obj.value(bits, nus[k])[0])
         if ach < achieved[k - 1]:
@@ -419,7 +412,7 @@ def _monotone_repair(obj, nus, patterns, achieved, residual, target_cap):
                 f"monotone repair failed for table entry {k} "
                 f"({ach:.6f} < {achieved[k - 1]:.6f})"
             )
-        patterns[k], achieved[k], residual[k] = pat, ach, res
+        levels[k], achieved[k], residual[k] = bits, ach, res
 
 
 def build_lut(
@@ -445,28 +438,26 @@ def build_lut(
     0.05 / (n_nu - 1), i.e. a twentieth of the table step.  Entries worse
     than four times that are a hard error: a table that cannot realise its
     own addressing levels would silently bias the closed loop.  Two entries
-    with one bit pattern, which :func:`invert_pattern` could not tell
-    apart, raise a ValueError.
+    with one bit pattern raise a ValueError (:class:`Lut`).
     """
     if n_nu < 2:
         raise ValueError("table needs at least the two extreme entries")
     acc = 0.05 / (n_nu - 1) if accuracy is None else float(accuracy)
     obj = PatternObjective(cfg, psf, beam)
     nus = np.linspace(0.0, 1.0, n_nu)
-    patterns: list = [None] * n_nu
+    levels = np.zeros((n_nu, cfg.n_t), dtype=np.uint8)
+    levels[-1] = 1
     achieved = np.zeros(n_nu)
     residual = np.zeros(n_nu)
-    patterns[0] = TransversalPattern(bits=np.zeros(cfg.n_t, dtype=np.uint8))
-    patterns[-1] = TransversalPattern(bits=np.ones(cfg.n_t, dtype=np.uint8))
     for k in (0, n_nu - 1):
-        achieved[k] = float(obj.on_axis(patterns[k].bits)[0])
-        residual[k] = float(obj.value(patterns[k].bits, nus[k])[0])
+        achieved[k] = float(obj.on_axis(levels[k])[0])
+        residual[k] = float(obj.value(levels[k], nus[k])[0])
     inner = range(1, n_nu - 1)
     rngs = [np.random.default_rng([cfg.seed, k]) for k in inner]
     starts = _ga_minimise(obj, nus[1:-1], rngs)
     for k, start in zip(inner, starts):
-        patterns[k], achieved[k], residual[k] = _refine(obj, nus[k], (start,), acc)
-    _monotone_repair(obj, nus, patterns, achieved, residual, acc)
+        levels[k], achieved[k], residual[k] = _refine(obj, nus[k], (start,), acc)
+    _monotone_repair(obj, nus, levels, achieved, residual, acc)
     bad = [k for k in range(n_nu) if abs(achieved[k] - nus[k]) > 4.0 * acc]
     if bad:
         raise RuntimeError(
@@ -475,14 +466,13 @@ def build_lut(
                 f"k={k} nu={nus[k]:.3f} achieved={achieved[k]:.6f}" for k in bad
             )
         )
-    _require_distinct_patterns(patterns)
     entries = tuple(
-        LutEntry(nu=float(nus[k]), pattern=patterns[k],
-                 achieved=float(achieved[k]), residual=float(residual[k]))
+        LutEntry(nu=float(nus[k]), achieved=float(achieved[k]), residual=float(residual[k]))
         for k in range(n_nu)
     )
     return Lut(
         entries=entries,
+        levels=levels,
         n_t=cfg.n_t,
         pitch=cfg.pitch,
         gamma_perp=cfg.gamma_perp,
@@ -490,16 +480,6 @@ def build_lut(
         psf_beam_sha256=psf_beam_hash(psf, beam, cfg.n_t, cfg.pitch),
         seed=cfg.seed,
     )
-
-
-def _require_distinct_patterns(patterns) -> None:
-    """Refuse two entries with one bit pattern: :func:`invert_pattern` could
-    not tell their levels apart."""
-    first = {}
-    for k, p in enumerate(patterns):
-        j = first.setdefault(p.bits.tobytes(), k)
-        if j != k:
-            raise ValueError(f"entries {j} and {k} share one bit pattern")
 
 
 def map_virtual_input(nu: RealField1D, lut: Lut) -> DmdPattern:
@@ -514,7 +494,7 @@ def invert_pattern(pattern: DmdPattern, lut: Lut) -> RealField1D:
     Every column must match a table entry bit for bit; anything else
     raises, because it cannot have come from :func:`map_virtual_input`.
     """
-    lookup = {e.pattern.bits.tobytes(): e.nu for e in lut.entries}
+    lookup = {row.tobytes(): e.nu for row, e in zip(lut.levels, lut.entries)}
     values = np.empty(pattern.n_l)
     for j in range(pattern.n_l):
         key = np.ascontiguousarray(pattern.bits[:, j]).tobytes()
@@ -537,11 +517,11 @@ def _lut_to_dict(lut: Lut) -> dict:
         "entries": [
             {
                 "nu": e.nu,
-                "bits": "".join(str(int(b)) for b in e.pattern.bits),
+                "bits": (row + ord("0")).tobytes().decode(),
                 "achieved": e.achieved,
                 "residual": e.residual,
             }
-            for e in lut.entries
+            for row, e in zip(lut.levels, lut.entries)
         ],
     }
 
@@ -572,10 +552,10 @@ def _require_keys(obj, keys, what: str) -> None:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
-def _pattern(text, key: str) -> TransversalPattern:
+def _bits(text, key: str) -> np.ndarray:
     if not isinstance(text, str) or not set(text) <= {"0", "1"}:
         raise ValueError(f"{key} must be a string of 0 and 1 characters")
-    return TransversalPattern(bits=[int(c) for c in text])
+    return np.frombuffer(text.encode(), np.uint8) - ord("0")
 
 
 def _field(obj: dict, key: str, what: str, convert=as_real, **bounds):
@@ -610,10 +590,10 @@ def load_lut(path) -> Lut:
         raise ValueError("table entries are not a JSON list")
     for k, e in enumerate(data["entries"]):
         _require_keys(e, _LUT_ENTRY_KEYS, f"entry {k}")
+    rows = [_field(e, "bits", f"entry {k}", _bits) for k, e in enumerate(data["entries"])]
     entries = tuple(
         LutEntry(
             nu=float(_field(e, "nu", f"entry {k}")),
-            pattern=_field(e, "bits", f"entry {k}", _pattern),
             achieved=float(_field(e, "achieved", f"entry {k}")),
             residual=float(_field(e, "residual", f"entry {k}")),
         )
@@ -624,15 +604,15 @@ def load_lut(path) -> Lut:
     if len(entries) != n_nu:
         raise ValueError("entry count does not match header")
     for k, e in enumerate(entries):
-        if len(e.pattern) != n_t:
-            raise ValueError(f"entry {k} has {len(e.pattern)} bits, header says n_t = {n_t}")
+        if len(rows[k]) != n_t:
+            raise ValueError(f"entry {k} has {len(rows[k])} bits, header says n_t = {n_t}")
         if abs(e.nu - k / (n_nu - 1)) > 1e-12:
             raise ValueError(f"entry {k} has nu = {e.nu!r}, not {k}/{n_nu - 1}")
         if k > 0 and e.achieved < entries[k - 1].achieved:
             raise ValueError(f"achieved value decreases at entry {k}")
-    _require_distinct_patterns(e.pattern for e in entries)
     return Lut(
         entries=entries,
+        levels=np.array(rows),
         n_t=n_t,
         pitch=float(_field(data, "pitch", "table header", above=0)),
         gamma_perp=float(_field(data, "gamma_perp", "table header", low=0)),

@@ -9,6 +9,7 @@ the prepared control design, and the 80-iteration closed-loop run.
 import time
 
 import numpy as np
+import pytest
 
 from potshape.condensate import (
     CondensateParams,
@@ -18,10 +19,10 @@ from potshape.condensate import (
 )
 from potshape.core import RealField1D, SpatialGrid1D, convolve, spectrum
 from potshape.harness import (
+    IterationRecord,
     build_scenario_lut,
     error_norm,
     export_records,
-    input_activity,
     level_update,
     run_closed_loop,
 )
@@ -34,6 +35,7 @@ from potshape.ilc import (
 from potshape.inputmap import map_virtual_input
 from potshape.optics import (
     PsfModel,
+    column_grid,
     potential_from_field,
     propagate_full,
     propagate_separable,
@@ -292,6 +294,92 @@ def test_criterion_8_numerical_invariants(
         if ok
         else "invariants broken: " + ", ".join(failed),
     )
+
+
+# columns where the desired density reaches this fraction of its peak
+# count as occupied (input_activity)
+OCCUPIED_FRACTION = 1e-4
+
+
+def input_activity(
+    records,
+    rho_desired: RealField1D,
+    col_grid: SpatialGrid1D,
+    start: int = 0,
+    stop: int | None = None,
+) -> dict:
+    """Input motion per unit length in the empty vs. occupied region:
+    criterion 9's metric.
+
+    The occupied region is where the desired density reaches
+    ``OCCUPIED_FRACTION`` of its peak, sampled at the column positions;
+    motion is the summed |delta nu| between consecutive recorded
+    iterations in [start, stop).  Returns rates per column and their ratio.
+    """
+    rho_cols = np.interp(
+        col_grid.samples, rho_desired.grid.samples, rho_desired.values, left=0.0, right=0.0
+    )
+    occupied = rho_cols >= OCCUPIED_FRACTION * np.max(rho_desired.values)
+    hidden = ~occupied
+    if not np.any(occupied) or not np.any(hidden):
+        raise ValueError("activity ratio needs both occupied and empty columns")
+    sel = [r for r in records if r.n >= start and (stop is None or r.n < stop)]
+    if len(sel) < 2:
+        raise ValueError("need at least two recorded iterations in the window")
+    total = np.zeros(len(rho_cols))
+    for a, b in zip(sel[:-1], sel[1:]):
+        total += np.abs(b.nu - a.nu)
+    hidden_rate = float(total[hidden].sum() / hidden.sum())
+    occupied_rate = float(total[occupied].sum() / occupied.sum())
+    return {
+        "hidden_rate": hidden_rate,
+        "occupied_rate": occupied_rate,
+        "ratio": hidden_rate / occupied_rate if occupied_rate > 0 else np.inf,
+        "n_hidden": int(hidden.sum()),
+        "n_occupied": int(occupied.sum()),
+        "iterations": (sel[0].n, sel[-1].n),
+    }
+
+
+def test_activity_ratio_arithmetic():
+    col_z = column_grid(10, 1.0)
+    g = SpatialGrid1D(20.0, 41)
+    rho = RealField1D(grid=g, values=np.where(np.abs(g.samples) <= 2.0, 1.0, 0.0))
+
+    def rec(n, nu):
+        return IterationRecord(
+            n=n, nu=nu, e_rho=np.zeros(5), error_norm=0.0, clamp_count=0, mu=0.0
+        )
+
+    nu0 = np.full(10, 0.2)
+    nu1 = nu0.copy()
+    nu1[0] += 0.1  # z = -4.5, empty region
+    nu1[5] += 0.2  # z = +0.5, occupied region
+    out = input_activity([rec(0, nu0), rec(1, nu1)], rho, col_z)
+    assert out["n_hidden"] == 6 and out["n_occupied"] == 4
+    assert out["hidden_rate"] == pytest.approx(0.1 / 6.0, rel=1e-12)
+    assert out["occupied_rate"] == pytest.approx(0.2 / 4.0, rel=1e-12)
+    assert out["ratio"] == pytest.approx((0.1 / 6.0) / (0.2 / 4.0), rel=1e-12)
+    assert out["iterations"] == (0, 1)
+    # windowing picks only records with start <= n < stop
+    out2 = input_activity(
+        [rec(0, nu0), rec(1, nu1), rec(2, nu1), rec(3, nu0)], rho, col_z, start=1, stop=3
+    )
+    assert out2["hidden_rate"] == 0.0
+
+
+def test_activity_ratio_validation():
+    col_z = column_grid(10, 1.0)
+    g = SpatialGrid1D(20.0, 41)
+    rho = RealField1D(grid=g, values=np.where(np.abs(g.samples) <= 2.0, 1.0, 0.0))
+    rec = IterationRecord(
+        n=0, nu=np.zeros(10), e_rho=np.zeros(5), error_norm=0.0, clamp_count=0, mu=0.0
+    )
+    with pytest.raises(ValueError, match="two recorded iterations"):
+        input_activity([rec], rho, col_z)
+    flat = RealField1D(grid=g, values=np.ones(41))
+    with pytest.raises(ValueError, match="both occupied and empty"):
+        input_activity([rec, rec], flat, col_z)
 
 
 def test_criterion_9_hidden_region_activity(criterion, reference_run, reference_prepared):

@@ -4,6 +4,7 @@ exports and the command line."""
 import dataclasses
 import json
 import logging
+import re
 import shutil
 
 import numpy as np
@@ -37,11 +38,9 @@ from potshape.harness import (
     error_norm,
     export_records,
     inject_disturbances,
-    input_activity,
     level_update,
     load_run,
     load_scenario,
-    lut_sha256,
     report,
     run_closed_loop,
     scenario_from_dict,
@@ -50,8 +49,8 @@ from potshape.harness import (
 from potshape.ilc import correction, density_error, scaled_error
 from potshape.inputmap import (
     OptimizerConfig,
-    TransversalPattern,
     _lut_to_dict,
+    lut_sha256,
     map_virtual_input,
     save_lut,
 )
@@ -162,36 +161,36 @@ def test_scenario_rejects_unknown_sections_and_keys():
 _WRONG_TYPES = {
     "loop.iterations": (
         {"loop": {"iterations": 2.5}},
-        r"bad section 'loop': 'iterations' must be an integer, got 2\.5",
+        r"bad section 'loop': iterations must be an integer, got 2\.5",
     ),
-    "lut.n_nu": ({"lut": {"n_nu": 3.5}}, r"bad section 'lut': 'n_nu' must be an integer, got 3\.5"),
+    "lut.n_nu": ({"lut": {"n_nu": 3.5}}, r"bad section 'lut': n_nu must be an integer, got 3\.5"),
     "grid.n_points": (
         {"grid": {"n_points": float("inf")}},
-        "bad section 'grid': 'n_points' must be an integer",
+        "bad section 'grid': n_points must be an integer",
     ),
     "grid.length-string": (
         {"grid": {"length": "250"}},
-        "bad section 'grid': 'length' must be a number, got '250'",
+        "bad section 'grid': length must be a number, got '250'",
     ),
     "grid.length-bool": (
         {"grid": {"length": True}},
-        "bad section 'grid': 'length' must be a number, got True",
+        "bad section 'grid': length must be a number, got True",
     ),
     "solver.max_steps": (
         {"solver": {"max_steps": 50.5}},
-        "bad section 'solver': 'max_steps' must be an integer",
+        "bad section 'solver': max_steps must be an integer",
     ),
     "loop.export_iterations": (
         {"loop": {"export_iterations": [1, 2.5]}},
-        "bad section 'loop': 'export_iterations' entry must be an integer, got 2.5",
+        "bad section 'loop': export_iterations entry must be an integer, got 2.5",
     ),
     "disturbance.iteration": (
         {"disturbances": [{"iteration": 40.5, "spots": []}]},
-        "bad disturbance entry 0: 'iteration' must be an integer, got 40.5",
+        "bad disturbance entry 0: iteration must be an integer, got 40.5",
     ),
     "spot.center": (
         {"disturbances": [{"iteration": 1, "spots": [{"center": "0", "width": 1, "depth": 0.1}]}]},
-        r"bad section 'disturbances\[0\]\.spots': 'center' must be a number",
+        r"bad section 'disturbances\[0\]\.spots': center must be a number",
     ),
 }
 
@@ -207,6 +206,18 @@ def test_scenario_refuses_values_of_the_wrong_type(tmp_path, capsys, data, match
     assert cli.main(["groundstate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
+
+
+def test_export_iterations_must_be_a_list():
+    # the section owns the rule, built in Python or read from a file; a
+    # string is not taken for its characters
+    for value in (5, "12", {"1": 2}):
+        message = f"export_iterations must be a list of integers, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            LoopSpec(export_iterations=value)
+        with pytest.raises(ConfigError, match=f"^bad section 'loop': {re.escape(message)}$"):
+            scenario_from_dict({"loop": {"export_iterations": value}})
+    assert LoopSpec(export_iterations=[3, 1]).export_iterations == (3, 1)
 
 
 def test_scenario_stores_integral_floats_as_integers():
@@ -342,7 +353,8 @@ _COUNTS = [
 
 def test_sections_built_in_python_refuse_fractional_counts():
     for entry in (2.7, True):
-        with pytest.raises(TypeError, match=f"export iteration must be an integer, got {entry}"):
+        message = f"export_iterations entry must be an integer, got {entry}"
+        with pytest.raises(TypeError, match=message):
             LoopSpec(export_iterations=(entry,))
     for value in (30.0, True):
         with pytest.raises(TypeError, match=f"^grid n_points must be an integer, got {value}$"):
@@ -458,7 +470,7 @@ def test_cli_refuses_integers_beyond_the_float_range(tmp_path, capsys):
     huge = 10**400
     out = tmp_path / "state.csv"
     refusals = {
-        "configuration error: bad section 'grid': 'length' must be finite": ("grid", "length"),
+        "configuration error: bad section 'grid': length must be finite": ("grid", "length"),
         "invalid input: int too large to convert to float": ("psf", "gy_zero_cut"),
     }
     for err, (section, key) in refusals.items():
@@ -538,13 +550,13 @@ _NON_FINITE_CASES = _FLOAT_KEYS + _DERIVED_FLOAT_KEYS
 def test_scenario_refuses_non_finite_floats(section, key, bad):
     if section == "spot":
         data = {"disturbances": [{"iteration": 1, "spots": [{**_SPOT, key: bad}]}]}
-        match = rf"'disturbances\[0\]\.spots': '{key}' must be finite, got {bad!r}$"
+        match = rf"'disturbances\[0\]\.spots': {key} must be finite, got {bad!r}$"
     elif (section, key) in _DERIVED_FLOAT_KEYS:
         data = {section: {key: bad}}
         match = f"unknown keys in '{section}': {key}$"
     else:
         data = {section: {key: bad}}
-        match = rf"'{section}': '{key}' must be finite, got {bad!r}$"
+        match = rf"'{section}': {key} must be finite, got {bad!r}$"
     with pytest.raises(ConfigError, match=match):
         scenario_from_dict(data)
 
@@ -557,7 +569,7 @@ def test_cli_refuses_a_nan_scenario(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "'desired': 'k_v' must be finite, got nan" in err
+    assert "'desired': k_v must be finite, got nan" in err
     assert not out.exists()
 
 
@@ -1022,47 +1034,6 @@ def test_held_noise_free_shot_repeats_its_predecessor(scenario, reference_run):
     assert len(changes) + 1 == 19 and not any(held[n] for n in changes)
 
 
-def test_activity_ratio_arithmetic():
-    col_z = column_grid(10, 1.0)
-    g = SpatialGrid1D(20.0, 41)
-    rho = RealField1D(grid=g, values=np.where(np.abs(g.samples) <= 2.0, 1.0, 0.0))
-
-    def rec(n, nu):
-        return IterationRecord(
-            n=n, nu=nu, e_rho=np.zeros(5), error_norm=0.0, clamp_count=0, mu=0.0
-        )
-
-    nu0 = np.full(10, 0.2)
-    nu1 = nu0.copy()
-    nu1[0] += 0.1  # z = -4.5, empty region
-    nu1[5] += 0.2  # z = +0.5, occupied region
-    out = input_activity([rec(0, nu0), rec(1, nu1)], rho, col_z)
-    assert out["n_hidden"] == 6 and out["n_occupied"] == 4
-    assert out["hidden_rate"] == pytest.approx(0.1 / 6.0, rel=1e-12)
-    assert out["occupied_rate"] == pytest.approx(0.2 / 4.0, rel=1e-12)
-    assert out["ratio"] == pytest.approx((0.1 / 6.0) / (0.2 / 4.0), rel=1e-12)
-    assert out["iterations"] == (0, 1)
-    # windowing picks only records with start <= n < stop
-    out2 = input_activity(
-        [rec(0, nu0), rec(1, nu1), rec(2, nu1), rec(3, nu0)], rho, col_z, start=1, stop=3
-    )
-    assert out2["hidden_rate"] == 0.0
-
-
-def test_activity_ratio_validation():
-    col_z = column_grid(10, 1.0)
-    g = SpatialGrid1D(20.0, 41)
-    rho = RealField1D(grid=g, values=np.where(np.abs(g.samples) <= 2.0, 1.0, 0.0))
-    rec = IterationRecord(
-        n=0, nu=np.zeros(10), e_rho=np.zeros(5), error_norm=0.0, clamp_count=0, mu=0.0
-    )
-    with pytest.raises(ValueError, match="two recorded iterations"):
-        input_activity([rec], rho, col_z)
-    flat = RealField1D(grid=g, values=np.ones(41))
-    with pytest.raises(ValueError, match="both occupied and empty"):
-        input_activity([rec, rec], flat, col_z)
-
-
 # ---------------------------------------------------------------- exports
 
 
@@ -1109,10 +1080,9 @@ def test_exported_potential_matches_the_pixel_sum(
     pre = small_prepared
     y = row_centers(small_lut.n_t, small_lut.pitch)
     lobe = (np.abs(y) > small_scenario.psf.w_y) & (np.abs(y) < 2.0 * small_scenario.psf.w_y)
-    entries = list(small_lut.entries)
-    k = int(small_lut.nearest_index(small_scenario.loop.nu_initial))
-    entries[k] = dataclasses.replace(entries[k], pattern=TransversalPattern(bits=lobe))
-    lut = dataclasses.replace(small_lut, entries=tuple(entries))
+    levels = small_lut.levels.copy()
+    levels[int(small_lut.nearest_index(small_scenario.loop.nu_initial))] = lobe
+    lut = dataclasses.replace(small_lut, levels=levels)
     spot = DarkSpot(center=5.0, width=3.0, depth=0.3)
     cfg = dataclasses.replace(
         small_scenario, disturbances=(DisturbanceEvent(iteration=1, spots=(spot,)),)
@@ -1414,6 +1384,17 @@ def _set_cell(column, value):
     return damage
 
 
+def _set_header(text):
+    """Damage that replaces the header line with ``text``."""
+
+    def damage(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = text + "\n"
+        path.write_text("".join(lines))
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "name, damage, message",
     [
@@ -1424,6 +1405,11 @@ def _set_cell(column, value):
         ("fields_0001.csv", _set_cell("e_rho", "inf"), "line 3: non-finite value 'inf'"),
         ("error_norms.csv", _set_cell("error_norm", "nan"), "line 3: non-finite value 'nan'"),
         ("error_norms.csv", _set_cell("error_norm", "-inf"), "line 3: non-finite value '-inf'"),
+        (
+            "error_norms.csv",
+            _set_header("n,error_norm,error_norm,clamp_count"),
+            "error_norms.csv: header names column 'error_norm' twice",
+        ),
     ],
     ids=[
         "short-row",
@@ -1433,6 +1419,7 @@ def _set_cell(column, value):
         "inf-field",
         "nan-norm",
         "inf-norm",
+        "repeated-column",
     ],
 )
 def test_cli_report_names_the_damaged_file(
@@ -1508,16 +1495,22 @@ def test_cli_groundstate_refuses_without_numpy_warnings(tmp_path, capsys, recwar
 
 
 def test_cli_groundstate_reads_its_potential_by_column_name(tmp_path, capsys):
-    # without a header the first row is not taken for one, and a header
-    # naming other columns is not read by position
+    # without a header the first row is not taken for one, a header
+    # naming other columns is not read by position, and of two v columns
+    # neither is taken
     out = tmp_path / "state.csv"
     rows = "".join(f"{z!r},0.0\n" for z in np.linspace(-5.0, 5.0, 11))
-    for name, head, missing in (("bare", "", "z"), ("other", "x,y\n", "z"), ("no-v", "z,w\n", "v")):
+    for name, head, fault in (
+        ("bare", "", "lacks column 'z'"),
+        ("other", "x,y\n", "lacks column 'z'"),
+        ("no-v", "z,w\n", "lacks column 'v'"),
+        ("twice", "z,v,v\n", "names column 'v' twice"),
+    ):
         path = tmp_path / f"{name}.csv"
         path.write_text(head + rows)
         assert cli.main(["groundstate", "--potential", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"configuration error: {path}: header lacks column '{missing}'\n"
+        assert err == f"configuration error: {path}: header {fault}\n"
         assert not out.exists()
     # a header that names both columns in another order, spaces included,
     # gives the state of the plain file

@@ -22,7 +22,6 @@ from potshape.inputmap import (
     LutEntry,
     OptimizerConfig,
     PatternObjective,
-    TransversalPattern,
     _ga_minimise,
     _monotone_repair,
     build_lut,
@@ -70,13 +69,22 @@ def fast_lut(fast_cfg, psf, beam):
 # ----------------------------------------------------------- primitives
 
 
-def test_transversal_pattern_validation():
-    p = TransversalPattern(bits=[0, 1, 1, 0])
-    assert len(p) == 4
+def test_lut_levels_validation():
+    # the levels are the table's one bit store: a read-only uint8 copy of
+    # an (n_nu, n_t) array of 0/1 bits with one pattern per row
+    bits = [[0, 0, 0], [1, 0, 0], [1, 1, 1]]
+    lut = _toy_lut(n_nu=3, levels=bits)
+    assert lut.levels.dtype == np.uint8 and lut.levels.tolist() == bits
+    assert not lut.levels.flags.writeable
     with pytest.raises(ValueError):
-        TransversalPattern(bits=[[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        TransversalPattern(bits=[0, 2, 0])
+        lut.levels[0, 0] = 1
+    for bad in ([[0, 0, 0], [1, 1, 1]], [[0, 0], [1, 0], [1, 1]], [0, 1, 1]):
+        with pytest.raises(ValueError, match=r"levels must be a \(3, 3\) array of 0/1 bits"):
+            _toy_lut(n_nu=3, levels=bad)
+    with pytest.raises(ValueError, match=r"levels must be a \(3, 3\) array of 0/1 bits"):
+        _toy_lut(n_nu=3, levels=[[0, 0, 0], [2, 0, 0], [1, 1, 1]])
+    with pytest.raises(ValueError, match="entries 0 and 2 share one bit pattern"):
+        _toy_lut(n_nu=3, levels=[[0, 1, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_optimizer_config_validation():
@@ -174,8 +182,8 @@ def test_lockstep_search_matches_solo_searches(psf, beam):
 
 
 def test_solve_pattern_extremes(fast_cfg, psf, beam):
-    pat, achieved, residual = _solve(0.0, fast_cfg, psf, beam, 1e-3)
-    assert not np.any(pat.bits)
+    bits, achieved, residual = _solve(0.0, fast_cfg, psf, beam, 1e-3)
+    assert not np.any(bits)
     assert achieved == 0.0 and residual == 0.0
     with pytest.raises(ValueError):
         _solve(1.5, fast_cfg, psf, beam, 1e-3)
@@ -185,7 +193,7 @@ def test_solve_pattern_extremes(fast_cfg, psf, beam):
 
 def test_solve_pattern_half_level(scenario, psf, beam):
     cfg = scenario.optimizer_config()  # full-size search
-    pat, achieved, residual = _solve(0.5, cfg, psf, beam, 1e-3)
+    _, achieved, residual = _solve(0.5, cfg, psf, beam, 1e-3)
     assert abs(achieved - 0.5) < 1e-3
     assert residual < 1e-4
 
@@ -200,8 +208,8 @@ def test_target_cap_keeps_achieved_close(fast_cfg, psf, beam):
 
 def test_two_entry_table_is_the_extremes(fast_cfg, psf, beam):
     lut = build_lut(2, fast_cfg, psf, beam)
-    assert not np.any(lut.entries[0].pattern.bits)
-    assert np.all(lut.entries[1].pattern.bits == 1)
+    assert not np.any(lut.levels[0])
+    assert np.all(lut.levels[1] == 1)
     assert lut.entries[0].achieved == 0.0
     assert lut.entries[1].achieved == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -235,16 +243,15 @@ def test_reference_table_stored_values_are_consistent(
 ):
     # stored achieved values must equal |E(0)| recomputed from the bits
     obj = PatternObjective(scenario.optimizer_config(), scenario.psf, reference_prepared.beam)
-    for e in reference_lut.entries:
-        again = float(obj.on_axis(e.pattern.bits)[0])
+    for e, bits in zip(reference_lut.entries, reference_lut.levels):
+        again = float(obj.on_axis(bits)[0])
         assert abs(e.achieved - again) < 1e-12
 
 
 def test_build_is_deterministic(fast_cfg, psf, beam, fast_lut):
     again = build_lut(7, fast_cfg, psf, beam)
     assert np.array_equal(again.achieved_values(), fast_lut.achieved_values())
-    for a, b in zip(again.entries, fast_lut.entries):
-        assert np.array_equal(a.pattern.bits, b.pattern.bits)
+    assert np.array_equal(again.levels, fast_lut.levels)
 
 
 def test_table_entries_equal_their_solo_solves(fast_cfg, psf, beam, fast_lut):
@@ -256,11 +263,11 @@ def test_table_entries_equal_their_solo_solves(fast_cfg, psf, beam, fast_lut):
     for k in range(1, fast_lut.n_nu - 1):
         e = fast_lut.entries[k]
         rng = np.random.default_rng([fast_cfg.seed, k])
-        pat, ach, res = solve_pattern(obj, e.nu, acc, rng, ())
+        bits, ach, res = solve_pattern(obj, e.nu, acc, rng, ())
         if ach < fast_lut.entries[k - 1].achieved:
             continue  # repaired
         untouched += 1
-        assert np.array_equal(pat.bits, e.pattern.bits)
+        assert np.array_equal(bits, fast_lut.levels[k])
         assert ach == e.achieved and res == e.residual
     assert untouched >= 3
 
@@ -273,40 +280,37 @@ def test_monotone_repair_resolves_then_lifts(fast_cfg, psf, beam):
     n = fast_cfg.n_t
     order = np.argsort(np.abs(np.arange(n) - 0.5 * (n - 1)))
 
-    def block(m):
-        bits = np.zeros(n, dtype=np.uint8)
-        bits[order[:m]] = 1
-        return TransversalPattern(bits=bits)
-
     nus = np.linspace(0.0, 1.0, 6)
     acc = 0.05 / (len(nus) - 1)
-    before = [block(m) for m in (0, 2, 1, 8, 7, n)]
-    patterns = list(before)
-    achieved = np.array([float(obj.on_axis(p.bits)[0]) for p in patterns])
-    residual = np.array([float(obj.value(p.bits, nu)[0]) for p, nu in zip(patterns, nus)])
+    before = np.zeros((len(nus), n), dtype=np.uint8)
+    for k, m in enumerate((0, 2, 1, 8, 7, n)):
+        before[k, order[:m]] = 1
+    levels = before.copy()
+    achieved = np.array([float(obj.on_axis(b)[0]) for b in levels])
+    residual = np.array([float(obj.value(b, nu)[0]) for b, nu in zip(levels, nus)])
     ach0, res0 = achieved.copy(), residual.copy()
     assert ach0[2] < ach0[1] and ach0[4] < ach0[3]
 
     def resolve(k):
         rng = np.random.default_rng([fast_cfg.seed, k, 7919])
-        return solve_pattern(obj, nus[k], acc, rng, (before[k - 1].bits, before[k].bits))
+        return solve_pattern(obj, nus[k], acc, rng, (before[k - 1], before[k]))
 
-    _monotone_repair(obj, nus, patterns, achieved, residual, acc)
+    _monotone_repair(obj, nus, levels, achieved, residual, acc)
     assert np.all(np.diff(achieved) >= 0.0)
     for k in (0, 1, 3, 5):
-        assert patterns[k] is before[k]
+        assert np.array_equal(levels[k], before[k])
         assert achieved[k] == ach0[k] and residual[k] == res0[k]
-    pat, ach, res = resolve(2)
+    bits, ach, res = resolve(2)
     assert ach >= ach0[1]
-    assert np.array_equal(patterns[2].bits, pat.bits)
+    assert np.array_equal(levels[2], bits)
     assert achieved[2] == ach and residual[2] == res
     # the lift starts from entry 3's bits and keeps at or above its value
     assert resolve(4)[1] < ach0[3]
-    lifted = patterns[4].bits
-    assert not np.array_equal(lifted, before[3].bits)
+    lifted = levels[4]
+    assert not np.array_equal(lifted, before[3])
     assert achieved[4] == float(obj.on_axis(lifted)[0]) >= ach0[3]
     assert residual[4] == float(obj.value(lifted, nus[4])[0])
-    assert residual[4] < float(obj.value(before[3].bits, nus[4])[0])
+    assert residual[4] < float(obj.value(before[3], nus[4])[0])
     for i in range(n):
         b = lifted.copy()
         b[i] ^= 1
@@ -343,24 +347,17 @@ def test_quantisation_error_is_bounded(fast_lut):
 # -------------------------------------------------- addressing and i/o
 
 
-def _toy_lut(n_nu=5, n_t=3):
-    # synthetic table with distinct patterns, for addressing tests
-    entries = []
-    for k in range(n_nu):
-        bits = np.zeros(n_t, dtype=np.uint8)
-        # binary encoding of k keeps the patterns distinct
-        for b in range(n_t):
-            bits[b] = (k >> b) & 1
-        entries.append(
-            LutEntry(
-                nu=k / (n_nu - 1),
-                pattern=TransversalPattern(bits=bits),
-                achieved=k / (n_nu - 1),
-                residual=0.0,
-            )
-        )
+def _toy_lut(n_nu=5, n_t=3, levels=None):
+    # synthetic table for addressing tests; by default level k's bits are
+    # the binary encoding of k, which keeps the patterns distinct
+    if levels is None:
+        levels = (np.arange(n_nu)[:, None] >> np.arange(n_t)) & 1
+    entries = tuple(
+        LutEntry(nu=k / (n_nu - 1), achieved=k / (n_nu - 1), residual=0.0) for k in range(n_nu)
+    )
     return Lut(
-        entries=tuple(entries),
+        entries=entries,
+        levels=levels,
         n_t=n_t,
         pitch=1.0,
         gamma_perp=0.3,
@@ -417,7 +414,7 @@ def test_all_zero_input_maps_to_dark_array():
 def test_half_input_hits_centre_entry(reference_lut):
     nu = RealField1D(grid=column_grid(4, 1.0), values=np.full(4, 0.5))
     pattern = map_virtual_input(nu, reference_lut)
-    expect = reference_lut.entries[25].pattern.bits
+    expect = reference_lut.levels[25]
     for j in range(4):
         assert np.array_equal(pattern.bits[:, j], expect)
 
@@ -431,8 +428,7 @@ def test_save_load_round_trip(tmp_path, fast_lut):
     assert p1.read_bytes() == p2.read_bytes()
     assert again.n_nu == fast_lut.n_nu
     assert np.array_equal(again.achieved_values(), fast_lut.achieved_values())
-    for a, b in zip(again.entries, fast_lut.entries):
-        assert np.array_equal(a.pattern.bits, b.pattern.bits)
+    assert np.array_equal(again.levels, fast_lut.levels)
 
 
 def test_load_rejects_malformed_files(tmp_path, fast_lut):
