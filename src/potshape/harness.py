@@ -8,17 +8,13 @@ ground state, gain, learning kernel), which are not scenario keys.
 ``run_closed_loop`` drives the measure-learn-apply cycle, one iteration
 per pass of its loop:
 
-  1. quantise the virtual input into a binary mirror pattern,
-  2. sum each column of the pattern transversally on the optical axis,
-     map the column sums to the on-axis field through the column
-     response built once in ``prepare``, and apply the active
-     transmission disturbances to get the optical potential,
-  3. relax the condensate in the total potential, warm started from the
-     previous iteration's state and cold if that stalls, and measure
-     its density,
-  4. form the amplitude error against the desired density,
-  5. update the virtual input through the learning kernel and hold it
-     on the table's levels (``level_update``).
+  1. shoot the plant (``shoot``): image the input's mirror pattern into
+     the optical potential and relax the condensate in it, unless the
+     shot repeats the last one's table indices and dark spots,
+  2. measure the density and form the amplitude error against the
+     desired density,
+  3. update the input through the learning kernel and hold it on the
+     table's levels (``level_update``).
 
 Everything is deterministic for a fixed master seed; exports are plain
 CSV/PBM/JSON and byte-identical across reruns.
@@ -99,6 +95,7 @@ __all__ = [
     "build_scenario_lut",
     "inject_disturbances",
     "level_update",
+    "shoot",
     "run_closed_loop",
     "export_records",
     "load_run",
@@ -394,7 +391,7 @@ class Prepared:
     ``column_response`` is the longitudinal response of every mirror
     column on the condensate grid (:func:`optics.column_response`).  It
     is the one optics operator of the loop: the plant's field is one
-    matrix-vector product per new pattern, and ``level_update`` predicts
+    matrix-vector product per computed shot, and ``level_update`` predicts
     its trial moves with the span of the same matrix's columns they
     move.  ``error_slope`` is the prediction's -alpha / p_z on the grid:
     the linearised amplitude error per unit change of the on-axis field
@@ -493,15 +490,15 @@ def inject_disturbances(schedule, n: int) -> TransmissionDisturbance:
 # the loop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """State of iteration n: the input applied, the error observed, and
     the saturation count of the update that produced the next input.
     ``extras`` holds the solver steps, the pattern and its hash, the
     total and optical potentials ``v`` and ``v_opt`` and the measured
-    density ``rho``.  A held shot (same input and dark spots as the
-    previous one) reuses the previous ground state, so its solver steps
-    are 0; without noise its other fields repeat the previous record's."""
+    density ``rho``.  A held shot reuses the last computed shot, so its
+    solver steps are 0; without noise its other fields repeat the
+    previous record's.  Records compare by identity: they hold arrays."""
 
     n: int
     nu: np.ndarray
@@ -539,6 +536,28 @@ def _error_norm(values: np.ndarray, dz: float) -> float:
     return float(np.sqrt(np.trapezoid(squared, dx=dz)))
 
 
+def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist, initial=None):
+    """One shot of the plant: the pattern of the table indices ``index``,
+    its field (``column_response`` times its :func:`optics.column_sums`),
+    the potentials ``v_opt`` under the dark spots ``dist`` and ``v`` with
+    the magnetic trap, and the ground state, warm from ``initial`` and
+    cold if that stalls.  ``n`` names the iteration in the messages.
+    Returns the pattern, its hash, ``v_opt``, ``v`` and the ground state."""
+    nu = RealField1D(grid=prepared.col_grid, values=lut.nu_levels[index])
+    pattern = map_virtual_input(nu, lut)
+    cols = column_sums(pattern, cfg.psf, prepared.beam)
+    e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
+    v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
+    v = RealField1D(grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values)
+    gs = ground_state(v, cfg.condensate, cfg.solver, initial=initial)
+    if not gs.converged:
+        log.warning("iteration %d: warm start stalled, retrying cold", n)
+        gs = ground_state(v, cfg.condensate, cfg.solver)
+    if not gs.converged:
+        raise ConvergenceError(f"ground state did not converge at iteration {n}")
+    return pattern, pattern.sha256(), v_opt, v, gs
+
+
 def run_closed_loop(
     cfg: ScenarioConfig,
     lut: Lut | None = None,
@@ -555,21 +574,16 @@ def run_closed_loop(
     solver failure the records collected so far are attached to the
     raised error as ``records``.
 
-    The loop carries the input and its table indices: the initial input's
-    are looked up once, and every later input is the table's levels at
-    the indices ``level_update`` returns.  The pattern, its hash and the
-    plant's field before disturbances (``column_response`` times the
-    pattern's :func:`optics.column_sums`) are computed only when the
-    indices differ from the previous iteration's, and the potential and
-    its ground state only when the indices or the active dark spots
-    differ.  While the law holds its input and no spot switches on, the
-    shot is held: it reuses the previous potential and ground state, and
-    its record's ``solver_steps`` is 0.  A noise-free held shot also
-    reuses the previous measurement, error, error norm, clamp count and
-    next indices, since ``level_update`` is deterministic in them; a
-    noisy one draws its own noise and measures and updates anew.  Each
-    computed error norm serves the record and ``level_update``.  A noise
-    generator is seeded only when the measurement is noisy.
+    The loop carries only table indices: the initial input goes to its
+    nearest level once, and every later input is the indices
+    ``level_update`` returns.  A one-entry memo keeps the last
+    :func:`shoot`'s indices and dark spots; a shot with both unchanged is
+    held, reusing that shot with ``solver_steps`` 0.  A noise-free held
+    shot also reuses the previous measurement, error, error norm, clamp
+    count and next indices, since ``level_update`` is deterministic in
+    them; a noisy one draws its own noise and measures and updates anew.
+    Each computed error norm serves the record and ``level_update``.  A
+    noise generator is seeded only when the measurement is noisy.
     """
     if lut is None:
         log.info("no look-up table supplied; building one now")
@@ -589,39 +603,20 @@ def run_closed_loop(
             lut.psf_beam_sha256,
             expected,
         )
-    nu = np.full(cfg.dmd.n_columns, cfg.loop.nu_initial)
-    index = lut.nearest_index(nu)
+    index = lut.nearest_index(np.full(cfg.dmd.n_columns, cfg.loop.nu_initial))
     noisy = cfg.measurement.noise_std > 0
     phi = None
-    last_dist = None
-    last_index = None
+    memo = None
     records = []
     for n in range(cfg.loop.iterations):
         dist = inject_disturbances(cfg.disturbances, n)
-        new_pattern = last_index is None or not np.array_equal(index, last_index)
-        if new_pattern:
-            last_index = index
-            pattern = map_virtual_input(RealField1D(grid=prepared.col_grid, values=nu), lut)
-            pattern_sha256 = pattern.sha256()
-            cols = column_sums(pattern, cfg.psf, prepared.beam)
-            e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
-        # A held shot repeats the previous potential on the same plant, so
-        # its ground state is the previous one.  A per-shot plant draw
-        # (atom-number jitter, ROADMAP item 9) must end this reuse.
-        held = not new_pattern and dist == last_dist
-        last_dist = dist
+        # a held shot repeats the last potential on the same plant; a
+        # per-shot plant draw (ROADMAP item 9) must end this reuse
+        held = memo is not None and np.array_equal(index, memo[0]) and dist == memo[1]
         if not held:
-            v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
-            v = RealField1D(
-                grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values
-            )
+            memo = (index, dist)
             try:
-                gs = ground_state(v, cfg.condensate, cfg.solver, initial=phi)
-                if not gs.converged:
-                    log.warning("iteration %d: warm start stalled, retrying cold", n)
-                    gs = ground_state(v, cfg.condensate, cfg.solver)
-                if not gs.converged:
-                    raise ConvergenceError(f"ground state did not converge at iteration {n}")
+                pattern, sha, v_opt, v, gs = shoot(cfg, prepared, lut, n, index, dist, phi)
             except ConvergenceError as exc:
                 exc.records = tuple(records)
                 raise
@@ -634,11 +629,11 @@ def run_closed_loop(
             rho_m = measure_density(gs.density, cfg.measurement, rng)
             e = density_error(rho_m, prepared.rho_desired)
             err = error_norm(e)
-            next_index, clamp_count = level_update(nu, index, e, err, prepared, lut)
+            next_index, clamp_count = level_update(index, e, err, prepared, lut)
         records.append(
             IterationRecord(
                 n=n,
-                nu=nu,
+                nu=lut.nu_levels[index],
                 e_rho=e.values,
                 error_norm=err,
                 clamp_count=clamp_count,
@@ -646,7 +641,7 @@ def run_closed_loop(
                 extras={
                     "solver_steps": 0 if held else gs.n_steps,
                     "pattern": pattern,
-                    "pattern_sha256": pattern_sha256,
+                    "pattern_sha256": sha,
                     "v": v.values,
                     "v_opt": v_opt.values,
                     "rho": rho_m.values,
@@ -656,19 +651,18 @@ def run_closed_loop(
         if progress is not None:
             progress(records[-1])
         index = next_index
-        nu = lut.nu_levels[index]
     return RunResult(config=cfg, prepared=prepared, lut=lut, records=tuple(records))
 
 
 def level_update(
-    nu: np.ndarray, index: np.ndarray, e: RealField1D, err: float, prepared: Prepared, lut: Lut
+    index: np.ndarray, e: RealField1D, err: float, prepared: Prepared, lut: Lut
 ) -> tuple[np.ndarray, int]:
     """The learning law of the physics path, held on the table's levels.
 
-    ``nu`` is the input on the columns of ``prepared.col_grid``,
-    ``index`` its table indices, and ``err`` the error norm of ``e``.
-    Returns the table indices of the next input and the number of
-    columns the unquantised law would clamp.
+    ``index`` holds the input's table indices on the columns of
+    ``prepared.col_grid`` and ``err`` the error norm of ``e``.  Returns
+    the table indices of the next input and the number of columns the
+    unquantised law would clamp.
 
     The error is pre-scaled by alpha_bar / alpha(z) on the gain's support
     and passed through the law (:func:`ilc.correction`).  The law's
@@ -690,6 +684,7 @@ def level_update(
     A trial that moves no column (every large correction pushes a column
     at level 0 or 1 outward) changes nothing and is halved at once.
     """
+    nu = lut.nu_levels[index]
     achieved = lut.achieved_values()
     half_step = 0.5 * (lut.nu_levels[1] - lut.nu_levels[0])
     corr = correction(scaled_error(e, prepared.gain), prepared.kernel, prepared.col_grid)

@@ -303,7 +303,7 @@ class LutEntry:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lut:
     """Monotone table nu_k = k / (n_nu - 1) -> column pattern.
 
@@ -314,7 +314,7 @@ class Lut:
     :func:`invert_pattern` could not tell apart.  The header records
     everything needed to recompute the table: problem size, penalty
     settings, a hash of the psf/beam parameters and the master seed.
-    """
+    Tables hold arrays, so they compare by identity."""
 
     entries: tuple
     levels: np.ndarray

@@ -265,12 +265,7 @@ def test_criterion_8_numerical_invariants(
         grid=reference_prepared.grid, values=np.zeros(reference_prepared.grid.n_points)
     )
     held, clamps = level_update(
-        reference_lut.nu_levels[index],
-        index,
-        zero,
-        error_norm(zero),
-        reference_prepared,
-        reference_lut,
+        index, zero, error_norm(zero), reference_prepared, reference_lut
     )
     checks["fixed_point"] = bool(np.array_equal(held, index) and clamps == 0)
 

@@ -50,6 +50,8 @@ from potshape.ilc import correction, density_error, scaled_error
 from potshape.inputmap import (
     OptimizerConfig,
     _lut_to_dict,
+    invert_pattern,
+    load_lut,
     lut_sha256,
     map_virtual_input,
     save_lut,
@@ -733,7 +735,7 @@ def test_loop_failure_carries_the_records_so_far(
 def _held_update(nu, e, pre, lut):
     """``level_update`` on the input ``nu`` as the loop calls it: the next
     input and the law's clamp count."""
-    index, clamp_count = level_update(nu, lut.nearest_index(nu), e, error_norm(e), pre, lut)
+    index, clamp_count = level_update(lut.nearest_index(nu), e, error_norm(e), pre, lut)
     return lut.nu_levels[index], clamp_count
 
 
@@ -942,11 +944,11 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
 ):
     # the loop looks up its initial input's table indices once and then
     # carries the indices level_update returns.  An iteration that is not
-    # a held shot takes one solve, one error norm and one level_update,
-    # and each trial one index lookup and, if it moves a column, one
-    # predicted norm; map_virtual_input's own lookup, once per new
-    # pattern, is counted apart.  A held noise-free shot does none of
-    # this.  The records are the reference run's.
+    # a held shot takes one pattern map, one solve, one error norm and one
+    # level_update, and each trial one index lookup and, if it moves a
+    # column, one predicted norm; map_virtual_input's own lookup is
+    # counted apart.  A held noise-free shot does none of this.  The
+    # records are the reference run's.
     pre, lut = reference_prepared, reference_lut
     events = []
     _count_loop_calls(monkeypatch, lut, events)
@@ -972,7 +974,7 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
             continue
         e = RealField1D(grid=pre.grid, values=r.e_rho)
         _, _, trials, moved = _dense_level_update(r.nu, e, pre, lut)
-        assert counts == [trials + (r.n == 0), 1 + moved, int(new_pattern[r.n]), 1, 1], r.n
+        assert counts == [trials + (r.n == 0), 1 + moved, 1, 1, 1], r.n
     assert sum(new_pattern) == 19
     assert [n for n in range(80) if held[n]] == [*range(8, 40), *range(52, 80)]
     for r, want in zip(records, reference_run.records):
@@ -1124,77 +1126,124 @@ def test_loop_potential_is_the_plant_field_of_its_pattern(
         assert np.array_equal(r.extras["v_opt"], v_opt.values), r.n
 
 
-def test_loop_computes_the_potential_only_when_pattern_or_spots_change(
-    scenario, reference_lut, reference_prepared, reference_run, monkeypatch
-):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return potential_from_field(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "potential_from_field", counted)
-    run = run_closed_loop(scenario, lut=reference_lut, prepared=reference_prepared)
-    records = run.records
-    changed = [
-        n == 0
-        or records[n].extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
-        or inject_disturbances(scenario.disturbances, n)
-        != inject_disturbances(scenario.disturbances, n - 1)
-        for n in range(len(records))
-    ]
-    assert len(calls) == sum(changed) < len(records) // 2
-    assert [r.error_norm for r in records] == [r.error_norm for r in reference_run.records]
-
-
 def test_loop_maps_and_transforms_only_what_changed(
     scenario, reference_lut, reference_prepared, reference_run, monkeypatch
 ):
-    # the pattern is built once per iteration whose table indices differ
-    # from the previous iteration's, and the learning kernel is transformed
-    # once per computed update; the records are those of the reference run
+    # a shot is computed (its pattern mapped, its potential built and its
+    # ground state solved) once per iteration whose table indices or dark
+    # spots differ from the last computed shot's, and the learning kernel
+    # is transformed once per computed update; the records are those of
+    # the reference run
     lut = reference_lut
-    mapped, updates, kernel_transforms = [], [], []
-    map_input = harness.map_virtual_input
-    law = harness.level_update
+    calls, kernel_transforms = [], []
     rfft = scipy.fft.rfft
 
-    def counted_map(nu, table):
-        mapped.append(1)
-        return map_input(nu, table)
+    def counted(name):
+        fn = getattr(harness, name)
 
-    def counted_law(*args):
-        updates.append(1)
-        return law(*args)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
 
     def counted_rfft(x, *args, **kwargs):
         kernel_transforms.append(x is reference_prepared.kernel.kernel.values)
         return rfft(x, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "map_virtual_input", counted_map)
-    monkeypatch.setattr(harness, "level_update", counted_law)
+    for name in ("map_virtual_input", "potential_from_field", "ground_state", "level_update"):
+        counted(name)
     monkeypatch.setattr(scipy.fft, "rfft", counted_rfft)
     records = run_closed_loop(scenario, lut=lut, prepared=reference_prepared).records
     monkeypatch.undo()
-    index = [lut.nearest_index(r.nu) for r in records]
-    changed = [n == 0 or not np.array_equal(index[n], index[n - 1]) for n in range(len(records))]
-    assert len(mapped) == sum(changed) == 19
+    keys = [
+        (lut.nearest_index(r.nu).tobytes(), inject_disturbances(scenario.disturbances, r.n))
+        for r in records
+    ]
+    changed = [n == 0 or keys[n] != keys[n - 1] for n in range(len(records))]
+    # the dark spots switch on at n = 40 with the indices held: that shot
+    # maps its pattern again, though the pattern repeats
+    assert changed[40] and keys[40][0] == keys[39][0]
+    for name in ("map_virtual_input", "potential_from_field", "ground_state"):
+        assert calls.count(name) == sum(changed) == 20, name
     # a noise-free held shot repeats its predecessor's update
-    assert sum(kernel_transforms) == len(updates) == 20
+    assert sum(kernel_transforms) == calls.count("level_update") == 20
     for r, want in zip(records, reference_run.records):
         assert r.error_norm == want.error_norm and r.mu == want.mu
         assert r.extras["pattern_sha256"] == want.extras["pattern_sha256"]
         assert r.extras["pattern_sha256"] == r.extras["pattern"].sha256()
 
 
+def test_shoot_replays_every_computed_shot(
+    scenario, reference_lut, reference_prepared, reference_run
+):
+    # the shot function, fed each computed shot's table indices and dark
+    # spots and warm started from the previous computed shot's state,
+    # reproduces the reference run's records bit for bit
+    pre, lut = reference_prepared, reference_lut
+    records = reference_run.records
+    held = _held_shots(records, scenario)
+    phi = None
+    for r in records:
+        if held[r.n]:
+            continue
+        dist = inject_disturbances(scenario.disturbances, r.n)
+        pattern, sha, v_opt, v, gs = harness.shoot(
+            scenario, pre, lut, r.n, lut.nearest_index(r.nu), dist, initial=phi
+        )
+        phi = gs.phi
+        assert sha == r.extras["pattern_sha256"] == pattern.sha256(), r.n
+        assert v_opt.values.tobytes() == r.extras["v_opt"].tobytes(), r.n
+        assert v.values.tobytes() == r.extras["v"].tobytes(), r.n
+        assert gs.density.values.tobytes() == r.extras["rho"].tobytes(), r.n
+        assert float(gs.mu).hex() == r.mu.hex() and gs.n_steps == r.extras["solver_steps"], r.n
+    assert sum(not h for h in held) == 20
+
+
+def test_record_zero_applies_the_table_level_of_the_initial_input(
+    tmp_path, small_scenario, small_prepared, small_lut
+):
+    # 0.53 is no level of an 11-level table: the loop applies its nearest
+    # level, 0.5, and records and exports that, so the columns, fields and
+    # pattern of iteration 0 describe one input
+    cfg = dataclasses.replace(
+        small_scenario,
+        loop=dataclasses.replace(small_scenario.loop, nu_initial=0.53, export_iterations=(0,)),
+    )
+    result = run_closed_loop(cfg, lut=small_lut, prepared=small_prepared)
+    assert np.all(result.records[0].nu == 0.5)
+    export_records(result, tmp_path)
+    pattern = DmdPattern(bits=_read_pbm(tmp_path / "pattern_0000.pbm"))
+    columns = np.loadtxt(tmp_path / "columns_0000.csv", delimiter=",", skiprows=1)
+    fields = load_run(tmp_path)["fields"][0]
+    assert np.array_equal(invert_pattern(pattern, small_lut).values, columns[:, 1])
+    assert np.all(fields["nu"] == 0.5)
+
+
+def test_tables_and_records_compare_by_identity(tmp_path, small_lut):
+    # both hold arrays: two built alike are unequal without raising, and
+    # each hashes
+    save_lut(small_lut, tmp_path / "table.json")
+    a, b = (load_lut(tmp_path / "table.json") for _ in range(2))
+    assert a != b and a == a
+    records = [IterationRecord(0, np.zeros(3), np.zeros(4), 0.1, 0, 1.0) for _ in range(2)]
+    assert records[0] != records[1] and records[0] == records[0]
+    assert len({hash(a), hash(b), *map(hash, records)}) == 4
+
+
+def _read_pbm(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "P1"
+    n_l, n_t = map(int, lines[1].split())
+    bits = np.array([[int(c) for c in row.split()] for row in lines[2:]])
+    assert bits.shape == (n_t, n_l)
+    return bits
+
+
 def test_export_pbm_layout(tmp_path, reference_run):
     out = tmp_path / "run"
     export_records(reference_run, out)
-    lines = (out / "pattern_0000.pbm").read_text().splitlines()
-    assert lines[0] == "P1"
-    n_l, n_t = map(int, lines[1].split())
-    assert (n_t, n_l) == reference_run.records[0].extras["pattern"].bits.shape
-    bits = np.array([[int(c) for c in row.split()] for row in lines[2:]])
+    bits = _read_pbm(out / "pattern_0000.pbm")
     assert np.array_equal(bits, reference_run.records[0].extras["pattern"].bits)
 
 

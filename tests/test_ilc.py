@@ -219,9 +219,7 @@ def test_update_zero_error_is_a_fixed_point(transfer, small_prepared, small_lut)
     rng = np.random.default_rng(12)
     index = rng.integers(0, small_lut.n_nu, pre.col_grid.n_points)
     e = RealField1D(grid=pre.grid, values=np.zeros(pre.grid.n_points))
-    held, clamp_count = level_update(
-        small_lut.nu_levels[index], index, e, error_norm(e), pre, small_lut
-    )
+    held, clamp_count = level_update(index, e, error_norm(e), pre, small_lut)
     assert np.array_equal(held, index)
     assert clamp_count == 0
 
@@ -259,7 +257,7 @@ def test_update_clamps_and_counts(small_prepared, small_lut):
     raw = nu - correction(scaled_error(e, pre.gain), pre.kernel, pre.col_grid)
     below, above = np.count_nonzero(raw < 0.0), np.count_nonzero(raw > 1.0)
     assert below > 0 and above > 0
-    _, clamp_count = level_update(nu, index, e, error_norm(e), pre, small_lut)
+    _, clamp_count = level_update(index, e, error_norm(e), pre, small_lut)
     assert clamp_count == below + above
 
 
@@ -273,7 +271,9 @@ def test_update_on_the_reference_kernel_matches_the_direct_sum(
     e = 0.3 * rng.standard_normal(g.n_points)
     e[: g.n_points // 3] = 0.0
     e = RealField1D(grid=g, values=e)
-    nu = rng.uniform(0.0, 1.0, pre.col_grid.n_points)
+    # the input on its table levels, as the loop applies it
+    index = reference_lut.nearest_index(rng.uniform(0.0, 1.0, pre.col_grid.n_points))
+    nu = reference_lut.nu_levels[index]
     # oracle: the direct sliding sum, sampled at the columns
     direct = g.dz * np.convolve(e.values, kernel.values, mode="same")
     corr = np.interp(pre.col_grid.samples, g.samples, direct)
@@ -290,8 +290,7 @@ def test_update_on_the_reference_kernel_matches_the_direct_sum(
     # the error pre-scaled on the gain's support, leaves [0, 1]
     scaled = g.dz * np.convolve(scaled_error(e, pre.gain).values, kernel.values, mode="same")
     raw = nu - np.interp(pre.col_grid.samples, g.samples, scaled)
-    index = reference_lut.nearest_index(nu)
-    _, clamp_count = level_update(nu, index, e, error_norm(e), pre, reference_lut)
+    _, clamp_count = level_update(index, e, error_norm(e), pre, reference_lut)
     assert clamp_count == np.count_nonzero((raw < 0.0) | (raw > 1.0)) > 0
 
 
