@@ -1126,6 +1126,29 @@ def test_loop_potential_is_the_plant_field_of_its_pattern(
         assert np.array_equal(r.extras["v_opt"], v_opt.values), r.n
 
 
+def test_loop_computes_the_potential_only_when_pattern_or_spots_change(
+    scenario, reference_lut, reference_prepared, reference_run, monkeypatch
+):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return potential_from_field(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "potential_from_field", counted)
+    run = run_closed_loop(scenario, lut=reference_lut, prepared=reference_prepared)
+    records = run.records
+    changed = [
+        n == 0
+        or records[n].extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
+        or inject_disturbances(scenario.disturbances, n)
+        != inject_disturbances(scenario.disturbances, n - 1)
+        for n in range(len(records))
+    ]
+    assert len(calls) == sum(changed) < len(records) // 2
+    assert [r.error_norm for r in records] == [r.error_norm for r in reference_run.records]
+
+
 def test_loop_maps_and_transforms_only_what_changed(
     scenario, reference_lut, reference_prepared, reference_run, monkeypatch
 ):
