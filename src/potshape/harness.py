@@ -541,7 +541,8 @@ def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist
     its field (``column_response`` times its :func:`optics.column_sums`),
     the potentials ``v_opt`` under the dark spots ``dist`` and ``v`` with
     the magnetic trap, and the ground state, warm from ``initial`` and
-    cold if that stalls.  ``n`` names the iteration in the messages.
+    cold if a warm start stalls (a cold first solve is not repeated).
+    ``n`` names the iteration in the messages.
     Returns the pattern, its hash, ``v_opt``, ``v`` and the ground state."""
     nu = RealField1D(grid=prepared.col_grid, values=lut.nu_levels[index])
     pattern = map_virtual_input(nu, lut)
@@ -550,7 +551,7 @@ def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist
     v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
     v = RealField1D(grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values)
     gs = ground_state(v, cfg.condensate, cfg.solver, initial=initial)
-    if not gs.converged:
+    if not gs.converged and initial is not None:
         log.warning("iteration %d: warm start stalled, retrying cold", n)
         gs = ground_state(v, cfg.condensate, cfg.solver)
     if not gs.converged:

@@ -17,13 +17,18 @@ closed loop queries by nearest-neighbour quantisation.
 
 A table build runs the genetic searches of all its inner levels in
 lockstep, one array operation per generation step across every level,
-and then refines each level on its own.  Each level keeps its own random
-stream and its own cost evaluations, so an entry is bit-identical to a
-:func:`solve_pattern` call for that level with the entry's child seed.
+and then refines all levels in lockstep too, every level's candidates
+moving one flip per step.  Each level keeps its own random stream, and
+the costs of a stack are scored by stacked products that call BLAS once
+per level's matrix or per row, with the shape a single-level call uses,
+so every value equals its single-level value bit for bit.  An entry is
+therefore bit-identical to a :func:`solve_pattern` call for that level
+with the entry's child seed, which runs the same code with one level.
 
-Refinement is one single-bit-flip descent; the polish, the walk onto the
-target, the capped polish and the monotone repair's lift differ only in
-the per-flip cost they hand it (inf for a flip they do not allow).
+Refinement is one single-bit-flip descent over a stack of bit rows; the
+polish, the walk onto the target, the capped polish and the monotone
+repair's lift differ only in the per-flip cost they hand it (inf for a
+flip they do not allow).
 """
 
 from __future__ import annotations
@@ -108,29 +113,56 @@ class PatternObjective:
         self.pen_weights = cfg.gamma_perp * tw
 
     def on_axis(self, bits: np.ndarray) -> np.ndarray:
-        """|E(0)| for a (pop, n_t) bit matrix or a single bit vector."""
-        return np.abs(np.atleast_2d(bits).astype(float) @ self.w0)
+        """|E(0)| of each row of a (K, n_t) bit stack or of a single bit vector.
 
-    def value(self, bits: np.ndarray, nu: float) -> np.ndarray:
+        Every row is its own (1, n_t) product, so its value does not depend
+        on the rows stacked with it.
+        """
         b = np.atleast_2d(bits).astype(float)
+        return np.abs(b[:, None, :] @ self.w0)[:, 0]
+
+    def value(self, bits: np.ndarray, nu) -> np.ndarray:
+        """Objective of a single bit vector or of the rows of a (P, n_t)
+        matrix at one ``nu``, or of an (m, P, n_t) stack of matrices with
+        one ``nu`` per matrix (shape (m,)); returns one value per row.
+
+        numpy's stacked products call BLAS once per matrix of the stack, so
+        a matrix's values equal those of its own call bit for bit; one flat
+        (m * P, n_t) product would not, and could change an argmin.
+        """
+        b = np.atleast_2d(bits).astype(float)
+        nu = np.asarray(nu, dtype=float)[..., None]
         e0 = np.abs(b @ self.w0)
         ep = np.abs(b @ self.w_pen.T)
-        pen = ((ep - nu) ** 2) @ self.pen_weights
+        pen = ((ep - nu[..., None]) ** 2) @ self.pen_weights
         return (e0 - nu) ** 2 + pen
 
-    def flips(self, bits: np.ndarray, nu: float) -> tuple:
-        """|E(0)| and objective after each single-bit flip of one bit vector.
+    def flips(self, bits: np.ndarray, nu) -> tuple:
+        """|E(0)| and objective after each single-bit flip of each row of a
+        (K, n_t) bit stack, at one ``nu`` per row (shape (K,)).
 
-        Returns two length-n_t arrays; entry i belongs to the vector with
-        bit i flipped.
+        Returns two (K, n_t) arrays; entry [k, i] belongs to row k with bit
+        i flipped.  Each row's products are its own (1, n_t) slices of a
+        (K, 1, n_t) stack, so its values do not depend on the other rows.
         """
-        b = bits.astype(float)
-        sign = 1.0 - 2.0 * b  # +1 where a bit turns on, -1 where it turns off
-        ep = b @ self.w_pen.T
-        e0_f = np.abs(float(b @ self.w0) + sign * self.w0)
-        ep_f = np.abs(ep[None, :] + sign[:, None] * self.w_pen.T)
-        pen = ((ep_f - nu) ** 2) @ self.pen_weights
-        return e0_f, (e0_f - nu) ** 2 + pen
+        b = bits.astype(float)[:, None, :]
+        nu = np.asarray(nu, dtype=float)[..., None]
+        sign = 1.0 - 2.0 * b[:, 0]  # +1 where a bit turns on, -1 where it turns off
+        e0_f = np.abs(b @ self.w0 + sign * self.w0)
+        # the (K, n_t, n_pen) fields after each flip, worked on in place so
+        # that the largest array of the call exists once
+        ep_f = sign[:, :, None] * self.w_pen.T
+        ep_f += b @ self.w_pen.T
+        np.abs(ep_f, out=ep_f)
+        ep_f -= nu[..., None]
+        np.square(ep_f, out=ep_f)
+        return e0_f, (e0_f - nu) ** 2 + ep_f @ self.pen_weights
+
+
+# levels per stacked cost call of the genetic search: it bounds the float
+# copy of the stack (320 KB for the reference table's 100 x 100 population),
+# and larger blocks save little time for the memory they add
+_BLOCK = 4
 
 
 def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
@@ -138,13 +170,22 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
 
     The levels run in lockstep: each level draws from its own generator,
     in the same order as a search run alone (tournament indices,
-    crossover mask, mutation uniforms), and its costs come from its own
-    ``obj.value`` call, so every level's result equals its solo search.
+    crossover mask, mutation uniforms), and a generation's costs are
+    scored for all levels by stacked ``obj.value`` calls, one BLAS call
+    per level's (P, n_t) matrix as in a search run alone, so every
+    level's result equals its solo search bit for bit.  The stack is
+    scored _BLOCK levels at a time, which bounds its float copy.
     Selection, crossover, mutation, elitism and the best-so-far update
     are single array operations across all levels.
     """
     cfg = obj.cfg
     m, P, n = len(nus), cfg.population, cfg.n_t
+    nus = np.asarray(nus, dtype=float)
+
+    def score(pop, out):
+        for s in range(0, m, _BLOCK):
+            out[s : s + _BLOCK] = obj.value(pop[s : s + _BLOCK], nus[s : s + _BLOCK])
+
     n_pairs = P // 2
     level = np.arange(m)
     rows = level[:, None]
@@ -161,8 +202,7 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
             pop[:, 2 + s] = 0
             pop[:, 2 + s, order[: int(frac * n)]] = 1
     cost = np.empty((m, P))
-    for k, nu in enumerate(nus):
-        cost[k] = obj.value(pop[k], nu)
+    score(pop, cost)
     gen_best = np.argmin(cost, axis=1)
     best = pop[level, gen_best]
     best_cost = cost[level, gen_best]
@@ -189,8 +229,7 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
         children = np.concatenate([b ^ swap, a ^ swap, parents[:, 2 * n_pairs :]], axis=1)
         # bit-flip mutation
         children ^= flips.view(np.uint8)
-        for k, nu in enumerate(nus):
-            ccost[k] = obj.value(children[k], nu)
+        score(children, ccost)
         # elitism: keep the best of the previous generation
         keep = np.argsort(cost, axis=1)[:, :ELITE]
         worst = np.argsort(ccost, axis=1)[:, ::-1][:, :ELITE]
@@ -209,62 +248,86 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
 _MAX_FLIPS = 2000
 
 
-def _descend(flip_cost, bits: np.ndarray, cost: float, max_flips: int = _MAX_FLIPS, stop=None):
-    """Steepest descent by single-bit flips; returns the final bit vector.
+def _descend(flip_cost, bits: np.ndarray, nu, cost, max_flips: int = _MAX_FLIPS, stop=None):
+    """Steepest descent by single-bit flips of every row of a (K, n_t) bit
+    stack in lockstep; returns the final bits.
 
-    ``flip_cost(b)`` gives the cost after each single flip of ``b`` (inf
-    for a flip the caller does not allow) and ``cost`` is the cost of
-    ``bits``.  The best flip is taken while it lowers the cost by more
-    than 1e-18, for at most ``max_flips`` flips, and the descent ends
-    early once the cost is at or below ``stop``.
+    ``flip_cost(b, nu)`` gives the cost after each single flip of each row
+    of ``b`` at that row's target ``nu`` (inf for a flip the caller does
+    not allow), and ``cost`` is the cost of each row of ``bits``.  A row
+    takes its best flip while that lowers its cost by more than 1e-18, for
+    at most ``max_flips`` flips, and stops early once its cost is at or
+    below ``stop``.  Only the rows still descending are evaluated, and a
+    row's flip costs do not depend on the other rows
+    (:meth:`PatternObjective.flips`), so every row ends where its descent
+    run alone ends.
     """
     b = bits.copy()
+    cost = np.array(cost, dtype=float)
+    live = np.arange(len(b))
     for _ in range(max_flips):
-        if stop is not None and cost <= stop:
+        if stop is not None:
+            live = live[cost[live] > stop]
+        if not live.size:
             break
-        fc = flip_cost(b)
-        i = int(np.argmin(fc))
-        if fc[i] >= cost - 1e-18:
-            break
-        b[i] ^= 1
-        cost = float(fc[i])
+        fc = flip_cost(b[live], nu[live])
+        i = np.argmin(fc, axis=1)
+        new = fc[np.arange(live.size), i]
+        down = new < cost[live] - 1e-18
+        live, i = live[down], i[down]
+        b[live, i] ^= 1
+        cost[live] = new[down]
     return b
 
 
-def _refine(obj: PatternObjective, nu: float, candidates, target_cap):
-    """Polish each candidate and return the best as (bits, achieved, residual).
+def _refine(obj: PatternObjective, nus, candidates: np.ndarray, target_cap):
+    """Polish the candidates of every level in lockstep and return each
+    level's best as (bits, achieved, residual), arrays over the levels.
 
-    The all-off and all-on patterns join the candidates, a candidate
-    outside ``target_cap`` is walked onto the target and re-polished among
-    cap-respecting flips, and candidates inside the cap win by objective
-    value.
+    ``candidates`` is an (m, C, n_t) stack, C candidates for each of the m
+    levels ``nus``; the all-off and all-on patterns join each level's
+    candidates.  Every candidate is polished; one outside ``target_cap`` is
+    then walked onto its target and re-polished among cap-respecting
+    flips.  Each phase is one :func:`_descend` over all the candidates it
+    moves.  Per level, candidates inside the cap win over those outside
+    it, then the lower objective value wins, and ties keep the first.
     """
-    candidates = [np.asarray(c, dtype=np.uint8) for c in candidates]
-    candidates.append(np.zeros(obj.cfg.n_t, dtype=np.uint8))
-    candidates.append(np.ones(obj.cfg.n_t, dtype=np.uint8))
+    m, _, n = candidates.shape
+    ends = np.broadcast_to(np.arange(2, dtype=np.uint8)[:, None], (m, 2, n))
+    stack = np.concatenate([candidates, ends], axis=1)
+    C = stack.shape[1]
+    b = stack.reshape(-1, n)
+    nu = np.repeat(np.asarray(nus, dtype=float), C)
 
-    def objective(b):
+    def value(b, nu):
+        return obj.value(b[:, None], nu)[:, 0]
+
+    def miss(b, nu):
+        return np.abs(obj.on_axis(b) - nu)
+
+    def objective(b, nu):
         return obj.flips(b, nu)[1]
 
-    def distance(b):
-        return np.abs(obj.flips(b, nu)[0] - nu)
+    def distance(b, nu):
+        return np.abs(obj.flips(b, nu)[0] - nu[:, None])
 
-    def within_cap(b):
+    def within_cap(b, nu):
         e0, fc = obj.flips(b, nu)
-        return np.where(np.abs(e0 - nu) <= target_cap, fc, np.inf)
+        return np.where(np.abs(e0 - nu[:, None]) <= target_cap, fc, np.inf)
 
-    best = None
-    for c in candidates:
-        c = _descend(objective, c, float(obj.value(c, nu)[0]))
-        if abs(float(obj.on_axis(c)[0]) - nu) > target_cap:
-            c = _descend(distance, c, abs(float(obj.on_axis(c)[0]) - nu), stop=0.25 * target_cap)
-            c = _descend(within_cap, c, float(obj.value(c, nu)[0]))
-        # inside the cap before outside it, then the lower cost; ties keep the first
-        key = (abs(float(obj.on_axis(c)[0]) - nu) > target_cap, float(obj.value(c, nu)[0]))
-        if best is None or key < best_key:
-            best, best_key = c, key
-    achieved = float(obj.on_axis(best)[0])
-    return best, achieved, best_key[1]
+    b = _descend(objective, b, nu, value(b, nu))
+    out = np.flatnonzero(miss(b, nu) > target_cap)
+    walk, wnu = b[out], nu[out]
+    walk = _descend(distance, walk, wnu, miss(walk, wnu), stop=0.25 * target_cap)
+    b[out] = _descend(within_cap, walk, wnu, value(walk, wnu))
+    outside = (miss(b, nu) > target_cap).reshape(m, C)
+    val = value(b, nu).reshape(m, C)
+    # inside the cap before outside it, then the lower value; the stable
+    # sort keeps the first of equal candidates
+    pick = np.lexsort((val, outside), axis=1)[:, 0]
+    level = np.arange(m)
+    best = b.reshape(m, C, n)[level, pick]
+    return best, obj.on_axis(best), val[level, pick]
 
 
 def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rng, seed_patterns):
@@ -290,7 +353,9 @@ def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rn
     if not (0.0 <= nu_target <= 1.0):
         raise ValueError("target value must lie in [0, 1]")
     start = _ga_minimise(obj, [nu_target], [rng])[0]
-    return _refine(obj, nu_target, (start, *seed_patterns), target_cap)
+    candidates = np.array([[start, *seed_patterns]], dtype=np.uint8)
+    bits, achieved, residual = _refine(obj, [nu_target], candidates, target_cap)
+    return bits[0], float(achieved[0]), float(residual[0])
 
 
 @dataclass(frozen=True)
@@ -399,12 +464,12 @@ def _monotone_repair(obj, nus, levels, achieved, residual, target_cap):
         if ach < achieved[k - 1]:
             floor = achieved[k - 1] - 1e-15
 
-            def lift(b):
-                e0, fc = obj.flips(b, nus[k])
+            def lift(b, nu):
+                e0, fc = obj.flips(b, nu)
                 return np.where(e0 >= floor, fc, np.inf)
 
-            start = levels[k - 1]
-            bits = _descend(lift, start, float(obj.value(start, nus[k])[0]), obj.cfg.n_t)
+            start = levels[k - 1 : k]
+            bits = _descend(lift, start, nus[k : k + 1], obj.value(start, nus[k]), obj.cfg.n_t)[0]
             ach = float(obj.on_axis(bits)[0])
             res = float(obj.value(bits, nus[k])[0])
         if ach < achieved[k - 1]:
@@ -452,11 +517,9 @@ def build_lut(
     for k in (0, n_nu - 1):
         achieved[k] = float(obj.on_axis(levels[k])[0])
         residual[k] = float(obj.value(levels[k], nus[k])[0])
-    inner = range(1, n_nu - 1)
-    rngs = [np.random.default_rng([cfg.seed, k]) for k in inner]
+    rngs = [np.random.default_rng([cfg.seed, k]) for k in range(1, n_nu - 1)]
     starts = _ga_minimise(obj, nus[1:-1], rngs)
-    for k, start in zip(inner, starts):
-        levels[k], achieved[k], residual[k] = _refine(obj, nus[k], (start,), acc)
+    levels[1:-1], achieved[1:-1], residual[1:-1] = _refine(obj, nus[1:-1], starts[:, None], acc)
     _monotone_repair(obj, nus, levels, achieved, residual, acc)
     bad = [k for k in range(n_nu) if abs(achieved[k] - nus[k]) > 4.0 * acc]
     if bad:

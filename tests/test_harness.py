@@ -732,6 +732,31 @@ def test_loop_failure_carries_the_records_so_far(
     assert np.isfinite(records[0].mu) and records[0].error_norm > 0.0
 
 
+def test_a_stalled_cold_solve_is_not_retried(
+    monkeypatch, caplog, small_scenario, small_prepared, small_lut
+):
+    # iteration 0 solves cold; five steps stall it, and the identical cold
+    # solve is not run a second time
+    cfg = dataclasses.replace(
+        small_scenario, solver=dataclasses.replace(small_scenario.solver, max_steps=5)
+    )
+    calls = []
+    solve = harness.ground_state
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("initial"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ground_state", counted)
+    with caplog.at_level(logging.WARNING, logger="potshape"):
+        with pytest.raises(ConvergenceError, match="at iteration 0") as info:
+            run_closed_loop(cfg, lut=small_lut, prepared=small_prepared)
+    assert calls == [None]
+    assert "retrying cold" not in caplog.text
+    assert caplog.text.count("not converged after 5 steps") == 1
+    assert info.value.records == ()  # attached, and empty before the first record
+
+
 def _held_update(nu, e, pre, lut):
     """``level_update`` on the input ``nu`` as the loop calls it: the next
     input and the law's clamp count."""

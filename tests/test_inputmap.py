@@ -24,6 +24,7 @@ from potshape.inputmap import (
     PatternObjective,
     _ga_minimise,
     _monotone_repair,
+    _refine,
     build_lut,
     invert_pattern,
     load_lut,
@@ -120,13 +121,51 @@ def test_objective_zero_at_perfect_flat_field(fast_cfg, psf, beam):
 def test_flip_values_match_explicit_flips(fast_cfg, psf, beam):
     obj = PatternObjective(fast_cfg, psf, beam)
     rng = np.random.default_rng(2)
-    bits = rng.integers(0, 2, fast_cfg.n_t).astype(np.uint8)
-    e0, fv = obj.flips(bits, 0.4)
-    for i in range(fast_cfg.n_t):
-        b = bits.copy()
-        b[i] ^= 1
-        assert e0[i] == pytest.approx(float(obj.on_axis(b)[0]), rel=1e-12, abs=1e-15)
-        assert fv[i] == pytest.approx(float(obj.value(b, 0.4)[0]), rel=1e-12, abs=1e-15)
+    bits = rng.integers(0, 2, (3, fast_cfg.n_t)).astype(np.uint8)
+    nus = np.array([0.4, 0.1, 0.85])
+    e0, fv = obj.flips(bits, nus)
+    assert e0.shape == fv.shape == bits.shape
+    for k, nu in enumerate(nus):
+        for i in range(fast_cfg.n_t):
+            b = bits[k].copy()
+            b[i] ^= 1
+            assert e0[k, i] == pytest.approx(float(obj.on_axis(b)[0]), rel=1e-12, abs=1e-15)
+            assert fv[k, i] == pytest.approx(float(obj.value(b, nu)[0]), rel=1e-12, abs=1e-15)
+
+
+def _solo_flips(obj, bits, nu):
+    """|E(0)| and objective after each single flip of one bit vector, by
+    one-vector products: the reference the stacked flips must reproduce."""
+    b = bits.astype(float)
+    sign = 1.0 - 2.0 * b
+    ep = b @ obj.w_pen.T
+    e0_f = np.abs(float(b @ obj.w0) + sign * obj.w0)
+    ep_f = np.abs(ep[None, :] + sign[:, None] * obj.w_pen.T)
+    pen = ((ep_f - nu) ** 2) @ obj.pen_weights
+    return e0_f, (e0_f - nu) ** 2 + pen
+
+
+@pytest.mark.parametrize("n_t", [40, 100])
+def test_stacked_scoring_equals_per_level_calls(psf, beam, n_t):
+    # every matrix or row of a stack is scored by the BLAS call its own
+    # call makes, so stacking changes no value in its last bit
+    obj = PatternObjective(_search(n_t=n_t), psf, beam)
+    rng = np.random.default_rng(n_t)
+    m, P = 11, 13
+    density = rng.random((m, P, 1))
+    stack = (rng.random((m, P, n_t)) < density).astype(np.uint8)
+    nus = rng.random(m)
+    got = obj.value(stack, nus)
+    assert got.shape == (m, P)
+    for k in range(m):
+        assert np.array_equal(got[k], obj.value(stack[k], nus[k])), f"matrix {k}"
+    rows, row_nus = stack.reshape(m * P, n_t), np.repeat(nus, P)
+    e0, fv = obj.flips(rows, row_nus)
+    on_axis = obj.on_axis(rows)
+    for k, (row, nu) in enumerate(zip(rows, row_nus)):
+        solo_e0, solo_fv = _solo_flips(obj, row, nu)
+        assert np.array_equal(e0[k], solo_e0) and np.array_equal(fv[k], solo_fv), f"row {k}"
+        assert on_axis[k] == obj.on_axis(row)[0] == np.abs(row.astype(float) @ obj.w0)
 
 
 # -------------------------------------------------------- pattern search
@@ -166,6 +205,77 @@ def _solo_ga(obj, nu, cfg, rng):
         if cost.min() < best_cost:
             best, best_cost = pop[np.argmin(cost)].copy(), float(cost.min())
     return best
+
+
+def _solo_descend(flip_cost, bits, cost, max_flips=2000, stop=None):
+    """One bit vector's steepest single-flip descent on its own."""
+    b = bits.copy()
+    for _ in range(max_flips):
+        if stop is not None and cost <= stop:
+            break
+        fc = flip_cost(b)
+        i = int(np.argmin(fc))
+        if fc[i] >= cost - 1e-18:
+            break
+        b[i] ^= 1
+        cost = float(fc[i])
+    return b
+
+
+def _solo_refine(obj, nu, candidates, target_cap):
+    """One level's refinement on its own, candidate by candidate: the
+    reference the lockstep refinement over many levels must reproduce bit
+    for bit.  Returns (bits, achieved, residual, candidates walked)."""
+    candidates = [np.asarray(c, dtype=np.uint8) for c in candidates]
+    candidates.append(np.zeros(obj.cfg.n_t, dtype=np.uint8))
+    candidates.append(np.ones(obj.cfg.n_t, dtype=np.uint8))
+
+    def objective(b):
+        return _solo_flips(obj, b, nu)[1]
+
+    def distance(b):
+        return np.abs(_solo_flips(obj, b, nu)[0] - nu)
+
+    def within_cap(b):
+        e0, fc = _solo_flips(obj, b, nu)
+        return np.where(np.abs(e0 - nu) <= target_cap, fc, np.inf)
+
+    def miss(b):
+        return abs(float(obj.on_axis(b)[0]) - nu)
+
+    best, walked = None, 0
+    for c in candidates:
+        c = _solo_descend(objective, c, float(obj.value(c, nu)[0]))
+        if miss(c) > target_cap:
+            walked += 1
+            c = _solo_descend(distance, c, miss(c), stop=0.25 * target_cap)
+            c = _solo_descend(within_cap, c, float(obj.value(c, nu)[0]))
+        key = (miss(c) > target_cap, float(obj.value(c, nu)[0]))
+        if best is None or key < best_key:
+            best, best_key = c, key
+    return best, float(obj.on_axis(best)[0]), best_key[1], walked
+
+
+def test_lockstep_refinement_matches_solo_refinement(fast_cfg, psf, beam, fast_lut):
+    # the inner levels of the fast table, refined together and one by one
+    obj = PatternObjective(fast_cfg, psf, beam)
+    nus = fast_lut.nu_levels[1:-1]
+    acc = 0.05 / (fast_lut.n_nu - 1)
+    rngs = [np.random.default_rng([fast_cfg.seed, k + 1]) for k in range(len(nus))]
+    starts = _ga_minimise(obj, nus, rngs)
+    bits, achieved, residual = _refine(obj, nus, starts[:, None], acc)
+    for k, nu in enumerate(nus):
+        expect = _solo_refine(obj, nu, (starts[k],), acc)
+        assert np.array_equal(bits[k], expect[0]), f"level {k + 1}"
+        assert achieved[k] == expect[1] and residual[k] == expect[2]
+    # a start outside a tight cap, with two seed patterns: the walk onto
+    # the target and the capped polish run as well
+    seeds = (fast_lut.levels[5], fast_lut.levels[6] ^ (np.arange(fast_cfg.n_t) % 3 == 0))
+    got = solve_pattern(obj, 0.9, 2e-3, np.random.default_rng(9), seeds)
+    start = _solo_ga(obj, 0.9, fast_cfg, np.random.default_rng(9))
+    *expect, walked = _solo_refine(obj, 0.9, (start, *seeds), 2e-3)
+    assert walked >= 2
+    assert np.array_equal(got[0], expect[0]) and got[1:] == tuple(expect[1:])
 
 
 def test_lockstep_search_matches_solo_searches(psf, beam):
