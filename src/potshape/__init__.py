@@ -45,11 +45,12 @@ from .ilc import (
     gain_profile,
     transfer_function,
 )
-from .inputmap import Lut, OptimizerConfig, build_lut, load_lut, map_virtual_input, save_lut
+from .inputmap import Lut, LutSpec, build_lut, load_lut, map_virtual_input, save_lut
 from .optics import (
     BeamProfile,
     DarkSpot,
     DmdPattern,
+    DmdSpec,
     MagneticPotentialSpec,
     PsfModel,
     TransmissionDisturbance,

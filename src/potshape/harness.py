@@ -55,7 +55,7 @@ from .ilc import (
 )
 from .inputmap import (
     Lut,
-    OptimizerConfig,
+    LutSpec,
     build_lut,
     lut_sha256,
     map_virtual_input,
@@ -65,6 +65,7 @@ from .optics import (
     BeamProfile,
     DarkSpot,
     DmdPattern,
+    DmdSpec,
     MagneticPotentialSpec,
     PsfModel,
     TransmissionDisturbance,
@@ -80,9 +81,7 @@ from .optics import (
 __all__ = [
     "ConfigError",
     "GridSpec",
-    "DmdSpec",
     "DesiredPotentialSpec",
-    "LutSpec",
     "ControlSpec",
     "LoopSpec",
     "DisturbanceEvent",
@@ -136,18 +135,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class DmdSpec:
-    n_rows: int = 100
-    n_columns: int = 400
-    pixel_pitch: float = 1.0
-
-    def __post_init__(self):
-        check_index(self, "n_rows", low=1)
-        check_index(self, "n_columns", low=2)
-        check_real(self, "pixel_pitch", above=0)
-
-
-@dataclass(frozen=True)
 class DesiredPotentialSpec:
     """Double well: (v_max/2)(1 + cos(k_v z)) inside |z| <= 2 pi / k_v,
     v_max outside; minima sit at z = +-pi/k_v."""
@@ -157,20 +144,6 @@ class DesiredPotentialSpec:
 
     def __post_init__(self):
         check_real(self, "v_max", "k_v", above=0)
-
-
-@dataclass(frozen=True)
-class LutSpec:
-    n_nu: int = 51
-    gamma_perp: float = 0.3
-    dy: float = 4.0
-    population: int = 100
-    generations: int = 200
-
-    def __post_init__(self):
-        check_index(self, "n_nu", "population", low=2)
-        check_index(self, "generations", low=1)
-        check_real(self, "gamma_perp", "dy", low=0)
 
 
 @dataclass(frozen=True)
@@ -261,17 +234,6 @@ class ScenarioConfig:
             if ev.iteration < last:
                 raise ConfigError("disturbance schedule must be sorted by iteration")
             last = ev.iteration
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            n_t=self.dmd.n_rows,
-            pitch=self.dmd.pixel_pitch,
-            gamma_perp=self.lut.gamma_perp,
-            dy=self.lut.dy,
-            population=self.lut.population,
-            generations=self.lut.generations,
-            seed=self.loop.seed,
-        )
 
 
 def _section_to_dict(obj) -> dict:
@@ -474,7 +436,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
 
 
 def build_scenario_lut(cfg: ScenarioConfig) -> Lut:
-    return build_lut(cfg.lut.n_nu, cfg.optimizer_config(), cfg.psf, _calibrated_beam(cfg))
+    return build_lut(cfg.lut, cfg.dmd, cfg.psf, _calibrated_beam(cfg), cfg.loop.seed)
 
 
 def inject_disturbances(schedule, n: int) -> TransmissionDisturbance:
@@ -494,11 +456,12 @@ def inject_disturbances(schedule, n: int) -> TransmissionDisturbance:
 class IterationRecord:
     """State of iteration n: the input applied, the error observed, and
     the saturation count of the update that produced the next input.
-    ``extras`` holds the solver steps, the pattern and its hash, the
-    total and optical potentials ``v`` and ``v_opt`` and the measured
-    density ``rho``.  A held shot reuses the last computed shot, so its
-    solver steps are 0; without noise its other fields repeat the
-    previous record's.  Records compare by identity: they hold arrays."""
+    ``extras`` holds the solver steps, the pattern (its ``sha256()`` is
+    its hash), the total and optical potentials ``v`` and ``v_opt`` and
+    the measured density ``rho``.  A held shot reuses the last computed
+    shot, so its solver steps are 0; without noise its other fields
+    repeat the previous record's.  Records compare by identity: they
+    hold arrays."""
 
     n: int
     nu: np.ndarray
@@ -543,7 +506,7 @@ def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist
     the magnetic trap, and the ground state, warm from ``initial`` and
     cold if a warm start stalls (a cold first solve is not repeated).
     ``n`` names the iteration in the messages.
-    Returns the pattern, its hash, ``v_opt``, ``v`` and the ground state."""
+    Returns the pattern, ``v_opt``, ``v`` and the ground state."""
     nu = RealField1D(grid=prepared.col_grid, values=lut.nu_levels[index])
     pattern = map_virtual_input(nu, lut)
     cols = column_sums(pattern, cfg.psf, prepared.beam)
@@ -556,7 +519,7 @@ def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist
         gs = ground_state(v, cfg.condensate, cfg.solver)
     if not gs.converged:
         raise ConvergenceError(f"ground state did not converge at iteration {n}")
-    return pattern, pattern.sha256(), v_opt, v, gs
+    return pattern, v_opt, v, gs
 
 
 def run_closed_loop(
@@ -617,7 +580,7 @@ def run_closed_loop(
         if not held:
             memo = (index, dist)
             try:
-                pattern, sha, v_opt, v, gs = shoot(cfg, prepared, lut, n, index, dist, phi)
+                pattern, v_opt, v, gs = shoot(cfg, prepared, lut, n, index, dist, phi)
             except ConvergenceError as exc:
                 exc.records = tuple(records)
                 raise
@@ -642,7 +605,6 @@ def run_closed_loop(
                 extras={
                     "solver_steps": 0 if held else gs.n_steps,
                     "pattern": pattern,
-                    "pattern_sha256": sha,
                     "v": v.values,
                     "v_opt": v_opt.values,
                     "rho": rho_m.values,

@@ -29,6 +29,12 @@ Refinement is one single-bit-flip descent over a stack of bit rows; the
 polish, the walk onto the target, the capped polish and the monotone
 repair's lift differ only in the per-flip cost they hand it (inf for a
 flip they do not allow).
+
+A build reads the scenario's own sections, each checked once by its
+class: the table section :class:`LutSpec`, defined here, and the
+mirror-array section :class:`optics.DmdSpec`, whose ``n_rows`` mirrors
+make a column and whose pitch samples the penalty band.  The master seed
+is the one setting that arrives without a section.
 """
 
 from __future__ import annotations
@@ -41,10 +47,10 @@ from functools import cached_property
 import numpy as np
 
 from .core import RealField1D, as_index, as_real, check_index, check_real
-from .optics import BeamProfile, DmdPattern, PsfModel, column_grid, transversal_weights
+from .optics import BeamProfile, DmdPattern, DmdSpec, PsfModel, column_grid, transversal_weights
 
 __all__ = [
-    "OptimizerConfig",
+    "LutSpec",
     "PatternObjective",
     "LutEntry",
     "Lut",
@@ -66,51 +72,48 @@ MUTATIONS = 2.0
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Search settings for the per-column pattern optimisation.
+class LutSpec:
+    """The table section of a scenario: ``n_nu`` levels, the penalty's
+    weight ``gamma_perp`` and half width ``dy``, and the genetic search's
+    population and generations.  The penalty integral is sampled every
+    mirror pitch across [-dy, +dy] and evaluated with trapezoid weights;
+    the search's other settings are the module constants TOURNAMENT,
+    ELITE and MUTATIONS."""
 
-    The penalty integral is sampled every ``pitch`` across [-dy, +dy] and
-    evaluated with trapezoid weights.  The genetic search's other settings
-    are the module constants TOURNAMENT, ELITE and MUTATIONS.  Every
-    setting but ``seed`` is required; ``ScenarioConfig.optimizer_config``
-    passes them from the scenario's mirror array, table and loop sections.
-    """
-
-    n_t: int
-    pitch: float
-    gamma_perp: float
-    dy: float
-    population: int
-    generations: int
-    seed: int = 0
+    n_nu: int = 51
+    gamma_perp: float = 0.3
+    dy: float = 4.0
+    population: int = 100
+    generations: int = 200
 
     def __post_init__(self):
-        check_index(self, "n_t", "generations", low=1)
-        check_index(self, "population", low=2)
-        check_index(self, "seed", low=0)
-        check_real(self, "pitch", above=0)
+        check_index(self, "n_nu", "population", low=2)
+        check_index(self, "generations", low=1)
         check_real(self, "gamma_perp", "dy", low=0)
 
 
 class PatternObjective:
-    """Precomputed weights for fast evaluation of the column objective."""
+    """Precomputed weights for fast evaluation of the column objective of
+    the table section ``spec`` on the ``dmd.n_rows`` mirrors of a column."""
 
-    def __init__(self, cfg: OptimizerConfig, psf: PsfModel, beam: BeamProfile):
-        self.cfg = cfg
-        n_pen = int(round(2.0 * cfg.dy / cfg.pitch)) + 1
-        self.y_pen = np.linspace(-cfg.dy, cfg.dy, n_pen)
-        w = transversal_weights(psf, beam, cfg.n_t, cfg.pitch, self.y_pen)
-        w0 = transversal_weights(psf, beam, cfg.n_t, cfg.pitch, [0.0])[0]
+    def __init__(self, spec: LutSpec, dmd: DmdSpec, psf: PsfModel, beam: BeamProfile):
+        self.spec = spec
+        self.dmd = dmd
+        pitch = dmd.pixel_pitch
+        n_pen = int(round(2.0 * spec.dy / pitch)) + 1
+        self.y_pen = np.linspace(-spec.dy, spec.dy, n_pen)
+        w = transversal_weights(psf, beam, dmd.n_rows, pitch, self.y_pen)
+        w0 = transversal_weights(psf, beam, dmd.n_rows, pitch, [0.0])[0]
         norm = w0.sum()
         if norm <= 0:
             raise ValueError("all-ones normalisation field is non-positive")
         self.w0 = w0 / norm
         self.w_pen = w / norm
         # trapezoid weights for the penalty integral, scaled by gamma_perp
-        tw = np.full(n_pen, cfg.pitch)
+        tw = np.full(n_pen, pitch)
         tw[0] *= 0.5
         tw[-1] *= 0.5
-        self.pen_weights = cfg.gamma_perp * tw
+        self.pen_weights = spec.gamma_perp * tw
 
     def on_axis(self, bits: np.ndarray) -> np.ndarray:
         """|E(0)| of each row of a (K, n_t) bit stack or of a single bit vector.
@@ -178,8 +181,8 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     Selection, crossover, mutation, elitism and the best-so-far update
     are single array operations across all levels.
     """
-    cfg = obj.cfg
-    m, P, n = len(nus), cfg.population, cfg.n_t
+    spec = obj.spec
+    m, P, n = len(nus), spec.population, obj.dmd.n_rows
     nus = np.asarray(nus, dtype=float)
 
     def score(pop, out):
@@ -213,7 +216,7 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     uniform = np.empty((P, n))
     ccost = np.empty_like(cost)
     offsets = (np.arange(m) * P)[:, None, None]
-    for _ in range(cfg.generations):
+    for _ in range(spec.generations):
         for k, rng in enumerate(rngs):
             idx[k] = rng.integers(0, P, size=(P, TOURNAMENT))
             mask[k] = rng.integers(0, 2, size=(n_pairs, n), dtype=np.uint8)
@@ -333,8 +336,8 @@ def _refine(obj: PatternObjective, nus, candidates: np.ndarray, target_cap):
 def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rng, seed_patterns):
     """Minimise the column objective ``obj`` for one target value.
 
-    ``obj`` carries the search settings (``obj.cfg``) and the psf and beam
-    in its weights; ``rng`` drives the genetic search.  Returns (bits,
+    ``obj`` carries the search settings (``obj.spec``) and the psf and
+    beam in its weights; ``rng`` drives the genetic search.  Returns (bits,
     achieved, residual): the uint8 bit vector, |E(0)| of those bits and
     the full objective value.  ``seed_patterns`` are injected as
     polish candidates (the LUT monotone repair passes the neighbouring
@@ -452,14 +455,15 @@ def psf_beam_hash(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> s
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _monotone_repair(obj, nus, levels, achieved, residual, target_cap):
+def _monotone_repair(obj, nus, levels, achieved, residual, target_cap, seed):
     """Re-solve the rows of ``levels`` that break monotonicity, warm
-    started from their lower neighbour; as a last resort lift the achieved
-    value by greedy flips constrained to stay at or above the neighbour."""
+    started from their lower neighbour, row k on the stream
+    ``[seed, k, 7919]``; as a last resort lift the achieved value by
+    greedy flips constrained to stay at or above the neighbour."""
     for k in range(1, len(nus)):
         if achieved[k] >= achieved[k - 1]:
             continue
-        rng = np.random.default_rng([obj.cfg.seed, k, 7919])
+        rng = np.random.default_rng([seed, k, 7919])
         bits, ach, res = solve_pattern(obj, nus[k], target_cap, rng, (levels[k - 1], levels[k]))
         if ach < achieved[k - 1]:
             floor = achieved[k - 1] - 1e-15
@@ -469,7 +473,8 @@ def _monotone_repair(obj, nus, levels, achieved, residual, target_cap):
                 return np.where(e0 >= floor, fc, np.inf)
 
             start = levels[k - 1 : k]
-            bits = _descend(lift, start, nus[k : k + 1], obj.value(start, nus[k]), obj.cfg.n_t)[0]
+            cost = obj.value(start, nus[k])
+            bits = _descend(lift, start, nus[k : k + 1], cost, obj.dmd.n_rows)[0]
             ach = float(obj.on_axis(bits)[0])
             res = float(obj.value(bits, nus[k])[0])
         if ach < achieved[k - 1]:
@@ -481,23 +486,26 @@ def _monotone_repair(obj, nus, levels, achieved, residual, target_cap):
 
 
 def build_lut(
-    n_nu: int,
-    cfg: OptimizerConfig,
+    spec: LutSpec,
+    dmd: DmdSpec,
     psf: PsfModel,
     beam: BeamProfile,
+    seed: int,
     accuracy: float | None = None,
 ) -> Lut:
-    """Solve all n_nu column problems and assemble the monotone table.
+    """Solve the column problems of all ``spec.n_nu`` levels for the
+    ``dmd.n_rows`` mirrors of a column and assemble the monotone table.
 
     Entry k targets nu_k = k / (n_nu - 1).  The extreme entries are pinned
     to the all-off and all-on patterns: all-off is the exact optimum and
     all-on anchors the normalisation at achieved = 1.  Every other entry
-    gets its own deterministic child seed ``[cfg.seed, k]``.  Their
-    genetic searches run together in lockstep and each result is then
-    refined as in :func:`solve_pattern`, so an entry the monotone repair
-    leaves alone equals ``solve_pattern(PatternObjective(cfg, psf, beam),
-    nu_k, accuracy, default_rng([cfg.seed, k]), ())`` bit for bit,
-    whatever the number of levels.
+    gets its own deterministic child seed ``[seed, k]``; the master
+    ``seed`` is a non-negative integer.  Their genetic searches run
+    together in lockstep and each result is then refined as in
+    :func:`solve_pattern`, so an entry the monotone repair leaves alone
+    equals ``solve_pattern(PatternObjective(spec, dmd, psf, beam), nu_k,
+    accuracy, default_rng([seed, k]), ())`` bit for bit, whatever the
+    number of levels.
 
     ``accuracy`` is the per-entry target for |achieved - nu_k|, by default
     0.05 / (n_nu - 1), i.e. a twentieth of the table step.  Entries worse
@@ -505,22 +513,22 @@ def build_lut(
     own addressing levels would silently bias the closed loop.  Two entries
     with one bit pattern raise a ValueError (:class:`Lut`).
     """
-    if n_nu < 2:
-        raise ValueError("table needs at least the two extreme entries")
+    seed = as_index(seed, "seed", low=0)
+    n_nu = spec.n_nu
     acc = 0.05 / (n_nu - 1) if accuracy is None else float(accuracy)
-    obj = PatternObjective(cfg, psf, beam)
+    obj = PatternObjective(spec, dmd, psf, beam)
     nus = np.linspace(0.0, 1.0, n_nu)
-    levels = np.zeros((n_nu, cfg.n_t), dtype=np.uint8)
+    levels = np.zeros((n_nu, dmd.n_rows), dtype=np.uint8)
     levels[-1] = 1
     achieved = np.zeros(n_nu)
     residual = np.zeros(n_nu)
     for k in (0, n_nu - 1):
         achieved[k] = float(obj.on_axis(levels[k])[0])
         residual[k] = float(obj.value(levels[k], nus[k])[0])
-    rngs = [np.random.default_rng([cfg.seed, k]) for k in range(1, n_nu - 1)]
+    rngs = [np.random.default_rng([seed, k]) for k in range(1, n_nu - 1)]
     starts = _ga_minimise(obj, nus[1:-1], rngs)
     levels[1:-1], achieved[1:-1], residual[1:-1] = _refine(obj, nus[1:-1], starts[:, None], acc)
-    _monotone_repair(obj, nus, levels, achieved, residual, acc)
+    _monotone_repair(obj, nus, levels, achieved, residual, acc, seed)
     bad = [k for k in range(n_nu) if abs(achieved[k] - nus[k]) > 4.0 * acc]
     if bad:
         raise RuntimeError(
@@ -536,12 +544,12 @@ def build_lut(
     return Lut(
         entries=entries,
         levels=levels,
-        n_t=cfg.n_t,
-        pitch=cfg.pitch,
-        gamma_perp=cfg.gamma_perp,
-        dy=cfg.dy,
-        psf_beam_sha256=psf_beam_hash(psf, beam, cfg.n_t, cfg.pitch),
-        seed=cfg.seed,
+        n_t=dmd.n_rows,
+        pitch=dmd.pixel_pitch,
+        gamma_perp=spec.gamma_perp,
+        dy=spec.dy,
+        psf_beam_sha256=psf_beam_hash(psf, beam, dmd.n_rows, dmd.pixel_pitch),
+        seed=seed,
     )
 
 
@@ -621,6 +629,12 @@ def _bits(text, key: str) -> np.ndarray:
     return np.frombuffer(text.encode(), np.uint8) - ord("0")
 
 
+def _digest(text, key: str) -> str:
+    if not isinstance(text, str) or len(text) != 64 or not set(text) <= set("0123456789abcdef"):
+        raise ValueError(f"{key} must be a SHA-256 hex digest")
+    return text
+
+
 def _field(obj: dict, key: str, what: str, convert=as_real, **bounds):
     """``convert(obj[key], key, **bounds)``, a finite number by default
     (:func:`core.as_real`); a value that does not convert is a ValueError
@@ -638,7 +652,8 @@ def load_lut(path) -> Lut:
     object, lacks a header key or an entry field, holds a field of the
     wrong type or out of its range (numbers finite and not booleans,
     stored as floats; counts integers; the pitch > 0; ``dy``,
-    ``gamma_perp`` and the seed >= 0), or whose entries do not
+    ``gamma_perp`` and the seed >= 0; the psf/beam hash 64 lowercase hex
+    digits, as :func:`psf_beam_hash` writes it), or whose entries do not
     form a table the closed loop can address: a bit string of the wrong
     length, a ``nu`` off the grid k / (n_nu - 1) that
     :meth:`Lut.nearest_index` assumes, decreasing achieved values, or two
@@ -680,6 +695,6 @@ def load_lut(path) -> Lut:
         pitch=float(_field(data, "pitch", "table header", above=0)),
         gamma_perp=float(_field(data, "gamma_perp", "table header", low=0)),
         dy=float(_field(data, "dy", "table header", low=0)),
-        psf_beam_sha256=str(data["psf_beam_sha256"]),
+        psf_beam_sha256=_field(data, "psf_beam_sha256", "table header", _digest),
         seed=_field(data, "seed", "table header", as_index, low=0),
     )

@@ -48,6 +48,7 @@ __all__ = [
     "PsfModel",
     "BeamProfile",
     "DmdPattern",
+    "DmdSpec",
     "DarkSpot",
     "TransmissionDisturbance",
     "MagneticPotentialSpec",
@@ -200,6 +201,22 @@ class DmdPattern:
         h.update(np.float64(self.pixel_pitch).tobytes())
         h.update(np.packbits(self.bits).tobytes())
         return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class DmdSpec:
+    """The mirror-array section of a scenario: ``n_rows`` transversal
+    rows (the mirrors of one column), ``n_columns`` columns along z and
+    square pixels of side ``pixel_pitch``, as in :class:`DmdPattern`."""
+
+    n_rows: int = 100
+    n_columns: int = 400
+    pixel_pitch: float = 1.0
+
+    def __post_init__(self):
+        check_index(self, "n_rows", low=1)
+        check_index(self, "n_columns", low=2)
+        check_real(self, "pixel_pitch", above=0)
 
 
 def row_centers(n_t: int, pitch: float) -> np.ndarray:

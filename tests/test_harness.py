@@ -48,7 +48,6 @@ from potshape.harness import (
 )
 from potshape.ilc import correction, density_error, scaled_error
 from potshape.inputmap import (
-    OptimizerConfig,
     _lut_to_dict,
     invert_pattern,
     load_lut,
@@ -226,7 +225,8 @@ def test_scenario_stores_integral_floats_as_integers():
     cfg = scenario_from_dict(
         {
             "grid": {"n_points": 300.0},
-            "dmd": {"n_columns": 400.0},
+            "dmd": {"n_rows": 50.0, "n_columns": 400.0},
+            "lut": {"n_nu": 11.0, "population": 40.0, "generations": 3e1},
             "solver": {"max_steps": 6e4},
             "loop": {"seed": 7.0, "export_iterations": [0.0, 2]},
             "disturbances": [{"iteration": 4.0, "spots": []}],
@@ -234,13 +234,17 @@ def test_scenario_stores_integral_floats_as_integers():
     )
     counts = (
         cfg.grid.n_points,
+        cfg.dmd.n_rows,
         cfg.dmd.n_columns,
+        cfg.lut.n_nu,
+        cfg.lut.population,
+        cfg.lut.generations,
         cfg.solver.max_steps,
         cfg.loop.seed,
         *cfg.loop.export_iterations,
         cfg.disturbances[0].iteration,
     )
-    assert counts == (300, 400, 60_000, 7, 0, 2, 4)
+    assert counts == (300, 50, 400, 11, 40, 30, 60_000, 7, 0, 2, 4)
     assert all(type(c) is int for c in counts)
     assert cfg.grid.build().n_points == 300
     # float fields keep the number they are given
@@ -326,13 +330,6 @@ def test_deleted_keys_are_refused(tmp_path, capsys, section, key, value):
     assert not out.exists()
 
 
-def _search_args(name):
-    # the reference table settings OptimizerConfig requires, but the named one
-    args = dataclasses.asdict(ScenarioConfig().optimizer_config())
-    del args[name]
-    return args
-
-
 # every count of a section, and the other arguments its class needs
 _COUNTS = [
     (GridSpec, {}, "n_points"),
@@ -346,10 +343,6 @@ _COUNTS = [
     (LutSpec, {}, "generations"),
     (PsfModel, {}, "gy_zero_cut"),
     (DisturbanceEvent, {"spots": ()}, "iteration"),
-    (OptimizerConfig, _search_args("n_t"), "n_t"),
-    (OptimizerConfig, _search_args("population"), "population"),
-    (OptimizerConfig, _search_args("generations"), "generations"),
-    (OptimizerConfig, _search_args("seed"), "seed"),
 ]
 
 
@@ -404,9 +397,6 @@ _CHECKED_FLOATS = [
     (DarkSpot, {"center": 0.0, "width": 1.0, "depth": 0.1}, "center"),
     (MagneticPotentialSpec, {}, "ripple_phase"),
     (DmdPattern, {"bits": np.zeros((1, 1))}, "pixel_pitch"),
-    (OptimizerConfig, _search_args("pitch"), "pitch"),
-    (OptimizerConfig, _search_args("gamma_perp"), "gamma_perp"),
-    (OptimizerConfig, _search_args("dy"), "dy"),
 ]
 
 
@@ -656,7 +646,7 @@ def test_loop_under_measurement_noise(small_scenario, small_prepared, small_lut)
 
     def trace(records):
         return [
-            (r.n, r.error_norm.hex(), r.mu.hex(), r.e_rho.tobytes(), r.extras["pattern_sha256"])
+            (r.n, r.error_norm.hex(), r.mu.hex(), r.e_rho.tobytes(), r.extras["pattern"].sha256())
             for r in records
         ]
 
@@ -989,7 +979,7 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
     monkeypatch.undo()
     assert len(per_iteration) == len(records) == 80
     new_pattern = [
-        n == 0 or r.extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
+        n == 0 or r.extras["pattern"].sha256() != records[n - 1].extras["pattern"].sha256()
         for n, r in enumerate(records)
     ]
     held = _held_shots(records, scenario)
@@ -1006,7 +996,7 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
         assert r.error_norm.hex() == want.error_norm.hex() and r.mu.hex() == want.mu.hex()
         assert r.nu.tobytes() == want.nu.tobytes() and r.e_rho.tobytes() == want.e_rho.tobytes()
         assert r.clamp_count == want.clamp_count
-        assert r.extras["pattern_sha256"] == want.extras["pattern_sha256"]
+        assert r.extras["pattern"].sha256() == want.extras["pattern"].sha256()
 
 
 def test_noisy_held_shot_reuses_the_ground_state_and_draws_new_noise(
@@ -1051,12 +1041,12 @@ def test_held_noise_free_shot_repeats_its_predecessor(scenario, reference_run):
         assert r.e_rho.tobytes() == prev.e_rho.tobytes()
         assert r.mu.hex() == prev.mu.hex() and r.error_norm.hex() == prev.error_norm.hex()
         assert r.clamp_count == prev.clamp_count
-        assert r.extras["pattern_sha256"] == prev.extras["pattern_sha256"]
+        assert r.extras["pattern"].sha256() == prev.extras["pattern"].sha256()
         assert r.extras["solver_steps"] == 0
     assert all(r.extras["solver_steps"] > 0 for r, h in zip(records, held) if not h)
     changes = [
         n for n in range(1, len(records))
-        if records[n].extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
+        if records[n].extras["pattern"].sha256() != records[n - 1].extras["pattern"].sha256()
     ]
     assert len(changes) + 1 == 19 and not any(held[n] for n in changes)
 
@@ -1139,7 +1129,7 @@ def test_loop_potential_is_the_plant_field_of_its_pattern(
     pre, lut = reference_prepared, reference_lut
     w0 = transversal_weights(scenario.psf, pre.beam, lut.n_t, lut.pitch, [0.0])[0]
     records = reference_run.records
-    assert records[40].extras["pattern_sha256"] == records[39].extras["pattern_sha256"]
+    assert records[40].extras["pattern"].sha256() == records[39].extras["pattern"].sha256()
     assert inject_disturbances(scenario.disturbances, 40) != inject_disturbances(
         scenario.disturbances, 39
     )
@@ -1165,7 +1155,7 @@ def test_loop_computes_the_potential_only_when_pattern_or_spots_change(
     records = run.records
     changed = [
         n == 0
-        or records[n].extras["pattern_sha256"] != records[n - 1].extras["pattern_sha256"]
+        or records[n].extras["pattern"].sha256() != records[n - 1].extras["pattern"].sha256()
         or inject_disturbances(scenario.disturbances, n)
         != inject_disturbances(scenario.disturbances, n - 1)
         for n in range(len(records))
@@ -1218,8 +1208,7 @@ def test_loop_maps_and_transforms_only_what_changed(
     assert sum(kernel_transforms) == calls.count("level_update") == 20
     for r, want in zip(records, reference_run.records):
         assert r.error_norm == want.error_norm and r.mu == want.mu
-        assert r.extras["pattern_sha256"] == want.extras["pattern_sha256"]
-        assert r.extras["pattern_sha256"] == r.extras["pattern"].sha256()
+        assert r.extras["pattern"].sha256() == want.extras["pattern"].sha256()
 
 
 def test_shoot_replays_every_computed_shot(
@@ -1236,11 +1225,11 @@ def test_shoot_replays_every_computed_shot(
         if held[r.n]:
             continue
         dist = inject_disturbances(scenario.disturbances, r.n)
-        pattern, sha, v_opt, v, gs = harness.shoot(
+        pattern, v_opt, v, gs = harness.shoot(
             scenario, pre, lut, r.n, lut.nearest_index(r.nu), dist, initial=phi
         )
         phi = gs.phi
-        assert sha == r.extras["pattern_sha256"] == pattern.sha256(), r.n
+        assert pattern.sha256() == r.extras["pattern"].sha256(), r.n
         assert v_opt.values.tobytes() == r.extras["v_opt"].tobytes(), r.n
         assert v.values.tobytes() == r.extras["v"].tobytes(), r.n
         assert gs.density.values.tobytes() == r.extras["rho"].tobytes(), r.n

@@ -7,20 +7,20 @@ speed; the session-scoped reference table carries the full-size checks
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from potshape.core import RealField1D
-from potshape.harness import ScenarioConfig
 from potshape.inputmap import (
     ELITE,
     MUTATIONS,
     TOURNAMENT,
     Lut,
     LutEntry,
-    OptimizerConfig,
+    LutSpec,
     PatternObjective,
     _ga_minimise,
     _monotone_repair,
@@ -33,23 +33,26 @@ from potshape.inputmap import (
     save_lut,
     solve_pattern,
 )
-from potshape.optics import BeamProfile, PsfModel, calibrate_beam, column_grid
+from potshape.optics import BeamProfile, DmdSpec, PsfModel, calibrate_beam, column_grid
+
+# the master seed of the scaled-down tables and searches
+SEED = 3
 
 
-def _search(**settings):
-    # the reference scenario's table settings with the given ones changed
-    return dataclasses.replace(ScenarioConfig().optimizer_config(), **settings)
-
-
-def _solve(nu, cfg, psf, beam, target_cap):
-    # one search with a fresh objective, seeded from the config
-    obj = PatternObjective(cfg, psf, beam)
-    return solve_pattern(obj, nu, target_cap, np.random.default_rng(cfg.seed), ())
+def _solve(obj, nu, target_cap, seed=SEED):
+    # one search seeded with the master seed alone
+    return solve_pattern(obj, nu, target_cap, np.random.default_rng(seed), ())
 
 
 @pytest.fixture(scope="module")
-def fast_cfg():
-    return _search(n_t=40, population=40, generations=40, seed=3)
+def fast_spec():
+    # the reference table section, seven levels and a short search
+    return LutSpec(n_nu=7, population=40, generations=40)
+
+
+@pytest.fixture(scope="module")
+def fast_dmd():
+    return DmdSpec(n_rows=40)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +66,13 @@ def beam():
 
 
 @pytest.fixture(scope="module")
-def fast_lut(fast_cfg, psf, beam):
-    return build_lut(7, fast_cfg, psf, beam)
+def fast_obj(fast_spec, fast_dmd, psf, beam):
+    return PatternObjective(fast_spec, fast_dmd, psf, beam)
+
+
+@pytest.fixture(scope="module")
+def fast_lut(fast_spec, fast_dmd, psf, beam):
+    return build_lut(fast_spec, fast_dmd, psf, beam, SEED)
 
 
 # ----------------------------------------------------------- primitives
@@ -88,21 +96,9 @@ def test_lut_levels_validation():
         _toy_lut(n_nu=3, levels=[[0, 1, 0], [1, 0, 0], [0, 1, 0]])
 
 
-def test_optimizer_config_validation():
-    least = dict(n_t=1, pitch=1.0, gamma_perp=0.3, dy=4.0, population=2, generations=1)
-    OptimizerConfig(**least)
-    for name, bad in (("population", 1), ("generations", 0), ("n_t", 0)):
-        with pytest.raises(ValueError):
-            OptimizerConfig(**{**least, name: bad})
-    # the table settings have no defaults; only the seed does
-    with pytest.raises(TypeError, match="pitch"):
-        OptimizerConfig(n_t=1, gamma_perp=0.3, dy=4.0, population=2, generations=1)
-    assert OptimizerConfig(**least).seed == 0
-
-
-def test_all_ones_column_is_normalised(fast_cfg, psf, beam):
-    obj = PatternObjective(fast_cfg, psf, beam)
-    ones = np.ones(fast_cfg.n_t, dtype=np.uint8)
+def test_all_ones_column_is_normalised(fast_obj, fast_dmd):
+    obj = fast_obj
+    ones = np.ones(fast_dmd.n_rows, dtype=np.uint8)
     assert float(obj.on_axis(ones)[0]) == pytest.approx(1.0, rel=1e-14)
     # even pattern on a symmetric lattice gives an even field over the
     # symmetric penalty band
@@ -111,22 +107,22 @@ def test_all_ones_column_is_normalised(fast_cfg, psf, beam):
     assert np.max(np.abs(e - e[::-1])) < 1e-14
 
 
-def test_objective_zero_at_perfect_flat_field(fast_cfg, psf, beam):
-    obj = PatternObjective(fast_cfg, psf, beam)
-    zeros = np.zeros(fast_cfg.n_t, dtype=np.uint8)
+def test_objective_zero_at_perfect_flat_field(fast_obj, fast_dmd):
+    obj = fast_obj
+    zeros = np.zeros(fast_dmd.n_rows, dtype=np.uint8)
     assert float(obj.value(zeros, 0.0)[0]) == 0.0
     assert float(obj.on_axis(zeros)[0]) == 0.0
 
 
-def test_flip_values_match_explicit_flips(fast_cfg, psf, beam):
-    obj = PatternObjective(fast_cfg, psf, beam)
+def test_flip_values_match_explicit_flips(fast_obj, fast_dmd):
+    obj = fast_obj
     rng = np.random.default_rng(2)
-    bits = rng.integers(0, 2, (3, fast_cfg.n_t)).astype(np.uint8)
+    bits = rng.integers(0, 2, (3, fast_dmd.n_rows)).astype(np.uint8)
     nus = np.array([0.4, 0.1, 0.85])
     e0, fv = obj.flips(bits, nus)
     assert e0.shape == fv.shape == bits.shape
     for k, nu in enumerate(nus):
-        for i in range(fast_cfg.n_t):
+        for i in range(fast_dmd.n_rows):
             b = bits[k].copy()
             b[i] ^= 1
             assert e0[k, i] == pytest.approx(float(obj.on_axis(b)[0]), rel=1e-12, abs=1e-15)
@@ -149,7 +145,7 @@ def _solo_flips(obj, bits, nu):
 def test_stacked_scoring_equals_per_level_calls(psf, beam, n_t):
     # every matrix or row of a stack is scored by the BLAS call its own
     # call makes, so stacking changes no value in its last bit
-    obj = PatternObjective(_search(n_t=n_t), psf, beam)
+    obj = PatternObjective(LutSpec(), DmdSpec(n_rows=n_t), psf, beam)
     rng = np.random.default_rng(n_t)
     m, P = 11, 13
     density = rng.random((m, P, 1))
@@ -171,10 +167,10 @@ def test_stacked_scoring_equals_per_level_calls(psf, beam, n_t):
 # -------------------------------------------------------- pattern search
 
 
-def _solo_ga(obj, nu, cfg, rng):
+def _solo_ga(obj, nu, rng):
     """One level's genetic search on its own: the reference the lockstep
     search over many levels must reproduce bit for bit."""
-    n, P = cfg.n_t, cfg.population
+    n, P = obj.dmd.n_rows, obj.spec.population
     pop = rng.integers(0, 2, size=(P, n), dtype=np.uint8)
     pop[0] = 0
     pop[1] = 1
@@ -185,7 +181,7 @@ def _solo_ga(obj, nu, cfg, rng):
             pop[2 + s, order[: int(frac * n)]] = 1
     cost = obj.value(pop, nu)
     best, best_cost = pop[np.argmin(cost)].copy(), float(cost.min())
-    for _ in range(cfg.generations):
+    for _ in range(obj.spec.generations):
         idx = rng.integers(0, P, size=(P, TOURNAMENT))
         parents = pop[idx[np.arange(P), np.argmin(cost[idx], axis=1)]]
         n_pairs = P // 2
@@ -227,8 +223,8 @@ def _solo_refine(obj, nu, candidates, target_cap):
     reference the lockstep refinement over many levels must reproduce bit
     for bit.  Returns (bits, achieved, residual, candidates walked)."""
     candidates = [np.asarray(c, dtype=np.uint8) for c in candidates]
-    candidates.append(np.zeros(obj.cfg.n_t, dtype=np.uint8))
-    candidates.append(np.ones(obj.cfg.n_t, dtype=np.uint8))
+    candidates.append(np.zeros(obj.dmd.n_rows, dtype=np.uint8))
+    candidates.append(np.ones(obj.dmd.n_rows, dtype=np.uint8))
 
     def objective(b):
         return _solo_flips(obj, b, nu)[1]
@@ -256,12 +252,12 @@ def _solo_refine(obj, nu, candidates, target_cap):
     return best, float(obj.on_axis(best)[0]), best_key[1], walked
 
 
-def test_lockstep_refinement_matches_solo_refinement(fast_cfg, psf, beam, fast_lut):
+def test_lockstep_refinement_matches_solo_refinement(fast_obj, fast_dmd, fast_lut):
     # the inner levels of the fast table, refined together and one by one
-    obj = PatternObjective(fast_cfg, psf, beam)
+    obj = fast_obj
     nus = fast_lut.nu_levels[1:-1]
     acc = 0.05 / (fast_lut.n_nu - 1)
-    rngs = [np.random.default_rng([fast_cfg.seed, k + 1]) for k in range(len(nus))]
+    rngs = [np.random.default_rng([SEED, k + 1]) for k in range(len(nus))]
     starts = _ga_minimise(obj, nus, rngs)
     bits, achieved, residual = _refine(obj, nus, starts[:, None], acc)
     for k, nu in enumerate(nus):
@@ -270,9 +266,9 @@ def test_lockstep_refinement_matches_solo_refinement(fast_cfg, psf, beam, fast_l
         assert achieved[k] == expect[1] and residual[k] == expect[2]
     # a start outside a tight cap, with two seed patterns: the walk onto
     # the target and the capped polish run as well
-    seeds = (fast_lut.levels[5], fast_lut.levels[6] ^ (np.arange(fast_cfg.n_t) % 3 == 0))
+    seeds = (fast_lut.levels[5], fast_lut.levels[6] ^ (np.arange(fast_dmd.n_rows) % 3 == 0))
     got = solve_pattern(obj, 0.9, 2e-3, np.random.default_rng(9), seeds)
-    start = _solo_ga(obj, 0.9, fast_cfg, np.random.default_rng(9))
+    start = _solo_ga(obj, 0.9, np.random.default_rng(9))
     *expect, walked = _solo_refine(obj, 0.9, (start, *seeds), 2e-3)
     assert walked >= 2
     assert np.array_equal(got[0], expect[0]) and got[1:] == tuple(expect[1:])
@@ -280,50 +276,56 @@ def test_lockstep_refinement_matches_solo_refinement(fast_cfg, psf, beam, fast_l
 
 def test_lockstep_search_matches_solo_searches(psf, beam):
     # odd population exercises the unpaired parent, ELITE > 1 the elitism
-    cfg = _search(n_t=40, population=41, generations=30, seed=5)
-    obj = PatternObjective(cfg, psf, beam)
+    obj = PatternObjective(LutSpec(population=41, generations=30), DmdSpec(n_rows=40), psf, beam)
     nus = np.array([0.05, 0.3, 0.5, 0.5, 0.77, 0.95])
     got = _ga_minimise(obj, nus, [np.random.default_rng([5, k]) for k in range(len(nus))])
-    assert got.shape == (len(nus), cfg.n_t) and got.dtype == np.uint8
+    assert got.shape == (len(nus), 40) and got.dtype == np.uint8
     for k, nu in enumerate(nus):
-        expect = _solo_ga(obj, nu, cfg, np.random.default_rng([5, k]))
+        expect = _solo_ga(obj, nu, np.random.default_rng([5, k]))
         assert np.array_equal(got[k], expect), f"level {k}"
-    assert _ga_minimise(obj, nus[:0], []).shape == (0, cfg.n_t)
+    assert _ga_minimise(obj, nus[:0], []).shape == (0, 40)
 
 
-def test_solve_pattern_extremes(fast_cfg, psf, beam):
-    bits, achieved, residual = _solve(0.0, fast_cfg, psf, beam, 1e-3)
+def test_solve_pattern_extremes(fast_obj):
+    bits, achieved, residual = _solve(fast_obj, 0.0, 1e-3)
     assert not np.any(bits)
     assert achieved == 0.0 and residual == 0.0
     with pytest.raises(ValueError):
-        _solve(1.5, fast_cfg, psf, beam, 1e-3)
+        _solve(fast_obj, 1.5, 1e-3)
     with pytest.raises(ValueError):
-        _solve(-0.1, fast_cfg, psf, beam, 1e-3)
+        _solve(fast_obj, -0.1, 1e-3)
 
 
 def test_solve_pattern_half_level(scenario, psf, beam):
-    cfg = scenario.optimizer_config()  # full-size search
-    _, achieved, residual = _solve(0.5, cfg, psf, beam, 1e-3)
+    # the full-size search of the reference table section
+    obj = PatternObjective(scenario.lut, scenario.dmd, psf, beam)
+    _, achieved, residual = _solve(obj, 0.5, 1e-3, scenario.loop.seed)
     assert abs(achieved - 0.5) < 1e-3
     assert residual < 1e-4
 
 
-def test_target_cap_keeps_achieved_close(fast_cfg, psf, beam):
-    _, achieved, _ = _solve(0.9, fast_cfg, psf, beam, 5e-3)
+def test_target_cap_keeps_achieved_close(fast_obj):
+    _, achieved, _ = _solve(fast_obj, 0.9, 5e-3)
     assert abs(achieved - 0.9) <= 5e-3
 
 
 # ------------------------------------------------------------ the table
 
 
-def test_two_entry_table_is_the_extremes(fast_cfg, psf, beam):
-    lut = build_lut(2, fast_cfg, psf, beam)
+def test_two_entry_table_is_the_extremes(fast_spec, fast_dmd, psf, beam):
+    lut = build_lut(dataclasses.replace(fast_spec, n_nu=2), fast_dmd, psf, beam, SEED)
     assert not np.any(lut.levels[0])
     assert np.all(lut.levels[1] == 1)
     assert lut.entries[0].achieved == 0.0
     assert lut.entries[1].achieved == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        build_lut(1, fast_cfg, psf, beam)
+    # the table section is the one rule for the level count; the master
+    # seed, which comes without a section, is checked by the build
+    with pytest.raises(ValueError, match="n_nu must be >= 2, got 1"):
+        dataclasses.replace(fast_spec, n_nu=1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        build_lut(fast_spec, fast_dmd, psf, beam, -1)
+    with pytest.raises(TypeError, match="seed must be an integer, got True"):
+        build_lut(fast_spec, fast_dmd, psf, beam, True)
 
 
 def test_fast_table_levels_and_monotonicity(fast_lut):
@@ -352,28 +354,27 @@ def test_reference_table_stored_values_are_consistent(
     scenario, reference_lut, reference_prepared
 ):
     # stored achieved values must equal |E(0)| recomputed from the bits
-    obj = PatternObjective(scenario.optimizer_config(), scenario.psf, reference_prepared.beam)
+    obj = PatternObjective(scenario.lut, scenario.dmd, scenario.psf, reference_prepared.beam)
     for e, bits in zip(reference_lut.entries, reference_lut.levels):
         again = float(obj.on_axis(bits)[0])
         assert abs(e.achieved - again) < 1e-12
 
 
-def test_build_is_deterministic(fast_cfg, psf, beam, fast_lut):
-    again = build_lut(7, fast_cfg, psf, beam)
+def test_build_is_deterministic(fast_spec, fast_dmd, psf, beam, fast_lut):
+    again = build_lut(fast_spec, fast_dmd, psf, beam, SEED)
     assert np.array_equal(again.achieved_values(), fast_lut.achieved_values())
     assert np.array_equal(again.levels, fast_lut.levels)
 
 
-def test_table_entries_equal_their_solo_solves(fast_cfg, psf, beam, fast_lut):
+def test_table_entries_equal_their_solo_solves(fast_obj, fast_lut):
     # an entry the monotone repair left alone is exactly what solve_pattern
     # returns for its level with the entry's own child seed
     acc = 0.05 / (fast_lut.n_nu - 1)
-    obj = PatternObjective(fast_cfg, psf, beam)
     untouched = 0
     for k in range(1, fast_lut.n_nu - 1):
         e = fast_lut.entries[k]
-        rng = np.random.default_rng([fast_cfg.seed, k])
-        bits, ach, res = solve_pattern(obj, e.nu, acc, rng, ())
+        rng = np.random.default_rng([SEED, k])
+        bits, ach, res = solve_pattern(fast_obj, e.nu, acc, rng, ())
         if ach < fast_lut.entries[k - 1].achieved:
             continue  # repaired
         untouched += 1
@@ -382,12 +383,12 @@ def test_table_entries_equal_their_solo_solves(fast_cfg, psf, beam, fast_lut):
     assert untouched >= 3
 
 
-def test_monotone_repair_resolves_then_lifts(fast_cfg, psf, beam):
+def test_monotone_repair_resolves_then_lifts(fast_obj, fast_dmd):
     # centre-out blocks of mirrors; two entries sit below their lower
     # neighbour: entry 2 is re-solved from its own level, while entry 4's
     # re-solve (about 0.8) cannot reach entry 3 (0.85), so it is lifted
-    obj = PatternObjective(fast_cfg, psf, beam)
-    n = fast_cfg.n_t
+    obj = fast_obj
+    n = fast_dmd.n_rows
     order = np.argsort(np.abs(np.arange(n) - 0.5 * (n - 1)))
 
     nus = np.linspace(0.0, 1.0, 6)
@@ -402,10 +403,10 @@ def test_monotone_repair_resolves_then_lifts(fast_cfg, psf, beam):
     assert ach0[2] < ach0[1] and ach0[4] < ach0[3]
 
     def resolve(k):
-        rng = np.random.default_rng([fast_cfg.seed, k, 7919])
+        rng = np.random.default_rng([SEED, k, 7919])
         return solve_pattern(obj, nus[k], acc, rng, (before[k - 1], before[k]))
 
-    _monotone_repair(obj, nus, levels, achieved, residual, acc)
+    _monotone_repair(obj, nus, levels, achieved, residual, acc, SEED)
     assert np.all(np.diff(achieved) >= 0.0)
     for k in (0, 1, 3, 5):
         assert np.array_equal(levels[k], before[k])
@@ -428,16 +429,17 @@ def test_monotone_repair_resolves_then_lifts(fast_cfg, psf, beam):
             assert float(obj.value(b, nus[4])[0]) >= residual[4] * (1.0 - 1e-12)
 
 
-def test_unreachable_accuracy_is_a_hard_error(fast_cfg, psf, beam):
+def test_unreachable_accuracy_is_a_hard_error(fast_spec, fast_dmd, psf, beam):
+    spec = dataclasses.replace(fast_spec, n_nu=5)
     with pytest.raises(RuntimeError, match="out of tolerance"):
-        build_lut(5, fast_cfg, psf, beam, accuracy=1e-9)
+        build_lut(spec, fast_dmd, psf, beam, SEED, accuracy=1e-9)
 
 
 def test_levels_sharing_a_pattern_are_a_hard_error(psf, beam):
     # two mirrors make four patterns, too few for seven distinct levels
-    cfg = _search(n_t=2, population=8, generations=5, seed=3)
+    spec = LutSpec(n_nu=7, population=8, generations=5)
     with pytest.raises(ValueError, match="share one bit pattern"):
-        build_lut(7, cfg, psf, beam, accuracy=1.0)
+        build_lut(spec, DmdSpec(n_rows=2), psf, beam, SEED, accuracy=1.0)
 
 
 def test_quantisation_error_is_bounded(fast_lut):
@@ -566,7 +568,8 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         load_lut(bad)
     # a count or seed that is not an integer is refused, not truncated: a
     # truncated seed would break the record of how the table was built;
-    # a boolean is neither a count nor a number, and a string is no number
+    # a boolean is neither a count nor a number, and a string is no number;
+    # the optics hash is a digest, not any value that prints as a string
     for key, value in (
         ("n_t", None),
         ("seed", None),
@@ -578,11 +581,20 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         ("seed", True),
         ("pitch", True),
         ("pitch", "1.0"),
+        ("psf_beam_sha256", None),
+        ("psf_beam_sha256", 123),
+        ("psf_beam_sha256", [1, 2]),
+        ("psf_beam_sha256", {}),
+        ("psf_beam_sha256", True),
+        ("psf_beam_sha256", "0" * 63),
+        ("psf_beam_sha256", "g" * 64),
+        ("psf_beam_sha256", fast_lut.psf_beam_sha256.upper()),
     ):
         d = _lut_to_dict(fast_lut)
         d[key] = value
         bad.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match=f"table header has an invalid '{key}': {value!r}"):
+        message = f"table header has an invalid '{key}': {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_lut(bad)
     # the pitch must be > 0, the penalty's reach and weight and the seed >= 0
     for key, value in (
