@@ -531,9 +531,10 @@ def run_closed_loop(
     """Run the full shaping experiment for a scenario.
 
     The table is built on the fly if not supplied.  A supplied table
-    must have the scenario's mirror rows and pixel pitch, or a
-    ConfigError is raised before anything is prepared or run; one built
-    for another PSF or beam only logs a warning.  ``progress(record)``,
+    must have the scenario's mirror rows, pixel pitch and ``lut``
+    section, or a ConfigError is raised before anything is prepared or
+    run; one built for other optics (:func:`inputmap.psf_beam_hash`)
+    only logs a warning.  Its seed may differ.  ``progress(record)``,
     when given, is called once per iteration, after the update.  On
     solver failure the records collected so far are attached to the
     raised error as ``records``.
@@ -552,21 +553,24 @@ def run_closed_loop(
     if lut is None:
         log.info("no look-up table supplied; building one now")
         lut = build_scenario_lut(cfg)
-    if lut.n_t != cfg.dmd.n_rows or lut.pitch != cfg.dmd.pixel_pitch:
+    elif lut.n_t != cfg.dmd.n_rows or lut.pitch != cfg.dmd.pixel_pitch:
         raise ConfigError(
             f"look-up table was built for {lut.n_t} rows at pitch {lut.pitch!r}, "
             f"the scenario's mirror array has {cfg.dmd.n_rows} rows at pitch "
             f"{cfg.dmd.pixel_pitch!r}"
         )
-    if prepared is None:
-        prepared = prepare(cfg)
-    expected = psf_beam_hash(cfg.psf, prepared.beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
-    if lut.psf_beam_sha256 != expected:
+    elif lut.spec != cfg.lut:
+        raise ConfigError(
+            f"look-up table was built for {lut.spec}, the scenario's lut section is {cfg.lut}"
+        )
+    elif lut.psf_beam_sha256 != (expected := psf_beam_hash(cfg.psf, cfg.beam)):
         log.warning(
             "look-up table was built for different optics (hash %.12s != %.12s)",
             lut.psf_beam_sha256,
             expected,
         )
+    if prepared is None:
+        prepared = prepare(cfg)
     index = lut.nearest_index(np.full(cfg.dmd.n_columns, cfg.loop.nu_initial))
     noisy = cfg.measurement.noise_std > 0
     phi = None

@@ -34,14 +34,15 @@ A build reads the scenario's own sections, each checked once by its
 class: the table section :class:`LutSpec`, defined here, and the
 mirror-array section :class:`optics.DmdSpec`, whose ``n_rows`` mirrors
 make a column and whose pitch samples the penalty band.  The master seed
-is the one setting that arrives without a section.
+is the one setting that arrives without a section.  The table keeps its
+section (``Lut.spec``), and its file stores the section whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -377,26 +378,27 @@ class Lut:
 
     ``levels`` is the one store of the patterns: a read-only (n_nu, n_t)
     uint8 array of 0/1 bits, row k for level k, index 0 at the most
-    negative y.  A ValueError refuses levels of another shape, a bit
-    other than 0 or 1, or two rows with one pattern, which
-    :func:`invert_pattern` could not tell apart.  The header records
-    everything needed to recompute the table: problem size, penalty
-    settings, a hash of the psf/beam parameters and the master seed.
-    Tables hold arrays, so they compare by identity."""
+    negative y.  A ValueError refuses levels or entries not ``spec.n_nu``
+    long, a bit other than 0 or 1, or two rows with one pattern, which
+    :func:`invert_pattern` could not tell apart.  Given the scenario's psf
+    and beam, whose transversal values :func:`psf_beam_hash` checks, the
+    header records everything needed to recompute the table: the section
+    ``spec`` that built it, problem size and the master seed.  Tables
+    hold arrays, so they compare by identity."""
 
     entries: tuple
     levels: np.ndarray
+    spec: LutSpec
     n_t: int
     pitch: float
-    gamma_perp: float
-    dy: float
     psf_beam_sha256: str
     seed: int
 
     def __post_init__(self):
-        bits = np.asarray(self.levels)
-        if bits.shape != (self.n_nu, self.n_t) or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError(f"levels must be a ({self.n_nu}, {self.n_t}) array of 0/1 bits")
+        bits, n_nu, n_t = np.asarray(self.levels), self.n_nu, self.n_t
+        binary = np.all((bits == 0) | (bits == 1))
+        if len(self.entries) != n_nu or bits.shape != (n_nu, n_t) or not binary:
+            raise ValueError(f"levels must be a ({n_nu}, {n_t}) array of 0/1 bits, one entry a row")
         bits = bits.astype(np.uint8)
         bits.flags.writeable = False
         object.__setattr__(self, "levels", bits)
@@ -408,7 +410,7 @@ class Lut:
 
     @property
     def n_nu(self) -> int:
-        return len(self.entries)
+        return self.spec.n_nu
 
     def nearest_index(self, nu) -> np.ndarray:
         """Nearest table index for values in [0, 1]; exact ties round down.
@@ -438,21 +440,14 @@ class Lut:
         return nu
 
 
-def psf_beam_hash(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> str:
-    payload = json.dumps(
-        {
-            "sigma_z": psf.sigma_z,
-            "w_y": psf.w_y,
-            "gy_zero_cut": psf.gy_zero_cut,
-            "beam_amplitude": beam.amplitude,
-            "beam_sigma_y": beam.sigma_y,
-            "beam_sigma_z": beam.sigma_z,
-            "n_t": n_t,
-            "pitch": pitch,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+def psf_beam_hash(psf: PsfModel, beam: BeamProfile) -> str:
+    """SHA-256 of all that a table's bits read of the optics (through
+    :func:`optics.transversal_weights`): the psf's ``w_y`` and
+    ``gy_zero_cut`` and the beam's ``sigma_y``, widths as floats, so that
+    ``8`` and ``8.0`` hash alike.  Neither ``sigma_z`` nor the amplitude
+    changes a bit."""
+    values = [float(psf.w_y), psf.gy_zero_cut, float(beam.sigma_y)]
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
 
 def _monotone_repair(obj, nus, levels, achieved, residual, target_cap, seed):
@@ -544,11 +539,10 @@ def build_lut(
     return Lut(
         entries=entries,
         levels=levels,
+        spec=spec,
         n_t=dmd.n_rows,
         pitch=dmd.pixel_pitch,
-        gamma_perp=spec.gamma_perp,
-        dy=spec.dy,
-        psf_beam_sha256=psf_beam_hash(psf, beam, dmd.n_rows, dmd.pixel_pitch),
+        psf_beam_sha256=psf_beam_hash(psf, beam),
         seed=seed,
     )
 
@@ -577,12 +571,10 @@ def invert_pattern(pattern: DmdPattern, lut: Lut) -> RealField1D:
 
 def _lut_to_dict(lut: Lut) -> dict:
     return {
-        "format": "potshape-lut-v1",
+        "format": "potshape-lut-v2",
+        "lut": asdict(lut.spec),
         "n_t": lut.n_t,
-        "n_nu": lut.n_nu,
         "pitch": lut.pitch,
-        "gamma_perp": lut.gamma_perp,
-        "dy": lut.dy,
         "psf_beam_sha256": lut.psf_beam_sha256,
         "seed": lut.seed,
         "entries": [
@@ -609,9 +601,8 @@ def save_lut(lut: Lut, path) -> None:
         fh.write("\n")
 
 
-_LUT_HEADER_KEYS = (
-    "n_t", "n_nu", "pitch", "gamma_perp", "dy", "psf_beam_sha256", "seed", "entries"
-)
+_LUT_HEADER_KEYS = ("lut", "n_t", "pitch", "psf_beam_sha256", "seed", "entries")
+_LUT_SPEC_KEYS = tuple(f.name for f in fields(LutSpec))
 _LUT_ENTRY_KEYS = ("nu", "bits", "achieved", "residual")
 
 
@@ -648,22 +639,24 @@ def _field(obj: dict, key: str, what: str, convert=as_real, **bounds):
 def load_lut(path) -> Lut:
     """Read a table written by :func:`save_lut`.
 
-    Refuses with a ValueError naming the fault a file that is not a JSON
-    object, lacks a header key or an entry field, holds a field of the
-    wrong type or out of its range (numbers finite and not booleans,
-    stored as floats; counts integers; the pitch > 0; ``dy``,
-    ``gamma_perp`` and the seed >= 0; the psf/beam hash 64 lowercase hex
+    Refuses with a ValueError naming the fault a file that is not a
+    ``potshape-lut-v2`` JSON object, lacks a header key, a key of its
+    ``lut`` section or an entry field, holds a field of the wrong type or
+    out of its range (the ``lut`` section as :class:`LutSpec` checks it;
+    numbers finite and not booleans, stored as floats; counts integers;
+    the pitch > 0; the seed >= 0; the psf/beam hash 64 lowercase hex
     digits, as :func:`psf_beam_hash` writes it), or whose entries do not
-    form a table the closed loop can address: a bit string of the wrong
-    length, a ``nu`` off the grid k / (n_nu - 1) that
-    :meth:`Lut.nearest_index` assumes, decreasing achieved values, or two
-    entries with one bit pattern.
+    form a table the closed loop can address: a count other than the
+    section's ``n_nu``, a bit string of the wrong length, a ``nu`` off the
+    grid k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, decreasing
+    achieved values, or two entries with one bit pattern.
     """
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or data.get("format") != "potshape-lut-v1":
+    if not isinstance(data, dict) or data.get("format") != "potshape-lut-v2":
         raise ValueError("not a recognised look-up table file")
     _require_keys(data, _LUT_HEADER_KEYS, "table header")
+    _require_keys(data["lut"], _LUT_SPEC_KEYS, "table header's 'lut'")
     if not isinstance(data["entries"], list):
         raise ValueError("table entries are not a JSON list")
     for k, e in enumerate(data["entries"]):
@@ -677,24 +670,21 @@ def load_lut(path) -> Lut:
         )
         for k, e in enumerate(data["entries"])
     )
-    n_nu = _field(data, "n_nu", "table header", as_index, low=2)
+    spec = _field(data, "lut", "table header", lambda section, key: LutSpec(**section))
     n_t = _field(data, "n_t", "table header", as_index, low=1)
-    if len(entries) != n_nu:
-        raise ValueError("entry count does not match header")
     for k, e in enumerate(entries):
         if len(rows[k]) != n_t:
             raise ValueError(f"entry {k} has {len(rows[k])} bits, header says n_t = {n_t}")
-        if abs(e.nu - k / (n_nu - 1)) > 1e-12:
-            raise ValueError(f"entry {k} has nu = {e.nu!r}, not {k}/{n_nu - 1}")
+        if abs(e.nu - k / (spec.n_nu - 1)) > 1e-12:
+            raise ValueError(f"entry {k} has nu = {e.nu!r}, not {k}/{spec.n_nu - 1}")
         if k > 0 and e.achieved < entries[k - 1].achieved:
             raise ValueError(f"achieved value decreases at entry {k}")
     return Lut(
         entries=entries,
         levels=np.array(rows),
+        spec=spec,
         n_t=n_t,
         pitch=float(_field(data, "pitch", "table header", above=0)),
-        gamma_perp=float(_field(data, "gamma_perp", "table header", low=0)),
-        dy=float(_field(data, "dy", "table header", low=0)),
         psf_beam_sha256=_field(data, "psf_beam_sha256", "table header", _digest),
         seed=_field(data, "seed", "table header", as_index, low=0),
     )

@@ -1428,16 +1428,64 @@ def test_table_of_another_mirror_geometry_is_refused(
     assert not out.exists()
 
 
-def test_table_for_other_optics_warns_and_runs(caplog, small_scenario, small_lut):
-    # the mirror geometry matches, so a table built for another PSF only warns
+def test_table_of_another_lut_section_is_refused(
+    monkeypatch, capsys, tmp_path, small_scenario, small_lut
+):
+    # small_lut was built with 200 generations; a scenario whose table
+    # section asks for 150 is refused before it is prepared, or run.json
+    # would record a section the table was not built with
+    lut = dataclasses.replace(small_scenario.lut, generations=150)
+    cfg = dataclasses.replace(small_scenario, lut=lut)
+    prepared = []
+    monkeypatch.setattr(harness, "prepare", prepared.append)
+    message = f"built for {small_lut.spec}, the scenario's lut section is {lut}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_closed_loop(cfg, lut=small_lut)
+    assert prepared == []
+    cfg_path, lut_path, out = tmp_path / "scenario.json", tmp_path / "table.json", tmp_path / "run"
+    _write_small_config(cfg_path, cfg)
+    save_lut(small_lut, lut_path)
+    argv = ["run", "--config", str(cfg_path), "--lut", str(lut_path), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"configuration error: look-up table was {message}\n"
+    assert not out.exists()
+
+
+def _one_iteration(small_scenario, **sections):
     loop = dataclasses.replace(small_scenario.loop, iterations=1, export_iterations=None)
-    one = dataclasses.replace(small_scenario, loop=loop)
+    return dataclasses.replace(small_scenario, loop=loop, **sections)
+
+
+def test_table_for_other_optics_warns_and_runs(caplog, small_scenario, small_lut):
+    # the mirror geometry and table section match, so a table built for
+    # another transversal psf or beam width only warns
     caplog.set_level(logging.WARNING, logger="potshape.harness")
-    assert len(run_closed_loop(one, lut=small_lut).records) == 1
+    assert len(run_closed_loop(_one_iteration(small_scenario), lut=small_lut).records) == 1
     assert "different optics" not in caplog.text
-    other = dataclasses.replace(one, psf=PsfModel(sigma_z=3.0))
-    assert len(run_closed_loop(other, lut=small_lut).records) == 1
-    assert "look-up table was built for different optics" in caplog.text
+    psf, beam = small_scenario.psf, small_scenario.beam
+    for other in (
+        {"psf": dataclasses.replace(psf, w_y=9.0)},
+        {"psf": dataclasses.replace(psf, gy_zero_cut=5)},
+        {"beam": dataclasses.replace(beam, sigma_y=15.0)},
+    ):
+        caplog.clear()
+        cfg = _one_iteration(small_scenario, **other)
+        assert len(run_closed_loop(cfg, lut=small_lut).records) == 1
+        assert caplog.text.count("look-up table was built for different optics") == 1
+
+
+def test_table_is_reused_across_longitudinal_optics(caplog, small_scenario, small_lut):
+    # the longitudinal widths and the headroom do not change the table's
+    # bits, so a table built without them is reused without a word
+    caplog.set_level(logging.WARNING, logger="potshape.harness")
+    cfg = _one_iteration(
+        small_scenario,
+        psf=dataclasses.replace(small_scenario.psf, sigma_z=3.0),
+        beam=dataclasses.replace(small_scenario.beam, sigma_z=200.0),
+        control=dataclasses.replace(small_scenario.control, headroom=1.5),
+    )
+    assert len(run_closed_loop(cfg, lut=small_lut).records) == 1
+    assert caplog.text == ""
 
 
 def _cut_row(path):

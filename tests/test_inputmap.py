@@ -94,6 +94,10 @@ def test_lut_levels_validation():
         _toy_lut(n_nu=3, levels=[[0, 0, 0], [2, 0, 0], [1, 1, 1]])
     with pytest.raises(ValueError, match="entries 0 and 2 share one bit pattern"):
         _toy_lut(n_nu=3, levels=[[0, 1, 0], [1, 0, 0], [0, 1, 0]])
+    # the table section's n_nu counts the entries too
+    lut = _toy_lut(n_nu=3, levels=bits)
+    with pytest.raises(ValueError, match=r"\(4, 3\) array of 0/1 bits, one entry a row"):
+        dataclasses.replace(lut, spec=LutSpec(n_nu=4), levels=bits + [[0, 1, 0]])
 
 
 def test_all_ones_column_is_normalised(fast_obj, fast_dmd):
@@ -470,10 +474,9 @@ def _toy_lut(n_nu=5, n_t=3, levels=None):
     return Lut(
         entries=entries,
         levels=levels,
+        spec=LutSpec(n_nu=n_nu),
         n_t=n_t,
         pitch=1.0,
-        gamma_perp=0.3,
-        dy=4.0,
         psf_beam_sha256="0" * 64,
         seed=0,
     )
@@ -543,6 +546,22 @@ def test_save_load_round_trip(tmp_path, fast_lut):
     assert np.array_equal(again.levels, fast_lut.levels)
 
 
+def test_table_records_its_search_settings(tmp_path, fast_spec, fast_dmd, psf, beam):
+    # two tables that differ only in the search's generations carry their
+    # own sections, and each section survives a save and load
+    headers = []
+    for generations in (2, 10):
+        spec = dataclasses.replace(fast_spec, generations=generations)
+        lut = build_lut(spec, fast_dmd, psf, beam, SEED)
+        assert lut.spec == spec
+        path = tmp_path / f"table-{generations}.json"
+        save_lut(lut, path)
+        assert load_lut(path).spec == spec
+        headers.append(json.loads(path.read_text())["lut"])
+    assert headers[0] != headers[1]
+    assert headers[1] == dataclasses.asdict(dataclasses.replace(fast_spec, generations=10))
+
+
 def test_load_rejects_malformed_files(tmp_path, fast_lut):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "something-else"}))
@@ -551,13 +570,15 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
     from potshape.inputmap import _lut_to_dict
 
     d = _lut_to_dict(fast_lut)
-    d["n_nu"] = 99
+    d["lut"]["n_nu"] = 99
     mismatched = tmp_path / "mismatch.json"
     mismatched.write_text(json.dumps(d))
     with pytest.raises(ValueError):
         load_lut(mismatched)
 
-    for blob in ("[1, 2]", '"potshape-lut-v1"'):
+    # the first file format, which left out the search settings, is not read
+    v1 = {**_lut_to_dict(fast_lut), "format": "potshape-lut-v1"}
+    for blob in ("[1, 2]", '"potshape-lut-v1"', json.dumps(v1)):
         bad.write_text(blob)
         with pytest.raises(ValueError, match="not a recognised"):
             load_lut(bad)
@@ -565,6 +586,16 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
     del d["n_t"]
     bad.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="table header lacks 'n_t'"):
+        load_lut(bad)
+    # the table section is read whole: a missing key is not a default
+    d = _lut_to_dict(fast_lut)
+    del d["lut"]["population"]
+    bad.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="table header's 'lut' lacks 'population'"):
+        load_lut(bad)
+    d["lut"] = [7, 40, 40]
+    bad.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="table header's 'lut' is not a JSON object"):
         load_lut(bad)
     # a count or seed that is not an integer is refused, not truncated: a
     # truncated seed would break the record of how the table was built;
@@ -574,7 +605,6 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         ("n_t", None),
         ("seed", None),
         ("pitch", None),
-        ("n_nu", fast_lut.n_nu + 0.9),
         ("n_t", 3.2),
         ("seed", 7.5),
         ("n_t", "40"),
@@ -596,22 +626,35 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
         message = f"table header has an invalid '{key}': {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_lut(bad)
-    # the pitch must be > 0, the penalty's reach and weight and the seed >= 0
-    for key, value in (
-        ("pitch", float("nan")),
-        ("pitch", -1.0),
-        ("pitch", 0.0),
-        ("dy", -1.0),
-        ("dy", float("inf")),
-        ("gamma_perp", -0.3),
-        ("gamma_perp", float("nan")),
-        ("seed", -1),
-    ):
+    # the pitch must be > 0 and the seed >= 0
+    for key, value in (("pitch", float("nan")), ("pitch", -1.0), ("pitch", 0.0), ("seed", -1)):
         d = _lut_to_dict(fast_lut)
         d[key] = value
         bad.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=f"table header has an invalid '{key}': {value!r}$"):
             load_lut(bad)
+    # the table section passes LutSpec's rule: counts are integers, not
+    # booleans, n_nu and the population >= 2, the generations >= 1, and
+    # the penalty's reach and weight finite and >= 0
+    for key, value in (
+        ("n_nu", fast_lut.n_nu + 0.9),
+        ("n_nu", 1),
+        ("population", 1),
+        ("generations", 2.5),
+        ("generations", True),
+        ("generations", 0),
+        ("dy", -1.0),
+        ("dy", float("inf")),
+        ("gamma_perp", -0.3),
+        ("gamma_perp", float("nan")),
+    ):
+        d = _lut_to_dict(fast_lut)
+        d["lut"][key] = value
+        bad.write_text(json.dumps(d))
+        message = f"table header has an invalid 'lut': {d['lut']!r}"
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
+            load_lut(bad)
+        assert str(caught.value.__cause__).startswith(f"{key} must be")
     d = _lut_to_dict(fast_lut)
     d["entries"] = {"0": d["entries"][0]}
     bad.write_text(json.dumps(d))
@@ -620,6 +663,7 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
 
     for edit, match in (
         (lambda es: es[3].pop("bits"), "entry 3 lacks 'bits'"),
+        (lambda es: es.pop(), r"\(7, 40\) array of 0/1 bits, one entry a row"),
         (lambda es: es.__setitem__(1, [0.1, "01"]), "entry 1 is not a JSON object"),
         (lambda es: es[3].update(bits=es[3]["bits"][:-1]), "entry 3 has 39 bits"),
         (lambda es: es[2].update(nu=es[2]["nu"] + 1e-9), "entry 2 has nu"),
@@ -659,11 +703,25 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
 
 
 def test_psf_beam_hash_tracks_parameters():
-    psf = PsfModel()
-    h0 = psf_beam_hash(psf, BeamProfile(), 100, 1.0)
-    assert h0 == psf_beam_hash(psf, BeamProfile(), 100, 1.0)
+    # the hash moves with the transversal values the table's weights read,
+    # and with nothing else
+    psf, beam = PsfModel(), BeamProfile()
+    h0 = psf_beam_hash(psf, beam)
+    assert h0 == psf_beam_hash(PsfModel(), BeamProfile())
+    for other_psf, other_beam in (
+        (PsfModel(w_y=9.0), beam),
+        (PsfModel(gy_zero_cut=5), beam),
+        (psf, BeamProfile(sigma_y=15.0)),
+    ):
+        assert psf_beam_hash(other_psf, other_beam) != h0
     # two beams of one width, calibrated to different headrooms
-    low, high = (calibrate_beam(psf, BeamProfile(), 100, 1.0, 50.0, 1.0, h) for h in (1, 2))
-    assert psf_beam_hash(psf, low, 100, 1.0) != psf_beam_hash(psf, high, 100, 1.0)
-    assert h0 != psf_beam_hash(psf, BeamProfile(), 99, 1.0)
-    assert h0 != psf_beam_hash(PsfModel(sigma_z=3.0), BeamProfile(), 100, 1.0)
+    low, high = (calibrate_beam(psf, beam, 100, 1.0, 50.0, 1.0, h) for h in (1, 2))
+    assert low.amplitude != high.amplitude
+    for other_psf, other_beam in (
+        (PsfModel(w_y=8), BeamProfile(sigma_y=13)),
+        (PsfModel(sigma_z=3.0), beam),
+        (psf, BeamProfile(sigma_z=200.0)),
+        (psf, low),
+        (psf, high),
+    ):
+        assert psf_beam_hash(other_psf, other_beam) == h0
