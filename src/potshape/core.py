@@ -22,9 +22,9 @@ integral (f * g)(z) = int f(xi) g(z - xi) dxi.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +48,7 @@ class SpatialGrid1D:
     and the samples are symmetric about z = 0 (for even n_points the
     origin itself falls between two samples).  ``n_points`` is a count
     (:func:`as_index`, so 30.0 and True are a TypeError) of at least 2,
-    and ``length`` a finite number > 0.
+    and ``length`` a finite number > 0, stored as a float (:func:`as_real`).
     """
 
     length: float
@@ -56,7 +56,7 @@ class SpatialGrid1D:
     samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        as_real(self.length, "grid length", above=0)
+        object.__setattr__(self, "length", as_real(self.length, "grid length", above=0))
         object.__setattr__(self, "n_points", as_index(self.n_points, "grid n_points", low=2))
         z = np.linspace(-0.5 * self.length, 0.5 * self.length, self.n_points)
         z.flags.writeable = False
@@ -84,7 +84,7 @@ class SpatialGrid1D:
         length = z[-1] - z[0]
         if abs(z[0] + z[-1]) > 1e-9 * length:
             raise ValueError("samples must be symmetric about z = 0")
-        return cls(length=float(length), n_points=len(z))
+        return cls(length=length, n_points=len(z))
 
 
 def same_grid(a: SpatialGrid1D, b: SpatialGrid1D) -> bool:
@@ -165,26 +165,29 @@ def as_index(value, name: str, low=None) -> int:
     return index
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
-def as_real(value, name: str, low=None, above=None):
-    """``value`` if it is a finite real number, at least ``low`` and above
-    ``above`` where those are given: a TypeError naming ``name`` if it is
-    no number (a boolean is none), else a ValueError.  An integer beyond
-    the float range is not finite."""
+def as_real(value, name: str, low=None, above=None) -> float:
+    """``value`` as a Python float if it is a finite real number, at least
+    ``low`` and above ``above`` where those are given: a TypeError naming
+    ``name`` if it is no number (a boolean is none), else a ValueError.
+    Any real type converts (numpy scalars and fractions too), so ``4``,
+    ``4.0`` and ``np.float32(4)`` give one float; a number beyond the
+    float range is not finite."""
     # an exact float or int skips the ABC check, which costs ten times more
     if type(value) not in (float, int) and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= _FLOAT_MAX:
+    try:
+        real = float(value)
+    except OverflowError:  # an integer or a fraction beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if low is not None and value < low:
+    if low is not None and real < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
-    if above is not None and value <= above:
+    if above is not None and real <= above:
         raise ValueError(f"{name} must be > {above}, got {value!r}")
-    return value
+    return real
 
 
 def check_index(obj, *names, low=None):
@@ -195,9 +198,10 @@ def check_index(obj, *names, low=None):
 
 
 def check_real(obj, *names, low=None, above=None):
-    """Check the attributes ``names`` of a dataclass with :func:`as_real`."""
+    """Store the attributes ``names`` of a frozen dataclass as Python
+    floats (:func:`as_real`)."""
     for name in names:
-        as_real(getattr(obj, name), name, low, above)
+        object.__setattr__(obj, name, as_real(getattr(obj, name), name, low, above))
 
 
 def spectrum(f: RealField1D) -> Spectrum1D:

@@ -375,8 +375,10 @@ class Prepared:
     error_slope: np.ndarray
 
 
-def _calibrated_beam(cfg: ScenarioConfig) -> BeamProfile:
-    return calibrate_beam(
+def prepare(cfg: ScenarioConfig) -> Prepared:
+    grid = cfg.grid.build()
+    col_grid = column_grid(cfg.dmd.n_columns, cfg.dmd.pixel_pitch)
+    beam = calibrate_beam(
         cfg.psf,
         cfg.beam,
         cfg.dmd.n_rows,
@@ -385,12 +387,6 @@ def _calibrated_beam(cfg: ScenarioConfig) -> BeamProfile:
         alpha_v=cfg.control.alpha_v,
         headroom=cfg.control.headroom,
     )
-
-
-def prepare(cfg: ScenarioConfig) -> Prepared:
-    grid = cfg.grid.build()
-    col_grid = column_grid(cfg.dmd.n_columns, cfg.dmd.pixel_pitch)
-    beam = _calibrated_beam(cfg)
     e_max = e_perp_max(cfg.psf, beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
     resp = column_response(grid, col_grid, cfg.psf, beam)
     resp.flags.writeable = False
@@ -436,7 +432,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
 
 
 def build_scenario_lut(cfg: ScenarioConfig) -> Lut:
-    return build_lut(cfg.lut, cfg.dmd, cfg.psf, _calibrated_beam(cfg), cfg.loop.seed)
+    return build_lut(cfg.lut, cfg.dmd, cfg.psf, cfg.beam, cfg.loop.seed)
 
 
 def inject_disturbances(schedule, n: int) -> TransmissionDisturbance:

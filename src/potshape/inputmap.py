@@ -443,10 +443,9 @@ class Lut:
 def psf_beam_hash(psf: PsfModel, beam: BeamProfile) -> str:
     """SHA-256 of all that a table's bits read of the optics (through
     :func:`optics.transversal_weights`): the psf's ``w_y`` and
-    ``gy_zero_cut`` and the beam's ``sigma_y``, widths as floats, so that
-    ``8`` and ``8.0`` hash alike.  Neither ``sigma_z`` nor the amplitude
-    changes a bit."""
-    values = [float(psf.w_y), psf.gy_zero_cut, float(beam.sigma_y)]
+    ``gy_zero_cut`` and the beam's ``sigma_y``, as their classes store
+    them.  Neither ``sigma_z`` nor the amplitude changes a bit."""
+    values = [psf.w_y, psf.gy_zero_cut, beam.sigma_y]
     return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
 
@@ -502,15 +501,15 @@ def build_lut(
     accuracy, default_rng([seed, k]), ())`` bit for bit, whatever the
     number of levels.
 
-    ``accuracy`` is the per-entry target for |achieved - nu_k|, by default
-    0.05 / (n_nu - 1), i.e. a twentieth of the table step.  Entries worse
-    than four times that are a hard error: a table that cannot realise its
-    own addressing levels would silently bias the closed loop.  Two entries
-    with one bit pattern raise a ValueError (:class:`Lut`).
+    ``accuracy`` is the per-entry target for |achieved - nu_k|, a finite
+    number > 0, by default 0.05 / (n_nu - 1): a twentieth of the table
+    step.  Entries worse than four times that are a hard error: a table
+    that cannot realise its own levels would silently bias the closed loop.
+    Two entries with one bit pattern raise a ValueError (:class:`Lut`).
     """
     seed = as_index(seed, "seed", low=0)
     n_nu = spec.n_nu
-    acc = 0.05 / (n_nu - 1) if accuracy is None else float(accuracy)
+    acc = 0.05 / (n_nu - 1) if accuracy is None else as_real(accuracy, "accuracy", above=0)
     obj = PatternObjective(spec, dmd, psf, beam)
     nus = np.linspace(0.0, 1.0, n_nu)
     levels = np.zeros((n_nu, dmd.n_rows), dtype=np.uint8)
@@ -627,7 +626,7 @@ def _digest(text, key: str) -> str:
 
 
 def _field(obj: dict, key: str, what: str, convert=as_real, **bounds):
-    """``convert(obj[key], key, **bounds)``, a finite number by default
+    """``convert(obj[key], key, **bounds)``, a finite float by default
     (:func:`core.as_real`); a value that does not convert is a ValueError
     naming ``what`` and the key."""
     try:
@@ -664,9 +663,9 @@ def load_lut(path) -> Lut:
     rows = [_field(e, "bits", f"entry {k}", _bits) for k, e in enumerate(data["entries"])]
     entries = tuple(
         LutEntry(
-            nu=float(_field(e, "nu", f"entry {k}")),
-            achieved=float(_field(e, "achieved", f"entry {k}")),
-            residual=float(_field(e, "residual", f"entry {k}")),
+            nu=_field(e, "nu", f"entry {k}"),
+            achieved=_field(e, "achieved", f"entry {k}"),
+            residual=_field(e, "residual", f"entry {k}"),
         )
         for k, e in enumerate(data["entries"])
     )
@@ -684,7 +683,7 @@ def load_lut(path) -> Lut:
         levels=np.array(rows),
         spec=spec,
         n_t=n_t,
-        pitch=float(_field(data, "pitch", "table header", above=0)),
+        pitch=_field(data, "pitch", "table header", above=0),
         psf_beam_sha256=_field(data, "psf_beam_sha256", "table header", _digest),
         seed=_field(data, "seed", "table header", as_index, low=0),
     )

@@ -56,6 +56,7 @@ def test_from_samples_round_trip():
     g = SpatialGrid1D(length=12.0, n_points=25)
     g2 = SpatialGrid1D.from_samples(g.samples)
     assert same_grid(g, g2)
+    assert type(g2.length) is float
 
 
 def test_from_samples_rejects_bad_input():

@@ -6,6 +6,7 @@ import json
 import logging
 import re
 import shutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,8 +248,9 @@ def test_scenario_stores_integral_floats_as_integers():
     assert counts == (300, 50, 400, 11, 40, 30, 60_000, 7, 0, 2, 4)
     assert all(type(c) is int for c in counts)
     assert cfg.grid.build().n_points == 300
-    # float fields keep the number they are given
-    assert scenario_from_dict({"grid": {"length": 250}}).grid.length == 250
+    # float fields store the number they are given as a float
+    length = scenario_from_dict({"grid": {"length": 250}}).grid.length
+    assert length == 250 and type(length) is float
 
 
 def test_a_partial_section_keeps_the_reference_values_it_omits():
@@ -404,14 +406,27 @@ _CHECKED_FLOATS = [
     "cls, args, key", _CHECKED_FLOATS, ids=[f"{c.__name__}.{k}" for c, _, k in _CHECKED_FLOATS]
 )
 def test_sections_built_in_python_refuse_nan(cls, args, key):
-    # infinities too: a range check alone would pass +inf as > 0
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match=rf"\b{key} must .*, got {bad!r}$"):
+    # infinities too: a range check alone would pass +inf as > 0; and numbers
+    # beyond the float range of other types, refused without a numpy warning
+    # (the warning policy makes one an error)
+    beyond = (np.float32("inf"), 10**400, Fraction(10**400))
+    for bad in (float("nan"), float("inf"), float("-inf"), *beyond):
+        message = rf"\b{key} must be finite, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             cls(**{**args, key: bad})
     # no number at all, though True would pass a range check as 1
     for bad in (True, "0.5"):
         with pytest.raises(TypeError, match=rf"\b{key} must be a number, got {bad!r}$"):
             cls(**{**args, key: bad})
+
+
+@pytest.mark.parametrize(
+    "cls, args, key", _CHECKED_FLOATS, ids=[f"{c.__name__}.{k}" for c, _, k in _CHECKED_FLOATS]
+)
+def test_sections_built_in_python_store_reals_as_floats(cls, args, key):
+    for value in (1, np.int64(1), np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+        stored = getattr(cls(**{**args, key: value}), key)
+        assert stored == value and type(stored) is float, value
 
 
 _BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 1e300, True, "x", None, [1]]
@@ -1486,6 +1501,50 @@ def test_table_is_reused_across_longitudinal_optics(caplog, small_scenario, smal
     )
     assert len(run_closed_loop(cfg, lut=small_lut).records) == 1
     assert caplog.text == ""
+
+
+_INTEGER_SPELLINGS = [("lut", "dy", 4), ("dmd", "pixel_pitch", 1), ("psf", "w_y", 8)]
+
+
+@pytest.mark.parametrize(
+    "section, key, value", _INTEGER_SPELLINGS, ids=[f"{s}.{k}" for s, k, _ in _INTEGER_SPELLINGS]
+)
+def test_a_real_spelled_as_an_integer_writes_the_files_of_its_float(
+    tmp_path, small_scenario, small_lut, section, key, value
+):
+    # 4 and 4.0 are one value: one run.json config, one digest, one table file
+    data = scenario_to_dict(small_scenario)
+    assert data[section][key] == value and type(data[section][key]) is float
+    data[section][key] = value
+    cfg = scenario_from_dict(data)
+    assert json.dumps(scenario_to_dict(cfg)) == json.dumps(scenario_to_dict(small_scenario))
+    lut = harness.build_scenario_lut(cfg)
+    assert lut_sha256(lut) == lut_sha256(small_lut)
+    save_lut(lut, tmp_path / "integer.json")
+    save_lut(small_lut, tmp_path / "float.json")
+    assert (tmp_path / "integer.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+
+
+@pytest.mark.parametrize("real", [np.float32, Fraction], ids=lambda t: t.__name__)
+def test_reals_of_other_number_types_run_export_and_save_their_table(
+    tmp_path, small_scenario, small_lut, real
+):
+    cfg = dataclasses.replace(
+        small_scenario,
+        grid=GridSpec(length=real(200), n_points=1024),
+        psf=PsfModel(w_y=real(8)),
+        dmd=DmdSpec(n_rows=50, n_columns=240, pixel_pitch=real(1)),
+        lut=LutSpec(n_nu=11, dy=real(4)),
+    )
+    for value in (cfg.grid.length, cfg.psf.w_y, cfg.dmd.pixel_pitch, cfg.lut.dy):
+        assert type(value) is float
+    assert cfg == small_scenario
+    lut = harness.build_scenario_lut(cfg)
+    save_lut(lut, tmp_path / "table.json")
+    assert lut_sha256(lut) == lut_sha256(small_lut)
+    export_records(run_closed_loop(cfg, lut=lut), tmp_path / "run")
+    meta = json.loads((tmp_path / "run" / "run.json").read_text())
+    assert meta["config"] == scenario_to_dict(small_scenario)
 
 
 def _cut_row(path):

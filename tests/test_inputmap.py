@@ -439,6 +439,13 @@ def test_unreachable_accuracy_is_a_hard_error(fast_spec, fast_dmd, psf, beam):
         build_lut(spec, fast_dmd, psf, beam, SEED, accuracy=1e-9)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -1, "0.01", True], ids=repr)
+def test_accuracy_must_be_a_finite_number_above_zero(fast_spec, fast_dmd, psf, beam, bad):
+    # NaN would switch the tolerance check off: no entry compares worse than it
+    with pytest.raises((TypeError, ValueError), match=r"^accuracy must be "):
+        build_lut(fast_spec, fast_dmd, psf, beam, SEED, accuracy=bad)
+
+
 def test_levels_sharing_a_pattern_are_a_hard_error(psf, beam):
     # two mirrors make four patterns, too few for seven distinct levels
     spec = LutSpec(n_nu=7, population=8, generations=5)
