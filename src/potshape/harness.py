@@ -286,7 +286,7 @@ def _build_section(cls, data, name):
         raise ConfigError(f"unknown keys in '{name}': {', '.join(unknown)}")
     try:
         return cls(**{key: _typed(kinds[key], value) for key, value in data.items()})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad section '{name}': {exc}") from exc
 
 
@@ -313,12 +313,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             spots = tuple(_build_section(DarkSpot, s, f"{where}.spots") for s in ev["spots"])
             try:
                 events.append(DisturbanceEvent(_typed("int", ev["iteration"]), spots))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad disturbance entry {i}: {exc}") from exc
         kwargs["disturbances"] = tuple(events)
     try:
         return ScenarioConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

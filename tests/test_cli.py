@@ -1,0 +1,136 @@
+"""The command line end to end: small scenarios run and verify without a
+word on stderr, and their tables save, load, rebuild and are reused byte
+for byte.  The ``cli.main`` tests of single refusals and exit codes are
+in ``test_harness.py``."""
+
+import json
+import logging
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import potshape
+from potshape import cli
+from potshape.harness import ScenarioConfig, scenario_to_dict
+from potshape.inputmap import LutSpec
+
+_SPOT = {"center": 10.0, "width": 2.0, "depth": 0.15}
+# 50 mirror rows and an 11-level table on a 1024-point grid
+_SMALL = {
+    "grid": {"length": 200.0, "n_points": 1024},
+    "dmd": {"n_rows": 50, "n_columns": 240},
+    "lut": {"n_nu": 11},
+}
+NOISY = {
+    **_SMALL,
+    "loop": {"iterations": 4},
+    "measurement": {"noise_std": 1e-4},
+    "disturbances": [{"iteration": 2, "spots": [_SPOT]}],
+}
+# without noise the law holds its input at n = 4, 5 and 7-11: those
+# shots reuse the last one
+HELD = {**_SMALL, "loop": {"iterations": 12}, "disturbances": [{"iteration": 6, "spots": [_SPOT]}]}
+
+
+def _write(path, scenario):
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def _main_quietly(caplog, capsys, argv):
+    """``cli.main(argv)``, asserting that it logs no warning and writes
+    nothing to stderr.  The session keeps the ``potshape`` logger at ERROR
+    and ``cli.main``'s ``basicConfig`` does nothing under pytest, so the
+    level is lowered here; without that a warning would pass unseen."""
+    caplog.clear()
+    capsys.readouterr()
+    with caplog.at_level(logging.WARNING, logger="potshape"):
+        code = cli.main(argv)
+    assert [r.getMessage() for r in caplog.records] == []
+    assert capsys.readouterr().err == ""
+    return code
+
+
+@pytest.fixture(scope="module")
+def held(tmp_path_factory):
+    """``HELD``'s scenario file and the table ``build-lut`` saves for it."""
+    d = tmp_path_factory.mktemp("held")
+    cfg, table = _write(d / "held.json", HELD), d / "table.json"
+    assert cli.main(["build-lut", "--config", cfg, "--out", str(table)]) == 0
+    return cfg, table
+
+
+@pytest.mark.parametrize("scenario", [NOISY, HELD], ids=["noisy", "held"])
+def test_a_run_warns_of_nothing_and_verifies(tmp_path, caplog, capsys, scenario):
+    cfg, out = _write(tmp_path / "scenario.json", scenario), str(tmp_path / "run")
+    assert _main_quietly(caplog, capsys, ["run", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["report", "--in", out]) == 0
+
+
+def test_the_saved_table_gives_the_in_memory_tables_run(tmp_path, held):
+    cfg, table = held
+    memory, saved = tmp_path / "memory", tmp_path / "saved"
+    assert cli.main(["run", "--config", cfg, "--out", str(memory)]) == 0
+    assert cli.main(["run", "--config", cfg, "--lut", str(table), "--out", str(saved)]) == 0
+    names = sorted(p.name for p in memory.iterdir())
+    assert names == sorted(p.name for p in saved.iterdir()) and "run.json" in names
+    for name in names:
+        assert (saved / name).read_bytes() == (memory / name).read_bytes(), name
+
+
+def test_a_second_process_builds_the_same_table(tmp_path):
+    # a run's bits depend on the BLAS thread count, so both processes get one
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": str(Path(potshape.__file__).parents[1]),
+    }
+    cfg = _write(tmp_path / "held.json", HELD)
+    tables = [tmp_path / "first.json", tmp_path / "second.json"]
+    argv = [sys.executable, "-m", "potshape.cli", "build-lut", "--config", cfg, "--out"]
+    builds = [
+        subprocess.Popen([*argv, str(t)], env=env, stdout=subprocess.DEVNULL) for t in tables
+    ]
+    assert [b.wait(timeout=120) for b in builds] == [0, 0]
+    assert tables[0].read_bytes() == tables[1].read_bytes()
+
+
+def test_the_saved_table_records_its_generations(held):
+    _, table = held
+    assert json.loads(table.read_text())["lut"]["generations"] == LutSpec().generations
+
+
+def test_the_saved_table_is_reused_for_another_longitudinal_psf_width(
+    tmp_path, caplog, capsys, held
+):
+    _, table = held
+    cfg = _write(tmp_path / "sigma-z.json", {**HELD, "psf": {"sigma_z": 3.0}})
+    argv = ["run", "--config", cfg, "--lut", str(table), "--out", str(tmp_path / "run")]
+    assert _main_quietly(caplog, capsys, argv) == 0
+
+
+def test_design_kernel_runs_on_the_dumped_default_scenario(tmp_path):
+    # the README recipe: dump the default scenario, feed it back in
+    cfg = tmp_path / "default.json"
+    cfg.write_text(json.dumps(scenario_to_dict(ScenarioConfig()), indent=2))
+    out = tmp_path / "kernel.csv"
+    assert cli.main(["design-kernel", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_groundstate_solves_a_2048_point_double_well_without_a_warning(
+    tmp_path, caplog, capsys
+):
+    # 2048 = 4 x 512 points: the solve relaxes on every fourth sample,
+    # then on the full grid
+    well = tmp_path / "well.csv"
+    zs = [-125.0 + 250.0 * i / 2047 for i in range(2048)]
+    rows = "".join(f"{z!r},{0.02 * z * z + 20.0 * math.exp(-z * z / 200.0)!r}\n" for z in zs)
+    well.write_text("z,v\n" + rows)
+    argv = ["groundstate", "--potential", str(well), "--out", str(tmp_path / "state.csv")]
+    assert _main_quietly(caplog, capsys, argv) == 0

@@ -473,12 +473,15 @@ def test_cli_refuses_a_grid_too_large_to_allocate(tmp_path, capsys, monkeypatch)
 
 def test_cli_refuses_integers_beyond_the_float_range(tmp_path, capsys):
     # a float key refuses such an integer as not finite; a count takes it,
-    # and the first float conversion of it is refused as invalid input
+    # and the first float conversion of it is refused with its section
     huge = 10**400
     out = tmp_path / "state.csv"
     refusals = {
         "configuration error: bad section 'grid': length must be finite": ("grid", "length"),
-        "invalid input: int too large to convert to float": ("psf", "gy_zero_cut"),
+        "configuration error: bad section 'psf': int too large to convert to float": (
+            "psf",
+            "gy_zero_cut",
+        ),
     }
     for err, (section, key) in refusals.items():
         cfg_path = tmp_path / "scenario.json"
@@ -1503,18 +1506,25 @@ def test_table_is_reused_across_longitudinal_optics(caplog, small_scenario, smal
     assert caplog.text == ""
 
 
-_INTEGER_SPELLINGS = [("lut", "dy", 4), ("dmd", "pixel_pitch", 1), ("psf", "w_y", 8)]
+# reals spelled as integers, and counts spelled as floats
+_OTHER_SPELLINGS = [
+    ("lut", "dy", 4),
+    ("dmd", "pixel_pitch", 1),
+    ("psf", "w_y", 8),
+    ("dmd", "n_rows", 50.0),
+    ("lut", "n_nu", 11.0),
+]
 
 
 @pytest.mark.parametrize(
-    "section, key, value", _INTEGER_SPELLINGS, ids=[f"{s}.{k}" for s, k, _ in _INTEGER_SPELLINGS]
+    "section, key, value", _OTHER_SPELLINGS, ids=[f"{s}.{k}" for s, k, _ in _OTHER_SPELLINGS]
 )
 def test_a_real_spelled_as_an_integer_writes_the_files_of_its_float(
     tmp_path, small_scenario, small_lut, section, key, value
 ):
     # 4 and 4.0 are one value: one run.json config, one digest, one table file
     data = scenario_to_dict(small_scenario)
-    assert data[section][key] == value and type(data[section][key]) is float
+    assert data[section][key] == value and type(data[section][key]) is not type(value)
     data[section][key] = value
     cfg = scenario_from_dict(data)
     assert json.dumps(scenario_to_dict(cfg)) == json.dumps(scenario_to_dict(small_scenario))
@@ -1775,3 +1785,10 @@ def test_cli_reports_a_malformed_table(tmp_path, small_lut, capsys):
     assert cli.main(["run", "--lut", str(bad_lut), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err == f"invalid input: table header has an invalid 'seed': {d['seed']!r}\n"
+    # a boolean seed is refused as the table loads, before any output
+    d["seed"] = True
+    bad_lut.write_text(json.dumps(d))
+    assert cli.main(["run", "--lut", str(bad_lut), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid input: table header has an invalid 'seed': True\n"
+    assert not (tmp_path / "x").exists()
