@@ -48,7 +48,7 @@ def _cmd_build_lut(args) -> int:
     cfg = _load_config(args)
     lut = harness.build_scenario_lut(cfg)
     inputmap.save_lut(lut, args.out)
-    err = np.abs(lut.achieved_values() - lut.nu_levels)
+    err = np.abs(lut.achieved - lut.nu_levels)
     print(f"wrote {args.out}: {lut.n_nu} entries, n_t={lut.n_t}")
     print(f"worst |achieved - target| = {err.max():.3e}, mean = {err.mean():.3e}")
     return 0

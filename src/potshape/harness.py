@@ -648,7 +648,7 @@ def level_update(
     at level 0 or 1 outward) changes nothing and is halved at once.
     """
     nu = lut.nu_levels[index]
-    achieved = lut.achieved_values()
+    achieved = lut.achieved
     half_step = 0.5 * (lut.nu_levels[1] - lut.nu_levels[0])
     corr = correction(scaled_error(e, prepared.gain), prepared.kernel, prepared.col_grid)
     raw = nu - corr

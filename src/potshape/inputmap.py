@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .optics import BeamProfile, DmdPattern, DmdSpec, PsfModel, column_grid, tra
 __all__ = [
     "LutSpec",
     "PatternObjective",
-    "LutEntry",
     "Lut",
     "solve_pattern",
     "build_lut",
@@ -362,48 +360,49 @@ def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rn
     return bits[0], float(achieved[0]), float(residual[0])
 
 
-@dataclass(frozen=True)
-class LutEntry:
-    """Level k's target nu, the |E(0)| its bits achieve and their
-    objective value; the bits themselves are row k of :attr:`Lut.levels`."""
-
-    nu: float
-    achieved: float
-    residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class Lut:
     """Monotone table nu_k = k / (n_nu - 1) -> column pattern.
 
-    ``levels`` is the one store of the patterns: a read-only (n_nu, n_t)
-    uint8 array of 0/1 bits, row k for level k, index 0 at the most
-    negative y.  A ValueError refuses levels or entries not ``spec.n_nu``
-    long, a bit other than 0 or 1, or two rows with one pattern, which
-    :func:`invert_pattern` could not tell apart.  Given the scenario's psf
-    and beam, whose transversal values :func:`psf_beam_hash` checks, the
+    The table is its three arrays, each a read-only copy with row or
+    element k for level k: ``levels``, the (n_nu, n_t) uint8 bits, index 0
+    at the most negative y; ``achieved``, the |E(0)| each row achieves;
+    and ``residual``, each row's objective value.  The targets
+    ``nu_levels`` = k / (n_nu - 1) and the row length ``n_t`` are derived,
+    not stored.  A ValueError refuses levels that are not ``spec.n_nu``
+    rows of 0/1 bits, two rows with one pattern, which
+    :func:`invert_pattern` could not tell apart, and an ``achieved`` or
+    ``residual`` not ``spec.n_nu`` long.  Given the scenario's psf and
+    beam, whose transversal values :func:`psf_beam_hash` checks, the
     header records everything needed to recompute the table: the section
-    ``spec`` that built it, problem size and the master seed.  Tables
-    hold arrays, so they compare by identity."""
+    ``spec`` that built it, the pitch and the master seed.  Tables hold
+    arrays, so they compare by identity.  :attr:`entries` and
+    :meth:`achieved_values` are views kept only for perfbench."""
 
-    entries: tuple
     levels: np.ndarray
+    achieved: np.ndarray
+    residual: np.ndarray
     spec: LutSpec
-    n_t: int
     pitch: float
     psf_beam_sha256: str
     seed: int
+    nu_levels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        bits, n_nu, n_t = np.asarray(self.levels), self.n_nu, self.n_t
-        binary = np.all((bits == 0) | (bits == 1))
-        if len(self.entries) != n_nu or bits.shape != (n_nu, n_t) or not binary:
-            raise ValueError(f"levels must be a ({n_nu}, {n_t}) array of 0/1 bits, one entry a row")
-        bits = bits.astype(np.uint8)
-        bits.flags.writeable = False
-        object.__setattr__(self, "levels", bits)
+        n_nu = self.n_nu
+        bits = np.asarray(self.levels)
+        if bits.ndim != 2 or len(bits) != n_nu or not np.all((bits == 0) | (bits == 1)):
+            raise ValueError(f"levels must be a ({n_nu}, n_t) array of 0/1 bits, one entry a row")
+        arrays = {"levels": bits.astype(np.uint8), "nu_levels": np.linspace(0.0, 1.0, n_nu)}
+        for name in ("achieved", "residual"):
+            arrays[name] = np.array(getattr(self, name), dtype=float)
+            if arrays[name].shape != (n_nu,):
+                raise ValueError(f"{name} must hold {n_nu} values, one an entry")
+        for name, values in arrays.items():
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         first = {}
-        for k, row in enumerate(bits):
+        for k, row in enumerate(self.levels):
             j = first.setdefault(row.tobytes(), k)
             if j != k:
                 raise ValueError(f"entries {j} and {k} share one bit pattern")
@@ -411,6 +410,10 @@ class Lut:
     @property
     def n_nu(self) -> int:
         return self.spec.n_nu
+
+    @property
+    def n_t(self) -> int:
+        return self.levels.shape[1]
 
     def nearest_index(self, nu) -> np.ndarray:
         """Nearest table index for values in [0, 1]; exact ties round down.
@@ -422,22 +425,16 @@ class Lut:
         x = np.clip(nu, 0.0, 1.0) * (self.n_nu - 1)
         return np.clip(np.ceil(x - 0.5), 0, self.n_nu - 1).astype(int)
 
+    @property
+    def entries(self) -> np.recarray:
+        """Record k holds level k's ``nu``, ``achieved`` and ``residual``;
+        perfbench reads it until the benchmark reads the arrays."""
+        arrays = (self.nu_levels, self.achieved, self.residual)
+        return np.rec.fromarrays(arrays, names="nu,achieved,residual")
+
     def achieved_values(self) -> np.ndarray:
-        """Read-only array of the entries' achieved values, element k for level k."""
-        return self._achieved
-
-    @cached_property
-    def _achieved(self) -> np.ndarray:
-        achieved = np.array([e.achieved for e in self.entries])
-        achieved.flags.writeable = False
-        return achieved
-
-    @cached_property
-    def nu_levels(self) -> np.ndarray:
-        """Read-only array of the entries' nu, element k for level k."""
-        nu = np.array([e.nu for e in self.entries])
-        nu.flags.writeable = False
-        return nu
+        """:attr:`achieved`; perfbench reads it until the benchmark reads the array."""
+        return self.achieved
 
 
 def psf_beam_hash(psf: PsfModel, beam: BeamProfile) -> str:
@@ -506,6 +503,8 @@ def build_lut(
     step.  Entries worse than four times that are a hard error: a table
     that cannot realise its own levels would silently bias the closed loop.
     Two entries with one bit pattern raise a ValueError (:class:`Lut`).
+    The build's bits, achieved values and residuals are the table's three
+    arrays; its nu and ``n_t`` are derived.
     """
     seed = as_index(seed, "seed", low=0)
     n_nu = spec.n_nu
@@ -531,15 +530,11 @@ def build_lut(
                 f"k={k} nu={nus[k]:.3f} achieved={achieved[k]:.6f}" for k in bad
             )
         )
-    entries = tuple(
-        LutEntry(nu=float(nus[k]), achieved=float(achieved[k]), residual=float(residual[k]))
-        for k in range(n_nu)
-    )
     return Lut(
-        entries=entries,
         levels=levels,
+        achieved=achieved,
+        residual=residual,
         spec=spec,
-        n_t=dmd.n_rows,
         pitch=dmd.pixel_pitch,
         psf_beam_sha256=psf_beam_hash(psf, beam),
         seed=seed,
@@ -558,7 +553,7 @@ def invert_pattern(pattern: DmdPattern, lut: Lut) -> RealField1D:
     Every column must match a table entry bit for bit; anything else
     raises, because it cannot have come from :func:`map_virtual_input`.
     """
-    lookup = {row.tobytes(): e.nu for row, e in zip(lut.levels, lut.entries)}
+    lookup = {row.tobytes(): nu for row, nu in zip(lut.levels, lut.nu_levels)}
     values = np.empty(pattern.n_l)
     for j in range(pattern.n_l):
         key = np.ascontiguousarray(pattern.bits[:, j]).tobytes()
@@ -577,13 +572,10 @@ def _lut_to_dict(lut: Lut) -> dict:
         "psf_beam_sha256": lut.psf_beam_sha256,
         "seed": lut.seed,
         "entries": [
-            {
-                "nu": e.nu,
-                "bits": (row + ord("0")).tobytes().decode(),
-                "achieved": e.achieved,
-                "residual": e.residual,
-            }
-            for row, e in zip(lut.levels, lut.entries)
+            {"nu": nu, "bits": (row + ord("0")).tobytes().decode(), "achieved": ach, "residual": res}
+            for nu, row, ach, res in zip(
+                lut.nu_levels.tolist(), lut.levels, lut.achieved.tolist(), lut.residual.tolist()
+            )
         ],
     }
 
@@ -648,7 +640,9 @@ def load_lut(path) -> Lut:
     form a table the closed loop can address: a count other than the
     section's ``n_nu``, a bit string of the wrong length, a ``nu`` off the
     grid k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, decreasing
-    achieved values, or two entries with one bit pattern.
+    achieved values, or two entries with one bit pattern.  The format stays
+    ``potshape-lut-v2``, but the table keeps only the entries' bits,
+    achieved values and residuals; it derives ``n_t`` and nu again.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -661,28 +655,25 @@ def load_lut(path) -> Lut:
     for k, e in enumerate(data["entries"]):
         _require_keys(e, _LUT_ENTRY_KEYS, f"entry {k}")
     rows = [_field(e, "bits", f"entry {k}", _bits) for k, e in enumerate(data["entries"])]
-    entries = tuple(
-        LutEntry(
-            nu=_field(e, "nu", f"entry {k}"),
-            achieved=_field(e, "achieved", f"entry {k}"),
-            residual=_field(e, "residual", f"entry {k}"),
-        )
+    numbers = [
+        [_field(e, key, f"entry {k}") for key in ("nu", "achieved", "residual")]
         for k, e in enumerate(data["entries"])
-    )
+    ]
     spec = _field(data, "lut", "table header", lambda section, key: LutSpec(**section))
     n_t = _field(data, "n_t", "table header", as_index, low=1)
-    for k, e in enumerate(entries):
-        if len(rows[k]) != n_t:
-            raise ValueError(f"entry {k} has {len(rows[k])} bits, header says n_t = {n_t}")
-        if abs(e.nu - k / (spec.n_nu - 1)) > 1e-12:
-            raise ValueError(f"entry {k} has nu = {e.nu!r}, not {k}/{spec.n_nu - 1}")
-        if k > 0 and e.achieved < entries[k - 1].achieved:
+    for k, (row, (nu, achieved, _)) in enumerate(zip(rows, numbers)):
+        if len(row) != n_t:
+            raise ValueError(f"entry {k} has {len(row)} bits, header says n_t = {n_t}")
+        if abs(nu - k / (spec.n_nu - 1)) > 1e-12:
+            raise ValueError(f"entry {k} has nu = {nu!r}, not {k}/{spec.n_nu - 1}")
+        if k > 0 and achieved < numbers[k - 1][1]:
             raise ValueError(f"achieved value decreases at entry {k}")
+    _, achieved, residual = np.array(numbers).reshape(-1, 3).T
     return Lut(
-        entries=entries,
         levels=np.array(rows),
+        achieved=achieved,
+        residual=residual,
         spec=spec,
-        n_t=n_t,
         pitch=_field(data, "pitch", "table header", above=0),
         psf_beam_sha256=_field(data, "psf_beam_sha256", "table header", _digest),
         seed=_field(data, "seed", "table header", as_index, low=0),

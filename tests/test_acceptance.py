@@ -90,10 +90,10 @@ def test_criterion_3_lut_quality(criterion, scenario):
     lut = build_scenario_lut(scenario)
     dt = time.perf_counter() - t0
     targets = np.linspace(0.0, 1.0, lut.n_nu)
-    err = np.abs(lut.achieved_values() - targets)
+    err = np.abs(lut.achieved - targets)
     acc = 0.05 / (lut.n_nu - 1)
     n_ok = int(np.count_nonzero(err <= acc))
-    monotone = bool(np.all(np.diff(lut.achieved_values()) >= 0.0))
+    monotone = bool(np.all(np.diff(lut.achieved) >= 0.0))
     ok = (
         n_ok >= int(np.ceil(0.9 * lut.n_nu))
         and bool(np.all(err <= 4.0 * acc))
@@ -208,7 +208,7 @@ def test_criterion_7_separable_route(criterion, scenario, reference_prepared, re
         scenario.control.alpha_v,
     ).values
     idx = reference_lut.nearest_index(nu.values)
-    achieved = reference_lut.achieved_values()[idx]
+    achieved = reference_lut.achieved[idx]
     v_sep = propagate_separable(
         RealField1D(grid=pre.col_grid, values=achieved),
         pre.beam,
@@ -257,7 +257,7 @@ def test_criterion_8_numerical_invariants(
     )
 
     # the table addresses monotonically
-    checks["lut_monotone"] = bool(np.all(np.diff(reference_lut.achieved_values()) >= 0.0))
+    checks["lut_monotone"] = bool(np.all(np.diff(reference_lut.achieved) >= 0.0))
 
     # zero error leaves the input on its table indices, with no clamp
     index = reference_lut.nearest_index(np.full(reference_prepared.col_grid.n_points, 0.5))

@@ -810,7 +810,7 @@ def test_level_update_moves_onto_levels_and_lowers_the_predicted_error(
     pre = small_prepared
     nu, e = _support_bump(pre, 3.0, small_lut)
     held, _ = _held_update(nu, e, pre, small_lut)
-    levels = [entry.nu for entry in small_lut.entries]
+    levels = small_lut.nu_levels
     assert np.all(np.isin(held, levels))
     assert not np.array_equal(held, nu)
     # the field change by the pixel sum of the applied and the held
@@ -828,10 +828,7 @@ def test_level_update_moves_onto_levels_and_lowers_the_predicted_error(
 def test_level_update_holds_a_move_the_table_cannot_deliver(small_prepared, small_lut):
     # every level achieves the same field, so no move changes the plant
     # and none can lower the predicted error, however far the law asks
-    flat = dataclasses.replace(
-        small_lut,
-        entries=tuple(dataclasses.replace(entry, achieved=0.5) for entry in small_lut.entries),
-    )
+    flat = dataclasses.replace(small_lut, achieved=np.full(small_lut.n_nu, 0.5))
     nu, e = _support_bump(small_prepared, 3.0, flat)
     held, _ = _held_update(nu, e, small_prepared, flat)
     assert np.max(np.abs(_law_correction(e, small_prepared))) > 2.0 / (flat.n_nu - 1)
@@ -844,7 +841,7 @@ def _dense_level_update(nu, e, pre, lut):
     # columns where the law's target nu - L * e leaves [0, 1]; also counts
     # the trials and those that move a column
     levels = lut.nu_levels
-    achieved = lut.achieved_values()
+    achieved = lut.achieved
     corr = correction(scaled_error(e, pre.gain), pre.kernel, pre.col_grid)
     raw = nu - corr
     clamp_count = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
@@ -874,13 +871,7 @@ def test_level_update_equals_the_dense_trial_prediction(which, request):
     # no grid row and the oracle's product runs over them too
     pre = request.getfixturevalue(f"{which}_prepared")
     table = request.getfixturevalue(f"{which}_lut")
-    backwards = dataclasses.replace(
-        table,
-        entries=tuple(
-            dataclasses.replace(entry, achieved=other.achieved)
-            for entry, other in zip(table.entries, table.entries[::-1])
-        ),
-    )
+    backwards = dataclasses.replace(table, achieved=table.achieved[::-1])
     rng = np.random.default_rng(13)
     z = pre.grid.samples
     support = z[pre.gain.support]

@@ -19,7 +19,6 @@ from potshape.inputmap import (
     MUTATIONS,
     TOURNAMENT,
     Lut,
-    LutEntry,
     LutSpec,
     PatternObjective,
     _ga_minimise,
@@ -79,25 +78,41 @@ def fast_lut(fast_spec, fast_dmd, psf, beam):
 
 
 def test_lut_levels_validation():
-    # the levels are the table's one bit store: a read-only uint8 copy of
-    # an (n_nu, n_t) array of 0/1 bits with one pattern per row
+    # the table is its three arrays, each a read-only copy: the levels an
+    # (n_nu, n_t) uint8 array of 0/1 bits with one pattern per row, and
+    # the achieved values and residuals one float per row
     bits = [[0, 0, 0], [1, 0, 0], [1, 1, 1]]
     lut = _toy_lut(n_nu=3, levels=bits)
     assert lut.levels.dtype == np.uint8 and lut.levels.tolist() == bits
-    assert not lut.levels.flags.writeable
+    assert lut.achieved.tolist() == [0.0, 0.5, 1.0] and lut.residual.tolist() == [0.0] * 3
+    for values in (lut.levels, lut.achieved, lut.residual, lut.nu_levels):
+        assert not values.flags.writeable
     with pytest.raises(ValueError):
         lut.levels[0, 0] = 1
-    for bad in ([[0, 0, 0], [1, 1, 1]], [[0, 0], [1, 0], [1, 1]], [0, 1, 1]):
-        with pytest.raises(ValueError, match=r"levels must be a \(3, 3\) array of 0/1 bits"):
+    for bad in ([[0, 0, 0], [1, 1, 1]], [0, 1, 1]):
+        with pytest.raises(ValueError, match=r"levels must be a \(3, n_t\) array of 0/1 bits"):
             _toy_lut(n_nu=3, levels=bad)
-    with pytest.raises(ValueError, match=r"levels must be a \(3, 3\) array of 0/1 bits"):
+    with pytest.raises(ValueError, match=r"levels must be a \(3, n_t\) array of 0/1 bits"):
         _toy_lut(n_nu=3, levels=[[0, 0, 0], [2, 0, 0], [1, 1, 1]])
     with pytest.raises(ValueError, match="entries 0 and 2 share one bit pattern"):
         _toy_lut(n_nu=3, levels=[[0, 1, 0], [1, 0, 0], [0, 1, 0]])
-    # the table section's n_nu counts the entries too
-    lut = _toy_lut(n_nu=3, levels=bits)
-    with pytest.raises(ValueError, match=r"\(4, 3\) array of 0/1 bits, one entry a row"):
+    # the table section's n_nu counts the achieved values and residuals too
+    with pytest.raises(ValueError, match="achieved must hold 4 values, one an entry"):
         dataclasses.replace(lut, spec=LutSpec(n_nu=4), levels=bits + [[0, 1, 0]])
+    for name in ("achieved", "residual"):
+        for bad in ([0.0, 1.0], [0.0, 0.5, 1.0, 1.0], [[0.0, 0.5, 1.0]], 0.0):
+            with pytest.raises(ValueError, match=f"{name} must hold 3 values, one an entry"):
+                _toy_lut(n_nu=3, **{name: bad})
+    # n_t is the bits' row length
+    assert lut.n_t == 3
+    assert _toy_lut(n_nu=3, levels=[[0, 0], [1, 0], [1, 1]]).n_t == 2
+    # nu is k / (n_nu - 1), the grid nearest_index addresses, and is no
+    # constructor argument: no table holds a level off that grid
+    lut = _toy_lut(n_nu=51, n_t=6)
+    assert np.max(np.abs(lut.nu_levels - np.arange(51) / 50)) <= 1e-15
+    assert np.array_equal(lut.nearest_index(lut.nu_levels), np.arange(51))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nu_levels'"):
+        _toy_lut(n_nu=3, nu_levels=[0.0, 0.4, 1.0])
 
 
 def test_all_ones_column_is_normalised(fast_obj, fast_dmd):
@@ -320,8 +335,8 @@ def test_two_entry_table_is_the_extremes(fast_spec, fast_dmd, psf, beam):
     lut = build_lut(dataclasses.replace(fast_spec, n_nu=2), fast_dmd, psf, beam, SEED)
     assert not np.any(lut.levels[0])
     assert np.all(lut.levels[1] == 1)
-    assert lut.entries[0].achieved == 0.0
-    assert lut.entries[1].achieved == pytest.approx(1.0, abs=1e-12)
+    assert lut.achieved[0] == 0.0
+    assert lut.achieved[1] == pytest.approx(1.0, abs=1e-12)
     # the table section is the one rule for the level count; the master
     # seed, which comes without a section, is checked by the build
     with pytest.raises(ValueError, match="n_nu must be >= 2, got 1"):
@@ -334,22 +349,30 @@ def test_two_entry_table_is_the_extremes(fast_spec, fast_dmd, psf, beam):
 
 def test_fast_table_levels_and_monotonicity(fast_lut):
     nus = np.linspace(0.0, 1.0, 7)
-    errs = np.abs(fast_lut.achieved_values() - nus)
+    errs = np.abs(fast_lut.achieved - nus)
     assert np.all(errs <= 4.0 * 0.05 / 6.0)
-    assert np.all(np.diff(fast_lut.achieved_values()) >= 0.0)
+    assert np.all(np.diff(fast_lut.achieved) >= 0.0)
 
 
 def test_reference_table_is_monotone(reference_lut):
-    ach = reference_lut.achieved_values()
+    ach = reference_lut.achieved
     assert reference_lut.n_nu == 51
     assert np.all(np.diff(ach) >= 0.0)
     assert ach[0] == 0.0 and abs(ach[-1] - 1.0) < 1e-12
 
 
-def test_achieved_values_are_one_read_only_array_of_the_entries(reference_lut):
-    ach = reference_lut.achieved_values()
-    assert ach is reference_lut.achieved_values() and not ach.flags.writeable
-    assert ach.tobytes() == np.array([e.achieved for e in reference_lut.entries]).tobytes()
+def test_perfbench_views_read_the_tables_arrays(reference_lut):
+    # perfbench reads the table through its records and achieved_values(),
+    # views of the three arrays that nothing else reads
+    lut = reference_lut
+    records = lut.entries
+    assert len(records) == lut.n_nu
+    arrays = {"nu": lut.nu_levels, "achieved": lut.achieved, "residual": lut.residual}
+    for k, record in enumerate(records):
+        for name, values in arrays.items():
+            assert float(getattr(record, name)).hex() == float(values[k]).hex()
+    ach = lut.achieved_values()
+    assert ach is lut.achieved and not ach.flags.writeable
     with pytest.raises(ValueError):
         ach[0] = 1.0
 
@@ -359,14 +382,14 @@ def test_reference_table_stored_values_are_consistent(
 ):
     # stored achieved values must equal |E(0)| recomputed from the bits
     obj = PatternObjective(scenario.lut, scenario.dmd, scenario.psf, reference_prepared.beam)
-    for e, bits in zip(reference_lut.entries, reference_lut.levels):
+    for achieved, bits in zip(reference_lut.achieved, reference_lut.levels):
         again = float(obj.on_axis(bits)[0])
-        assert abs(e.achieved - again) < 1e-12
+        assert abs(achieved - again) < 1e-12
 
 
 def test_build_is_deterministic(fast_spec, fast_dmd, psf, beam, fast_lut):
     again = build_lut(fast_spec, fast_dmd, psf, beam, SEED)
-    assert np.array_equal(again.achieved_values(), fast_lut.achieved_values())
+    assert np.array_equal(again.achieved, fast_lut.achieved)
     assert np.array_equal(again.levels, fast_lut.levels)
 
 
@@ -376,14 +399,13 @@ def test_table_entries_equal_their_solo_solves(fast_obj, fast_lut):
     acc = 0.05 / (fast_lut.n_nu - 1)
     untouched = 0
     for k in range(1, fast_lut.n_nu - 1):
-        e = fast_lut.entries[k]
         rng = np.random.default_rng([SEED, k])
-        bits, ach, res = solve_pattern(fast_obj, e.nu, acc, rng, ())
-        if ach < fast_lut.entries[k - 1].achieved:
+        bits, ach, res = solve_pattern(fast_obj, fast_lut.nu_levels[k], acc, rng, ())
+        if ach < fast_lut.achieved[k - 1]:
             continue  # repaired
         untouched += 1
         assert np.array_equal(bits, fast_lut.levels[k])
-        assert ach == e.achieved and res == e.residual
+        assert ach == fast_lut.achieved[k] and res == fast_lut.residual[k]
     assert untouched >= 3
 
 
@@ -454,7 +476,7 @@ def test_levels_sharing_a_pattern_are_a_hard_error(psf, beam):
 
 
 def test_quantisation_error_is_bounded(fast_lut):
-    ach = fast_lut.achieved_values()
+    ach = fast_lut.achieved
     worst_entry = np.max(np.abs(ach - np.linspace(0.0, 1.0, fast_lut.n_nu)))
     bound = 0.5 / (fast_lut.n_nu - 1) + worst_entry + 1e-12
 
@@ -470,23 +492,17 @@ def test_quantisation_error_is_bounded(fast_lut):
 # -------------------------------------------------- addressing and i/o
 
 
-def _toy_lut(n_nu=5, n_t=3, levels=None):
+def _toy_lut(n_nu=5, n_t=3, **arrays):
     # synthetic table for addressing tests; by default level k's bits are
-    # the binary encoding of k, which keeps the patterns distinct
-    if levels is None:
-        levels = (np.arange(n_nu)[:, None] >> np.arange(n_t)) & 1
-    entries = tuple(
-        LutEntry(nu=k / (n_nu - 1), achieved=k / (n_nu - 1), residual=0.0) for k in range(n_nu)
-    )
-    return Lut(
-        entries=entries,
-        levels=levels,
-        spec=LutSpec(n_nu=n_nu),
-        n_t=n_t,
-        pitch=1.0,
-        psf_beam_sha256="0" * 64,
-        seed=0,
-    )
+    # the binary encoding of k, which keeps the patterns distinct, and its
+    # achieved value is its nu; ``arrays`` replaces any of the three
+    table = {
+        "levels": (np.arange(n_nu)[:, None] >> np.arange(n_t)) & 1,
+        "achieved": np.arange(n_nu) / (n_nu - 1),
+        "residual": np.zeros(n_nu),
+        **arrays,
+    }
+    return Lut(**table, spec=LutSpec(n_nu=n_nu), pitch=1.0, psf_beam_sha256="0" * 64, seed=0)
 
 
 def test_nearest_index_rounds_ties_down():
@@ -512,7 +528,7 @@ def test_map_and_invert_round_trip():
     assert pattern.bits.shape == (3, 9)
     back = invert_pattern(pattern, lut)
     idx = lut.nearest_index(nu.values)
-    expect = np.array([lut.entries[i].nu for i in idx])
+    expect = lut.nu_levels[idx]
     assert np.array_equal(back.values, expect)
     assert np.all(np.diff(idx) >= 0)
 
@@ -549,7 +565,7 @@ def test_save_load_round_trip(tmp_path, fast_lut):
     save_lut(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert again.n_nu == fast_lut.n_nu
-    assert np.array_equal(again.achieved_values(), fast_lut.achieved_values())
+    assert np.array_equal(again.achieved, fast_lut.achieved)
     assert np.array_equal(again.levels, fast_lut.levels)
 
 
@@ -670,7 +686,7 @@ def test_load_rejects_malformed_files(tmp_path, fast_lut):
 
     for edit, match in (
         (lambda es: es[3].pop("bits"), "entry 3 lacks 'bits'"),
-        (lambda es: es.pop(), r"\(7, 40\) array of 0/1 bits, one entry a row"),
+        (lambda es: es.pop(), r"\(7, n_t\) array of 0/1 bits, one entry a row"),
         (lambda es: es.__setitem__(1, [0.1, "01"]), "entry 1 is not a JSON object"),
         (lambda es: es[3].update(bits=es[3]["bits"][:-1]), "entry 3 has 39 bits"),
         (lambda es: es[2].update(nu=es[2]["nu"] + 1e-9), "entry 2 has nu"),
