@@ -24,6 +24,11 @@ per level's matrix or per row, with the shape a single-level call uses,
 so every value equals its single-level value bit for bit.  An entry is
 therefore bit-identical to a :func:`solve_pattern` call for that level
 with the entry's child seed, which runs the same code with one level.
+A generation's tournament and crossover draws are read from the
+generator's raw PCG64 stream, one call per level, as exactly the values
+numpy's ``integers`` would draw; numpy's own calls draw them for another
+bit generator, a kept 32-bit half, an odd number of entrants, a mask of
+part of a 64-bit output or a rejected entrant draw.
 
 Refinement is one single-bit-flip descent over a stack of bit rows; the
 polish, the walk onto the target, the capped polish and the monotone
@@ -161,6 +166,47 @@ class PatternObjective:
         return e0_f, (e0_f - nu) ** 2 + ep_f @ self.pen_weights
 
 
+def _selection_draws(rng, idx: np.ndarray, mask: np.ndarray) -> None:
+    """Fill one generation's tournament entrants ``idx``, (P, TOURNAMENT)
+    int64, and crossover mask ``mask``, (n_pairs, n_t) uint8, from ``rng``
+    bit for bit as ``rng.integers(0, P, idx.shape)`` and then
+    ``rng.integers(0, 2, mask.shape, dtype=np.uint8)`` fill them, and leave
+    the generator where those two calls leave it.
+
+    numpy draws an integer below P by Lemire's method (ACM TOMACS 29(1),
+    2019) from a 32-bit draw u: the value is (u * P) >> 32, and u is drawn
+    again while (u * P) mod 2**32 < (2**32 - P) mod P.  It takes an integer
+    in [0, 2) of dtype uint8 as the top bit of a byte of a 32-bit draw, the
+    draw's four bytes low first.  PCG64 makes two 32-bit draws from each
+    64-bit output, low half first, and keeps an unused high half for the
+    next 32-bit draw (``state["has_uint32"]``).  So for a PCG64 generator
+    that keeps no half, an even number of entrants (fewer than 2**31, so
+    u * P fits an int64), a mask of whole 64-bit outputs and no rejected
+    entrant draw, one ``random_raw`` call holds every draw in order, and
+    the values follow from it by arithmetic.  Any other case restores the
+    generator and makes numpy's two calls.  The raw call leaves
+    ``state["uinteger"]``, the kept half's value, as it was, where numpy's
+    calls leave their last high half there; no draw reads that value while
+    ``has_uint32`` is 0.
+    """
+    bg = rng.bit_generator
+    P = len(idx)
+    if type(bg) is np.random.PCG64 and idx.size % 2 == 0 and mask.size % 8 == 0 and P < 2**31:
+        state = bg.state
+        if not state["has_uint32"]:
+            half = idx.size // 2
+            # little-endian views: each output's low half and low byte first
+            raw = bg.random_raw(half + mask.size // 8).astype("<u8", copy=False)
+            np.multiply(raw[:half].view("<u4").reshape(idx.shape), np.int64(P), out=idx)
+            if not ((idx & 0xFFFFFFFF) < (2**32 - P) % P).any():
+                idx >>= 32
+                np.right_shift(raw[half:].view(np.uint8).reshape(mask.shape), 7, out=mask)
+                return
+            bg.state = state
+    idx[...] = rng.integers(0, P, size=idx.shape)
+    mask[...] = rng.integers(0, 2, size=mask.shape, dtype=np.uint8)
+
+
 # levels per stacked cost call of the genetic search: it bounds the float
 # copy of the stack (320 KB for the reference table's 100 x 100 population),
 # and larger blocks save little time for the memory they add
@@ -172,7 +218,10 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
 
     The levels run in lockstep: each level draws from its own generator,
     in the same order as a search run alone (tournament indices,
-    crossover mask, mutation uniforms), and a generation's costs are
+    crossover mask, mutation uniforms).  :func:`_selection_draws` reads a
+    level's indices and mask from one raw PCG64 call, as exactly the values
+    numpy's ``integers`` calls would draw, and makes those calls where it
+    cannot; the uniforms are ``rng.random``'s.  A generation's costs are
     scored for all levels by stacked ``obj.value`` calls, one BLAS call
     per level's (P, n_t) matrix as in a search run alone, so every
     level's result equals its solo search bit for bit.  The stack is
@@ -217,8 +266,7 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     offsets = (np.arange(m) * P)[:, None, None]
     for _ in range(spec.generations):
         for k, rng in enumerate(rngs):
-            idx[k] = rng.integers(0, P, size=(P, TOURNAMENT))
-            mask[k] = rng.integers(0, 2, size=(n_pairs, n), dtype=np.uint8)
+            _selection_draws(rng, idx[k], mask[k])
             np.less(rng.random(out=uniform), rate, out=flips[k])
         # tournament selection, gathered through flat indices
         flat = (idx + offsets).reshape(m * P, TOURNAMENT)

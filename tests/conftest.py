@@ -1,6 +1,6 @@
 """Shared fixtures: the reference scenario artifacts are computed once
 per session and shared.  On a 2-core host with one BLAS thread the table
-build takes about 1.0-1.4 s, prepare (with the desired ground state)
+build takes about 0.65-0.8 s, prepare (with the desired ground state)
 about 0.03 s and the 80-iteration closed loop about 0.3 s."""
 
 import logging

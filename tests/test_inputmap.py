@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from potshape import inputmap
 from potshape.core import RealField1D
 from potshape.inputmap import (
     ELITE,
@@ -24,14 +25,17 @@ from potshape.inputmap import (
     _ga_minimise,
     _monotone_repair,
     _refine,
+    _selection_draws,
     build_lut,
     invert_pattern,
     load_lut,
+    lut_sha256,
     map_virtual_input,
     psf_beam_hash,
     save_lut,
     solve_pattern,
 )
+from potshape.harness import build_scenario_lut
 from potshape.optics import BeamProfile, DmdSpec, PsfModel, calibrate_beam, column_grid
 
 # the master seed of the scaled-down tables and searches
@@ -186,6 +190,94 @@ def test_stacked_scoring_equals_per_level_calls(psf, beam, n_t):
 # -------------------------------------------------------- pattern search
 
 
+def _numpy_selection_draws(rng, idx, mask):
+    # a generation's tournament and crossover draws by numpy's own calls
+    idx[...] = rng.integers(0, len(idx), size=idx.shape)
+    mask[...] = rng.integers(0, 2, size=mask.shape, dtype=np.uint8)
+
+
+def _first_rejection(bound, seed):
+    """Index of the first 64-bit output of PCG64(seed) holding a 32-bit
+    draw that Lemire's method rejects for integers below ``bound``."""
+    bg = np.random.PCG64(seed)
+    threshold, start = (2**32 - bound) % bound, 0
+    while True:
+        u = bg.random_raw(2**20).astype("<u8").view("<u4").astype(np.uint64)
+        hit = np.flatnonzero(u * bound % 2**32 < threshold)
+        if hit.size:
+            return start + int(hit[0]) // 2
+        start += 2**20
+
+
+def _generators(case):
+    """Two generators in one state: the fast path's case, or one of the
+    cases numpy's own calls must draw."""
+    if case == "mt19937":
+        return [np.random.Generator(np.random.MT19937(8)) for _ in range(2)]
+    pair = [np.random.default_rng(8) for _ in range(2)]
+    if case == "kept_half":
+        for rng in pair:
+            rng.integers(0, 7)  # one 32-bit draw keeps the high half
+    if case == "rejection":
+        # output 10 of the 150 that the entrants take holds a rejected draw
+        start = _first_rejection(100, 8) - 10
+        pair = [np.random.Generator(np.random.PCG64(8).advance(start)) for _ in range(2)]
+    return pair
+
+
+@pytest.mark.parametrize(
+    "case, population, n_t",
+    [
+        ("fast", 100, 100),
+        ("fast", 40, 6),
+        ("odd_entrants", 41, 40),
+        ("mask_not_whole_outputs", 40, 7),
+        ("kept_half", 100, 100),
+        ("rejection", 100, 100),
+        ("mt19937", 100, 100),
+    ],
+)
+def test_selection_draws_equal_numpys_calls(case, population, n_t):
+    # the raw-stream draws return numpy's integers and leave the generator
+    # in numpy's state; the fast path alone leaves the unread kept half's
+    # value as it was
+    got, expect = _generators(case)
+    before = got.bit_generator.state
+    shapes = ((population, TOURNAMENT), (population // 2, n_t))
+    idx, mask = np.empty(shapes[0], np.int64), np.empty(shapes[1], np.uint8)
+    _selection_draws(got, idx, mask)
+    expect_idx, expect_mask = np.empty_like(idx), np.empty_like(mask)
+    _numpy_selection_draws(expect, expect_idx, expect_mask)
+    assert np.array_equal(idx, expect_idx) and np.array_equal(mask, expect_mask)
+    assert idx.min() >= 0 and idx.max() < population and set(np.unique(mask)) <= {0, 1}
+    state, expect_state = got.bit_generator.state, expect.bit_generator.state
+    if case == "fast":
+        assert not expect_state["has_uint32"]
+        assert state.pop("uinteger") == before["uinteger"] != expect_state.pop("uinteger")
+    assert json.dumps(state, default=np.ndarray.tolist) == json.dumps(
+        expect_state, default=np.ndarray.tolist
+    )
+    if case == "rejection":
+        # numpy's entrants redrew: its stream ran past the fast path's count
+        probe = np.random.PCG64(0)
+        probe.state = before
+        probe.advance(idx.size // 2 + mask.size // 8)
+        assert probe.state["state"] != expect_state["state"]
+    # the next draws agree, a kept half's 32-bit draw among them
+    assert np.array_equal(
+        got.integers(0, 2**32, size=3, dtype=np.uint32),
+        expect.integers(0, 2**32, size=3, dtype=np.uint32),
+    )
+    assert np.array_equal(got.random(4), expect.random(4))
+
+
+def test_reference_table_equals_numpys_draws(monkeypatch, scenario, reference_lut):
+    # the reference table with every tournament and crossover draw made by
+    # numpy's own calls is the table the raw-stream draws build
+    monkeypatch.setattr(inputmap, "_selection_draws", _numpy_selection_draws)
+    assert lut_sha256(build_scenario_lut(scenario)) == lut_sha256(reference_lut)
+
+
 def _solo_ga(obj, nu, rng):
     """One level's genetic search on its own: the reference the lockstep
     search over many levels must reproduce bit for bit."""
@@ -293,16 +385,31 @@ def test_lockstep_refinement_matches_solo_refinement(fast_obj, fast_dmd, fast_lu
     assert np.array_equal(got[0], expect[0]) and got[1:] == tuple(expect[1:])
 
 
-def test_lockstep_search_matches_solo_searches(psf, beam):
-    # odd population exercises the unpaired parent, ELITE > 1 the elitism
-    obj = PatternObjective(LutSpec(population=41, generations=30), DmdSpec(n_rows=40), psf, beam)
+def _check_lockstep_search(psf, beam, population, generations, n_t):
+    # six levels searched together equal their solo searches bit for bit
+    spec = LutSpec(population=population, generations=generations)
+    obj = PatternObjective(spec, DmdSpec(n_rows=n_t), psf, beam)
     nus = np.array([0.05, 0.3, 0.5, 0.5, 0.77, 0.95])
     got = _ga_minimise(obj, nus, [np.random.default_rng([5, k]) for k in range(len(nus))])
-    assert got.shape == (len(nus), 40) and got.dtype == np.uint8
+    assert got.shape == (len(nus), n_t) and got.dtype == np.uint8
     for k, nu in enumerate(nus):
         expect = _solo_ga(obj, nu, np.random.default_rng([5, k]))
         assert np.array_equal(got[k], expect), f"level {k}"
-    assert _ga_minimise(obj, nus[:0], []).shape == (0, 40)
+    assert _ga_minimise(obj, nus[:0], []).shape == (0, n_t)
+
+
+def test_lockstep_search_matches_solo_searches(psf, beam):
+    # odd population exercises the unpaired parent and numpy's own
+    # selection draws, ELITE > 1 the elitism
+    _check_lockstep_search(psf, beam, 41, 30, 40)
+
+
+@pytest.mark.parametrize("population, generations, n_t", [(40, 30, 40), (100, 5, 100)])
+def test_lockstep_search_on_raw_draws_matches_solo_searches(psf, beam, population, generations, n_t):
+    # even populations take the raw-stream selection draws (the reference
+    # table's population and mirrors among them), the solo search numpy's
+    # own integers calls
+    _check_lockstep_search(psf, beam, population, generations, n_t)
 
 
 def test_solve_pattern_extremes(fast_obj):
