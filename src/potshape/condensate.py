@@ -63,12 +63,15 @@ TF_NORM_TOL = 1e-10
 
 # The ground state first relaxes on every COARSE_FACTOR-th sample when the
 # grid's point count divides by it.  Measured on the reference 2700-point
-# grid (2-core Xeon, one BLAS thread), over perfbench's 100 groundstate-cold
-# potentials at seed 7 and the desired one: a step costs 115 us there and
-# 68 us at 675 points.  After a coarse stage at 4x the full-grid stage
-# needs a median of 1 step (max 9); at 5x 10 (max 403), at 6x 37, at 9x
-# 87.  The median solve takes 14.8 ms at 4x, 15.6 ms at 5x, 15.7 ms at 3x,
-# 18.5 ms at 2x and 22.4 ms on the full grid alone.
+# grid, over perfbench's 100 groundstate-cold potentials at seed 7 and the
+# desired one: after a coarse stage at 4x the full-grid stage needs a
+# median of 1 step (max 9); at 5x 10 (max 403), at 6x 37, at 9x 87.  On a
+# slower 2-core Xeon with one BLAS thread, where a step cost 115 us at
+# 2700 points and 68 us at 675, the median solve took 14.8 ms at 4x,
+# 15.6 ms at 5x, 15.7 ms at 3x, 18.5 ms at 2x and 22.4 ms on the full grid
+# alone.  Measured again in October 2026 on a 2-core Xeon KVM guest (one
+# BLAS thread, fastest of 7 runs of 200 steps), a step costs 73 us at 2700
+# points and 38 us at 675.
 COARSE_FACTOR = 4
 
 # Imaginary time in ms after which the coarse stage reads its state's
@@ -182,10 +185,28 @@ def inverse_nonlinearity(t, params: CondensateParams):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("interaction energy must be non-negative")
-    s = t / params.omega_perp
-    c = 1.0 + s
-    d = s * (1.0 + (2.0 + s) / (np.sqrt(c * c + 3.0) + 2.0)) / 3.0
-    return d * (d + 2.0) / (2.0 * params.coupling)
+    return _inverse_nonlinearity(t, params, np.empty_like(t))[()]
+
+
+def _inverse_nonlinearity(t: np.ndarray, params, out: np.ndarray) -> np.ndarray:
+    """The formula of :func:`inverse_nonlinearity` without its checks,
+    written into ``out`` (which may be ``t``) with two work arrays."""
+    s = np.divide(t, params.omega_perp, out=out)
+    q = np.add(s, 1.0, out=np.empty_like(s))
+    q *= q
+    q += 3.0
+    np.sqrt(q, out=q)
+    q += 2.0
+    r = np.add(s, 2.0, out=np.empty_like(s))
+    r /= q
+    r += 1.0
+    s *= r
+    s /= 3.0
+    # s is now d; rho = d (d + 2) / (2b)
+    np.add(s, 2.0, out=q)
+    s *= q
+    s /= 2.0 * params.coupling
+    return s
 
 
 def interaction_energy_density(rho, params: CondensateParams):
@@ -281,18 +302,21 @@ def _split_step_constants(n: int, dz: float, dtau: float, mass: float) -> tuple:
     return k, half_kin, norm_weights, kin_weights, carried_kin_weights
 
 
-def _effective_potential(rho: np.ndarray, v_offset: np.ndarray, params) -> np.ndarray:
+def _effective_potential(
+    rho: np.ndarray, v_offset: np.ndarray, params, out=None, work=None
+) -> np.ndarray:
     """V + h(rho) for v_offset = V - omega_perp, in seven array operations.
 
     With q = sqrt(1 + 2 b rho), 1 + 3 b rho = (3 q^2 - 1) / 2, so
     h = omega_perp (1.5 q - 0.5 / q - 1); equal to :func:`nonlinearity`
-    to rounding.  No checks: the solver's rho = phi^2 is non-negative by
-    construction.
+    to rounding.  The result goes to ``out`` and q to ``work``, arrays
+    shaped like rho, each allocated when None.  No checks: the solver's
+    rho = phi^2 is non-negative by construction.
     """
-    q = rho * (2.0 * params.coupling)
+    q = np.multiply(rho, 2.0 * params.coupling, out=work)
     q += 1.0
     np.sqrt(q, out=q)
-    w = np.divide(-0.5 * params.omega_perp, q)
+    w = np.divide(-0.5 * params.omega_perp, q, out=out)
     q *= 1.5 * params.omega_perp
     w += q
     w += v_offset
@@ -331,16 +355,29 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
     starts at ``steps``, reaches ``max_steps``.  ``on_step(post, power)``
     sees every post-step spectrum.  Returns the last post-step spectrum,
     its power |post|^2, the step count, whether mu converged and its last
-    relative change.  It logs nothing; failures raise.
+    relative change.  It logs nothing; failures raise.  Its work arrays
+    are allocated once per call and filled in place, so a step allocates
+    only its two transforms' outputs; the returned power is a work array.
     """
     n = v_offset.size
     _, half_kin, norm_weights, _, carried_kin_weights = consts
-    power = post.real**2 + post.imag**2
-    nrm = float(np.dot(norm_weights, power))
-    if not nrm > 0:
-        raise ValueError("initial state has zero norm")
+    power = np.empty(half_kin.size)
+    power_im = np.empty(half_kin.size)
+    scale = np.empty(half_kin.size)
     carried = np.empty_like(post)
     rho = np.empty(n)
+    w = np.empty(n)
+    product = np.empty(n)
+    neg_dtau = -cfg.dtau
+
+    def power_of(post):
+        # |post|^2 as post.real**2 + post.imag**2
+        np.square(post.real, out=power)
+        return np.add(power, np.square(post.imag, out=power_im), out=power)
+
+    nrm = float(np.dot(norm_weights, power_of(post)))
+    if not nrm > 0:
+        raise ValueError("initial state has zero norm")
     first = steps
     mu = last_change = np.nan
 
@@ -355,13 +392,15 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
         while True:
             # the pre-potential state phi_a and its mu, from the V + h(rho)
             # that the potential step applies
-            np.multiply(post, half_kin / np.sqrt(nrm), out=carried)
+            np.divide(half_kin, math.sqrt(nrm), out=scale)
+            np.multiply(post, scale, out=carried)
             phi = scipy.fft.irfft(carried, n)
             np.multiply(phi, phi, out=rho)
-            w = _effective_potential(rho, v_offset, params)
+            _effective_potential(rho, v_offset, params, out=w, work=product)
             kinetic = float(np.dot(carried_kin_weights, power)) / nrm
-            mu_new = (kinetic + _trapezoid(w * rho, dz)) / _trapezoid(rho, dz)
-            if not np.isfinite(mu_new):
+            np.multiply(w, rho, out=product)
+            mu_new = (kinetic + _trapezoid(product, dz)) / _trapezoid(rho, dz)
+            if not math.isfinite(mu_new):
                 raise failure("chemical potential became non-finite")
             if steps > first:
                 last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
@@ -370,14 +409,13 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
             mu = mu_new
             if steps == max_steps:
                 return post, power, steps, False, last_change
-            w *= -cfg.dtau
+            w *= neg_dtau
             phi *= np.exp(w, out=w)
             post = scipy.fft.rfft(phi)
             post *= half_kin
             steps += 1
-            power = post.real**2 + post.imag**2
-            nrm = float(np.dot(norm_weights, power))
-            if not np.isfinite(nrm):
+            nrm = float(np.dot(norm_weights, power_of(post)))
+            if not math.isfinite(nrm):
                 raise failure("wave function overflowed")
             if nrm <= 0:
                 raise failure("wave function vanished (its norm underflowed to 0)")
@@ -540,7 +578,9 @@ def thomas_fermi_density(potential: RealField1D, params: CondensateParams):
 
     Returns (rho, mu) with rho from :func:`inverse_nonlinearity` and mu
     adjusted by bisection until the density integrates to 1 within
-    TF_NORM_TOL.
+    TF_NORM_TOL.  The bisection inverts h only on the bracket's support,
+    the samples whose V lies below its upper end, and writes 0.0
+    elsewhere, which gives the same bits as inverting every sample.
     """
     if params.coupling <= 0:
         raise ConvergenceError(
@@ -550,9 +590,16 @@ def thomas_fermi_density(potential: RealField1D, params: CondensateParams):
     if not np.all(np.isfinite(v)):
         raise ValueError("potential must be finite")
     grid = potential.grid
+    # the samples whose V lies below the bracket's upper end, the only ones
+    # where mu - V > 0 for a mu in the bracket; the density is 0.0 elsewhere
+    support = np.arange(v.size)
+    v_support = v
 
     def density_for(mu):
-        return inverse_nonlinearity(np.clip(mu - v, 0.0, None), params)
+        t = np.clip(mu - v_support, 0.0, None)
+        rho = np.zeros(v.size)
+        rho[support] = _inverse_nonlinearity(t, params, t)
+        return rho
 
     def norm_for(mu):
         return np.trapezoid(density_for(mu), dx=grid.dz)
@@ -576,6 +623,8 @@ def thomas_fermi_density(potential: RealField1D, params: CondensateParams):
             mu_lo = mu_mid
         else:
             mu_hi = mu_mid
+            below = v_support < mu_hi
+            support, v_support = support[below], v_support[below]
     mu = 0.5 * (mu_lo + mu_hi)
     rho = density_for(mu)
     n = np.trapezoid(rho, dx=grid.dz)

@@ -44,6 +44,12 @@ MASS = 1.368
 LINEAR = CondensateParams(scattering_length=0.0)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: np.array_equal would take -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _harmonic_potential(grid):
     return RealField1D(grid=grid, values=0.5 * MASS * OMEGA**2 * grid.samples**2)
 
@@ -84,6 +90,10 @@ def test_nonlinearity_limits_and_reference():
     want = v + nonlinearity(rho, p)
     got = condensate._effective_potential(rho, v - p.omega_perp, p)
     assert np.max(np.abs(got - want) / np.maximum(want, p.omega_perp)) < 1e-14
+    # the solver's form, written into its work arrays, gives the same bits
+    out, work = np.full_like(rho, np.nan), np.full_like(rho, np.nan)
+    assert condensate._effective_potential(rho, v - p.omega_perp, p, out=out, work=work) is out
+    assert _same_bits(out, got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,6 +127,41 @@ def test_inverse_nonlinearity_vacuum_and_sign():
     assert np.array_equal(inverse_nonlinearity(np.zeros(3), p), np.zeros(3))
     with pytest.raises(ValueError):
         inverse_nonlinearity(-1e-9, p)
+
+
+def _inverse_formula(t, p):
+    """inverse_nonlinearity's formula as one expression of fresh arrays."""
+    s = t / p.omega_perp
+    c = 1.0 + s
+    d = s * (1.0 + (2.0 + s) / (np.sqrt(c * c + 3.0) + 2.0)) / 3.0
+    return d * (d + 2.0) / (2.0 * p.coupling)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1e100), min_size=1, max_size=40),
+    st.floats(1e-2, 1e3),
+    st.floats(max_value=-np.nextafter(0.0, 1.0)),
+)
+def test_inverse_nonlinearity_kernel_is_its_formula(ts, coupling, negative):
+    # the checked function, the in-place kernel into a new array and into
+    # its own input, and the formula as one expression agree bit for bit
+    p = CondensateParams(scattering_length=coupling / 5000.0)
+    t = np.array(ts)
+    want = _inverse_formula(t, p)
+    assert _same_bits(inverse_nonlinearity(t, p), want)
+    assert _same_bits(condensate._inverse_nonlinearity(t, p, np.empty_like(t)), want)
+    in_place = t.copy()
+    assert condensate._inverse_nonlinearity(in_place, p, in_place) is in_place
+    assert _same_bits(in_place, want)
+    assert _same_bits(t, np.array(ts))
+    # a scalar gives a scalar
+    one = inverse_nonlinearity(ts[0], p)
+    assert isinstance(one, np.float64) and _same_bits(one, want[0])
+    with pytest.raises(ValueError):
+        inverse_nonlinearity(negative, p)
+    with pytest.raises(ValueError):
+        inverse_nonlinearity(np.append(t, negative), p)
 
 
 def test_interaction_energy_is_antiderivative_of_h():
@@ -517,6 +562,27 @@ def test_the_energy_does_not_rise_at_the_stage_switch(scenario, length, monkeypa
     assert e_switch < e_start
 
 
+def test_a_solve_leaves_earlier_results_alone(tilted_well):
+    # the solver's work arrays belong to one call: a second solve of
+    # another potential leaves the first result as it was, a repeat solve
+    # gives its bits again, and a recorded solve keeps one mu per step
+    v, p, cfg = tilted_well
+    other = RealField1D(grid=v.grid, values=v.values[::-1])
+    first = ground_state(v, p, cfg)
+    phi, mu = first.phi.values.copy(), first.mu
+    second = ground_state(other, p, cfg)
+    assert first.converged and second.converged
+    assert not np.allclose(second.phi.values, phi)
+    assert _same_bits(first.phi.values, phi) and first.mu == mu
+    again = ground_state(v, p, cfg)
+    assert _same_bits(again.phi.values, phi) and again.mu == mu
+    assert again.n_steps == first.n_steps
+    recorded = ground_state(other, p, cfg, record_history=True)
+    assert recorded.converged and len(recorded.mu_history) == recorded.n_steps
+    assert recorded.mu_history[-1] == recorded.mu
+    assert _same_bits(first.phi.values, phi) and first.mu == mu
+
+
 @pytest.mark.parametrize("n", [511, 512])
 def test_solver_quadratures_match_numpy(n):
     y = np.random.default_rng(n).standard_normal(n)
@@ -620,6 +686,81 @@ def test_thomas_fermi_flat_box():
     rho2, mu2 = thomas_fermi_density(lifted, p)
     assert mu2 - 3.0 == pytest.approx(float(nonlinearity(1.0 / 400.0, p)), rel=1e-8)
     assert np.max(np.abs(rho2.values - rho.values)) < 1e-11
+
+
+def _tf_full_grid(potential, p):
+    """thomas_fermi_density's bracketing and bisection with h inverted on
+    every sample: the oracle of its evaluation on the bracket's support."""
+    v = potential.values
+    dz = potential.grid.dz
+
+    def density_for(mu):
+        return inverse_nonlinearity(np.clip(mu - v, 0.0, None), p)
+
+    def norm_for(mu):
+        return np.trapezoid(density_for(mu), dx=dz)
+
+    mu_lo = float(np.min(v))
+    span = max(float(np.max(v) - np.min(v)), p.omega_perp)
+    mu_hi = mu_lo + span
+    for _ in range(200):
+        if norm_for(mu_hi) >= 1.0:
+            break
+        mu_hi = mu_lo + 2.0 * (mu_hi - mu_lo)
+    for _ in range(200):
+        mu_mid = 0.5 * (mu_lo + mu_hi)
+        n_mid = norm_for(mu_mid)
+        if abs(n_mid - 1.0) <= condensate.TF_NORM_TOL:
+            mu_lo = mu_hi = mu_mid
+            break
+        if n_mid < 1.0:
+            mu_lo = mu_mid
+        else:
+            mu_hi = mu_mid
+    mu = 0.5 * (mu_lo + mu_hi)
+    return density_for(mu), float(mu)
+
+
+@pytest.mark.parametrize(
+    "case", ["reference", "flat box", "tilted well", "edge", "narrow span", "steep vee"]
+)
+def test_thomas_fermi_support_gives_the_full_grid_bits(scenario, case):
+    p = scenario.condensate
+    if case == "reference":
+        grid = scenario.grid.build()
+        v_mag = magnetic_potential(scenario.magnetic, p.mass, grid)
+        v = RealField1D(
+            grid=grid, values=desired_potential(scenario.desired, grid).values + v_mag.values
+        )
+    elif case == "flat box":
+        v = RealField1D(grid=SpatialGrid1D(400.0, 2048), values=np.zeros(2048))
+    elif case == "tilted well":
+        v = _tilted(512)
+    elif case == "steep vee":
+        # a steep trap: at a midpoint below mu the support still holds
+        # many samples with V above it, whose density must stay 0.0
+        grid = SpatialGrid1D(400.0, 2048)
+        v = RealField1D(grid=grid, values=0.1 * np.abs(grid.samples))
+    elif case == "edge":
+        # a shallow trap in a short box: occupied out to both ends
+        grid = SpatialGrid1D(60.0, 600)
+        v = RealField1D(grid=grid, values=0.002 * grid.samples**2)
+    else:
+        # span 1 rad/ms, below omega_perp, in a box too short to hold the
+        # norm at mu = min V + omega_perp: the bracket doubles
+        grid = SpatialGrid1D(20.0, 400)
+        v = RealField1D(grid=grid, values=0.05 * grid.samples)
+        t = np.clip(np.min(v.values) + p.omega_perp - v.values, 0.0, None)
+        first = inverse_nonlinearity(t, p)
+        assert np.ptp(v.values) < p.omega_perp and np.trapezoid(first, dx=grid.dz) < 1.0
+    rho, mu = thomas_fermi_density(v, p)
+    want_rho, want_mu = _tf_full_grid(v, p)
+    assert mu == want_mu
+    assert _same_bits(rho.values, want_rho)
+    if case == "edge":
+        assert rho.values[0] > 0 and rho.values[-1] > 0
+    if case == "reference":
+        assert np.count_nonzero(rho.values) < v.values.size / 2
 
 
 def test_thomas_fermi_needs_interactions():
