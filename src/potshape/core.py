@@ -215,30 +215,21 @@ def spectrum(f: RealField1D) -> Spectrum1D:
 def convolve(f: RealField1D, kernel: RealField1D) -> RealField1D:
     """Continuous-convention convolution (f * kernel)(z) on the grid of f.
 
-    The kernel may live on the same grid as f, or on a compact grid with
-    the same spacing, odd length and centre sample at z = 0 (the shape
-    produced by tail truncation), longer than f's grid or not.  Either
-    way the result equals the direct quadrature
+    The kernel lives on a compact grid with f's spacing, an odd length
+    and a centre sample at z = 0 (the shape :func:`ilc.design_kernel`
+    returns), longer than f's grid or not; f's own grid qualifies when
+    its length is odd.  The result equals the direct quadrature
 
         out_i = dz * sum_j kernel(z_i - z_j) f_j
 
-    with the field zero outside its grid, up to rounding.  The same-grid
-    case runs zero padded in the spectral domain with the phase
-    bookkeeping of :func:`spectrum`.  The compact case is one real FFT
-    product padded to at least n + m // 2 samples, so the circular wrap
-    falls only on discarded samples; a sample whose kernel window holds
-    no non-zero field value is exactly 0, as in the direct sum.
+    with the field zero outside its grid, up to rounding.  It is one real
+    FFT product padded to at least n + m // 2 samples, so the circular
+    wrap falls only on discarded samples; a sample whose kernel window
+    holds no non-zero field value is exactly 0, as in the direct sum.
     """
     g = f.grid
     kg = kernel.grid
     kv = kernel.values
-    if same_grid(g, kg):
-        n = g.n_points
-        n_pad = scipy.fft.next_fast_len(2 * n)
-        k_pad = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=g.dz)
-        prod = scipy.fft.fft(f.values, n=n_pad) * scipy.fft.fft(kv, n=n_pad)
-        out = scipy.fft.ifft(prod * np.exp(-1j * k_pad * g.samples[0]))[:n]
-        return RealField1D(grid=g, values=out.real * g.dz)
     if abs(kg.dz - g.dz) > 1e-12 * g.dz:
         raise ValueError("kernel grid spacing differs from field spacing")
     m = kg.n_points

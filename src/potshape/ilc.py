@@ -237,7 +237,7 @@ def correction(e_rho: RealField1D, kernel: LearningKernel, grid: SpatialGrid1D) 
     """The law's correction L * e at the positions of ``grid``.
 
     The kernel is convolved with the error on the error's (fine) grid
-    (:func:`core.convolve`, a padded real FFT for the compact kernel),
+    (:func:`core.convolve`, one zero-padded real FFT product),
     then sampled at the positions of ``grid`` (the input's columns);
     positions outside the error grid take the nearest edge value.  Where
     no non-zero error lies within the kernel's reach the correction is

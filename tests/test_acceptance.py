@@ -158,8 +158,12 @@ def test_criterion_6_per_mode_contraction(criterion):
     kernel = design_kernel(g)
     pred = 1.0 - np.abs(g.values) ** 2 / (kernel.gamma + np.abs(g.values) ** 2)
 
-    gz = psf.gz(grid.samples)
-    gz_field = RealField1D(grid=grid, values=gz / (gz.sum() * grid.dz))
+    # g_z on integer lags out to +-10 sigma_z, with unit discrete mass
+    lag = grid.dz * np.arange(-128, 129)
+    gz = psf.gz(lag)
+    gz_field = RealField1D(
+        grid=SpatialGrid1D.from_samples(lag), values=gz / (gz.sum() * grid.dz)
+    )
     rho_flat = RealField1D(grid=grid, values=np.ones(grid.n_points))
 
     def measure(nu):

@@ -267,6 +267,8 @@ def test_compact_kernel_is_exactly_zero_beyond_the_field_reach():
 
 
 def test_compact_kernel_agrees_with_spectral_path():
+    # padding a kernel with zeros to the field's own odd grid leaves the
+    # result unchanged
     g = SpatialGrid1D(length=80.0, n_points=401)
     f = RealField1D(grid=g, values=_gaussian(g, 6.0))
     kg = SpatialGrid1D(length=8.0, n_points=41)
@@ -288,3 +290,8 @@ def test_compact_kernel_validation():
     even = SpatialGrid1D(length=2.5, n_points=6)  # matching dz but no z = 0 sample
     with pytest.raises(ValueError):
         convolve(f, RealField1D(grid=even, values=np.zeros(6)))
+    # a kernel on the field's own grid is refused when that grid is even
+    g_even = SpatialGrid1D(length=50.0, n_points=100)
+    f_even = RealField1D(grid=g_even, values=np.zeros(100))
+    with pytest.raises(ValueError, match="odd length"):
+        convolve(f_even, RealField1D(grid=g_even, values=np.ones(100)))

@@ -14,6 +14,7 @@ from potshape.core import (
     SpatialGrid1D,
     Spectrum1D,
     convolve,
+    same_grid,
     spectrum,
 )
 from potshape.harness import error_norm, level_update
@@ -194,6 +195,23 @@ def test_flat_spectrum_gives_delta_kernel(fine_grid):
     assert np.max(np.abs(out.values - expect)) <= 1e-10 * np.max(np.abs(expect))
 
 
+def test_a_kernel_spanning_its_whole_grid_matches_direct_quadrature():
+    # on 60 um no tap falls below the tail cut, so the kernel keeps its
+    # field's own odd grid and is applied by the compact route as it is
+    grid = SpatialGrid1D(60.0, 601)
+    kernel = design_kernel(transfer_function(0.5, PsfModel(), grid)).kernel
+    assert same_grid(kernel.grid, grid)
+    rng = np.random.default_rng(40)
+    e = rng.standard_normal(grid.n_points) * np.exp(-grid.samples**2 / 200.0)
+    out = convolve(RealField1D(grid=grid, values=e), kernel).values
+    # k((i - j) dz) for lags out to +-(n - 1) dz, zero beyond the kernel's grid
+    n = grid.n_points
+    k = np.pad(kernel.values, n // 2)
+    i = np.arange(n)
+    direct = grid.dz * (k[i[:, None] - i[None, :] + n - 1] @ e)
+    assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
 def test_non_hermitian_spectrum_is_rejected(fine_grid):
     rng = np.random.default_rng(6)
     bad = Spectrum1D(
@@ -303,8 +321,12 @@ def test_learning_loop_contracts_every_mode(fine_grid):
     lk = design_kernel(g)
     pred = 1.0 - np.abs(g.values) ** 2 / (lk.gamma + np.abs(g.values) ** 2)
 
-    gz = psf.gz(fine_grid.samples)
-    gz_field = RealField1D(grid=fine_grid, values=gz / (gz.sum() * fine_grid.dz))
+    # g_z on integer lags out to +-10 sigma_z, with unit discrete mass
+    lag = fine_grid.dz * np.arange(-128, 129)
+    gz = psf.gz(lag)
+    gz_field = RealField1D(
+        grid=SpatialGrid1D.from_samples(lag), values=gz / (gz.sum() * fine_grid.dz)
+    )
     z = fine_grid.samples
     dnu = 0.2 * np.exp(-(z**2) / (2.0 * 6.0**2)) * np.cos(1.1 * z)
     nu = 0.5 + dnu
