@@ -24,11 +24,13 @@ per level's matrix or per row, with the shape a single-level call uses,
 so every value equals its single-level value bit for bit.  An entry is
 therefore bit-identical to a :func:`solve_pattern` call for that level
 with the entry's child seed, which runs the same code with one level.
-A generation's tournament and crossover draws are read from the
-generator's raw PCG64 stream, one call per level, as exactly the values
-numpy's ``integers`` would draw; numpy's own calls draw them for another
-bit generator, a kept 32-bit half, an odd number of entrants, a mask of
-part of a 64-bit output or a rejected entrant draw.
+A generation touches each level's generator twice: one raw PCG64 call
+holds its tournament and crossover draws, which whole-stack array
+operations turn into exactly the values numpy's ``integers`` would draw,
+and ``random`` draws its mutation uniforms.  numpy's own calls draw the
+tournament and crossover for another bit generator, a kept 32-bit half,
+an odd number of entrants, a mask of part of a 64-bit output, or after
+rewinding a raw call that holds a rejected entrant draw.
 
 Refinement is one single-bit-flip descent over a stack of bit rows; the
 polish, the walk onto the target, the capped polish and the monotone
@@ -79,10 +81,11 @@ MUTATIONS = 2.0
 class LutSpec:
     """The table section of a scenario: ``n_nu`` levels, the penalty's
     weight ``gamma_perp`` and half width ``dy``, and the genetic search's
-    population and generations.  The penalty integral is sampled every
-    mirror pitch across [-dy, +dy] and evaluated with trapezoid weights;
-    the search's other settings are the module constants TOURNAMENT,
-    ELITE and MUTATIONS."""
+    population and generations.  The penalty integral is sampled at
+    round(2 dy / pitch) + 1 evenly spaced points across [-dy, +dy], about
+    a mirror pitch apart, and evaluated with the trapezoid weights of that
+    spacing (zero at dy = 0); the search's other settings are the module
+    constants TOURNAMENT, ELITE and MUTATIONS."""
 
     n_nu: int = 51
     gamma_perp: float = 0.3
@@ -113,10 +116,12 @@ class PatternObjective:
             raise ValueError("all-ones normalisation field is non-positive")
         self.w0 = w0 / norm
         self.w_pen = w / norm
-        # trapezoid weights for the penalty integral, scaled by gamma_perp
-        tw = np.full(n_pen, pitch)
-        tw[0] *= 0.5
-        tw[-1] *= 0.5
+        # trapezoid weights for the penalty integral over the samples' own
+        # spacing, scaled by gamma_perp; one sample (dy = 0) weighs nothing
+        half_step = 0.5 * np.diff(self.y_pen)
+        tw = np.zeros(n_pen)
+        tw[:-1] += half_step
+        tw[1:] += half_step
         self.pen_weights = spec.gamma_perp * tw
 
     def on_axis(self, bits: np.ndarray) -> np.ndarray:
@@ -166,12 +171,14 @@ class PatternObjective:
         return e0_f, (e0_f - nu) ** 2 + ep_f @ self.pen_weights
 
 
-def _selection_draws(rng, idx: np.ndarray, mask: np.ndarray) -> None:
-    """Fill one generation's tournament entrants ``idx``, (P, TOURNAMENT)
-    int64, and crossover mask ``mask``, (n_pairs, n_t) uint8, from ``rng``
-    bit for bit as ``rng.integers(0, P, idx.shape)`` and then
-    ``rng.integers(0, 2, mask.shape, dtype=np.uint8)`` fill them, and leave
-    the generator where those two calls leave it.
+class _SelectionDraws:
+    """A search's tournament and crossover draws, one generation at a time.
+
+    :meth:`fill` fills each level k's entrants ``idx[k]``, (P, TOURNAMENT)
+    int64, and mask ``mask[k]``, (P // 2, n_t) uint8, from its generator
+    ``rngs[k]`` bit for bit as ``rng.integers(0, P, idx[k].shape)`` and
+    then ``rng.integers(0, 2, mask[k].shape, dtype=np.uint8)`` fill them,
+    and leaves each generator where those calls leave it.
 
     numpy draws an integer below P by Lemire's method (ACM TOMACS 29(1),
     2019) from a 32-bit draw u: the value is (u * P) >> 32, and u is drawn
@@ -181,30 +188,49 @@ def _selection_draws(rng, idx: np.ndarray, mask: np.ndarray) -> None:
     64-bit output, low half first, and keeps an unused high half for the
     next 32-bit draw (``state["has_uint32"]``).  So for a PCG64 generator
     that keeps no half, an even number of entrants (fewer than 2**31, so
-    u * P fits an int64), a mask of whole 64-bit outputs and no rejected
-    entrant draw, one ``random_raw`` call holds every draw in order, and
-    the values follow from it by arithmetic.  Any other case restores the
-    generator and makes numpy's two calls.  The raw call leaves
-    ``state["uinteger"]``, the kept half's value, as it was, where numpy's
-    calls leave their last high half there; no draw reads that value while
-    ``has_uint32`` is 0.
+    u * P fits an int64) and a mask of whole 64-bit outputs, one
+    ``random_raw`` call holds every draw in order, unless it holds a
+    rejected entrant draw.  Each such level makes that call into its row of
+    one buffer, and one array operation over the buffer gives every level's
+    entrants, rejection test or masks.  A level whose call holds a rejected
+    draw is rewound (the stream's period is 2**128) and makes numpy's
+    calls, as does a level that cannot be read raw.  Only numpy's calls can
+    leave a kept half, so a level's state is read once and then only after
+    them.  The raw call leaves ``state["uinteger"]``, the kept half's
+    value, as it was (0 after a rewind), where numpy's calls leave their
+    last high half; no draw reads that value while ``has_uint32`` is 0.
     """
-    bg = rng.bit_generator
-    P = len(idx)
-    if type(bg) is np.random.PCG64 and idx.size % 2 == 0 and mask.size % 8 == 0 and P < 2**31:
-        state = bg.state
-        if not state["has_uint32"]:
-            half = idx.size // 2
+
+    def __init__(self, rngs, population: int, n_t: int):
+        P, n_pairs = population, population // 2
+        self.rngs = list(rngs)
+        self.half = P * TOURNAMENT // 2
+        self.raw = np.zeros((len(self.rngs), self.half + n_pairs * n_t // 8), dtype="<u8")
+        self.whole = P % 2 == 0 and n_pairs * n_t % 8 == 0 and P < 2**31
+        self.ready = np.array([self._reads_raw(rng) for rng in self.rngs], dtype=bool)
+
+    def _reads_raw(self, rng) -> bool:
+        bg = rng.bit_generator
+        return self.whole and type(bg) is np.random.PCG64 and not bg.state["has_uint32"]
+
+    def fill(self, idx: np.ndarray, mask: np.ndarray) -> None:
+        P, count, half = idx.shape[1], self.raw.shape[1], self.half
+        redo = ~self.ready
+        if self.ready.any():
+            for k in np.flatnonzero(self.ready).tolist():
+                self.raw[k] = self.rngs[k].bit_generator.random_raw(count)
             # little-endian views: each output's low half and low byte first
-            raw = bg.random_raw(half + mask.size // 8).astype("<u8", copy=False)
-            np.multiply(raw[:half].view("<u4").reshape(idx.shape), np.int64(P), out=idx)
-            if not ((idx & 0xFFFFFFFF) < (2**32 - P) % P).any():
-                idx >>= 32
-                np.right_shift(raw[half:].view(np.uint8).reshape(mask.shape), 7, out=mask)
-                return
-            bg.state = state
-    idx[...] = rng.integers(0, P, size=idx.shape)
-    mask[...] = rng.integers(0, 2, size=mask.shape, dtype=np.uint8)
+            np.multiply(self.raw[:, :half].view("<u4").reshape(idx.shape), np.int64(P), out=idx)
+            redo |= ((idx & 0xFFFFFFFF) < (2**32 - P) % P).any(axis=(1, 2))
+            idx >>= 32
+            np.right_shift(self.raw[:, half:].view(np.uint8).reshape(mask.shape), 7, out=mask)
+        for k in np.flatnonzero(redo).tolist():
+            rng = self.rngs[k]
+            if self.ready[k]:
+                rng.bit_generator.advance(2**128 - count)
+            idx[k] = rng.integers(0, P, size=idx.shape[1:])
+            mask[k] = rng.integers(0, 2, size=mask.shape[1:], dtype=np.uint8)
+            self.ready[k] = self._reads_raw(rng)
 
 
 # levels per stacked cost call of the genetic search: it bounds the float
@@ -218,16 +244,18 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
 
     The levels run in lockstep: each level draws from its own generator,
     in the same order as a search run alone (tournament indices,
-    crossover mask, mutation uniforms).  :func:`_selection_draws` reads a
-    level's indices and mask from one raw PCG64 call, as exactly the values
-    numpy's ``integers`` calls would draw, and makes those calls where it
-    cannot; the uniforms are ``rng.random``'s.  A generation's costs are
-    scored for all levels by stacked ``obj.value`` calls, one BLAS call
-    per level's (P, n_t) matrix as in a search run alone, so every
-    level's result equals its solo search bit for bit.  The stack is
-    scored _BLOCK levels at a time, which bounds its float copy.
-    Selection, crossover, mutation, elitism and the best-so-far update
-    are single array operations across all levels.
+    crossover mask, mutation uniforms), and touches it twice a generation:
+    :class:`_SelectionDraws` reads its indices and mask from one raw PCG64
+    call, as exactly the values numpy's ``integers`` calls would draw, and
+    makes those calls where it cannot; the uniforms are ``rng.random``'s.
+    A generation's costs are scored for all levels by stacked
+    ``obj.value`` calls, one BLAS call per level's (P, n_t) matrix as in a
+    search run alone, so every level's result equals its solo search bit
+    for bit.  The stack is scored _BLOCK levels at a time, which bounds its
+    float copy.  Selection, crossover, mutation, elitism and the
+    best-so-far update are array operations across all levels, written
+    into buffers the search allocates once; the children of a generation
+    go into a second population buffer, and the two swap roles.
     """
     spec = obj.spec
     m, P, n = len(nus), spec.population, obj.dmd.n_rows
@@ -258,25 +286,37 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     best = pop[level, gen_best]
     best_cost = cost[level, gen_best]
     rate = MUTATIONS / n
+    draws = _SelectionDraws(rngs, P, n)
     idx = np.empty((m, P, TOURNAMENT), dtype=np.int64)
+    flat = idx.reshape(m * P, TOURNAMENT)
+    entrant = np.arange(m * P)
+    offsets = (level * P)[:, None, None]
     mask = np.empty((m, n_pairs, n), dtype=np.uint8)
     flips = np.empty((m, P, n), dtype=bool)
     uniform = np.empty((P, n))
+    parents = np.empty_like(pop)
+    parent_rows = parents.reshape(m * P, n)
+    a = parents[:, 0 : 2 * n_pairs : 2]
+    b = parents[:, 1 : 2 * n_pairs : 2]
+    swap = np.empty_like(mask)
+    children = np.empty_like(pop)
     ccost = np.empty_like(cost)
-    offsets = (np.arange(m) * P)[:, None, None]
     for _ in range(spec.generations):
+        draws.fill(idx, mask)
         for k, rng in enumerate(rngs):
-            _selection_draws(rng, idx[k], mask[k])
             np.less(rng.random(out=uniform), rate, out=flips[k])
         # tournament selection, gathered through flat indices
-        flat = (idx + offsets).reshape(m * P, TOURNAMENT)
+        idx += offsets
         picks = np.argmin(cost.ravel()[flat], axis=1)
-        parents = pop.reshape(m * P, n)[flat[np.arange(m * P), picks]].reshape(m, P, n)
+        # every index is in range; "clip" spares the copy of out that "raise" makes
+        winners = flat[entrant, picks]
+        np.take(pop.reshape(m * P, n), winners, axis=0, out=parent_rows, mode="clip")
         # uniform crossover of consecutive parent pairs
-        a = parents[:, 0 : 2 * n_pairs : 2]
-        b = parents[:, 1 : 2 * n_pairs : 2]
-        swap = mask & (a ^ b)
-        children = np.concatenate([b ^ swap, a ^ swap, parents[:, 2 * n_pairs :]], axis=1)
+        np.bitwise_xor(a, b, out=swap)
+        swap &= mask
+        np.bitwise_xor(b, swap, out=children[:, :n_pairs])
+        np.bitwise_xor(a, swap, out=children[:, n_pairs : 2 * n_pairs])
+        children[:, 2 * n_pairs :] = parents[:, 2 * n_pairs :]
         # bit-flip mutation
         children ^= flips.view(np.uint8)
         score(children, ccost)
@@ -285,8 +325,9 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
         worst = np.argsort(ccost, axis=1)[:, ::-1][:, :ELITE]
         children[rows, worst] = pop[rows, keep]
         ccost[rows, worst] = cost[rows, keep]
-        # the spent cost buffer takes the next generation's child costs
-        pop, cost, ccost = children, ccost, cost
+        # the spent buffers take the next generation's children and costs
+        pop, children = children, pop
+        cost, ccost = ccost, cost
         gen_best = np.argmin(cost, axis=1)
         gen_cost = cost[level, gen_best]
         better = gen_cost < best_cost

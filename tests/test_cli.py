@@ -83,21 +83,25 @@ def test_the_saved_table_gives_the_in_memory_tables_run(tmp_path, held):
 
 
 def test_a_second_process_builds_the_same_table(tmp_path):
-    # a run's bits depend on the BLAS thread count, so both processes get one
+    # a table's bits do not depend on the BLAS thread count: its stacked
+    # products call BLAS per level's matrix or per row; only the loop's
+    # column response product does, so a third process builds on two
     env = {
         **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
         "OMP_NUM_THREADS": "1",
         "PYTHONPATH": str(Path(potshape.__file__).parents[1]),
     }
     cfg = _write(tmp_path / "held.json", HELD)
-    tables = [tmp_path / "first.json", tmp_path / "second.json"]
+    tables = [tmp_path / "first.json", tmp_path / "second.json", tmp_path / "two-threads.json"]
     argv = [sys.executable, "-m", "potshape.cli", "build-lut", "--config", cfg, "--out"]
     builds = [
-        subprocess.Popen([*argv, str(t)], env=env, stdout=subprocess.DEVNULL) for t in tables
+        subprocess.Popen(
+            [*argv, str(t)], env={**env, "OPENBLAS_NUM_THREADS": threads}, stdout=subprocess.DEVNULL
+        )
+        for t, threads in zip(tables, ("1", "1", "2"))
     ]
-    assert [b.wait(timeout=120) for b in builds] == [0, 0]
-    assert tables[0].read_bytes() == tables[1].read_bytes()
+    assert [b.wait(timeout=120) for b in builds] == [0, 0, 0]
+    assert tables[0].read_bytes() == tables[1].read_bytes() == tables[2].read_bytes()
 
 
 def test_the_saved_table_records_its_generations(held):

@@ -25,7 +25,7 @@ from potshape.inputmap import (
     _ga_minimise,
     _monotone_repair,
     _refine,
-    _selection_draws,
+    _SelectionDraws,
     build_lut,
     invert_pattern,
     load_lut,
@@ -130,6 +130,20 @@ def test_all_ones_column_is_normalised(fast_obj, fast_dmd):
     assert np.max(np.abs(e - e[::-1])) < 1e-14
 
 
+@pytest.mark.parametrize("dy, pitch", [(4.3, 1.0), (3.0, 0.7), (0.0, 1.0), (4.0, 1.0)])
+def test_penalty_weights_are_the_trapezoid_rule_over_the_samples(psf, beam, dy, pitch):
+    # the samples lie 2 dy / (n_pen - 1) apart, a pitch only when 2 dy is
+    # a whole number of pitches; one sample (dy = 0) spans no band
+    spec, dmd = LutSpec(gamma_perp=0.3, dy=dy), DmdSpec(n_rows=40, pixel_pitch=pitch)
+    obj = PatternObjective(spec, dmd, psf, beam)
+    expect = 0.3 * np.trapezoid(np.eye(len(obj.y_pen)), obj.y_pen, axis=1)
+    np.testing.assert_allclose(obj.pen_weights, expect, rtol=1e-14, atol=0)
+    assert obj.pen_weights.sum() == pytest.approx(0.3 * 2.0 * dy, rel=1e-14, abs=0)
+    if (dy, pitch) == (4.0, 1.0):
+        # the reference band: the weights, and so every table, keep their bits
+        assert np.array_equal(obj.pen_weights, 0.3 * np.r_[0.5, np.ones(7), 0.5])
+
+
 def test_objective_zero_at_perfect_flat_field(fast_obj, fast_dmd):
     obj = fast_obj
     zeros = np.zeros(fast_dmd.n_rows, dtype=np.uint8)
@@ -209,20 +223,28 @@ def _first_rejection(bound, seed):
         start += 2**20
 
 
-def _generators(case):
-    """Two generators in one state: the fast path's case, or one of the
-    cases numpy's own calls must draw."""
-    if case == "mt19937":
-        return [np.random.Generator(np.random.MT19937(8)) for _ in range(2)]
-    pair = [np.random.default_rng(8) for _ in range(2)]
-    if case == "kept_half":
-        for rng in pair:
-            rng.integers(0, 7)  # one 32-bit draw keeps the high half
-    if case == "rejection":
-        # output 10 of the 150 that the entrants take holds a rejected draw
-        start = _first_rejection(100, 8) - 10
-        pair = [np.random.Generator(np.random.PCG64(8).advance(start)) for _ in range(2)]
-    return pair
+def _stack(case):
+    """Generators and their kinds: the mixed stack of five (one read raw,
+    one keeping a 32-bit half, two whose first raw call holds a rejected
+    entrant draw for a population of 100, in its first and in its last
+    entrant output, and an MT19937 one), or the levels of one kind alone."""
+    hit, last = _first_rejection(100, 7), 100 * TOURNAMENT // 2 - 1
+    kept = np.random.default_rng(8)
+    kept.integers(0, 7)  # one 32-bit draw keeps the high half
+    levels = [
+        ("raw", np.random.default_rng(8)),
+        ("kept_half", kept),
+        ("rejection", np.random.Generator(np.random.PCG64(7).advance(hit))),
+        ("rejection", np.random.Generator(np.random.PCG64(7).advance(hit - last))),
+        ("mt19937", np.random.Generator(np.random.MT19937(8))),
+    ]
+    if case in ("kept_half", "rejection", "mt19937"):
+        levels = [level for level in levels if level[0] == case]
+    return [kind for kind, _ in levels], [rng for _, rng in levels]
+
+
+def _state(rng):
+    return json.loads(json.dumps(rng.bit_generator.state, default=np.ndarray.tolist))
 
 
 @pytest.mark.parametrize(
@@ -238,43 +260,54 @@ def _generators(case):
     ],
 )
 def test_selection_draws_equal_numpys_calls(case, population, n_t):
-    # the raw-stream draws return numpy's integers and leave the generator
-    # in numpy's state; the fast path alone leaves the unread kept half's
-    # value as it was
-    got, expect = _generators(case)
-    before = got.bit_generator.state
-    shapes = ((population, TOURNAMENT), (population // 2, n_t))
-    idx, mask = np.empty(shapes[0], np.int64), np.empty(shapes[1], np.uint8)
-    _selection_draws(got, idx, mask)
-    expect_idx, expect_mask = np.empty_like(idx), np.empty_like(mask)
-    _numpy_selection_draws(expect, expect_idx, expect_mask)
-    assert np.array_equal(idx, expect_idx) and np.array_equal(mask, expect_mask)
-    assert idx.min() >= 0 and idx.max() < population and set(np.unique(mask)) <= {0, 1}
-    state, expect_state = got.bit_generator.state, expect.bit_generator.state
-    if case == "fast":
-        assert not expect_state["has_uint32"]
-        assert state.pop("uinteger") == before["uinteger"] != expect_state.pop("uinteger")
-    assert json.dumps(state, default=np.ndarray.tolist) == json.dumps(
-        expect_state, default=np.ndarray.tolist
-    )
-    if case == "rejection":
-        # numpy's entrants redrew: its stream ran past the fast path's count
-        probe = np.random.PCG64(0)
-        probe.state = before
-        probe.advance(idx.size // 2 + mask.size // 8)
-        assert probe.state["state"] != expect_state["state"]
-    # the next draws agree, a kept half's 32-bit draw among them
-    assert np.array_equal(
-        got.integers(0, 2**32, size=3, dtype=np.uint32),
-        expect.integers(0, 2**32, size=3, dtype=np.uint32),
-    )
-    assert np.array_equal(got.random(4), expect.random(4))
+    # two generations of a stack's draws return numpy's integers and leave
+    # every generator in numpy's state; a raw read alone leaves the unread
+    # kept half's value as it was.  On a fast shape the stack's PCG64
+    # levels that keep no half are read raw; on the others no level is.
+    # The named kinds alone make stacks with no level read raw throughout
+    # (kept half, MT19937) or with every level falling back (rejection)
+    kinds, got = _stack(case)
+    expect = _stack(case)[1]
+    draws = _SelectionDraws(got, population, n_t)
+    whole = case not in ("odd_entrants", "mask_not_whole_outputs")
+    assert draws.ready.tolist() == [whole and k in ("raw", "rejection") for k in kinds]
+    idx = np.empty((len(got), population, TOURNAMENT), np.int64)
+    mask = np.empty((len(got), population // 2, n_t), np.uint8)
+    for _ in range(2):
+        raw = draws.ready.copy()
+        draws.fill(idx, mask)
+        for k, rng in enumerate(expect):
+            expect_idx, expect_mask = np.empty_like(idx[k]), np.empty_like(mask[k])
+            _numpy_selection_draws(rng, expect_idx, expect_mask)
+            assert np.array_equal(idx[k], expect_idx), f"level {k}"
+            assert np.array_equal(mask[k], expect_mask), f"level {k}"
+            state, expect_state = _state(got[k]), _state(rng)
+            if raw[k] and draws.ready[k]:
+                assert not expect_state["has_uint32"]
+                assert state.pop("uinteger") != expect_state.pop("uinteger")
+            assert state == expect_state, f"level {k}"
+        assert idx.min() >= 0 and idx.max() < population and set(np.unique(mask)) <= {0, 1}
+    if population == 100:
+        # a redrawn entrant made numpy's calls draw an odd count of halves,
+        # so the rejected levels keep one and are no longer read raw
+        assert draws.ready.tolist() == [k == "raw" for k in kinds]
+    for k, rng in enumerate(expect):
+        # the next draws agree, a kept half's 32-bit draw among them
+        assert np.array_equal(
+            got[k].integers(0, 2**32, size=3, dtype=np.uint32),
+            rng.integers(0, 2**32, size=3, dtype=np.uint32),
+        )
+        assert np.array_equal(got[k].random(4), rng.random(4))
 
 
 def test_reference_table_equals_numpys_draws(monkeypatch, scenario, reference_lut):
     # the reference table with every tournament and crossover draw made by
     # numpy's own calls is the table the raw-stream draws build
-    monkeypatch.setattr(inputmap, "_selection_draws", _numpy_selection_draws)
+    def numpy_fill(draws, idx, mask):
+        for rng, level_idx, level_mask in zip(draws.rngs, idx, mask):
+            _numpy_selection_draws(rng, level_idx, level_mask)
+
+    monkeypatch.setattr(_SelectionDraws, "fill", numpy_fill)
     assert lut_sha256(build_scenario_lut(scenario)) == lut_sha256(reference_lut)
 
 
@@ -410,6 +443,36 @@ def test_lockstep_search_on_raw_draws_matches_solo_searches(psf, beam, populatio
     # table's population and mirrors among them), the solo search numpy's
     # own integers calls
     _check_lockstep_search(psf, beam, population, generations, n_t)
+
+
+def test_lockstep_search_through_rejected_entrant_draws_matches_solo_searches(psf, beam):
+    # levels 1-3 hold a rejected entrant draw in generation 0, 2 and 4 (the
+    # last): each rewinds its raw call, draws by numpy's calls, and then
+    # keeps a 32-bit half, so it is never read raw again
+    P, n_t, generations = 100, 40, 5
+    spec = LutSpec(population=P, generations=generations)
+    obj = PatternObjective(spec, DmdSpec(n_rows=n_t), psf, beam)
+    # 64-bit outputs before a generation's entrants: the first population,
+    # then per generation the raw call and the mutation uniforms
+    per_generation = P * TOURNAMENT // 2 + P // 2 * n_t // 8 + P * n_t
+    hit = _first_rejection(P, 7)
+
+    def stack():
+        # (generation, entrant output) of each rejected draw
+        starts = [(0, 0), (2, 75), (4, P * TOURNAMENT // 2 - 1)]
+        return [np.random.default_rng([5, 0])] + [
+            np.random.Generator(
+                np.random.PCG64(7).advance(hit - P * n_t // 8 - g * per_generation - j)
+            )
+            for g, j in starts
+        ]
+
+    nus = np.array([0.2, 0.4, 0.6, 0.8])
+    rngs = stack()
+    got = _ga_minimise(obj, nus, rngs)
+    assert [rng.bit_generator.state["has_uint32"] for rng in rngs] == [0, 1, 1, 1]
+    for k, (nu, rng) in enumerate(zip(nus, stack())):
+        assert np.array_equal(got[k], _solo_ga(obj, nu, rng)), f"level {k}"
 
 
 def test_solve_pattern_extremes(fast_obj):
