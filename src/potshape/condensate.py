@@ -8,7 +8,8 @@ which reduces to 2 omega_perp b rho for b rho << 1 and grows like
 sqrt(rho) once the transversal cloud swells.  The ground state of the
 corresponding nonlinear eigenvalue problem is found by real-valued
 imaginary-time split-step propagation with per-step renormalisation, two
-real FFTs and one evaluation of V + h(rho) per step.  On a grid of n
+real FFTs and one evaluation of V + h(rho) per step, whose iterates are
+Anderson-mixed.  On a grid of n
 points with n a multiple of COARSE_FACTOR (4), it relaxes first on every
 fourth sample, then finishes on the full grid from the interpolated
 coarse state; the coarse stage hands over early when its state proves
@@ -62,32 +63,43 @@ SPECTRAL_TAIL_TOL = 1e-6
 TF_NORM_TOL = 1e-10
 
 # The ground state first relaxes on every COARSE_FACTOR-th sample when the
-# grid's point count divides by it.  Measured on the reference 2700-point
-# grid, over perfbench's 100 groundstate-cold potentials at seed 7 and the
-# desired one: after a coarse stage at 4x the full-grid stage needs a
-# median of 1 step (max 9); at 5x 10 (max 403), at 6x 37, at 9x 87.  On a
-# slower 2-core Xeon with one BLAS thread, where a step cost 115 us at
-# 2700 points and 68 us at 675, the median solve took 14.8 ms at 4x,
-# 15.6 ms at 5x, 15.7 ms at 3x, 18.5 ms at 2x and 22.4 ms on the full grid
-# alone.  Measured again in October 2026 on a 2-core Xeon KVM guest (one
-# BLAS thread, fastest of 7 runs of 200 steps), a step costs 73 us at 2700
-# points and 38 us at 675.
+# grid's point count divides by it.  Measured with the Anderson-mixed
+# relaxation on the reference 2700-point grid, over perfbench's 100
+# groundstate-cold potentials at seed 7 and the desired one (one BLAS
+# thread, 2-core Xeon KVM guest, median of three interleaved solves):
+# after a coarse stage at 4x the full-grid stage needs a median of 1 step
+# (max 9); at 2x 1 (max 15), at 3x 1 (max 11), at 5x 9, at 6x 17 and at
+# 9x 23.  The median solve took 3.8 ms at 3x and 4x, 4.3 ms at 2x and 5x,
+# 4.5 ms at 6x, 5.2 ms at 9x and 5.3 ms on the full grid alone.  On the
+# same host a plain step costs 73 us at 2700 points and 38 us at 675
+# (fastest of 7 runs of 200 steps), and the mixing adds 30-50 % to
+# either.
 COARSE_FACTOR = 4
 
 # Imaginary time in ms after which the coarse stage reads its state's
 # spectral tail (the resolution check's share, on the coarse grid) and
 # hands over to the full grid at once when it exceeds SPECTRAL_TAIL_TOL.
 # A coarse grid that cannot resolve the state relaxes it to a wrong one,
-# which the full grid then corrects over nearly as many steps as a full
-# solve: relaxed to the end, the desired state over 800 um on 2048 points
-# took 206 coarse and 138 full-grid steps against 188 on the full grid
-# alone; handed over at the probe, 20 and 162.  The Thomas-Fermi start's
-# edges put 1e-5 to 1e-3 of its weight in the tail, which the kinetic
-# steps damp in the first ms: at dtau = 0.05 the share after 20 steps is
-# at most 2.2e-7 over the groundstate-cold set and 5.4e-7 for the desired
-# state over 250 um on 2048 points, but 1.9e-5 over 400 um and 5.1e-4
+# which the full grid must then correct.  Under the plain gradient flow
+# that took nearly as many steps as a full solve: relaxed to the end, the
+# desired state over 800 um on 2048 points took 206 coarse and 138
+# full-grid steps against 188 on the full grid alone; handed over at the
+# probe, 20 and 162.  With the Anderson mixing the full grid takes 29
+# steps after either, so the hand-over saves the 13 coarse steps past the
+# probe; the full grid alone takes 26.  The Thomas-Fermi start's edges
+# put 1e-5 to 1e-3 of its weight in the tail, which the kinetic steps
+# damp in the first ms: at dtau = 0.05 the share after 20 steps is at
+# most 1.6e-7 over the groundstate-cold set and 1.7e-7 for the desired
+# state over 250 um on 2048 points, but 1.1e-5 over 400 um and 4.0e-4
 # over 800 um.
 COARSE_PROBE_TAU = 1.0
+
+# Residual differences that the Anderson mixing of _relax combines.  Over
+# perfbench's groundstate-cold potentials at seeds 1, 7 and 11 (100 each),
+# depth 4, 6 and 8 give median cold solves of 37-39, 33 and 31-32 steps,
+# and slowest ones of 82-95, 57-66 and 52-55; the plain gradient flow
+# (depth 0) takes a median of 176-179 steps and at most 539-684.
+ANDERSON_DEPTH = 6
 
 
 class ConvergenceError(RuntimeError):
@@ -124,9 +136,11 @@ class SolverConfig:
 
     ``tol`` is on the relative change of mu between consecutive steps of
     one stage of :func:`ground_state`; mu is read every step from the
-    state before its potential step, with the V + h(rho) that step applies
-    and no transform of its own.  ``max_steps`` bounds the potential steps
-    of the coarse and the full-grid stage together.
+    mixed state before its potential step, with the V + h(rho) that step
+    applies and no transform of its own.  ``dtau`` sets the split step,
+    whose fixed point the mixing keeps, and with it the O(dtau) bias of
+    every solve.  ``max_steps`` bounds the potential steps of the coarse
+    and the full-grid stage together.
     """
 
     dtau: float = 0.05
@@ -290,16 +304,14 @@ def _rfft_weights(n: int) -> np.ndarray:
 def _split_step_constants(n: int, dz: float, dtau: float, mass: float) -> tuple:
     """Arrays of one (grid, step, mass): the rfft wavenumbers k, the half
     kinetic step exp(-k^2 dtau / 4m), and the Parseval weights of the
-    norm, of the kinetic energy and of the carried spectrum's kinetic
-    energy read off the post-step one."""
+    norm and of the kinetic energy."""
     k = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=dz)
     half_kin = np.exp(-(k**2) * dtau / (4.0 * mass))
     # |phi|^2 and <phi|T|phi> = dz / n * sums of 1 and k^2/2m times
     # |phi_k|^2 over the full spectrum
     norm_weights = (dz / n) * _rfft_weights(n)
     kin_weights = k**2 / (2.0 * mass) * norm_weights
-    carried_kin_weights = kin_weights * half_kin**2
-    return k, half_kin, norm_weights, kin_weights, carried_kin_weights
+    return k, half_kin, norm_weights, kin_weights
 
 
 def _effective_potential(
@@ -350,36 +362,67 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
     ``post`` of a state sampled like ``v_offset`` (V - omega_perp) at
     spacing ``dz``, with that grid's :func:`_split_step_constants`.
 
+    A step maps the carried spectrum x, whose irfft is the pre-potential
+    state phi_a, to g(x): the potential step, the second half kinetic step
+    and, over the square root of the Parseval norm, the next step's first
+    half step.  The next x is the Anderson type II mixture (Walker & Ni,
+    SIAM J. Numer. Anal. 49, 2011) g(x) - dG gamma.  The columns of dF
+    and dG are the differences of the last m <= ANDERSON_DEPTH consecutive
+    residuals f = g(x) - x and of the g(x), and gamma minimises
+    |f - dF gamma| over the real and imaginary parts of the spectra.  Each
+    step writes one column into the oldest slot of a ring and one row and
+    column of the m x m Gram matrix dF^T dF, whose normal equations give
+    gamma.  The mixture keeps the split step's own fixed point and
+    removes the gradient flow's slow mode.  The history restarts, and the
+    next x is g(x) itself, at the first step of a call, whenever |f| grows
+    and when the Gram matrix is singular.  With ``on_step`` the depth is
+    0: the plain gradient flow, whose invariants a recorded history checks.
+
     It runs until the relative change of mu between two consecutive steps
     of this call drops below cfg.tol, or until the step count, which
-    starts at ``steps``, reaches ``max_steps``.  ``on_step(post, power)``
-    sees every post-step spectrum.  Returns the last post-step spectrum,
-    its power |post|^2, the step count, whether mu converged and its last
-    relative change.  It logs nothing; failures raise.  Its work arrays
-    are allocated once per call and filled in place, so a step allocates
-    only its two transforms' outputs; the returned power is a work array.
+    starts at ``steps``, reaches ``max_steps``.  mu is read from phi_a:
+    the kinetic part by Parseval from x, the rest from the V + h(rho) that
+    the potential step applies.  ``on_step(post, power)`` sees every
+    post-step spectrum.  Returns the last post-step spectrum (the last g(x)
+    without its renormalisation and extra half step), its power |post|^2,
+    the step count, whether mu converged and its last relative change.  It
+    logs nothing; failures raise.  Its work arrays are allocated once per
+    call and filled in place, so a step allocates only its two transforms'
+    outputs, dG gamma and the least-squares step's vectors of length m;
+    the returned power is a work array.
     """
     n = v_offset.size
-    _, half_kin, norm_weights, _, carried_kin_weights = consts
+    _, half_kin, norm_weights, kin_weights = consts
+    depth = 0 if on_step is not None else ANDERSON_DEPTH
     power = np.empty(half_kin.size)
     power_im = np.empty(half_kin.size)
     scale = np.empty(half_kin.size)
-    carried = np.empty_like(post)
+    x, g, g_prev = (np.empty_like(post) for _ in range(3))
+    f, f_prev = np.empty(2 * post.size), np.empty(2 * post.size)
+    d_f, d_g = np.empty((depth, f.size)), np.empty((depth, f.size))
+    gram = np.empty((depth, depth))
     rho = np.empty(n)
     w = np.empty(n)
     product = np.empty(n)
     neg_dtau = -cfg.dtau
 
-    def power_of(post):
-        # |post|^2 as post.real**2 + post.imag**2
-        np.square(post.real, out=power)
-        return np.add(power, np.square(post.imag, out=power_im), out=power)
+    def power_of(spec):
+        # |spec|^2 as spec.real**2 + spec.imag**2
+        np.square(spec.real, out=power)
+        return np.add(power, np.square(spec.imag, out=power_im), out=power)
+
+    def carry(post, nrm, out):
+        # the renormalised post-step spectrum after another half kinetic step
+        return np.multiply(post, np.divide(half_kin, math.sqrt(nrm), out=scale), out=out)
 
     nrm = float(np.dot(norm_weights, power_of(post)))
     if not nrm > 0:
         raise ValueError("initial state has zero norm")
+    carry(post, nrm, x)
     first = steps
     mu = last_change = np.nan
+    f_norm = np.inf
+    added = 0  # columns added to the history since it last restarted
 
     def failure(what):
         return ConvergenceError(
@@ -392,12 +435,10 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
         while True:
             # the pre-potential state phi_a and its mu, from the V + h(rho)
             # that the potential step applies
-            np.divide(half_kin, math.sqrt(nrm), out=scale)
-            np.multiply(post, scale, out=carried)
-            phi = scipy.fft.irfft(carried, n)
+            phi = scipy.fft.irfft(x, n)
             np.multiply(phi, phi, out=rho)
             _effective_potential(rho, v_offset, params, out=w, work=product)
-            kinetic = float(np.dot(carried_kin_weights, power)) / nrm
+            kinetic = float(np.dot(kin_weights, power_of(x)))
             np.multiply(w, rho, out=product)
             mu_new = (kinetic + _trapezoid(product, dz)) / _trapezoid(rho, dz)
             if not math.isfinite(mu_new):
@@ -405,10 +446,10 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
             if steps > first:
                 last_change = abs(mu_new - mu) / max(abs(mu_new), 1e-30)
                 if last_change < cfg.tol:
-                    return post, power, steps, True, last_change
+                    return post, power_of(post), steps, True, last_change
             mu = mu_new
             if steps == max_steps:
-                return post, power, steps, False, last_change
+                return post, power_of(post), steps, False, last_change
             w *= neg_dtau
             phi *= np.exp(w, out=w)
             post = scipy.fft.rfft(phi)
@@ -421,6 +462,26 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
                 raise failure("wave function vanished (its norm underflowed to 0)")
             if on_step is not None:
                 on_step(post, power)
+            carry(post, nrm, g)
+            gv = g.view(float)
+            np.subtract(gv, x.view(float), out=f)
+            f_prev_norm, f_norm = f_norm, float(np.dot(f, f))
+            added = 0 if steps == first + 1 or f_norm > f_prev_norm else added + 1
+            if depth and added:
+                s, m = (added - 1) % depth, min(added, depth)
+                np.subtract(f, f_prev, out=d_f[s])
+                np.subtract(gv, g_prev.view(float), out=d_g[s])
+                gram[s, :m] = gram[:m, s] = d_f[:m] @ d_f[s]
+                try:
+                    gamma = np.linalg.solve(gram[:m, :m], d_f[:m] @ f)
+                except np.linalg.LinAlgError:
+                    added = 0
+                else:
+                    np.subtract(gv, gamma @ d_g[:m], out=x.view(float))
+            if not (depth and added):
+                np.copyto(x, g)
+            f, f_prev = f_prev, f
+            g, g_prev = g_prev, g
 
 
 def ground_state(
@@ -430,7 +491,8 @@ def ground_state(
     initial: RealField1D | None = None,
     record_history: bool = False,
 ) -> GroundState:
-    """Imaginary-time Strang split-step relaxation to the ground state.
+    """Imaginary-time Strang split-step relaxation to the ground state,
+    Anderson-accelerated.
 
     The normalised gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 2004):
     each step applies half a kinetic step in wavenumber space, a full
@@ -446,7 +508,12 @@ def ground_state(
     Parseval from the carried spectrum, the rest from the same V + h(rho)
     the potential step applies, both over the norm of phi_a.  A stage
     stops when the relative change of that mu between two of its
-    consecutive steps drops below cfg.tol.
+    consecutive steps drops below cfg.tol.  Each step's carried spectrum
+    is the Anderson mixture of the last ANDERSON_DEPTH steps (see
+    :func:`_relax`).  It has the split step's own fixed point, with its
+    O(dtau) bias, and reaches it in a fraction of the plain flow's steps:
+    a median of 33 against 179 over perfbench's groundstate-cold
+    potentials.
 
     The relaxation runs in two stages when the grid's n_points is a
     multiple of COARSE_FACTOR and ``record_history`` is off.  The coarse
@@ -474,9 +541,10 @@ def ground_state(
     read-only values are only read by the first rfft); otherwise the
     Thomas-Fermi profile is used where available, falling back to a 10 um
     Gaussian, both built on the full grid.  ``record_history`` solves on
-    the full grid alone and also stores mu, energy and norm of each
-    post-step state, renormalised, for the invariant checks (one more
-    irfft and two h evaluations per step), so len(mu_history) == n_steps.
+    the full grid alone by the plain gradient flow, unmixed, and also
+    stores mu, energy and norm of each post-step state, renormalised, for
+    the invariant checks (one more irfft and two h evaluations per step),
+    so len(mu_history) == n_steps.
     """
     grid = potential.grid
     if not np.all(np.isfinite(potential.values)):
@@ -489,7 +557,7 @@ def ground_state(
     dz = grid.dz
     n = grid.n_points
     consts = _split_step_constants(n, dz, cfg.dtau, params.mass)
-    k, _, norm_weights, kin_weights, _ = consts
+    k, _, norm_weights, kin_weights = consts
     vvals = potential.values
     v_offset = vvals - params.omega_perp
 
@@ -524,7 +592,7 @@ def ground_state(
         coarse, power, steps, converged, _ = _relax(
             scipy.fft.rfft(phi[::c]), *coarse_args, 0, probe
         )
-        coarse_k, _, coarse_weights, _, _ = coarse_consts
+        coarse_k, _, coarse_weights, _ = coarse_consts
         # go on only while the coarse grid resolves the state
         if (
             not converged

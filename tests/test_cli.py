@@ -15,7 +15,8 @@ import pytest
 
 import potshape
 from potshape import cli
-from potshape.harness import ScenarioConfig, scenario_to_dict
+from potshape.core import SpatialGrid1D
+from potshape.harness import ScenarioConfig, desired_potential, scenario_to_dict
 from potshape.inputmap import LutSpec
 
 _SPOT = {"center": 10.0, "width": 2.0, "depth": 0.15}
@@ -102,6 +103,39 @@ def test_a_second_process_builds_the_same_table(tmp_path):
     ]
     assert [b.wait(timeout=120) for b in builds] == [0, 0, 0]
     assert tables[0].read_bytes() == tables[1].read_bytes() == tables[2].read_bytes()
+
+
+def test_groundstate_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # the solver's Anderson mixing adds BLAS products and a LAPACK Cholesky
+    # solve per step, and a product's bits can depend on the thread count.
+    # The desired state on the reference grid (two stages) and over 250 um
+    # on 2701 points (one stage, whose history holds up to six columns of
+    # 2702 numbers) are solved at OPENBLAS_NUM_THREADS 1 and 2
+    env = {
+        **os.environ,
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": str(Path(potshape.__file__).parents[1]),
+    }
+    grid = SpatialGrid1D(250.0, 2701)
+    v = desired_potential(ScenarioConfig().desired, grid).values
+    well = tmp_path / "one-stage.csv"
+    rows = "".join(f"{z!r},{x!r}\n" for z, x in zip(grid.samples.tolist(), v.tolist()))
+    well.write_text("z,v\n" + rows)
+    runs = {}
+    for name, extra in (("desired", []), ("one-stage", ["--potential", str(well)])):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}.csv"
+            argv = [sys.executable, "-m", "potshape.cli", "groundstate", *extra, "--out", str(out)]
+            runs[name, threads] = (out, subprocess.Popen(
+                argv, env={**env, "OPENBLAS_NUM_THREADS": threads}, stdout=subprocess.PIPE
+            ))
+    printed = {key: run.communicate(timeout=120)[0] for key, (_, run) in runs.items()}
+    assert [run.returncode for _, run in runs.values()] == [0, 0, 0, 0]
+    for name in ("desired", "one-stage"):
+        (one, _), (two, _) = runs[name, "1"], runs[name, "2"]
+        assert one.read_bytes() == two.read_bytes(), name
+        # the line after the file name: mu and the step count
+        assert printed[name, "1"].splitlines()[1:] == printed[name, "2"].splitlines()[1:]
 
 
 def test_the_saved_table_records_its_generations(held):

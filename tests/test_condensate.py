@@ -424,10 +424,12 @@ def test_a_two_stage_solve_transforms_mostly_coarse_states(tilted_well, monkeypa
     assert sum(sizes) < (2 * k + 3) * 2048 / 2
 
 
-@pytest.mark.parametrize("max_steps", [60_000, 40, 1])
+@pytest.mark.parametrize("max_steps", [60_000, 25, 1])
 def test_n_steps_counts_both_stages(tilted_well, max_steps, monkeypatch):
     # the coarse stage stops one step short of max_steps, so the full grid
-    # always takes a step and max_steps bounds the total
+    # always takes a step and max_steps bounds the total.  Uncut, the
+    # coarse stage takes 20 + 10 steps; 25 cuts it after its probe, 1
+    # before it starts
     _, p, cfg = tilted_well
     stages = _stages(monkeypatch)
     gs = ground_state(_tilted(2048), p, dataclasses.replace(cfg, max_steps=max_steps))
@@ -447,17 +449,18 @@ def test_a_history_is_recorded_on_the_full_grid_alone(tilted_well, monkeypatch):
 
 @pytest.mark.parametrize(
     "length, n_points, hands_over",
-    [(250.0, 2700, False), (250.0, 2048, False), (400.0, 2048, True), (800.0, 2048, True)],
+    [(250.0, 2700, False), (250.0, 2048, False), (400.0, 2048, True), (800.0, 2700, True)],
 )
 def test_an_under_resolved_coarse_stage_hands_over_at_the_probe(
     scenario, length, n_points, hands_over, monkeypatch
 ):
     # the desired state: the coarse grid resolves it over 250 um, with a
     # tail share of 4e-9 at 675 and 2e-7 at 512 points, but not over 400
-    # or 800 um (1e-5 and 4e-4).  The coarse stage reads the share after
-    # COARSE_PROBE_TAU, 20 steps of dtau = 0.05, and then either relaxes
-    # to the end, leaving the full grid a step or two, or hands over at
-    # once, leaving it fewer steps than a one-stage solve takes
+    # um on 512 or 800 um on 675 (1e-5 and 2e-4).  The coarse stage reads
+    # the share after COARSE_PROBE_TAU, 20 steps of dtau = 0.05, and then
+    # either relaxes to the end, leaving the full grid a step or two, or
+    # hands over at once, leaving it fewer steps than a one-stage solve
+    # takes: 16 against 26 over 400 um, 23 against 33 over 800 um
     v = desired_potential(scenario.desired, SpatialGrid1D(length, n_points))
     p, cfg = scenario.condensate, scenario.solver
     with monkeypatch.context() as m:
@@ -509,9 +512,10 @@ def test_the_coarse_stage_keeps_the_solve_accurate(scenario, well, length, n_poi
     # the desired potential on the reference grid and on two that the
     # coarse grid under-resolves, and a near-degenerate double well like
     # those of perfbench's groundstate-cold set (v_max x 0.7 and k_v x
-    # 1.05 on the magnetic trap, 1,047 steps): against a full-grid solve
-    # at tol 1e-15, the two-stage solve at the scenario's tol is within
-    # 1e-6, or as close as a full-grid solve at that tol
+    # 1.05 on the magnetic trap; 59 steps, 1,054 unmixed on the full grid
+    # alone): against a full-grid solve at tol 1e-15, the two-stage solve
+    # at the scenario's tol is within 1e-6, or as close as a full-grid
+    # solve at that tol
     grid = SpatialGrid1D(length, n_points)
     v = desired_potential(scenario.desired, grid)
     if well == "near-degenerate":
@@ -560,6 +564,24 @@ def test_the_energy_does_not_rise_at_the_stage_switch(scenario, length, monkeypa
     assert gs.converged and len(starts) == 1
     assert e_end <= e_switch + 1e-13 * abs(e_end)
     assert e_switch < e_start
+
+
+def test_every_computed_shot_of_the_reference_loop_is_its_ground_state(scenario, reference_run):
+    # each shot the loop computes, warm from the last computed shot's
+    # state (cold at n = 0), against a cold solve of its potential at tol
+    # 1e-15: sqrt(rho) lies within 1e-6 of it in the L2 norm.  The plain
+    # gradient flow stopped early at n = 0, 5 and 6 (6.7e-4, 1.7e-5 and
+    # 1.6e-5) and at n = 1 (1.04e-6); the mixed one's largest is 3.6e-7,
+    # at n = 0, and its warm starts' 2.0e-7
+    grid = scenario.grid.build()
+    tight = dataclasses.replace(scenario.solver, tol=1e-15)
+    computed = [r for r in reference_run.records if r.extras["solver_steps"] > 0]
+    assert len(computed) == 20
+    for r in computed:
+        gs = ground_state(RealField1D(grid=grid, values=r.extras["v"]), scenario.condensate, tight)
+        assert gs.converged
+        error = np.sqrt(r.extras["rho"]) - gs.phi.values
+        assert np.sqrt(np.trapezoid(error**2, dx=grid.dz)) < 1e-6, r.n
 
 
 def test_a_solve_leaves_earlier_results_alone(tilted_well):
