@@ -138,6 +138,22 @@ def test_groundstate_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path)
         assert printed[name, "1"].splitlines()[1:] == printed[name, "2"].splitlines()[1:]
 
 
+def test_importing_the_package_loads_neither_scipy_optimize_nor_scipy_linalg():
+    # neither is needed, and each raises a process's peak resident memory,
+    # which perfbench reports: by about 6 MB (scipy.linalg) and 22 MB
+    # (scipy.optimize) over the 55 MB of `import potshape, potshape.cli`
+    code = (
+        "import sys, potshape, potshape.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(potshape.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_the_saved_table_records_its_generations(held):
     _, table = held
     assert json.loads(table.read_text())["lut"]["generations"] == LutSpec().generations

@@ -1144,10 +1144,11 @@ def test_a_warm_start_past_an_excited_state_converges_without_a_cold_retry(
     # mixing converges onto it; the restart on a growing residual lets the
     # flow leave it, and without the restart the warm start stalls for
     # 60,000 steps and is retried cold.  The plain gradient flow stops
-    # early on its way (mu 11.0258 after 518 steps, 1.2e-3 high).  Where
-    # the mixed solve ends depends on rounding: on the ground state, or on
-    # a stationary state 7e-7 above it in mu, whose phi changes sign across
-    # the 1 % of the cloud that sits in the pocket at the box's edges
+    # early on its way (mu 11.0258 after 518 steps, 1.2e-3 high).  Which
+    # stationary state the mixing reaches depends on rounding: the one at
+    # 11.0183, or one 7e-7 above the ground state.  Both change sign across
+    # the 1 % of the cloud that sits in the pocket at the box's edges, so
+    # the solve relaxes again from the state's modulus until it is nodeless
     cfg, lut = _mixed_sign_start(small_scenario, small_lut)
     solves = []
     solve = harness.ground_state
