@@ -533,7 +533,9 @@ def run_closed_loop(
     only logs a warning.  Its seed may differ.  ``progress(record)``,
     when given, is called once per iteration, after the update.  On
     solver failure the records collected so far are attached to the
-    raised error as ``records``.
+    raised error as ``records``.  A disturbance scheduled past the last
+    iteration is never applied; each such event logs one INFO line, not
+    a warning, since a shortened run drops it on purpose.
 
     The loop carries only table indices: the initial input goes to its
     nearest level once, and every later input is the indices
@@ -565,6 +567,13 @@ def run_closed_loop(
             lut.psf_beam_sha256,
             expected,
         )
+    for ev in cfg.disturbances:
+        if ev.iteration >= cfg.loop.iterations:
+            log.info(
+                "disturbance at iteration %d is not applied: the run has %d iterations",
+                ev.iteration,
+                cfg.loop.iterations,
+            )
     if prepared is None:
         prepared = prepare(cfg)
     index = lut.nearest_index(np.full(cfg.dmd.n_columns, cfg.loop.nu_initial))
@@ -679,23 +688,50 @@ def _default_export_iterations(n_total: int) -> tuple:
     return tuple(sorted(p for p in picks if 0 <= p < n_total))
 
 
-def _column(values: np.ndarray):
-    """Format and cells of one numeric CSV column: integers print as %d,
-    other numbers as %.17g, converted to Python numbers in one call."""
+def _column(values):
+    """Format and cells of one CSV column: a list holds cells already
+    formatted, printed as %s; of a numeric array, integers print as %d
+    and other numbers (booleans too) as %.17g, converted to Python
+    numbers in one call."""
+    if isinstance(values, list):
+        return "%s", values
     return ("%d" if values.dtype.kind in "iu" else _FLOAT_FMT), values.tolist()
 
 
-def _write_rows(path, header, columns):
+def _cells(values: np.ndarray) -> list:
+    """The cells of one numeric column as text, by one % over the column."""
+    f, cells = _column(values)
+    return ((f + "\n") * len(cells) % tuple(cells)).split("\n")[:-1]
+
+
+def _rows_text(header, columns) -> str:
+    """CSV text of the header and the rows of ``columns``, formatted by
+    one % over the whole text; ragged columns stop at the shortest, as
+    ``zip`` does."""
     cols = [_column(c) for c in columns]
     row_fmt = ",".join(f for f, _ in cols) + "\n"
     rows = list(zip(*(cells for _, cells in cols)))
     text = (row_fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    return ",".join(header) + "\n" + text
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have the same dtype, shape and bytes, and so
+    print the same; equal values would not do, since -0.0 == 0.0 prints
+    "-0" and "0", and nan != nan."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _write_text(path, text: str):
     try:
         with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_rows(path, header, columns):
+    _write_text(path, _rows_text(header, columns))
 
 
 def _write_pbm(path, pattern: DmdPattern):
@@ -705,12 +741,7 @@ def _write_pbm(path, pattern: DmdPattern):
     text = np.full((n_t, max(2 * n_l, 1)), ord(" "), dtype=np.uint8)
     text[:, 0 : 2 * n_l : 2] = pattern.bits + ord("0")
     text[:, -1] = ord("\n")
-    try:
-        with open(path, "w") as fh:
-            fh.write(f"P1\n{n_l} {n_t}\n")
-            fh.write(text.tobytes().decode("ascii"))
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    _write_text(path, f"P1\n{n_l} {n_t}\n" + text.tobytes().decode("ascii"))
 
 
 def export_records(result: RunResult, out_dir) -> list:
@@ -722,6 +753,11 @@ def export_records(result: RunResult, out_dir) -> list:
     configuration plus derived constants.  A selected iteration the run
     does not hold is a :class:`ConfigError`, raised before any file or
     directory is written.
+
+    Each distinct column is formatted once: the grid and the column
+    positions once per call, and an iteration whose arrays have the
+    bytes of the previous exported one (a held shot) rewrites that one's
+    fields and columns text.
     """
     records = result.records
     cfg = result.config
@@ -748,21 +784,26 @@ def export_records(result: RunResult, out_dir) -> list:
 
     z = result.prepared.grid.samples
     col_z = result.prepared.col_grid.samples
+    z_cells, col_z_cells = _cells(z), _cells(col_z)
+    shot = None  # the arrays whose text fields and columns hold
     for n in exp:
         r = records[n]
-        nu_on_z = np.interp(z, col_z, r.nu)
-        path = os.path.join(out_dir, f"fields_{n:04d}.csv")
-        _write_rows(
-            path,
-            ("z", "nu", "v", "v_opt", "rho", "e_rho"),
-            (z, nu_on_z, r.extras["v"], r.extras["v_opt"], r.extras["rho"], r.e_rho),
-        )
-        written.append(path)
-        path = os.path.join(out_dir, f"columns_{n:04d}.csv")
-        _write_rows(path, ("z", "nu"), (col_z, r.nu))
-        written.append(path)
+        x = r.extras
+        arrays = (r.nu, x["v"], x["v_opt"], x["rho"], r.e_rho)
+        if shot is None or not all(map(_same_bytes, arrays, shot)):
+            shot = arrays
+            nu, v, v_opt, rho, e_rho = arrays
+            fields = _rows_text(
+                ("z", "nu", "v", "v_opt", "rho", "e_rho"),
+                (z_cells, np.interp(z, col_z, nu), v, v_opt, rho, e_rho),
+            )
+            columns = _rows_text(("z", "nu"), (col_z_cells, nu))
+        for name, text in (("fields", fields), ("columns", columns)):
+            path = os.path.join(out_dir, f"{name}_{n:04d}.csv")
+            _write_text(path, text)
+            written.append(path)
         path = os.path.join(out_dir, f"pattern_{n:04d}.pbm")
-        _write_pbm(path, r.extras["pattern"])
+        _write_pbm(path, x["pattern"])
         written.append(path)
 
     meta = {
@@ -792,12 +833,7 @@ def export_records(result: RunResult, out_dir) -> list:
         "clamp_counts": [r.clamp_count for r in records],
     }
     path = os.path.join(out_dir, "run.json")
-    try:
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    _write_text(path, json.dumps(meta, indent=1, sort_keys=True) + "\n")
     written.append(path)
     return written
 

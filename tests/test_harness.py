@@ -1385,6 +1385,140 @@ def test_export_writers_match_the_cellwise_writers(tmp_path):
         assert (tmp_path / "new.pbm").read_bytes() == (tmp_path / "old.pbm").read_bytes()
 
 
+def _export_iterations(result, exp):
+    loop = dataclasses.replace(result.config.loop, export_iterations=tuple(exp))
+    return dataclasses.replace(result, config=dataclasses.replace(result.config, loop=loop))
+
+
+def _assert_export_matches_the_cellwise_writers(result, out):
+    """Export ``result`` and compare every CSV and bitmap, byte for byte,
+    with the files the cellwise writers make of the same records."""
+    export_records(result, out / "new")
+    old = out / "old"
+    old.mkdir()
+    records = result.records
+    _cellwise_write_rows(
+        old / "error_norms.csv",
+        ("n", "error_norm", "mu", "clamp_count"),
+        (
+            np.array([r.n for r in records]),
+            np.array([r.error_norm for r in records]),
+            np.array([r.mu for r in records]),
+            np.array([r.clamp_count for r in records]),
+        ),
+    )
+    z = result.prepared.grid.samples
+    col_z = result.prepared.col_grid.samples
+    for n in result.config.loop.export_iterations:
+        r = records[n]
+        x = r.extras
+        _cellwise_write_rows(
+            old / f"fields_{n:04d}.csv",
+            ("z", "nu", "v", "v_opt", "rho", "e_rho"),
+            (z, np.interp(z, col_z, r.nu), x["v"], x["v_opt"], x["rho"], r.e_rho),
+        )
+        _cellwise_write_rows(old / f"columns_{n:04d}.csv", ("z", "nu"), (col_z, r.nu))
+        _cellwise_write_pbm(old / f"pattern_{n:04d}.pbm", x["pattern"])
+    names = sorted(p.name for p in old.iterdir())
+    assert sorted(p.name for p in (out / "new").iterdir()) == names + ["run.json"]
+    for name in names:
+        assert (out / "new" / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_export_of_every_reference_iteration_matches_the_cellwise_writers(
+    tmp_path, reference_run
+):
+    # held shots come in long runs (n = 8-39 and 52-79): their files are
+    # rewritten from the text of the exported shot before them
+    _assert_export_matches_the_cellwise_writers(
+        _export_iterations(reference_run, range(80)), tmp_path
+    )
+
+
+def test_noisy_export_reuses_nothing_of_a_held_shot(
+    tmp_path, small_scenario, small_prepared, small_lut
+):
+    cfg = dataclasses.replace(
+        small_scenario,
+        loop=dataclasses.replace(small_scenario.loop, iterations=10, export_iterations=None),
+        measurement=MeasurementConfig(noise_std=1e-4),
+    )
+    result = run_closed_loop(cfg, lut=small_lut, prepared=small_prepared)
+    records = result.records
+    held = [n for n in range(1, 10) if records[n].extras["solver_steps"] == 0]
+    assert held
+    for n in held:
+        # a held shot repeats its potentials but draws fresh noise
+        assert np.array_equal(records[n].extras["v"], records[n - 1].extras["v"])
+        assert not np.array_equal(records[n].extras["rho"], records[n - 1].extras["rho"])
+        assert not np.array_equal(records[n].e_rho, records[n - 1].e_rho)
+    _assert_export_matches_the_cellwise_writers(_export_iterations(result, range(10)), tmp_path)
+
+
+def test_export_tells_a_negative_zero_from_zero(tmp_path, reference_run):
+    # -0.0 == 0.0, yet %.17g prints "-0" and "0": a record differing from
+    # its predecessor only by the sign of a zero has files of its own
+    r = reference_run.records[0]
+    pair = []
+    for n, zero in enumerate((0.0, -0.0)):
+        e_rho = r.e_rho.copy()
+        e_rho[0] = zero
+        rho = r.extras["rho"].copy()
+        rho[-1] = zero
+        pair.append(dataclasses.replace(r, n=n, e_rho=e_rho, extras={**r.extras, "rho": rho}))
+    cfg = reference_run.config
+    loop = dataclasses.replace(cfg.loop, iterations=2, export_iterations=(0, 1))
+    result = dataclasses.replace(
+        reference_run, config=dataclasses.replace(cfg, loop=loop), records=tuple(pair)
+    )
+    _assert_export_matches_the_cellwise_writers(result, tmp_path)
+    fields = [(tmp_path / "new" / f"fields_{n:04d}.csv").read_text() for n in (0, 1)]
+    assert fields[0] != fields[1]
+    assert fields[1].splitlines()[1].endswith(",-0")
+
+
+def test_export_formats_each_distinct_column_once(tmp_path, monkeypatch, reference_run):
+    # every numeric column reaches the format through _column; a list it
+    # receives holds cells formatted before
+    formatted = []
+    column = harness._column
+
+    def spy(values):
+        if not isinstance(values, list):
+            formatted.append(values.tobytes())
+        return column(values)
+
+    monkeypatch.setattr(harness, "_column", spy)
+    export_records(reference_run, tmp_path / "run")
+    records = reference_run.records
+    z = reference_run.prepared.grid.samples
+    col_z = reference_run.prepared.col_grid.samples
+    exp = harness._default_export_iterations(len(records))
+    want = [z.tobytes(), col_z.tobytes()]
+    for col in (
+        [r.n for r in records],
+        [r.error_norm for r in records],
+        [r.mu for r in records],
+        [r.clamp_count for r in records],
+    ):
+        want.append(np.array(col).tobytes())
+    shots = set()
+    for n in exp:
+        r = records[n]
+        x = r.extras
+        shot = tuple(a.tobytes() for a in (r.nu, x["v"], x["v_opt"], x["rho"], r.e_rho))
+        if shot not in shots:
+            shots.add(shot)
+            want.append(np.interp(z, col_z, r.nu).tobytes())
+            want.extend(shot)
+    # of the 11 exported iterations 79 repeats the held shot 60: 4 norm
+    # columns, the grid and the column positions, and 6 columns for each
+    # of 10 distinct shots, where formatting every column of every file
+    # took 4 + 11 * 8 = 92
+    assert len(exp) == 11 and len(shots) == 10 and len(want) == 66
+    assert sorted(formatted) == sorted(want)
+
+
 def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepared, small_lut):
     cfg = dataclasses.replace(
         small_scenario,
@@ -1532,6 +1666,30 @@ def test_table_is_reused_across_longitudinal_optics(caplog, small_scenario, smal
     )
     assert len(run_closed_loop(cfg, lut=small_lut).records) == 1
     assert caplog.text == ""
+
+
+def test_a_disturbance_after_the_last_iteration_is_logged_once(
+    tmp_path, caplog, small_scenario, small_prepared, small_lut
+):
+    # a shortened run drops a scheduled event on purpose, so it is told at
+    # INFO, once per event, and the run and its export are those without it
+    spot = DarkSpot(center=5.0, width=3.0, depth=0.3)
+    events = tuple(DisturbanceEvent(iteration=k, spots=(spot,)) for k in (1, 2, 7))
+    late = dataclasses.replace(small_scenario, disturbances=events)
+    early = dataclasses.replace(small_scenario, disturbances=events[:1])
+    caplog.set_level(logging.INFO, logger="potshape.harness")
+    got = run_closed_loop(late, lut=small_lut, prepared=small_prepared)
+    notes = [rec for rec in caplog.records if "not applied" in rec.getMessage()]
+    assert [(rec.levelno, rec.getMessage()) for rec in notes] == [
+        (logging.INFO, f"disturbance at iteration {k} is not applied: the run has 2 iterations")
+        for k in (2, 7)
+    ]
+    assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
+    want = run_closed_loop(early, lut=small_lut, prepared=small_prepared)
+    export_records(got, tmp_path / "late")
+    export_records(dataclasses.replace(want, config=late), tmp_path / "early")
+    for p in (tmp_path / "early").iterdir():
+        assert (tmp_path / "late" / p.name).read_bytes() == p.read_bytes(), p.name
 
 
 # reals spelled as integers, and counts spelled as floats
