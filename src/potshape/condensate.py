@@ -781,12 +781,14 @@ def measure_density(
 
     With noise_std = 0 the input is returned unchanged and ``rng`` is not
     read (None will do).  Otherwise additive Gaussian noise is drawn from
-    ``rng`` and negative samples are clamped to 0, so the measurement
-    stays a density.
+    ``rng``, a ValueError if it is None, and negative samples are clamped
+    to 0, so the measurement stays a density.
     """
     if np.any(rho.values < 0):
         raise ValueError("density must be non-negative")
     if cfg.noise_std == 0.0:
         return rho
+    if rng is None:
+        raise ValueError("a noisy measurement needs a random generator, got rng=None")
     noisy = rho.values + rng.normal(0.0, cfg.noise_std, size=rho.values.shape)
     return RealField1D(grid=rho.grid, values=np.clip(noisy, 0.0, None))

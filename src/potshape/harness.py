@@ -58,7 +58,6 @@ from .inputmap import (
     LutSpec,
     build_lut,
     lut_sha256,
-    map_virtual_input,
     psf_beam_hash,
 )
 from .optics import (
@@ -496,15 +495,14 @@ def _error_norm(values: np.ndarray, dz: float) -> float:
 
 
 def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist, initial=None):
-    """One shot of the plant: the pattern of the table indices ``index``,
-    its field (``column_response`` times its :func:`optics.column_sums`),
-    the potentials ``v_opt`` under the dark spots ``dist`` and ``v`` with
-    the magnetic trap, and the ground state, warm from ``initial`` and
-    cold if a warm start stalls (a cold first solve is not repeated).
-    ``n`` names the iteration in the messages.
+    """One shot of the plant: the pattern whose columns are the table's
+    rows ``lut.levels[index]``, its field (``column_response`` times its
+    :func:`optics.column_sums`), the potentials ``v_opt`` under the dark
+    spots ``dist`` and ``v`` with the magnetic trap, and the ground state,
+    warm from ``initial`` and cold if a warm start stalls (a cold first
+    solve is not repeated).  ``n`` names the iteration in the messages.
     Returns the pattern, ``v_opt``, ``v`` and the ground state."""
-    nu = RealField1D(grid=prepared.col_grid, values=lut.nu_levels[index])
-    pattern = map_virtual_input(nu, lut)
+    pattern = DmdPattern(bits=lut.levels[index].T, pixel_pitch=lut.pitch)
     cols = column_sums(pattern, cfg.psf, prepared.beam)
     e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
     v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)

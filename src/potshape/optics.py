@@ -23,9 +23,10 @@ loop (``harness``) builds the matrix once and uses it twice: the plant
 feeds it the ``column_sums`` of the actual mirror pattern, and the
 control model in ``harness.level_update`` feeds it the change in the
 table's achieved values that a trial move would make.
-``propagate_separable`` is the potential of one achieved amplitude per
-column through a column response of its own, for the acceptance
-criteria and the benchmark.  ``propagate_full`` performs the direct pixel sum with
+``propagate_separable`` is that column product for one achieved
+amplitude per column, through a column response of its own, turned into
+a potential by ``potential_from_field``; the acceptance criteria and the
+benchmark use it.  ``propagate_full`` performs the direct pixel sum with
 per-pixel Gauss-Legendre quadrature, never the closed form; it is the
 independent oracle that the tests and the acceptance criteria check the
 matrix routes against, and the loop does not call it.  It sums over
@@ -192,9 +193,6 @@ class DmdPattern:
     def n_l(self) -> int:
         return self.bits.shape[1]
 
-    def column_centers(self) -> np.ndarray:
-        return column_centers(self.n_l, self.pixel_pitch)
-
     def sha256(self) -> str:
         h = hashlib.sha256()
         h.update(np.int64(self.bits.shape).tobytes())
@@ -338,11 +336,11 @@ def calibrate_beam(
     ``headroom`` are the scenario's ``ControlSpec`` values; they have no
     defaults here."""
     target = np.sqrt(headroom * v_max / alpha_v)
+    out = BeamProfile(sigma_y=beam.sigma_y, sigma_z=beam.sigma_z)
     # on-axis all-ones field per unit amplitude
-    unit = float(transversal_weights(psf, beam, n_t, pitch, [0.0])[0].sum())
+    unit = e_perp_max(psf, out, n_t, pitch)
     if unit <= 0:
         raise ValueError("transversal weights sum to a non-positive field")
-    out = BeamProfile(sigma_y=beam.sigma_y, sigma_z=beam.sigma_z)
     object.__setattr__(out, "amplitude", target / unit)
     return out
 
@@ -384,7 +382,7 @@ def propagate_full(
     """
     _check_pattern_support(pattern, psf)
     cols = column_sums(pattern, psf, beam)
-    centers = pattern.column_centers()
+    centers = column_centers(pattern.n_l, pattern.pixel_pitch)
     half = 0.5 * pattern.pixel_pitch
     # longitudinal quadrature nodes, flattened over (column, node)
     eta = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
@@ -469,19 +467,20 @@ def propagate_separable(
     """Optical potential from per-column achieved amplitudes.
 
     ``nu`` holds the normalised transversal field value of each column on
-    the column-centre grid; the field is E(z) = e_max * sum_j nu_j Z_j(z)
-    with Z = :func:`column_response`, and the potential is alpha_v E^2.
-    The loop does not call it (its control model is Z itself, in
-    ``harness.level_update``); it is the potential form that acceptance
-    criterion 7 checks against :func:`propagate_full` and that the
-    benchmark's ground-state workload draws its potentials from.
+    the column-centre grid; the field is the column product E(z) = e_max *
+    sum_j nu_j Z_j(z) with Z = :func:`column_response`, and the potential
+    is :func:`potential_from_field` of it, alpha_v E^2 (so ``alpha_v`` must
+    be positive).  The loop does not call it (its control model is Z
+    itself, in ``harness.level_update``); it is the potential form that
+    acceptance criterion 7 checks against :func:`propagate_full` and that
+    the benchmark's ground-state workload draws its potentials from.
     """
     v = nu.values
     if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):
         raise ValueError("achieved column values must lie in [0, 1]")
     resp = column_response(grid, nu.grid, psf, beam)
-    field = e_max * (resp @ np.clip(v, 0.0, 1.0))
-    return RealField1D(grid=grid, values=alpha_v * field**2)
+    e_out = RealField1D(grid=grid, values=e_max * (resp @ np.clip(v, 0.0, 1.0)))
+    return potential_from_field(e_out, alpha_v)
 
 
 def potential_from_field(

@@ -964,3 +964,13 @@ def test_measurement_rejects_negative_density():
     bad = RealField1D(grid=grid, values=np.full(11, -1.0))
     with pytest.raises(ValueError):
         measure_density(bad, MeasurementConfig(), np.random.default_rng(0))
+
+
+def test_noisy_measurement_needs_a_generator():
+    # the noise-free measurement reads no generator; a noisy one refuses
+    # a missing generator by name
+    grid = SpatialGrid1D(10.0, 11)
+    rho = RealField1D(grid=grid, values=np.full(11, 0.5))
+    assert measure_density(rho, MeasurementConfig(), None) is rho
+    with pytest.raises(ValueError, match="rng=None"):
+        measure_density(rho, MeasurementConfig(noise_std=1e-3), None)

@@ -7,6 +7,7 @@ import logging
 import re
 import shutil
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -924,25 +925,21 @@ def _held_shots(records, cfg):
 
 
 def _count_loop_calls(monkeypatch, lut, events):
-    # record each table lookup (map_virtual_input's own apart), error
-    # norm, ground-state solve and level_update call in ``events``
+    # record each table lookup, pattern's column sums, error norm,
+    # ground-state solve and level_update call in ``events``
     nearest = type(lut).nearest_index
-    map_input = harness.map_virtual_input
+    sums = harness.column_sums
     norm = harness._error_norm
     solve = harness.ground_state
     law = harness.level_update
-    mapping = []
 
     def counted_nearest(self, nu):
-        events.append("map" if mapping else "index")
+        events.append("index")
         return nearest(self, nu)
 
-    def counted_map(nu, table):
-        mapping.append(1)
-        try:
-            return map_input(nu, table)
-        finally:
-            mapping.pop()
+    def counted_sums(*args):
+        events.append("columns")
+        return sums(*args)
 
     def counted_norm(values, dz):
         events.append("norm")
@@ -957,7 +954,7 @@ def _count_loop_calls(monkeypatch, lut, events):
         return law(*args)
 
     monkeypatch.setattr(type(lut), "nearest_index", counted_nearest)
-    monkeypatch.setattr(harness, "map_virtual_input", counted_map)
+    monkeypatch.setattr(harness, "column_sums", counted_sums)
     monkeypatch.setattr(harness, "_error_norm", counted_norm)
     monkeypatch.setattr(harness, "ground_state", counted_solve)
     monkeypatch.setattr(harness, "level_update", counted_law)
@@ -968,11 +965,11 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
 ):
     # the loop looks up its initial input's table indices once and then
     # carries the indices level_update returns.  An iteration that is not
-    # a held shot takes one pattern map, one solve, one error norm and one
-    # level_update, and each trial one index lookup and, if it moves a
-    # column, one predicted norm; map_virtual_input's own lookup is
-    # counted apart.  A held noise-free shot does none of this.  The
-    # records are the reference run's.
+    # a held shot takes one pattern's column sums, one solve, one error
+    # norm and one level_update, and each trial one index lookup and, if
+    # it moves a column, one predicted norm; the pattern is the table's
+    # rows, with no lookup of its own.  A held noise-free shot does none
+    # of this.  The records are the reference run's.
     pre, lut = reference_prepared, reference_lut
     events = []
     _count_loop_calls(monkeypatch, lut, events)
@@ -980,7 +977,7 @@ def test_loop_takes_one_index_and_one_error_norm_per_iteration(
 
     def progress(record):
         per_iteration.append(
-            [events.count(k) for k in ("index", "norm", "map", "solve", "update")]
+            [events.count(k) for k in ("index", "norm", "columns", "solve", "update")]
         )
         events.clear()
 
@@ -1213,11 +1210,11 @@ def test_loop_computes_the_potential_only_when_pattern_or_spots_change(
 def test_loop_maps_and_transforms_only_what_changed(
     scenario, reference_lut, reference_prepared, reference_run, monkeypatch
 ):
-    # a shot is computed (its pattern mapped, its potential built and its
-    # ground state solved) once per iteration whose table indices or dark
-    # spots differ from the last computed shot's, and the learning kernel
-    # is transformed once per computed update; the records are those of
-    # the reference run
+    # a shot is computed (its pattern's columns summed, its potential
+    # built and its ground state solved) once per iteration whose table
+    # indices or dark spots differ from the last computed shot's, and the
+    # learning kernel is transformed once per computed update; the records
+    # are those of the reference run
     lut = reference_lut
     calls, kernel_transforms = [], []
     rfft = scipy.fft.rfft
@@ -1235,7 +1232,7 @@ def test_loop_maps_and_transforms_only_what_changed(
         kernel_transforms.append(x is reference_prepared.kernel.kernel.values)
         return rfft(x, *args, **kwargs)
 
-    for name in ("map_virtual_input", "potential_from_field", "ground_state", "level_update"):
+    for name in ("column_sums", "potential_from_field", "ground_state", "level_update"):
         counted(name)
     monkeypatch.setattr(scipy.fft, "rfft", counted_rfft)
     records = run_closed_loop(scenario, lut=lut, prepared=reference_prepared).records
@@ -1246,9 +1243,9 @@ def test_loop_maps_and_transforms_only_what_changed(
     ]
     changed = [n == 0 or keys[n] != keys[n - 1] for n in range(len(records))]
     # the dark spots switch on at n = 40 with the indices held: that shot
-    # maps its pattern again, though the pattern repeats
+    # sums its pattern's columns again, though the pattern repeats
     assert changed[40] and keys[40][0] == keys[39][0]
-    for name in ("map_virtual_input", "potential_from_field", "ground_state"):
+    for name in ("column_sums", "potential_from_field", "ground_state"):
         assert calls.count(name) == sum(changed) == 20, name
     # a noise-free held shot repeats its predecessor's update
     assert sum(kernel_transforms) == calls.count("level_update") == 20
@@ -1281,6 +1278,26 @@ def test_shoot_replays_every_computed_shot(
         assert gs.density.values.tobytes() == r.extras["rho"].tobytes(), r.n
         assert float(gs.mu).hex() == r.mu.hex() and gs.n_steps == r.extras["solver_steps"], r.n
     assert sum(not h for h in held) == 20
+
+
+def test_shot_pattern_is_the_mapped_levels_of_its_indices(
+    small_scenario, small_prepared, small_lut, monkeypatch
+):
+    # a shot builds its pattern from the table rows of its indices; that
+    # is bit for bit map_virtual_input of those indices' levels, the end
+    # levels 0 and n_nu - 1 included.  The solve is stubbed: only the
+    # pattern is compared
+    pre, lut = small_prepared, small_lut
+    n_cols = pre.col_grid.n_points
+    monkeypatch.setattr(harness, "ground_state", lambda *a, **k: SimpleNamespace(converged=True))
+    rng = np.random.default_rng(45)
+    draws = [rng.integers(0, lut.n_nu, n_cols) for _ in range(6)]
+    draws[0][:2] = 0, lut.n_nu - 1
+    draws += [np.zeros(n_cols, dtype=int), np.full(n_cols, lut.n_nu - 1)]
+    for index in draws:
+        pattern = harness.shoot(small_scenario, pre, lut, 0, index, None)[0]
+        mapped = map_virtual_input(RealField1D(grid=pre.col_grid, values=lut.nu_levels[index]), lut)
+        assert np.array_equal(pattern.bits, mapped.bits) and pattern.sha256() == mapped.sha256()
 
 
 def test_record_zero_applies_the_table_level_of_the_initial_input(

@@ -309,7 +309,8 @@ def _dense_pixel_sum(pattern, beam, psf, grid):
     half = 0.5 * pattern.pixel_pitch
     w0 = transversal_weights(psf, beam, pattern.n_t, pattern.pixel_pitch, [0.0])[0]
     cols = beam.amplitude * (w0 @ pattern.bits)
-    eta = (pattern.column_centers()[:, None] + half * nodes[None, :]).ravel()
+    centers = column_centers(pattern.n_l, pattern.pixel_pitch)
+    eta = (centers[:, None] + half * nodes[None, :]).ravel()
     coef = (cols[:, None] * (half * weights)[None, :]).ravel() * beam.pz(eta)
     d = grid.samples[:, None] - eta[None, :]
     s = psf.sigma_z
@@ -449,6 +450,11 @@ def test_separable_rejects_out_of_range_values():
     nan = SimpleNamespace(grid=nu.grid, values=np.full(11, np.nan))
     with pytest.raises(ValueError, match="must lie in"):
         propagate_separable(nan, beam, psf, grid, 1.0, 1.0)
+    # the potential is potential_from_field's, which refuses alpha_v <= 0
+    half_on = RealField1D(grid=nu.grid, values=np.full(11, 0.5))
+    for alpha_v in (0.0, -1.0):
+        with pytest.raises(ValueError, match="conversion factor must be positive"):
+            propagate_separable(half_on, beam, psf, grid, 1.0, alpha_v)
 
 
 # ------------------------------------------------- potential and spots
