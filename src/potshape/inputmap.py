@@ -21,9 +21,7 @@ and then refines all levels in lockstep too, every level's candidates
 moving one flip per step.  Each level keeps its own random stream, and
 the costs of a stack are scored by stacked products that call BLAS once
 per level's matrix or per row, with the shape a single-level call uses,
-so every value equals its single-level value bit for bit.  An entry is
-therefore bit-identical to a :func:`solve_pattern` call for that level
-with the entry's child seed, which runs the same code with one level.
+so every value equals its single-level value bit for bit.
 A generation touches each level's generator twice: one raw PCG64 call
 holds its tournament and crossover draws, which whole-stack array
 operations turn into exactly the values numpy's ``integers`` would draw,
@@ -33,9 +31,8 @@ an odd number of entrants, a mask of part of a 64-bit output, or after
 rewinding a raw call that holds a rejected entrant draw.
 
 Refinement is one single-bit-flip descent over a stack of bit rows; the
-polish, the walk onto the target, the capped polish and the monotone
-repair's lift differ only in the per-flip cost they hand it (inf for a
-flip they do not allow).
+polish, the walk onto the target and the capped polish differ only in
+the per-flip cost they hand it (inf for a flip they do not allow).
 
 A build reads the scenario's own sections, each checked once by its
 class: the table section :class:`LutSpec`, defined here, and the
@@ -60,7 +57,6 @@ __all__ = [
     "LutSpec",
     "PatternObjective",
     "Lut",
-    "solve_pattern",
     "build_lut",
     "map_virtual_input",
     "invert_pattern",
@@ -339,7 +335,7 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
 _MAX_FLIPS = 2000
 
 
-def _descend(flip_cost, bits: np.ndarray, nu, cost, max_flips: int = _MAX_FLIPS, stop=None):
+def _descend(flip_cost, bits: np.ndarray, nu, cost, stop=None):
     """Steepest descent by single-bit flips of every row of a (K, n_t) bit
     stack in lockstep; returns the final bits.
 
@@ -347,7 +343,7 @@ def _descend(flip_cost, bits: np.ndarray, nu, cost, max_flips: int = _MAX_FLIPS,
     of ``b`` at that row's target ``nu`` (inf for a flip the caller does
     not allow), and ``cost`` is the cost of each row of ``bits``.  A row
     takes its best flip while that lowers its cost by more than 1e-18, for
-    at most ``max_flips`` flips, and stops early once its cost is at or
+    at most _MAX_FLIPS flips, and stops early once its cost is at or
     below ``stop``.  Only the rows still descending are evaluated, and a
     row's flip costs do not depend on the other rows
     (:meth:`PatternObjective.flips`), so every row ends where its descent
@@ -356,7 +352,7 @@ def _descend(flip_cost, bits: np.ndarray, nu, cost, max_flips: int = _MAX_FLIPS,
     b = bits.copy()
     cost = np.array(cost, dtype=float)
     live = np.arange(len(b))
-    for _ in range(max_flips):
+    for _ in range(_MAX_FLIPS):
         if stop is not None:
             live = live[cost[live] > stop]
         if not live.size:
@@ -381,7 +377,13 @@ def _refine(obj: PatternObjective, nus, candidates: np.ndarray, target_cap):
     then walked onto its target and re-polished among cap-respecting
     flips.  Each phase is one :func:`_descend` over all the candidates it
     moves.  Per level, candidates inside the cap win over those outside
-    it, then the lower objective value wins, and ties keep the first.
+    it, then the lower objective value wins, and ties keep the first, so
+    a level whose candidates all miss the cap keeps its lowest value.
+
+    The cap is the table's accuracy: near the extremes the unconstrained
+    optimum trades a few 1e-3 of on-axis accuracy against the beam-envelope
+    droop across the penalty band, the better objective value but useless
+    for a table addressed by its achieved levels.
     """
     m, _, n = candidates.shape
     ends = np.broadcast_to(np.arange(2, dtype=np.uint8)[:, None], (m, 2, n))
@@ -421,34 +423,6 @@ def _refine(obj: PatternObjective, nus, candidates: np.ndarray, target_cap):
     return best, obj.on_axis(best), val[level, pick]
 
 
-def solve_pattern(obj: PatternObjective, nu_target: float, target_cap: float, rng, seed_patterns):
-    """Minimise the column objective ``obj`` for one target value.
-
-    ``obj`` carries the search settings (``obj.spec``) and the psf and
-    beam in its weights; ``rng`` drives the genetic search.  Returns (bits,
-    achieved, residual): the uint8 bit vector, |E(0)| of those bits and
-    the full objective value.  ``seed_patterns`` are injected as
-    polish candidates (the LUT monotone repair passes the neighbouring
-    entries).
-
-    The search keeps |achieved - nu| within ``target_cap``, the table's
-    accuracy: near the extremes the unconstrained optimum trades a few
-    1e-3 of on-axis accuracy against the beam-envelope droop across the
-    penalty band, which is the better objective value but useless for a
-    table that is addressed by the achieved level.  Candidates outside
-    the cap are walked onto the target with the fine-grained wing weights
-    and then re-polished among cap-respecting flips; candidates inside
-    the cap win by objective value.  A cap no candidate meets leaves the
-    best objective value.
-    """
-    if not (0.0 <= nu_target <= 1.0):
-        raise ValueError("target value must lie in [0, 1]")
-    start = _ga_minimise(obj, [nu_target], [rng])[0]
-    candidates = np.array([[start, *seed_patterns]], dtype=np.uint8)
-    bits, achieved, residual = _refine(obj, [nu_target], candidates, target_cap)
-    return bits[0], float(achieved[0]), float(residual[0])
-
-
 @dataclass(frozen=True, eq=False)
 class Lut:
     """Monotone table nu_k = k / (n_nu - 1) -> column pattern.
@@ -460,11 +434,14 @@ class Lut:
     ``nu_levels`` = k / (n_nu - 1) and the row length ``n_t`` are derived,
     not stored.  A ValueError refuses levels that are not ``spec.n_nu``
     rows of 0/1 bits, two rows with one pattern, which
-    :func:`invert_pattern` could not tell apart, and an ``achieved`` or
-    ``residual`` not ``spec.n_nu`` long.  Given the scenario's psf and
-    beam, whose transversal values :func:`psf_beam_hash` checks, the
-    header records everything needed to recompute the table: the section
-    ``spec`` that built it, the pitch and the master seed.  Tables hold
+    :func:`invert_pattern` could not tell apart, an ``achieved`` or
+    ``residual`` not ``spec.n_nu`` long, and an ``achieved`` that
+    decreases from one entry to the next or holds NaN: the table is a
+    monotone map from nu to the field its patterns achieve.  Given the
+    scenario's psf and beam, whose transversal values
+    :func:`psf_beam_hash` checks, the header records everything needed to
+    recompute the table: the section ``spec`` that built it, the pitch
+    and the master seed.  Tables hold
     arrays, so they compare by identity.  :attr:`entries` and
     :meth:`achieved_values` are views kept only for perfbench."""
 
@@ -495,6 +472,9 @@ class Lut:
             j = first.setdefault(row.tobytes(), k)
             if j != k:
                 raise ValueError(f"entries {j} and {k} share one bit pattern")
+        rises = np.diff(self.achieved) >= 0
+        if not rises.all():
+            raise ValueError(f"achieved value decreases at entry {np.argmin(rises) + 1}")
 
     @property
     def n_nu(self) -> int:
@@ -535,36 +515,6 @@ def psf_beam_hash(psf: PsfModel, beam: BeamProfile) -> str:
     return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
 
-def _monotone_repair(obj, nus, levels, achieved, residual, target_cap, seed):
-    """Re-solve the rows of ``levels`` that break monotonicity, warm
-    started from their lower neighbour, row k on the stream
-    ``[seed, k, 7919]``; as a last resort lift the achieved value by
-    greedy flips constrained to stay at or above the neighbour."""
-    for k in range(1, len(nus)):
-        if achieved[k] >= achieved[k - 1]:
-            continue
-        rng = np.random.default_rng([seed, k, 7919])
-        bits, ach, res = solve_pattern(obj, nus[k], target_cap, rng, (levels[k - 1], levels[k]))
-        if ach < achieved[k - 1]:
-            floor = achieved[k - 1] - 1e-15
-
-            def lift(b, nu):
-                e0, fc = obj.flips(b, nu)
-                return np.where(e0 >= floor, fc, np.inf)
-
-            start = levels[k - 1 : k]
-            cost = obj.value(start, nus[k])
-            bits = _descend(lift, start, nus[k : k + 1], cost, obj.dmd.n_rows)[0]
-            ach = float(obj.on_axis(bits)[0])
-            res = float(obj.value(bits, nus[k])[0])
-        if ach < achieved[k - 1]:
-            raise RuntimeError(
-                f"monotone repair failed for table entry {k} "
-                f"({ach:.6f} < {achieved[k - 1]:.6f})"
-            )
-        levels[k], achieved[k], residual[k] = bits, ach, res
-
-
 def build_lut(
     spec: LutSpec,
     dmd: DmdSpec,
@@ -581,17 +531,21 @@ def build_lut(
     all-on anchors the normalisation at achieved = 1.  Every other entry
     gets its own deterministic child seed ``[seed, k]``; the master
     ``seed`` is a non-negative integer.  Their genetic searches run
-    together in lockstep and each result is then refined as in
-    :func:`solve_pattern`, so an entry the monotone repair leaves alone
-    equals ``solve_pattern(PatternObjective(spec, dmd, psf, beam), nu_k,
-    accuracy, default_rng([seed, k]), ())`` bit for bit, whatever the
-    number of levels.
+    together in lockstep and the results are refined together
+    (:func:`_refine`), so an entry equals its level's search and
+    refinement run alone on ``default_rng([seed, k])`` bit for bit,
+    whatever the number of levels.
 
     ``accuracy`` is the per-entry target for |achieved - nu_k|, a finite
     number > 0, by default 0.05 / (n_nu - 1): a twentieth of the table
     step.  Entries worse than four times that are a hard error: a table
     that cannot realise its own levels would silently bias the closed loop.
-    Two entries with one bit pattern raise a ValueError (:class:`Lut`).
+    The same bound keeps the table monotone: entries within 4 * accuracy
+    of targets one step apart cannot cross while ``accuracy`` is below an
+    eighth of a step, as the default is.  A larger explicit ``accuracy``
+    is covered too, because :class:`Lut` refuses with a ValueError an
+    achieved value that decreases, as it refuses two entries with one bit
+    pattern.
     The build's bits, achieved values and residuals are the table's three
     arrays; its nu and ``n_t`` are derived.
     """
@@ -610,7 +564,6 @@ def build_lut(
     rngs = [np.random.default_rng([seed, k]) for k in range(1, n_nu - 1)]
     starts = _ga_minimise(obj, nus[1:-1], rngs)
     levels[1:-1], achieved[1:-1], residual[1:-1] = _refine(obj, nus[1:-1], starts[:, None], acc)
-    _monotone_repair(obj, nus, levels, achieved, residual, acc, seed)
     bad = [k for k in range(n_nu) if abs(achieved[k] - nus[k]) > 4.0 * acc]
     if bad:
         raise RuntimeError(
@@ -728,8 +681,9 @@ def load_lut(path) -> Lut:
     digits, as :func:`psf_beam_hash` writes it), or whose entries do not
     form a table the closed loop can address: a count other than the
     section's ``n_nu``, a bit string of the wrong length, a ``nu`` off the
-    grid k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, decreasing
-    achieved values, or two entries with one bit pattern.  The format stays
+    grid k / (n_nu - 1) that :meth:`Lut.nearest_index` assumes, or
+    decreasing achieved values or two entries with one bit pattern, which
+    :class:`Lut` refuses.  The format stays
     ``potshape-lut-v2``, but the table keeps only the entries' bits,
     achieved values and residuals; it derives ``n_t`` and nu again.
     """
@@ -750,13 +704,11 @@ def load_lut(path) -> Lut:
     ]
     spec = _field(data, "lut", "table header", lambda section, key: LutSpec(**section))
     n_t = _field(data, "n_t", "table header", as_index, low=1)
-    for k, (row, (nu, achieved, _)) in enumerate(zip(rows, numbers)):
+    for k, (row, (nu, _, _)) in enumerate(zip(rows, numbers)):
         if len(row) != n_t:
             raise ValueError(f"entry {k} has {len(row)} bits, header says n_t = {n_t}")
         if abs(nu - k / (spec.n_nu - 1)) > 1e-12:
             raise ValueError(f"entry {k} has nu = {nu!r}, not {k}/{spec.n_nu - 1}")
-        if k > 0 and achieved < numbers[k - 1][1]:
-            raise ValueError(f"achieved value decreases at entry {k}")
     _, achieved, residual = np.array(numbers).reshape(-1, 3).T
     return Lut(
         levels=np.array(rows),

@@ -23,7 +23,6 @@ from potshape.inputmap import (
     LutSpec,
     PatternObjective,
     _ga_minimise,
-    _monotone_repair,
     _refine,
     _SelectionDraws,
     build_lut,
@@ -33,7 +32,6 @@ from potshape.inputmap import (
     map_virtual_input,
     psf_beam_hash,
     save_lut,
-    solve_pattern,
 )
 from potshape.harness import build_scenario_lut
 from potshape.optics import BeamProfile, DmdSpec, PsfModel, calibrate_beam, column_grid
@@ -43,8 +41,10 @@ SEED = 3
 
 
 def _solve(obj, nu, target_cap, seed=SEED):
-    # one search seeded with the master seed alone
-    return solve_pattern(obj, nu, target_cap, np.random.default_rng(seed), ())
+    # one level's search and refinement, seeded with the master seed alone
+    start = _ga_minimise(obj, [nu], [np.random.default_rng(seed)])[0]
+    bits, achieved, residual = _refine(obj, [nu], start[None, None], target_cap)
+    return bits[0], float(achieved[0]), float(residual[0])
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,12 @@ def test_lut_levels_validation():
         _toy_lut(n_nu=3, levels=[[0, 0, 0], [2, 0, 0], [1, 1, 1]])
     with pytest.raises(ValueError, match="entries 0 and 2 share one bit pattern"):
         _toy_lut(n_nu=3, levels=[[0, 1, 0], [1, 0, 0], [0, 1, 0]])
+    # the table is a monotone map from nu to the achieved field: a value
+    # that falls, or NaN, which compares as neither, is refused
+    for bad, k in (([0.0, 0.7, 0.5], 2), ([0.0, np.nan, 1.0], 1)):
+        with pytest.raises(ValueError, match=f"achieved value decreases at entry {k}"):
+            _toy_lut(n_nu=3, levels=[[0, 0], [1, 0], [1, 1]], achieved=bad)
+    assert _toy_lut(n_nu=3, achieved=[0.0, 0.5, 0.5]).achieved.tolist() == [0.0, 0.5, 0.5]
     # the table section's n_nu counts the achieved values and residuals too
     with pytest.raises(ValueError, match="achieved must hold 4 values, one an entry"):
         dataclasses.replace(lut, spec=LutSpec(n_nu=4), levels=bits + [[0, 1, 0]])
@@ -411,11 +417,12 @@ def test_lockstep_refinement_matches_solo_refinement(fast_obj, fast_dmd, fast_lu
     # a start outside a tight cap, with two seed patterns: the walk onto
     # the target and the capped polish run as well
     seeds = (fast_lut.levels[5], fast_lut.levels[6] ^ (np.arange(fast_dmd.n_rows) % 3 == 0))
-    got = solve_pattern(obj, 0.9, 2e-3, np.random.default_rng(9), seeds)
     start = _solo_ga(obj, 0.9, np.random.default_rng(9))
+    bits, achieved, residual = _refine(obj, [0.9], np.array([[start, *seeds]], np.uint8), 2e-3)
     *expect, walked = _solo_refine(obj, 0.9, (start, *seeds), 2e-3)
     assert walked >= 2
-    assert np.array_equal(got[0], expect[0]) and got[1:] == tuple(expect[1:])
+    assert np.array_equal(bits[0], expect[0])
+    assert achieved[0] == expect[1] and residual[0] == expect[2]
 
 
 def _check_lockstep_search(psf, beam, population, generations, n_t):
@@ -475,17 +482,13 @@ def test_lockstep_search_through_rejected_entrant_draws_matches_solo_searches(ps
         assert np.array_equal(got[k], _solo_ga(obj, nu, rng)), f"level {k}"
 
 
-def test_solve_pattern_extremes(fast_obj):
+def test_single_level_solve_of_zero_is_all_off(fast_obj):
     bits, achieved, residual = _solve(fast_obj, 0.0, 1e-3)
     assert not np.any(bits)
     assert achieved == 0.0 and residual == 0.0
-    with pytest.raises(ValueError):
-        _solve(fast_obj, 1.5, 1e-3)
-    with pytest.raises(ValueError):
-        _solve(fast_obj, -0.1, 1e-3)
 
 
-def test_solve_pattern_half_level(scenario, psf, beam):
+def test_single_level_solve_of_half_level(scenario, psf, beam):
     # the full-size search of the reference table section
     obj = PatternObjective(scenario.lut, scenario.dmd, psf, beam)
     _, achieved, residual = _solve(obj, 0.5, 1e-3, scenario.loop.seed)
@@ -564,65 +567,31 @@ def test_build_is_deterministic(fast_spec, fast_dmd, psf, beam, fast_lut):
 
 
 def test_table_entries_equal_their_solo_solves(fast_obj, fast_lut):
-    # an entry the monotone repair left alone is exactly what solve_pattern
-    # returns for its level with the entry's own child seed
+    # every inner entry is exactly its level's search and refinement run
+    # alone with the entry's own child seed
     acc = 0.05 / (fast_lut.n_nu - 1)
-    untouched = 0
     for k in range(1, fast_lut.n_nu - 1):
-        rng = np.random.default_rng([SEED, k])
-        bits, ach, res = solve_pattern(fast_obj, fast_lut.nu_levels[k], acc, rng, ())
-        if ach < fast_lut.achieved[k - 1]:
-            continue  # repaired
-        untouched += 1
-        assert np.array_equal(bits, fast_lut.levels[k])
-        assert ach == fast_lut.achieved[k] and res == fast_lut.residual[k]
-    assert untouched >= 3
+        start = _solo_ga(fast_obj, fast_lut.nu_levels[k], np.random.default_rng([SEED, k]))
+        bits, ach, res, _ = _solo_refine(fast_obj, fast_lut.nu_levels[k], (start,), acc)
+        assert np.array_equal(bits, fast_lut.levels[k]), f"entry {k}"
+        assert ach == fast_lut.achieved[k] and res == fast_lut.residual[k], f"entry {k}"
 
 
-def test_monotone_repair_resolves_then_lifts(fast_obj, fast_dmd):
-    # centre-out blocks of mirrors; two entries sit below their lower
-    # neighbour: entry 2 is re-solved from its own level, while entry 4's
-    # re-solve (about 0.8) cannot reach entry 3 (0.85), so it is lifted
-    obj = fast_obj
-    n = fast_dmd.n_rows
-    order = np.argsort(np.abs(np.arange(n) - 0.5 * (n - 1)))
+def test_crossing_table_is_refused(fast_spec, fast_dmd, psf, beam, monkeypatch):
+    # the refinement hands back the fast table's entries 2 and 3 swapped:
+    # each then misses its target by a table step, which the tolerance
+    # refuses; a loose accuracy lets them through to the table, which
+    # refuses an achieved value that decreases
+    refine = inputmap._refine
 
-    nus = np.linspace(0.0, 1.0, 6)
-    acc = 0.05 / (len(nus) - 1)
-    before = np.zeros((len(nus), n), dtype=np.uint8)
-    for k, m in enumerate((0, 2, 1, 8, 7, n)):
-        before[k, order[:m]] = 1
-    levels = before.copy()
-    achieved = np.array([float(obj.on_axis(b)[0]) for b in levels])
-    residual = np.array([float(obj.value(b, nu)[0]) for b, nu in zip(levels, nus)])
-    ach0, res0 = achieved.copy(), residual.copy()
-    assert ach0[2] < ach0[1] and ach0[4] < ach0[3]
+    def swapped(*args):
+        return tuple(a[[0, 2, 1, 3, 4]] for a in refine(*args))
 
-    def resolve(k):
-        rng = np.random.default_rng([SEED, k, 7919])
-        return solve_pattern(obj, nus[k], acc, rng, (before[k - 1], before[k]))
-
-    _monotone_repair(obj, nus, levels, achieved, residual, acc, SEED)
-    assert np.all(np.diff(achieved) >= 0.0)
-    for k in (0, 1, 3, 5):
-        assert np.array_equal(levels[k], before[k])
-        assert achieved[k] == ach0[k] and residual[k] == res0[k]
-    bits, ach, res = resolve(2)
-    assert ach >= ach0[1]
-    assert np.array_equal(levels[2], bits)
-    assert achieved[2] == ach and residual[2] == res
-    # the lift starts from entry 3's bits and keeps at or above its value
-    assert resolve(4)[1] < ach0[3]
-    lifted = levels[4]
-    assert not np.array_equal(lifted, before[3])
-    assert achieved[4] == float(obj.on_axis(lifted)[0]) >= ach0[3]
-    assert residual[4] == float(obj.value(lifted, nus[4])[0])
-    assert residual[4] < float(obj.value(before[3], nus[4])[0])
-    for i in range(n):
-        b = lifted.copy()
-        b[i] ^= 1
-        if float(obj.on_axis(b)[0]) >= ach0[3]:
-            assert float(obj.value(b, nus[4])[0]) >= residual[4] * (1.0 - 1e-12)
+    monkeypatch.setattr(inputmap, "_refine", swapped)
+    with pytest.raises(RuntimeError, match=r"out of tolerance: k=2 .*, k=3 "):
+        build_lut(fast_spec, fast_dmd, psf, beam, SEED)
+    with pytest.raises(ValueError, match="achieved value decreases at entry 3"):
+        build_lut(fast_spec, fast_dmd, psf, beam, SEED, accuracy=1.0)
 
 
 def test_unreachable_accuracy_is_a_hard_error(fast_spec, fast_dmd, psf, beam):
