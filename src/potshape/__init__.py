@@ -11,51 +11,8 @@ drawn with a binary micromirror array.  Modules:
   ilc        learning kernel design and the law's correction
   harness    scenarios, the closed loop, exports
   cli        command line front end
+
+Import the module you need by its path, as in
+``from potshape.harness import ScenarioConfig``; the package itself
+re-exports nothing.
 """
-
-from .condensate import (
-    CondensateParams,
-    ConvergenceError,
-    GroundState,
-    MeasurementConfig,
-    SolverConfig,
-    ground_state,
-    measure_density,
-    thomas_fermi_density,
-)
-from .core import (
-    RealField1D,
-    SpatialGrid1D,
-    Spectrum1D,
-    convolve,
-    spectrum,
-)
-from .harness import (
-    ConfigError,
-    ScenarioConfig,
-    desired_potential,
-    export_records,
-    prepare,
-    run_closed_loop,
-)
-from .ilc import (
-    LearningKernel,
-    density_error,
-    design_kernel,
-    gain_profile,
-    transfer_function,
-)
-from .inputmap import Lut, LutSpec, build_lut, load_lut, map_virtual_input, save_lut
-from .optics import (
-    BeamProfile,
-    DarkSpot,
-    DmdPattern,
-    DmdSpec,
-    MagneticPotentialSpec,
-    PsfModel,
-    TransmissionDisturbance,
-    propagate_full,
-    propagate_separable,
-)
-
-__version__ = "0.1.0"

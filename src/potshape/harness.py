@@ -180,11 +180,13 @@ class LoopSpec:
                     f"export_iterations must be a list of integers, got {self.export_iterations!r}"
                 )
             exp = tuple(as_index(i, "export_iterations entry") for i in self.export_iterations)
-            for n in exp:
+            for k, n in enumerate(exp):
                 if not (0 <= n < self.iterations):
                     raise ValueError(
                         f"export iteration {n} outside the {self.iterations} iterations"
                     )
+                if n in exp[:k]:
+                    raise ValueError(f"export iteration {n} is listed twice")
             object.__setattr__(self, "export_iterations", exp)
 
 
@@ -818,7 +820,6 @@ def export_records(result: RunResult, out_dir) -> list:
             "gamma_nu": result.prepared.kernel.gamma,
             "kernel_support": result.prepared.kernel.kernel.grid.length,
             "kernel_points": result.prepared.kernel.kernel.grid.n_points,
-            "transfer_sha256": result.prepared.kernel.transfer_sha256,
             "grid_dz": result.prepared.grid.dz,
             "crossover_parameter_desired": interaction_parameter(
                 result.prepared.rho_desired, cfg.condensate

@@ -29,7 +29,6 @@ and the error, gain and kernel it is built from.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,14 +182,6 @@ class LearningKernel:
 
     kernel: RealField1D
     gamma: float
-    transfer_sha256: str
-
-
-def _spectrum_sha256(g: Spectrum1D) -> str:
-    h = hashlib.sha256()
-    h.update(np.asarray([g.grid.length, float(g.grid.n_points)]).tobytes())
-    h.update(np.ascontiguousarray(g.values).tobytes())
-    return h.hexdigest()
 
 
 def design_kernel(g: Spectrum1D) -> LearningKernel:
@@ -230,7 +221,7 @@ def design_kernel(g: Spectrum1D) -> LearningKernel:
     z_t = max(z_t, dz)
     sel = np.abs(lags) <= z_t * (1.0 + 1e-12) + 1e-12 * dz
     kernel = RealField1D(grid=SpatialGrid1D.from_samples(lags[sel]), values=vals[sel])
-    return LearningKernel(kernel=kernel, gamma=float(gamma), transfer_sha256=_spectrum_sha256(g))
+    return LearningKernel(kernel=kernel, gamma=float(gamma))
 
 
 def correction(e_rho: RealField1D, kernel: LearningKernel, grid: SpatialGrid1D) -> np.ndarray:

@@ -437,7 +437,11 @@ class Lut:
     :func:`invert_pattern` could not tell apart, an ``achieved`` or
     ``residual`` not ``spec.n_nu`` long, and an ``achieved`` that
     decreases from one entry to the next or holds NaN: the table is a
-    monotone map from nu to the field its patterns achieve.  Given the
+    monotone map from nu to the field its patterns achieve.  It also
+    refuses what :func:`load_lut` would refuse in the table's file: an
+    ``achieved`` or ``residual`` value that is not finite, a pitch that
+    is not a finite number above 0, a seed that is not an integer >= 0
+    and a psf/beam hash that is not 64 lowercase hex digits.  Given the
     scenario's psf and beam, whose transversal values
     :func:`psf_beam_hash` checks, the header records everything needed to
     recompute the table: the section ``spec`` that built it, the pitch
@@ -475,6 +479,12 @@ class Lut:
         rises = np.diff(self.achieved) >= 0
         if not rises.all():
             raise ValueError(f"achieved value decreases at entry {np.argmin(rises) + 1}")
+        for name in ("achieved", "residual"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} values must be finite")
+        check_real(self, "pitch", above=0)
+        check_index(self, "seed", low=0)
+        _digest(self.psf_beam_sha256, "psf_beam_sha256")
 
     @property
     def n_nu(self) -> int:

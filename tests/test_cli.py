@@ -3,10 +3,12 @@ word on stderr, and their tables save, load, rebuild and are reused byte
 for byte.  The ``cli.main`` tests of single refusals and exit codes are
 in ``test_harness.py``."""
 
+import ast
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,17 +143,41 @@ def test_groundstate_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path)
 def test_importing_the_package_loads_neither_scipy_optimize_nor_scipy_linalg():
     # neither is needed, and each raises a process's peak resident memory,
     # which perfbench reports: by about 6 MB (scipy.linalg) and 22 MB
-    # (scipy.optimize) over the 55 MB of `import potshape, potshape.cli`
+    # (scipy.optimize) over the 55 MB of `import potshape.cli`.  The
+    # package loads none of its modules, so each is imported alone in a
+    # fresh interpreter: one that needs another imported first fails here
     code = (
-        "import sys, potshape, potshape.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+        "import importlib, json, sys; importlib.import_module(sys.argv[1]); "
+        "print(json.dumps([[m for m in sys.modules if m.startswith('potshape.')], "
+        "[m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]]))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(potshape.__file__).parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    modules = ("core", "optics", "inputmap", "condensate", "ilc", "harness", "cli")
+    runs = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", code, name], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        for name in ("potshape", *(f"potshape.{m}" for m in modules))
+    }
+    for name, run in runs.items():
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, (name, err)
+        loaded, scipy_loaded = json.loads(out)
+        assert scipy_loaded == [], name
+        if name == "potshape":
+            assert loaded == []
+
+
+def test_every_python_file_parses_at_the_oldest_python_admitted():
+    # pyproject.toml's requires-python floor, which CI's floors
+    # configuration runs: syntax newer than it (except*, say) fails here
+    root = Path(__file__).resolve().parents[1]
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    files = [p for d in ("src", "tests", "perfbench", "tools") for p in (root / d).rglob("*.py")]
+    assert floor and len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
 
 
 def test_the_saved_table_records_its_generations(held):

@@ -224,6 +224,21 @@ def test_export_iterations_must_be_a_list():
     assert LoopSpec(export_iterations=[3, 1]).export_iterations == (3, 1)
 
 
+def test_an_export_iteration_listed_twice_is_refused(tmp_path, capsys):
+    # it would be written twice and counted twice; the order stays free
+    message = "export iteration 1 is listed twice"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LoopSpec(iterations=5, export_iterations=[3, 1, 1])
+    with pytest.raises(ConfigError, match=f"^bad section 'loop': {message}$"):
+        scenario_from_dict({"loop": {"export_iterations": [1, 0, 1]}})
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({"loop": {"export_iterations": [1, 0, 1]}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 def test_scenario_stores_integral_floats_as_integers():
     cfg = scenario_from_dict(
         {
@@ -1086,7 +1101,6 @@ def test_export_and_report_round_trip(tmp_path, scenario, reference_run):
         "alpha_bar",
         "gamma_nu",
         "kernel_support",
-        "transfer_sha256",
         "lut_sha256",
         "crossover_parameter_desired",
     ):

@@ -171,13 +171,6 @@ def test_kernel_defaults_and_geometry(transfer):
         design_kernel(silent)
 
 
-def test_kernel_hash_tracks_the_transfer(fine_grid, transfer):
-    a = design_kernel(transfer)
-    assert design_kernel(transfer).transfer_sha256 == a.transfer_sha256
-    other = transfer_function(2.0 * ALPHA_BAR, PsfModel(), fine_grid)
-    assert design_kernel(other).transfer_sha256 != a.transfer_sha256
-
-
 def test_flat_spectrum_gives_delta_kernel(fine_grid):
     # constant G: the inverse filter is a pure gain, i.e. a delta kernel;
     # applying it must scale any field by G/(gamma + G^2), gamma = 1e-2 G^2

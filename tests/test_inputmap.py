@@ -125,6 +125,29 @@ def test_lut_levels_validation():
         _toy_lut(n_nu=3, nu_levels=[0.0, 0.4, 1.0])
 
 
+def test_lut_refuses_what_its_file_refuses(tmp_path):
+    # a table that save_lut would write and load_lut then refuse is
+    # refused when it is built, with the rule load_lut reads its file by
+    good = _toy_lut(n_nu=3)
+    for change, error, match in (
+        ({"pitch": -1.0}, ValueError, "pitch must be > 0, got -1.0"),
+        ({"pitch": float("nan")}, ValueError, "pitch must be finite, got nan"),
+        ({"seed": -3}, ValueError, "seed must be >= 0, got -3"),
+        ({"seed": 2.5}, TypeError, "seed must be an integer, got 2.5"),
+        ({"psf_beam_sha256": "xyz"}, ValueError, "psf_beam_sha256 must be a SHA-256 hex digest"),
+        ({"achieved": [0.0, 0.5, np.inf]}, ValueError, "achieved values must be finite"),
+        ({"residual": [0.0, np.nan, 0.0]}, ValueError, "residual values must be finite"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(match)}$"):
+            dataclasses.replace(good, **change)
+    # the pitch and the seed are stored as the Python numbers the file
+    # reads back, so a numpy pitch or seed saves too
+    lut = dataclasses.replace(good, pitch=np.float32(2.0), seed=np.int64(4))
+    assert type(lut.pitch) is float and type(lut.seed) is int
+    save_lut(lut, tmp_path / "table.json")
+    assert lut_sha256(load_lut(tmp_path / "table.json")) == lut_sha256(lut)
+
+
 def test_all_ones_column_is_normalised(fast_obj, fast_dmd):
     obj = fast_obj
     ones = np.ones(fast_dmd.n_rows, dtype=np.uint8)
