@@ -17,7 +17,10 @@ per pass of its loop:
      table's levels (``level_update``).
 
 Everything is deterministic for a fixed master seed; exports are plain
-CSV/PBM/JSON and byte-identical across reruns.
+CSV/PBM/JSON and byte-identical across reruns and BLAS thread counts:
+the field products sum on the column response's band without BLAS, and
+the BLAS products left (the column sums, the solver's mixing) do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .inputmap import (
 )
 from .optics import (
     BeamProfile,
+    ColumnBand,
     DarkSpot,
     DmdPattern,
     DmdSpec,
@@ -351,12 +355,13 @@ class Prepared:
 
     ``beam`` carries the calibrated amplitude, ``gain`` and ``kernel`` the
     derived thresholds and regulariser (all in ``run.json``'s ``derived``).
-    ``column_response`` is the longitudinal response of every mirror
-    column on the condensate grid (:func:`optics.column_response`).  It
-    is the one optics operator of the loop: the plant's field is one
-    matrix-vector product per computed shot, and ``level_update`` predicts
-    its trial moves with the span of the same matrix's columns they
-    move.  ``error_slope`` is the prediction's -alpha / p_z on the grid:
+    ``column_response`` is the band of the longitudinal response of every
+    mirror column on the condensate grid (:func:`optics.column_response`,
+    an :class:`optics.ColumnBand`).  It is the one optics operator of the
+    loop: the plant's field is its full product once per computed shot,
+    and ``level_update`` predicts its trial moves with its span product
+    over the columns they move, which sums only the rows those columns
+    reach.  ``error_slope`` is the prediction's -alpha / p_z on the grid:
     the linearised amplitude error per unit change of the on-axis field
     over e_max.  The plant spectrum G(k) is needed only to design
     ``kernel`` and is not kept.
@@ -366,7 +371,7 @@ class Prepared:
     col_grid: SpatialGrid1D
     beam: BeamProfile
     e_perp_max: float
-    column_response: np.ndarray
+    column_response: ColumnBand
     v_magnetic: RealField1D
     v_desired: RealField1D
     rho_desired: RealField1D
@@ -390,7 +395,6 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
     )
     e_max = e_perp_max(cfg.psf, beam, cfg.dmd.n_rows, cfg.dmd.pixel_pitch)
     resp = column_response(grid, col_grid, cfg.psf, beam)
-    resp.flags.writeable = False
     v_mag = magnetic_potential(cfg.magnetic, cfg.condensate.mass, grid)
     v_des = desired_potential(cfg.desired, grid)
     gs_d = ground_state(v_des, cfg.condensate, cfg.solver)
@@ -498,15 +502,15 @@ def _error_norm(values: np.ndarray, dz: float) -> float:
 
 def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist, initial=None):
     """One shot of the plant: the pattern whose columns are the table's
-    rows ``lut.levels[index]``, its field (``column_response`` times its
-    :func:`optics.column_sums`), the potentials ``v_opt`` under the dark
-    spots ``dist`` and ``v`` with the magnetic trap, and the ground state,
-    warm from ``initial`` and cold if a warm start stalls (a cold first
-    solve is not repeated).  ``n`` names the iteration in the messages.
+    rows ``lut.levels[index]``, its field (the ``column_response`` band's
+    product with its :func:`optics.column_sums`), the potentials ``v_opt``
+    under the dark spots ``dist`` and ``v`` with the magnetic trap, and
+    the ground state, warm from ``initial`` and cold if a warm start
+    stalls (a cold first solve is not repeated).  ``n`` names the iteration in the messages.
     Returns the pattern, ``v_opt``, ``v`` and the ground state."""
     pattern = DmdPattern(bits=lut.levels[index].T, pixel_pitch=lut.pitch)
     cols = column_sums(pattern, cfg.psf, prepared.beam)
-    e_out = RealField1D(grid=prepared.grid, values=prepared.column_response @ cols)
+    e_out = RealField1D(grid=prepared.grid, values=prepared.column_response.field(cols))
     v_opt = potential_from_field(e_out, cfg.control.alpha_v, disturbance=dist)
     v = RealField1D(grid=prepared.grid, values=prepared.v_magnetic.values + v_opt.values)
     gs = ground_state(v, cfg.condensate, cfg.solver, initial=initial)
@@ -648,9 +652,10 @@ def level_update(
     e_max A d, with A the column response, and the amplitude error by
     -(alpha / p_z) A d in the linearised local balance (alpha carries
     the field per unit input, e_max p_z).  d is zero outside the span
-    from the first to the last column the move changes level, so only
-    that span of A's columns is multiplied; -alpha / p_z is built once,
-    by ``prepare``, as ``error_slope``.  A move predicted to raise the
+    from the first to the last column the move changes level, so the
+    band's span product multiplies only that span, on the rows it
+    reaches; -alpha / p_z is built once, by ``prepare``, as
+    ``error_slope``.  A move predicted to raise the
     error is not applied: the correction is halved until the prediction
     falls, and the input stays on its levels once no column would move.
     A trial that moves no column (every large correction pushes a column
@@ -668,7 +673,7 @@ def level_update(
         if moved.size:
             span = slice(moved[0], moved[-1] + 1)
             d = achieved[trial[span]] - achieved[index[span]]
-            de = prepared.error_slope * (prepared.column_response[:, span] @ d)
+            de = prepared.error_slope * prepared.column_response.span_field(span.start, d)
             if _error_norm(e.values + de, e.grid.dz) < err:
                 return trial, clamp_count
         corr = 0.5 * corr

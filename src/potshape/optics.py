@@ -17,22 +17,25 @@ has a closed form (an erf difference).  ``column_response`` tabulates
 that blur once, evaluating each row only on the band of columns near
 it: farther out both erfs of a column's edges round to the same exact
 +1 or -1, so the rest of the row is exactly zero.  Neighbouring columns
-share an edge, so each row evaluates erf once per edge of its band.
-One field evaluation is then a single matrix-vector product.  The closed
-loop (``harness``) builds the matrix once and uses it twice: the plant
-feeds it the ``column_sums`` of the actual mirror pattern, and the
-control model in ``harness.level_update`` feeds it the change in the
-table's achieved values that a trial move would make.
-``propagate_separable`` is that column product for one achieved
-amplitude per column, through a column response of its own, turned into
-a potential by ``potential_from_field``; the acceptance criteria and the
-benchmark use it.  ``propagate_full`` performs the direct pixel sum with
-per-pixel Gauss-Legendre quadrature, never the closed form; it is the
-independent oracle that the tests and the acceptance criteria check the
-matrix routes against, and the loop does not call it.  It sums over
-fixed blocks of grid rows, so its memory is bounded by one block's node
-matrix and does not grow with the grid.  With a uniform transmission the
-routes agree to near machine precision.
+share an edge, so each row evaluates erf once per edge of its band.  It
+returns that band (``ColumnBand``), never the full matrix: one field
+evaluation is the band's product with the column values, each row
+summed over its band in one fixed order without BLAS.  The closed loop
+(``harness``) builds the band once and uses it twice: the plant feeds
+its full product the ``column_sums`` of the actual mirror pattern, and
+the control model in ``harness.level_update`` feeds its span product
+the change in the table's achieved values that a trial move would make
+on the columns it moves.  ``propagate_separable`` is that column product
+for one achieved amplitude per column, through a band of its own,
+turned into a potential by ``potential_from_field``; the acceptance
+criteria and the benchmark use it.  ``propagate_full`` performs the
+direct pixel sum with per-pixel Gauss-Legendre quadrature, never the
+closed form; it is the independent oracle that the tests and the
+acceptance criteria check the band's products against, and the loop
+does not call it.  It sums over fixed blocks of grid rows, so its
+memory is bounded by one block's node matrix and does not grow with the
+grid.  With a uniform transmission the routes agree to near machine
+precision.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "DarkSpot",
     "TransmissionDisturbance",
     "MagneticPotentialSpec",
+    "ColumnBand",
     "row_centers",
     "column_centers",
     "column_grid",
@@ -77,7 +81,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # reference scenario).  A multiple of 8 keeps OpenBLAS's grouping of rows
 # in its matrix-vector product, so each entry is bit for bit the whole
 # matrix's product (a 37-row block moves entries by up to 4e-16 of the
-# peak).
+# peak).  column_response evaluates its band over blocks of as many rows.
 _ROW_BLOCK = 128
 
 # erf(x) rounds to exactly 1.0 in double precision once erfc(x) falls
@@ -372,7 +376,7 @@ def propagate_full(
     :func:`column_sums`) and a longitudinal one (g_z weighted by the beam,
     Gauss-Legendre as well); the routine never uses the closed-form
     column response, so it independently checks :func:`propagate_separable`
-    and the loop's ``column_response @ column_sums``.
+    and the loop's field, the band's product with the ``column_sums``.
 
     The sum runs over blocks of ``_ROW_BLOCK`` grid rows, each one g_z
     evaluation on its (rows, column nodes) matrix times the node
@@ -398,18 +402,74 @@ def propagate_full(
     return RealField1D(grid=grid, values=out)
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnBand:
+    """The longitudinal column response Z (:func:`column_response`) kept
+    as its band: row i of Z is zero outside the ``width`` columns from
+    ``first[i]`` on, and ``values[i, k]`` is Z[i, first[i] + k].
+
+    ``first`` never decreases along the grid, since each row's band
+    follows its Gaussian centre.  The two products sum each row's
+    ``width`` terms in one fixed order, by ``np.einsum`` with no BLAS
+    call, so their bits do not depend on the BLAS thread count.
+    :func:`column_response` makes both arrays read-only; bands compare by
+    identity."""
+
+    values: np.ndarray
+    first: np.ndarray
+    n_columns: int
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    def field(self, c) -> np.ndarray:
+        """Z @ c: the field on the grid of one value per column."""
+        c = np.ascontiguousarray(c, dtype=float)
+        if c.shape != (self.n_columns,):
+            raise ValueError(f"need {self.n_columns} column values, got shape {c.shape}")
+        return np.einsum("ij,ij->i", self.values, _windows(c, self.width)[self.first])
+
+    def span_field(self, start: int, d) -> np.ndarray:
+        """Z[:, start:start + len(d)] @ d: the field of a change d on one
+        contiguous span of columns.  Only the rows whose band meets the
+        span are summed, each over its band with the columns outside the
+        span at zero; every other row is exactly 0.0."""
+        d = np.asarray(d, dtype=float)
+        stop = start + len(d)
+        if not 0 <= start <= stop <= self.n_columns:
+            raise ValueError(f"span {start}..{stop} outside the {self.n_columns} columns")
+        w = self.width
+        lo = np.searchsorted(self.first, start - w, side="right")
+        hi = np.searchsorted(self.first, stop)
+        # the span between w zeros each side, so every reached row's band
+        # is one window of it
+        padded = np.zeros(len(d) + 2 * w)
+        padded[w : w + len(d)] = d
+        windows = _windows(padded, w)[self.first[lo:hi] - (start - w)]
+        out = np.zeros(len(self.first))
+        out[lo:hi] = np.einsum("ij,ij->i", self.values[lo:hi], windows)
+        return out
+
+
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """View whose row k is x[k:k + width], of the contiguous array x."""
+    return np.ndarray((len(x) - width + 1, width), buffer=x, strides=(8, 8))
+
+
 def column_response(
     grid: SpatialGrid1D, col_grid: SpatialGrid1D, psf: PsfModel, beam: BeamProfile
-) -> np.ndarray:
-    """Longitudinal response Z[:, j] = int over column j of g_z(z - eta) p_z(eta) d eta.
+) -> ColumnBand:
+    """Longitudinal response Z[:, j] = int over column j of g_z(z - eta) p_z(eta) d eta,
+    returned as its band (:class:`ColumnBand`).
 
     Column j is centred on the j-th sample of ``col_grid`` and is one
     spacing wide; z runs over ``grid``.  The Gaussian product
     g_z(z - eta) p_z(eta) is completed to a single Gaussian in eta, whose
     integral over the finite column is an erf difference.  The on-axis
     field is linear in the per-column transversal sums c_j, E(0, z) =
-    sum_j Z[:, j] c_j, and Z does not depend on the pattern.  Returns
-    shape (grid.n_points, col_grid.n_points).
+    sum_j Z[:, j] c_j, and Z does not depend on the pattern.  Z has
+    grid.n_points rows and col_grid.n_points columns.
 
     Column j spans edges[j] to edges[j + 1], the lower edges
     ``centers - half`` followed by the last upper edge, so two neighbouring
@@ -418,14 +478,19 @@ def column_response(
     6.5 / sqrt(a) of the row's Gaussian centre, where a is the Gaussian's
     precision.  Beyond that margin erf rounds to exactly +1 or -1 at both
     edges of a column, so the erf difference, and the entry, is exactly
-    zero; on the reference scenario 89 % of the entries are.  The band's
-    entries use the same arithmetic as a full evaluation, so the matrix is
-    bit for bit the erf difference over the shared edges everywhere.  Where
-    one column's centre + half equals the next one's centre - half, as at
-    a pitch of 1.0 or 1.25 um (checked up to 1199 columns), that is the
-    difference at centre +- half of each column.  At a pitch like 0.7 um
-    the two round apart; the shared edges still tile the axis exactly,
-    and the entries move by a few 1e-14 of the largest one.
+    zero; on the reference scenario 89 % of the entries are, and the band
+    keeps 47 of the 400 columns per row (1.0 MB against the full matrix's
+    8.6 MB).  Every row keeps the widest band's width, its window shifted
+    inside the column grid where it would leave it.  The rows are evaluated
+    in blocks of ``_ROW_BLOCK``, so no temporary grows with the grid.  The
+    band's entries use the same arithmetic as a full evaluation, so,
+    scattered into the full matrix, they are bit for bit the erf difference
+    over the shared edges everywhere.  Where one column's centre + half
+    equals the next one's centre - half, as at a pitch of 1.0 or 1.25 um
+    (checked up to 1199 columns), that is the difference at centre +- half
+    of each column.  At a pitch like 0.7 um the two round apart; the shared
+    edges still tile the axis exactly, and the entries move by a few 1e-14
+    of the largest one.
     """
     z = grid.samples
     centers = col_grid.samples
@@ -449,11 +514,16 @@ def column_response(
     first = np.searchsorted(edges[1:], eta_bar - reach)
     stop = np.searchsorted(edges[:-1], eta_bar + reach)
     width = int((stop - first).max())
-    idx = np.minimum(first, len(centers) - width)[:, None] + np.arange(width + 1)
-    e = erf(sq * (edges[idx] - eta_bar[:, None]))
-    out = np.zeros((len(z), len(centers)))
-    np.put_along_axis(out, idx[:, :-1], env[:, None] * (e[:, 1:] - e[:, :-1]), axis=1)
-    return out
+    first = np.minimum(first, len(centers) - width)
+    offsets = np.arange(width + 1)
+    values = np.empty((len(z), width))
+    for s in range(0, len(z), _ROW_BLOCK):
+        rows = slice(s, s + _ROW_BLOCK)
+        e = erf(sq * (edges[first[rows, None] + offsets] - eta_bar[rows, None]))
+        np.subtract(e[:, 1:], e[:, :-1], out=values[rows])
+        values[rows] *= env[rows, None]
+    values.flags.writeable = first.flags.writeable = False
+    return ColumnBand(values=values, first=first, n_columns=len(centers))
 
 
 def propagate_separable(
@@ -468,18 +538,19 @@ def propagate_separable(
 
     ``nu`` holds the normalised transversal field value of each column on
     the column-centre grid; the field is the column product E(z) = e_max *
-    sum_j nu_j Z_j(z) with Z = :func:`column_response`, and the potential
-    is :func:`potential_from_field` of it, alpha_v E^2 (so ``alpha_v`` must
-    be positive).  The loop does not call it (its control model is Z
-    itself, in ``harness.level_update``); it is the potential form that
-    acceptance criterion 7 checks against :func:`propagate_full` and that
-    the benchmark's ground-state workload draws its potentials from.
+    sum_j nu_j Z_j(z), taken on the band of Z = :func:`column_response`,
+    and the potential is :func:`potential_from_field` of it, alpha_v E^2
+    (so ``alpha_v`` must be positive).  The loop does not call it (its
+    control model is the band's span product, in ``harness.level_update``);
+    it is the potential form that acceptance criterion 7 checks against
+    :func:`propagate_full` and that the benchmark's ground-state workload
+    draws its potentials from.
     """
     v = nu.values
     if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):
         raise ValueError("achieved column values must lie in [0, 1]")
-    resp = column_response(grid, nu.grid, psf, beam)
-    e_out = RealField1D(grid=grid, values=e_max * (resp @ np.clip(v, 0.0, 1.0)))
+    band = column_response(grid, nu.grid, psf, beam)
+    e_out = RealField1D(grid=grid, values=e_max * band.field(np.clip(v, 0.0, 1.0)))
     return potential_from_field(e_out, alpha_v)
 
 

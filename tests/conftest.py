@@ -32,6 +32,14 @@ def integrate(f) -> float:
     return float(np.trapezoid(f.values, dx=f.grid.dz))
 
 
+def dense_matrix(band) -> np.ndarray:
+    """The full column response matrix that an ``optics.ColumnBand``
+    holds, its band scattered among zeros: the tests' dense oracle."""
+    out = np.zeros((len(band.first), band.n_columns))
+    np.put_along_axis(out, band.first[:, None] + np.arange(band.width), band.values, axis=1)
+    return out
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

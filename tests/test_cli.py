@@ -87,8 +87,8 @@ def test_the_saved_table_gives_the_in_memory_tables_run(tmp_path, held):
 
 def test_a_second_process_builds_the_same_table(tmp_path):
     # a table's bits do not depend on the BLAS thread count: its stacked
-    # products call BLAS per level's matrix or per row; only the loop's
-    # column response product does, so a third process builds on two
+    # products call BLAS per level's matrix or per row, so a third process
+    # builds on two
     env = {
         **os.environ,
         "OMP_NUM_THREADS": "1",
@@ -138,6 +138,37 @@ def test_groundstate_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path)
         assert one.read_bytes() == two.read_bytes(), name
         # the line after the file name: mu and the step count
         assert printed[name, "1"].splitlines()[1:] == printed[name, "2"].splitlines()[1:]
+
+
+def test_a_run_exports_the_same_bytes_on_one_and_two_blas_threads(tmp_path, held):
+    # the loop's field products sum each row of the column response's
+    # band without BLAS, and the solver's products and the column sums do
+    # not depend on the thread count either, so the whole export repeats.
+    # The run is HELD's on the reference grid and mirror columns, where a
+    # threaded matrix-vector product of the full 2700 x 400 response sums
+    # some rows in another order (on the small grid it happens not to)
+    _, table = held
+    cfg = _write(tmp_path / "wide.json", {
+        **HELD, "grid": {"length": 250.0, "n_points": 2700}, "dmd": {"n_rows": 50, "n_columns": 400}
+    })
+    env = {
+        **os.environ,
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": str(Path(potshape.__file__).parents[1]),
+    }
+    argv = [sys.executable, "-m", "potshape.cli", "run", "--config", cfg, "--lut", str(table)]
+    runs = {
+        threads: subprocess.Popen(
+            [*argv, "--out", str(tmp_path / threads)],
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, stdout=subprocess.DEVNULL,
+        )
+        for threads in ("1", "2")
+    }
+    assert [run.wait(timeout=120) for run in runs.values()] == [0, 0]
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir()) and "run.json" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_importing_the_package_loads_neither_scipy_optimize_nor_scipy_linalg():

@@ -15,6 +15,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_matrix
 from potshape import harness
 from potshape.condensate import (
     CondensateParams,
@@ -853,8 +854,9 @@ def test_level_update_holds_a_move_the_table_cannot_deliver(small_prepared, smal
 
 
 def _dense_level_update(nu, e, pre, lut):
-    # the trial prediction as one product of the whole column response
-    # with the achieved-value change of all columns, moved or not, and the
+    # the trial prediction as one product of the whole column response,
+    # scattered from its band into the full matrix, with the achieved-value
+    # change of all columns, moved or not, and the
     # columns where the law's target nu - L * e leaves [0, 1]; also counts
     # the trials and those that move a column
     levels = lut.nu_levels
@@ -865,12 +867,13 @@ def _dense_level_update(nu, e, pre, lut):
     current = lut.nearest_index(nu)
     held = levels[current]
     slope = -pre.gain.alpha.values / pre.beam.pz(pre.grid.samples)
+    response = dense_matrix(pre.column_response)
     trials = moved = 0
     while np.max(np.abs(corr)) > 0.5 * (levels[1] - levels[0]):
         trials += 1
         trial = lut.nearest_index(np.clip(nu - corr, 0.0, 1.0))
         moved += bool(np.any(trial != current))
-        de = slope * (pre.column_response @ (achieved[trial] - achieved[current]))
+        de = slope * (response @ (achieved[trial] - achieved[current]))
         if error_norm(RealField1D(grid=e.grid, values=e.values + de)) < error_norm(e):
             held = levels[trial]
             break
@@ -916,14 +919,14 @@ def test_level_update_equals_the_dense_trial_prediction(which, request):
 
 def test_level_update_halves_a_trial_that_moves_no_column_at_once(small_prepared, small_lut):
     # every column sits at level 0 or 1 and is pushed outward, so no trial
-    # moves a column; any product with the NaN column response would fail
-    # the error norm's finiteness check
+    # moves a column; any product with the band of NaN would fail the
+    # error norm's finiteness check
     nu, e = _support_bump(small_prepared, 3.0, small_lut)
     corr = _law_correction(e, small_prepared)
     edge = np.where(corr > 0.0, 0.0, 1.0)
-    blind = dataclasses.replace(
-        small_prepared, column_response=np.full_like(small_prepared.column_response, np.nan)
-    )
+    band = small_prepared.column_response
+    nan_band = dataclasses.replace(band, values=np.full_like(band.values, np.nan))
+    blind = dataclasses.replace(small_prepared, column_response=nan_band)
     held, _ = _held_update(edge, e, blind, small_lut)
     assert np.max(np.abs(corr)) > 2.0 / (small_lut.n_nu - 1)
     assert np.array_equal(held, edge)
@@ -1196,7 +1199,7 @@ def test_loop_potential_is_the_plant_field_of_its_pattern(
     )
     for r in records:
         cols = pre.beam.amplitude * (w0 @ r.extras["pattern"].bits)
-        e_out = RealField1D(grid=pre.grid, values=pre.column_response @ cols)
+        e_out = RealField1D(grid=pre.grid, values=pre.column_response.field(cols))
         dist = inject_disturbances(scenario.disturbances, r.n)
         v_opt = potential_from_field(e_out, scenario.control.alpha_v, disturbance=dist)
         assert np.array_equal(r.extras["v_opt"], v_opt.values), r.n

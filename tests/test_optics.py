@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from conftest import dense_matrix
 from potshape.core import RealField1D, SpatialGrid1D
 from potshape.optics import (
     BeamProfile,
@@ -285,12 +286,12 @@ def test_column_response_matches_the_pixel_sum_with_signed_columns():
     cols = beam.amplitude * (w0 @ bits)
     assert cols[10] < 0.0
 
-    resp = column_response(grid, column_grid(n_l, 1.0), psf, beam)
-    assert resp.shape == (grid.n_points, n_l)
+    band = column_response(grid, column_grid(n_l, 1.0), psf, beam)
+    assert dense_matrix(band).shape == (grid.n_points, n_l)
     e_full = propagate_full(DmdPattern(bits=bits), beam, psf, grid).values.real
     scale = np.max(np.abs(e_full))
-    assert np.max(np.abs(resp @ cols - e_full)) < 1e-12 * scale
-    assert np.max(np.abs(resp @ np.abs(cols) - e_full)) > 1e-3 * scale
+    assert np.max(np.abs(band.field(cols) - e_full)) < 1e-12 * scale
+    assert np.max(np.abs(band.field(np.abs(cols)) - e_full)) > 1e-3 * scale
 
 
 def _lobe_pattern(n_t, n_l, psf, seed):
@@ -350,9 +351,31 @@ def test_full_route_memory_is_bounded_by_one_row_block():
     assert peak < 32e6
 
 
+def test_column_response_memory_is_its_band():
+    # on the reference geometry the band is 2700 x 47 doubles (1.0 MB)
+    # and propagate_separable adds one gathered window per row; the full
+    # 2700 x 400 matrix alone is 8.6 MB.  Measured: 1.3 and 2.1 MB
+    psf = PsfModel()
+    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
+    grid = SpatialGrid1D(250.0, 2700)
+    nu = RealField1D(grid=column_grid(400, 1.0), values=np.full(400, 0.5))
+    calls = {
+        "column_response": lambda: column_response(grid, nu.grid, psf, beam),
+        "propagate_separable": lambda: propagate_separable(nu, beam, psf, grid, 2.0, 1.0),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, name
+
+
 def _dense_column_response(grid, col_grid, psf, beam):
     # the erf difference at every (row, column), the reference that the
-    # banded evaluation must reproduce bit for bit
+    # band, scattered into the full matrix, must reproduce bit for bit
     centers = col_grid.samples
     half = 0.5 * col_grid.dz
     return _dense_erf_difference(grid, centers - half, centers + half, psf, beam)
@@ -375,7 +398,7 @@ def _dense_erf_difference(grid, lo_edge, hi_edge, psf, beam):
     return env[:, None] * (hi - lo)
 
 
-@pytest.mark.parametrize(
+GEOMETRIES = pytest.mark.parametrize(
     "grid, col_grid",
     [
         (SpatialGrid1D(120.0, 1201), column_grid(100, 1.0)),
@@ -388,16 +411,60 @@ def _dense_erf_difference(grid, lo_edge, hi_edge, psf, beam):
     ],
     ids=["wide", "tiny-columns", "columns-beyond-grid", "reference"],
 )
+OPTICS = [(sigma_z, beam_sigma_z) for sigma_z in (0.5, 2.5, 8.0) for beam_sigma_z in (125.0, 30.0)]
+
+
+@GEOMETRIES
 def test_column_response_equals_the_dense_erf_difference(grid, col_grid):
-    for sigma_z in (0.5, 2.5, 8.0):
-        for beam_sigma_z in (125.0, 30.0):
-            psf = PsfModel(sigma_z=sigma_z)
-            beam = BeamProfile(sigma_z=beam_sigma_z)
-            resp = column_response(grid, col_grid, psf, beam)
-            dense = _dense_column_response(grid, col_grid, psf, beam)
-            assert np.array_equal(resp, dense)
-            # array_equal takes -0.0 for +0.0; the zeros' signs must match too
-            assert np.array_equal(np.signbit(resp), np.signbit(dense))
+    for sigma_z, beam_sigma_z in OPTICS:
+        psf = PsfModel(sigma_z=sigma_z)
+        beam = BeamProfile(sigma_z=beam_sigma_z)
+        band = column_response(grid, col_grid, psf, beam)
+        assert band.n_columns == col_grid.n_points
+        assert np.all(np.diff(band.first) >= 0)
+        resp = dense_matrix(band)
+        dense = _dense_column_response(grid, col_grid, psf, beam)
+        assert np.array_equal(resp, dense)
+        # array_equal takes -0.0 for +0.0; the zeros' signs must match too
+        assert np.array_equal(np.signbit(resp), np.signbit(dense))
+
+
+@GEOMETRIES
+def test_band_products_equal_the_dense_products(grid, col_grid):
+    # column values in [0, 1], as the achieved values are, and their signed
+    # changes on spans at both ends, in the middle, of one column and of
+    # all columns.  Each product is within 1e-15 of the peak of |Z| |x|,
+    # the scale of its terms.  A row the span cannot reach, its band and
+    # the span apart, is exactly 0.0
+    rng = np.random.default_rng(grid.n_points)
+    n = col_grid.n_points
+    spans = [(0, n), (0, 1), (n - 1, n), (n // 3, n // 3 + 1), (n // 4, n // 2), (0, n // 2)]
+    for sigma_z, beam_sigma_z in OPTICS:
+        psf, beam = PsfModel(sigma_z=sigma_z), BeamProfile(sigma_z=beam_sigma_z)
+        band = column_response(grid, col_grid, psf, beam)
+        dense = dense_matrix(band)
+        c = rng.random(n)
+        peak = np.max(np.abs(dense) @ c)
+        assert np.max(np.abs(band.field(c) - dense @ c)) <= 1e-15 * peak
+        for start, stop in spans:
+            d = rng.random(stop - start) - rng.random(stop - start)
+            got = band.span_field(start, d)
+            want = dense[:, start:stop] @ d
+            peak = np.max(np.abs(dense[:, start:stop]) @ np.abs(d))
+            assert np.max(np.abs(got - want)) <= 1e-15 * peak
+            apart = (band.first >= stop) | (band.first + band.width <= start)
+            assert np.all(got[apart] == 0.0) and not np.any(np.signbit(got[apart]))
+            assert np.all(want[apart] == 0.0)
+
+
+def test_band_is_read_only_and_refuses_a_wrong_length_or_span():
+    band = column_response(SpatialGrid1D(20.0, 201), column_grid(5, 1.0), PsfModel(), BeamProfile())
+    assert not band.values.flags.writeable and not band.first.flags.writeable
+    with pytest.raises(ValueError, match="need 5 column values"):
+        band.field(np.ones(4))
+    for start, d in ((-1, [1.0]), (4, [1.0, 1.0])):
+        with pytest.raises(ValueError, match="outside the 5 columns"):
+            band.span_field(start, d)
 
 
 def test_column_response_shares_each_edge_between_its_two_columns():
@@ -412,17 +479,16 @@ def test_column_response_shares_each_edge_between_its_two_columns():
     half = 0.5 * col_grid.dz
     assert np.count_nonzero(centers[1:] - half != centers[:-1] + half) > 0
     edges = np.append(centers - half, centers[-1] + half)
-    for sigma_z in (0.5, 2.5, 8.0):
-        for beam_sigma_z in (125.0, 30.0):
-            psf = PsfModel(sigma_z=sigma_z)
-            beam = BeamProfile(sigma_z=beam_sigma_z)
-            resp = column_response(grid, col_grid, psf, beam)
-            shared = _dense_erf_difference(grid, edges[:-1], edges[1:], psf, beam)
-            assert np.array_equal(resp, shared)
-            assert np.array_equal(np.signbit(resp), np.signbit(shared))
-            dense = _dense_column_response(grid, col_grid, psf, beam)
-            assert not np.array_equal(resp, dense)
-            assert np.max(np.abs(resp - dense)) <= 1e-13 * np.max(np.abs(dense))
+    for sigma_z, beam_sigma_z in OPTICS:
+        psf = PsfModel(sigma_z=sigma_z)
+        beam = BeamProfile(sigma_z=beam_sigma_z)
+        resp = dense_matrix(column_response(grid, col_grid, psf, beam))
+        shared = _dense_erf_difference(grid, edges[:-1], edges[1:], psf, beam)
+        assert np.array_equal(resp, shared)
+        assert np.array_equal(np.signbit(resp), np.signbit(shared))
+        dense = _dense_column_response(grid, col_grid, psf, beam)
+        assert not np.array_equal(resp, dense)
+        assert np.max(np.abs(resp - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_separable_plateau_with_flat_envelope():
