@@ -165,6 +165,18 @@ def as_index(value, name: str, low=None) -> int:
     return index
 
 
+def from_json(kind: str, value):
+    """``value`` as a field annotated ``kind`` takes it from JSON: an
+    integral float such as 6e4 for an int becomes that int, and a list
+    for a tuple of ints a tuple of such ints.  Anything else passes as it
+    is, for the field's own checks to accept or refuse."""
+    if kind == "int" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind.startswith("tuple[int") and isinstance(value, (list, tuple)):
+        return tuple(from_json("int", v) for v in value)
+    return value
+
+
 def as_real(value, name: str, low=None, above=None) -> float:
     """``value`` as a Python float if it is a finite real number, at least
     ``low`` and above ``above`` where those are given: a TypeError naming

@@ -45,7 +45,7 @@ from .condensate import (
     interaction_parameter,
     measure_density,
 )
-from .core import RealField1D, SpatialGrid1D, as_index, check_index, check_real
+from .core import RealField1D, SpatialGrid1D, as_index, check_index, check_real, from_json
 from .ilc import (
     GainProfile,
     LearningKernel,
@@ -266,19 +266,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return d
 
 
-def _typed(kind: str, value):
-    """``value`` as a field annotated ``kind`` takes it from JSON: an
-    integral float such as 6e4 for an int becomes that integer, and a
-    list for a tuple of ints a tuple, its integral floats integers too.
-    Anything else passes as it is; the section's own checks are the one
-    rule that accepts or refuses it."""
-    if kind == "int" and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if kind.startswith("tuple[int") and isinstance(value, (list, tuple)):
-        return tuple(_typed("int", v) for v in value)
-    return value
-
-
 def _build_section(cls, data, name):
     """The section ``data`` as a ``cls``.  A key it omits takes the class
     default, which is the reference scenario's value: the defaults live
@@ -290,7 +277,7 @@ def _build_section(cls, data, name):
     if unknown:
         raise ConfigError(f"unknown keys in '{name}': {', '.join(unknown)}")
     try:
-        return cls(**{key: _typed(kinds[key], value) for key, value in data.items()})
+        return cls(**{key: from_json(kinds[key], value) for key, value in data.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad section '{name}': {exc}") from exc
 
@@ -317,7 +304,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 raise ConfigError(f"'{where}.spots' must be a list")
             spots = tuple(_build_section(DarkSpot, s, f"{where}.spots") for s in ev["spots"])
             try:
-                events.append(DisturbanceEvent(_typed("int", ev["iteration"]), spots))
+                events.append(DisturbanceEvent(from_json("int", ev["iteration"]), spots))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad disturbance entry {i}: {exc}") from exc
         kwargs["disturbances"] = tuple(events)

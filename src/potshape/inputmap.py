@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import RealField1D, as_index, as_real, check_index, check_real
+from .core import RealField1D, as_index, as_real, check_index, check_real, from_json
 from .optics import BeamProfile, DmdPattern, DmdSpec, PsfModel, column_grid, transversal_weights
 
 __all__ = [
@@ -248,10 +248,11 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     ``obj.value`` calls, one BLAS call per level's (P, n_t) matrix as in a
     search run alone, so every level's result equals its solo search bit
     for bit.  The stack is scored _BLOCK levels at a time, which bounds its
-    float copy.  Selection, crossover, mutation, elitism and the
-    best-so-far update are array operations across all levels, written
-    into buffers the search allocates once; the children of a generation
-    go into a second population buffer, and the two swap roles.
+    float copy.  Selection, crossover, mutation and elitism are array
+    operations across all levels, written into buffers the search
+    allocates once; children and parents swap two population buffers.
+    Elitism carries the lowest cost seen, so each level returns the
+    first lowest-cost pattern of its last population.
     """
     spec = obj.spec
     m, P, n = len(nus), spec.population, obj.dmd.n_rows
@@ -278,9 +279,6 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
             pop[:, 2 + s, order[: int(frac * n)]] = 1
     cost = np.empty((m, P))
     score(pop, cost)
-    gen_best = np.argmin(cost, axis=1)
-    best = pop[level, gen_best]
-    best_cost = cost[level, gen_best]
     rate = MUTATIONS / n
     draws = _SelectionDraws(rngs, P, n)
     idx = np.empty((m, P, TOURNAMENT), dtype=np.int64)
@@ -324,12 +322,7 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
         # the spent buffers take the next generation's children and costs
         pop, children = children, pop
         cost, ccost = ccost, cost
-        gen_best = np.argmin(cost, axis=1)
-        gen_cost = cost[level, gen_best]
-        better = gen_cost < best_cost
-        best_cost = np.where(better, gen_cost, best_cost)
-        best[better] = pop[better, gen_best[better]]
-    return best
+    return pop[level, np.argmin(cost, axis=1)]
 
 
 _MAX_FLIPS = 2000
@@ -502,7 +495,7 @@ class Lut:
         if not np.all((nu >= -1e-12) & (nu <= 1.0 + 1e-12)):
             raise ValueError("virtual input out of [0, 1]")
         x = np.clip(nu, 0.0, 1.0) * (self.n_nu - 1)
-        return np.clip(np.ceil(x - 0.5), 0, self.n_nu - 1).astype(int)
+        return np.ceil(x - 0.5).astype(int)
 
     @property
     def entries(self) -> np.recarray:
@@ -645,7 +638,7 @@ def save_lut(lut: Lut, path) -> None:
 
 
 _LUT_HEADER_KEYS = ("lut", "n_t", "pitch", "psf_beam_sha256", "seed", "entries")
-_LUT_SPEC_KEYS = tuple(f.name for f in fields(LutSpec))
+_LUT_SPEC_KINDS = {f.name: f.type for f in fields(LutSpec)}
 _LUT_ENTRY_KEYS = ("nu", "bits", "achieved", "residual")
 
 
@@ -686,7 +679,8 @@ def load_lut(path) -> Lut:
     ``potshape-lut-v2`` JSON object, lacks a header key, a key of its
     ``lut`` section or an entry field, holds a field of the wrong type or
     out of its range (the ``lut`` section as :class:`LutSpec` checks it;
-    numbers finite and not booleans, stored as floats; counts integers;
+    numbers finite and not booleans, stored as floats; counts integers,
+    100.0 among them (:func:`core.from_json`, as a scenario reads them);
     the pitch > 0; the seed >= 0; the psf/beam hash 64 lowercase hex
     digits, as :func:`psf_beam_hash` writes it), or whose entries do not
     form a table the closed loop can address: a count other than the
@@ -702,7 +696,7 @@ def load_lut(path) -> Lut:
     if not isinstance(data, dict) or data.get("format") != "potshape-lut-v2":
         raise ValueError("not a recognised look-up table file")
     _require_keys(data, _LUT_HEADER_KEYS, "table header")
-    _require_keys(data["lut"], _LUT_SPEC_KEYS, "table header's 'lut'")
+    _require_keys(data["lut"], _LUT_SPEC_KINDS, "table header's 'lut'")
     if not isinstance(data["entries"], list):
         raise ValueError("table entries are not a JSON list")
     for k, e in enumerate(data["entries"]):
@@ -712,6 +706,8 @@ def load_lut(path) -> Lut:
         [_field(e, key, f"entry {k}") for key in ("nu", "achieved", "residual")]
         for k, e in enumerate(data["entries"])
     ]
+    data["lut"] = {k: from_json(_LUT_SPEC_KINDS.get(k, ""), v) for k, v in data["lut"].items()}
+    data["n_t"], data["seed"] = from_json("int", data["n_t"]), from_json("int", data["seed"])
     spec = _field(data, "lut", "table header", lambda section, key: LutSpec(**section))
     n_t = _field(data, "n_t", "table header", as_index, low=1)
     for k, (row, (nu, _, _)) in enumerate(zip(rows, numbers)):

@@ -24,8 +24,9 @@ summed over its band in one fixed order without BLAS.  The closed loop
 (``harness``) builds the band once and uses it twice: the plant feeds
 its full product the ``column_sums`` of the actual mirror pattern, and
 the control model in ``harness.level_update`` feeds its span product
-the change in the table's achieved values that a trial move would make
-on the columns it moves.  ``propagate_separable`` is that column product
+the change in the table's achieved values that a trial move would make,
+zero off the columns it moves, with the full product's bits on the rows
+that change reaches.  ``propagate_separable`` is that column product
 for one achieved amplitude per column, through a band of its own,
 turned into a potential by ``potential_from_field``; the acceptance
 criteria and the benchmark use it.  ``propagate_full`` performs the
@@ -289,11 +290,8 @@ class MagneticPotentialSpec:
 def magnetic_potential(spec: MagneticPotentialSpec, mass: float, grid: SpatialGrid1D) -> RealField1D:
     """V_mag(z) = (m omega_par^2 / 2) z^2 + A sin(2 pi z / lambda + phase)."""
     z = grid.samples
-    v = 0.5 * mass * spec.omega_par**2 * z**2
-    if spec.ripple_amplitude > 0:
-        v = v + spec.ripple_amplitude * np.sin(
-            2.0 * np.pi * z / spec.ripple_wavelength + spec.ripple_phase
-        )
+    phase = 2.0 * np.pi * z / spec.ripple_wavelength + spec.ripple_phase
+    v = 0.5 * mass * spec.omega_par**2 * z**2 + spec.ripple_amplitude * np.sin(phase)
     return RealField1D(grid=grid, values=v)
 
 
@@ -425,36 +423,32 @@ class ColumnBand:
 
     def field(self, c) -> np.ndarray:
         """Z @ c: the field on the grid of one value per column."""
-        c = np.ascontiguousarray(c, dtype=float)
+        c = np.asarray(c, dtype=float)
         if c.shape != (self.n_columns,):
             raise ValueError(f"need {self.n_columns} column values, got shape {c.shape}")
         return np.einsum("ij,ij->i", self.values, _windows(c, self.width)[self.first])
 
     def span_field(self, start: int, d) -> np.ndarray:
         """Z[:, start:start + len(d)] @ d: the field of a change d on one
-        contiguous span of columns.  Only the rows whose band meets the
-        span are summed, each over its band with the columns outside the
-        span at zero; every other row is exactly 0.0."""
-        d = np.asarray(d, dtype=float)
+        contiguous span of columns: :meth:`field` of d zero-extended to
+        every column, bit for bit, summed only on the rows whose band
+        meets the span; every other row is exactly 0.0."""
         stop = start + len(d)
         if not 0 <= start <= stop <= self.n_columns:
             raise ValueError(f"span {start}..{stop} outside the {self.n_columns} columns")
-        w = self.width
-        lo = np.searchsorted(self.first, start - w, side="right")
+        lo = np.searchsorted(self.first, start - self.width, side="right")
         hi = np.searchsorted(self.first, stop)
-        # the span between w zeros each side, so every reached row's band
-        # is one window of it
-        padded = np.zeros(len(d) + 2 * w)
-        padded[w : w + len(d)] = d
-        windows = _windows(padded, w)[self.first[lo:hi] - (start - w)]
+        c = np.zeros(self.n_columns)
+        c[start:stop] = d
+        windows = _windows(c, self.width)[self.first[lo:hi]]
         out = np.zeros(len(self.first))
         out[lo:hi] = np.einsum("ij,ij->i", self.values[lo:hi], windows)
         return out
 
 
 def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    """View whose row k is x[k:k + width], of the contiguous array x."""
-    return np.ndarray((len(x) - width + 1, width), buffer=x, strides=(8, 8))
+    """Read-only view whose row k is x[k:k + width]."""
+    return np.lib.stride_tricks.sliding_window_view(x, width)
 
 
 def column_response(
@@ -562,7 +556,7 @@ def potential_from_field(
     """V_opt(z) = alpha_v |tau(z) E(0, z)|^2, non-negative by construction."""
     if alpha_v <= 0:
         raise ValueError("potential conversion factor must be positive")
-    vals = np.abs(e_out.values) ** 2
+    vals = e_out.values**2
     if disturbance is not None:
         vals = vals * disturbance.tau(e_out.grid.samples) ** 2
     return RealField1D(grid=e_out.grid, values=alpha_v * vals)

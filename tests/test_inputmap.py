@@ -505,6 +505,22 @@ def test_lockstep_search_through_rejected_entrant_draws_matches_solo_searches(ps
         assert np.array_equal(got[k], _solo_ga(obj, nu, rng)), f"level {k}"
 
 
+def test_elitism_carries_each_levels_lowest_cost(fast_spec, fast_dmd, psf, beam, fast_lut):
+    # the search returns the best of its last population and keeps no
+    # best-so-far, so only elitism carries the lowest cost seen: on the
+    # same generators, one more generation never returns a costlier
+    # pattern at any level
+    nus = fast_lut.nu_levels
+    costs = []
+    for generations in range(1, 7):
+        obj = PatternObjective(
+            dataclasses.replace(fast_spec, generations=generations), fast_dmd, psf, beam
+        )
+        rngs = [np.random.default_rng([SEED, k]) for k in range(len(nus))]
+        costs.append(obj.value(_ga_minimise(obj, nus, rngs)[:, None], nus)[:, 0])
+    assert np.all(np.diff(costs, axis=0) <= 0)
+
+
 def test_single_level_solve_of_zero_is_all_off(fast_obj):
     bits, achieved, residual = _solve(fast_obj, 0.0, 1e-3)
     assert not np.any(bits)
@@ -729,6 +745,26 @@ def test_save_load_round_trip(tmp_path, fast_lut):
     assert again.n_nu == fast_lut.n_nu
     assert np.array_equal(again.achieved, fast_lut.achieved)
     assert np.array_equal(again.levels, fast_lut.levels)
+
+
+def test_a_table_file_reads_integral_floats_as_counts(tmp_path, fast_lut):
+    # a count written as 40.0 reads as a scenario's count does
+    # (core.from_json): the table is the same, and it saves integers
+    from potshape.inputmap import _lut_to_dict
+
+    d = _lut_to_dict(fast_lut)
+    d["lut"] = {key: float(value) for key, value in d["lut"].items()}
+    d["n_t"], d["seed"] = float(d["n_t"]), float(d["seed"])
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(d))
+    again = load_lut(path)
+    assert again.spec == fast_lut.spec and again.n_t == fast_lut.n_t
+    assert lut_sha256(again) == lut_sha256(fast_lut)
+    save_lut(again, path)
+    saved = json.loads(path.read_text())
+    counts = [saved["n_t"], saved["seed"]]
+    counts += [saved["lut"][key] for key in ("n_nu", "population", "generations")]
+    assert all(type(count) is int for count in counts)
 
 
 def test_table_records_its_search_settings(tmp_path, fast_spec, fast_dmd, psf, beam):

@@ -434,8 +434,9 @@ def test_band_products_equal_the_dense_products(grid, col_grid):
     # column values in [0, 1], as the achieved values are, and their signed
     # changes on spans at both ends, in the middle, of one column and of
     # all columns.  Each product is within 1e-15 of the peak of |Z| |x|,
-    # the scale of its terms.  A row the span cannot reach, its band and
-    # the span apart, is exactly 0.0
+    # the scale of its terms, and the span product is the full product of
+    # the change, zero off its span, bit for bit.  A row the span cannot
+    # reach, its band and the span apart, is exactly 0.0
     rng = np.random.default_rng(grid.n_points)
     n = col_grid.n_points
     spans = [(0, n), (0, 1), (n - 1, n), (n // 3, n // 3 + 1), (n // 4, n // 2), (0, n // 2)]
@@ -449,6 +450,7 @@ def test_band_products_equal_the_dense_products(grid, col_grid):
         for start, stop in spans:
             d = rng.random(stop - start) - rng.random(stop - start)
             got = band.span_field(start, d)
+            assert np.array_equal(got, band.field(np.pad(d, (start, n - stop))))
             want = dense[:, start:stop] @ d
             peak = np.max(np.abs(dense[:, start:stop]) @ np.abs(d))
             assert np.max(np.abs(got - want)) <= 1e-15 * peak
