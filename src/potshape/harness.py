@@ -345,13 +345,13 @@ class Prepared:
     ``column_response`` is the band of the longitudinal response of every
     mirror column on the condensate grid (:func:`optics.column_response`,
     an :class:`optics.ColumnBand`).  It is the one optics operator of the
-    loop: the plant's field is its full product once per computed shot,
-    and ``level_update`` predicts its trial moves with its span product
-    over the columns they move, which sums only the rows those columns
-    reach.  ``error_slope`` is the prediction's -alpha / p_z on the grid:
-    the linearised amplitude error per unit change of the on-axis field
-    over e_max.  The plant spectrum G(k) is needed only to design
-    ``kernel`` and is not kept.
+    loop: the plant's field is its product with the pattern's column
+    sums once per computed shot, and ``level_update`` predicts each trial
+    move that changes a column with its product with the change in the
+    achieved values.  ``error_slope`` is the prediction's -alpha / p_z on
+    the grid: the linearised amplitude error per unit change of the
+    on-axis field over e_max.  The plant spectrum G(k) is needed only to
+    design ``kernel`` and is not kept.
     """
 
     grid: SpatialGrid1D
@@ -638,29 +638,24 @@ def level_update(
     the table's achieved column values by d, so the on-axis field by
     e_max A d, with A the column response, and the amplitude error by
     -(alpha / p_z) A d in the linearised local balance (alpha carries
-    the field per unit input, e_max p_z).  d is zero outside the span
-    from the first to the last column the move changes level, so the
-    band's span product multiplies only that span, on the rows it
-    reaches; -alpha / p_z is built once, by ``prepare``, as
-    ``error_slope``.  A move predicted to raise the
+    the field per unit input, e_max p_z).  A d is the band's product
+    (:meth:`optics.ColumnBand.field`), and -alpha / p_z is built once,
+    by ``prepare``, as ``error_slope``.  A move predicted to raise the
     error is not applied: the correction is halved until the prediction
     falls, and the input stays on its levels once no column would move.
     A trial that moves no column (every large correction pushes a column
     at level 0 or 1 outward) changes nothing and is halved at once.
     """
     nu = lut.nu_levels[index]
-    achieved = lut.achieved
     half_step = 0.5 * (lut.nu_levels[1] - lut.nu_levels[0])
     corr = correction(scaled_error(e, prepared.gain), prepared.kernel, prepared.col_grid)
     raw = nu - corr
     clamp_count = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
     while np.max(np.abs(corr)) > half_step:
         trial = lut.nearest_index(np.clip(nu - corr, 0.0, 1.0))
-        moved = np.flatnonzero(trial != index)
-        if moved.size:
-            span = slice(moved[0], moved[-1] + 1)
-            d = achieved[trial[span]] - achieved[index[span]]
-            de = prepared.error_slope * prepared.column_response.span_field(span.start, d)
+        if np.any(trial != index):
+            d = lut.achieved[trial] - lut.achieved[index]
+            de = prepared.error_slope * prepared.column_response.field(d)
             if _error_norm(e.values + de, e.grid.dz) < err:
                 return trial, clamp_count
         corr = 0.5 * corr
@@ -899,15 +894,17 @@ def report(out_dir) -> dict:
 
     Returns a summary dict with ok flag (every mismatch at most
     _REPORT_TOL, so a NaN mismatch fails), per-iteration norms, and the
-    worst recomputation mismatch.  An export without iterations, or
-    without the norm of an exported iteration, raises
-    :class:`ConfigError`.
+    worst recomputation mismatch.  An export without iterations, without
+    a field iteration to check, or without the norm of an exported
+    iteration, raises :class:`ConfigError`.
     """
     data = load_run(out_dir)
     norms = data["norms"]
     norms_path = os.path.join(out_dir, "error_norms.csv")
     if len(norms["n"]) == 0:
         raise ConfigError(f"{norms_path}: holds no iterations")
+    if not data["fields"]:
+        raise ConfigError(f"{os.path.join(out_dir, 'run.json')}: exports no field iteration")
     ok = True
     checked = []
     for n, cols in data["fields"].items():
@@ -924,7 +921,7 @@ def report(out_dir) -> dict:
     e0 = float(norms["error_norm"][0])
     summary = {
         "ok": ok,
-        "worst_mismatch": float(np.max([c[3] for c in checked], initial=0.0)),
+        "worst_mismatch": float(np.max([c[3] for c in checked])),
         "checked": checked,
         "iterations": len(norms["n"]),
         "initial_norm": e0,

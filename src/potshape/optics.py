@@ -19,20 +19,18 @@ it: farther out both erfs of a column's edges round to the same exact
 +1 or -1, so the rest of the row is exactly zero.  Neighbouring columns
 share an edge, so each row evaluates erf once per edge of its band.  It
 returns that band (``ColumnBand``), never the full matrix: one field
-evaluation is the band's product with the column values, each row
-summed over its band in one fixed order without BLAS.  The closed loop
-(``harness``) builds the band once and uses it twice: the plant feeds
-its full product the ``column_sums`` of the actual mirror pattern, and
-the control model in ``harness.level_update`` feeds its span product
-the change in the table's achieved values that a trial move would make,
-zero off the columns it moves, with the full product's bits on the rows
-that change reaches.  ``propagate_separable`` is that column product
-for one achieved amplitude per column, through a band of its own,
-turned into a potential by ``potential_from_field``; the acceptance
-criteria and the benchmark use it.  ``propagate_full`` performs the
-direct pixel sum with per-pixel Gauss-Legendre quadrature, never the
-closed form; it is the independent oracle that the tests and the
-acceptance criteria check the band's products against, and the loop
+evaluation is the band's one product with the column values
+(``ColumnBand.field``), each row summed over its band in one fixed order
+without BLAS.  The closed loop (``harness``) builds the band once: the
+plant feeds it the ``column_sums`` of the actual mirror pattern, and the
+control model in ``harness.level_update`` the change in the table's
+achieved values that a trial move would make.  ``propagate_separable``
+is that column product for one achieved amplitude per column, through a
+band of its own, turned into a potential by ``potential_from_field``;
+the acceptance criteria and the benchmark use it.  ``propagate_full``
+performs the direct pixel sum with per-pixel Gauss-Legendre quadrature,
+never the closed form; it is the independent oracle that the tests and
+the acceptance criteria check the band's product against, and the loop
 does not call it.  It sums over fixed blocks of grid rows, so its
 memory is bounded by one block's node matrix and does not grow with the
 grid.  With a uniform transmission the routes agree to near machine
@@ -407,9 +405,11 @@ class ColumnBand:
     ``first[i]`` on, and ``values[i, k]`` is Z[i, first[i] + k].
 
     ``first`` never decreases along the grid, since each row's band
-    follows its Gaussian centre.  The two products sum each row's
-    ``width`` terms in one fixed order, by ``np.einsum`` with no BLAS
-    call, so their bits do not depend on the BLAS thread count.
+    follows its Gaussian centre.  The one product, :meth:`field`, sums
+    each row's ``width`` terms in one fixed order, by ``np.einsum`` with
+    no BLAS call, so its bits do not depend on the BLAS thread count.
+    Z is non-negative, so a row whose band holds only +0.0 column values
+    is exactly +0.0.
     :func:`column_response` makes both arrays read-only; bands compare by
     identity."""
 
@@ -426,29 +426,8 @@ class ColumnBand:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.n_columns,):
             raise ValueError(f"need {self.n_columns} column values, got shape {c.shape}")
-        return np.einsum("ij,ij->i", self.values, _windows(c, self.width)[self.first])
-
-    def span_field(self, start: int, d) -> np.ndarray:
-        """Z[:, start:start + len(d)] @ d: the field of a change d on one
-        contiguous span of columns: :meth:`field` of d zero-extended to
-        every column, bit for bit, summed only on the rows whose band
-        meets the span; every other row is exactly 0.0."""
-        stop = start + len(d)
-        if not 0 <= start <= stop <= self.n_columns:
-            raise ValueError(f"span {start}..{stop} outside the {self.n_columns} columns")
-        lo = np.searchsorted(self.first, start - self.width, side="right")
-        hi = np.searchsorted(self.first, stop)
-        c = np.zeros(self.n_columns)
-        c[start:stop] = d
-        windows = _windows(c, self.width)[self.first[lo:hi]]
-        out = np.zeros(len(self.first))
-        out[lo:hi] = np.einsum("ij,ij->i", self.values[lo:hi], windows)
-        return out
-
-
-def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view whose row k is x[k:k + width]."""
-    return np.lib.stride_tricks.sliding_window_view(x, width)
+        windows = np.lib.stride_tricks.sliding_window_view(c, self.width)
+        return np.einsum("ij,ij->i", self.values, windows[self.first])
 
 
 def column_response(
@@ -534,9 +513,8 @@ def propagate_separable(
     the column-centre grid; the field is the column product E(z) = e_max *
     sum_j nu_j Z_j(z), taken on the band of Z = :func:`column_response`,
     and the potential is :func:`potential_from_field` of it, alpha_v E^2
-    (so ``alpha_v`` must be positive).  The loop does not call it (its
-    control model is the band's span product, in ``harness.level_update``);
-    it is the potential form that acceptance criterion 7 checks against
+    (so ``alpha_v`` must be positive).  The loop does not call it; it is
+    the potential form that acceptance criterion 7 checks against
     :func:`propagate_full` and that the benchmark's ground-state workload
     draws its potentials from.
     """

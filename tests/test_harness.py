@@ -1573,6 +1573,26 @@ def test_export_empty_run_writes_headers(tmp_path, small_scenario, small_prepare
         report(out)
 
 
+def test_cli_report_refuses_an_export_without_fields(
+    tmp_path, small_scenario, small_prepared, small_lut, capsys
+):
+    # a run that exports no field iteration leaves no norm to recompute,
+    # so "norms verified" would report a check that never ran
+    cfg = dataclasses.replace(
+        small_scenario, loop=dataclasses.replace(small_scenario.loop, export_iterations=())
+    )
+    out = tmp_path / "run"
+    export_records(run_closed_loop(cfg, lut=small_lut, prepared=small_prepared), out)
+    assert load_run(out)["fields"] == {}
+    capsys.readouterr()
+    assert cli.main(["report", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "norms verified" not in captured.out
+    assert captured.err.startswith(
+        f"configuration error: {out / 'run.json'}: exports no field iteration"
+    )
+
+
 def test_export_rejects_out_of_range_iteration(
     tmp_path, small_scenario, small_prepared, small_lut
 ):
