@@ -290,8 +290,7 @@ def _initial_guess(potential: RealField1D, params: CondensateParams) -> np.ndarr
     if params.coupling > 0:
         try:
             rho_tf, _ = thomas_fermi_density(potential, params)
-            if np.max(rho_tf.values) > 0:
-                return np.sqrt(rho_tf.values) + 1e-6
+            return np.sqrt(rho_tf.values) + 1e-6
         except ConvergenceError:
             pass
     z = potential.grid.samples

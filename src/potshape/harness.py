@@ -828,7 +828,8 @@ def _read_rows(path, needed) -> dict:
     """One array per header column of the numeric CSV at ``path``; a
     ConfigError names the file and the column that the header repeats or
     the column ``needed`` that it lacks, or the line that is not one
-    finite number per column."""
+    finite number per column, each cell of ASCII characters without
+    ``_``."""
     try:
         with open(path) as fh:
             header = [h.strip() for h in fh.readline().split(",")]
@@ -849,6 +850,10 @@ def _read_rows(path, needed) -> dict:
         try:
             if len(cells) != len(header):
                 raise ValueError(f"{len(cells)} cells for {len(header)} columns")
+            for c in cells:
+                # float() also reads '1_0' as 10.0 and non-ASCII digits
+                if "_" in c or not c.isascii():
+                    raise ValueError(f"cell {c!r} is not a plain decimal number")
             row = [float(c) for c in cells]
             for c, value in zip(cells, row):
                 if not math.isfinite(value):

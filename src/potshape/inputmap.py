@@ -248,11 +248,14 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     ``obj.value`` calls, one BLAS call per level's (P, n_t) matrix as in a
     search run alone, so every level's result equals its solo search bit
     for bit.  The stack is scored _BLOCK levels at a time, which bounds its
-    float copy.  Selection, crossover, mutation and elitism are array
-    operations across all levels, written into buffers the search
-    allocates once; children and parents swap two population buffers.
-    Elitism carries the lowest cost seen, so each level returns the
-    first lowest-cost pattern of its last population.
+    float copy.  Selection, crossover and elitism are array operations
+    across all levels: the tournament winners are gathered straight into
+    the children's buffer, which the pairs then cross over in place, and
+    each level's mutation flips, one (P, n_t) row reused, are applied as
+    soon as its uniforms are drawn.  The generations alternate between two
+    population buffers that the search allocates once.  Elitism carries
+    the lowest cost seen, so each level returns the first lowest-cost
+    pattern of its last population.
     """
     spec = obj.spec
     m, P, n = len(nus), spec.population, obj.dmd.n_rows
@@ -265,6 +268,9 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     n_pairs = P // 2
     level = np.arange(m)
     rows = level[:, None]
+    # each level's winners land in its children as the odd picks, the even
+    # picks and the unpaired tail, so that the pairs cross over in place
+    by_pair = (rows * P + np.r_[1 : 2 * n_pairs : 2, 0 : 2 * n_pairs : 2, 2 * n_pairs : P]).ravel()
     pop = np.empty((m, P, n), dtype=np.uint8)
     for k, rng in enumerate(rngs):
         pop[k] = rng.integers(0, 2, size=(P, n), dtype=np.uint8)
@@ -283,36 +289,32 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     draws = _SelectionDraws(rngs, P, n)
     idx = np.empty((m, P, TOURNAMENT), dtype=np.int64)
     flat = idx.reshape(m * P, TOURNAMENT)
-    entrant = np.arange(m * P)
     offsets = (level * P)[:, None, None]
     mask = np.empty((m, n_pairs, n), dtype=np.uint8)
-    flips = np.empty((m, P, n), dtype=bool)
+    flips = np.empty((P, n), dtype=bool)
     uniform = np.empty((P, n))
-    parents = np.empty_like(pop)
-    parent_rows = parents.reshape(m * P, n)
-    a = parents[:, 0 : 2 * n_pairs : 2]
-    b = parents[:, 1 : 2 * n_pairs : 2]
-    swap = np.empty_like(mask)
     children = np.empty_like(pop)
     ccost = np.empty_like(cost)
     for _ in range(spec.generations):
         draws.fill(idx, mask)
-        for k, rng in enumerate(rngs):
-            np.less(rng.random(out=uniform), rate, out=flips[k])
         # tournament selection, gathered through flat indices
         idx += offsets
         picks = np.argmin(cost.ravel()[flat], axis=1)
         # every index is in range; "clip" spares the copy of out that "raise" makes
-        winners = flat[entrant, picks]
-        np.take(pop.reshape(m * P, n), winners, axis=0, out=parent_rows, mode="clip")
-        # uniform crossover of consecutive parent pairs
-        np.bitwise_xor(a, b, out=swap)
-        swap &= mask
-        np.bitwise_xor(b, swap, out=children[:, :n_pairs])
-        np.bitwise_xor(a, swap, out=children[:, n_pairs : 2 * n_pairs])
-        children[:, 2 * n_pairs :] = parents[:, 2 * n_pairs :]
-        # bit-flip mutation
-        children ^= flips.view(np.uint8)
+        winners = flat[by_pair, picks[by_pair]]
+        np.take(pop.reshape(m * P, n), winners, axis=0, out=children.reshape(m * P, n), mode="clip")
+        # uniform crossover of each pair (a, b) of consecutive winners, in
+        # place: with s = (a ^ b) & mask the odd pick b becomes b ^ s and
+        # the even pick a becomes a ^ s
+        b, a = children[:, :n_pairs], children[:, n_pairs : 2 * n_pairs]
+        a ^= b
+        mask &= a
+        b ^= mask
+        a ^= b
+        # bit-flip mutation, each level's uniforms drawn after its selection draws
+        for k, rng in enumerate(rngs):
+            np.less(rng.random(out=uniform), rate, out=flips)
+            children[k] ^= flips.view(np.uint8)
         score(children, ccost)
         # elitism: keep the best of the previous generation
         keep = np.argsort(cost, axis=1)[:, :ELITE]
@@ -518,14 +520,7 @@ def psf_beam_hash(psf: PsfModel, beam: BeamProfile) -> str:
     return hashlib.sha256(json.dumps(values).encode()).hexdigest()
 
 
-def build_lut(
-    spec: LutSpec,
-    dmd: DmdSpec,
-    psf: PsfModel,
-    beam: BeamProfile,
-    seed: int,
-    accuracy: float | None = None,
-) -> Lut:
+def build_lut(spec: LutSpec, dmd: DmdSpec, psf: PsfModel, beam: BeamProfile, seed: int) -> Lut:
     """Solve the column problems of all ``spec.n_nu`` levels for the
     ``dmd.n_rows`` mirrors of a column and assemble the monotone table.
 
@@ -539,22 +534,19 @@ def build_lut(
     refinement run alone on ``default_rng([seed, k])`` bit for bit,
     whatever the number of levels.
 
-    ``accuracy`` is the per-entry target for |achieved - nu_k|, a finite
-    number > 0, by default 0.05 / (n_nu - 1): a twentieth of the table
-    step.  Entries worse than four times that are a hard error: a table
-    that cannot realise its own levels would silently bias the closed loop.
-    The same bound keeps the table monotone: entries within 4 * accuracy
-    of targets one step apart cannot cross while ``accuracy`` is below an
-    eighth of a step, as the default is.  A larger explicit ``accuracy``
-    is covered too, because :class:`Lut` refuses with a ValueError an
-    achieved value that decreases, as it refuses two entries with one bit
+    The per-entry accuracy cap on |achieved - nu_k| is 0.05 / (n_nu - 1),
+    a twentieth of the table step.  Entries worse than four caps are a
+    RuntimeError: a table that cannot realise its own levels would
+    silently bias the closed loop.  The same bound keeps the table
+    monotone and its patterns distinct: entries within four caps, a fifth
+    of a step, of targets one step apart can neither cross nor share a
     pattern.
     The build's bits, achieved values and residuals are the table's three
     arrays; its nu and ``n_t`` are derived.
     """
     seed = as_index(seed, "seed", low=0)
     n_nu = spec.n_nu
-    acc = 0.05 / (n_nu - 1) if accuracy is None else as_real(accuracy, "accuracy", above=0)
+    acc = 0.05 / (n_nu - 1)
     obj = PatternObjective(spec, dmd, psf, beam)
     nus = np.linspace(0.0, 1.0, n_nu)
     levels = np.zeros((n_nu, dmd.n_rows), dtype=np.uint8)

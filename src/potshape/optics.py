@@ -184,7 +184,7 @@ class DmdPattern:
         if not np.all((b == 0) | (b == 1)):
             raise ValueError("pattern entries must be 0 or 1")
         check_real(self, "pixel_pitch", above=0)
-        b = b.astype(np.uint8).copy()
+        b = b.astype(np.uint8)
         b.flags.writeable = False
         object.__setattr__(self, "bits", b)
 

@@ -1852,6 +1852,13 @@ def _set_header(text):
         ("fields_0001.csv", _set_cell("e_rho", "inf"), "line 3: non-finite value 'inf'"),
         ("error_norms.csv", _set_cell("error_norm", "nan"), "line 3: non-finite value 'nan'"),
         ("error_norms.csv", _set_cell("error_norm", "-inf"), "line 3: non-finite value '-inf'"),
+        # float() would read these as 10.0 and 12.0
+        ("fields_0001.csv", _set_cell("e_rho", "1_0"), "line 3: cell '1_0' is not a plain decimal"),
+        (
+            "error_norms.csv",
+            _set_cell("error_norm", "\u0661\u0662"),
+            "line 3: cell '\u0661\u0662' is not a plain decimal",
+        ),
         (
             "error_norms.csv",
             _set_header("n,error_norm,error_norm,clamp_count"),
@@ -1866,6 +1873,8 @@ def _set_header(text):
         "inf-field",
         "nan-norm",
         "inf-norm",
+        "underscore-field",
+        "arabic-digits-norm",
         "repeated-column",
     ],
 )

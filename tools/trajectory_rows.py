@@ -24,7 +24,10 @@ Per row it prints, with e_n the record's error norm:
   iterations whose mirror pattern differs from the one before;
 - a digest of the 80 pattern hashes (the first 12 hex digits of the
   sha256 of their concatenation), which two runs share only if every
-  pattern is the same.
+  pattern is the same;
+- the table hash, the first 12 hex digits of the row's
+  ``inputmap.lut_sha256``, so a table redrawn at a seed shows as a table
+  change beside the trajectory's.
 
 Two checkouts print the same digests, steps, breaks and changes exactly
 when their trajectories choose the same patterns; the ratios then agree
@@ -47,7 +50,7 @@ NOISE = (1e-5, 1e-4, 1e-3)
 RISE = 1e-3  # a break is a rise by more than this share
 
 
-def row(records) -> dict:
+def row(records, table_hash: str) -> dict:
     # numpy loads its BLAS on import, so it is imported only once main has
     # set the thread counts
     import numpy as np
@@ -64,6 +67,7 @@ def row(records) -> dict:
         "steps": sum(r.extras["solver_steps"] for r in records),
         "changes": sum(a != b for a, b in zip(hashes, hashes[1:])),
         "digest": hashlib.sha256("".join(hashes).encode()).hexdigest()[:12],
+        "table": table_hash[:12],
     }
 
 
@@ -71,7 +75,7 @@ def main() -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
-    from potshape import harness
+    from potshape import harness, inputmap
 
     base = harness.ScenarioConfig()
     runs = [(f"seed {s}", dataclasses.replace(base, loop=dataclasses.replace(base.loop, seed=s)))
@@ -87,14 +91,15 @@ def main() -> int:
     rows = []
     for name, cfg in runs:
         lut = reference_lut if cfg.loop.seed == base.loop.seed else harness.build_scenario_lut(cfg)
-        rows.append((name, row(harness.run_closed_loop(cfg, lut=lut, prepared=prepared).records)))
+        records = harness.run_closed_loop(cfg, lut=lut, prepared=prepared).records
+        rows.append((name, row(records, inputmap.lut_sha256(lut))))
     print("| row | e3/e0 | breaks | plateau | floor | solver steps | pattern changes "
-          "| pattern digest |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| pattern digest | table hash |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for name, r in rows:
         print(f"| {name} | {r['e3/e0']:.4f} | {r['breaks'][0]} / {r['breaks'][1]} "
               f"| {r['plateau']:.4f} | {r['floor']:.4f} | {r['steps']:,} | {r['changes']} "
-              f"| {r['digest']} |")
+              f"| {r['digest']} | {r['table']} |")
     # the ratios unrounded, for comparisons finer than the table's digits
     print()
     for name, r in rows:
