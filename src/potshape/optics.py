@@ -31,10 +31,10 @@ the acceptance criteria and the benchmark use it.  ``propagate_full``
 performs the direct pixel sum with per-pixel Gauss-Legendre quadrature,
 never the closed form; it is the independent oracle that the tests and
 the acceptance criteria check the band's product against, and the loop
-does not call it.  It sums over fixed blocks of grid rows, so its
-memory is bounded by one block's node matrix and does not grow with the
-grid.  With a uniform transmission the routes agree to near machine
-precision.
+does not call it.  It sums over blocks of grid rows sized to a core's
+L2 cache, so its memory is bounded by one block's node matrix and does
+not grow with the grid.  With a uniform transmission the routes agree
+to near machine precision.
 """
 
 from __future__ import annotations
@@ -74,14 +74,20 @@ __all__ = [
 # (Gaussian / low-order sinc) integrands over a single 1 um pixel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
-# propagate_full sums the pixels over blocks of this many grid rows, so
-# its node matrix holds 128 x (8 n_l) doubles whatever the grid (the
-# block's differences and PsfModel.gz's copy of them, 3.3 MB each on the
-# reference scenario).  A multiple of 8 keeps OpenBLAS's grouping of rows
-# in its matrix-vector product, so each entry is bit for bit the whole
-# matrix's product (a 37-row block moves entries by up to 4e-16 of the
-# peak).  column_response evaluates its band over blocks of as many rows.
+# column_response evaluates its band over blocks of this many grid rows,
+# so no temporary grows with the grid (128 x 48 doubles on the reference
+# scenario).
 _ROW_BLOCK = 128
+
+# propagate_full sums the pixels over blocks of as many grid rows as keep
+# one block's (rows, 8 n_l) node matrix within this many bytes, so the
+# matrix and PsfModel.gz's copy of it fit a core's L2 cache of 1 MB or
+# more: 16 rows, 410 KB each, on the reference scenario's 3200 nodes.
+# The block is a multiple of 8 rows, and at least 8, which keeps
+# OpenBLAS's grouping of rows in its matrix-vector product, so each entry
+# is bit for bit the whole matrix's product (a 37-row block moves entries
+# by up to 4e-16 of the peak).
+_FULL_BLOCK_BYTES = 512 * 1024
 
 # erf(x) rounds to exactly 1.0 in double precision once erfc(x) falls
 # below half an ulp of 1 (1.1e-16), from x = 5.9 on; erfc(6.5) = 3.8e-20
@@ -374,11 +380,12 @@ def propagate_full(
     column response, so it independently checks :func:`propagate_separable`
     and the loop's field, the band's product with the ``column_sums``.
 
-    The sum runs over blocks of ``_ROW_BLOCK`` grid rows, each one g_z
-    evaluation on its (rows, column nodes) matrix times the node
-    coefficients, so memory is bounded by one block (3.3 MB on the
-    reference scenario's 3200 nodes, twice that while g_z runs) however
-    fine the grid.
+    The sum runs over blocks of grid rows, each one g_z evaluation on its
+    (rows, column nodes) matrix times the node coefficients.  A block
+    holds as many rows, a multiple of 8, as fit that matrix in
+    ``_FULL_BLOCK_BYTES``, so memory is bounded by one block (0.4 MB on
+    the reference scenario's 3200 nodes, twice that while g_z runs)
+    however fine the grid.
     """
     _check_pattern_support(pattern, psf)
     cols = column_sums(pattern, psf, beam)
@@ -389,10 +396,11 @@ def propagate_full(
     coef = (cols[:, None] * (half * _GL_WEIGHTS)[None, :]).ravel() * beam.pz(eta)
     z = grid.samples
     out = np.empty(len(z))
+    block = max(8, _FULL_BLOCK_BYTES // (8 * eta.nbytes) * 8)
     # numpy multiplies a one-row block as a dot product, which sums in
     # another order than a row of the matrix product, so a single last
     # row joins the block before it
-    starts = list(range(0, len(z) - 1, _ROW_BLOCK))
+    starts = list(range(0, len(z) - 1, block))
     for s, t in zip(starts, starts[1:] + [len(z)]):
         out[s:t] = psf.gz(z[s:t, None] - eta[None, :]) @ coef
     return RealField1D(grid=grid, values=out)
@@ -455,15 +463,15 @@ def column_response(
     keeps 47 of the 400 columns per row (1.0 MB against the full matrix's
     8.6 MB).  Every row keeps the widest band's width, its window shifted
     inside the column grid where it would leave it.  The rows are evaluated
-    in blocks of ``_ROW_BLOCK``, so no temporary grows with the grid.  The
-    band's entries use the same arithmetic as a full evaluation, so,
-    scattered into the full matrix, they are bit for bit the erf difference
-    over the shared edges everywhere.  Where one column's centre + half
-    equals the next one's centre - half, as at a pitch of 1.0 or 1.25 um
-    (checked up to 1199 columns), that is the difference at centre +- half
-    of each column.  At a pitch like 0.7 um the two round apart; the shared
-    edges still tile the axis exactly, and the entries move by a few 1e-14
-    of the largest one.
+    in blocks of ``_ROW_BLOCK`` rows, one erf call each, so no temporary
+    grows with the grid.  The band's entries use the same arithmetic as a
+    full evaluation, so, scattered into the full matrix, they are bit for
+    bit the erf difference over the shared edges everywhere.  Where one
+    column's centre + half equals the next one's centre - half, as at a
+    pitch of 1.0 or 1.25 um (checked up to 1199 columns), that is the
+    difference at centre +- half of each column.  At a pitch like 0.7 um
+    the two round apart; the shared edges still tile the axis exactly, and
+    the entries move by a few 1e-14 of the largest one.
     """
     z = grid.samples
     centers = col_grid.samples
