@@ -9,7 +9,7 @@ sqrt(rho) once the transversal cloud swells.  The ground state of the
 corresponding nonlinear eigenvalue problem is found by real-valued
 imaginary-time split-step propagation with per-step renormalisation, two
 real FFTs and one evaluation of V + h(rho) per step, whose iterates are
-Anderson-mixed.  On a grid of n
+Anderson-mixed.  On a grid of n >= 8
 points with n a multiple of COARSE_FACTOR (4), it relaxes first on every
 fourth sample, then finishes on the full grid from the interpolated
 coarse state; the coarse stage hands over early when its state proves
@@ -66,7 +66,7 @@ SPECTRAL_TAIL_TOL = 1e-6
 TF_NORM_TOL = 1e-10
 
 # The ground state first relaxes on every COARSE_FACTOR-th sample when the
-# grid's point count divides by it.  Measured with the Anderson-mixed
+# grid's point count divides by it (n >= 8).  Measured with the Anderson-mixed
 # relaxation on the reference 2700-point grid, over perfbench's 100
 # groundstate-cold potentials at seed 7 and the desired one (one BLAS
 # thread, 2-core Xeon KVM guest, median of three interleaved solves):
@@ -538,7 +538,8 @@ def ground_state(
     potentials.
 
     The relaxation runs in two stages when the grid's n_points is a
-    multiple of COARSE_FACTOR and ``record_history`` is off.  The coarse
+    multiple of COARSE_FACTOR, at least twice it (one coarse sample has
+    no trapezoid norm), and ``record_history`` is off.  The coarse
     stage relaxes the start sampled at every COARSE_FACTOR-th point
     (spacing COARSE_FACTOR dz, the same periodic box n_points dz).  After
     COARSE_PROBE_TAU of imaginary time it reads its state's share of
@@ -608,7 +609,7 @@ def ground_state(
         norms.append(_trapezoid(rho_b, dz))
 
     c = COARSE_FACTOR
-    if n % c == 0 and not record_history:
+    if n % c == 0 and n >= 2 * c and not record_history:
         coarse_consts = _split_step_constants(n // c, c * dz, cfg.dtau, params.mass)
         coarse_args = (np.ascontiguousarray(v_offset[::c]), c * dz, coarse_consts, params, cfg)
         budget = cfg.max_steps - 1

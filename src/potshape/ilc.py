@@ -166,12 +166,16 @@ def transfer_function(alpha_bar: float, psf: PsfModel, grid: SpatialGrid1D) -> S
     """Plant spectrum G(k) = -alpha_bar * F{g_z}(k) on the grid's band.
 
     The sampled point-spread kernel is renormalised to unit discrete
-    mass so that G(0) = -alpha_bar exactly.
+    mass so that G(0) = -alpha_bar exactly; a grid whose samples all lie
+    where g_z underflows to 0 gives no mass and is a ValueError.
     """
     if alpha_bar <= 0:
         raise ValueError("alpha_bar must be positive")
     gz = psf.gz(grid.samples)
-    gz = gz / (gz.sum() * grid.dz)
+    mass = gz.sum() * grid.dz
+    if mass <= 0:
+        raise ValueError("the point-spread kernel sampled on the grid has no weight")
+    gz = gz / mass
     g = spectrum(RealField1D(grid=grid, values=gz))
     return Spectrum1D(grid=grid, values=-alpha_bar * g.values)
 

@@ -97,7 +97,9 @@ class LutSpec:
 
 class PatternObjective:
     """Precomputed weights for fast evaluation of the column objective of
-    the table section ``spec`` on the ``dmd.n_rows`` mirrors of a column."""
+    the table section ``spec`` on the ``dmd.n_rows`` mirrors of a column;
+    its two products, :meth:`value` and :meth:`flips`, each return the
+    on-axis field |E(0)| with the objective."""
 
     def __init__(self, spec: LutSpec, dmd: DmdSpec, psf: PsfModel, beam: BeamProfile):
         self.spec = spec
@@ -120,30 +122,23 @@ class PatternObjective:
         tw[1:] += half_step
         self.pen_weights = spec.gamma_perp * tw
 
-    def on_axis(self, bits: np.ndarray) -> np.ndarray:
-        """|E(0)| of each row of a (K, n_t) bit stack or of a single bit vector.
-
-        Every row is its own (1, n_t) product, so its value does not depend
-        on the rows stacked with it.
-        """
-        b = np.atleast_2d(bits).astype(float)
-        return np.abs(b[:, None, :] @ self.w0)[:, 0]
-
-    def value(self, bits: np.ndarray, nu) -> np.ndarray:
-        """Objective of a single bit vector or of the rows of a (P, n_t)
-        matrix at one ``nu``, or of an (m, P, n_t) stack of matrices with
-        one ``nu`` per matrix (shape (m,)); returns one value per row.
+    def value(self, bits: np.ndarray, nu) -> tuple:
+        """|E(0)| and objective of a single bit vector or of the rows of a
+        (P, n_t) matrix at one ``nu``, or of an (m, P, n_t) stack of
+        matrices with one ``nu`` per matrix (shape (m,)); returns two
+        arrays, one value per row each.
 
         numpy's stacked products call BLAS once per matrix of the stack, so
         a matrix's values equal those of its own call bit for bit; one flat
-        (m * P, n_t) product would not, and could change an argmin.
+        (m * P, n_t) product would not, and could change an argmin.  A
+        (K, 1, n_t) stack makes every row its own (1, n_t) product.
         """
         b = np.atleast_2d(bits).astype(float)
         nu = np.asarray(nu, dtype=float)[..., None]
         e0 = np.abs(b @ self.w0)
         ep = np.abs(b @ self.w_pen.T)
         pen = ((ep - nu[..., None]) ** 2) @ self.pen_weights
-        return (e0 - nu) ** 2 + pen
+        return e0, (e0 - nu) ** 2 + pen
 
     def flips(self, bits: np.ndarray, nu) -> tuple:
         """|E(0)| and objective after each single-bit flip of each row of a
@@ -263,7 +258,7 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
 
     def score(pop, out):
         for s in range(0, m, _BLOCK):
-            out[s : s + _BLOCK] = obj.value(pop[s : s + _BLOCK], nus[s : s + _BLOCK])
+            out[s : s + _BLOCK] = obj.value(pop[s : s + _BLOCK], nus[s : s + _BLOCK])[1]
 
     n_pairs = P // 2
     level = np.arange(m)
@@ -374,6 +369,8 @@ def _refine(obj: PatternObjective, nus, candidates: np.ndarray, target_cap):
     moves.  Per level, candidates inside the cap win over those outside
     it, then the lower objective value wins, and ties keep the first, so
     a level whose candidates all miss the cap keeps its lowest value.
+    One :meth:`PatternObjective.value` call gives a stack's fields and
+    values, the final stack's for the selection and the winners alike.
 
     The cap is the table's accuracy: near the extremes the unconstrained
     optimum trades a few 1e-3 of on-axis accuracy against the beam-envelope
@@ -388,10 +385,8 @@ def _refine(obj: PatternObjective, nus, candidates: np.ndarray, target_cap):
     nu = np.repeat(np.asarray(nus, dtype=float), C)
 
     def value(b, nu):
-        return obj.value(b[:, None], nu)[:, 0]
-
-    def miss(b, nu):
-        return np.abs(obj.on_axis(b) - nu)
+        e0, cost = obj.value(b[:, None], nu)
+        return e0[:, 0], cost[:, 0]
 
     def objective(b, nu):
         return obj.flips(b, nu)[1]
@@ -403,19 +398,18 @@ def _refine(obj: PatternObjective, nus, candidates: np.ndarray, target_cap):
         e0, fc = obj.flips(b, nu)
         return np.where(np.abs(e0 - nu[:, None]) <= target_cap, fc, np.inf)
 
-    b = _descend(objective, b, nu, value(b, nu))
-    out = np.flatnonzero(miss(b, nu) > target_cap)
+    b = _descend(objective, b, nu, value(b, nu)[1])
+    miss = np.abs(value(b, nu)[0] - nu)
+    out = np.flatnonzero(miss > target_cap)
     walk, wnu = b[out], nu[out]
-    walk = _descend(distance, walk, wnu, miss(walk, wnu), stop=0.25 * target_cap)
-    b[out] = _descend(within_cap, walk, wnu, value(walk, wnu))
-    outside = (miss(b, nu) > target_cap).reshape(m, C)
-    val = value(b, nu).reshape(m, C)
+    walk = _descend(distance, walk, wnu, miss[out], stop=0.25 * target_cap)
+    b[out] = _descend(within_cap, walk, wnu, value(walk, wnu)[1])
+    e0, val = (a.reshape(m, C) for a in value(b, nu))
     # inside the cap before outside it, then the lower value; the stable
     # sort keeps the first of equal candidates
-    pick = np.lexsort((val, outside), axis=1)[:, 0]
+    pick = np.lexsort((val, np.abs(e0 - nu.reshape(m, C)) > target_cap), axis=1)[:, 0]
     level = np.arange(m)
-    best = b.reshape(m, C, n)[level, pick]
-    return best, obj.on_axis(best), val[level, pick]
+    return b.reshape(m, C, n)[level, pick], e0[level, pick], val[level, pick]
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,7 +536,8 @@ def build_lut(spec: LutSpec, dmd: DmdSpec, psf: PsfModel, beam: BeamProfile, see
     of a step, of targets one step apart can neither cross nor share a
     pattern.
     The build's bits, achieved values and residuals are the table's three
-    arrays; its nu and ``n_t`` are derived.
+    arrays; its nu and ``n_t`` are derived.  One
+    :meth:`PatternObjective.value` call scores both pinned ends.
     """
     seed = as_index(seed, "seed", low=0)
     n_nu = spec.n_nu
@@ -551,11 +546,10 @@ def build_lut(spec: LutSpec, dmd: DmdSpec, psf: PsfModel, beam: BeamProfile, see
     nus = np.linspace(0.0, 1.0, n_nu)
     levels = np.zeros((n_nu, dmd.n_rows), dtype=np.uint8)
     levels[-1] = 1
-    achieved = np.zeros(n_nu)
-    residual = np.zeros(n_nu)
-    for k in (0, n_nu - 1):
-        achieved[k] = float(obj.on_axis(levels[k])[0])
-        residual[k] = float(obj.value(levels[k], nus[k])[0])
+    achieved, residual = np.zeros((2, n_nu))
+    ends = [0, n_nu - 1]
+    e0, cost = obj.value(levels[ends][:, None], nus[ends])
+    achieved[ends], residual[ends] = e0[:, 0], cost[:, 0]
     rngs = [np.random.default_rng([seed, k]) for k in range(1, n_nu - 1)]
     starts = _ga_minimise(obj, nus[1:-1], rngs)
     levels[1:-1], achieved[1:-1], residual[1:-1] = _refine(obj, nus[1:-1], starts[:, None], acc)

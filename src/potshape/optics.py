@@ -56,8 +56,7 @@ __all__ = [
     "TransmissionDisturbance",
     "MagneticPotentialSpec",
     "ColumnBand",
-    "row_centers",
-    "column_centers",
+    "pixel_centers",
     "column_grid",
     "transversal_weights",
     "e_perp_max",
@@ -226,14 +225,10 @@ class DmdSpec:
         check_real(self, "pixel_pitch", above=0)
 
 
-def row_centers(n_t: int, pitch: float) -> np.ndarray:
-    """Transversal pixel centres, symmetric about the optical axis y = 0."""
-    return (np.arange(n_t) - 0.5 * (n_t - 1)) * pitch
-
-
-def column_centers(n_l: int, pitch: float) -> np.ndarray:
-    """Longitudinal pixel centres, symmetric about z = 0."""
-    return (np.arange(n_l) - 0.5 * (n_l - 1)) * pitch
+def pixel_centers(n: int, pitch: float) -> np.ndarray:
+    """Centres of n pixels of the given pitch, symmetric about 0: the rows
+    about the optical axis y = 0, or the columns about z = 0."""
+    return (np.arange(n) - 0.5 * (n - 1)) * pitch
 
 
 def column_grid(n_l: int, pitch: float) -> SpatialGrid1D:
@@ -310,7 +305,7 @@ def transversal_weights(
     negative lobes of the sinc response.
     """
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
-    rows = row_centers(n_t, pitch)
+    rows = pixel_centers(n_t, pitch)
     half = 0.5 * pitch
     # quadrature nodes per pixel, shape (n_t, q)
     xi = rows[:, None] + half * _GL_NODES[None, :]
@@ -389,7 +384,7 @@ def propagate_full(
     """
     _check_pattern_support(pattern, psf)
     cols = column_sums(pattern, psf, beam)
-    centers = column_centers(pattern.n_l, pattern.pixel_pitch)
+    centers = pixel_centers(pattern.n_l, pattern.pixel_pitch)
     half = 0.5 * pattern.pixel_pitch
     # longitudinal quadrature nodes, flattened over (column, node)
     eta = (centers[:, None] + half * _GL_NODES[None, :]).ravel()

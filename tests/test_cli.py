@@ -234,6 +234,16 @@ def test_design_kernel_runs_on_the_dumped_default_scenario(tmp_path):
     assert out.exists()
 
 
+def test_groundstate_solves_a_4_point_grid(tmp_path):
+    # 4 points would make a one-sample coarse grid, which has no trapezoid
+    # norm: the solve relaxes on the full grid alone
+    cfg = tmp_path / "four.json"
+    cfg.write_text(json.dumps({"grid": {"n_points": 4}}))
+    out = tmp_path / "state.csv"
+    assert cli.main(["groundstate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 4
+
+
 def test_groundstate_solves_a_2048_point_double_well_without_a_warning(
     tmp_path, caplog, capsys
 ):

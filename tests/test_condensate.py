@@ -605,6 +605,16 @@ def test_a_solve_leaves_earlier_results_alone(tilted_well):
     assert _same_bits(first.phi.values, phi) and first.mu == mu
 
 
+@pytest.mark.parametrize("n_points", [2, 4, 8])
+def test_a_grid_of_a_few_points_converges_with_unit_norm(n_points):
+    # 4 points divide by COARSE_FACTOR into a one-sample coarse grid, whose
+    # trapezoid norm is 0: that grid relaxes in one stage, 8 points in two
+    v = _tilted(n_points)
+    gs = ground_state(v, CondensateParams(), SolverConfig(dtau=0.05, max_steps=20_000, tol=1e-10))
+    assert gs.converged
+    assert np.trapezoid(gs.phi.values**2, dx=v.grid.dz) == pytest.approx(1.0, rel=1e-14)
+
+
 @pytest.mark.parametrize("n", [511, 512])
 def test_solver_quadratures_match_numpy(n):
     y = np.random.default_rng(n).standard_normal(n)

@@ -66,9 +66,9 @@ from potshape.optics import (
     MagneticPotentialSpec,
     PsfModel,
     column_grid,
+    pixel_centers,
     potential_from_field,
     propagate_full,
-    row_centers,
     transversal_weights,
 )
 from potshape import cli
@@ -486,6 +486,18 @@ def test_cli_refuses_a_grid_too_large_to_allocate(tmp_path, capsys, monkeypatch)
     out = tmp_path / "state.csv"
     assert cli.main(["groundstate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "invalid input: cannot allocate 1000000000000 points\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design-kernel", "run"])
+def test_cli_refuses_a_grid_that_misses_the_point_spread_kernel(tmp_path, capsys, command):
+    # 2 points lie at +-125 um, where g_z underflows to 0
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text('{"grid": {"n_points": 2}}')
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = "invalid input: the point-spread kernel sampled on the grid has no weight\n"
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 
@@ -1118,7 +1130,7 @@ def _mixed_sign_start(small_scenario, small_lut):
     """The small scenario and table with the starting level swapped for
     mirrors only in the first negative sinc lobe, so iteration 1 mixes
     columns of both signs, and a dark spot active from iteration 1."""
-    y = row_centers(small_lut.n_t, small_lut.pitch)
+    y = pixel_centers(small_lut.n_t, small_lut.pitch)
     lobe = (np.abs(y) > small_scenario.psf.w_y) & (np.abs(y) < 2.0 * small_scenario.psf.w_y)
     levels = small_lut.levels.copy()
     levels[int(small_lut.nearest_index(small_scenario.loop.nu_initial))] = lobe

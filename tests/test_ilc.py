@@ -143,6 +143,16 @@ def test_transfer_function_dc_and_shape(fine_grid, transfer):
         transfer_function(0.0, PsfModel(), fine_grid)
 
 
+def test_a_kernel_with_no_weight_on_the_grid_is_refused():
+    # two samples at +-125 um, where g_z underflows to 0: the refusal names
+    # the cause before the normalisation would divide 0 by 0
+    grid = SpatialGrid1D(250.0, 2)
+    assert not PsfModel().gz(grid.samples).any()
+    refusal = "^the point-spread kernel sampled on the grid has no weight$"
+    with pytest.raises(ValueError, match=refusal):
+        transfer_function(ALPHA_BAR, PsfModel(), grid)
+
+
 def test_transfer_is_hermitian(transfer):
     v = transfer.values
     # G(-k) = conj(G(k)) for a real kernel

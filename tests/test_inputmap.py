@@ -152,7 +152,7 @@ def test_lut_refuses_what_its_file_refuses(tmp_path):
 def test_all_ones_column_is_normalised(fast_obj, fast_dmd):
     obj = fast_obj
     ones = np.ones(fast_dmd.n_rows, dtype=np.uint8)
-    assert float(obj.on_axis(ones)[0]) == pytest.approx(1.0, rel=1e-14)
+    assert float(obj.value(ones, 1.0)[0][0]) == pytest.approx(1.0, rel=1e-14)
     # even pattern on a symmetric lattice gives an even field over the
     # symmetric penalty band
     assert np.array_equal(obj.y_pen, -obj.y_pen[::-1])
@@ -177,8 +177,9 @@ def test_penalty_weights_are_the_trapezoid_rule_over_the_samples(psf, beam, dy, 
 def test_objective_zero_at_perfect_flat_field(fast_obj, fast_dmd):
     obj = fast_obj
     zeros = np.zeros(fast_dmd.n_rows, dtype=np.uint8)
-    assert float(obj.value(zeros, 0.0)[0]) == 0.0
-    assert float(obj.on_axis(zeros)[0]) == 0.0
+    e0, cost = obj.value(zeros, 0.0)
+    assert float(cost[0]) == 0.0
+    assert float(e0[0]) == 0.0
 
 
 def test_flip_values_match_explicit_flips(fast_obj, fast_dmd):
@@ -192,8 +193,9 @@ def test_flip_values_match_explicit_flips(fast_obj, fast_dmd):
         for i in range(fast_dmd.n_rows):
             b = bits[k].copy()
             b[i] ^= 1
-            assert e0[k, i] == pytest.approx(float(obj.on_axis(b)[0]), rel=1e-12, abs=1e-15)
-            assert fv[k, i] == pytest.approx(float(obj.value(b, nu)[0]), rel=1e-12, abs=1e-15)
+            solo_e0, solo_fv = obj.value(b, nu)
+            assert e0[k, i] == pytest.approx(float(solo_e0[0]), rel=1e-12, abs=1e-15)
+            assert fv[k, i] == pytest.approx(float(solo_fv[0]), rel=1e-12, abs=1e-15)
 
 
 def _solo_flips(obj, bits, nu):
@@ -218,17 +220,17 @@ def test_stacked_scoring_equals_per_level_calls(psf, beam, n_t):
     density = rng.random((m, P, 1))
     stack = (rng.random((m, P, n_t)) < density).astype(np.uint8)
     nus = rng.random(m)
-    got = obj.value(stack, nus)
+    got = obj.value(stack, nus)[1]
     assert got.shape == (m, P)
     for k in range(m):
-        assert np.array_equal(got[k], obj.value(stack[k], nus[k])), f"matrix {k}"
+        assert np.array_equal(got[k], obj.value(stack[k], nus[k])[1]), f"matrix {k}"
     rows, row_nus = stack.reshape(m * P, n_t), np.repeat(nus, P)
     e0, fv = obj.flips(rows, row_nus)
-    on_axis = obj.on_axis(rows)
+    on_axis = obj.value(rows[:, None], row_nus)[0][:, 0]
     for k, (row, nu) in enumerate(zip(rows, row_nus)):
         solo_e0, solo_fv = _solo_flips(obj, row, nu)
         assert np.array_equal(e0[k], solo_e0) and np.array_equal(fv[k], solo_fv), f"row {k}"
-        assert on_axis[k] == obj.on_axis(row)[0] == np.abs(row.astype(float) @ obj.w0)
+        assert on_axis[k] == obj.value(row, nu)[0][0] == np.abs(row.astype(float) @ obj.w0)
 
 
 # -------------------------------------------------------- pattern search
@@ -366,7 +368,7 @@ def _solo_ga(obj, nu, rng):
         if 2 + s < P:
             pop[2 + s] = 0
             pop[2 + s, order[: int(frac * n)]] = 1
-    cost = obj.value(pop, nu)
+    cost = obj.value(pop, nu)[1]
     best, best_cost = pop[np.argmin(cost)].copy(), float(cost.min())
     for _ in range(obj.spec.generations):
         idx = rng.integers(0, P, size=(P, TOURNAMENT))
@@ -379,7 +381,7 @@ def _solo_ga(obj, nu, rng):
             children = np.concatenate([children, parents[-1:]])
         flips = rng.random(children.shape) < MUTATIONS / n
         children = np.where(flips, 1 - children, children).astype(np.uint8)
-        ccost = obj.value(children, nu)
+        ccost = obj.value(children, nu)[1]
         keep = np.argsort(cost)[:ELITE]
         worst = np.argsort(ccost)[::-1][:ELITE]
         children[worst] = pop[keep]
@@ -424,19 +426,22 @@ def _solo_refine(obj, nu, candidates, target_cap):
         return np.where(np.abs(e0 - nu) <= target_cap, fc, np.inf)
 
     def miss(b):
-        return abs(float(obj.on_axis(b)[0]) - nu)
+        return abs(float(obj.value(b, nu)[0][0]) - nu)
+
+    def cost(b):
+        return float(obj.value(b, nu)[1][0])
 
     best, walked = None, 0
     for c in candidates:
-        c = _solo_descend(objective, c, float(obj.value(c, nu)[0]))
+        c = _solo_descend(objective, c, cost(c))
         if miss(c) > target_cap:
             walked += 1
             c = _solo_descend(distance, c, miss(c), stop=0.25 * target_cap)
-            c = _solo_descend(within_cap, c, float(obj.value(c, nu)[0]))
-        key = (miss(c) > target_cap, float(obj.value(c, nu)[0]))
+            c = _solo_descend(within_cap, c, cost(c))
+        key = (miss(c) > target_cap, cost(c))
         if best is None or key < best_key:
             best, best_key = c, key
-    return best, float(obj.on_axis(best)[0]), best_key[1], walked
+    return best, float(obj.value(best, nu)[0][0]), best_key[1], walked
 
 
 def test_lockstep_refinement_matches_solo_refinement(fast_obj, fast_dmd, fast_lut):
@@ -531,7 +536,7 @@ def test_elitism_carries_each_levels_lowest_cost(fast_spec, fast_dmd, psf, beam,
             dataclasses.replace(fast_spec, generations=generations), fast_dmd, psf, beam
         )
         rngs = [np.random.default_rng([SEED, k]) for k in range(len(nus))]
-        costs.append(obj.value(_ga_minimise(obj, nus, rngs)[:, None], nus)[:, 0])
+        costs.append(obj.value(_ga_minimise(obj, nus, rngs)[:, None], nus)[1][:, 0])
     assert np.all(np.diff(costs, axis=0) <= 0)
 
 
@@ -609,7 +614,7 @@ def test_reference_table_stored_values_are_consistent(
     # stored achieved values must equal |E(0)| recomputed from the bits
     obj = PatternObjective(scenario.lut, scenario.dmd, scenario.psf, reference_prepared.beam)
     for achieved, bits in zip(reference_lut.achieved, reference_lut.levels):
-        again = float(obj.on_axis(bits)[0])
+        again = float(obj.value(bits, 0.0)[0][0])
         assert abs(achieved - again) < 1e-12
 
 

@@ -24,15 +24,14 @@ from potshape.optics import (
     PsfModel,
     TransmissionDisturbance,
     calibrate_beam,
-    column_centers,
     column_grid,
     column_response,
     e_perp_max,
     magnetic_potential,
+    pixel_centers,
     potential_from_field,
     propagate_full,
     propagate_separable,
-    row_centers,
     transversal_weights,
 )
 
@@ -97,9 +96,9 @@ def test_psf_validation():
 
 
 def test_pixel_centres_are_symmetric():
-    r = row_centers(4, 1.0)
+    r = pixel_centers(4, 1.0)
     assert np.allclose(r, [-1.5, -0.5, 0.5, 1.5])
-    c = column_centers(5, 2.0)
+    c = pixel_centers(5, 2.0)
     assert np.allclose(c, [-4.0, -2.0, 0.0, 2.0, 4.0])
     g = column_grid(5, 2.0)
     assert np.allclose(g.samples, c)
@@ -280,7 +279,7 @@ def test_column_response_matches_the_pixel_sum_with_signed_columns():
     n_l = 21
     rng = np.random.default_rng(23)
     bits = rng.integers(0, 2, (40, n_l))
-    y = row_centers(40, 1.0)
+    y = pixel_centers(40, 1.0)
     bits[:, 10] = (np.abs(y) > psf.w_y) & (np.abs(y) < 2.0 * psf.w_y)
     w0 = transversal_weights(psf, beam, 40, 1.0, [0.0])[0]
     cols = beam.amplitude * (w0 @ bits)
@@ -298,7 +297,7 @@ def _lobe_pattern(n_t, n_l, psf, seed):
     # random columns, every fifth with mirrors only in the first negative
     # sinc lobe, whose on-axis sum is negative
     bits = np.random.default_rng(seed).integers(0, 2, (n_t, n_l))
-    y = row_centers(n_t, 1.0)
+    y = pixel_centers(n_t, 1.0)
     bits[:, ::5] = ((np.abs(y) > psf.w_y) & (np.abs(y) < 2.0 * psf.w_y))[:, None]
     return DmdPattern(bits=bits)
 
@@ -310,7 +309,7 @@ def _dense_pixel_sum(pattern, beam, psf, grid):
     half = 0.5 * pattern.pixel_pitch
     w0 = transversal_weights(psf, beam, pattern.n_t, pattern.pixel_pitch, [0.0])[0]
     cols = beam.amplitude * (w0 @ pattern.bits)
-    centers = column_centers(pattern.n_l, pattern.pixel_pitch)
+    centers = pixel_centers(pattern.n_l, pattern.pixel_pitch)
     eta = (centers[:, None] + half * nodes[None, :]).ravel()
     coef = (cols[:, None] * (half * weights)[None, :]).ravel() * beam.pz(eta)
     d = grid.samples[:, None] - eta[None, :]
