@@ -13,7 +13,8 @@ Anderson-mixed.  On a grid of n >= 8
 points with n a multiple of COARSE_FACTOR (4), it relaxes first on every
 fourth sample, then finishes on the full grid from the interpolated
 coarse state; the coarse stage hands over early when its state proves
-under-resolved there.
+under-resolved there.  A converged state that changes sign is excited,
+and the solve restarts from its modulus while a restart lowers mu.
 The Thomas-Fermi routine drops the kinetic term, inverts h pointwise in
 closed form and finds mu by a safeguarded Newton iteration on the norm,
 which is convex in mu.
@@ -100,12 +101,12 @@ COARSE_PROBE_TAU = 1.0
 # Share of a converged state's norm on its minority sign (see
 # _minority_share) above which ground_state takes it for an excited
 # stationary state, which the Anderson mixing converges onto as readily as
-# onto the nodeless ground state, and relaxes again from its modulus.  The
-# ground states of perfbench's groundstate-cold potentials at seeds 1, 7 and
-# 11 and of the reference loop leave at most 2.5e-15 there; the excited
-# states that the mixed-sign start's warm solve in the test suite reached
-# hold 1e-3 to 1e-2, their nodes in the barrier of a pocket at the box's
-# edges.
+# onto the nodeless ground state, and relaxes again from its modulus while
+# that lowers mu.  The ground states of perfbench's groundstate-cold
+# potentials at seeds 1, 7 and 11 and of the reference loop leave at most
+# 2.5e-15 there; the excited states that the mixed-sign start's warm solve
+# in the test suite reached hold 1e-3 to 1e-2, their nodes in the barrier
+# of a pocket at the box's edges.
 NODE_SHARE_TOL = 1e-8
 
 # Residual differences that the Anderson mixing of _relax combines.  Over
@@ -562,7 +563,12 @@ def ground_state(
     ground state is the nodeless one: when a converged state holds more
     than NODE_SHARE_TOL of its norm on its minority sign, the full-grid
     stage runs again from the rfft of the state's modulus, with its steps
-    counted in ``n_steps`` and its transforms on top of those above.
+    counted in ``n_steps`` and its transforms on top of those above.  The
+    ground state has the lowest mu of the stationary states, so when a
+    restart ends on a signed state whose mu is not below the last signed
+    state's by more than cfg.tol relative, or no step is left for a
+    restart, the solve stops there, not converged, and its warning names
+    the sign change.
 
     ``initial`` warm-starts the relaxation (any normalisation; its
     read-only values are only read by the first rfft); otherwise the
@@ -634,15 +640,22 @@ def ground_state(
             post[coarse.size - 1] *= 0.5
     else:
         post, steps = scipy.fft.rfft(phi), 0
+    mu_signed = math.inf
     while True:
         post, power, steps, converged, last_change = _relax(
             post, v_offset, dz, consts, params, cfg, steps, cfg.max_steps,
             record if record_history else None,
         )
         phi, _, _, mu = post_step_state(post, power)
-        if not converged or _minority_share(phi, dz) <= NODE_SHARE_TOL:
+        share = _minority_share(phi, dz) if converged else 0.0
+        if share <= NODE_SHARE_TOL:
             break
-        # an excited stationary state: relax again from its modulus
+        # a signed stationary state: relax again from its modulus, unless
+        # the last restart did not lower mu or no step is left
+        if mu_signed - mu <= cfg.tol * abs(mu) or steps == cfg.max_steps:
+            converged = False
+            break
+        mu_signed = mu
         post = scipy.fft.rfft(np.abs(phi))
     # fix the global sign; the ground state is nodeless and positive
     if phi[np.argmax(np.abs(phi))] < 0:
@@ -661,7 +674,15 @@ def ground_state(
         log.info(
             "crossover parameter max 2 b rho = %.3f", interaction_parameter(gs.density, params)
         )
-    if not converged:
+    if share > NODE_SHARE_TOL:
+        log.warning(
+            "imaginary-time relaxation not converged after %d steps: its "
+            "stationary state keeps a share %.3g of its norm on its minority "
+            "sign, and a restart from its modulus did not lower mu",
+            steps,
+            share,
+        )
+    elif not converged:
         log.warning(
             "imaginary-time relaxation not converged after %d steps "
             "(last relative mu change %.3g)",

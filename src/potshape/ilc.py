@@ -197,8 +197,10 @@ def design_kernel(g: Spectrum1D) -> LearningKernel:
     it with a field on the design grid reduces to a sliding sum whether
     or not that grid itself contains z = 0.  It is then truncated to the
     symmetric window outside which it falls below KERNEL_TAIL_CUT of its
-    peak, so convolutions pay only for the effective support.  gamma and
-    the cut are fixed here, not set by a caller.
+    peak, so convolutions pay only for the effective support, and keeps
+    at least the lags -dz, 0 and +dz; a grid whose lags do not hold them
+    (one of 2 points) is a ValueError.  gamma and the cut are fixed here,
+    not set by a caller.
     """
     gamma = 1e-2 * float(np.max(np.abs(g.values) ** 2))
     if gamma <= 0:
@@ -210,6 +212,11 @@ def design_kernel(g: Spectrum1D) -> LearningKernel:
     # inverse transform evaluated at the integer-lag positions: shift the
     # usual sample positions z0 + j dz onto multiples of dz
     j0 = round(z0 / dz)
+    if j0 > -1 or j0 + n - 1 < 1:
+        raise ValueError(
+            f"a grid of {n} points holds no lag on each side of z = 0 for the "
+            "learning kernel; grid.n_points must be 3 or more"
+        )
     vals = scipy.fft.ifft(lhat * np.exp(1j * g.wavenumbers * (j0 * dz))) / dz
     lags = (j0 + np.arange(n)) * dz
     peak = np.max(np.abs(vals))

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import RealField1D, as_index, as_real, check_index, check_real, from_json
+from .core import BLOCK_BYTES, RealField1D, as_index, as_real, check_index, check_real, from_json
 from .optics import BeamProfile, DmdPattern, DmdSpec, PsfModel, column_grid, transversal_weights
 
 __all__ = [
@@ -224,12 +224,6 @@ class _SelectionDraws:
             self.ready[k] = self._reads_raw(rng)
 
 
-# levels per stacked cost call of the genetic search: it bounds the float
-# copy of the stack (320 KB for the reference table's 100 x 100 population),
-# and larger blocks save little time for the memory they add
-_BLOCK = 4
-
-
 def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     """Genetic search for every level in ``nus`` at once; returns (m, n_t) bits.
 
@@ -242,8 +236,10 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     A generation's costs are scored for all levels by stacked
     ``obj.value`` calls, one BLAS call per level's (P, n_t) matrix as in a
     search run alone, so every level's result equals its solo search bit
-    for bit.  The stack is scored _BLOCK levels at a time, which bounds its
-    float copy.  Selection, crossover and elitism are array operations
+    for bit.  The stack is scored in blocks of as many levels as keep the
+    float copy of their populations within :data:`core.BLOCK_BYTES` (6
+    levels, 480 KB, for the reference table's 100 x 100 population).
+    Selection, crossover and elitism are array operations
     across all levels: the tournament winners are gathered straight into
     the children's buffer, which the pairs then cross over in place, and
     each level's mutation flips, one (P, n_t) row reused, are applied as
@@ -255,10 +251,11 @@ def _ga_minimise(obj: PatternObjective, nus, rngs) -> np.ndarray:
     spec = obj.spec
     m, P, n = len(nus), spec.population, obj.dmd.n_rows
     nus = np.asarray(nus, dtype=float)
+    block = max(1, BLOCK_BYTES // (8 * P * n))
 
     def score(pop, out):
-        for s in range(0, m, _BLOCK):
-            out[s : s + _BLOCK] = obj.value(pop[s : s + _BLOCK], nus[s : s + _BLOCK])[1]
+        for s in range(0, m, block):
+            out[s : s + block] = obj.value(pop[s : s + block], nus[s : s + block])[1]
 
     n_pairs = P // 2
     level = np.arange(m)
@@ -530,7 +527,8 @@ def build_lut(spec: LutSpec, dmd: DmdSpec, psf: PsfModel, beam: BeamProfile, see
 
     The per-entry accuracy cap on |achieved - nu_k| is 0.05 / (n_nu - 1),
     a twentieth of the table step.  Entries worse than four caps are a
-    RuntimeError: a table that cannot realise its own levels would
+    ValueError naming the scenario keys that set them (``dmd.n_rows`` and
+    the ``lut`` section): a table that cannot realise its own levels would
     silently bias the closed loop.  The same bound keeps the table
     monotone and its patterns distinct: entries within four caps, a fifth
     of a step, of targets one step apart can neither cross nor share a
@@ -555,11 +553,11 @@ def build_lut(spec: LutSpec, dmd: DmdSpec, psf: PsfModel, beam: BeamProfile, see
     levels[1:-1], achieved[1:-1], residual[1:-1] = _refine(obj, nus[1:-1], starts[:, None], acc)
     bad = [k for k in range(n_nu) if abs(achieved[k] - nus[k]) > 4.0 * acc]
     if bad:
-        raise RuntimeError(
+        raise ValueError(
             "table entries out of tolerance: "
-            + ", ".join(
-                f"k={k} nu={nus[k]:.3f} achieved={achieved[k]:.6f}" for k in bad
-            )
+            + ", ".join(f"k={k} nu={nus[k]:.3f} achieved={achieved[k]:.6f}" for k in bad)
+            + f"; the scenario's dmd.n_rows = {dmd.n_rows} mirrors a column cannot realise"
+            f" its lut section's {n_nu} levels to within {4.0 * acc:.3g} each"
         )
     return Lut(
         levels=levels,

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf, sici
 
-from .core import RealField1D, SpatialGrid1D, check_index, check_real
+from .core import BLOCK_BYTES, RealField1D, SpatialGrid1D, check_index, check_real
 
 __all__ = [
     "PsfModel",
@@ -72,21 +72,6 @@ __all__ = [
 # 8-point Gauss-Legendre rule, exact to machine precision for the smooth
 # (Gaussian / low-order sinc) integrands over a single 1 um pixel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-# column_response evaluates its band over blocks of this many grid rows,
-# so no temporary grows with the grid (128 x 48 doubles on the reference
-# scenario).
-_ROW_BLOCK = 128
-
-# propagate_full sums the pixels over blocks of as many grid rows as keep
-# one block's (rows, 8 n_l) node matrix within this many bytes, so the
-# matrix and PsfModel.gz's copy of it fit a core's L2 cache of 1 MB or
-# more: 16 rows, 410 KB each, on the reference scenario's 3200 nodes.
-# The block is a multiple of 8 rows, and at least 8, which keeps
-# OpenBLAS's grouping of rows in its matrix-vector product, so each entry
-# is bit for bit the whole matrix's product (a 37-row block moves entries
-# by up to 4e-16 of the peak).
-_FULL_BLOCK_BYTES = 512 * 1024
 
 # erf(x) rounds to exactly 1.0 in double precision once erfc(x) falls
 # below half an ulp of 1 (1.1e-16), from x = 5.9 on; erfc(6.5) = 3.8e-20
@@ -377,10 +362,13 @@ def propagate_full(
 
     The sum runs over blocks of grid rows, each one g_z evaluation on its
     (rows, column nodes) matrix times the node coefficients.  A block
-    holds as many rows, a multiple of 8, as fit that matrix in
-    ``_FULL_BLOCK_BYTES``, so memory is bounded by one block (0.4 MB on
-    the reference scenario's 3200 nodes, twice that while g_z runs)
-    however fine the grid.
+    holds as many rows as fit that matrix in :data:`core.BLOCK_BYTES`, so
+    memory is bounded by one block (0.4 MB on the reference scenario's
+    3200 nodes, twice that while g_z runs) however fine the grid.  The
+    block is a multiple of 8 rows, and at least 8, which keeps OpenBLAS's
+    grouping of rows in its matrix-vector product, so each entry is bit
+    for bit the whole matrix's product (a 37-row block moves entries by up
+    to 4e-16 of the peak).
     """
     _check_pattern_support(pattern, psf)
     cols = column_sums(pattern, psf, beam)
@@ -391,7 +379,7 @@ def propagate_full(
     coef = (cols[:, None] * (half * _GL_WEIGHTS)[None, :]).ravel() * beam.pz(eta)
     z = grid.samples
     out = np.empty(len(z))
-    block = max(8, _FULL_BLOCK_BYTES // (8 * eta.nbytes) * 8)
+    block = max(8, BLOCK_BYTES // (8 * eta.nbytes) * 8)
     # numpy multiplies a one-row block as a dot product, which sums in
     # another order than a row of the matrix product, so a single last
     # row joins the block before it
@@ -458,13 +446,16 @@ def column_response(
     keeps 47 of the 400 columns per row (1.0 MB against the full matrix's
     8.6 MB).  Every row keeps the widest band's width, its window shifted
     inside the column grid where it would leave it.  The rows are evaluated
-    in blocks of ``_ROW_BLOCK`` rows, one erf call each, so no temporary
-    grows with the grid.  The band's entries use the same arithmetic as a
-    full evaluation, so, scattered into the full matrix, they are bit for
-    bit the erf difference over the shared edges everywhere.  Where one
-    column's centre + half equals the next one's centre - half, as at a
-    pitch of 1.0 or 1.25 um (checked up to 1199 columns), that is the
-    difference at centre +- half of each column.  At a pitch like 0.7 um
+    in blocks, one erf call each, of as many rows as keep a block's three
+    live temporaries (its edge indices, the gathered edges and their erf)
+    within :data:`core.BLOCK_BYTES` (455 rows on the reference scenario),
+    so no temporary grows with the grid.  The band's entries use the same
+    arithmetic as a full evaluation, so, scattered into the full matrix,
+    they are bit for bit the erf difference over the shared edges
+    everywhere.  Where one column's centre + half equals the next one's
+    centre - half, as at a pitch of 1.0 or 1.25 um (checked up to 1199
+    columns), that is the difference at centre +- half of each column.
+    At a pitch like 0.7 um
     the two round apart; the shared edges still tile the axis exactly, and
     the entries move by a few 1e-14 of the largest one.
     """
@@ -493,8 +484,9 @@ def column_response(
     first = np.minimum(first, len(centers) - width)
     offsets = np.arange(width + 1)
     values = np.empty((len(z), width))
-    for s in range(0, len(z), _ROW_BLOCK):
-        rows = slice(s, s + _ROW_BLOCK)
+    block = max(1, BLOCK_BYTES // (3 * offsets.nbytes))
+    for s in range(0, len(z), block):
+        rows = slice(s, s + block)
         e = erf(sq * (edges[first[rows, None] + offsets] - eta_bar[rows, None]))
         np.subtract(e[:, 1:], e[:, :-1], out=values[rows])
         values[rows] *= env[rows, None]

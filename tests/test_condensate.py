@@ -917,6 +917,42 @@ def test_a_warm_start_at_an_excited_state_ends_on_the_ground_state(monkeypatch):
     assert condensate._minority_share(excited.phi.values, grid.dz) > 0.49
 
 
+@pytest.mark.parametrize("length, n_points, v_max", [(20.0, 16, 500.0), (250.0, 200, 200.0)])
+def test_a_sign_change_that_a_restart_keeps_ends_the_solve(
+    scenario, length, n_points, v_max, caplog
+):
+    # on these under-resolved grids the desired state's converged states
+    # keep a sign change (a share 3.9e-7 and 4.8e-8 of the norm), and a
+    # restart from the modulus relaxes back onto the same mu: the solve
+    # stops there, not converged, instead of restarting for 60,000 steps
+    grid = SpatialGrid1D(length, n_points)
+    v = desired_potential(dataclasses.replace(scenario.desired, v_max=v_max), grid)
+    with caplog.at_level(logging.WARNING, logger="potshape.condensate"):
+        gs = ground_state(v, scenario.condensate, scenario.solver)
+    assert not gs.converged and gs.n_steps < 200
+    assert "on its minority sign, and a restart from its modulus did not lower mu" in caplog.text
+    assert "nan" not in caplog.text
+
+
+def test_a_sign_change_with_no_step_left_ends_the_solve(scenario, caplog, monkeypatch):
+    # the 16-point solve's full-grid stage first converges onto a signed
+    # state at step s; with max_steps = s no step is left for a restart,
+    # so the solve ends there instead of making a restart of 0 steps,
+    # whose relative mu change would read nan
+    grid = SpatialGrid1D(20.0, 16)
+    v = desired_potential(dataclasses.replace(scenario.desired, v_max=500.0), grid)
+    with monkeypatch.context() as m:
+        m.setattr(condensate, "NODE_SHARE_TOL", 1.0)
+        first = ground_state(v, scenario.condensate, scenario.solver)
+    assert first.converged
+    assert condensate._minority_share(first.phi.values, grid.dz) > condensate.NODE_SHARE_TOL
+    cfg = dataclasses.replace(scenario.solver, max_steps=first.n_steps)
+    with caplog.at_level(logging.WARNING, logger="potshape.condensate"):
+        gs = ground_state(v, scenario.condensate, cfg)
+    assert not gs.converged and gs.n_steps == first.n_steps
+    assert "on its minority sign" in caplog.text and "nan" not in caplog.text
+
+
 def test_split_step_constants_are_cached_read_only_and_change_no_bit(tilted_well, monkeypatch):
     consts = condensate._split_step_constants(512, 0.25, 0.05, MASS)
     assert condensate._split_step_constants(512, 0.25, 0.05, MASS) is consts

@@ -501,6 +501,38 @@ def test_cli_refuses_a_grid_that_misses_the_point_spread_kernel(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["design-kernel", "run"])
+def test_cli_refuses_a_grid_too_coarse_for_the_kernel(tmp_path, capsys, command):
+    # 2 points over 20 um keep the point-spread kernel's weight, but their
+    # lags 0 and 20 um hold no tap on the negative side of z = 0
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text('{"grid": {"length": 20.0, "n_points": 2}}')
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: a grid of 2 points holds no lag")
+    assert "grid.n_points" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-lut", "run"])
+def test_cli_refuses_a_scenario_whose_table_misses_its_levels(tmp_path, capsys, command):
+    # two mirrors achieve |E(0)| = 0, 0.5 and 1 only, so the 7-level
+    # table's inner levels miss their targets: a one-line refusal that
+    # names the keys to change, not a traceback
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(
+        '{"dmd": {"n_rows": 2}, "lut": {"n_nu": 7, "population": 8, "generations": 5}}'
+    )
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: table entries out of tolerance: k=1 ")
+    assert "dmd.n_rows = 2" in err and "lut section" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_refuses_integers_beyond_the_float_range(tmp_path, capsys):
     # a float key refuses such an integer as not finite; a count takes it,
     # and the first float conversion of it is refused with its section

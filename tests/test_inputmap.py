@@ -344,9 +344,9 @@ def test_reference_table_equals_numpys_draws(monkeypatch, scenario, reference_lu
 
 
 def test_reference_build_memory_is_bounded(scenario):
-    # the search's two (49, 100, 100) population buffers are 0.5 MB each;
-    # a copy of the parents and an all-level flips array would add 1.2 MB.
-    # Measured: 2.5 MB
+    # the search's two (49, 100, 100) population buffers are 0.5 MB each,
+    # and its scoring's float copy of 6 levels 0.5 MB; a copy of the
+    # parents and an all-level flips array would add 1.2 MB.  Measured: 2.7 MB
     tracemalloc.start()
     try:
         build_scenario_lut(scenario)
@@ -645,7 +645,7 @@ def test_crossing_table_is_refused(fast_spec, fast_dmd, psf, beam, monkeypatch):
         return tuple(a[[0, 2, 1, 3, 4]] for a in refine(*args))
 
     monkeypatch.setattr(inputmap, "_refine", swapped)
-    with pytest.raises(RuntimeError, match=r"out of tolerance: k=2 .*, k=3 "):
+    with pytest.raises(ValueError, match=r"out of tolerance: k=2 .*, k=3 "):
         build_lut(fast_spec, fast_dmd, psf, beam, SEED)
 
 
@@ -670,7 +670,7 @@ def test_unreachable_accuracy_is_a_hard_error(psf, beam):
     # two mirrors achieve |E(0)| = 0, 0.5 and 1 only, so the levels
     # between miss their targets; the table never forms
     spec = LutSpec(n_nu=7, population=8, generations=5)
-    with pytest.raises(RuntimeError, match=r"out of tolerance: k=1 .*, k=5 nu=0.833 "):
+    with pytest.raises(ValueError, match=r"out of tolerance: k=1 .*, k=5 nu=0.833 "):
         build_lut(spec, DmdSpec(n_rows=2), psf, beam, SEED)
 
 

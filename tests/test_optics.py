@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from conftest import dense_matrix
-from potshape.core import RealField1D, SpatialGrid1D
+from potshape.core import BLOCK_BYTES, RealField1D, SpatialGrid1D
 from potshape.optics import (
     BeamProfile,
     DarkSpot,
@@ -354,7 +354,7 @@ def test_full_route_memory_is_bounded_by_one_row_block():
 def test_column_response_memory_is_its_band():
     # on the reference geometry the band is 2700 x 47 doubles (1.0 MB)
     # and propagate_separable adds one gathered window per row; the full
-    # 2700 x 400 matrix alone is 8.6 MB.  Measured: 1.3 and 2.1 MB
+    # 2700 x 400 matrix alone is 8.6 MB.  Measured: 1.7 and 2.1 MB
     psf = PsfModel()
     beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     grid = SpatialGrid1D(250.0, 2700)
@@ -371,6 +371,24 @@ def test_column_response_memory_is_its_band():
         finally:
             tracemalloc.stop()
         assert peak < 3e6, name
+
+
+def test_column_response_holds_its_band_and_one_row_block():
+    # beside the reference band (2700 x 47 doubles, 1.04 MB) only one block
+    # of rows is live: its edge indices, gathered edges and their erf, 455
+    # rows of 48 each within BLOCK_BYTES, and a few arrays of one value per
+    # row (0.14 MB).  Rows sized by one (rows, 48) matrix alone, 1365 of
+    # them, would hold three times the budget.  Measured: 1.70 MB
+    psf = PsfModel()
+    beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
+    grid = SpatialGrid1D(250.0, 2700)
+    tracemalloc.start()
+    try:
+        band = column_response(grid, column_grid(400, 1.0), psf, beam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= band.values.nbytes + band.first.nbytes + BLOCK_BYTES + 0.25e6
 
 
 def _dense_column_response(grid, col_grid, psf, beam):
