@@ -69,10 +69,12 @@ def _cmd_design_kernel(args) -> int:
 
 def _cmd_groundstate(args) -> int:
     cfg = _load_config(args)
+    points = "grid.n_points"
     if args.potential == "desired":
         grid = cfg.grid.build()
         v = harness.desired_potential(cfg.desired, grid)
     else:
+        points = f"the rows of {args.potential}"
         cols = harness._read_rows(args.potential, ("z", "v"))
         n_rows = len(cols["z"])
         if n_rows < 2:
@@ -81,7 +83,7 @@ def _cmd_groundstate(args) -> int:
         v = RealField1D(grid=grid, values=cols["v"])
     gs = ground_state(v, cfg.condensate, cfg.solver)
     if not gs.converged:
-        raise ConvergenceError("ground state did not converge; lower dtau or raise max_steps")
+        raise harness._unconverged("ground state", gs, cfg.solver, grid, points)
     harness._write_rows(args.out, ("z", "v", "rho"), (grid.samples, v.values, gs.density.values))
     print(f"wrote {args.out}: {grid.n_points} points")
     print(f"mu = {gs.mu:.9g} rad/ms after {gs.n_steps} steps")

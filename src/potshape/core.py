@@ -43,7 +43,7 @@ __all__ = [
 # optics.column_response's grid rows, the table search's levels): a block
 # holds as many as keep its live temporaries within this many bytes, so
 # none grows with the problem and a block fits a core's L2 cache of 1 MB or
-# more (measured on propagate_full: 16 rows, 410 KB a node matrix).
+# more (propagate_full on the reference grid: 10 rows, two 256 KB temporaries).
 BLOCK_BYTES = 512 * 1024
 
 

@@ -368,6 +368,18 @@ class Prepared:
     error_slope: np.ndarray
 
 
+def _unconverged(what: str, gs, solver: SolverConfig, grid: SpatialGrid1D, points="grid.n_points"):
+    """The error for an unconverged ground state ``gs``, naming the keys
+    that bound its solve (``points`` names where the grid comes from).  It
+    offers no remedy: neither more steps nor a smaller dtau moves a solve
+    off a state that changes sign."""
+    return ConvergenceError(
+        f"{what} did not converge within solver.max_steps = {solver.max_steps} "
+        f"(stopped after {gs.n_steps} steps) on {points} = {grid.n_points} "
+        f"(spacing {grid.dz:.4g} um)"
+    )
+
+
 def prepare(cfg: ScenarioConfig) -> Prepared:
     grid = cfg.grid.build()
     col_grid = column_grid(cfg.dmd.n_columns, cfg.dmd.pixel_pitch)
@@ -386,7 +398,7 @@ def prepare(cfg: ScenarioConfig) -> Prepared:
     v_des = desired_potential(cfg.desired, grid)
     gs_d = ground_state(v_des, cfg.condensate, cfg.solver)
     if not gs_d.converged:
-        raise ConvergenceError("desired ground state did not converge")
+        raise _unconverged("desired ground state", gs_d, cfg.solver, grid)
     rho_d = gs_d.density
     gain = gain_profile(
         v_des,
@@ -505,7 +517,7 @@ def shoot(cfg: ScenarioConfig, prepared: Prepared, lut: Lut, n: int, index, dist
         log.warning("iteration %d: warm start stalled, retrying cold", n)
         gs = ground_state(v, cfg.condensate, cfg.solver)
     if not gs.converged:
-        raise ConvergenceError(f"ground state did not converge at iteration {n}")
+        raise _unconverged(f"ground state at iteration {n}", gs, cfg.solver, prepared.grid)
     return pattern, v_opt, v, gs
 
 

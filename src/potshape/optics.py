@@ -88,9 +88,7 @@ class PsfModel:
     g_z is a unit-mass Gaussian of standard deviation ``sigma_z``.  g_y is
     sin(pi y / w_y) / (pi y / w_y), truncated at the ``gy_zero_cut``-th
     zero (|y| > gy_zero_cut * w_y evaluates to 0) and normalised to unit
-    mass over the truncation window.  ``gy_support``, two lobes past the
-    truncation, is the largest pattern half-width :func:`propagate_full`
-    takes.
+    mass over the truncation window.
     """
 
     sigma_z: float = 2.5
@@ -105,10 +103,6 @@ class PsfModel:
         # integral Si: int_{-a}^{a} sinc(t) dt = 2 Si(pi a) / pi.
         si, _ = sici(np.pi * self.gy_zero_cut)
         object.__setattr__(self, "_gy_norm", self.w_y * 2.0 * si / np.pi)
-
-    @property
-    def gy_support(self) -> float:
-        return (self.gy_zero_cut + 2) * self.w_y
 
     def gz(self, z):
         """Unit-mass Gaussian exp(-(z/s)^2 / 2) / (s sqrt(2 pi)), s = sigma_z.
@@ -331,15 +325,6 @@ def calibrate_beam(
     return out
 
 
-def _check_pattern_support(pattern: DmdPattern, psf: PsfModel):
-    extent = 0.5 * pattern.n_t * pattern.pixel_pitch
-    if extent > psf.gy_support:
-        raise ValueError(
-            f"pattern half-width {extent:g} um exceeds the transversal "
-            f"psf support {psf.gy_support:g} um"
-        )
-
-
 def column_sums(pattern: DmdPattern, psf: PsfModel, beam: BeamProfile) -> np.ndarray:
     """Signed on-axis field of each column, amplitude * sum_i bits[i, j] W0[i]
     with W0 the on-axis :func:`transversal_weights` (negative sinc lobes
@@ -362,15 +347,11 @@ def propagate_full(
 
     The sum runs over blocks of grid rows, each one g_z evaluation on its
     (rows, column nodes) matrix times the node coefficients.  A block
-    holds as many rows as fit that matrix in :data:`core.BLOCK_BYTES`, so
-    memory is bounded by one block (0.4 MB on the reference scenario's
-    3200 nodes, twice that while g_z runs) however fine the grid.  The
-    block is a multiple of 8 rows, and at least 8, which keeps OpenBLAS's
-    grouping of rows in its matrix-vector product, so each entry is bit
-    for bit the whole matrix's product (a 37-row block moves entries by up
-    to 4e-16 of the peak).
+    holds as many rows as keep its two live temporaries, the differences
+    and g_z's copy of them, within :data:`core.BLOCK_BYTES` (10 rows on
+    the reference scenario's 3200 nodes), so memory is bounded by one
+    block however fine the grid.
     """
-    _check_pattern_support(pattern, psf)
     cols = column_sums(pattern, psf, beam)
     centers = pixel_centers(pattern.n_l, pattern.pixel_pitch)
     half = 0.5 * pattern.pixel_pitch
@@ -379,13 +360,10 @@ def propagate_full(
     coef = (cols[:, None] * (half * _GL_WEIGHTS)[None, :]).ravel() * beam.pz(eta)
     z = grid.samples
     out = np.empty(len(z))
-    block = max(8, BLOCK_BYTES // (8 * eta.nbytes) * 8)
-    # numpy multiplies a one-row block as a dot product, which sums in
-    # another order than a row of the matrix product, so a single last
-    # row joins the block before it
-    starts = list(range(0, len(z) - 1, block))
-    for s, t in zip(starts, starts[1:] + [len(z)]):
-        out[s:t] = psf.gz(z[s:t, None] - eta[None, :]) @ coef
+    block = max(1, BLOCK_BYTES // (2 * eta.nbytes))
+    for s in range(0, len(z), block):
+        rows = slice(s, s + block)
+        out[rows] = psf.gz(z[rows, None] - eta[None, :]) @ coef
     return RealField1D(grid=grid, values=out)
 
 

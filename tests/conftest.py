@@ -4,9 +4,11 @@ build takes about 0.65-0.8 s, prepare (with the desired ground state)
 about 0.03 s and the 80-iteration closed loop about 0.08 s."""
 
 import logging
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from potshape.harness import (
     DmdSpec,
@@ -19,6 +21,11 @@ from potshape.harness import (
     run_closed_loop,
 )
 from potshape.condensate import SolverConfig
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, as CI does;
+# without it each local run draws new ones
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # pass/fail lines collected by the acceptance tests, printed after the run
 ACCEPTANCE_LINES = []

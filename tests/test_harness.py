@@ -7,13 +7,15 @@ import json
 import logging
 import re
 import shutil
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dense_matrix
 from potshape import harness
@@ -1658,6 +1660,64 @@ def test_load_run_rejects_foreign_directories(tmp_path):
         load_run(d)
 
 
+def _small(length, n_points, n_rows, n_columns, n_nu, population, generations, iterations, noise):
+    # a small scenario without disturbances; 5,000 steps bound each solve
+    return ScenarioConfig(
+        grid=GridSpec(length=length, n_points=n_points),
+        dmd=DmdSpec(n_rows=n_rows, n_columns=n_columns),
+        lut=LutSpec(n_nu=n_nu, population=population, generations=generations),
+        loop=LoopSpec(iterations=iterations),
+        measurement=MeasurementConfig(noise_std=noise),
+        solver=SolverConfig(max_steps=5_000),
+        disturbances=(),
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    cfg=st.builds(
+        _small,
+        st.floats(20.0, 800.0),
+        st.integers(3, 256),
+        st.integers(20, 200),
+        st.integers(2, 40),
+        st.integers(2, 6),
+        st.integers(4, 10),
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 1e-3, 1.0]),
+    )
+)
+@example(cfg=_small(250.0, 256, 200, 40, 6, 10, 5, 3, 1e-3))
+def test_a_small_scenario_runs_and_checks_or_is_refused_by_name(cfg):
+    # a run either refuses with a message, or exports records that report
+    # ok and whose every v_opt is the pixel sum of its exported pattern;
+    # the 200-row example runs through, so the sum takes a pattern wider
+    # than g_y's window.  The 101 examples take about 1.5 s on a 2-core host.
+    # The tolerance is 1e-9 of the calibrated all-on potential peak,
+    # headroom * v_max, not of the pattern's own peak on the grid: a grid
+    # can miss the light (4 points over 95 um sample nothing within 15 um
+    # of 2 columns), and there the band's erf differences round to 0 or
+    # keep a few digits where the sum's Gaussians are below 1e-18 of
+    # that peak, while the two still agree to 1e-27 of it
+    try:
+        result = run_closed_loop(cfg)
+    except (ValueError, ConvergenceError) as exc:
+        assert str(exc)
+        return
+    with tempfile.TemporaryDirectory() as out:
+        export_records(result, out)
+        assert report(out)["ok"]
+        fields = load_run(out)["fields"]
+        scale = cfg.control.headroom * cfg.desired.v_max
+        for n, cols in fields.items():
+            bits = _read_pbm(Path(out) / f"pattern_{n:04d}.pbm")
+            pattern = DmdPattern(bits=bits, pixel_pitch=cfg.dmd.pixel_pitch)
+            e = propagate_full(pattern, result.prepared.beam, cfg.psf, result.prepared.grid)
+            want = potential_from_field(e, cfg.control.alpha_v).values
+            assert np.max(np.abs(cols["v_opt"] - want)) <= 1e-9 * scale, n
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -1992,6 +2052,22 @@ def test_cli_groundstate_refuses_without_numpy_warnings(tmp_path, capsys, recwar
     err = capsys.readouterr().err
     assert err.startswith("solver failure: wave function vanished") and "dtau = 0.05" in err
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("command", ["groundstate", "run"])
+def test_cli_names_the_keys_of_a_solve_that_stops_unconverged(tmp_path, capsys, command):
+    # 16 points over 20 um at v_max 500: the desired state's solve stops on
+    # a state that changes sign, after 42 steps, where neither a smaller
+    # dtau nor more steps would help, so the message offers neither
+    cfg = tmp_path / "scenario.json"
+    scenario = {"grid": {"length": 20.0, "n_points": 16}, "desired": {"v_max": 500.0}}
+    cfg.write_text(json.dumps(scenario))
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", str(cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and err.count("\n") == 1
+    assert "solver.max_steps = 60000" in err and "grid.n_points = 16" in err
+    assert "dtau" not in err
 
 
 def test_cli_groundstate_reads_its_potential_by_column_name(tmp_path, capsys):

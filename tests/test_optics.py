@@ -26,6 +26,7 @@ from potshape.optics import (
     calibrate_beam,
     column_grid,
     column_response,
+    column_sums,
     e_perp_max,
     magnetic_potential,
     pixel_centers,
@@ -82,8 +83,6 @@ def test_gy_truncation_and_normalisation():
 
 
 def test_psf_validation():
-    psf = PsfModel()
-    assert psf.gy_support == (psf.gy_zero_cut + 2) * psf.w_y
     with pytest.raises(ValueError):
         PsfModel(sigma_z=0.0)
     with pytest.raises(ValueError):
@@ -124,14 +123,19 @@ def test_pattern_validation_and_hash():
     assert DmdPattern(bits=bits, pixel_pitch=2.0).sha256() != h0
 
 
-def test_pattern_support_check():
-    psf = PsfModel()  # transversal support 64 um
-    grid = SpatialGrid1D(20.0, 101)
-    ok = DmdPattern(bits=np.ones((100, 3), dtype=int))
-    propagate_full(ok, BeamProfile(), psf, grid)
-    too_wide = DmdPattern(bits=np.ones((130, 3), dtype=int))
-    with pytest.raises(ValueError):
-        propagate_full(too_wide, BeamProfile(), psf, grid)
+@pytest.mark.parametrize("n_t", [130, 200])
+def test_full_route_takes_patterns_wider_than_the_psf_window(n_t):
+    # rows beyond g_y's truncation window (48 um) add nothing, so a
+    # pattern of any width sums like the plant's column_sums
+    psf = PsfModel()
+    beam = calibrate_beam(psf, BeamProfile(), n_t, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
+    grid = SpatialGrid1D(250.0, 501)
+    pattern = _lobe_pattern(n_t, 200, psf, seed=n_t)
+    want = column_response(grid, column_grid(200, 1.0), psf, beam).field(
+        column_sums(pattern, psf, beam)
+    )
+    got = propagate_full(pattern, beam, psf, grid).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ------------------------------------------------ transversal weights
@@ -319,9 +323,9 @@ def _dense_pixel_sum(pattern, beam, psf, grid):
 
 @pytest.mark.parametrize("n_points", [2700, 2701, 2689, 63, 9])
 def test_full_route_equals_the_dense_pixel_sum(n_points):
-    # on 400 columns a block is 16 rows: 2700 is the reference grid;
-    # 2701 and 63 end in a short block, 2689 in a single row that joins
-    # the block before it, and 9 points fit in less than one block
+    # on 400 columns a block is 10 rows: 2700 is the reference grid;
+    # 2701 ends in a one-row block, 2689 and 63 in short blocks of 9 and
+    # 3 rows, and 9 points fit in less than one block
     psf = PsfModel()
     beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     grid = SpatialGrid1D(250.0 * (n_points - 1) / 2699, n_points)
@@ -336,8 +340,8 @@ def test_full_route_equals_the_dense_pixel_sum(n_points):
 def test_full_route_memory_is_bounded_by_one_row_block():
     # the whole node matrix of the reference grid is 2700 x 3200 doubles
     # (69 MB) and each temporary of its evaluation as large; one block of
-    # 16 rows is 0.41 MB, and the block's differences and g_z's copy of
-    # them are two of those.  Measured: 0.91 MB
+    # 10 rows keeps its differences and g_z's copy of them, 0.26 MB each,
+    # within BLOCK_BYTES.  Measured: 0.59 MB
     psf = PsfModel()
     beam = calibrate_beam(psf, BeamProfile(), 100, 1.0, v_max=V_MAX, alpha_v=1.0, headroom=1.3)
     grid = SpatialGrid1D(250.0, 2700)
@@ -348,7 +352,7 @@ def test_full_route_memory_is_bounded_by_one_row_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+    assert peak <= BLOCK_BYTES + 0.25e6
 
 
 def test_column_response_memory_is_its_band():
