@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.linalg._umath_linalg import solve1 as _solve1
+from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
 from .core import RealField1D, check_index, check_real, require_same_grid
 
@@ -311,6 +313,32 @@ def _rfft_weights(n: int) -> np.ndarray:
     return w
 
 
+# The solver's real transforms and its least-squares step call the routines
+# beneath scipy.fft.rfft / irfft and np.linalg.solve, with the arguments
+# those wrappers pass, so they give the wrappers' bits.  95 % of a cold
+# solve's steps run on the coarse grid (3,343 of 3,520 over perfbench's 100
+# groundstate-cold solves at seed 1), where call overhead sets a step's
+# cost: at 675 points scipy.fft.rfft and irfft took 8.3 and 9.8 us a call
+# against 4.3 us for either pocketfft routine, and np.linalg.solve 5.1 us
+# against 1.2 us for its gufunc, in a step of about 30 us (one thread,
+# 2-core Xeon KVM guest, fastest of five runs of 2,000 calls).
+# tests/test_entry_points.py pins all three against the public functions.
+
+
+def _rfft(x: np.ndarray, out=None) -> np.ndarray:
+    """scipy.fft.rfft(x) of a real 1-d array, bit for bit: pocketfft's r2c
+    unnormalised on one thread, written into ``out`` (n // 2 + 1 complex)
+    when given."""
+    return _r2c(x, (-1,), True, 0, out, 1)
+
+
+def _irfft(x: np.ndarray, n: int, out=None) -> np.ndarray:
+    """scipy.fft.irfft(x, n) of the n // 2 + 1 bins ``x``, bit for bit:
+    pocketfft's c2r normalised by 1 / n on one thread, written into ``out``
+    (n floats) when given."""
+    return _c2r(x, (-1,), n, False, 2, out, 1)
+
+
 @functools.lru_cache(maxsize=4)
 def _split_step_constants(n: int, dz: float, dtau: float, mass: float) -> tuple:
     """Arrays of one (grid, step, mass): the rfft wavenumbers k, the half
@@ -398,8 +426,9 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
     gamma.  The mixture keeps the split step's own fixed point and
     removes the gradient flow's slow mode.  The history restarts, and the
     next x is g(x) itself, at the first step of a call, whenever |f| grows
-    and when the Gram matrix is singular.  With ``on_step`` the depth is
-    0: the plain gradient flow, whose invariants a recorded history checks.
+    and when the Gram matrix is singular, which makes gamma non-finite.
+    With ``on_step`` the depth is 0: the plain gradient flow, whose
+    invariants a recorded history checks.
 
     It runs until the relative change of mu between two consecutive steps
     of this call drops below cfg.tol, or until the step count, which
@@ -409,21 +438,26 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
     post-step spectrum.  Returns the last post-step spectrum (the last g(x)
     without its renormalisation and extra half step), its power |post|^2,
     the step count, whether mu converged and its last relative change.  It
-    logs nothing; failures raise.  Its work arrays are allocated once per
-    call and filled in place, so a step allocates only its two transforms'
-    outputs, dG gamma and the least-squares step's vectors of length m;
-    the returned power is a work array.
+    logs nothing; failures raise.  Its work arrays, the two transforms'
+    outputs and the history's views among them, are allocated once per
+    call and filled in place, so a step allocates only dG gamma and the
+    least-squares step's vectors of length m; the returned spectrum and
+    power are work arrays.
     """
     n = v_offset.size
     _, half_kin, norm_weights, kin_weights = consts
     depth = 0 if on_step is not None else ANDERSON_DEPTH
     power = np.empty(half_kin.size)
-    power_im = np.empty(half_kin.size)
+    squares = np.empty(2 * half_kin.size)
+    squares_re, squares_im = squares[0::2], squares[1::2]
     scale = np.empty(half_kin.size)
-    x, g, g_prev = (np.empty_like(post) for _ in range(3))
+    x, g, g_prev, spectrum = (np.empty_like(post) for _ in range(4))
     f, f_prev = np.empty(2 * post.size), np.empty(2 * post.size)
     d_f, d_g = np.empty((depth, f.size)), np.empty((depth, f.size))
     gram = np.empty((depth, depth))
+    # the history's m newest columns and their Gram matrix, for m <= depth
+    history = [(d_f[:m], d_g[:m], gram[:m, :m]) for m in range(depth + 1)]
+    state = np.empty(n)
     rho = np.empty(n)
     w = np.empty(n)
     product = np.empty(n)
@@ -431,8 +465,8 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
 
     def power_of(spec):
         # |spec|^2 as spec.real**2 + spec.imag**2
-        np.square(spec.real, out=power)
-        return np.add(power, np.square(spec.imag, out=power_im), out=power)
+        np.square(spec.view(float), out=squares)
+        return np.add(squares_re, squares_im, out=power)
 
     def carry(post, nrm, out):
         # the renormalised post-step spectrum after another half kinetic step
@@ -453,12 +487,13 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
         )
 
     # a potential too high or too low for dtau underflows or overflows the
-    # state; numpy stays quiet and the finiteness checks name the cause
+    # state, and a singular Gram matrix makes gamma NaN; numpy stays quiet
+    # and the finiteness checks name the cause
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             # the pre-potential state phi_a and its mu, from the V + h(rho)
             # that the potential step applies
-            phi = scipy.fft.irfft(x, n)
+            phi = _irfft(x, n, state)
             np.multiply(phi, phi, out=rho)
             _effective_potential(rho, v_offset, params, out=w, work=product)
             kinetic = float(np.dot(kin_weights, power_of(x)))
@@ -475,7 +510,7 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
                 return post, power_of(post), steps, False, last_change
             w *= neg_dtau
             phi *= np.exp(w, out=w)
-            post = scipy.fft.rfft(phi)
+            post = _rfft(phi, spectrum)
             post *= half_kin
             steps += 1
             nrm = float(np.dot(norm_weights, power_of(post)))
@@ -492,15 +527,15 @@ def _relax(post, v_offset, dz, consts, params, cfg, steps, max_steps, on_step=No
             added = 0 if steps == first + 1 or f_norm > f_prev_norm else added + 1
             if depth and added:
                 s, m = (added - 1) % depth, min(added, depth)
+                d_f_m, d_g_m, gram_m = history[m]
                 np.subtract(f, f_prev, out=d_f[s])
                 np.subtract(gv, g_prev.view(float), out=d_g[s])
-                gram[s, :m] = gram[:m, s] = d_f[:m] @ d_f[s]
-                try:
-                    gamma = np.linalg.solve(gram[:m, :m], d_f[:m] @ f)
-                except np.linalg.LinAlgError:
-                    added = 0
+                gram[s, :m] = gram[:m, s] = d_f_m @ d_f[s]
+                gamma = _solve1(gram_m, d_f_m @ f)
+                if np.isfinite(gamma).all():
+                    np.subtract(gv, gamma @ d_g_m, out=x.view(float))
                 else:
-                    np.subtract(gv, gamma @ d_g[:m], out=x.view(float))
+                    added = 0
             if not (depth and added):
                 np.copyto(x, g)
             f, f_prev = f_prev, f
@@ -558,8 +593,10 @@ def ground_state(
     is that state's own, so a one-stage solve of k steps makes 2k + 3
     transforms.  A two-stage one makes 2k + 5 (2k + 4 when the coarse
     stage hands over at the probe), of which 2k_c + 3 (2k_c + 2) on the
-    coarse grid for its k_c steps.  The resolution check reads the same
-    spectrum.  The mixing converges onto any stationary state, and the
+    coarse grid for its k_c steps.  Each of these transforms is a call of
+    :func:`_rfft` or :func:`_irfft`, scipy.fft's own pocketfft routines
+    without its wrappers, bit for bit.  The resolution check reads the
+    same spectrum.  The mixing converges onto any stationary state, and the
     ground state is the nodeless one: when a converged state holds more
     than NODE_SHARE_TOL of its norm on its minority sign, the full-grid
     stage runs again from the rfft of the state's modulus, with its steps
@@ -595,7 +632,7 @@ def ground_state(
     def post_step_state(post, power):
         """The renormalised state of a post-step spectrum with power
         |post|^2, with its kinetic energy and mu."""
-        phi = scipy.fft.irfft(post, n)
+        phi = _irfft(post, n)
         rho = phi * phi
         nrm = _trapezoid(rho, dz)
         phi /= np.sqrt(nrm)
@@ -621,7 +658,7 @@ def ground_state(
         budget = cfg.max_steps - 1
         probe = min(budget, math.ceil(COARSE_PROBE_TAU / cfg.dtau))
         coarse, power, steps, converged, _ = _relax(
-            scipy.fft.rfft(phi[::c]), *coarse_args, 0, probe
+            _rfft(phi[::c]), *coarse_args, 0, probe
         )
         coarse_k, _, coarse_weights, _ = coarse_consts
         # go on only while the coarse grid resolves the state
@@ -639,7 +676,7 @@ def ground_state(
         if (n // c) % 2 == 0:
             post[coarse.size - 1] *= 0.5
     else:
-        post, steps = scipy.fft.rfft(phi), 0
+        post, steps = _rfft(phi), 0
     mu_signed = math.inf
     while True:
         post, power, steps, converged, last_change = _relax(
@@ -656,7 +693,7 @@ def ground_state(
             converged = False
             break
         mu_signed = mu
-        post = scipy.fft.rfft(np.abs(phi))
+        post = _rfft(np.abs(phi))
     # fix the global sign; the ground state is nodeless and positive
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi

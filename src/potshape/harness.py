@@ -460,8 +460,10 @@ class IterationRecord:
     its hash), the total and optical potentials ``v`` and ``v_opt`` and
     the measured density ``rho``.  A held shot reuses the last computed
     shot, so its solver steps are 0; without noise its other fields
-    repeat the previous record's.  Records compare by identity: they
-    hold arrays."""
+    repeat the previous record's, ``nu`` and ``e_rho`` as the same
+    arrays.  Both are kept read-only: an array that owns its data and is
+    already read-only is kept as it is, anything else is copied.
+    Records compare by identity: they hold arrays."""
 
     n: int
     nu: np.ndarray
@@ -473,8 +475,10 @@ class IterationRecord:
 
     def __post_init__(self):
         for name in ("nu", "e_rho"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.flags.writeable = False
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.flags.writeable or not a.flags.owndata:
+                a = a.copy()
+                a.flags.writeable = False
             object.__setattr__(self, name, a)
 
 
@@ -547,7 +551,10 @@ def run_closed_loop(
     held, reusing that shot with ``solver_steps`` 0.  A noise-free held
     shot also reuses the previous measurement, error, error norm, clamp
     count and next indices, since ``level_update`` is deterministic in
-    them; a noisy one draws its own noise and measures and updates anew.
+    them, and its record shares the previous record's ``nu`` and
+    ``e_rho`` arrays; a noisy one draws its own noise and measures and
+    updates anew.  ``level_update`` returns the indices it was given
+    when no column moves, so the held test tries identity first.
     Each computed error norm serves the record and ``level_update``.  A
     noise generator is seeded only when the measurement is noisy.
     """
@@ -588,7 +595,11 @@ def run_closed_loop(
         dist = inject_disturbances(cfg.disturbances, n)
         # a held shot repeats the last potential on the same plant; a
         # per-shot plant draw (ROADMAP item 9) must end this reuse
-        held = memo is not None and np.array_equal(index, memo[0]) and dist == memo[1]
+        held = (
+            memo is not None
+            and (index is memo[0] or np.array_equal(index, memo[0]))
+            and dist == memo[1]
+        )
         if not held:
             memo = (index, dist)
             try:
@@ -606,11 +617,15 @@ def run_closed_loop(
             e = density_error(rho_m, prepared.rho_desired)
             err = error_norm(e)
             next_index, clamp_count = level_update(index, e, err, prepared, lut)
+            nu, e_rho = lut.nu_levels[index], e.values
+        else:
+            # the predecessor's read-only arrays hold the same input and error
+            nu, e_rho = records[-1].nu, records[-1].e_rho
         records.append(
             IterationRecord(
                 n=n,
-                nu=lut.nu_levels[index],
-                e_rho=e.values,
+                nu=nu,
+                e_rho=e_rho,
                 error_norm=err,
                 clamp_count=clamp_count,
                 mu=float(gs.mu),

@@ -395,7 +395,12 @@ class ColumnBand:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.n_columns,):
             raise ValueError(f"need {self.n_columns} column values, got shape {c.shape}")
-        windows = np.lib.stride_tricks.sliding_window_view(c, self.width)
+        # row j of the windows is c[j : j + width], a strided view of c
+        c = np.ascontiguousarray(c)
+        step = c.itemsize
+        windows = np.ndarray(
+            (c.size - self.width + 1, self.width), float, c, strides=(step, step)
+        )
         return np.einsum("ij,ij->i", self.values, windows[self.first])
 
 

@@ -1098,6 +1098,8 @@ def test_noisy_held_shot_reuses_the_ground_state_and_draws_new_noise(
         assert r.extras["v"].tobytes() == prev.extras["v"].tobytes()
         assert r.extras["rho"].tobytes() != prev.extras["rho"].tobytes()
         assert r.e_rho.tobytes() != prev.e_rho.tobytes()
+        # its own input and error: it shares neither array
+        assert r.nu is not prev.nu and r.e_rho is not prev.e_rho
     assert all(r.extras["solver_steps"] > 0 for r, h in zip(records, held) if not h)
 
 
@@ -1117,6 +1119,8 @@ def test_held_noise_free_shot_repeats_its_predecessor(scenario, reference_run):
         assert r.clamp_count == prev.clamp_count
         assert r.extras["pattern"].sha256() == prev.extras["pattern"].sha256()
         assert r.extras["solver_steps"] == 0
+        # nothing is copied: the record holds its predecessor's arrays
+        assert r.nu is prev.nu and r.e_rho is prev.e_rho
     assert all(r.extras["solver_steps"] > 0 for r, h in zip(records, held) if not h)
     changes = [
         n for n in range(1, len(records))
@@ -1385,6 +1389,21 @@ def test_record_zero_applies_the_table_level_of_the_initial_input(
     fields = load_run(tmp_path)["fields"][0]
     assert np.array_equal(invert_pattern(pattern, small_lut).values, columns[:, 1])
     assert np.all(fields["nu"] == 0.5)
+
+
+def test_a_record_copies_any_array_it_could_not_keep_read_only():
+    # a writeable array, or a view of another's data, is copied and the
+    # copy made read-only; a read-only array that owns its data is kept
+    nu, e_rho = np.zeros(3), np.arange(8.0)[::2]
+    r = IterationRecord(0, nu, e_rho, 0.1, 0, 1.0)
+    assert r.nu is not nu and r.e_rho is not e_rho
+    assert not (r.nu.flags.writeable or r.e_rho.flags.writeable)
+    nu[0] = 1.0
+    assert r.nu[0] == 0.0
+    view = np.arange(4.0)[1:]
+    view.flags.writeable = False
+    kept = IterationRecord(1, r.nu, view, 0.1, 0, 1.0)
+    assert kept.nu is r.nu and kept.e_rho is not view
 
 
 def test_tables_and_records_compare_by_identity(tmp_path, small_lut):

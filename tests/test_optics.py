@@ -469,6 +469,9 @@ def test_band_products_equal_the_dense_products(grid, col_grid):
         c = rng.random(n)
         peak = np.max(np.abs(dense) @ c)
         assert np.max(np.abs(band.field(c) - dense @ c)) <= 1e-15 * peak
+        # a strided input gives its contiguous copy's bits
+        every_other = rng.random(2 * n)[::2]
+        assert band.field(every_other).tobytes() == band.field(every_other.copy()).tobytes()
         for start, stop in spans:
             d = rng.random(stop - start) - rng.random(stop - start)
             got = band.field(np.pad(d, (start, n - stop)))
