@@ -308,10 +308,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad disturbance entry {i}: {exc}") from exc
         kwargs["disturbances"] = tuple(events)
-    try:
-        return ScenarioConfig(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**kwargs)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -553,8 +550,8 @@ def run_closed_loop(
     count and next indices, since ``level_update`` is deterministic in
     them, and its record shares the previous record's ``nu`` and
     ``e_rho`` arrays; a noisy one draws its own noise and measures and
-    updates anew.  ``level_update`` returns the indices it was given
-    when no column moves, so the held test tries identity first.
+    updates anew.  The held test compares the indices by identity:
+    ``level_update`` returns a new array only when a column moves.
     Each computed error norm serves the record and ``level_update``.  A
     noise generator is seeded only when the measurement is noisy.
     """
@@ -595,11 +592,7 @@ def run_closed_loop(
         dist = inject_disturbances(cfg.disturbances, n)
         # a held shot repeats the last potential on the same plant; a
         # per-shot plant draw (ROADMAP item 9) must end this reuse
-        held = (
-            memo is not None
-            and (index is memo[0] or np.array_equal(index, memo[0]))
-            and dist == memo[1]
-        )
+        held = memo is not None and index is memo[0] and dist == memo[1]
         if not held:
             memo = (index, dist)
             try:
@@ -729,13 +722,6 @@ def _rows_text(header, columns) -> str:
     return ",".join(header) + "\n" + text
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays have the same dtype, shape and bytes, and so
-    print the same; equal values would not do, since -0.0 == 0.0 prints
-    "-0" and "0", and nan != nan."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _write_text(path, text: str):
     try:
         with open(path, "w") as fh:
@@ -769,9 +755,9 @@ def export_records(result: RunResult, out_dir) -> list:
     directory is written.
 
     Each distinct column is formatted once: the grid and the column
-    positions once per call, and an iteration whose arrays have the
-    bytes of the previous exported one (a held shot) rewrites that one's
-    fields and columns text.
+    positions once per call, and an iteration whose arrays are the
+    previous exported one's (a noise-free held shot shares them)
+    rewrites that one's fields and columns text.
     """
     records = result.records
     cfg = result.config
@@ -804,7 +790,7 @@ def export_records(result: RunResult, out_dir) -> list:
         r = records[n]
         x = r.extras
         arrays = (r.nu, x["v"], x["v_opt"], x["rho"], r.e_rho)
-        if shot is None or not all(map(_same_bytes, arrays, shot)):
+        if shot is None or any(a is not b for a, b in zip(arrays, shot)):
             shot = arrays
             nu, v, v_opt, rho, e_rho = arrays
             fields = _rows_text(

@@ -51,7 +51,15 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import BLOCK_BYTES, RealField1D, as_index, as_real, check_index, check_real, from_json
-from .optics import BeamProfile, DmdPattern, DmdSpec, PsfModel, column_grid, transversal_weights
+from .optics import (
+    BeamProfile,
+    DmdPattern,
+    DmdSpec,
+    PsfModel,
+    column_grid,
+    on_axis_weights,
+    transversal_weights,
+)
 
 __all__ = [
     "LutSpec",
@@ -108,10 +116,8 @@ class PatternObjective:
         n_pen = int(round(2.0 * spec.dy / pitch)) + 1
         self.y_pen = np.linspace(-spec.dy, spec.dy, n_pen)
         w = transversal_weights(psf, beam, dmd.n_rows, pitch, self.y_pen)
-        w0 = transversal_weights(psf, beam, dmd.n_rows, pitch, [0.0])[0]
+        w0 = on_axis_weights(psf, beam, dmd.n_rows, pitch)
         norm = w0.sum()
-        if norm <= 0:
-            raise ValueError("all-ones normalisation field is non-positive")
         self.w0 = w0 / norm
         self.w_pen = w / norm
         # trapezoid weights for the penalty integral over the samples' own

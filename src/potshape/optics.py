@@ -59,6 +59,7 @@ __all__ = [
     "pixel_centers",
     "column_grid",
     "transversal_weights",
+    "on_axis_weights",
     "e_perp_max",
     "column_response",
     "column_sums",
@@ -295,10 +296,25 @@ def transversal_weights(
     return w
 
 
+def on_axis_weights(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> np.ndarray:
+    """The on-axis row of :func:`transversal_weights`.  Its sum, the
+    all-ones pattern's on-axis field per unit amplitude, normalises the
+    table's achieved values and calibrates the beam, so a sum that is not
+    positive is a ValueError naming the keys that set it."""
+    w0 = transversal_weights(psf, beam, n_t, pitch, [0.0])[0]
+    total = w0.sum()
+    if not total > 0:
+        raise ValueError(
+            f"the all-ones pattern's on-axis field is {total:.3g}, not positive, for "
+            f"beam.sigma_y = {beam.sigma_y!r}, psf.w_y = {psf.w_y!r}, psf.gy_zero_cut = "
+            f"{psf.gy_zero_cut!r}, dmd.n_rows = {n_t!r} and dmd.pixel_pitch = {pitch!r}"
+        )
+    return w0
+
+
 def e_perp_max(psf: PsfModel, beam: BeamProfile, n_t: int, pitch: float) -> float:
     """On-axis field of the all-ones pattern; normalisation for achieved values."""
-    w0 = transversal_weights(psf, beam, n_t, pitch, [0.0])[0]
-    return beam.amplitude * float(w0.sum())
+    return beam.amplitude * float(on_axis_weights(psf, beam, n_t, pitch).sum())
 
 
 def calibrate_beam(
@@ -319,8 +335,6 @@ def calibrate_beam(
     out = BeamProfile(sigma_y=beam.sigma_y, sigma_z=beam.sigma_z)
     # on-axis all-ones field per unit amplitude
     unit = e_perp_max(psf, out, n_t, pitch)
-    if unit <= 0:
-        raise ValueError("transversal weights sum to a non-positive field")
     object.__setattr__(out, "amplitude", target / unit)
     return out
 
